@@ -15,7 +15,13 @@
 //!   under a committed ceiling sized for slow 1-core CI hosts (~8×
 //!   headroom over a developer-laptop observation), so only a real
 //!   regression (a reintroduced per-slice allocation, an accidentally
-//!   quadratic scan) trips it, not scheduler noise.
+//!   quadratic scan) trips it, not scheduler noise. The ceiling holds
+//!   for optimized builds only (CI's `perf-gate` job runs `--release`);
+//!   a debug build measures and prints, but does not assert.
+//!
+//! The allocation counter is process-global and libtest runs tests on
+//! parallel threads, so every test here holds [`MEASURE`] for its whole
+//! body: no measurement window ever overlaps another test's work.
 
 use criterion::measurement::WallTime;
 use eadt_bench::kernel::{
@@ -25,6 +31,7 @@ use eadt_bench::kernel::{
 use eadt_transfer::{Engine, NullController};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counting allocator: `System` plus an allocation odometer. Duplicated
 /// in `benches/slice_kernel.rs` — a `#[global_allocator]` must live in
@@ -56,6 +63,15 @@ fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Serializes the measurements: held for the whole of each test.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes the measurement lock; a test that failed while holding it
+/// leaves nothing to repair, so poisoning is ignored.
+fn measure_alone() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The zero-allocation claim of DESIGN.md §17, measured not asserted:
 /// once the scratch arena is warm, an executed steady-state slice
 /// performs no heap allocation at all. The threshold is a committed
@@ -63,6 +79,7 @@ fn alloc_count() -> u64 {
 /// expected observation is exactly 0.
 #[test]
 fn steady_slice_kernel_allocates_nothing() {
+    let _alone = measure_alone();
     let gate = KernelGate::load();
     let (env, plan) = steady_scenario();
     let observed = measure_allocs_per_slice(&env, &plan, alloc_count);
@@ -79,6 +96,7 @@ fn steady_slice_kernel_allocates_nothing() {
 /// proportional to dataset size or elapsed time.
 #[test]
 fn turbulent_slices_allocate_a_bounded_constant() {
+    let _alone = measure_alone();
     let gate = KernelGate::load();
     let (env, plan) = turbulent_scenario();
     let observed = measure_allocs_per_slice(&env, &plan, alloc_count);
@@ -91,10 +109,12 @@ fn turbulent_slices_allocate_a_bounded_constant() {
 
 /// Kernel wall time per executed steady slice versus the committed
 /// ceiling. Minimum over several passes, so scheduler noise on a busy CI
-/// host must hit every pass to fake a regression.
+/// host must hit every pass to fake a regression. The ceiling is sized
+/// for optimized builds; an unoptimized build only reports.
 #[test]
 fn kernel_throughput_within_committed_threshold() {
     const PASSES: usize = 5;
+    let _alone = measure_alone();
     let gate = KernelGate::load();
     let (env, plan) = steady_scenario();
     let slices = count_executed_slices(&env, &plan);
@@ -106,6 +126,15 @@ fn kernel_throughput_within_committed_threshold() {
         best = best.min(s);
     }
     let observed = best * 1e9 / slices as f64;
+    if cfg!(debug_assertions) {
+        eprintln!(
+            "perf-gate: kernel ns/slice ceiling skipped: this is a debug build, and the \
+             {:.0} ns ceiling is sized for optimized code (observed {observed:.0} ns; \
+             the release perf-gate job enforces it)",
+            gate.max_kernel_ns_per_slice
+        );
+        return;
+    }
     assert!(
         observed <= gate.max_kernel_ns_per_slice,
         "perf-gate: kernel ns/slice regression: observed {observed:.0} ns > allowed {:.0} ns \

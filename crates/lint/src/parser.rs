@@ -174,7 +174,8 @@ pub enum ItemKind {
     Field,
     /// An enum variant (child of an `Enum` item).
     Variant,
-    /// Anything else (`extern crate`, foreign mods, …).
+    /// Anything else (`extern crate`, foreign blocks — whose fn
+    /// declarations become children — …).
     Other,
 }
 
@@ -351,6 +352,9 @@ fn parse_items(tts: &[Tt], in_test: bool) -> Vec<Item> {
             )),
             Some("macro_rules") => Some(parse_macro_def(tts, &mut i, j, cfg_test)),
             Some("extern") => Some(parse_simple(tts, &mut i, j, vis, cfg_test, ItemKind::Other)),
+            None if is_foreign_block(tts, i, j) => {
+                Some(parse_foreign(tts, &mut i, j, vis, cfg_test))
+            }
             _ => None,
         };
         match item {
@@ -839,6 +843,39 @@ fn parse_simple(
         line,
         signature,
         children: Vec::new(),
+        body: None,
+        cfg_test,
+    }
+}
+
+/// True when the qualifiers `tts[start..brace]` include `extern` and
+/// `tts[brace]` is a brace group: a foreign block (`extern "C" { … }`,
+/// optionally `unsafe`).
+fn is_foreign_block(tts: &[Tt], start: usize, brace: usize) -> bool {
+    tts.get(brace).is_some_and(|t| t.is_group('{'))
+        && tts[start..brace]
+            .iter()
+            .any(|t| t.ident() == Some("extern"))
+}
+
+/// A foreign block: its declarations (`fn getrusage(…) -> i32;`) become
+/// children, like a module's items, so foreign fns exist in the symbol
+/// table under their own names.
+fn parse_foreign(tts: &[Tt], i: &mut usize, brace: usize, vis: Vis, cfg_test: bool) -> Item {
+    let line = tts[*i].line();
+    let signature = render(&tts[*i..brace]);
+    let children = match &tts[brace] {
+        Tt::Group { items, .. } => parse_items(items, cfg_test),
+        Tt::Tok(_) => Vec::new(),
+    };
+    *i = brace + 1;
+    Item {
+        kind: ItemKind::Other,
+        name: String::new(),
+        vis,
+        line,
+        signature,
+        children,
         body: None,
         cfg_test,
     }
@@ -1903,6 +1940,27 @@ mod tests {
         assert!(f.items[0].cfg_test);
         assert!(f.items[0].children[0].cfg_test);
         assert!(!f.items[1].cfg_test);
+    }
+
+    #[test]
+    fn foreign_blocks_keep_their_fns() {
+        let f = parse(
+            "extern \"C\" {\n    fn getrusage(who: i32, usage: *mut Rusage) -> i32;\n}\n\
+             unsafe extern \"C\" { pub fn abs(x: i32) -> i32; }\n\
+             extern \"C\" fn callback() {}\nfn after() {}",
+        );
+        assert_eq!(f.items.len(), 4);
+        for (block, name) in [(&f.items[0], "getrusage"), (&f.items[1], "abs")] {
+            assert!(matches!(block.kind, ItemKind::Other));
+            assert_eq!(block.children.len(), 1);
+            let decl = &block.children[0];
+            assert!(matches!(decl.kind, ItemKind::Fn));
+            assert_eq!(decl.name, name);
+            assert!(decl.body.is_none());
+        }
+        assert!(matches!(f.items[2].kind, ItemKind::Fn));
+        assert_eq!(f.items[2].name, "callback");
+        assert_eq!(f.items[3].name, "after");
     }
 
     #[test]

@@ -6,28 +6,42 @@
 //! test proves the steady-state slice loop performs **zero** heap
 //! allocations at runtime. That proof is statistical (a measured window
 //! of one scenario); this rule is the syntactic backstop: inside the
-//! configured hot functions — the slice kernel, its per-channel helpers,
-//! the fair-share and placement kernels — the allocating constructs
-//! `Vec::new`, `vec![…]`, `.collect()` and `Box::new` are flagged
-//! outright.
+//! configured hot functions — the engine's per-slice phase functions,
+//! their per-channel helpers, the fair-share and placement kernels — the
+//! allocating constructs `Vec::new`, `vec![…]`, `.collect()` and
+//! `Box::new` are flagged outright.
 //!
-//! Cold allocations that legitimately live *inside* a hot function
-//! (once-per-run state, the halt-checkpoint branch, the resume rebuild)
-//! burn down explicitly through `lint-allow.toml` entries whose context
-//! pins the exact line, so a new allocation cannot hide behind an old
-//! exemption.
+//! Cold work (run setup, stage setup, the resume restore, the halt
+//! checkpoint, the final report) lives in functions of its own that are
+//! not on the list, so the hot list needs no exemptions. Should a cold
+//! allocation ever have to sit inside a hot function, it burns down
+//! through a `lint-allow.toml` entry whose context pins the exact line.
 
 use super::Violation;
 use crate::parser::Expr;
 
 /// The hot-function list: `(repo-relative path, function name)`.
 ///
-/// Everything the per-slice path executes: the kernel itself, the
-/// per-chunk/per-channel helpers it calls every slice, the fair-share
-/// solver and the placement kernels. Additions here should come with a
-/// `perf_gate` scenario that actually drives the new function.
+/// Everything the per-slice path executes: the engine's slice loop and
+/// its phase functions (DESIGN.md §17), the per-chunk/per-channel
+/// helpers they call every slice, the fair-share solver and the
+/// placement kernels. Additions here should come with a `perf_gate`
+/// scenario that actually drives the new function.
 pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
-    ("crates/transfer/src/engine/mod.rs", "run_controlled_in"),
+    ("crates/transfer/src/engine/mod.rs", "drive_stage"),
+    ("crates/transfer/src/engine/mod.rs", "run_slice"),
+    ("crates/transfer/src/engine/mod.rs", "sync_channels"),
+    ("crates/transfer/src/engine/mod.rs", "place_on_sites"),
+    ("crates/transfer/src/engine/mod.rs", "kill_faulted"),
+    ("crates/transfer/src/engine/mod.rs", "tick_working_set"),
+    ("crates/transfer/src/engine/mod.rs", "demand_and_grant"),
+    ("crates/transfer/src/engine/mod.rs", "advance_channels"),
+    ("crates/transfer/src/engine/mod.rs", "book_slice"),
+    ("crates/transfer/src/engine/mod.rs", "consult_controller"),
+    ("crates/transfer/src/engine/mod.rs", "horizon_window"),
+    ("crates/transfer/src/engine/mod.rs", "replay_window"),
+    ("crates/transfer/src/engine/mod.rs", "backoff_tick"),
+    ("crates/transfer/src/engine/mod.rs", "book"),
     ("crates/transfer/src/engine/mod.rs", "rebalance_targets"),
     ("crates/transfer/src/engine/mod.rs", "busiest_chunk"),
     ("crates/transfer/src/engine/mod.rs", "sync_chunk_channels"),
@@ -84,8 +98,8 @@ fn flag(path: &str, line: u32, construct: &str, out: &mut Vec<Violation>) {
         line,
         message: format!(
             "{construct} in a hot function: the slice kernel must not allocate — reuse a \
-             `SliceArena` buffer or an `*_into` variant (DESIGN.md §17); cold paths \
-             (halt/resume/once-per-run) burn down via lint-allow.toml"
+             `SliceArena` buffer or an `*_into` variant (DESIGN.md §17); cold work \
+             (halt/resume/once-per-run) belongs in a function off the hot list"
         ),
     });
 }

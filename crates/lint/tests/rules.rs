@@ -156,18 +156,24 @@ fn hot_alloc_fixture_negative_is_clean() {
 
 #[test]
 fn hot_alloc_list_covers_the_kernel_and_its_helpers() {
-    assert!(hot_alloc::is_hot(
-        "crates/transfer/src/engine/mod.rs",
-        "run_controlled_in"
-    ));
+    // Every per-slice phase of the engine is hot, executed and replayed
+    // alike; the cold entry, setup and halt paths are not.
+    for phase in ["run_slice", "book_slice", "replay_window"] {
+        assert!(hot_alloc::is_hot(
+            "crates/transfer/src/engine/mod.rs",
+            phase
+        ));
+    }
     assert!(hot_alloc::is_hot(
         "crates/net/src/fair.rs",
         "fair_share_into"
     ));
-    assert!(!hot_alloc::is_hot(
-        "crates/transfer/src/engine/mod.rs",
-        "run_instrumented"
-    ));
+    for cold in ["run_instrumented", "run_controlled_in", "stage_setup"] {
+        assert!(!hot_alloc::is_hot(
+            "crates/transfer/src/engine/mod.rs",
+            cold
+        ));
+    }
 }
 
 // --- unit-escape -------------------------------------------------------

@@ -3,10 +3,11 @@
 //!
 //! A checkpoint is taken *between* slices — after one slice's controller
 //! action has been applied and before the next slice's fault window
-//! opens. At that instant every piece of engine state lives in a small
-//! set of locals ([`Engine::run_controlled`]'s accumulators), the chunk
-//! runtime states, the fault runtime, the controller, and the telemetry
-//! sinks; [`EngineCheckpoint`] captures all of them. Restoring into a
+//! opens. At that instant every piece of engine state lives in the run's
+//! accumulators, the chunk runtime states, the fault runtime, the
+//! controller, and the telemetry sinks; [`EngineCheckpoint`] captures all
+//! of them (`SliceRun::halt_checkpoint`, and `SliceRun::restore` on the
+//! way back in — both cold, outside the slice loop). Restoring into a
 //! freshly built engine with the identical plan and environment resumes
 //! the run so that the completed report, the journal suffix, and every
 //! metric are **bit-identical** to an uninterrupted run (the chaos suite
@@ -19,14 +20,14 @@
 //!
 //! [`Engine::run_controlled`]: super::Engine::run_controlled
 
-use super::{ChannelSoA, ChunkState, FileProgress};
+use super::{Accumulators, ChannelSoA, ChunkState, SliceArena, SliceRun};
 use crate::control::ControllerSnapshot;
 use crate::env::TransferEnv;
 use crate::plan::TransferPlan;
 use crate::report::{ChunkStat, TransferReport};
-use crate::retry::FaultRuntimeSnapshot;
+use crate::retry::{FaultRuntime, FaultRuntimeSnapshot};
 use eadt_sim::{Bytes, SimDuration, SimTime, TimeSeries};
-use eadt_telemetry::{EnergyLedger, MetricsSnapshot, SpanCursor};
+use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, SpanCursor};
 use serde::{Deserialize, Serialize};
 
 /// Version of the checkpoint schema. Bumped on any change to the
@@ -40,7 +41,7 @@ use serde::{Deserialize, Serialize};
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Progress of one file: full size (for restart-on-failure) and bytes
-/// still to push.
+/// still to push. Also the engine's own queue and in-flight element.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileSnapshot {
     /// Full file size.
@@ -93,12 +94,13 @@ pub struct ChunkSnapshot {
 }
 
 impl ChunkSnapshot {
-    /// Captures a chunk's runtime state: the chunk itself plus its block
-    /// of channel columns (`start..start + len`) in the arena's SoA. The
-    /// serialized layout is unchanged from the pre-SoA engine — channels
-    /// re-materialize as per-channel records in engine order, so
-    /// checkpoints stay byte-identical across the layout refactor.
-    pub(super) fn of(c: &ChunkState, ch: &ChannelSoA, start: usize, len: usize) -> Self {
+    /// Captures chunk `ci`'s runtime state: the chunk itself plus its
+    /// block of channel columns in the arena's SoA. The serialized layout
+    /// is unchanged from the pre-SoA engine — channels re-materialize as
+    /// per-channel records in engine order, so checkpoints stay
+    /// byte-identical across the layout refactor.
+    pub(super) fn of(c: &ChunkState, a: &SliceArena, ci: usize) -> Self {
+        let (ch, start) = (&a.ch, a.chunk_start[ci]);
         ChunkSnapshot {
             label: c.label.clone(),
             pipelining: c.pipelining,
@@ -108,8 +110,8 @@ impl ChunkSnapshot {
             file_count: c.file_count as u64,
             completed_at: c.completed_at,
             avg_file: c.avg_file,
-            queue: c.queue.iter().map(file_snapshot).collect(),
-            channels: (start..start + len)
+            queue: c.queue.iter().cloned().collect(),
+            channels: (start..start + a.chunk_len[ci])
                 .map(|i| ChannelSnapshot {
                     current: ch.has_file[i].then(|| FileSnapshot {
                         size: ch.file_size[i],
@@ -141,7 +143,7 @@ impl ChunkSnapshot {
             }
         }
         let mut queue = std::collections::VecDeque::with_capacity(self.file_count as usize);
-        queue.extend(self.queue.into_iter().map(file_progress));
+        queue.extend(self.queue);
         ChunkState {
             label: self.label,
             pipelining: self.pipelining,
@@ -154,20 +156,6 @@ impl ChunkSnapshot {
             queue,
             target: self.target,
         }
-    }
-}
-
-fn file_snapshot(fp: &FileProgress) -> FileSnapshot {
-    FileSnapshot {
-        size: fp.size,
-        remaining: fp.remaining,
-    }
-}
-
-fn file_progress(fs: FileSnapshot) -> FileProgress {
-    FileProgress {
-        size: fs.size,
-        remaining: fs.remaining,
     }
 }
 
@@ -268,6 +256,111 @@ impl EngineCheckpoint {
             ));
         }
         Ok(ck)
+    }
+}
+
+impl SliceRun<'_> {
+    /// Resume restore (cold): validates the checkpoint against this run's
+    /// configuration, then overwrites the fresh fault runtime, controller,
+    /// telemetry sinks and accumulators with the checkpoint's. Returns the
+    /// stage to resume and its chunk snapshots.
+    ///
+    /// # Panics
+    /// On any mismatch (see [`Engine::run_controlled`]).
+    ///
+    /// [`Engine::run_controlled`]: super::Engine::run_controlled
+    pub(super) fn restore(&mut self, ck: EngineCheckpoint) -> (usize, Option<Vec<ChunkSnapshot>>) {
+        let env = self.env;
+        assert_eq!(
+            ck.version, CHECKPOINT_SCHEMA_VERSION,
+            "checkpoint schema version mismatch"
+        );
+        assert_eq!(
+            ck.fingerprint, self.fingerprint,
+            "checkpoint was taken under a different plan/environment"
+        );
+        assert!(
+            (ck.stage as usize) < self.plan.stages.len(),
+            "checkpoint stage {} out of range ({} stages)",
+            ck.stage,
+            self.plan.stages.len()
+        );
+        let active = env.faults.as_ref().filter(|p| p.is_active());
+        let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
+        self.runtime = match (active, &ck.faults) {
+            (Some(plan), Some(snap)) => Some(FaultRuntime::restore(plan, n_src, n_dst, snap)),
+            (None, None) => None,
+            (have_plan, snap) => panic!(
+                "checkpoint fault state ({}) does not match the environment ({})",
+                snap.as_ref().map_or("absent", |_| "present"),
+                have_plan.map_or("no plan", |_| "active plan"),
+            ),
+        };
+        self.controller
+            .restore(&ck.controller)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            self.tel.metrics_ref().is_some(),
+            ck.metrics.is_some(),
+            "checkpoint metrics state does not match the telemetry configuration"
+        );
+        if let (Some(m), Some(snap)) = (self.tel.metrics(), &ck.metrics) {
+            *m = MetricsRegistry::restore(snap);
+        }
+        self.tel.set_open_spans(ck.open_spans);
+        self.acc = Accumulators {
+            now: ck.now,
+            slices_done: ck.slices_done,
+            estimated_energy: ck.estimated_energy_j,
+            retransmitted: ck.retransmitted,
+            chunk_stats: ck.chunk_stats,
+            ledger: ck.ledger,
+            horizon_end: ck.horizon_end,
+            moved_total: ck.moved_total,
+            wire_bytes_f: ck.wire_bytes_f,
+            throughput_series: ck.throughput_series,
+            power_series: ck.power_series,
+            concurrency_series: ck.concurrency_series,
+            audit_gross: ck.audit_gross,
+            audit_stage_requested: ck.audit_stage_requested,
+            prev_src_active: ck.prev_src_active,
+            prev_dst_active: ck.prev_dst_active,
+        };
+        (ck.stage as usize, Some(ck.chunks))
+    }
+
+    /// Halt snapshot (cold): the run's full in-flight state at this slice
+    /// boundary of stage `stage`. Every controller/runtime event buffer
+    /// was drained by the slice that just ended.
+    pub(super) fn halt_checkpoint(self, a: &SliceArena, stage: usize) -> EngineCheckpoint {
+        let (acc, chunks) = (self.acc, self.chunks.iter().enumerate());
+        EngineCheckpoint {
+            version: CHECKPOINT_SCHEMA_VERSION,
+            fingerprint: self.fingerprint,
+            stage: stage as u64,
+            now: acc.now,
+            slices_done: acc.slices_done,
+            estimated_energy_j: acc.estimated_energy,
+            retransmitted: acc.retransmitted,
+            ledger: acc.ledger,
+            horizon_end: acc.horizon_end,
+            open_spans: self.tel.open_spans().to_vec(),
+            moved_total: acc.moved_total,
+            wire_bytes_f: acc.wire_bytes_f,
+            audit_gross: acc.audit_gross,
+            audit_stage_requested: acc.audit_stage_requested,
+            chunk_stats: acc.chunk_stats,
+            throughput_series: acc.throughput_series,
+            power_series: acc.power_series,
+            concurrency_series: acc.concurrency_series,
+            chunks: chunks.map(|(ci, c)| ChunkSnapshot::of(c, a, ci)).collect(),
+            prev_src_active: acc.prev_src_active,
+            prev_dst_active: acc.prev_dst_active,
+            faults: self.runtime.as_ref().map(FaultRuntime::snapshot),
+            controller: self.controller.snapshot(),
+            metrics: self.tel.metrics_ref().map(MetricsRegistry::snapshot),
+            journal_seq: self.tel.journal().map_or(0, |j| j.next_seq()),
+        }
     }
 }
 

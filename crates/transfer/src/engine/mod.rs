@@ -1,27 +1,30 @@
 //! The time-sliced transfer engine.
 //!
-//! Each slice (default 100 ms) the engine:
+//! Each slice (default 100 ms) runs the phase functions of the private
+//! `SliceRun`, in order, over the engine's [`SliceArena`]:
 //!
-//! 1. synchronises every chunk's channel set with its target allocation
-//!    (channels may be added/removed mid-transfer by the [`Controller`]);
-//! 2. computes per-channel demand: `min(parallelism × stream rate, process
-//!    cap, source disk share, destination disk share)`;
-//! 3. grants rates max-min fairly against the path capacity scaled by the
-//!    congestion efficiency of the total stream count;
-//! 4. advances every channel through its file queue, paying the
-//!    `RTT/pipelining` inter-file control-channel gap;
-//! 5. converts per-server load into utilization and power (Eq. 1) and
-//!    accumulates energy on both sites;
-//! 6. reports the slice to the controller, which may re-allocate channels.
-//!
-//! With a [`crate::faults::FaultPlan`] configured, the slice additionally
-//! advances the fault runtime (episode windows, breaker cooldowns),
-//! routes placement around quarantined servers, kills channels whose TTF
-//! expired or that connected into an outage window, and schedules their
-//! reconnects through the retry policy's jittered exponential backoff.
-//! Channels waiting out a backoff longer than the slice are *blocked*:
-//! they hold no demand, draw no power, and do not count against their
-//! server's disk contention.
+//! 1. `sync_channels` — grows or shrinks every chunk's channel block to
+//!    the target the [`Controller`] set (freed targets move to the
+//!    busiest chunk);
+//! 2. `place_on_sites` — assigns every channel a server on both sites,
+//!    around servers whose circuit breaker is open;
+//! 3. `kill_faulted` — fails channels whose TTF expired or that connect
+//!    into an outage window, scheduling a jittered exponential backoff;
+//! 4. `tick_working_set` — books one slice of every backoff and counts
+//!    the working channels per server (a channel whose gap outlasts the
+//!    slice is *blocked*: no demand, no power, no disk contention);
+//! 5. `demand_and_grant` — per-channel demand `min(parallelism × stream
+//!    rate, process cap, disk shares)`, granted max-min fairly against
+//!    the path capacity scaled by the congestion efficiency;
+//! 6. `advance_channels` — moves every channel through its file queue,
+//!    paying the `RTT/pipelining` inter-file control-channel gap;
+//! 7. `book_slice` — books the slice's power (Eq. 1, via `site_power`),
+//!    energy, series and metrics into the run's accumulators;
+//! 8. `consult_controller` — reports the slice to the controller, which
+//!    may re-allocate channels;
+//! 9. `horizon_window` / `replay_window` — on `Continue`, replays the
+//!    provably steady slices ahead arithmetically (DESIGN.md §12), each
+//!    booked through the same `book_slice`.
 //!
 //! Everything is deterministic: no wall clock, and the only RNGs are the
 //! fault plan's seeded streams.
@@ -44,8 +47,8 @@
 use crate::control::{ControlAction, Controller, FaultView, SliceCtx};
 use crate::env::TransferEnv;
 use crate::faults::{FaultCause, SiteSide};
-use crate::plan::TransferPlan;
-use crate::report::TransferReport;
+use crate::plan::{ChunkPlan, StagePlan, TransferPlan};
+use crate::report::{ChunkStat, TransferReport};
 use crate::retry::FaultRuntime;
 use eadt_dataset::FileSpec;
 use eadt_endsys::{ServerLoad, Utilization};
@@ -53,7 +56,8 @@ use eadt_net::fair::{fair_share_into, FairScratch};
 use eadt_power::{PowerBreakdown, PowerModel};
 use eadt_sim::{Bytes, Rate, SimDuration, SimTime, TimeSeries};
 use eadt_telemetry::{
-    EnergyLedger, EnergyPhase, Event, GaugeId, HistogramId, MetricsRegistry, Side, Telemetry,
+    EnergyLedger, EnergyPhase, Event, GaugeId, HistogramId, MetricsRegistry, Side, SideLedger,
+    Telemetry,
 };
 use std::collections::VecDeque;
 
@@ -64,17 +68,12 @@ pub use checkpoint::{
     ResourceShare, RunControl, RunOutcome, CHECKPOINT_SCHEMA_VERSION,
 };
 
-/// A file being moved: its full size (for restart after a channel
-/// failure) and how much is left to push.
-#[derive(Debug, Clone)]
-struct FileProgress {
-    size: Bytes,
-    remaining: Bytes,
-}
-
-impl FileProgress {
+impl FileSnapshot {
+    /// A file about to be moved: nothing pushed yet. The engine queues
+    /// and carries files as [`FileSnapshot`]s (full size for restart
+    /// after a channel failure, bytes left to push).
     fn fresh(file: FileSpec) -> Self {
-        FileProgress {
+        FileSnapshot {
             size: file.size,
             remaining: file.size,
         }
@@ -176,8 +175,56 @@ struct ChunkState {
     /// Mean file size of the chunk — sets the channels' steady-state duty
     /// cycle (share of time spent moving bytes vs. per-file gaps).
     avg_file: Bytes,
-    queue: VecDeque<FileProgress>,
+    queue: VecDeque<FileSnapshot>,
     target: u32,
+}
+
+impl ChunkState {
+    /// A chunk about to start: every file queued, no channel open yet.
+    fn fresh(cp: &ChunkPlan) -> Self {
+        let total = cp.total_bytes();
+        ChunkState {
+            label: cp.label.clone(),
+            pipelining: cp.pipelining.max(1),
+            parallelism: cp.parallelism.max(1),
+            accepts_reallocation: cp.accepts_reallocation,
+            total_bytes: total,
+            file_count: cp.files.len(),
+            completed_at: None,
+            avg_file: if cp.files.is_empty() {
+                Bytes::ZERO
+            } else {
+                Bytes(total.as_u64() / cp.files.len() as u64)
+            },
+            queue: cp.files.iter().copied().map(FileSnapshot::fresh).collect(),
+            target: cp.channels,
+        }
+    }
+
+    /// Bytes still queued or in flight on the chunk (index `ci`),
+    /// recounted from its queue and channel block — the ground truth the
+    /// arena's incremental `chunk_remaining` column tracks.
+    fn recount_remaining(&self, a: &SliceArena, ci: usize) -> Bytes {
+        let s = a.chunk_start[ci];
+        let in_flight: Bytes = (s..s + a.chunk_len[ci])
+            .filter(|&i| a.ch.has_file[i])
+            .map(|i| a.ch.file_remaining[i])
+            .sum();
+        self.queue.iter().map(|f| f.remaining).sum::<Bytes>() + in_flight
+    }
+
+    fn live(&self, in_flight: u32) -> bool {
+        !self.queue.is_empty() || in_flight > 0
+    }
+
+    fn stat(&self) -> ChunkStat {
+        ChunkStat {
+            label: self.label.clone(),
+            bytes: self.total_bytes,
+            files: self.file_count,
+            completed_at: self.completed_at.map(|t| t.since(SimTime::ZERO)),
+        }
+    }
 }
 
 /// Executes [`TransferPlan`]s in a [`TransferEnv`].
@@ -264,1259 +311,1115 @@ impl<'a> Engine<'a> {
         ctl: RunControl,
         arena: &mut SliceArena,
     ) -> RunOutcome {
-        let env = self.env;
-        let slice = env.tuning.slice;
-        let slice_secs = slice.as_secs_f64();
-        let rtt = env.link.rtt;
-        let fingerprint = config_fingerprint(env, plan);
-
-        let mut now = SimTime::ZERO;
-        let mut slices_done = 0u64;
+        let (mut run, start_stage, mut resumed) =
+            SliceRun::begin(self.env, plan, controller, tel, ctl);
         let mut completed = true;
-        let mut estimated_energy = 0.0f64;
-        let mut runtime = env
-            .faults
-            .as_ref()
-            .filter(|p| p.is_active())
-            .map(|p| FaultRuntime::new(p, env.src.servers.len(), env.dst.servers.len()));
-        let mut retransmitted = Bytes::ZERO;
-        let mut chunk_stats: Vec<crate::report::ChunkStat> = Vec::new();
-        // Energy attribution (DESIGN.md §14): the per-site energy lives in
-        // the ledger's phase buckets; the report totals are derived from
-        // their fixed-order sum at the end of the run.
-        let mut ledger = EnergyLedger::default();
-        // End boundary (in `slices_done`) of the currently open horizon
-        // span. Tracked only on journaled runs; `None` otherwise.
-        let mut horizon_end: Option<u64> = None;
-        let mut moved_total = Bytes::ZERO;
-        let mut wire_bytes_f = 0.0f64;
-        let mut throughput_series = TimeSeries::new();
-        let mut power_series = TimeSeries::new();
-        let mut concurrency_series = TimeSeries::new();
-        let requested = plan.total_bytes();
-
-        // Invariant-auditor state (DESIGN.md §10). The `cfg!` guards make
-        // every update and assertion compile away without the
-        // `debug-invariants` feature, keeping the hot loop untouched.
-        let mut audit_gross = Bytes::ZERO;
-        let mut audit_stage_requested = Bytes::ZERO;
-
-        let mut prev_src_active = vec![false; env.src.servers.len()];
-        let mut prev_dst_active = vec![false; env.dst.servers.len()];
-
-        // Resume: overwrite the fresh state with the checkpoint's after
-        // validating that the configuration is the one it was taken under.
-        let mut start_stage = 0usize;
-        let mut resume_chunks: Option<Vec<ChunkSnapshot>> = None;
-        if let Some(ck) = ctl.resume {
-            let ck = *ck;
-            assert_eq!(
-                ck.version, CHECKPOINT_SCHEMA_VERSION,
-                "checkpoint schema version mismatch"
-            );
-            assert_eq!(
-                ck.fingerprint, fingerprint,
-                "checkpoint was taken under a different plan/environment"
-            );
-            assert!(
-                (ck.stage as usize) < plan.stages.len(),
-                "checkpoint stage {} out of range ({} stages)",
-                ck.stage,
-                plan.stages.len()
-            );
-            runtime = match (runtime.is_some(), &ck.faults) {
-                (true, Some(snap)) => Some(FaultRuntime::restore(
-                    env.faults.as_ref().expect("runtime implies a plan"),
-                    env.src.servers.len(),
-                    env.dst.servers.len(),
-                    snap,
-                )),
-                (false, None) => None,
-                (have_plan, _) => panic!(
-                    "checkpoint fault state ({}) does not match the environment ({})",
-                    if ck.faults.is_some() {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                    if have_plan { "active plan" } else { "no plan" },
-                ),
-            };
-            controller
-                .restore(&ck.controller)
-                .unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(
-                tel.metrics_ref().is_some(),
-                ck.metrics.is_some(),
-                "checkpoint metrics state does not match the telemetry configuration"
-            );
-            if let (Some(m), Some(snap)) = (tel.metrics(), &ck.metrics) {
-                *m = MetricsRegistry::restore(snap);
-            }
-            now = ck.now;
-            slices_done = ck.slices_done;
-            estimated_energy = ck.estimated_energy_j;
-            retransmitted = ck.retransmitted;
-            chunk_stats = ck.chunk_stats;
-            ledger = ck.ledger;
-            horizon_end = ck.horizon_end;
-            tel.set_open_spans(ck.open_spans);
-            moved_total = ck.moved_total;
-            wire_bytes_f = ck.wire_bytes_f;
-            throughput_series = ck.throughput_series;
-            power_series = ck.power_series;
-            concurrency_series = ck.concurrency_series;
-            audit_gross = ck.audit_gross;
-            audit_stage_requested = ck.audit_stage_requested;
-            prev_src_active = ck.prev_src_active;
-            prev_dst_active = ck.prev_dst_active;
-            start_stage = ck.stage as usize;
-            resume_chunks = Some(ck.chunks);
-        }
-
-        // Telemetry wiring. `journaling` is the single branch every event
-        // hook reduces to when telemetry is off. Capture flags are not
-        // part of checkpoints; they are re-derived here, after restore.
-        let journaling = tel.journaling();
-        let gauges = tel.metrics().map(EngineGauges::register);
-        if journaling {
-            controller.enable_event_capture();
-            if let Some(rt) = &mut runtime {
-                rt.capture_events(true);
-            }
-        }
-
-        for (stage_idx, stage) in plan.stages.iter().enumerate() {
-            if stage_idx < start_stage {
-                continue;
-            }
-            // A mid-stage resume rebuilds the running stage's chunks from
-            // the checkpoint (and skips the stage preamble — its events
-            // and audit booking happened before the checkpoint was taken).
-            let resumed = resume_chunks.take();
-            let resumed_mid_stage = resumed.is_some();
-
-            // Reset the arena's per-chunk columns and split it into
-            // per-field borrows the whole stage holds at once. Buffer
-            // capacity persists across stages and runs.
-            arena.begin_stage(stage.chunks.len());
-            let SliceArena {
-                ch,
-                chunk_start,
-                chunk_len,
-                chunk_in_flight,
-                chunk_remaining,
-                chunk_cap,
-                chunk_gap,
-                chunk_duty,
-                chunk_demand,
-                chunk_moved,
-                src_assign,
-                dst_assign,
-                src_chan,
-                src_streams,
-                dst_chan,
-                dst_streams,
-                working,
-                demands,
-                grants,
-                src_moved,
-                dst_moved,
-                ch_moved,
-                place,
-                src_avail,
-                dst_avail,
-                ctx_channels,
-                ctx_remaining,
-                ctx_q_src,
-                ctx_q_dst,
-                fair,
-                disk,
-            } = &mut *arena;
-
-            let mut chunks: Vec<ChunkState> = match resumed {
-                Some(snaps) => {
-                    assert_eq!(
-                        snaps.len(),
-                        stage.chunks.len(),
-                        "checkpoint chunk count does not match the stage"
-                    );
-                    let mut out = Vec::with_capacity(snaps.len());
-                    for (ci, snap) in snaps.into_iter().enumerate() {
-                        let start = ch.len();
-                        let c = snap.into_state(ch, ci as u32);
-                        let len = ch.len() - start;
-                        chunk_start[ci] = start;
-                        chunk_len[ci] = len;
-                        chunk_in_flight[ci] =
-                            (start..start + len).filter(|&i| ch.has_file[i]).count() as u32;
-                        let queued: Bytes = c.queue.iter().map(|f| f.remaining).sum();
-                        let in_flight: Bytes = (start..start + len)
-                            .filter(|&i| ch.has_file[i])
-                            .map(|i| ch.file_remaining[i])
-                            .sum();
-                        chunk_remaining[ci] = queued + in_flight;
-                        out.push(c);
-                    }
-                    out
-                }
-                None => stage
-                    .chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, cp)| {
-                        let total = cp.total_bytes();
-                        chunk_remaining[ci] = total;
-                        ChunkState {
-                            label: cp.label.clone(),
-                            pipelining: cp.pipelining.max(1),
-                            parallelism: cp.parallelism.max(1),
-                            accepts_reallocation: cp.accepts_reallocation,
-                            total_bytes: total,
-                            file_count: cp.files.len(),
-                            completed_at: None,
-                            avg_file: if cp.files.is_empty() {
-                                Bytes::ZERO
-                            } else {
-                                Bytes(total.as_u64() / cp.files.len() as u64)
-                            },
-                            queue: cp.files.iter().copied().map(FileProgress::fresh).collect(),
-                            target: cp.channels,
-                        }
-                    })
-                    .collect(),
-            };
-            // The channel rate ceiling depends only on the chunk's (fixed)
-            // parallelism: computed once per stage, read every slice.
-            for (ci, c) in chunks.iter().enumerate() {
-                chunk_cap[ci] = env.channel_cap(c.parallelism);
-            }
-
-            if cfg!(feature = "debug-invariants") && !resumed_mid_stage {
-                audit_stage_requested += chunks.iter().map(|c| c.total_bytes).sum();
-            }
-
-            if journaling && !resumed_mid_stage {
-                tel.record(
-                    now,
-                    Event::StageStart {
-                        stage: stage_idx as u32,
-                    },
-                );
-                for (ci, c) in chunks.iter().enumerate() {
-                    tel.record_with(now, || Event::ChunkStart {
-                        chunk: ci as u32,
-                        label: c.label.clone(),
-                        bytes: c.total_bytes.as_u64(),
-                        files: c.file_count as u64,
-                    });
+        for (idx, stage) in plan.stages.iter().enumerate().skip(start_stage) {
+            run.stage_setup(arena, idx, stage, resumed.take());
+            match run.drive_stage(arena, idx) {
+                StageEnd::Drained => {}
+                // Stats for the timed-out stage are still collected.
+                StageEnd::TimedOut => completed = false,
+                StageEnd::Halted => {
+                    return RunOutcome::Halted(Box::new(run.halt_checkpoint(arena, idx)))
                 }
             }
-
-            while chunks
-                .iter()
-                .enumerate()
-                .any(|(ci, c)| !c.queue.is_empty() || chunk_in_flight[ci] > 0)
-            {
-                // Checkpoint boundary: between slices, before the next
-                // slice's fault window opens. All controller/runtime event
-                // buffers are drained here, making the snapshot complete.
-                if ctl.halt_after.is_some_and(|h| slices_done >= h) {
-                    return RunOutcome::Halted(Box::new(EngineCheckpoint {
-                        version: CHECKPOINT_SCHEMA_VERSION,
-                        fingerprint,
-                        stage: stage_idx as u64,
-                        now,
-                        slices_done,
-                        estimated_energy_j: estimated_energy,
-                        retransmitted,
-                        ledger,
-                        horizon_end,
-                        open_spans: tel.open_spans().to_vec(),
-                        moved_total,
-                        wire_bytes_f,
-                        audit_gross,
-                        audit_stage_requested,
-                        chunk_stats,
-                        throughput_series,
-                        power_series,
-                        concurrency_series,
-                        chunks: chunks
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, c)| ChunkSnapshot::of(c, ch, chunk_start[ci], chunk_len[ci]))
-                            .collect(),
-                        prev_src_active,
-                        prev_dst_active,
-                        faults: runtime.as_ref().map(FaultRuntime::snapshot),
-                        controller: controller.snapshot(),
-                        metrics: tel.metrics_ref().map(MetricsRegistry::snapshot),
-                        journal_seq: tel.journal().map_or(0, |j| j.next_seq()),
-                    }));
-                }
-                // A horizon span closes at the first boundary at/after its
-                // promised end. This sits after the halt check — a halted
-                // run leaves the span open in the checkpoint and the
-                // resumed run emits the `span_end` at the same sequence
-                // number an uninterrupted run would.
-                if horizon_end.is_some_and(|h| slices_done >= h) {
-                    horizon_end = None;
-                    tel.record_with(now, || Event::SpanEnd {
-                        id: 0,
-                        kind: "horizon".to_string(),
-                        detail: String::new(),
-                    });
-                }
-                if now.since(SimTime::ZERO) >= env.tuning.max_duration {
-                    completed = false;
-                    break; // stats for this stage are still collected below
-                }
-
-                rebalance_targets(
-                    &mut chunks,
-                    chunk_in_flight,
-                    chunk_remaining,
-                    plan.reallocate_on_completion,
-                );
-                if let Some(rt) = &mut runtime {
-                    rt.begin_slice(now);
-                }
-                // Sync each chunk's channel block with its target. Blocks
-                // stay contiguous and chunk-major: `start` accumulates the
-                // post-sync lengths of the chunks already processed, so
-                // inserts/removals in earlier chunks shift later blocks
-                // without breaking the invariant.
-                let mut start = 0usize;
-                for (ci, c) in chunks.iter_mut().enumerate() {
-                    chunk_start[ci] = start;
-                    let before = chunk_len[ci] as u32;
-                    sync_chunk_channels(
-                        ch,
-                        start,
-                        &mut chunk_len[ci],
-                        &mut chunk_in_flight[ci],
-                        &mut c.queue,
-                        ci as u32,
-                        c.target,
-                        rtt,
-                        || runtime.as_mut().and_then(FaultRuntime::sample_ttf),
-                    );
-                    if journaling {
-                        let after = chunk_len[ci] as u32;
-                        if after > before {
-                            tel.record(
-                                now,
-                                Event::ChannelOpen {
-                                    chunk: ci as u32,
-                                    opened: after - before,
-                                    count: after,
-                                },
-                            );
-                        } else if before > after {
-                            tel.record(
-                                now,
-                                Event::ChannelClose {
-                                    chunk: ci as u32,
-                                    closed: before - after,
-                                    count: after,
-                                },
-                            );
-                        }
-                    }
-                    start += chunk_len[ci];
-                }
-
-                let total_channels = ch.len() as u32;
-                concurrency_series.push(now, f64::from(total_channels));
-                if total_channels == 0 {
-                    // No channels but work remains (controller zeroed
-                    // everything): force one channel on the fattest chunk.
-                    if let Some(idx) =
-                        busiest_chunk(&chunks, chunk_in_flight, chunk_remaining, false)
-                    {
-                        chunks[idx].target = 1;
-                        continue;
-                    }
-                    break;
-                }
-
-                // Placement on both sites, routed around servers whose
-                // circuit breaker is open. Only *learned* state masks —
-                // an outage the client has not collided with yet does
-                // not; it is discovered by failing against it below.
-                match &runtime {
-                    Some(rt) => {
-                        rt.avail_masks_into(src_avail, dst_avail);
-                        env.src.place_channels_masked_into(
-                            total_channels,
-                            plan.placement,
-                            src_avail,
-                            place,
-                        );
-                        assign_servers_into(place, src_assign);
-                        env.dst.place_channels_masked_into(
-                            total_channels,
-                            plan.placement,
-                            dst_avail,
-                            place,
-                        );
-                        assign_servers_into(place, dst_assign);
-                    }
-                    None => {
-                        env.src
-                            .place_channels_into(total_channels, plan.placement, place);
-                        assign_servers_into(place, src_assign);
-                        env.dst
-                            .place_channels_into(total_channels, plan.placement, place);
-                        assign_servers_into(place, dst_assign);
-                    }
-                }
-
-                // Fault injection, now that channels have servers: a
-                // channel dies when its TTF runs out or when it would
-                // connect to a server inside an outage window. The kill
-                // returns the in-flight file (restarting it without
-                // markers — the lost progress leaves `moved_total` and is
-                // booked as retransmission) and schedules the reconnect
-                // through the retry policy.
-                let mut slice_kills = false;
-                if let Some(rt) = &mut runtime {
-                    for i in 0..ch.len() {
-                        let ci = ch.chunk[i] as usize;
-                        let connects = ch.gap[i] < slice;
-                        let busy = ch.has_file[i] || !chunks[ci].queue.is_empty();
-                        let mut cause = None;
-                        if let Some(ttf) = ch.ttf[i] {
-                            if ttf <= slice {
-                                cause = Some(FaultCause::Channel);
-                            } else {
-                                ch.ttf[i] = Some(ttf - slice);
-                            }
-                        }
-                        if cause.is_none()
-                            && connects
-                            && busy
-                            && (rt.outage_active(SiteSide::Src, src_assign[i])
-                                || rt.outage_active(SiteSide::Dst, dst_assign[i]))
-                        {
-                            cause = Some(FaultCause::Outage);
-                        }
-                        let Some(cause) = cause else { continue };
-                        slice_kills = true;
-                        if ch.has_file[i] {
-                            let size = ch.file_size[i];
-                            let mut rem = ch.file_remaining[i];
-                            if !rt.restart_markers() {
-                                let lost = size.saturating_sub(rem);
-                                moved_total = moved_total.saturating_sub(lost);
-                                retransmitted += lost;
-                                rt.book_retransmit(lost);
-                                // The file restarts from zero; its lost
-                                // progress re-enters the chunk's remaining.
-                                rem = size;
-                                chunk_remaining[ci] += lost;
-                            }
-                            chunks[ci].queue.push_front(FileProgress {
-                                size,
-                                remaining: rem,
-                            });
-                            ch.has_file[i] = false;
-                            chunk_in_flight[ci] -= 1;
-                        }
-                        let attempt = ch.consecutive[i];
-                        let (delay, exhausted) = rt.next_delay(attempt);
-                        ch.gap[i] = delay;
-                        ch.in_backoff[i] = true;
-                        ch.consecutive[i] = if exhausted { 0 } else { ch.consecutive[i] + 1 };
-                        rt.record_failure(cause, src_assign[i], dst_assign[i], now);
-                        if cause == FaultCause::Channel {
-                            ch.ttf[i] = rt.sample_ttf();
-                        }
-                        if journaling {
-                            let chi = (i - chunk_start[ci]) as u32;
-                            tel.record_with(now, || Event::ChannelFail {
-                                chunk: ci as u32,
-                                channel: chi,
-                                cause: match cause {
-                                    FaultCause::Channel => "channel".to_string(),
-                                    FaultCause::Outage => "outage".to_string(),
-                                },
-                                src_server: src_assign[i] as u32,
-                                dst_server: dst_assign[i] as u32,
-                            });
-                            tel.record(
-                                now,
-                                Event::ChannelRetry {
-                                    chunk: ci as u32,
-                                    channel: chi,
-                                    attempt,
-                                    delay_us: delay.as_micros(),
-                                    exhausted,
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // Per-server working-channel and stream counts. A channel
-                // whose gap outlasts the slice is *blocked* — it moves
-                // nothing, holds no demand, and its server neither counts
-                // it for disk contention nor burns power on it.
-                reset(src_chan, env.src.servers.len(), 0);
-                reset(src_streams, env.src.servers.len(), 0);
-                reset(dst_chan, env.dst.servers.len(), 0);
-                reset(dst_streams, env.dst.servers.len(), 0);
-                reset(working, ch.len(), false);
-                let mut total_streams = 0u32;
-                let mut in_backoff = 0u32;
-                for i in 0..ch.len() {
-                    let ci = ch.chunk[i] as usize;
-                    let busy = ch.has_file[i] || !chunks[ci].queue.is_empty();
-                    if ch.in_backoff[i] {
-                        if let Some(rt) = &mut runtime {
-                            rt.book_backoff(ch.gap[i].min(slice));
-                        }
-                        if ch.gap[i] <= slice {
-                            ch.in_backoff[i] = false;
-                        }
-                        in_backoff += 1;
-                    }
-                    working[i] = busy && ch.gap[i] < slice;
-                    if working[i] {
-                        let p = chunks[ci].parallelism;
-                        src_chan[src_assign[i]] += 1;
-                        src_streams[src_assign[i]] += p;
-                        dst_chan[dst_assign[i]] += 1;
-                        dst_streams[dst_assign[i]] += p;
-                        total_streams += p;
-                    }
-                }
-
-                // Power-state edges: a server transitions between idle
-                // and active when it gains/loses its first working
-                // channel (its power draw follows).
-                if journaling {
-                    for (srv, (&cnt, prev)) in
-                        src_chan.iter().zip(prev_src_active.iter_mut()).enumerate()
-                    {
-                        let active = cnt > 0;
-                        if active != *prev {
-                            *prev = active;
-                            tel.record(
-                                now,
-                                Event::PowerState {
-                                    side: Side::Src,
-                                    server: srv as u32,
-                                    active,
-                                },
-                            );
-                        }
-                    }
-                    for (srv, (&cnt, prev)) in
-                        dst_chan.iter().zip(prev_dst_active.iter_mut()).enumerate()
-                    {
-                        let active = cnt > 0;
-                        if active != *prev {
-                            *prev = active;
-                            tel.record(
-                                now,
-                                Event::PowerState {
-                                    side: Side::Dst,
-                                    server: srv as u32,
-                                    active,
-                                },
-                            );
-                        }
-                    }
-                }
-
-                let eff = env.congestion.efficiency(total_streams);
-                let bg = env.background.map_or(1.0, |b| b.capacity_factor(now));
-                // Pool arbitration (multi-tenant sites) scales the shared
-                // link capacity; the default 1.0 grant is an exact FP
-                // identity, so solo runs are byte-for-byte unchanged.
-                let capacity = env.link.bandwidth * (eff * bg * ctl.share.bandwidth);
-
-                // Demands: per-channel ceiling from the window/process
-                // model scaled by the channel's control-plane duty cycle
-                // (a small-file channel spends most of its time in
-                // per-file gaps and must not reserve bandwidth it cannot
-                // use), then shaped max-min fairly through each server's
-                // disk subsystem on both ends, then through the path.
-                //
-                // Every input is per-chunk constant, so the gap, duty and
-                // demand are hoisted to one computation per chunk — the
-                // same operations on the same values the per-channel loop
-                // used to run, hence FP-identical.
-                let stall_mult = runtime.as_ref().map_or(1.0, FaultRuntime::gap_multiplier);
-                for (ci, c) in chunks.iter().enumerate() {
-                    chunk_gap[ci] = (rtt / u64::from(c.pipelining)).mul_f64(stall_mult)
-                        + env.tuning.per_file_overhead;
-                    let gap = chunk_gap[ci].as_secs_f64();
-                    // Steady-state duty cycle from the chunk's mean file
-                    // size (NOT the in-flight remainder: that would decay
-                    // the demand to zero as a file nears completion).
-                    let t_x = c.avg_file.as_f64() * 8.0 / chunk_cap[ci].as_bps().max(1.0);
-                    chunk_duty[ci] = if t_x + gap <= 0.0 {
-                        1.0
-                    } else {
-                        (t_x / (t_x + gap)).max(0.05)
-                    };
-                    chunk_demand[ci] = chunk_cap[ci] * chunk_duty[ci];
-                }
-                reset(demands, ch.len(), Rate::ZERO);
-                for i in 0..ch.len() {
-                    if working[i] {
-                        demands[i] = chunk_demand[ch.chunk[i] as usize];
-                    }
-                }
-                apply_disk_fairness(demands, src_assign, src_chan, disk, |srv| {
-                    let factor = runtime
-                        .as_ref()
-                        .map_or(1.0, |rt| rt.disk_factor(SiteSide::Src, srv));
-                    env.src.servers[srv].disk.aggregate_rate(src_chan[srv])
-                        * (factor * ctl.share.src_disk)
-                });
-                apply_disk_fairness(demands, dst_assign, dst_chan, disk, |srv| {
-                    let factor = runtime
-                        .as_ref()
-                        .map_or(1.0, |rt| rt.disk_factor(SiteSide::Dst, srv));
-                    env.dst.servers[srv].disk.aggregate_rate(dst_chan[srv])
-                        * (factor * ctl.share.dst_disk)
-                });
-
-                // Grants are time-averaged rates; while a channel is
-                // actively moving a file it bursts at grant/duty (its gaps
-                // bring the average back down to the grant). Non-working
-                // channels hold an exact-zero grant, which any duty maps
-                // back to exact zero.
-                fair_share_into(capacity, demands, grants, fair);
-                for (i, g) in grants.iter_mut().enumerate() {
-                    let ci = ch.chunk[i] as usize;
-                    *g = (*g / chunk_duty[ci]).min(chunk_cap[ci]);
-                }
-
-                // Advance channels through their queues. Chunk remaining
-                // bytes are maintained incrementally: `moved` leaves the
-                // queue/in-flight total exactly, in integer arithmetic.
-                let mut slice_bytes = Bytes::ZERO;
-                reset(src_moved, env.src.servers.len(), Bytes::ZERO);
-                reset(dst_moved, env.dst.servers.len(), Bytes::ZERO);
-                reset(ch_moved, ch.len(), Bytes::ZERO);
-                reset(chunk_moved, chunks.len(), Bytes::ZERO);
-                for i in 0..ch.len() {
-                    let ci = ch.chunk[i] as usize;
-                    let c = &mut chunks[ci];
-                    let moved = advance_channel(
-                        ch,
-                        i,
-                        &mut c.queue,
-                        &mut chunk_in_flight[ci],
-                        grants[i],
-                        slice,
-                        chunk_gap[ci],
-                    );
-                    if !moved.is_zero() {
-                        ch.consecutive[i] = 0;
-                    }
-                    slice_bytes += moved;
-                    src_moved[src_assign[i]] += moved;
-                    dst_moved[dst_assign[i]] += moved;
-                    ch_moved[i] = moved;
-                    chunk_moved[ci] += moved;
-                    chunk_remaining[ci] = chunk_remaining[ci].saturating_sub(moved);
-                    if let Some(g) = &gauges {
-                        if working[i] {
-                            if let Some(m) = tel.metrics() {
-                                m.observe(g.channel_mbps, moved.as_f64() * 8.0 / slice_secs / 1e6);
-                            }
-                        }
-                    }
-                }
-                if let Some(rt) = &mut runtime {
-                    // Bytes through a server close its half-open breaker
-                    // and clear its failure run.
-                    for (srv, moved) in src_moved.iter().enumerate() {
-                        if !moved.is_zero() {
-                            rt.record_success(SiteSide::Src, srv);
-                        }
-                    }
-                    for (srv, moved) in dst_moved.iter().enumerate() {
-                        if !moved.is_zero() {
-                            rt.record_success(SiteSide::Dst, srv);
-                        }
-                    }
-                    if journaling {
-                        for ev in rt.take_events() {
-                            tel.record(now, ev);
-                        }
-                    }
-                }
-                moved_total += slice_bytes;
-                if cfg!(feature = "debug-invariants") {
-                    audit_gross += slice_bytes;
-                }
-                wire_bytes_f += slice_bytes.as_f64() / eff.max(1e-6);
-                for (ci, c) in chunks.iter_mut().enumerate() {
-                    if c.completed_at.is_none() && c.queue.is_empty() && chunk_in_flight[ci] == 0 {
-                        c.completed_at = Some(now + slice);
-                    }
-                }
-
-                // Utilization → power → energy, per site.
-                let (src_power, src_est, src_parts) =
-                    site_power(env, src_chan, src_streams, src_moved, slice_secs, eff, true);
-                let (dst_power, dst_est, dst_parts) = site_power(
-                    env,
-                    dst_chan,
-                    dst_streams,
-                    dst_moved,
-                    slice_secs,
-                    eff,
-                    false,
-                );
-                // Attribute the slice's joules to exactly one phase per
-                // site (DESIGN.md §14), by priority. Every classification
-                // input is constant across a macro-stepped window (kills
-                // cannot happen inside one; the probe flag, outage state,
-                // backoff occupancy and first-byte state are all pinned by
-                // the window bounds), so the frozen replay below books the
-                // same buckets addend-for-addend.
-                let phase = if slice_kills {
-                    EnergyPhase::Retransmit
-                } else if controller.probing() {
-                    EnergyPhase::Probe
-                } else if runtime.as_ref().is_some_and(FaultRuntime::any_outage) {
-                    EnergyPhase::OutageIdle
-                } else if in_backoff > 0 {
-                    EnergyPhase::BackoffIdle
-                } else if moved_total.is_zero() {
-                    EnergyPhase::Startup
-                } else {
-                    EnergyPhase::Steady
-                };
-                *ledger.src.phase_mut(phase) += src_power * slice_secs;
-                *ledger.dst.phase_mut(phase) += dst_power * slice_secs;
-                ledger.src.add_components(
-                    src_parts.cpu_w * slice_secs,
-                    src_parts.nic_w * slice_secs,
-                    src_parts.disk_w * slice_secs,
-                    src_parts.other_w * slice_secs,
-                );
-                ledger.dst.add_components(
-                    dst_parts.cpu_w * slice_secs,
-                    dst_parts.nic_w * slice_secs,
-                    dst_parts.disk_w * slice_secs,
-                    dst_parts.other_w * slice_secs,
-                );
-                estimated_energy += (src_est + dst_est) * slice_secs;
-                power_series.push(now, src_power + dst_power);
-                throughput_series.push(now, slice_bytes.as_f64() * 8.0 / slice_secs / 1e6);
-
-                // Metrics: refresh gauges, observe slice-level histograms,
-                // and let the sampler decide whether this slice lands on
-                // the cadence grid (which also journals a `sample` event).
-                if let (Some(g), Some(m)) = (&gauges, tel.metrics()) {
-                    let power = src_power + dst_power;
-                    let thr_mbps = slice_bytes.as_f64() * 8.0 / slice_secs / 1e6;
-                    let queue_depth: u64 = chunks.iter().map(|c| c.queue.len() as u64).sum();
-                    m.set(g.throughput, thr_mbps);
-                    m.set(g.power, power);
-                    m.set(g.concurrency, f64::from(total_channels));
-                    m.set(g.in_backoff, f64::from(in_backoff));
-                    m.set(g.queue_depth, queue_depth as f64);
-                    m.observe(g.watts, power);
-                    m.observe(g.backoff_occ, f64::from(in_backoff));
-                    m.observe(g.queue_hist, queue_depth as f64);
-                    let due = m.tick(now);
-                    if due && journaling {
-                        tel.record(
-                            now,
-                            Event::Sample {
-                                throughput_mbps: thr_mbps,
-                                power_w: power,
-                                concurrency: total_channels,
-                                in_backoff,
-                                queue_depth,
-                            },
-                        );
-                    }
-                }
-
-                // Chunks that moved their last byte this slice drained at
-                // the slice boundary.
-                if journaling {
-                    for (ci, c) in chunks.iter().enumerate() {
-                        if c.completed_at == Some(now + slice) {
-                            tel.record_with(now + slice, || Event::ChunkDrain {
-                                chunk: ci as u32,
-                                label: c.label.clone(),
-                            });
-                        }
-                    }
-                }
-
-                let slice_start = now;
-                now += slice;
-                slices_done += 1;
-
-                // Controller. Remaining bytes are read off the incremental
-                // per-chunk column (exact integers, no queue walk).
-                let remaining: Bytes = chunk_remaining.iter().copied().sum();
-
-                // Conservation and monotonicity audits, per slice:
-                // bytes that entered the stage equal goodput plus what is
-                // still queued/in flight (channel kills restore every
-                // lost byte to one side of the ledger); gross bytes moved
-                // equal goodput plus booked retransmissions; power — and
-                // with it accumulated energy — stays finite and
-                // non-negative, so energy is monotone in sim-time. The
-                // incremental per-chunk remaining column is cross-checked
-                // against a full recount of the queues and channel columns.
-                if cfg!(feature = "debug-invariants") {
-                    assert!(
-                        src_power >= 0.0
-                            && dst_power >= 0.0
-                            && src_power.is_finite()
-                            && dst_power.is_finite(),
-                        "invariant: site power finite and non-negative, got src={src_power} dst={dst_power}"
-                    );
-                    let (src_e, dst_e) = (ledger.src.total_j(), ledger.dst.total_j());
-                    assert!(
-                        src_e >= 0.0 && dst_e >= 0.0 && (src_e + dst_e).is_finite(),
-                        "invariant: accumulated energy finite and non-negative, got src={src_e} dst={dst_e}"
-                    );
-                    assert_eq!(
-                        audit_stage_requested,
-                        moved_total + remaining,
-                        "invariant: bytes entered != bytes moved + bytes remaining at t={now:?}"
-                    );
-                    assert_eq!(
-                        audit_gross,
-                        moved_total + retransmitted,
-                        "invariant: gross bytes != goodput + retransmitted at t={now:?}"
-                    );
-                    for (ci, c) in chunks.iter().enumerate() {
-                        let queued: Bytes = c.queue.iter().map(|f| f.remaining).sum();
-                        let s = chunk_start[ci];
-                        let in_flight: Bytes = (s..s + chunk_len[ci])
-                            .filter(|&i| ch.has_file[i])
-                            .map(|i| ch.file_remaining[i])
-                            .sum();
-                        assert_eq!(
-                            chunk_remaining[ci],
-                            queued + in_flight,
-                            "invariant: incremental chunk remaining diverged from channel state at t={now:?}"
-                        );
-                    }
-                }
-
-                // The controller's view borrows the arena's lending
-                // buffers (reclaimed after the decision below), so a
-                // steady slice builds the ctx without allocating.
-                let fault = match &runtime {
-                    Some(rt) => {
-                        let mut q_src = std::mem::take(ctx_q_src);
-                        let mut q_dst = std::mem::take(ctx_q_dst);
-                        rt.quarantined_into(SiteSide::Src, &mut q_src);
-                        rt.quarantined_into(SiteSide::Dst, &mut q_dst);
-                        FaultView {
-                            capacity_fraction: rt.capacity_fraction(),
-                            quarantined_src: q_src,
-                            quarantined_dst: q_dst,
-                            failures: rt.stats.total_failures(),
-                            in_backoff,
-                        }
-                    }
-                    None => FaultView::default(),
-                };
-                let mut targets = std::mem::take(ctx_channels);
-                targets.clear();
-                targets.extend(chunks.iter().map(|c| c.target));
-                let mut per_chunk = std::mem::take(ctx_remaining);
-                per_chunk.clear();
-                per_chunk.extend_from_slice(chunk_remaining);
-                let ctx = SliceCtx {
-                    now,
-                    stage: stage_idx,
-                    slice_bytes,
-                    slice_energy_j: (src_power + dst_power) * slice_secs,
-                    total_bytes: moved_total,
-                    remaining_bytes: remaining,
-                    channels: targets,
-                    remaining_per_chunk: per_chunk,
-                    fault,
-                };
-                let action = controller.on_slice(&ctx);
-                if journaling {
-                    for ev in controller.drain_events() {
-                        tel.record(now, ev);
-                    }
-                }
-                match action {
-                    ControlAction::Reallocate(new_targets) => {
-                        assert_eq!(
-                            new_targets.len(),
-                            chunks.len(),
-                            "reallocation must cover every chunk of the stage"
-                        );
-                        if journaling {
-                            tel.record_with(now, || Event::Reallocate {
-                                targets: new_targets.clone(),
-                            });
-                        }
-                        for (ci, (c, &t)) in chunks.iter_mut().zip(&new_targets).enumerate() {
-                            let live = !c.queue.is_empty() || chunk_in_flight[ci] > 0;
-                            c.target = if live { t } else { 0 };
-                        }
-                    }
-                    ControlAction::Continue
-                        if (env.tuning.macro_step || journaling) && horizon_end.is_none() =>
-                    {
-                        // Event-horizon macro-stepping (DESIGN.md §12):
-                        // count how many upcoming slices are provably in
-                        // steady state and replay them arithmetically.
-                        // Every bound is conservative — when in doubt the
-                        // horizon is 0 and the engine falls back to the
-                        // plain slice loop above.
-                        //
-                        // Journaled runs run the same computation even with
-                        // macro-stepping off: the window then only drives
-                        // the horizon span (the slices execute normally),
-                        // so macro and non-macro journals stay
-                        // byte-identical. While a span is open (that mode,
-                        // or a resumed mid-window run) nothing is
-                        // recomputed until it closes at its boundary.
-                        let mut k = controller.next_decision_in(&ctx, slice);
-
-                        // A state boundary at time `b` caps the window:
-                        // every skipped slice must start strictly before it.
-                        let bound_at = move |b: SimTime| -> u64 {
-                            if b <= now {
-                                0
-                            } else {
-                                b.since(now).slices_before(slice).saturating_add(1)
-                            }
-                        };
-                        // Which bound won names the horizon span's source;
-                        // ties keep the earlier (checked-first) source.
-                        let mut k_src = "controller";
-                        let b = bound_at(SimTime::ZERO + env.tuning.max_duration);
-                        if b < k {
-                            k = b;
-                            k_src = "max_duration";
-                        }
-                        if let Some(m) = tel.metrics_ref() {
-                            let b = bound_at(m.next_tick());
-                            if b < k {
-                                k = b;
-                                k_src = "metrics";
-                            }
-                        }
-                        if let Some(bg) = env.background {
-                            let b = bound_at(bg.next_change(slice_start));
-                            if b < k {
-                                k = b;
-                                k_src = "background";
-                            }
-                        }
-                        if let Some(rt) = &runtime {
-                            let b = bound_at(rt.next_change(slice_start));
-                            if b < k {
-                                k = b;
-                                k_src = "faults";
-                            }
-                        }
-
-                        let k_before_channels = k;
-                        if k > 0 {
-                            for i in 0..ch.len() {
-                                let ci = ch.chunk[i] as usize;
-                                if let Some(ttf) = ch.ttf[i] {
-                                    k = k.min(ttf.slices_before(slice));
-                                }
-                                let busy = ch.has_file[i] || !chunks[ci].queue.is_empty();
-                                let next_working = busy && ch.gap[i] < slice;
-                                if next_working
-                                    && runtime.as_ref().is_some_and(|rt| {
-                                        rt.outage_active(SiteSide::Src, src_assign[i])
-                                            || rt.outage_active(SiteSide::Dst, dst_assign[i])
-                                    })
-                                {
-                                    // The next slice's kill check fires for
-                                    // busy connecting channels inside an
-                                    // active outage window — a channel can
-                                    // reach that state mid-slice (e.g. it
-                                    // inherited a killed channel's file
-                                    // after its own kill check passed), so
-                                    // post-slice state must be re-checked.
-                                    k = 0;
-                                } else if next_working != working[i] {
-                                    // The channel would enter or leave the
-                                    // working set next slice.
-                                    k = 0;
-                                } else if working[i] {
-                                    // Steady mover: mid-file, no pending
-                                    // gap, and the executed slice moved
-                                    // exactly the per-slice quantum.
-                                    let quantum = grants[i].bytes_in(slice);
-                                    if ch.has_file[i]
-                                        && ch.gap[i].is_zero()
-                                        && ch_moved[i] == quantum
-                                    {
-                                        k = k.min(steady_move_bound(
-                                            ch.file_remaining[i],
-                                            quantum,
-                                            grants[i],
-                                            slice,
-                                        ));
-                                    } else {
-                                        k = 0;
-                                    }
-                                } else if busy || ch.in_backoff[i] {
-                                    // Blocked channel: its gap must outlast
-                                    // every skipped slice (an idle channel's
-                                    // draining gap is inert and replayed).
-                                    k = k.min(ch.gap[i].slices_within(slice));
-                                }
-                                if k == 0 {
-                                    break;
-                                }
-                            }
-                        }
-                        if k < k_before_channels {
-                            k_src = "channel";
-                        }
-
-                        if k > 0 && journaling {
-                            let detail = format!("{k_src} k={k}");
-                            tel.record_with(now, || Event::SpanBegin {
-                                id: 0,
-                                parent: 0,
-                                kind: "horizon".to_string(),
-                                detail,
-                            });
-                            horizon_end = Some(slices_done + k);
-                        }
-
-                        if k > 0 && env.tuning.macro_step {
-                            // Replay `k` slices. Every accumulator receives
-                            // exactly the addends — same values, same order —
-                            // that `k` executed slices would have produced,
-                            // so reports and journals stay bit-identical.
-                            let wire_add = slice_bytes.as_f64() / eff.max(1e-6);
-                            let src_add = src_power * slice_secs;
-                            let dst_add = dst_power * slice_secs;
-                            let est_add = (src_est + dst_est) * slice_secs;
-                            // Frozen phase classification for the window:
-                            // kills cannot happen inside one, and every
-                            // other input is pinned by the bounds above, so
-                            // one classification serves all `k` slices. The
-                            // backoff occupancy is re-read from the current
-                            // flags (not the executed slice's count): a
-                            // channel that left backoff during the decision
-                            // slice was counted there but is a plain mover
-                            // inside the window.
-                            let next_backoff = ch.in_backoff.iter().any(|&b| b);
-                            let span_phase = if controller.probing() {
-                                EnergyPhase::Probe
-                            } else if runtime.as_ref().is_some_and(FaultRuntime::any_outage) {
-                                EnergyPhase::OutageIdle
-                            } else if next_backoff {
-                                EnergyPhase::BackoffIdle
-                            } else if moved_total.is_zero() {
-                                EnergyPhase::Startup
-                            } else {
-                                EnergyPhase::Steady
-                            };
-                            let src_comp_add = [
-                                src_parts.cpu_w * slice_secs,
-                                src_parts.nic_w * slice_secs,
-                                src_parts.disk_w * slice_secs,
-                                src_parts.other_w * slice_secs,
-                            ];
-                            let dst_comp_add = [
-                                dst_parts.cpu_w * slice_secs,
-                                dst_parts.nic_w * slice_secs,
-                                dst_parts.disk_w * slice_secs,
-                                dst_parts.other_w * slice_secs,
-                            ];
-                            let power_sum = src_power + dst_power;
-                            let thr_mbps = slice_bytes.as_f64() * 8.0 / slice_secs / 1e6;
-                            let queue_depth: u64 =
-                                chunks.iter().map(|c| c.queue.len() as u64).sum();
-                            let mut audit_remaining = remaining;
-                            for _ in 0..k {
-                                concurrency_series.push(now, f64::from(total_channels));
-                                for i in 0..ch.len() {
-                                    if let Some(ttf) = ch.ttf[i] {
-                                        ch.ttf[i] = Some(ttf - slice);
-                                    }
-                                    if ch.in_backoff[i] {
-                                        if let Some(rt) = &mut runtime {
-                                            rt.book_backoff(ch.gap[i].min(slice));
-                                        }
-                                        if ch.gap[i] <= slice {
-                                            ch.in_backoff[i] = false;
-                                        }
-                                    }
-                                    if working[i] {
-                                        // Steady movers are mid-file by the
-                                        // window bounds; each replayed slice
-                                        // drains exactly the quantum.
-                                        if ch.has_file[i] {
-                                            ch.file_remaining[i] =
-                                                ch.file_remaining[i].saturating_sub(ch_moved[i]);
-                                        }
-                                        if let (Some(g), Some(m)) = (&gauges, tel.metrics()) {
-                                            m.observe(
-                                                g.channel_mbps,
-                                                ch_moved[i].as_f64() * 8.0 / slice_secs / 1e6,
-                                            );
-                                        }
-                                    } else {
-                                        ch.gap[i] = ch.gap[i].saturating_sub(slice);
-                                    }
-                                }
-                                // Working channels drained their quantum
-                                // from the chunk's remaining, exactly as
-                                // the executed slice did.
-                                for (ci, moved) in chunk_moved.iter().enumerate() {
-                                    chunk_remaining[ci] =
-                                        chunk_remaining[ci].saturating_sub(*moved);
-                                }
-                                moved_total += slice_bytes;
-                                if cfg!(feature = "debug-invariants") {
-                                    audit_gross += slice_bytes;
-                                }
-                                wire_bytes_f += wire_add;
-                                *ledger.src.phase_mut(span_phase) += src_add;
-                                *ledger.dst.phase_mut(span_phase) += dst_add;
-                                ledger.src.add_components(
-                                    src_comp_add[0],
-                                    src_comp_add[1],
-                                    src_comp_add[2],
-                                    src_comp_add[3],
-                                );
-                                ledger.dst.add_components(
-                                    dst_comp_add[0],
-                                    dst_comp_add[1],
-                                    dst_comp_add[2],
-                                    dst_comp_add[3],
-                                );
-                                estimated_energy += est_add;
-                                power_series.push(now, power_sum);
-                                throughput_series.push(now, thr_mbps);
-                                if let (Some(g), Some(m)) = (&gauges, tel.metrics()) {
-                                    m.observe(g.watts, power_sum);
-                                    m.observe(g.backoff_occ, f64::from(in_backoff));
-                                    m.observe(g.queue_hist, queue_depth as f64);
-                                }
-                                now += slice;
-                                slices_done += 1;
-                                if cfg!(feature = "debug-invariants") {
-                                    audit_remaining = audit_remaining.saturating_sub(slice_bytes);
-                                    assert_eq!(
-                                        audit_stage_requested,
-                                        moved_total + audit_remaining,
-                                        "invariant: bytes entered != bytes moved + bytes remaining at t={now:?} (macro)"
-                                    );
-                                    assert_eq!(
-                                        audit_gross,
-                                        moved_total + retransmitted,
-                                        "invariant: gross bytes != goodput + retransmitted at t={now:?} (macro)"
-                                    );
-                                }
-                                // A halt boundary inside the horizon cuts
-                                // the replay at exactly that slice; the
-                                // resumed run recomputes the remainder (a
-                                // promised slice re-executed normally is
-                                // state-identical by the promise contract).
-                                if ctl.halt_after.is_some_and(|h| slices_done >= h) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    ControlAction::Continue => {}
-                }
-
-                // Reclaim the ctx buffers lent to the controller view (the
-                // contents are dead; only the capacity is recycled).
-                let SliceCtx {
-                    channels: lent_targets,
-                    remaining_per_chunk: lent_remaining,
-                    fault: lent_fault,
-                    ..
-                } = ctx;
-                *ctx_channels = lent_targets;
-                *ctx_remaining = lent_remaining;
-                *ctx_q_src = lent_fault.quarantined_src;
-                *ctx_q_dst = lent_fault.quarantined_dst;
-            }
-            for c in &chunks {
-                chunk_stats.push(crate::report::ChunkStat {
-                    label: c.label.clone(),
-                    bytes: c.total_bytes,
-                    files: c.file_count,
-                    completed_at: c.completed_at.map(|t| t.since(SimTime::ZERO)),
-                });
-            }
+            run.acc
+                .chunk_stats
+                .extend(run.chunks.iter().map(ChunkState::stat));
             if !completed {
                 break;
             }
         }
+        RunOutcome::Done(run.finish(completed))
+    }
+}
 
-        if journaling {
-            tel.record(
-                now,
+/// How a stage's slice loop ended: every chunk drained, the time guard
+/// (`max_duration`) tripped, or the run reached its halt boundary.
+enum StageEnd {
+    Drained,
+    TimedOut,
+    Halted,
+}
+
+/// The run's accumulators: everything a slice books into, carried across
+/// stages and captured whole by a halt checkpoint — each field means what
+/// the [`EngineCheckpoint`] field of the same name documents.
+#[derive(Default)]
+struct Accumulators {
+    now: SimTime,
+    slices_done: u64,
+    estimated_energy: f64,
+    retransmitted: Bytes,
+    chunk_stats: Vec<ChunkStat>,
+    /// Energy attribution (DESIGN.md §14): the per-site energy lives in
+    /// the ledger's phase buckets; the report totals are derived from
+    /// their fixed-order sum at the end of the run.
+    ledger: EnergyLedger,
+    /// Tracked on journaled runs only.
+    horizon_end: Option<u64>,
+    moved_total: Bytes,
+    wire_bytes_f: f64,
+    throughput_series: TimeSeries,
+    power_series: TimeSeries,
+    concurrency_series: TimeSeries,
+    /// Invariant-auditor state (DESIGN.md §10). The `cfg!` guards make
+    /// every update compile away without the `debug-invariants` feature.
+    audit_gross: Bytes,
+    audit_stage_requested: Bytes,
+    prev_src_active: Vec<bool>,
+    prev_dst_active: Vec<bool>,
+}
+
+/// One site's slice power: the reference model's Watts, the secondary
+/// estimator's Watts over the same utilization snapshots, and the Joules
+/// the slice books — the whole, and the reference model's per-component
+/// split (cpu, nic, disk, other).
+#[derive(Debug, Clone, Copy)]
+struct SitePower {
+    watts: f64,
+    estimated: f64,
+    joules: f64,
+    parts_j: [f64; 4],
+}
+
+impl SitePower {
+    /// Books the site's slice energy: all of it into `phase`, and its
+    /// component split alongside.
+    fn book(&self, site: &mut SideLedger, phase: EnergyPhase) {
+        *site.phase_mut(phase) += self.joules;
+        let [cpu, nic, disk, other] = self.parts_j;
+        site.add_components(cpu, nic, disk, other);
+    }
+}
+
+/// What one slice adds to the accumulators, derived once from its
+/// measurements. An executed slice builds it; every slice replayed after
+/// it books the same addends, re-reading only the two inputs a window
+/// pins differently: no kills, and the backoff flags at its start.
+#[derive(Debug, Clone, Copy)]
+struct SliceOutcome {
+    channels: u32,
+    in_backoff: u32,
+    kills: bool,
+    bytes: Bytes,
+    /// Wire bytes: goodput inflated by the congestion efficiency.
+    wire: f64,
+    power_w: f64,
+    thr_mbps: f64,
+    estimated_j: f64,
+    src: SitePower,
+    dst: SitePower,
+}
+
+/// One run in progress: the configuration every phase reads, the
+/// collaborators it drives, and the accumulators it books into.
+struct SliceRun<'r> {
+    env: &'r TransferEnv,
+    plan: &'r TransferPlan,
+    controller: &'r mut dyn Controller,
+    tel: &'r mut Telemetry,
+    halt_after: Option<u64>,
+    share: ResourceShare,
+    fingerprint: u64,
+    runtime: Option<FaultRuntime>,
+    gauges: Option<EngineGauges>,
+    /// The running stage's chunk states, in plan order. Per-run data, not
+    /// reusable capacity, so it lives here rather than in the arena.
+    chunks: Vec<ChunkState>,
+    /// The single branch every event hook reduces to when telemetry is
+    /// off.
+    journaling: bool,
+    slice: SimDuration,
+    slice_secs: f64,
+    acc: Accumulators,
+}
+
+impl<'r> SliceRun<'r> {
+    /// Run setup (cold): fresh state, then — on resume — the checkpoint's,
+    /// then the telemetry wiring. Returns the run, the stage to start at
+    /// and, for a mid-stage resume, that stage's chunk snapshots.
+    fn begin(
+        env: &'r TransferEnv,
+        plan: &'r TransferPlan,
+        controller: &'r mut dyn Controller,
+        tel: &'r mut Telemetry,
+        ctl: RunControl,
+    ) -> (Self, usize, Option<Vec<ChunkSnapshot>>) {
+        let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
+        let mut run = SliceRun {
+            env,
+            plan,
+            controller,
+            tel,
+            halt_after: ctl.halt_after,
+            share: ctl.share,
+            fingerprint: config_fingerprint(env, plan),
+            runtime: env
+                .faults
+                .as_ref()
+                .filter(|p| p.is_active())
+                .map(|p| FaultRuntime::new(p, n_src, n_dst)),
+            gauges: None,
+            chunks: Vec::new(),
+            journaling: false,
+            slice: env.tuning.slice,
+            slice_secs: env.tuning.slice.as_secs_f64(),
+            acc: Accumulators {
+                prev_src_active: vec![false; n_src],
+                prev_dst_active: vec![false; n_dst],
+                ..Accumulators::default()
+            },
+        };
+        let (start_stage, resumed) = ctl.resume.map_or((0, None), |ck| run.restore(*ck));
+        // Capture flags are not part of checkpoints; they are re-derived
+        // here, after restore.
+        run.journaling = run.tel.journaling();
+        run.gauges = run.tel.metrics().map(EngineGauges::register);
+        if run.journaling {
+            run.controller.enable_event_capture();
+            if let Some(rt) = &mut run.runtime {
+                rt.capture_events(true);
+            }
+        }
+        (run, start_stage, resumed)
+    }
+
+    /// Stage setup (cold): resets the arena for the stage and builds its
+    /// chunk states — from the plan, or from the checkpoint of a
+    /// mid-stage resume, which skips the stage preamble (its events and
+    /// audit booking happened before the checkpoint was taken).
+    fn stage_setup(
+        &mut self,
+        a: &mut SliceArena,
+        idx: usize,
+        stage: &StagePlan,
+        resumed: Option<Vec<ChunkSnapshot>>,
+    ) {
+        a.begin_stage(stage.chunks.len());
+        self.chunks.clear();
+        let fresh = resumed.is_none();
+        match resumed {
+            Some(snaps) => {
+                assert_eq!(
+                    snaps.len(),
+                    stage.chunks.len(),
+                    "checkpoint chunk count does not match the stage"
+                );
+                for (ci, snap) in snaps.into_iter().enumerate() {
+                    let start = a.ch.len();
+                    self.chunks.push(snap.into_state(&mut a.ch, ci as u32));
+                    a.chunk_start[ci] = start;
+                    a.chunk_len[ci] = a.ch.len() - start;
+                    let in_flight = (start..a.ch.len()).filter(|&i| a.ch.has_file[i]).count();
+                    a.chunk_in_flight[ci] = in_flight as u32;
+                    a.chunk_remaining[ci] = self.chunks[ci].recount_remaining(a, ci);
+                }
+            }
+            None => {
+                for (ci, cp) in stage.chunks.iter().enumerate() {
+                    let c = ChunkState::fresh(cp);
+                    a.chunk_remaining[ci] = c.total_bytes;
+                    self.chunks.push(c);
+                }
+            }
+        }
+        // The channel rate ceiling depends only on the chunk's (fixed)
+        // parallelism: computed once per stage, read every slice.
+        for (ci, c) in self.chunks.iter().enumerate() {
+            a.chunk_cap[ci] = self.env.channel_cap(c.parallelism);
+        }
+        if !fresh {
+            return;
+        }
+        if cfg!(feature = "debug-invariants") {
+            self.acc.audit_stage_requested += self.chunks.iter().map(|c| c.total_bytes).sum();
+        }
+        if self.journaling {
+            let now = self.acc.now;
+            self.tel
+                .record(now, Event::StageStart { stage: idx as u32 });
+            for (ci, c) in self.chunks.iter().enumerate() {
+                self.tel.record_with(now, || Event::ChunkStart {
+                    chunk: ci as u32,
+                    label: c.label.clone(),
+                    bytes: c.total_bytes.as_u64(),
+                    files: c.file_count as u64,
+                });
+            }
+        }
+    }
+
+    /// The stage's slice loop: runs slices until every chunk drains, the
+    /// time guard trips, or the halt boundary arrives.
+    fn drive_stage(&mut self, a: &mut SliceArena, stage: usize) -> StageEnd {
+        while (0..self.chunks.len()).any(|ci| self.chunks[ci].live(a.chunk_in_flight[ci])) {
+            let done = self.acc.slices_done;
+            // Checkpoint boundary: between slices, before the next
+            // slice's fault window opens. All controller/runtime event
+            // buffers are drained here, making the snapshot complete.
+            if self.halt_after.is_some_and(|h| done >= h) {
+                return StageEnd::Halted;
+            }
+            // A horizon span closes at the first boundary at/after its
+            // promised end. This sits after the halt check — a halted
+            // run leaves the span open in the checkpoint and the resumed
+            // run emits the `span_end` at the same sequence number an
+            // uninterrupted run would.
+            if self.acc.horizon_end.is_some_and(|h| done >= h) {
+                self.acc.horizon_end = None;
+                self.tel.record_with(self.acc.now, || Event::SpanEnd {
+                    id: 0,
+                    kind: "horizon".to_string(),
+                    detail: String::new(),
+                });
+            }
+            if self.acc.now.since(SimTime::ZERO) >= self.env.tuning.max_duration {
+                return StageEnd::TimedOut;
+            }
+            self.run_slice(a, stage);
+        }
+        StageEnd::Drained
+    }
+
+    /// One executed slice, phase by phase, followed by the replay of the
+    /// steady window it may open.
+    fn run_slice(&mut self, a: &mut SliceArena, stage: usize) {
+        let start = self.acc.now;
+        let channels = self.sync_channels(a);
+        if channels == 0 {
+            // No channels but work remains (controller zeroed
+            // everything): force one channel on the fattest chunk. The
+            // stage loop only runs while a chunk is live, so one exists.
+            self.acc.concurrency_series.push(start, 0.0);
+            let busiest =
+                busiest_chunk(&self.chunks, &a.chunk_in_flight, &a.chunk_remaining, false);
+            if let Some(idx) = busiest {
+                self.chunks[idx].target = 1;
+            }
+            return;
+        }
+        self.place_on_sites(a, channels);
+        let kills = self.kill_faulted(a);
+        let (streams, in_backoff) = self.tick_working_set(a);
+        let eff = self.demand_and_grant(a, streams);
+        let bytes = self.advance_channels(a);
+        let (env, secs) = (self.env, self.slice_secs);
+        let src = site_power(env, a, secs, eff, true);
+        let dst = site_power(env, a, secs, eff, false);
+        let outcome = SliceOutcome {
+            channels,
+            in_backoff,
+            kills,
+            bytes,
+            wire: bytes.as_f64() / eff.max(1e-6),
+            power_w: src.watts + dst.watts,
+            thr_mbps: bytes.as_f64() * 8.0 / secs / 1e6,
+            estimated_j: (src.estimated + dst.estimated) * secs,
+            src,
+            dst,
+        };
+        self.book_slice(a, &outcome);
+        let k = self.consult_controller(a, stage, &outcome, start);
+        if k > 0 && env.tuning.macro_step {
+            self.replay_window(a, k, outcome);
+        }
+    }
+
+    /// Sync: moves finished chunks' channel targets to the busiest live
+    /// chunk, opens the fault runtime's slice window, and grows or
+    /// shrinks each chunk's channel block to its target. Returns the
+    /// channel count.
+    fn sync_channels(&mut self, a: &mut SliceArena) -> u32 {
+        rebalance_targets(
+            &mut self.chunks,
+            &a.chunk_in_flight,
+            &a.chunk_remaining,
+            self.plan.reallocate_on_completion,
+        );
+        let now = self.acc.now;
+        if let Some(rt) = &mut self.runtime {
+            rt.begin_slice(now);
+        }
+        // Blocks stay contiguous and chunk-major: `start` accumulates the
+        // post-sync lengths of the chunks already processed, so
+        // inserts/removals in earlier chunks shift later blocks without
+        // breaking the invariant.
+        let mut start = 0usize;
+        for (ci, c) in self.chunks.iter_mut().enumerate() {
+            a.chunk_start[ci] = start;
+            let before = a.chunk_len[ci] as u32;
+            sync_chunk_channels(
+                &mut a.ch,
+                start,
+                &mut a.chunk_len[ci],
+                &mut a.chunk_in_flight[ci],
+                &mut c.queue,
+                ci as u32,
+                c.target,
+                self.env.link.rtt,
+                || self.runtime.as_mut().and_then(FaultRuntime::sample_ttf),
+            );
+            let (chunk, count) = (ci as u32, a.chunk_len[ci] as u32);
+            if self.journaling && count != before {
+                let event = if count > before {
+                    Event::ChannelOpen {
+                        chunk,
+                        opened: count - before,
+                        count,
+                    }
+                } else {
+                    Event::ChannelClose {
+                        chunk,
+                        closed: before - count,
+                        count,
+                    }
+                };
+                self.tel.record(now, event);
+            }
+            start += a.chunk_len[ci];
+        }
+        a.ch.len() as u32
+    }
+
+    /// Place: assigns every channel a server on both sites, routed around
+    /// servers whose circuit breaker is open. Only *learned* state masks
+    /// — an outage the client has not collided with yet does not; it is
+    /// discovered by failing against it. Without a fault runtime the
+    /// masks stay empty (the stage setup cleared them), which places
+    /// unmasked.
+    fn place_on_sites(&self, a: &mut SliceArena, channels: u32) {
+        if let Some(rt) = &self.runtime {
+            rt.avail_masks_into(&mut a.src_avail, &mut a.dst_avail);
+        }
+        let (env, placement) = (self.env, self.plan.placement);
+        env.src
+            .place_channels_masked_into(channels, placement, &a.src_avail, &mut a.place);
+        assign_servers_into(&a.place, &mut a.src_assign);
+        env.dst
+            .place_channels_masked_into(channels, placement, &a.dst_avail, &mut a.place);
+        assign_servers_into(&a.place, &mut a.dst_assign);
+    }
+
+    /// Fault kill: a channel dies when its TTF runs out or when it would
+    /// connect to a server inside an outage window. The kill returns the
+    /// in-flight file (restarting it without markers — the lost progress
+    /// leaves `moved_total` and is booked as retransmission) and
+    /// schedules the reconnect through the retry policy. Returns whether
+    /// any channel died.
+    fn kill_faulted(&mut self, a: &mut SliceArena) -> bool {
+        let Some(rt) = &mut self.runtime else {
+            return false;
+        };
+        let (slice, now, acc) = (self.slice, self.acc.now, &mut self.acc);
+        let ch = &mut a.ch;
+        let mut kills = false;
+        for i in 0..ch.len() {
+            let ci = ch.chunk[i] as usize;
+            let connects = ch.gap[i] < slice;
+            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
+            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+            let mut cause = None;
+            if let Some(ttf) = ch.ttf[i] {
+                if ttf <= slice {
+                    cause = Some(FaultCause::Channel);
+                } else {
+                    ch.ttf[i] = Some(ttf - slice);
+                }
+            }
+            if cause.is_none()
+                && connects
+                && busy
+                && (rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst))
+            {
+                cause = Some(FaultCause::Outage);
+            }
+            let Some(cause) = cause else { continue };
+            kills = true;
+            if ch.has_file[i] {
+                let size = ch.file_size[i];
+                let mut rem = ch.file_remaining[i];
+                if !rt.restart_markers() {
+                    let lost = size.saturating_sub(rem);
+                    acc.moved_total = acc.moved_total.saturating_sub(lost);
+                    acc.retransmitted += lost;
+                    rt.book_retransmit(lost);
+                    // The file restarts from zero; its lost progress
+                    // re-enters the chunk's remaining.
+                    rem = size;
+                    a.chunk_remaining[ci] += lost;
+                }
+                self.chunks[ci].queue.push_front(FileSnapshot {
+                    size,
+                    remaining: rem,
+                });
+                ch.has_file[i] = false;
+                a.chunk_in_flight[ci] -= 1;
+            }
+            let attempt = ch.consecutive[i];
+            let (delay, exhausted) = rt.next_delay(attempt);
+            ch.gap[i] = delay;
+            ch.in_backoff[i] = true;
+            ch.consecutive[i] = if exhausted { 0 } else { attempt + 1 };
+            rt.record_failure(cause, src, dst, now);
+            if cause == FaultCause::Channel {
+                ch.ttf[i] = rt.sample_ttf();
+            }
+            if self.journaling {
+                let (chunk, channel) = (ci as u32, (i - a.chunk_start[ci]) as u32);
+                self.tel.record_with(now, || Event::ChannelFail {
+                    chunk,
+                    channel,
+                    cause: match cause {
+                        FaultCause::Channel => "channel".to_string(),
+                        FaultCause::Outage => "outage".to_string(),
+                    },
+                    src_server: src as u32,
+                    dst_server: dst as u32,
+                });
+                self.tel.record(
+                    now,
+                    Event::ChannelRetry {
+                        chunk,
+                        channel,
+                        attempt,
+                        delay_us: delay.as_micros(),
+                        exhausted,
+                    },
+                );
+            }
+        }
+        kills
+    }
+
+    /// Working set and backoff tick: books one slice of every failure
+    /// backoff, then counts per server the channels that move bytes this
+    /// slice and their streams. A channel whose gap outlasts the slice is
+    /// *blocked* — it moves nothing, holds no demand, and its server
+    /// neither counts it for disk contention nor burns power on it.
+    /// Returns the working stream total and the channels in backoff at
+    /// the slice start.
+    fn tick_working_set(&mut self, a: &mut SliceArena) -> (u32, u32) {
+        let (n_src, n_dst) = (self.env.src.servers.len(), self.env.dst.servers.len());
+        reset(&mut a.src_chan, n_src, 0);
+        reset(&mut a.src_streams, n_src, 0);
+        reset(&mut a.dst_chan, n_dst, 0);
+        reset(&mut a.dst_streams, n_dst, 0);
+        reset(&mut a.working, a.ch.len(), false);
+        let (mut streams, mut in_backoff) = (0u32, 0u32);
+        for i in 0..a.ch.len() {
+            let ci = a.ch.chunk[i] as usize;
+            let busy = a.ch.has_file[i] || !self.chunks[ci].queue.is_empty();
+            in_backoff += u32::from(backoff_tick(&mut a.ch, i, &mut self.runtime, self.slice));
+            a.working[i] = busy && a.ch.gap[i] < self.slice;
+            if a.working[i] {
+                let p = self.chunks[ci].parallelism;
+                let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+                a.src_chan[src] += 1;
+                a.src_streams[src] += p;
+                a.dst_chan[dst] += 1;
+                a.dst_streams[dst] += p;
+                streams += p;
+            }
+        }
+        if self.journaling {
+            // Power-state edges: a server transitions between idle and
+            // active when it gains/loses its first working channel (its
+            // power draw follows).
+            let acc = &mut self.acc;
+            let sides = [
+                (Side::Src, &a.src_chan, &mut acc.prev_src_active),
+                (Side::Dst, &a.dst_chan, &mut acc.prev_dst_active),
+            ];
+            for (side, chan, prev) in sides {
+                for (srv, (&cnt, prev)) in chan.iter().zip(prev.iter_mut()).enumerate() {
+                    let active = cnt > 0;
+                    if active != *prev {
+                        *prev = active;
+                        let server = srv as u32;
+                        let edge = Event::PowerState {
+                            side,
+                            server,
+                            active,
+                        };
+                        self.tel.record(acc.now, edge);
+                    }
+                }
+            }
+        }
+        (streams, in_backoff)
+    }
+
+    /// Demand and grant: per-channel ceilings from the window/process
+    /// model scaled by the channel's control-plane duty cycle (a
+    /// small-file channel spends most of its time in per-file gaps and
+    /// must not reserve bandwidth it cannot use), shaped max-min fairly
+    /// through each server's disk subsystem on both ends, then through
+    /// the path. Returns the congestion efficiency of `streams`.
+    fn demand_and_grant(&self, a: &mut SliceArena, streams: u32) -> f64 {
+        let (env, rt, share) = (self.env, self.runtime.as_ref(), self.share);
+        let eff = env.congestion.efficiency(streams);
+        let bg = env
+            .background
+            .map_or(1.0, |b| b.capacity_factor(self.acc.now));
+        // Pool arbitration (multi-tenant sites) scales the shared link
+        // capacity; the default 1.0 grant is an exact FP identity, so
+        // solo runs are byte-for-byte unchanged.
+        let capacity = env.link.bandwidth * (eff * bg * share.bandwidth);
+        // Every input is per-chunk constant, so the gap, duty and demand
+        // are hoisted to one computation per chunk.
+        let stall_mult = rt.map_or(1.0, FaultRuntime::gap_multiplier);
+        for (ci, c) in self.chunks.iter().enumerate() {
+            a.chunk_gap[ci] = (env.link.rtt / u64::from(c.pipelining)).mul_f64(stall_mult)
+                + env.tuning.per_file_overhead;
+            let gap = a.chunk_gap[ci].as_secs_f64();
+            // Steady-state duty cycle from the chunk's mean file size
+            // (NOT the in-flight remainder: that would decay the demand
+            // to zero as a file nears completion).
+            let t_x = c.avg_file.as_f64() * 8.0 / a.chunk_cap[ci].as_bps().max(1.0);
+            a.chunk_duty[ci] = if t_x + gap <= 0.0 {
+                1.0
+            } else {
+                (t_x / (t_x + gap)).max(0.05)
+            };
+            a.chunk_demand[ci] = a.chunk_cap[ci] * a.chunk_duty[ci];
+        }
+        reset(&mut a.demands, a.ch.len(), Rate::ZERO);
+        for i in 0..a.ch.len() {
+            if a.working[i] {
+                a.demands[i] = a.chunk_demand[a.ch.chunk[i] as usize];
+            }
+        }
+        let sides = [
+            (SiteSide::Src, &a.src_assign, &a.src_chan),
+            (SiteSide::Dst, &a.dst_assign, &a.dst_chan),
+        ];
+        for (side, assign, chan) in sides {
+            let (site, granted) = match side {
+                SiteSide::Src => (&env.src, share.src_disk),
+                SiteSide::Dst => (&env.dst, share.dst_disk),
+            };
+            apply_disk_fairness(&mut a.demands, assign, chan, &mut a.disk, |srv| {
+                let factor = rt.map_or(1.0, |rt| rt.disk_factor(side, srv));
+                site.servers[srv].disk.aggregate_rate(chan[srv]) * (factor * granted)
+            });
+        }
+        // Grants are time-averaged rates; while a channel is actively
+        // moving a file it bursts at grant/duty (its gaps bring the
+        // average back down to the grant). Non-working channels hold an
+        // exact-zero grant, which any duty maps back to exact zero.
+        fair_share_into(capacity, &a.demands, &mut a.grants, &mut a.fair);
+        for (i, g) in a.grants.iter_mut().enumerate() {
+            let ci = a.ch.chunk[i] as usize;
+            *g = (*g / a.chunk_duty[ci]).min(a.chunk_cap[ci]);
+        }
+        eff
+    }
+
+    /// Advance: moves every channel through its queue at its grant. Chunk
+    /// remaining bytes are maintained incrementally: `moved` leaves the
+    /// queue/in-flight total exactly, in integer arithmetic. Returns the
+    /// bytes moved.
+    fn advance_channels(&mut self, a: &mut SliceArena) -> Bytes {
+        let (n_src, n_dst) = (self.env.src.servers.len(), self.env.dst.servers.len());
+        let mut bytes = Bytes::ZERO;
+        reset(&mut a.src_moved, n_src, Bytes::ZERO);
+        reset(&mut a.dst_moved, n_dst, Bytes::ZERO);
+        reset(&mut a.ch_moved, a.ch.len(), Bytes::ZERO);
+        reset(&mut a.chunk_moved, self.chunks.len(), Bytes::ZERO);
+        for i in 0..a.ch.len() {
+            let ci = a.ch.chunk[i] as usize;
+            let moved = advance_channel(
+                &mut a.ch,
+                i,
+                &mut self.chunks[ci].queue,
+                &mut a.chunk_in_flight[ci],
+                a.grants[i],
+                self.slice,
+                a.chunk_gap[ci],
+            );
+            if !moved.is_zero() {
+                a.ch.consecutive[i] = 0;
+            }
+            bytes += moved;
+            a.src_moved[a.src_assign[i]] += moved;
+            a.dst_moved[a.dst_assign[i]] += moved;
+            a.ch_moved[i] = moved;
+            a.chunk_moved[ci] += moved;
+            a.chunk_remaining[ci] = a.chunk_remaining[ci].saturating_sub(moved);
+        }
+        let now = self.acc.now;
+        if let Some(rt) = &mut self.runtime {
+            // Bytes through a server close its half-open breaker and
+            // clear its failure run.
+            for (side, moved) in [(SiteSide::Src, &a.src_moved), (SiteSide::Dst, &a.dst_moved)] {
+                for srv in (0..moved.len()).filter(|&srv| !moved[srv].is_zero()) {
+                    rt.record_success(side, srv);
+                }
+            }
+            if self.journaling {
+                for ev in rt.take_events() {
+                    self.tel.record(now, ev);
+                }
+            }
+        }
+        for (ci, c) in self.chunks.iter_mut().enumerate() {
+            if c.completed_at.is_none() && !c.live(a.chunk_in_flight[ci]) {
+                c.completed_at = Some(now + self.slice);
+            }
+        }
+        bytes
+    }
+
+    /// Book: adds one slice to every accumulator — concurrency, power and
+    /// throughput series, ledger phase and component buckets, estimator
+    /// energy, wire bytes, gauges, histograms and the sampler — then
+    /// closes the slice and audits it. Executed and replayed slices both
+    /// book here, so every accumulator receives the same addends in the
+    /// same order either way (DESIGN.md §12).
+    fn book_slice(&mut self, a: &SliceArena, o: &SliceOutcome) {
+        let (secs, acc) = (self.slice_secs, &mut self.acc);
+        let (now, power, thr_mbps) = (acc.now, o.power_w, o.thr_mbps);
+        acc.moved_total += o.bytes;
+        if cfg!(feature = "debug-invariants") {
+            acc.audit_gross += o.bytes;
+        }
+        acc.wire_bytes_f += o.wire;
+        // Attribute the slice's joules to exactly one phase per site
+        // (DESIGN.md §14), by priority.
+        let phase = if o.kills {
+            EnergyPhase::Retransmit
+        } else if self.controller.probing() {
+            EnergyPhase::Probe
+        } else if self.runtime.as_ref().is_some_and(FaultRuntime::any_outage) {
+            EnergyPhase::OutageIdle
+        } else if o.in_backoff > 0 {
+            EnergyPhase::BackoffIdle
+        } else if acc.moved_total.is_zero() {
+            EnergyPhase::Startup
+        } else {
+            EnergyPhase::Steady
+        };
+        o.src.book(&mut acc.ledger.src, phase);
+        o.dst.book(&mut acc.ledger.dst, phase);
+        acc.estimated_energy += o.estimated_j;
+        acc.concurrency_series.push(now, f64::from(o.channels));
+        acc.power_series.push(now, power);
+        acc.throughput_series.push(now, thr_mbps);
+        // Metrics: refresh gauges, observe slice-level histograms, and
+        // let the sampler decide whether this slice lands on the cadence
+        // grid (which also journals a `sample` event).
+        if let (Some(g), Some(m)) = (&self.gauges, self.tel.metrics()) {
+            for (i, moved) in a.ch_moved.iter().enumerate() {
+                if a.working[i] {
+                    m.observe(g.channel_mbps, moved.as_f64() * 8.0 / secs / 1e6);
+                }
+            }
+            let queue_depth: u64 = self.chunks.iter().map(|c| c.queue.len() as u64).sum();
+            m.set(g.throughput, thr_mbps);
+            m.set(g.power, power);
+            m.set(g.concurrency, f64::from(o.channels));
+            m.set(g.in_backoff, f64::from(o.in_backoff));
+            m.set(g.queue_depth, queue_depth as f64);
+            m.observe(g.watts, power);
+            m.observe(g.backoff_occ, f64::from(o.in_backoff));
+            m.observe(g.queue_hist, queue_depth as f64);
+            if m.tick(now) && self.journaling {
+                self.tel.record(
+                    now,
+                    Event::Sample {
+                        throughput_mbps: thr_mbps,
+                        power_w: power,
+                        concurrency: o.channels,
+                        in_backoff: o.in_backoff,
+                        queue_depth,
+                    },
+                );
+            }
+        }
+        acc.now += self.slice;
+        acc.slices_done += 1;
+        if cfg!(feature = "debug-invariants") {
+            audit_slice(&self.chunks, a, acc, o);
+        }
+    }
+
+    /// Decide: journals the chunks that drained at this boundary, shows
+    /// the controller the slice, and applies its action. On `Continue` it
+    /// computes the event horizon; returns how many upcoming slices are
+    /// provably steady (0 for none).
+    fn consult_controller(
+        &mut self,
+        a: &mut SliceArena,
+        stage: usize,
+        o: &SliceOutcome,
+        start: SimTime,
+    ) -> u64 {
+        let now = self.acc.now;
+        if self.journaling {
+            for (ci, c) in self.chunks.iter().enumerate() {
+                if c.completed_at == Some(now) {
+                    self.tel.record_with(now, || Event::ChunkDrain {
+                        chunk: ci as u32,
+                        label: c.label.clone(),
+                    });
+                }
+            }
+        }
+        // The controller's view borrows the arena's lending buffers
+        // (reclaimed below), so a steady slice builds it without
+        // allocating. Remaining bytes are read off the incremental
+        // per-chunk column (exact integers, no queue walk).
+        let fault = match &self.runtime {
+            Some(rt) => {
+                let mut q_src = std::mem::take(&mut a.ctx_q_src);
+                let mut q_dst = std::mem::take(&mut a.ctx_q_dst);
+                rt.quarantined_into(SiteSide::Src, &mut q_src);
+                rt.quarantined_into(SiteSide::Dst, &mut q_dst);
+                FaultView {
+                    capacity_fraction: rt.capacity_fraction(),
+                    quarantined_src: q_src,
+                    quarantined_dst: q_dst,
+                    failures: rt.stats.total_failures(),
+                    in_backoff: o.in_backoff,
+                }
+            }
+            None => FaultView::default(),
+        };
+        let mut channels = std::mem::take(&mut a.ctx_channels);
+        channels.clear();
+        channels.extend(self.chunks.iter().map(|c| c.target));
+        let mut remaining_per_chunk = std::mem::take(&mut a.ctx_remaining);
+        remaining_per_chunk.clear();
+        remaining_per_chunk.extend_from_slice(&a.chunk_remaining);
+        let ctx = SliceCtx {
+            now,
+            stage,
+            slice_bytes: o.bytes,
+            slice_energy_j: o.power_w * self.slice_secs,
+            total_bytes: self.acc.moved_total,
+            remaining_bytes: a.chunk_remaining.iter().copied().sum(),
+            channels,
+            remaining_per_chunk,
+            fault,
+        };
+        let action = self.controller.on_slice(&ctx);
+        if self.journaling {
+            for ev in self.controller.drain_events() {
+                self.tel.record(now, ev);
+            }
+        }
+        let k = match action {
+            ControlAction::Reallocate(new_targets) => {
+                assert_eq!(
+                    new_targets.len(),
+                    self.chunks.len(),
+                    "reallocation must cover every chunk of the stage"
+                );
+                if self.journaling {
+                    self.tel.record_with(now, || Event::Reallocate {
+                        targets: new_targets.clone(),
+                    });
+                }
+                for (ci, (c, &t)) in self.chunks.iter_mut().zip(&new_targets).enumerate() {
+                    c.target = if c.live(a.chunk_in_flight[ci]) { t } else { 0 };
+                }
+                0
+            }
+            // Journaled runs compute the horizon even with macro-stepping
+            // off: the window then only drives the horizon span (the
+            // slices execute normally), so macro and non-macro journals
+            // stay byte-identical. While a span is open (that mode, or a
+            // resumed mid-window run) nothing is recomputed until it
+            // closes at its boundary.
+            ControlAction::Continue
+                if (self.env.tuning.macro_step || self.journaling)
+                    && self.acc.horizon_end.is_none() =>
+            {
+                self.horizon_window(a, &ctx, start)
+            }
+            ControlAction::Continue => 0,
+        };
+        // Reclaim the lent buffers (the contents are dead; only the
+        // capacity is recycled).
+        a.ctx_channels = ctx.channels;
+        a.ctx_remaining = ctx.remaining_per_chunk;
+        a.ctx_q_src = ctx.fault.quarantined_src;
+        a.ctx_q_dst = ctx.fault.quarantined_dst;
+        k
+    }
+
+    /// Horizon (DESIGN.md §12): counts how many upcoming slices are
+    /// provably in steady state, opening a horizon span over them on
+    /// journaled runs. Every bound is conservative — when in doubt the
+    /// horizon is 0 and the engine falls back to the plain slice loop.
+    /// `start` is the start of the slice just executed.
+    fn horizon_window(&mut self, a: &SliceArena, ctx: &SliceCtx, start: SimTime) -> u64 {
+        let (slice, now, env) = (self.slice, self.acc.now, self.env);
+        let mut k = self.controller.next_decision_in(ctx, slice);
+        // A state boundary at time `b` caps the window: every skipped
+        // slice must start strictly before it.
+        let bound_at = |b: SimTime| -> u64 {
+            if b <= now {
+                0
+            } else {
+                b.since(now).slices_before(slice).saturating_add(1)
+            }
+        };
+        // Which bound won names the horizon span's source; ties keep the
+        // earlier (checked-first) source.
+        let mut k_src = "controller";
+        let bounds = [
+            (
+                "max_duration",
+                Some(SimTime::ZERO + env.tuning.max_duration),
+            ),
+            (
+                "metrics",
+                self.tel.metrics_ref().map(MetricsRegistry::next_tick),
+            ),
+            ("background", env.background.map(|bg| bg.next_change(start))),
+            (
+                "faults",
+                self.runtime.as_ref().map(|rt| rt.next_change(start)),
+            ),
+        ];
+        for (src, at) in bounds {
+            if let Some(b) = at.map(bound_at).filter(|&b| b < k) {
+                k = b;
+                k_src = src;
+            }
+        }
+
+        let k_before_channels = k;
+        let ch = &a.ch;
+        for i in 0..ch.len() {
+            if k == 0 {
+                break;
+            }
+            let ci = ch.chunk[i] as usize;
+            if let Some(ttf) = ch.ttf[i] {
+                k = k.min(ttf.slices_before(slice));
+            }
+            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
+            let next_working = busy && ch.gap[i] < slice;
+            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+            if next_working
+                && self.runtime.as_ref().is_some_and(|rt| {
+                    rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst)
+                })
+            {
+                // The next slice's kill check fires for busy connecting
+                // channels inside an active outage window — a channel can
+                // reach that state mid-slice (e.g. it inherited a killed
+                // channel's file after its own kill check passed), so
+                // post-slice state must be re-checked.
+                k = 0;
+            } else if next_working != a.working[i] {
+                // The channel would enter or leave the working set next
+                // slice.
+                k = 0;
+            } else if a.working[i] {
+                // Steady mover: mid-file, no pending gap, and the
+                // executed slice moved exactly the per-slice quantum.
+                let quantum = a.grants[i].bytes_in(slice);
+                if ch.has_file[i] && ch.gap[i].is_zero() && a.ch_moved[i] == quantum {
+                    k = k.min(steady_move_bound(
+                        ch.file_remaining[i],
+                        quantum,
+                        a.grants[i],
+                        slice,
+                    ));
+                } else {
+                    k = 0;
+                }
+            } else if busy || ch.in_backoff[i] {
+                // Blocked channel: its gap must outlast every skipped
+                // slice (an idle channel's draining gap is inert and
+                // replayed).
+                k = k.min(ch.gap[i].slices_within(slice));
+            }
+        }
+        if k < k_before_channels {
+            k_src = "channel";
+        }
+
+        if k > 0 && self.journaling {
+            let detail = format!("{k_src} k={k}");
+            self.tel.record_with(now, || Event::SpanBegin {
+                id: 0,
+                parent: 0,
+                kind: "horizon".to_string(),
+                detail,
+            });
+            self.acc.horizon_end = Some(self.acc.slices_done + k);
+        }
+        k
+    }
+
+    /// Replay: advances `k` provably steady slices arithmetically and
+    /// books each through [`SliceRun::book_slice`] with the executed
+    /// slice's outcome, so reports, journals and metrics stay
+    /// bit-identical to `k` executed slices. A halt boundary inside the
+    /// window cuts the replay at exactly that slice; the resumed run
+    /// recomputes the remainder (a promised slice re-executed normally is
+    /// state-identical by the promise contract).
+    fn replay_window(&mut self, a: &mut SliceArena, k: u64, executed: SliceOutcome) {
+        let slice = self.slice;
+        // Kills cannot happen inside a window, and the probe flag, outage
+        // state and first-byte state are pinned by its bounds, so each
+        // replayed slice classifies exactly as an executed one would. The
+        // backoff count is re-read each slice: a channel that left backoff
+        // during the decision slice was counted there but is a plain
+        // mover here.
+        let mut o = SliceOutcome {
+            kills: false,
+            ..executed
+        };
+        for _ in 0..k {
+            o.in_backoff = 0;
+            for i in 0..a.ch.len() {
+                if let Some(ttf) = a.ch.ttf[i] {
+                    a.ch.ttf[i] = Some(ttf - slice);
+                }
+                o.in_backoff += u32::from(backoff_tick(&mut a.ch, i, &mut self.runtime, slice));
+                if !a.working[i] {
+                    a.ch.gap[i] = a.ch.gap[i].saturating_sub(slice);
+                } else if a.ch.has_file[i] {
+                    // Steady movers are mid-file by the window bounds;
+                    // each replayed slice drains exactly the quantum.
+                    a.ch.file_remaining[i] = a.ch.file_remaining[i].saturating_sub(a.ch_moved[i]);
+                }
+            }
+            // Working channels drain their quantum from the chunk's
+            // remaining, exactly as the executed slice did.
+            for (ci, moved) in a.chunk_moved.iter().enumerate() {
+                a.chunk_remaining[ci] = a.chunk_remaining[ci].saturating_sub(*moved);
+            }
+            self.book_slice(a, &o);
+            if self.halt_after.is_some_and(|h| self.acc.slices_done >= h) {
+                break;
+            }
+        }
+    }
+
+    /// Run end (cold): journals the run summary and derives the report
+    /// from the accumulators.
+    fn finish(self, completed: bool) -> TransferReport {
+        let (env, acc) = (self.env, self.acc);
+        let requested = self.plan.total_bytes();
+        let completed = completed && acc.moved_total == requested;
+        let duration = acc.now.since(SimTime::ZERO);
+        if self.journaling {
+            self.tel.record(
+                acc.now,
                 Event::RunEnd {
-                    moved_bytes: moved_total.as_u64(),
-                    duration_s: now.since(SimTime::ZERO).as_secs_f64(),
-                    energy_j: ledger.total_j(),
-                    completed: completed && moved_total == requested,
+                    moved_bytes: acc.moved_total.as_u64(),
+                    duration_s: duration.as_secs_f64(),
+                    energy_j: acc.ledger.total_j(),
+                    completed,
                 },
             );
         }
-
-        let packets = env
-            .packets
-            .total_packets(Bytes(wire_bytes_f.round() as u64));
-        let fault_stats = runtime.map(|rt| rt.stats).unwrap_or_default();
-        debug_assert_eq!(retransmitted, fault_stats.retransmitted_bytes);
+        let wire_bytes = Bytes(acc.wire_bytes_f.round() as u64);
+        let fault_stats = self.runtime.map(|rt| rt.stats).unwrap_or_default();
+        debug_assert_eq!(acc.retransmitted, fault_stats.retransmitted_bytes);
         // The report's per-site energy IS the ledger's fixed-order phase
         // sum, so the profile accounts for 100% of it within 0 ULP.
-        let src_energy = ledger.src.total_j();
-        let dst_energy = ledger.dst.total_j();
+        let ledger = acc.ledger;
         if cfg!(feature = "debug-invariants") {
             let manual = EnergyPhase::ALL
                 .iter()
                 .fold(0.0f64, |a, &p| a + ledger.src.phase_j(p));
             assert_eq!(
                 manual.to_bits(),
-                src_energy.to_bits(),
+                ledger.src.total_j().to_bits(),
                 "invariant: ledger phases must sum to the report energy bit-exactly"
             );
         }
-        RunOutcome::Done(TransferReport {
+        TransferReport {
             schema: crate::report::REPORT_SCHEMA_VERSION,
             requested_bytes: requested,
-            moved_bytes: moved_total,
-            duration: now.since(SimTime::ZERO),
-            completed: completed && moved_total == requested,
-            src_energy_j: src_energy,
-            dst_energy_j: dst_energy,
+            moved_bytes: acc.moved_total,
+            duration,
+            completed,
+            src_energy_j: ledger.src.total_j(),
+            dst_energy_j: ledger.dst.total_j(),
             ledger,
-            wire_bytes: Bytes(wire_bytes_f.round() as u64),
-            packets,
-            throughput_series,
-            power_series,
-            concurrency_series,
+            wire_bytes,
+            packets: env.packets.total_packets(wire_bytes),
+            throughput_series: acc.throughput_series,
+            power_series: acc.power_series,
+            concurrency_series: acc.concurrency_series,
             failures: fault_stats.total_failures(),
             faults: fault_stats,
-            estimated_energy_j: env.estimator.map(|_| estimated_energy),
-            chunk_stats,
-        })
+            estimated_energy_j: env.estimator.map(|_| acc.estimated_energy),
+            chunk_stats: acc.chunk_stats,
+        }
+    }
+}
+
+/// Books one slice of channel `i`'s failure backoff, clearing the flag
+/// once the gap ends within the slice; true when the channel was in
+/// backoff at the slice start. Executed and replayed slices both tick
+/// through here.
+#[inline]
+fn backoff_tick(
+    ch: &mut ChannelSoA,
+    i: usize,
+    runtime: &mut Option<FaultRuntime>,
+    slice: SimDuration,
+) -> bool {
+    if !ch.in_backoff[i] {
+        return false;
+    }
+    if let Some(rt) = runtime {
+        rt.book_backoff(ch.gap[i].min(slice));
+    }
+    if ch.gap[i] <= slice {
+        ch.in_backoff[i] = false;
+    }
+    true
+}
+
+/// The per-slice conservation and monotonicity audits (`debug-invariants`,
+/// DESIGN.md §10), run after every executed or replayed slice: bytes that
+/// entered the stage equal goodput plus what is still queued/in flight
+/// (channel kills restore every lost byte to one side of the ledger);
+/// gross bytes moved equal goodput plus booked retransmissions; power —
+/// and with it accumulated energy — stays finite and non-negative, so
+/// energy is monotone in sim-time. The incremental per-chunk remaining
+/// column is cross-checked against a full recount of the queues and
+/// channel columns.
+fn audit_slice(chunks: &[ChunkState], a: &SliceArena, acc: &Accumulators, o: &SliceOutcome) {
+    let (src_power, dst_power, now) = (o.src.watts, o.dst.watts, acc.now);
+    assert!(
+        src_power >= 0.0 && dst_power >= 0.0 && src_power.is_finite() && dst_power.is_finite(),
+        "invariant: site power finite and non-negative, got src={src_power} dst={dst_power}"
+    );
+    let (src_e, dst_e) = (acc.ledger.src.total_j(), acc.ledger.dst.total_j());
+    assert!(
+        src_e >= 0.0 && dst_e >= 0.0 && (src_e + dst_e).is_finite(),
+        "invariant: accumulated energy finite and non-negative, got src={src_e} dst={dst_e}"
+    );
+    let remaining: Bytes = a.chunk_remaining.iter().copied().sum();
+    assert_eq!(
+        acc.audit_stage_requested,
+        acc.moved_total + remaining,
+        "invariant: bytes entered != bytes moved + bytes remaining at t={now:?}"
+    );
+    assert_eq!(
+        acc.audit_gross,
+        acc.moved_total + acc.retransmitted,
+        "invariant: gross bytes != goodput + retransmitted at t={now:?}"
+    );
+    for (ci, c) in chunks.iter().enumerate() {
+        assert_eq!(
+            a.chunk_remaining[ci],
+            c.recount_remaining(a, ci),
+            "invariant: incremental chunk remaining diverged from channel state at t={now:?}"
+        );
     }
 }
 
@@ -1530,7 +1433,7 @@ fn rebalance_targets(
 ) {
     let mut freed = 0u32;
     for (ci, c) in chunks.iter_mut().enumerate() {
-        if c.queue.is_empty() && in_flight[ci] == 0 && c.target > 0 {
+        if !c.live(in_flight[ci]) && c.target > 0 {
             freed += c.target;
             c.target = 0;
         }
@@ -1596,7 +1499,8 @@ pub struct SliceArena {
     ch_moved: Vec<Bytes>,
     /// Per-server placement counts (shared by both sites sequentially).
     place: Vec<u32>,
-    /// Per-server availability masks (breaker state).
+    /// Per-server availability masks (breaker state); empty without a
+    /// fault runtime.
     src_avail: Vec<bool>,
     dst_avail: Vec<bool>,
     /// Lending buffers for the controller's [`SliceCtx`]/[`FaultView`]
@@ -1612,10 +1516,12 @@ pub struct SliceArena {
 }
 
 impl SliceArena {
-    /// Resets the channel columns and per-chunk arrays for a stage of
-    /// `n` chunks, keeping every buffer's capacity.
+    /// Resets the channel columns, per-chunk arrays and placement masks
+    /// for a stage of `n` chunks, keeping every buffer's capacity.
     fn begin_stage(&mut self, n: usize) {
         self.ch.clear();
+        self.src_avail.clear();
+        self.dst_avail.clear();
         reset(&mut self.chunk_start, n, 0);
         reset(&mut self.chunk_len, n, 0);
         reset(&mut self.chunk_in_flight, n, 0);
@@ -1656,7 +1562,7 @@ fn sync_chunk_channels(
     start: usize,
     len: &mut usize,
     in_flight: &mut u32,
-    queue: &mut VecDeque<FileProgress>,
+    queue: &mut VecDeque<FileSnapshot>,
     chunk: u32,
     target: u32,
     rtt: SimDuration,
@@ -1675,7 +1581,7 @@ fn sync_chunk_channels(
             ch.remove(last);
         } else {
             // Every channel is busy: the last one returns its file.
-            queue.push_front(FileProgress {
+            queue.push_front(FileSnapshot {
                 size: ch.file_size[last],
                 remaining: ch.file_remaining[last],
             });
@@ -1735,10 +1641,7 @@ fn busiest_chunk(
     chunks
         .iter()
         .enumerate()
-        .filter(|&(ci, c)| {
-            (!c.queue.is_empty() || in_flight[ci] > 0)
-                && (!respect_pinning || c.accepts_reallocation)
-        })
+        .filter(|&(ci, c)| c.live(in_flight[ci]) && (!respect_pinning || c.accepts_reallocation))
         .max_by_key(|&(ci, _)| remaining[ci])
         .map(|(i, _)| i)
 }
@@ -1793,14 +1696,6 @@ fn assign_servers_into(counts: &[u32], out: &mut Vec<usize>) {
     }
 }
 
-/// Expands per-server channel counts into a per-channel server index.
-#[cfg(test)]
-fn assign_servers(counts: &[u32]) -> Vec<usize> {
-    let mut out = Vec::new();
-    assign_servers_into(counts, &mut out);
-    out
-}
-
 /// Largest number of consecutive slices a mid-file channel can replay as
 /// "move exactly `per_slice` bytes". The slice that completes the file
 /// (`time_at(remaining) <= slice`) — or that would move fewer than
@@ -1850,7 +1745,7 @@ fn steady_move_bound(remaining: Bytes, per_slice: Bytes, grant: Rate, slice: Sim
 fn advance_channel(
     ch: &mut ChannelSoA,
     i: usize,
-    queue: &mut VecDeque<FileProgress>,
+    queue: &mut VecDeque<FileSnapshot>,
     in_flight: &mut u32,
     grant: Rate,
     slice: SimDuration,
@@ -1899,25 +1794,24 @@ fn advance_channel(
     moved
 }
 
-/// Total power of one site's active servers for the slice: the reference
+/// Power of one site's active servers for the slice: the reference
 /// model's Watts plus (when configured) the secondary estimator's Watts
 /// over the same utilization snapshots, plus the reference model's
 /// per-component split (the energy profiler's approximate cpu/nic/disk
 /// attribution — the scalar total stays the authoritative number).
-#[allow(clippy::too_many_arguments)]
 fn site_power(
     env: &TransferEnv,
-    channels: &[u32],
-    streams: &[u32],
-    moved: &[Bytes],
+    a: &SliceArena,
     slice_secs: f64,
     eff: f64,
     is_src: bool,
-) -> (f64, f64, PowerBreakdown) {
-    let site = if is_src { &env.src } else { &env.dst };
-    let mut total = 0.0;
-    let mut estimated = 0.0;
-    let mut parts = PowerBreakdown::default();
+) -> SitePower {
+    let (site, channels, streams, moved) = if is_src {
+        (&env.src, &a.src_chan, &a.src_streams, &a.src_moved)
+    } else {
+        (&env.dst, &a.dst_chan, &a.dst_streams, &a.dst_moved)
+    };
+    let (mut watts, mut estimated, mut parts) = (0.0, 0.0, PowerBreakdown::default());
     for (i, spec) in site.servers.iter().enumerate() {
         if channels[i] == 0 {
             continue;
@@ -1931,13 +1825,19 @@ fn site_power(
             wire_rate: wire,
         };
         let util = Utilization::compute(spec, load, &env.util);
-        total += env.power.power_watts(&util);
+        watts += env.power.power_watts(&util);
         parts.add(&env.power.power_components(&util));
         if let Some(est) = &env.estimator {
             estimated += est.power_watts(&util);
         }
     }
-    (total, estimated, parts)
+    let parts_w = [parts.cpu_w, parts.nic_w, parts.disk_w, parts.other_w];
+    SitePower {
+        watts,
+        estimated,
+        joules: watts * slice_secs,
+        parts_j: parts_w.map(|w| w * slice_secs),
+    }
 }
 
 #[cfg(test)]

@@ -40,6 +40,13 @@ fn wan_env() -> TransferEnv {
     }
 }
 
+/// Expands per-server channel counts into a per-channel server index.
+fn assign_servers(counts: &[u32]) -> Vec<usize> {
+    let mut out = Vec::new();
+    assign_servers_into(counts, &mut out);
+    out
+}
+
 fn files(n: u32, mb: u64) -> Vec<FileSpec> {
     (0..n)
         .map(|i| FileSpec::new(i, Bytes::from_mb(mb)))
@@ -319,8 +326,8 @@ fn wire_bytes_at_least_goodput() {
 fn advance_channel_respects_gap_and_grant() {
     let mut ch = ChannelSoA::default();
     ch.insert_fresh(0, 0, SimDuration::from_millis(50), None);
-    let mut q: VecDeque<FileProgress> =
-        vec![FileProgress::fresh(FileSpec::new(0, Bytes::from_mb(100)))].into();
+    let mut q: VecDeque<FileSnapshot> =
+        vec![FileSnapshot::fresh(FileSpec::new(0, Bytes::from_mb(100)))].into();
     let mut in_flight = 0u32;
     // 100 ms slice, 50 ms gap → 50 ms of transfer at 800 Mbps = 5 MB.
     let moved = advance_channel(
@@ -342,8 +349,8 @@ fn advance_channel_respects_gap_and_grant() {
 fn advance_channel_chains_small_files_with_gaps() {
     let mut ch = ChannelSoA::default();
     ch.insert_fresh(0, 0, SimDuration::ZERO, None);
-    let mut q: VecDeque<FileProgress> = (0..100)
-        .map(|i| FileProgress::fresh(FileSpec::new(i, Bytes::from_kb(100))))
+    let mut q: VecDeque<FileSnapshot> = (0..100)
+        .map(|i| FileSnapshot::fresh(FileSpec::new(i, Bytes::from_kb(100))))
         .collect();
     let mut in_flight = 0u32;
     // grant 800 Mbps → 100 KB file takes 1 ms; pp=1 → 40 ms gap each.
@@ -364,8 +371,8 @@ fn advance_channel_chains_small_files_with_gaps() {
     // With pipelining 40 the gap is 1 ms → ~50 files fit.
     let mut ch2 = ChannelSoA::default();
     ch2.insert_fresh(0, 0, SimDuration::ZERO, None);
-    let mut q2: VecDeque<FileProgress> = (0..100)
-        .map(|i| FileProgress::fresh(FileSpec::new(i, Bytes::from_kb(100))))
+    let mut q2: VecDeque<FileSnapshot> = (0..100)
+        .map(|i| FileSnapshot::fresh(FileSpec::new(i, Bytes::from_kb(100))))
         .collect();
     let mut in_flight2 = 0u32;
     let moved2 = advance_channel(
@@ -392,7 +399,7 @@ fn sync_channels_preserves_in_flight_progress() {
         ch.file_size[pos] = Bytes::from_mb(10);
         ch.file_remaining[pos] = Bytes::from_mb(rem_mb);
     }
-    let mut queue: VecDeque<FileProgress> = VecDeque::new();
+    let mut queue: VecDeque<FileSnapshot> = VecDeque::new();
     let mut len = 2usize;
     let mut in_flight = 2u32;
     sync_chunk_channels(
@@ -630,7 +637,7 @@ fn busiest_chunk_respects_pinning() {
         file_count: 1,
         completed_at: None,
         avg_file: Bytes::from_mb(bytes_mb),
-        queue: vec![FileProgress::fresh(FileSpec::new(
+        queue: vec![FileSnapshot::fresh(FileSpec::new(
             0,
             Bytes::from_mb(bytes_mb),
         ))]

@@ -159,9 +159,10 @@ proptest! {
     }
 
     /// Event-horizon macro-stepping must be invisible in the output: the
-    /// serialized report and the telemetry journal are compared byte for
-    /// byte against the plain slice loop across randomized fault draws
-    /// (channel kills, optional outage windows, markers on/off).
+    /// serialized report, the telemetry journal and the metrics snapshot
+    /// are compared byte for byte against the plain slice loop across
+    /// randomized fault draws (channel kills, optional outage windows,
+    /// markers on/off).
     #[test]
     fn macro_stepping_is_bit_identical_to_slice_loop(
         mtbf_s in 4u64..30,
@@ -196,13 +197,16 @@ proptest! {
                 eadt_telemetry::Telemetry::enabled(eadt_telemetry::DEFAULT_CADENCE);
             let r = Engine::new(&e).run_instrumented(&p, &mut NullController, &mut tel);
             let json = serde_json::to_string(&r).expect("report serializes");
+            let metrics = tel.metrics_ref().expect("metrics attached").snapshot();
+            let metrics = serde_json::to_string(&metrics).expect("metrics serialize");
             let journal = tel.into_journal().expect("journal attached").to_jsonl();
-            (json, journal)
+            (json, journal, metrics)
         };
-        let (fast_report, fast_journal) = run(true);
-        let (slow_report, slow_journal) = run(false);
+        let (fast_report, fast_journal, fast_metrics) = run(true);
+        let (slow_report, slow_journal, slow_metrics) = run(false);
         prop_assert_eq!(fast_report, slow_report);
         prop_assert_eq!(fast_journal, slow_journal);
+        prop_assert_eq!(fast_metrics, slow_metrics);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Every algorithm runs twice on every testbed — once with event-horizon
 //! macro-stepping (the default) and once with `macro_step = false` (the
-//! CLI's `--no-macro-step`) — and the *serialized* `TransferReport` plus
-//! the telemetry journal JSONL are compared for byte identity. The same
+//! CLI's `--no-macro-step`) — and the *serialized* `TransferReport`, the
+//! telemetry journal JSONL and the metrics registry's `MetricsSnapshot`
+//! (counters, gauges, histograms) are compared for byte identity. The same
 //! matrix repeats under fault plans (MTBF channel failures, correlated
 //! outages + stalls + disk degradation, markers-off restarts) and
 //! background cross traffic, because those are exactly the state sources
@@ -31,9 +32,9 @@ const SEED: u64 = 11;
 const SCALE: f64 = 0.01;
 
 /// Runs one algorithm with journal + metrics telemetry and returns the
-/// serialized report and journal — the two artifacts that must be
-/// bit-identical with and without macro-stepping.
-fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String, String) {
+/// serialized report, journal and metrics snapshot — the three artifacts
+/// that must be bit-identical with and without macro-stepping.
+fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String, String, String) {
     let dataset = tb.dataset_spec.scaled(SCALE).generate(SEED);
     let partition = tb.partition;
     let mut tel = Telemetry::enabled(DEFAULT_CADENCE);
@@ -102,18 +103,21 @@ fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String
         }
     };
     let json = serde_json::to_string(&report).expect("report serializes");
+    let metrics = serde_json::to_string(&tel.metrics_ref().expect("metrics attached").snapshot())
+        .expect("metrics snapshot serializes");
     let journal = tel.into_journal().expect("journal attached").to_jsonl();
-    (json, journal)
+    (json, journal, metrics)
 }
 
-/// Asserts byte identity of report + journal across the macro-step toggle
-/// for one (testbed, fault-plan) cell, over every algorithm.
+/// Asserts byte identity of report, journal and metrics across the
+/// macro-step toggle for one (testbed, fault-plan) cell, over every
+/// algorithm.
 fn assert_matrix(mut tb: Environment, label: &str, fault_aware: bool) {
     for kind in AlgorithmKind::ALL {
         tb.env.tuning.macro_step = true;
-        let (fast_report, fast_journal) = run_once(&tb, kind, fault_aware);
+        let (fast_report, fast_journal, fast_metrics) = run_once(&tb, kind, fault_aware);
         tb.env.tuning.macro_step = false;
-        let (slow_report, slow_journal) = run_once(&tb, kind, fault_aware);
+        let (slow_report, slow_journal, slow_metrics) = run_once(&tb, kind, fault_aware);
         assert_eq!(
             fast_report, slow_report,
             "{label}/{kind}: macro-stepped report differs from slice-by-slice"
@@ -121,6 +125,10 @@ fn assert_matrix(mut tb: Environment, label: &str, fault_aware: bool) {
         assert_eq!(
             fast_journal, slow_journal,
             "{label}/{kind}: macro-stepped journal differs from slice-by-slice"
+        );
+        assert_eq!(
+            fast_metrics, slow_metrics,
+            "{label}/{kind}: macro-stepped metrics registry differs from slice-by-slice"
         );
     }
 }
@@ -295,7 +303,7 @@ fn golden_digests_match_the_seed_engine() {
         for (label, mut tb, aware) in regimes(tb, name) {
             tb.env.tuning.macro_step = true;
             for kind in AlgorithmKind::ALL {
-                let (report, journal) = run_once(&tb, kind, aware);
+                let (report, journal, _) = run_once(&tb, kind, aware);
                 lines.push_str(&format!(
                     "{label}/{kind} report={:016x} journal={:016x}\n",
                     fnv1a(report.as_bytes()),
