@@ -4,20 +4,22 @@
 //! An engine checkpoint captures *one transfer's* in-flight state; a
 //! [`ServiceCheckpoint`] captures the layer above it — which jobs are
 //! still pending, queued, resident in a site pool, or finished, plus the
-//! per-job admission timeline. Together with the per-job
-//! [`JobCheckpoint`](crate::JobCheckpoint) files and the persisted
-//! service journal, the checkpoint directory holds a consistent snapshot
-//! of the whole service as of the round it was written, and a resumed
-//! service replays the remaining rounds byte-identically.
+//! per-job admission timeline — and embeds the engine state of every
+//! live job, so one atomic rename commits the whole round. Together with
+//! finished jobs' outcome files and the persisted service journal, the
+//! checkpoint directory holds a consistent snapshot of the whole service
+//! as of the round it was written, and a resumed service replays the
+//! remaining rounds byte-identically.
 
 use crate::error::CkptError;
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, JobCheckpoint};
 use serde::{Deserialize, Serialize};
 
 /// Schema version of [`ServiceCheckpoint`] (versioning policy: §13 —
 /// additive growth bumps the version, readers reject versions they do
-/// not understand).
-pub const SERVICE_CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+/// not understand). Version 2 embedded the live engine states
+/// (`engines`) in place of per-job checkpoint files.
+pub const SERVICE_CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// One job's service-side timeline, as known at the checkpoint round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,8 +55,8 @@ pub struct ServiceCheckpoint {
     pub round: u64,
     /// Jobs waiting for admission, queue order.
     pub queue: Vec<u32>,
-    /// Jobs resident in site pools, admission order. Each has a
-    /// `job-<i>.ckpt.json` engine checkpoint beside this file.
+    /// Jobs resident in site pools, admission order. Each has an entry
+    /// in `engines`.
     pub resident: Vec<u32>,
     /// Jobs that finished, index order. Each has a
     /// `job-<i>.outcome.json` beside this file.
@@ -65,11 +67,15 @@ pub struct ServiceCheckpoint {
     /// Sequence number the service journal will assign next; the
     /// persisted journal prefix ends exactly here.
     pub journal_seq: u64,
+    /// Engine state of every live job that has run — each resident, and
+    /// each queued job a preemption sent back — job-index order, each
+    /// bound to its job.
+    pub engines: Vec<JobCheckpoint>,
 }
 
 impl ServiceCheckpoint {
     /// Serializes as pretty JSON with a trailing newline (deterministic:
-    /// declaration field order, no floats).
+    /// declaration field order, shortest-roundtrip floats).
     pub fn to_json(&self) -> String {
         let mut text = serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string());
         text.push('\n');
@@ -169,6 +175,16 @@ mod tests {
                 },
             ],
             journal_seq: 19,
+            engines: vec![JobCheckpoint {
+                schema: crate::JOB_CHECKPOINT_SCHEMA_VERSION,
+                job: 1,
+                // Multi-byte characters and escapes: the decoder copies
+                // runs between escapes and must keep both intact.
+                label: "mine/didclab \"ü→日本\" \\ tab\there\nnext ✓".to_string(),
+                algorithm: "MinE".to_string(),
+                seed: 11,
+                engine: crate::store::tests::sample_engine_checkpoint(),
+            }],
         }
     }
 

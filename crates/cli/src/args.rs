@@ -219,11 +219,13 @@ pub struct Cli {
     /// the horizon computation (and for timing the plain slice loop).
     pub no_macro_step: bool,
     /// `--checkpoint-dir DIR`: crash-safe checkpointing (DESIGN.md §13)
-    /// for `transfer` and `fleet` — engine state is persisted under DIR
-    /// on the `--checkpoint-every` cadence, and an interrupted invocation
-    /// rerun with the same flags resumes from the latest snapshot.
+    /// for `transfer`, `fleet` and `serve` — engine state is persisted
+    /// under DIR on the `--checkpoint-every` cadence, and an interrupted
+    /// invocation rerun with the same flags (plus `--resume` for `fleet`
+    /// and `serve`) resumes from the latest snapshot.
     pub checkpoint_dir: Option<String>,
-    /// `--checkpoint-every N`: checkpoint cadence in 100 ms engine slices.
+    /// `--checkpoint-every N`: checkpoint cadence, in 100 ms engine slices
+    /// for `transfer` and `fleet` and in scheduling rounds for `serve`.
     pub checkpoint_every: u64,
 }
 

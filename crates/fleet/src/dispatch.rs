@@ -92,14 +92,6 @@ impl<'a> JobRunner<'a> {
         self.run_with(ctl, None, None)
     }
 
-    /// Like [`JobRunner::run_controlled`], but running the engine inside
-    /// a caller-owned [`SliceArena`] — the service's per-quantum advance
-    /// path, which keeps one arena per resident so re-entering a job
-    /// every round reuses warm engine scratch instead of reallocating it.
-    pub fn run_controlled_in(&self, ctl: RunControl, arena: &mut SliceArena) -> RunOutcome {
-        self.run_with(ctl, None, Some(arena))
-    }
-
     /// Like [`JobRunner::run_controlled`], but recording into `tel` —
     /// the fleet's metrics-collection path. When `tel` carries a metrics
     /// registry the engine samples its gauges and histograms into it,
@@ -109,7 +101,10 @@ impl<'a> JobRunner<'a> {
         self.run_with(ctl, Some(tel), None)
     }
 
-    fn run_with(
+    /// The one dispatch behind every run: `tel` defaults to a disabled
+    /// sink and `arena` to a private one. The executor's legs pass their
+    /// own, so a job re-entered every quantum reuses warm engine scratch.
+    pub(crate) fn run_with(
         &self,
         ctl: RunControl,
         tel: Option<&mut Telemetry>,

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod dispatch;
+mod exec;
 mod matrix;
 mod rollup;
 mod seed;

@@ -16,41 +16,39 @@
 //! 1. moves newly-arrived jobs into the admission queue (`job_submitted`);
 //! 2. preempts, under strict priority, the lowest-priority resident of a
 //!    full site when a higher-priority job waits (`job_preempted`) —
-//!    eviction is just *not rescheduling*: the victim already holds an
-//!    [`EngineCheckpoint`] from the previous round's halt;
+//!    eviction is just *not rescheduling*: the victim's leg already holds
+//!    the engine state of the previous round's halt;
 //! 3. admits queued jobs while core slots remain (`job_admitted`,
 //!    `job_resumed` for re-entries);
 //! 4. arbitrates each site's pooled bandwidth and disk across its
 //!    residents ([`arbitrate`]), converting grants into per-run
 //!    [`ResourceShare`] factors;
-//! 5. advances every resident by one quantum **in parallel** (workers
-//!    over an atomic cursor — each leg is a pure function of its
-//!    checkpoint and share, so worker count cannot leak into results);
-//! 6. books finished transfers (`job_finished`) and carries halted
-//!    engine state to the next round.
+//! 5. advances every resident by one quantum **in parallel** on the
+//!    executor's worker pool — each job keeps one executor leg (prepared
+//!    runner, scratch arena, engine state) from its first admission until
+//!    it finishes, and each quantum is a pure function of that state and
+//!    the share, so worker count cannot leak into results;
+//! 6. books finished transfers (`job_finished`) and carries halted legs
+//!    to the next round.
 //!
 //! Same root seed ⇒ byte-identical [`ServiceReport`] JSON and service
 //! journal, whatever the worker count — the contract CI's
 //! `service-determinism` job enforces.
 
-use crate::dispatch::JobRunner;
+use crate::exec::{self, Leg, Step};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::session::JobOutcome;
 use crate::spec::JobSpec;
 use eadt_ckpt::{
-    CheckpointStore, JobCheckpoint, ServiceCheckpoint, ServiceJobState,
-    JOB_CHECKPOINT_SCHEMA_VERSION, SERVICE_CHECKPOINT_SCHEMA_VERSION,
+    CheckpointStore, ServiceCheckpoint, ServiceJobState, SERVICE_CHECKPOINT_SCHEMA_VERSION,
 };
 use eadt_endsys::pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolMember};
 use eadt_sim::{EadtError, Rate, SimRng, SimTime};
 use eadt_telemetry::{EnergyLedger, Event, Journal};
-use eadt_transfer::{EngineCheckpoint, ResourceShare, RunControl, RunOutcome, SliceArena};
+use eadt_transfer::ResourceShare;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version stamped into [`ServiceReport`] JSON.
 pub const SERVICE_SCHEMA_VERSION: u32 = 1;
@@ -337,9 +335,10 @@ impl ServiceSessionBuilder {
     }
 
     /// Enables crash-safe service checkpointing: every `every_rounds`
-    /// rounds the scheduler persists its [`ServiceCheckpoint`], every
-    /// live engine checkpoint and the service journal prefix under
-    /// `dir`; [`ServiceSession::resume`] completes an interrupted run
+    /// rounds the scheduler persists the service journal prefix and then
+    /// its [`ServiceCheckpoint`], which embeds every live engine state,
+    /// under `dir`; finished jobs leave their outcome files there.
+    /// [`ServiceSession::resume`] completes an interrupted run
     /// byte-identically.
     pub fn checkpoints(mut self, dir: impl Into<PathBuf>, every_rounds: u64) -> Self {
         self.checkpoint = Some((dir.into(), every_rounds.max(1)));
@@ -401,7 +400,7 @@ impl ServiceSession {
 
     /// Runs the workload to completion.
     pub fn run(&self, workload: &Workload) -> Result<ServiceRun, EadtError> {
-        self.run_inner(workload, false)
+        self.run_rounds(workload, false)
     }
 
     /// Completes an interrupted service run from its checkpoint
@@ -417,10 +416,12 @@ impl ServiceSession {
             self.checkpoint.is_some(),
             "ServiceSession::resume requires a checkpoint directory"
         );
-        self.run_inner(workload, true)
+        self.run_rounds(workload, true)
     }
 
-    fn run_inner(&self, workload: &Workload, resume: bool) -> Result<ServiceRun, EadtError> {
+    /// The round loop: the single-threaded coordinator of the module
+    /// docs, with each round's legs advanced on the executor's pool.
+    fn run_rounds(&self, workload: &Workload, resume: bool) -> Result<ServiceRun, EadtError> {
         workload.check()?;
         let jobs = workload.jobs();
         let slice = jobs
@@ -441,12 +442,6 @@ impl ServiceSession {
             .collect();
 
         let mut state = SchedulerState::fresh(jobs.len());
-        // Per-job engine scratch arenas, reused across quanta: a resident
-        // advancing every round re-enters the engine with its warm arena
-        // instead of rebuilding scratch from cold. Deliberately *not* part
-        // of the serialized scheduler state — arenas carry capacity, not
-        // semantics, and a resumed service starts them cold again.
-        let mut arenas: Vec<SliceArena> = jobs.iter().map(|_| SliceArena::default()).collect();
         let mut journal = Journal::new();
         let store = match &self.checkpoint {
             Some((dir, _)) => Some(CheckpointStore::create(dir).map_err(ckpt_err)?),
@@ -497,8 +492,8 @@ impl ServiceSession {
 
             // 2. Priority preemption: under strict priority, a full site
             // must yield its lowest-priority resident to a strictly
-            // higher-priority waiter. The victim keeps its checkpoint and
-            // goes back to the queue — preemption is "not rescheduling".
+            // higher-priority waiter. The victim keeps its leg and goes
+            // back to the queue — preemption is "not rescheduling".
             if self.policy == ArbitrationPolicy::StrictPriority {
                 for (site, cap) in workload.sites() {
                     let Some(&challenger) = state
@@ -555,7 +550,9 @@ impl ServiceSession {
                 let job = state.queue.remove(pos);
                 state.phase[job] = Phase::Resident;
                 state.resident.push(job);
-                let returning = state.engine[job].is_some();
+                let returning = state.legs[job]
+                    .get_or_insert_with(|| Leg::new(job, &jobs[job].spec, seeds[job], None))
+                    .started();
                 let now = round_start(slice, self.quantum, round);
                 if state.admitted_round[job].is_none() {
                     state.admitted_round[job] = Some(round);
@@ -632,154 +629,81 @@ impl ServiceSession {
                 }
             }
 
-            // 5. Parallel advance: one quantum per resident, fixed shares.
-            let tasks: Vec<AdvanceTask> = state
+            // 5. Parallel advance: one quantum per resident on its own
+            // leg, fixed shares.
+            let quantum = self.quantum;
+            let advancing: Vec<(usize, Leg, ResourceShare)> = state
                 .resident
                 .iter()
-                .map(|&job| AdvanceTask {
-                    job,
-                    engine: state.engine[job].take(),
-                    share: shares[job].unwrap_or_default(),
-                    arena: std::mem::take(&mut arenas[job]),
+                .filter_map(|&job| {
+                    let leg = state.legs[job].take()?;
+                    Some((job, leg, shares[job].unwrap_or_default()))
                 })
                 .collect();
-            let results = self.advance(jobs, &seeds, tasks);
+            let advanced = exec::par_map(self.workers, advancing, |(job, mut leg, share)| {
+                let step = leg.advance(Some(quantum), share);
+                (job, leg, step)
+            });
 
-            // 6. Collect in job-index order (journal and persistence order
-            // must not depend on completion order).
+            // 6. Collect in residency order (journal and persistence order
+            // must not depend on completion order). A finished job's leg
+            // is dropped with its runner and arena; a leg that panicked
+            // finishes its job with the `JobFailed` outcome.
             let end = round_start(slice, self.quantum, round + 1);
-            let mut still_resident = Vec::with_capacity(state.resident.len());
-            let mut finished_now = Vec::new();
-            for (job, outcome, arena) in results {
-                arenas[job] = arena;
-                match outcome {
-                    Advanced::Halted(engine) => {
-                        state.engine[job] = Some(engine);
-                        still_resident.push(job);
-                    }
-                    Advanced::Finished(outcome) => {
-                        journal.record(
-                            end,
-                            Event::JobFinished {
-                                job: job as u32,
-                                completed: outcome.completed,
-                                moved_bytes: outcome.moved_bytes,
-                            },
-                        );
-                        state.phase[job] = Phase::Done;
-                        state.finished_round[job] = Some(round);
-                        if let Some(store) = &store {
-                            persist_outcome(store, &outcome).map_err(ckpt_err)?;
-                        }
-                        state.outcome[job] = Some(outcome);
-                        finished_now.push(job);
-                    }
+            for (job, leg, step) in advanced {
+                let (Step::Done(outcome) | Step::Panicked(outcome)) = step else {
+                    state.legs[job] = Some(leg);
+                    continue;
+                };
+                journal.record(
+                    end,
+                    Event::JobFinished {
+                        job: job as u32,
+                        completed: outcome.completed,
+                        moved_bytes: outcome.moved_bytes,
+                    },
+                );
+                state.phase[job] = Phase::Done;
+                state.finished_round[job] = Some(round);
+                if let Some(store) = &store {
+                    exec::save_outcome(store, &outcome).map_err(ckpt_err)?;
                 }
+                state.outcome[job] = Some(outcome);
             }
-            state.resident.retain(|j| still_resident.contains(j));
-            let _ = finished_now;
+            state
+                .resident
+                .retain(|&job| state.phase[job] == Phase::Resident);
 
             round += 1;
             state.round = round;
 
-            // Cadence checkpoint: a consistent snapshot of the scheduler,
-            // every live engine checkpoint, and the journal prefix. The
-            // service checkpoint is written last — it is the commit point.
+            // Cadence checkpoint: the journal prefix, then the service
+            // checkpoint — scheduler state and every live engine state in
+            // one file, so its atomic rename is the whole commit.
             if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
                 if round.is_multiple_of(*every) {
-                    self.persist(workload, &seeds, store, &state, &journal, fingerprint)
+                    self.persist(workload, store, &state, &journal, fingerprint)
                         .map_err(ckpt_err)?;
                 }
             }
         }
 
-        let report = self.assemble(workload, &seeds, state, round)?;
+        let report = self.assemble(workload, &seeds, &arrivals, state, round);
         Ok(ServiceRun { report, journal })
     }
 
-    /// Runs the round's residents, each for one quantum, on the worker
-    /// pool. Results come back keyed by job index.
-    fn advance(
-        &self,
-        jobs: &[ServiceJob],
-        seeds: &[u64],
-        tasks: Vec<AdvanceTask>,
-    ) -> Vec<(usize, Advanced, SliceArena)> {
-        let quantum = self.quantum;
-        let slots: Vec<Mutex<Option<(usize, Advanced, SliceArena)>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let run_one = |task: AdvanceTask| {
-            let job = task.job;
-            let (outcome, arena) = advance_job(&jobs[job], seeds[job], job, task, quantum);
-            (job, outcome, arena)
-        };
-        let workers = self.workers.min(tasks.len()).max(1);
-        if workers == 1 {
-            for (slot, task) in slots.iter().zip(tasks) {
-                let result = run_one(task);
-                *slot
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            }
-        } else {
-            let tasks: Vec<Mutex<Option<AdvanceTask>>> =
-                tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task_slot) = tasks.get(index) else {
-                            break;
-                        };
-                        let Some(task) = task_slot
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .take()
-                        else {
-                            continue;
-                        };
-                        let result = run_one(task);
-                        *slots[index]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                    });
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .filter_map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect()
-    }
-
-    /// Persists a cadence snapshot (engine checkpoints first, the
-    /// service checkpoint last as the commit point).
+    /// Persists a cadence snapshot: the journal prefix, then the
+    /// service checkpoint embedding every live engine state (the commit
+    /// point).
     fn persist(
         &self,
         workload: &Workload,
-        seeds: &[u64],
         store: &CheckpointStore,
         state: &SchedulerState,
         journal: &Journal,
         fingerprint: u64,
     ) -> Result<(), eadt_ckpt::CkptError> {
         let jobs = workload.jobs();
-        for (i, engine) in state.engine.iter().enumerate() {
-            let Some(engine) = engine else { continue };
-            let ck = JobCheckpoint {
-                schema: JOB_CHECKPOINT_SCHEMA_VERSION,
-                job: i,
-                label: jobs[i].spec.display_label(),
-                algorithm: jobs[i].spec.kind.name().to_string(),
-                seed: seeds[i],
-                engine: (**engine).clone(),
-            };
-            store.save_job_checkpoint(&ck)?;
-        }
         store.write(CheckpointStore::service_journal_name(), &journal.to_jsonl())?;
         let ck = ServiceCheckpoint {
             version: SERVICE_CHECKPOINT_SCHEMA_VERSION,
@@ -801,18 +725,24 @@ impl ServiceSession {
                 })
                 .collect(),
             journal_seq: journal.next_seq(),
+            engines: state
+                .legs
+                .iter()
+                .flatten()
+                .filter_map(Leg::checkpoint)
+                .collect(),
         };
         store.save_service_checkpoint(&ck)
     }
 
     /// Rebuilds scheduler state and journal prefix from a checkpoint.
-    fn restore(
+    fn restore<'w>(
         &self,
-        workload: &Workload,
+        workload: &'w Workload,
         seeds: &[u64],
         store: &CheckpointStore,
         ck: ServiceCheckpoint,
-    ) -> Result<(SchedulerState, Journal), EadtError> {
+    ) -> Result<(SchedulerState<'w>, Journal), EadtError> {
         let jobs = workload.jobs();
         let mut state = SchedulerState::fresh(jobs.len());
         state.round = ck.round;
@@ -838,31 +768,42 @@ impl ServiceSession {
         for &j in &ck.finished {
             let i = j as usize;
             state.phase[i] = Phase::Done;
-            let outcome = load_outcome(store, i, &jobs[i].spec, seeds[i]).ok_or_else(|| {
-                EadtError::io(
-                    CheckpointStore::outcome_name(i),
-                    "finished job's outcome file is missing or does not match the workload",
-                )
-            })?;
-            state.outcome[i] = Some(Box::new(outcome));
+            let outcome =
+                exec::load_outcome(store, i, &jobs[i].spec, seeds[i]).ok_or_else(|| {
+                    EadtError::io(
+                        CheckpointStore::outcome_name(i),
+                        "finished job's outcome file is missing or does not match the workload",
+                    )
+                })?;
+            state.outcome[i] = Some(outcome);
         }
-        for &j in ck.queue.iter().chain(&ck.resident) {
-            let i = j as usize;
-            state.phase[i] = if ck.queue.contains(&j) {
-                Phase::Queued
-            } else {
-                Phase::Resident
-            };
-            if let Some(jck) = store.load_job_checkpoint(i).map_err(ckpt_err)? {
-                jck.validate(i, &jobs[i].spec.display_label(), seeds[i])
-                    .map_err(ckpt_err)?;
-                state.engine[i] = Some(Box::new(jck.engine));
-            } else if state.phase[i] == Phase::Resident {
-                return Err(EadtError::io(
-                    CheckpointStore::checkpoint_name(i),
-                    "resident job's engine checkpoint is missing",
+        for &j in &ck.queue {
+            state.phase[j as usize] = Phase::Queued;
+        }
+        for &j in &ck.resident {
+            state.phase[j as usize] = Phase::Resident;
+        }
+        for engine in ck.engines {
+            let i = engine.job;
+            if !matches!(state.phase.get(i), Some(Phase::Queued | Phase::Resident)) {
+                return Err(EadtError::invalid_argument(
+                    "service checkpoint",
+                    format!("engine state for job {i}, which is neither queued nor resident"),
                 ));
             }
+            let mut leg = Leg::new(i, &jobs[i].spec, seeds[i], None);
+            leg.restore(engine).map_err(ckpt_err)?;
+            state.legs[i] = Some(leg);
+        }
+        if let Some(&j) = ck
+            .resident
+            .iter()
+            .find(|&&j| state.legs[j as usize].is_none())
+        {
+            return Err(EadtError::invalid_argument(
+                "service checkpoint",
+                format!("resident job {j} has no engine state"),
+            ));
         }
         state.queue = ck.queue.iter().map(|&j| j as usize).collect();
         state.resident = ck.resident.iter().map(|&j| j as usize).collect();
@@ -907,20 +848,14 @@ impl ServiceSession {
         &self,
         workload: &Workload,
         seeds: &[u64],
+        arrivals: &[u64],
         state: SchedulerState,
         rounds: u64,
-    ) -> Result<ServiceReport, EadtError> {
+    ) -> ServiceReport {
         let jobs = workload.jobs();
-        let arrivals = {
-            let slice = jobs
-                .first()
-                .map(|j| j.spec.env.env.tuning.slice)
-                .unwrap_or_else(|| eadt_sim::SimDuration::from_secs_f64(0.1));
-            workload.arrival_rounds(self.root_seed, slice.as_secs_f64() * self.quantum as f64)
-        };
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (i, slot) in state.outcome.into_iter().enumerate() {
-            let outcome = slot.map(|b| *b).unwrap_or_else(|| {
+            let outcome = slot.unwrap_or_else(|| {
                 JobOutcome::failed(
                     i,
                     &jobs[i].spec,
@@ -965,7 +900,7 @@ impl ServiceSession {
                 site
             })
             .collect();
-        Ok(ServiceReport {
+        ServiceReport {
             schema: SERVICE_SCHEMA_VERSION,
             root_seed: self.root_seed,
             policy: self.policy.name().to_string(),
@@ -974,7 +909,7 @@ impl ServiceSession {
             sites,
             metrics,
             jobs: outcomes,
-        })
+        }
     }
 }
 
@@ -996,101 +931,6 @@ fn demands(spec: &JobSpec) -> (Rate, Rate) {
     (env.link.bandwidth, Rate::from_bps(disk))
 }
 
-/// One resident's work order for a round.
-struct AdvanceTask {
-    job: usize,
-    engine: Option<Box<EngineCheckpoint>>,
-    share: ResourceShare,
-    /// The job's engine scratch arena, moved through the task (and back
-    /// with the result) so each quantum reuses the previous one's warm
-    /// buffers.
-    arena: SliceArena,
-}
-
-/// What one quantum produced for a resident.
-enum Advanced {
-    /// Still going: the checkpoint to carry into the next round.
-    Halted(Box<EngineCheckpoint>),
-    /// Ran to completion (or died — failures are booked as outcomes so
-    /// one bad job cannot take the service down).
-    Finished(Box<JobOutcome>),
-}
-
-/// Advances one job by one quantum under its granted share.
-fn advance_job(
-    job: &ServiceJob,
-    seed: u64,
-    index: usize,
-    task: AdvanceTask,
-    quantum: u64,
-) -> (Advanced, SliceArena) {
-    let AdvanceTask {
-        engine,
-        share,
-        mut arena,
-        ..
-    } = task;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let runner = JobRunner::prepare(&job.spec, seed);
-        let ctl = match engine {
-            Some(engine) => {
-                let halt = engine.slices_done + quantum;
-                RunControl::resume_from(*engine).with_halt(halt)
-            }
-            None => RunControl::halt_at(quantum),
-        }
-        .with_share(share);
-        runner.run_controlled_in(ctl, &mut arena)
-    }));
-    let outcome = match result {
-        Ok(RunOutcome::Done(report)) => Advanced::Finished(Box::new(JobOutcome::from_report(
-            index, &job.spec, seed, report, None,
-        ))),
-        Ok(RunOutcome::Halted(engine)) => Advanced::Halted(engine),
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            Advanced::Finished(Box::new(JobOutcome::failed(
-                index,
-                &job.spec,
-                seed,
-                EadtError::job_failed(
-                    job.spec.display_label(),
-                    format!("worker panicked in service job {index}: {message}"),
-                ),
-            )))
-        }
-    };
-    (outcome, arena)
-}
-
-/// Writes a finished job's outcome (and retires its engine checkpoint).
-fn persist_outcome(
-    store: &CheckpointStore,
-    outcome: &JobOutcome,
-) -> Result<(), eadt_ckpt::CkptError> {
-    let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
-    text.push('\n');
-    store.write(&CheckpointStore::outcome_name(outcome.job), &text)?;
-    store.remove(&CheckpointStore::checkpoint_name(outcome.job))
-}
-
-/// Loads a finished job's persisted outcome if it matches the job.
-fn load_outcome(
-    store: &CheckpointStore,
-    index: usize,
-    spec: &JobSpec,
-    seed: u64,
-) -> Option<JobOutcome> {
-    let text = store.read(&CheckpointStore::outcome_name(index)).ok()??;
-    let outcome: JobOutcome = serde_json::from_str(&text).ok()?;
-    (outcome.job == index && outcome.label == spec.display_label() && outcome.seed == seed)
-        .then_some(outcome)
-}
-
 fn ckpt_err(e: eadt_ckpt::CkptError) -> EadtError {
     EadtError::io("checkpoint store", e.to_string())
 }
@@ -1106,26 +946,28 @@ enum Phase {
 
 /// The scheduler's mutable state, index-aligned with the workload's job
 /// list.
-struct SchedulerState {
+struct SchedulerState<'w> {
     round: u64,
     phase: Vec<Phase>,
     queue: Vec<usize>,
     resident: Vec<usize>,
-    engine: Vec<Option<Box<EngineCheckpoint>>>,
-    outcome: Vec<Option<Box<JobOutcome>>>,
+    /// Each job's executor leg, from its first admission until it
+    /// finishes.
+    legs: Vec<Option<Leg<'w>>>,
+    outcome: Vec<Option<JobOutcome>>,
     admitted_round: Vec<Option<u64>>,
     finished_round: Vec<Option<u64>>,
     preemptions: Vec<u32>,
 }
 
-impl SchedulerState {
+impl SchedulerState<'_> {
     fn fresh(n: usize) -> Self {
         SchedulerState {
             round: 0,
             phase: vec![Phase::Pending; n],
             queue: Vec::new(),
             resident: Vec::new(),
-            engine: (0..n).map(|_| None).collect(),
+            legs: (0..n).map(|_| None).collect(),
             outcome: (0..n).map(|_| None).collect(),
             admitted_round: vec![None; n],
             finished_round: vec![None; n],
@@ -1376,11 +1218,11 @@ mod tests {
         assert_eq!(fair.report.to_json(), fair2.report.to_json());
     }
 
-    #[test]
-    fn strict_priority_preempts_and_resumes() {
-        // One slot; the low-priority job admits first (arrival order),
-        // then the high-priority one arrives and must displace it.
-        let workload = Workload::new()
+    /// One slot; the low-priority job admits first (arrival order), then
+    /// the high-priority one arrives and, under strict priority, must
+    /// displace it.
+    fn preempting_workload() -> Workload {
+        Workload::new()
             .site("didclab", pool(1))
             .job(
                 ServiceJob::new(
@@ -1397,7 +1239,12 @@ mod tests {
                     .with_tenant(1)
                     .with_priority(9),
             )
-            .arrival_gap_s(20.0);
+            .arrival_gap_s(20.0)
+    }
+
+    #[test]
+    fn strict_priority_preempts_and_resumes() {
+        let workload = preempting_workload();
         let run = ServiceSession::builder()
             .root_seed(5)
             .workers(1)
@@ -1458,31 +1305,49 @@ mod tests {
 
     #[test]
     fn service_checkpoint_resume_is_byte_identical() {
-        let workload = two_tenant_workload(1); // 1 slot: forces queueing
-        let straight = ServiceSession::builder()
-            .root_seed(21)
-            .workers(1)
-            .quantum(60)
-            .build()
-            .run(&workload)
-            .unwrap();
-
-        let dir = std::env::temp_dir().join(format!("eadt-service-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = ServiceSession::builder()
-            .root_seed(21)
-            .workers(2)
-            .quantum(60)
-            .checkpoints(&dir, 2)
-            .build();
-        let first = session.run(&workload).unwrap();
-        assert_eq!(first.report.to_json(), straight.report.to_json());
-
-        // Resume against the final checkpoint state completes whatever
-        // is left (nothing) and must reproduce the identical report.
-        let resumed = session.resume(&workload).unwrap();
-        assert_eq!(resumed.report.to_json(), straight.report.to_json());
-        assert_eq!(resumed.journal.to_jsonl(), straight.journal.to_jsonl());
-        let _ = std::fs::remove_dir_all(&dir);
+        // Cadences 1..=5 under both policies, on a 1-slot workload that
+        // queues and on one that preempts: the checkpointing run and a
+        // resume from the directory it leaves must both reproduce the
+        // straight run's report and journal.
+        let workloads = [
+            ("queueing", two_tenant_workload(1)),
+            ("preempting", preempting_workload()),
+        ];
+        let policies = [
+            ArbitrationPolicy::FairShare,
+            ArbitrationPolicy::StrictPriority,
+        ];
+        for (name, workload) in &workloads {
+            for policy in policies {
+                let builder = || {
+                    ServiceSession::builder()
+                        .root_seed(21)
+                        .workers(2)
+                        .quantum(60)
+                        .policy(policy)
+                };
+                let straight = builder().workers(1).build().run(workload).unwrap();
+                for every in 1..=5 {
+                    let cell = format!("{name}/{}/every {every}", policy.name());
+                    let dir = std::env::temp_dir().join(format!(
+                        "eadt-service-resume-{name}-{}-{every}-{}",
+                        policy.name(),
+                        std::process::id()
+                    ));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let session = builder().checkpoints(&dir, every).build();
+                    for run in [session.run(workload), session.resume(workload)] {
+                        let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
+                        assert_eq!(
+                            run.journal.to_jsonl(),
+                            straight.journal.to_jsonl(),
+                            "{cell}"
+                        );
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
     }
 }

@@ -1,29 +1,21 @@
-//! The batch session: scoped worker threads over an atomic job cursor,
-//! merge-ordered results, optional crash-safe checkpointing.
+//! The batch session: a parallel map of executor legs that each run to
+//! completion, merged in job order, with optional crash-safe
+//! checkpointing.
 
-use crate::dispatch::{run_job, JobRunner};
+use crate::exec::{self, Leg};
 use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::spec::JobSpec;
-use eadt_ckpt::{CheckpointStore, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
-use eadt_sim::{EadtError, ErrorKind, SimDuration};
-use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, Telemetry};
-use eadt_transfer::{RunControl, RunOutcome, TransferReport};
+use eadt_sim::{EadtError, SimDuration};
+use eadt_telemetry::{EnergyLedger, MetricsSnapshot};
+use eadt_transfer::TransferReport;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version stamped into [`FleetReport`] JSON. Version 2 added the
 /// per-job rollup fields (wire/retry counters, the energy ledger, the
 /// optional metrics snapshot) and the fleet-wide `metrics` rollup.
 pub const FLEET_SCHEMA_VERSION: u32 = 2;
-
-/// What one invocation of the job-runner closure produced: the engine's
-/// report plus, when the session collects metrics, the registry snapshot
-/// the run sampled into.
-type JobRun = (TransferReport, Option<MetricsSnapshot>);
 
 /// Builder for [`Session`].
 #[derive(Debug, Clone, Default)]
@@ -50,19 +42,19 @@ impl SessionBuilder {
 
     /// Enables crash-safe checkpointing (DESIGN.md §13): each job halts
     /// every `every_slices` engine slices and atomically writes its
-    /// [`JobCheckpoint`] under `dir`; finished jobs leave a
-    /// `job-<i>.outcome.json` instead. A batch interrupted at any point
-    /// can then be completed with [`Session::resume`].
+    /// [`JobCheckpoint`](eadt_ckpt::JobCheckpoint) under `dir`; finished
+    /// jobs leave a `job-<i>.outcome.json` instead. A batch interrupted at
+    /// any point can then be completed with [`Session::resume`].
     pub fn checkpoints(mut self, dir: impl Into<PathBuf>, every_slices: u64) -> Self {
         self.checkpoint = Some((dir.into(), every_slices.max(1)));
         self
     }
 
     /// Enables per-job metrics collection: every job runs with a
-    /// [`MetricsRegistry`] sampling on `cadence`, its final snapshot
-    /// rides in the [`JobOutcome`], and the fleet rollup merges the
-    /// engine histograms bucket-wise. Off by default — the registry adds
-    /// per-slice work to every job.
+    /// [`MetricsRegistry`](eadt_telemetry::MetricsRegistry) sampling on
+    /// `cadence`, its final snapshot rides in the [`JobOutcome`], and the
+    /// fleet rollup merges the engine histograms bucket-wise. Off by
+    /// default — the registry adds per-slice work to every job.
     pub fn metrics(mut self, cadence: SimDuration) -> Self {
         self.metrics = Some(cadence);
         self
@@ -76,27 +68,9 @@ impl SessionBuilder {
         Session {
             root_seed: self.root_seed,
             workers,
-            checkpoint: self
-                .checkpoint
-                .map(|(dir, every)| Checkpointing { dir, every }),
+            checkpoint: self.checkpoint,
             metrics: self.metrics,
         }
-    }
-}
-
-/// Checkpoint cadence configuration (see [`SessionBuilder::checkpoints`]).
-#[derive(Debug, Clone)]
-struct Checkpointing {
-    dir: PathBuf,
-    every: u64,
-}
-
-impl Checkpointing {
-    /// Opens the store, panicking on I/O failure — callers sit inside the
-    /// per-job `catch_unwind`, so the failure is booked as that job's
-    /// outcome instead of killing the batch.
-    fn open(&self) -> CheckpointStore {
-        CheckpointStore::create(&self.dir).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -110,7 +84,7 @@ impl Checkpointing {
 pub struct Session {
     root_seed: u64,
     workers: usize,
-    checkpoint: Option<Checkpointing>,
+    checkpoint: Option<(PathBuf, u64)>,
     metrics: Option<SimDuration>,
 }
 
@@ -133,14 +107,7 @@ impl Session {
     /// Runs one job (job index 0 of a single-job batch) on the calling
     /// thread — the convenience path for single-transfer callers.
     pub fn run_one(&self, job: &JobSpec) -> JobOutcome {
-        execute_job(
-            self.checkpoint.as_ref(),
-            false,
-            self.root_seed,
-            0,
-            job,
-            &self.default_runner(),
-        )
+        self.run_job(0, job, false)
     }
 
     /// Runs the batch and returns results merged in job order.
@@ -148,10 +115,10 @@ impl Session {
     /// Workers claim jobs from an atomic cursor (work stealing over the
     /// job queue): a slow job never stalls the others, and because each
     /// job's seed depends only on `(root_seed, index)`, claiming order
-    /// cannot leak into results. A worker that panics inside a job books
-    /// an [`EadtError::JobFailed`] outcome for that job and moves on.
+    /// cannot leak into results. A job that panics is booked as an
+    /// [`EadtError::JobFailed`] outcome and the batch moves on.
     pub fn run(&self, jobs: &[JobSpec]) -> FleetReport {
-        self.run_inner(jobs, false, &self.default_runner())
+        self.run_inner(jobs, false)
     }
 
     /// Completes an interrupted batch from its checkpoint directory.
@@ -170,225 +137,32 @@ impl Session {
             self.checkpoint.is_some(),
             "Session::resume requires a checkpoint directory (SessionBuilder::checkpoints)"
         );
-        self.run_inner(jobs, true, &self.default_runner())
+        self.run_inner(jobs, true)
     }
 
-    /// The production job executor: checkpointed when the session has a
-    /// cadence configured, straight-through otherwise.
-    fn default_runner(&self) -> impl Fn(usize, &JobSpec, u64) -> JobRun + Sync + '_ {
-        move |index, job, seed| match &self.checkpoint {
-            None => match self.metrics {
-                None => (run_job(job, seed), None),
-                Some(cadence) => {
-                    let mut tel = Telemetry::from_parts(None, Some(MetricsRegistry::new(cadence)));
-                    let report = JobRunner::prepare(job, seed)
-                        .run_instrumented(RunControl::default(), &mut tel)
-                        .into_report()
-                        .expect("no halt boundary configured");
-                    let snap = tel.metrics_ref().map(MetricsRegistry::snapshot);
-                    (report, snap)
-                }
-            },
-            Some(cfg) => run_job_checkpointed(cfg, self.metrics, index, job, seed),
-        }
-    }
-
-    /// Shared worker-pool core; `run` is injectable so tests can drive
-    /// the panic path deterministically.
-    fn run_inner(
-        &self,
-        jobs: &[JobSpec],
-        resume: bool,
-        run: &(dyn Fn(usize, &JobSpec, u64) -> JobRun + Sync),
-    ) -> FleetReport {
-        let checkpoint = self.checkpoint.as_ref();
-        let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        if workers == 1 {
-            for (index, job) in jobs.iter().enumerate() {
-                store(
-                    &slots[index],
-                    execute_job(checkpoint, resume, self.root_seed, index, job, run),
-                );
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(index) else { break };
-                        store(
-                            &slots[index],
-                            execute_job(checkpoint, resume, self.root_seed, index, job, run),
-                        );
-                    });
-                }
-            });
-        }
-        let jobs: Vec<JobOutcome> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        // Unreachable: every index below jobs.len() is
-                        // claimed exactly once. Book it as a failure
-                        // rather than panicking the aggregator.
-                        JobOutcome::lost(index)
-                    })
-            })
-            .collect();
-        let metrics = FleetMetrics::rollup(&jobs);
+    fn run_inner(&self, jobs: &[JobSpec], resume: bool) -> FleetReport {
+        let indexed: Vec<(usize, &JobSpec)> = jobs.iter().enumerate().collect();
+        let jobs = exec::par_map(self.workers, indexed, |(index, job)| {
+            self.run_job(index, job, resume)
+        });
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
             root_seed: self.root_seed,
-            metrics,
+            metrics: FleetMetrics::rollup(&jobs),
             jobs,
         }
     }
-}
 
-fn store(slot: &Mutex<Option<JobOutcome>>, outcome: JobOutcome) {
-    *slot
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-}
-
-fn execute_job(
-    checkpoint: Option<&Checkpointing>,
-    resume: bool,
-    root_seed: u64,
-    index: usize,
-    job: &JobSpec,
-    run: &(dyn Fn(usize, &JobSpec, u64) -> JobRun + Sync),
-) -> JobOutcome {
-    let seed = job
-        .seed
-        .unwrap_or_else(|| derive_job_seed(root_seed, index as u64));
-    if resume {
-        if let Some(cfg) = checkpoint {
-            if let Some(outcome) = load_finished_outcome(cfg, index, job, seed) {
-                return outcome;
-            }
-        }
+    fn run_job(&self, index: usize, job: &JobSpec, resume: bool) -> JobOutcome {
+        let seed = job
+            .seed
+            .unwrap_or_else(|| derive_job_seed(self.root_seed, index as u64));
+        let dir = self
+            .checkpoint
+            .as_ref()
+            .map(|(dir, every)| (dir.as_path(), *every));
+        exec::run_to_completion(Leg::new(index, job, seed, self.metrics), dir, resume)
     }
-    let executed = catch_unwind(AssertUnwindSafe(|| {
-        let (report, metrics) = run(index, job, seed);
-        let outcome = JobOutcome::from_report(index, job, seed, report, metrics);
-        if let Some(cfg) = checkpoint {
-            persist_outcome(cfg, &outcome);
-        }
-        outcome
-    }));
-    match executed {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            JobOutcome::failed(
-                index,
-                job,
-                seed,
-                EadtError::job_failed(
-                    job.display_label(),
-                    format!("worker panicked in job {index}: {message}"),
-                ),
-            )
-        }
-    }
-}
-
-/// Runs one job under the checkpoint cadence: halt every `every` slices,
-/// atomically persist the [`JobCheckpoint`], resume — so at any instant
-/// the directory holds a snapshot at most `every` slices stale. Store
-/// failures panic (booked as the job's outcome by the caller).
-fn run_job_checkpointed(
-    cfg: &Checkpointing,
-    metrics: Option<SimDuration>,
-    index: usize,
-    job: &JobSpec,
-    seed: u64,
-) -> JobRun {
-    let store = cfg.open();
-    let every = cfg.every.max(1);
-    let label = job.display_label();
-    let runner = JobRunner::prepare(job, seed);
-    // A fresh registry per leg is fine: a resume restores the registry's
-    // contents from the checkpoint before the engine moves, so the final
-    // snapshot is interrupt-invariant.
-    let mut tel = Telemetry::from_parts(None, metrics.map(MetricsRegistry::new));
-    let mut ctl = match store
-        .load_job_checkpoint(index)
-        .unwrap_or_else(|e| panic!("{e}"))
-    {
-        Some(ck) => {
-            ck.validate(index, &label, seed)
-                .unwrap_or_else(|e| panic!("{e}"));
-            // `halt_after` is an absolute slice count, so the next
-            // boundary is measured from the checkpoint, not from zero.
-            let halt = ck.engine.slices_done + every;
-            RunControl::resume_from(ck.engine).with_halt(halt)
-        }
-        None => RunControl::halt_at(every),
-    };
-    loop {
-        match runner.run_instrumented(ctl, &mut tel) {
-            RunOutcome::Done(report) => {
-                let snap = tel.metrics_ref().map(MetricsRegistry::snapshot);
-                return (report, snap);
-            }
-            RunOutcome::Halted(engine) => {
-                let halt = engine.slices_done + every;
-                let ck = JobCheckpoint {
-                    schema: JOB_CHECKPOINT_SCHEMA_VERSION,
-                    job: index,
-                    label: label.clone(),
-                    algorithm: job.kind.name().to_string(),
-                    seed,
-                    engine: *engine,
-                };
-                store
-                    .save_job_checkpoint(&ck)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                ctl = RunControl::resume_from(ck.engine).with_halt(halt);
-            }
-        }
-    }
-}
-
-/// Writes the final outcome and retires the job's checkpoint.
-fn persist_outcome(cfg: &Checkpointing, outcome: &JobOutcome) {
-    let store = cfg.open();
-    let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
-    text.push('\n');
-    store
-        .write(&CheckpointStore::outcome_name(outcome.job), &text)
-        .unwrap_or_else(|e| panic!("{e}"));
-    store
-        .remove(&CheckpointStore::checkpoint_name(outcome.job))
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Loads a finished job's persisted outcome, if it exists and matches the
-/// job it is being re-admitted for. Any mismatch or read problem falls
-/// back to `None` — re-running the job reproduces the identical outcome,
-/// so recomputing is always a safe answer.
-fn load_finished_outcome(
-    cfg: &Checkpointing,
-    index: usize,
-    job: &JobSpec,
-    seed: u64,
-) -> Option<JobOutcome> {
-    let store = CheckpointStore::create(&cfg.dir).ok()?;
-    let text = store.read(&CheckpointStore::outcome_name(index)).ok()??;
-    let outcome: JobOutcome = serde_json::from_str(&text).ok()?;
-    (outcome.job == index && outcome.label == job.display_label() && outcome.seed == seed)
-        .then_some(outcome)
 }
 
 /// The merged outcome of one job.
@@ -524,34 +298,6 @@ impl JobOutcome {
             report: None,
         }
     }
-
-    fn lost(index: usize) -> Self {
-        JobOutcome {
-            job: index,
-            label: format!("job-{index}"),
-            algorithm: String::new(),
-            environment: String::new(),
-            seed: 0,
-            completed: false,
-            moved_bytes: 0,
-            requested_bytes: 0,
-            duration_s: 0.0,
-            throughput_mbps: 0.0,
-            energy_j: 0.0,
-            efficiency: 0.0,
-            failures: 0,
-            wire_bytes: 0,
-            packets: 0,
-            retries: 0,
-            breaker_opens: 0,
-            retransmitted_bytes: 0,
-            ledger: EnergyLedger::default(),
-            metrics: None,
-            error_kind: Some(ErrorKind::JobFailed.as_str().to_string()),
-            error: Some("job result slot was never filled".to_string()),
-            report: None,
-        }
-    }
 }
 
 /// The merged result of a batch, in job order.
@@ -593,7 +339,11 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::JobRunner;
+    use crate::exec::Step;
+    use eadt_ckpt::{CheckpointStore, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
     use eadt_core::AlgorithmKind;
+    use eadt_transfer::{ResourceShare, RunControl, RunOutcome};
     use std::fs;
 
     fn small_jobs() -> Vec<JobSpec> {
@@ -671,14 +421,10 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_payload_and_job_id() {
-        let jobs = small_jobs();
+        let mut jobs = small_jobs();
+        jobs[1] = jobs[1].clone().with_label(exec::TEST_PANIC_LABEL);
         let session = Session::builder().root_seed(9).workers(2).build();
-        let report = session.run_inner(&jobs, false, &|index, job, seed| {
-            if index == 1 {
-                panic!("injected chaos payload");
-            }
-            (run_job(job, seed), None)
-        });
+        let report = session.run(&jobs);
         assert_eq!(report.error_count(), 1);
         assert_eq!(report.completed_count(), 2);
         let failed = &report.jobs[1];
@@ -875,6 +621,62 @@ mod tests {
         let err = resumed.jobs[0].error.as_deref().unwrap();
         assert!(err.contains("seed"), "{err}");
         assert!(resumed.jobs[1].error.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicked_resume_keeps_job_checkpoints() {
+        let jobs = small_jobs();
+        let cadence = eadt_sim::SimDuration::from_secs(1);
+        let straight = Session::builder()
+            .root_seed(4)
+            .workers(1)
+            .metrics(cadence)
+            .build()
+            .run(&jobs);
+
+        // The crash site of a metrics run: every job halted after one slice.
+        let dir = ckpt_dir("panicked");
+        let store = CheckpointStore::create(&dir).unwrap();
+        for (i, job) in jobs.iter().enumerate() {
+            let mut leg = Leg::new(i, job, derive_job_seed(4, i as u64), Some(cadence));
+            let step = leg.advance(Some(1), ResourceShare::FULL);
+            assert!(
+                matches!(step, Step::Halted),
+                "job {i} too short to interrupt"
+            );
+            store
+                .save_job_checkpoint(&leg.checkpoint().unwrap())
+                .unwrap();
+        }
+
+        // A resume without metrics panics in every engine restore, books
+        // the failures and leaves every job checkpoint in place ...
+        let mismatched = Session::builder()
+            .root_seed(4)
+            .workers(2)
+            .checkpoints(&dir, 4)
+            .build()
+            .resume(&jobs);
+        for (i, job) in mismatched.jobs.iter().enumerate() {
+            let err = job.error.as_deref().unwrap();
+            assert!(err.contains("metrics state"), "{err}");
+            assert!(dir.join(CheckpointStore::checkpoint_name(i)).exists());
+            assert!(!dir.join(CheckpointStore::outcome_name(i)).exists());
+        }
+        // ... so the corrected resume completes the straight run.
+        let resumed = Session::builder()
+            .root_seed(4)
+            .workers(2)
+            .metrics(cadence)
+            .checkpoints(&dir, 4)
+            .build()
+            .resume(&jobs);
+        assert_eq!(resumed.to_json(), straight.to_json());
+        assert_eq!(
+            resumed.metrics.to_prometheus(),
+            straight.metrics.to_prometheus()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

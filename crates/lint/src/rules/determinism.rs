@@ -71,14 +71,15 @@ pub fn check(path: &str, toks: &[Spanned]) -> Vec<Violation> {
         }
         // Ad-hoc threading: `thread::spawn` / `thread::scope`. Worker
         // pools threaten merge-order determinism unless results are
-        // reassembled by job index; that discipline lives in
-        // `eadt_fleet::Session`, whose spawn sites are allowlisted.
+        // reassembled by job index; that discipline lives in the fleet
+        // executor's order-preserving parallel map (`eadt-fleet`'s
+        // `exec.rs`), whose one spawn site is allowlisted.
         if name == "thread" && (path_call(toks, i, "spawn") || path_call(toks, i, "scope")) {
             out.push(Violation {
                 rule: "determinism",
                 path: path.to_string(),
                 line: t.line,
-                message: "`thread::spawn`/`thread::scope`: ad-hoc threading risks order-dependent results; run batches through eadt_fleet::Session".into(),
+                message: "`thread::spawn`/`thread::scope`: ad-hoc threading risks order-dependent results; run jobs through the fleet executor (eadt_fleet::Session or ServiceSession)".into(),
             });
         }
         // Argless `rand::random`.
@@ -129,7 +130,7 @@ mod tests {
     fn flags_ad_hoc_threading() {
         let v = run("std::thread::spawn(|| work());\nstd::thread::scope(|s| {});");
         assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].message.contains("eadt_fleet::Session"));
+        assert!(v[0].message.contains("fleet executor"));
         assert_eq!(v[1].line, 2);
     }
 

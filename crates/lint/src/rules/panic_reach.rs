@@ -11,7 +11,11 @@
 //!
 //! * `Engine::run_controlled` — the engine entry every algorithm runs
 //!   through (DESIGN.md §12);
-//! * `Session::run_one` / `execute_job` — the fleet workers (§14);
+//! * `Leg::advance` — the fleet executor's guarded leg, which every batch
+//!   and service job runs through (§11);
+//! * `run_to_completion` — a batch job's checkpoint and outcome files
+//!   around its legs (§11, §13);
+//! * `ServiceSession::run_rounds` — the service round loop (§16);
 //! * `resume_verified` — journal-verified checkpoint recovery (§13).
 //!
 //! **Sinks**: `.unwrap()` / `.expect(…)` calls, `panic!` invocations,
@@ -22,8 +26,8 @@
 //! **Allowlisting** is per-sink (rule `panic-reach`, matched on the sink
 //! line like any other rule) or per-edge (rule `panic-reach-edge`: the
 //! entry's `path`/`context` name a *call site*, and the walk never
-//! crosses that edge — e.g. the fleet's `catch_unwind`-wrapped worker
-//! call, where a panic is caught and booked as a `JobFailed` outcome).
+//! crosses that edge — e.g. the fleet executor's `catch_unwind`-wrapped
+//! leg, where a panic is caught and booked as a `JobFailed` outcome).
 
 use super::Violation;
 use crate::callgraph::CallGraph;
@@ -33,8 +37,9 @@ use crate::symbols::SymbolTable;
 /// The crash-sensitive roots: `(file, fn name)`.
 pub const ROOTS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "run_controlled"),
-    ("crates/fleet/src/session.rs", "run_one"),
-    ("crates/fleet/src/session.rs", "execute_job"),
+    ("crates/fleet/src/exec.rs", "advance"),
+    ("crates/fleet/src/exec.rs", "run_to_completion"),
+    ("crates/fleet/src/service.rs", "run_rounds"),
     ("crates/ckpt/src/recover.rs", "resume_verified"),
 ];
 
@@ -197,7 +202,11 @@ mod tests {
                 ENGINE,
                 "struct Engine;\nimpl Engine { pub fn run_controlled(&self) { helper(); } }\nfn helper() { deep(); }\nfn deep(x: Option<u32>) { x.unwrap(); }",
             ),
-            ("crates/fleet/src/session.rs", "fn run_one() {}\nfn execute_job() {}"),
+            (
+                "crates/fleet/src/exec.rs",
+                "fn advance() {}\nfn run_to_completion() {}",
+            ),
+            ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
         let r = check(&t, &g, &[], |_, _| String::new());
@@ -214,7 +223,11 @@ mod tests {
                 ENGINE,
                 "struct Engine;\nimpl Engine { pub fn run_controlled(&self) {} }\nfn stray(x: Option<u32>) { x.unwrap(); }",
             ),
-            ("crates/fleet/src/session.rs", "fn run_one() {}\nfn execute_job() {}"),
+            (
+                "crates/fleet/src/exec.rs",
+                "fn advance() {}\nfn run_to_completion() {}",
+            ),
+            ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
         let r = check(&t, &g, &[], |_, _| String::new());
@@ -228,7 +241,11 @@ mod tests {
                 ENGINE,
                 "struct Engine;\nimpl Engine { pub fn run_controlled(&self) { guarded(); } }\nfn guarded(x: Option<u32>) { x.unwrap(); }",
             ),
-            ("crates/fleet/src/session.rs", "fn run_one() {}\nfn execute_job() {}"),
+            (
+                "crates/fleet/src/exec.rs",
+                "fn advance() {}\nfn run_to_completion() {}",
+            ),
+            ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
         let allow = vec![(ENGINE.to_string(), "guarded(".to_string())];
@@ -244,7 +261,11 @@ mod tests {
                 ENGINE,
                 "struct Engine;\nimpl Engine { pub fn run_controlled(&self, v: &[u32], i: usize) { let a = v[i]; let b = v[i + 1]; } }",
             ),
-            ("crates/fleet/src/session.rs", "fn run_one() {}\nfn execute_job() {}"),
+            (
+                "crates/fleet/src/exec.rs",
+                "fn advance() {}\nfn run_to_completion() {}",
+            ),
+            ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
         let r = check(&t, &g, &[], |_, _| String::new());

@@ -203,8 +203,13 @@ fn reach_table(engine_src: &str) -> (SymbolTable, Vec<(String, String)>) {
         ),
         (
             "fleet",
-            "crates/fleet/src/session.rs",
-            "pub fn run_one() {}\npub fn execute_job() {}".to_string(),
+            "crates/fleet/src/exec.rs",
+            "pub fn advance() {}\npub fn run_to_completion() {}".to_string(),
+        ),
+        (
+            "fleet",
+            "crates/fleet/src/service.rs",
+            "fn run_rounds() {}".to_string(),
         ),
         (
             "ckpt",
