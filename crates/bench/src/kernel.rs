@@ -9,9 +9,10 @@
 //! delta-method measurement, and the `BENCH_engine.json` plumbing the
 //! CI perf gate reads its committed thresholds from.
 //!
-//! Timing itself stays out of this module: the workspace determinism
-//! lint bans `Instant::now`, so wall-clock reads route through
-//! `criterion::measurement::WallTime` in the bench/test targets.
+//! Timing itself stays out of this module: `clippy.toml` bans
+//! `Instant::now` workspace-wide (the determinism policy, DESIGN.md §10),
+//! so wall-clock reads route through `criterion::measurement::WallTime`
+//! in the bench/test targets.
 
 use eadt_dataset::Dataset;
 use eadt_endsys::Placement;

@@ -45,12 +45,6 @@ impl Algorithm for GlobusUrlCopy {
         "GUC"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
         let (env, dataset, tel, arena) = ctx.parts_arena();
         let plan = eadt_transfer::uniform_plan(
@@ -86,12 +80,6 @@ impl GlobusOnline {
 impl Algorithm for GlobusOnline {
     fn name(&self) -> &'static str {
         "GO"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
@@ -133,12 +121,6 @@ impl SingleChunk {
 impl Algorithm for SingleChunk {
     fn name(&self) -> &'static str {
         "SC"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
@@ -206,12 +188,6 @@ impl Algorithm for ProMc {
         "ProMC"
     }
 
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
-    }
-
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
         let (env, dataset, tel, arena) = ctx.parts_arena();
         let plan = self.plan(env, dataset);
@@ -267,6 +243,10 @@ impl BruteForce {
     }
 
     /// The best level and its report, by throughput/energy ratio.
+    #[expect(
+        clippy::expect_used,
+        reason = "BruteForce::best consumes sweep(), whose 1..=max_channel.max(1) range is never empty; restructuring to return Option would push an unreachable error onto every caller"
+    )]
     pub fn best(&self, env: &TransferEnv, dataset: &Dataset) -> (u32, TransferReport) {
         self.sweep(env, dataset)
             .into_iter()
@@ -278,12 +258,6 @@ impl BruteForce {
 impl Algorithm for BruteForce {
     fn name(&self) -> &'static str {
         "BF"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {

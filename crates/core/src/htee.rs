@@ -8,7 +8,7 @@ use eadt_sim::{SimDuration, SimTime};
 use eadt_telemetry::Event;
 use eadt_transfer::{
     ChunkPlan, ControlAction, Controller, ControllerSnapshot, Engine, FaultAware, RunControl,
-    RunOutcome, SliceCtx, TransferEnv, TransferPlan, TransferReport,
+    RunOutcome, SliceCtx, TransferEnv, TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -76,12 +76,6 @@ impl Htee {
 impl Algorithm for Htee {
     fn name(&self) -> &'static str {
         "HTEE"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {

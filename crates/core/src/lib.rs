@@ -22,6 +22,7 @@
 //! the same [`TransferReport`] the figures are built from.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -72,7 +73,15 @@ pub trait Algorithm {
     /// telemetry sink, fault plan — and returns its measurements.
     /// Telemetry is a no-op handle when the context was built with
     /// [`RunCtx::new`], so implementations pay nothing on the plain path.
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport;
+    #[expect(
+        clippy::expect_used,
+        reason = "RunControl::default() sets no halt boundary (halt_after is None) and the engine returns Halted only at a requested boundary, so Done is the sole outcome"
+    )]
+    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
+        self.run_controlled(ctx, RunControl::default())
+            .into_report()
+            .expect("no halt boundary configured")
+    }
 
     /// Runs with checkpoint control: resuming from an
     /// [`eadt_transfer::EngineCheckpoint`] and/or halting at a slice
@@ -85,18 +94,7 @@ pub trait Algorithm {
     /// checkpoint to [`eadt_transfer::Engine::run_controlled`], which
     /// fast-forwards the controller through
     /// [`Controller::restore`](eadt_transfer::Controller::restore).
-    ///
-    /// The default rejects any control — algorithms must opt in, because
-    /// silently ignoring a halt boundary would break the caller's
-    /// checkpoint cadence.
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        assert!(
-            ctl.resume.is_none() && ctl.halt_after.is_none(),
-            "{} does not support checkpoint control",
-            self.name()
-        );
-        RunOutcome::Done(self.run(ctx))
-    }
+    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome;
 
     /// Shim for the pre-`RunCtx` two-argument entry point.
     #[deprecated(since = "0.2.0", note = "build a `RunCtx` and call `run`")]

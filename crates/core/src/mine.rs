@@ -8,7 +8,6 @@ use eadt_sim::SimTime;
 use eadt_telemetry::Event;
 use eadt_transfer::{
     ChunkPlan, Engine, NullController, RunControl, RunOutcome, TransferEnv, TransferPlan,
-    TransferReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -63,12 +62,6 @@ impl MinE {
 impl Algorithm for MinE {
     fn name(&self) -> &'static str {
         "MinE"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {

@@ -9,7 +9,7 @@ use eadt_sim::{Bytes, Rate, SimDuration, SimTime};
 use eadt_telemetry::Event;
 use eadt_transfer::{
     ChunkPlan, ControlAction, Controller, ControllerSnapshot, Engine, FaultAware, RunControl,
-    RunOutcome, SliceCtx, TransferPlan, TransferReport,
+    RunOutcome, SliceCtx, TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -77,12 +77,6 @@ impl Slaee {
 impl Algorithm for Slaee {
     fn name(&self) -> &'static str {
         "SLAEE"
-    }
-
-    fn run(&self, ctx: &mut RunCtx<'_>) -> TransferReport {
-        self.run_controlled(ctx, RunControl::default())
-            .into_report()
-            .expect("no halt boundary configured")
     }
 
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {

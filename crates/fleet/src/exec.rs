@@ -45,6 +45,10 @@ pub(crate) fn par_map<T: Send, R: Send>(
         .map(|item| Mutex::new((Some(item), None)))
         .collect();
     let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned worker-pool spawn site: the fleet executor's order-preserving parallel map, which both the batch Session and the service's per-round advance run on; results land in per-item cells read back in item order, and the service's single-threaded coordinator emits every journal event, so reports and journals are byte-identical for any worker count (tests/fleet_determinism.rs and tests/service_determinism.rs prove it)"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -214,7 +218,8 @@ pub(crate) fn run_to_completion(
             .transpose()?;
         if let Some(store) = &store {
             if resume {
-                if let Some(outcome) = load_outcome(store, leg.index, leg.spec, leg.seed) {
+                let cadence = leg.tel.metrics_ref().map(MetricsRegistry::cadence);
+                if let Some(outcome) = load_outcome(store, leg.index, leg.spec, leg.seed, cadence) {
                     return Ok(outcome);
                 }
             }
@@ -251,18 +256,23 @@ pub(crate) fn save_outcome(store: &CheckpointStore, outcome: &JobOutcome) -> Res
 }
 
 /// A finished job's outcome file, if it exists and matches the job it is
-/// re-admitted for. Any read, parse or match problem is `None`: running
-/// the job again reproduces the identical outcome, so recomputing is
-/// always a safe answer.
+/// re-admitted for: its index, label, seed and metrics cadence (`None`
+/// for a run that samples no metrics). Any read, parse or match problem
+/// is `None`: running the job again reproduces the identical outcome, so
+/// recomputing is always a safe answer.
 pub(crate) fn load_outcome(
     store: &CheckpointStore,
     index: usize,
     spec: &JobSpec,
     seed: u64,
+    cadence: Option<SimDuration>,
 ) -> Option<JobOutcome> {
     let text = store.read(&CheckpointStore::outcome_name(index)).ok()??;
     let outcome: JobOutcome = serde_json::from_str(&text).ok()?;
-    (outcome.job == index && outcome.label == spec.display_label() && outcome.seed == seed)
+    (outcome.job == index
+        && outcome.label == spec.display_label()
+        && outcome.seed == seed
+        && outcome.metrics.as_ref().map(|m| m.cadence) == cadence)
         .then_some(outcome)
 }
 

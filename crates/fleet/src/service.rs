@@ -769,7 +769,7 @@ impl ServiceSession {
             let i = j as usize;
             state.phase[i] = Phase::Done;
             let outcome =
-                exec::load_outcome(store, i, &jobs[i].spec, seeds[i]).ok_or_else(|| {
+                exec::load_outcome(store, i, &jobs[i].spec, seeds[i], None).ok_or_else(|| {
                     EadtError::io(
                         CheckpointStore::outcome_name(i),
                         "finished job's outcome file is missing or does not match the workload",
@@ -1306,9 +1306,11 @@ mod tests {
     #[test]
     fn service_checkpoint_resume_is_byte_identical() {
         // Cadences 1..=5 under both policies, on a 1-slot workload that
-        // queues and on one that preempts: the checkpointing run and a
-        // resume from the directory it leaves must both reproduce the
-        // straight run's report and journal.
+        // queues and on one that preempts: the checkpointing run, a resume
+        // from the directory it leaves, and a resume whose journal file
+        // ran ahead of the last commit must all reproduce the straight
+        // run's report and journal; a torn commit file must fail the
+        // resume without touching the directory.
         let workloads = [
             ("queueing", two_tenant_workload(1)),
             ("preempting", preempting_workload()),
@@ -1336,7 +1338,13 @@ mod tests {
                     ));
                     let _ = std::fs::remove_dir_all(&dir);
                     let session = builder().checkpoints(&dir, every).build();
-                    for run in [session.run(workload), session.resume(workload)] {
+                    let journal = dir.join(CheckpointStore::service_journal_name());
+                    let ahead = || {
+                        // A crash after the journal write, before the commit.
+                        std::fs::write(&journal, straight.journal.to_jsonl()).unwrap();
+                        session.resume(workload)
+                    };
+                    for run in [session.run(workload), session.resume(workload), ahead()] {
                         let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
                         assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
                         assert_eq!(
@@ -1345,6 +1353,25 @@ mod tests {
                             "{cell}"
                         );
                     }
+
+                    let commit = dir.join(CheckpointStore::service_checkpoint_name());
+                    let text = std::fs::read(&commit).unwrap();
+                    std::fs::write(&commit, &text[..text.len() / 2]).unwrap();
+                    let listing = || {
+                        let mut names: Vec<_> = std::fs::read_dir(&dir)
+                            .unwrap()
+                            .map(|entry| entry.unwrap().file_name())
+                            .collect();
+                        names.sort();
+                        names
+                    };
+                    let before = listing();
+                    let Err(err) = session.resume(workload) else {
+                        panic!("{cell}: a torn commit file resumed");
+                    };
+                    let name = CheckpointStore::service_checkpoint_name();
+                    assert!(err.to_string().contains(name), "{cell}: {err}");
+                    assert_eq!(listing(), before, "{cell}");
                     let _ = std::fs::remove_dir_all(&dir);
                 }
             }

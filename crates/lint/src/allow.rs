@@ -10,7 +10,8 @@
 /// One allowlist entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id the entry silences (`robustness`, `determinism`, `schema`).
+    /// Rule id the entry silences (`panic-reach`, `panic-reach-edge`,
+    /// `schema`, …).
     pub rule: String,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -86,10 +87,10 @@ impl Allowlist {
         Ok(Allowlist { entries })
     }
 
-    /// True when a violation of `rule` at `path` on a line whose source
-    /// text is `line_text` is covered by some entry.
-    pub fn covers(&self, rule: &str, path: &str, line_text: &str) -> bool {
-        self.entries.iter().any(|e| {
+    /// The index of the first entry that covers a violation of `rule` at
+    /// `path` on a line whose source text is `line_text`, if any.
+    pub fn covers(&self, rule: &str, path: &str, line_text: &str) -> Option<usize> {
+        self.entries.iter().position(|e| {
             e.rule == rule
                 && e.path == path
                 && (e.context.is_empty() || line_text.contains(&e.context))
@@ -106,29 +107,28 @@ mod tests {
         let text = r#"
 # comment
 [[allow]]
-rule = "robustness"
+rule = "panic-reach"
 path = "crates/core/src/baselines.rs"
 context = "at least one run"
 reason = "constructor clamps max_channel"
+
+[[allow]]
+rule = "panic-reach"
+path = "crates/core/src/baselines.rs"
+reason = "file-wide"
 "#;
         let a = Allowlist::parse(text).unwrap();
-        assert_eq!(a.entries.len(), 1);
-        assert!(a.covers(
-            "robustness",
-            "crates/core/src/baselines.rs",
-            r#".expect("max_channel ≥ 1 yields at least one run")"#
-        ));
-        assert!(!a.covers("robustness", "crates/core/src/baselines.rs", ".unwrap()"));
-        assert!(!a.covers(
-            "determinism",
-            "crates/core/src/baselines.rs",
-            "at least one run"
-        ));
+        assert_eq!(a.entries.len(), 2);
+        let path = "crates/core/src/baselines.rs";
+        let line = r#".expect("max_channel ≥ 1 yields at least one run")"#;
+        assert_eq!(a.covers("panic-reach", path, line), Some(0));
+        assert_eq!(a.covers("panic-reach", path, ".unwrap()"), Some(1));
+        assert_eq!(a.covers("schema", path, "at least one run"), None);
     }
 
     #[test]
     fn missing_reason_is_an_error() {
-        let text = "[[allow]]\nrule = \"robustness\"\npath = \"x.rs\"\n";
+        let text = "[[allow]]\nrule = \"panic-reach\"\npath = \"x.rs\"\n";
         assert!(Allowlist::parse(text).is_err());
     }
 

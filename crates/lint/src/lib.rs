@@ -2,33 +2,27 @@
 //!
 //! A dependency-free static-analysis pipeline that walks every workspace
 //! crate (excluding `vendor/`) and enforces the repo's machine-checkable
-//! invariants (DESIGN.md §10, §15). The pass runs in two layers over the
-//! same token streams:
+//! invariants that clippy cannot see (DESIGN.md §10, §15). Clippy owns
+//! the determinism and robustness policies (`clippy.toml` and the
+//! `deny` attributes of `core`, `transfer` and `telemetry`); every rule
+//! here reads one recursive-descent parse per file ([`parser`]), the
+//! workspace symbol table built from it ([`symbols`]) or a conservative
+//! call graph over that table ([`callgraph`]):
 //!
-//! **Token-level rules** (PR 3 lineage):
-//!
-//! * **determinism** — no `HashMap`/`HashSet`, no `Instant::now` /
-//!   `SystemTime`, no `thread_rng` / `rand::random` anywhere;
-//! * **robustness** — no `unwrap()` / `expect()` / `panic!` in the
-//!   non-test library code of `core`, `transfer` and `telemetry`;
 //! * **schema** — every telemetry `Event` variant documented,
 //!   field-for-field, in the DESIGN.md §9 JSONL schema table;
 //! * **horizon** — every `Controller` overriding `next_decision_in()`
 //!   exercised by the macro-stepping equivalence suite;
-//! * **checkpoint** — every `EngineCheckpoint` field and controller
-//!   snapshot kind covered by the DESIGN.md §13 checkpoint schema.
-//!
-//! **Tree-level rules**, on a recursive-descent parse ([`parser`]), a
-//! workspace symbol table ([`symbols`]) and a conservative call graph
-//! ([`callgraph`]) — see DESIGN.md §15:
-//!
+//! * **checkpoint** — every `EngineCheckpoint` / `ServiceCheckpoint`
+//!   field and controller snapshot kind covered by the DESIGN.md §13
+//!   checkpoint schema;
 //! * **fp-order** — `partial_cmp` comparators, float accumulation over
 //!   unordered iterators, `as f32` narrowing in numeric hot paths;
 //! * **hot-alloc** — no `Vec::new` / `vec![]` / `.collect()` /
 //!   `Box::new` inside the configured slice-kernel hot functions
 //!   (the zero-allocation contract of DESIGN.md §17);
 //! * **panic-reach** — panic sinks transitively reachable from
-//!   `Engine::run_controlled`, the fleet workers and checkpoint
+//!   `Engine::run_controlled`, the fleet executor and checkpoint
 //!   recovery, with per-edge allowlist scoping (`panic-reach-edge`);
 //! * **unit-escape** — raw-`f64` `+`/`-` across different unit-newtype
 //!   extractor families within one function;
@@ -38,7 +32,7 @@
 //!
 //! Known violations burn down explicitly through `lint-allow.toml`.
 //! Run it as `cargo run -p eadt-lint -- --deny-warnings` (the CI
-//! `lint-conformance` and `lint-deep` jobs do exactly that).
+//! `lint-deep` job does exactly that).
 
 #![deny(missing_docs)]
 
@@ -51,7 +45,7 @@ pub mod rules;
 pub mod symbols;
 pub mod walk;
 
-use allow::Allowlist;
+use allow::{AllowEntry, Allowlist};
 use rules::Violation;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -75,6 +69,9 @@ pub struct Report {
     /// Violations suppressed by `lint-allow.toml` (including one entry
     /// per severed `panic-reach-edge`).
     pub allowed: Vec<Violation>,
+    /// Allowlist entries that covered no violation and severed no edge:
+    /// stale grants to delete.
+    pub stale: Vec<AllowEntry>,
     /// Number of files analyzed.
     pub files: usize,
 }
@@ -133,30 +130,10 @@ pub fn run(root: &Path) -> Result<Report, String> {
     let analyzed = analyze_sources(root)?;
     let mut raw: Vec<Violation> = Vec::new();
 
-    let suite_src = std::fs::read_to_string(root.join(rules::horizon::SUITE_PATH)).ok();
-    if suite_src.is_none() {
-        raw.push(Violation {
-            rule: "horizon",
-            path: rules::horizon::SUITE_PATH.to_string(),
-            line: 0,
-            message: "macro-stepping equivalence suite not found — horizon lint cannot run".into(),
-        });
-    }
-
-    // --- Token-level rules, plus per-body tree rules -------------------
+    // --- Per-body tree rules, and the symbol table -----------------------
     let mut table = symbols::SymbolTable::default();
     for a in &analyzed {
         let file = &a.file;
-        raw.extend(rules::determinism::check(&file.rel_path, &a.toks));
-        if rules::robustness::CHECKED_CRATES.contains(&file.crate_name()) && !file.is_test_code() {
-            raw.extend(rules::robustness::check(&file.rel_path, &a.toks));
-        }
-        if let Some(suite) = &suite_src {
-            if !file.is_test_code() {
-                raw.extend(rules::horizon::check(&file.rel_path, &a.toks, suite));
-            }
-        }
-
         let narrowing =
             rules::fp_order::HOT_CRATES.contains(&file.crate_name()) && !file.is_test_code();
         let unit_checked =
@@ -190,26 +167,30 @@ pub fn run(root: &Path) -> Result<Report, String> {
         );
     }
 
+    // --- Horizon coverage over the symbol table --------------------------
+    match std::fs::read_to_string(root.join(rules::horizon::SUITE_PATH)) {
+        Ok(suite) => raw.extend(rules::horizon::check(&table, &suite)),
+        Err(_) => raw.push(Violation {
+            rule: "horizon",
+            path: rules::horizon::SUITE_PATH.to_string(),
+            line: 0,
+            message: "macro-stepping equivalence suite not found — horizon lint cannot run".into(),
+        }),
+    }
+
     // --- Panic reachability over the call graph ------------------------
     let graph = callgraph::CallGraph::build(&table);
-    let edge_allow: Vec<(String, String)> = allowlist
-        .entries
-        .iter()
-        .filter(|e| e.rule == "panic-reach-edge")
-        .map(|e| (e.path.clone(), e.context.clone()))
-        .collect();
     let texts: BTreeMap<&str, &str> = analyzed
         .iter()
         .map(|a| (a.file.rel_path.as_str(), a.file.text.as_str()))
         .collect();
-    let reach = rules::panic_reach::check(&table, &graph, &edge_allow, |file, line| {
+    let reach = rules::panic_reach::check(&table, &graph, &allowlist, |file, line| {
         texts
             .get(file)
             .map(|t| line_of(t, line))
             .unwrap_or_default()
     });
     raw.extend(reach.violations);
-    let mut allowed_extra = reach.severed_edges;
 
     // --- API surface ----------------------------------------------------
     let snapshots = rules::api_surface::build_snapshots(
@@ -238,7 +219,8 @@ pub fn run(root: &Path) -> Result<Report, String> {
     match analyzed.iter().find(|a| a.file.rel_path == EVENT_RS) {
         Some(event_file) => {
             raw.extend(rules::schema::check(
-                &event_file.file.text,
+                &event_file.toks,
+                &event_file.parsed,
                 EVENT_RS,
                 &design,
                 DESIGN_MD,
@@ -267,9 +249,9 @@ pub fn run(root: &Path) -> Result<Report, String> {
                 ));
             }
             raw.extend(rules::checkpoint::check(
-                &ckpt_file.file.text,
+                &ckpt_file.parsed,
                 CHECKPOINT_RS,
-                &service_file.file.text,
+                &service_file.parsed,
                 SERVICE_CKPT_RS,
                 &design,
                 DESIGN_MD,
@@ -292,11 +274,13 @@ pub fn run(root: &Path) -> Result<Report, String> {
     }
 
     // Apply the allowlist: an entry covers a violation when rule and path
-    // match and the source line contains the entry's context.
+    // match and the source line contains the entry's context. An entry
+    // that covers nothing and severs no edge is stale.
     let mut report = Report {
         files: analyzed.len(),
         ..Report::default()
     };
+    let mut used = vec![false; allowlist.entries.len()];
     for v in raw {
         let line_text = if v.path == DESIGN_MD {
             line_of(&design, v.line)
@@ -306,13 +290,30 @@ pub fn run(root: &Path) -> Result<Report, String> {
                 .map(|t| line_of(t, v.line))
                 .unwrap_or_default()
         };
-        if allowlist.covers(v.rule, &v.path, &line_text) {
-            report.allowed.push(v);
-        } else {
-            report.violations.push(v);
+        match allowlist.covers(v.rule, &v.path, &line_text) {
+            Some(i) => {
+                used[i] = true;
+                report.allowed.push(v);
+            }
+            None => report.violations.push(v),
         }
     }
-    report.allowed.append(&mut allowed_extra);
+    for i in reach.severed {
+        used[i] = true;
+        let e = &allowlist.entries[i];
+        report.allowed.push(Violation {
+            rule: "panic-reach-edge",
+            path: e.path.clone(),
+            line: 0,
+            message: format!("call-graph edge severed (context: `{}`)", e.context),
+        });
+    }
+    report.stale = allowlist
+        .entries
+        .into_iter()
+        .zip(used)
+        .filter_map(|(e, used)| (!used).then_some(e))
+        .collect();
     report
         .violations
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

@@ -1,12 +1,13 @@
 //! A lightweight recursive-descent parser over [`crate::lexer`].
 //!
-//! Produces the per-file item/fn/expr tree the deep rules (fp-order,
-//! panic-reachability, unit-escape, api-surface) operate on. It is a
-//! *lint* parser, not a compiler front end: parsing is **total** — any
-//! construct it does not model degrades to a [`Expr::Seq`] of its parsed
-//! sub-expressions rather than an error, so exotic syntax can hide a
-//! finding but can never abort the pass (the same grace the lexer
-//! extends to unterminated literals).
+//! Produces the per-file item/fn/expr tree every rule reads (the
+//! doc-coupled schema, horizon and checkpoint rules and the deep
+//! fp-order, hot-alloc, panic-reachability, unit-escape and api-surface
+//! rules). It is a *lint* parser, not a compiler front end: parsing is
+//! **total** — any construct it does not model degrades to a
+//! [`Expr::Seq`] of its parsed sub-expressions rather than an error, so
+//! exotic syntax can hide a finding but can never abort the pass (the
+//! same grace the lexer extends to unterminated literals).
 //!
 //! Three layers:
 //!
@@ -170,7 +171,8 @@ pub enum ItemKind {
     TypeAlias,
     /// `macro_rules! name { … }`.
     MacroDef,
-    /// A struct field (child of a `Struct` item).
+    /// A named field (child of a `Struct` item or a struct-like
+    /// `Variant`).
     Field,
     /// An enum variant (child of an `Enum` item).
     Variant,
@@ -195,7 +197,7 @@ pub struct Item {
     /// rendered with normalized spacing — the api-surface snapshot text.
     pub signature: String,
     /// Nested items: a module's contents, an impl/trait's functions, a
-    /// struct's fields, an enum's variants.
+    /// struct's or struct-like variant's fields, an enum's variants.
     pub children: Vec<Item>,
     /// The parsed body, for functions with one.
     pub body: Option<Expr>,
@@ -245,8 +247,8 @@ fn parse_items(tts: &[Tt], in_test: bool) -> Vec<Item> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tts.len() {
-        // Attributes: `#[…]` / `#![…]`. Detect test gating the same way
-        // the token-mask layer does: `test` present, `not` absent.
+        // Attributes: `#[…]` / `#![…]`. An attribute gates the item behind
+        // tests when it mentions `test` and not `not`.
         let mut cfg_test = in_test;
         let attr_start = i;
         while i < tts.len() && tts[i].is_punct('#') {
@@ -634,9 +636,14 @@ fn parse_fields(tts: &[Tt], cfg_test: bool) -> Vec<Item> {
                 vis = Vis::Pub;
             }
         }
+        // A name must be followed by `:`; this also drops the tail of a
+        // generic argument list split at its comma (`V>` of `Map<K, V>`).
         let Some(name) = part.get(k).and_then(Tt::ident) else {
             continue;
         };
+        if !part.get(k + 1).is_some_and(|t| t.is_punct(':')) {
+            continue;
+        }
         out.push(Item {
             kind: ItemKind::Field,
             name: name.to_string(),
@@ -652,7 +659,8 @@ fn parse_fields(tts: &[Tt], cfg_test: bool) -> Vec<Item> {
 }
 
 /// Parses enum variants into `Variant` children (always `Pub`: variant
-/// visibility follows the enum's).
+/// visibility follows the enum's); a struct-like variant's named fields
+/// become its `Field` children.
 fn parse_variants(tts: &[Tt], cfg_test: bool) -> Vec<Item> {
     let mut out = Vec::new();
     for part in split_top(tts, ',') {
@@ -667,13 +675,19 @@ fn parse_variants(tts: &[Tt], cfg_test: bool) -> Vec<Item> {
         let Some(name) = part.first().and_then(Tt::ident) else {
             continue;
         };
+        let children = match part.get(1) {
+            Some(Tt::Group {
+                open: '{', items, ..
+            }) => parse_fields(items, cfg_test),
+            _ => Vec::new(),
+        };
         out.push(Item {
             kind: ItemKind::Variant,
             name: name.to_string(),
             vis: Vis::Pub,
             line: part[0].line(),
             signature: render(part),
-            children: Vec::new(),
+            children,
             body: None,
             cfg_test,
         });

@@ -20,8 +20,9 @@
 //!   a controller whose state can be snapshotted but is absent from the
 //!   compatibility policy is undocumented surface.
 
-use super::Violation;
-use crate::lexer::{tokenize, Spanned, Tok};
+use super::{doc_section, doc_table_rows, Violation};
+use crate::lexer::{Spanned, Tok};
+use crate::parser::{Item, ItemKind, ParsedFile};
 
 /// Location of the engine checkpoint definition, repo-relative.
 pub const CHECKPOINT_RS: &str = "crates/transfer/src/engine/checkpoint.rs";
@@ -41,7 +42,9 @@ pub struct KindConst {
     pub line: u32,
 }
 
-/// Collects the snapshot-kind constants declared in one file.
+/// Collects the snapshot-kind constants declared in one file. A token
+/// scan: the parser renders string literals as `"…"`, so the kind string
+/// itself exists only in the token stream.
 pub fn collect_kind_consts(rel_path: &str, toks: &[Spanned]) -> Vec<KindConst> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -72,76 +75,74 @@ pub fn collect_kind_consts(rel_path: &str, toks: &[Spanned]) -> Vec<KindConst> {
     out
 }
 
-/// Runs the checkpoint lint: `ckpt_src` is
-/// `crates/transfer/src/engine/checkpoint.rs`, `service_src` is
+/// Runs the checkpoint lint: `engine` is the parse of
+/// `crates/transfer/src/engine/checkpoint.rs`, `service` that of
 /// `crates/ckpt/src/service.rs` (the continuous-service scheduler
 /// snapshot), `design_src` is DESIGN.md, `kinds` the snapshot-kind
 /// constants collected across the workspace.
 pub fn check(
-    ckpt_src: &str,
-    ckpt_path: &str,
-    service_src: &str,
+    engine: &ParsedFile,
+    engine_path: &str,
+    service: &ParsedFile,
     service_path: &str,
     design_src: &str,
     design_path: &str,
     kinds: &[KindConst],
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let engine_fields = parse_struct_fields(&tokenize(ckpt_src), "EngineCheckpoint");
-    if engine_fields.is_empty() {
-        out.push(Violation {
-            rule: "checkpoint",
-            path: ckpt_path.to_string(),
-            line: 0,
-            message: "could not locate `struct EngineCheckpoint` — checkpoint lint cannot run"
-                .into(),
-        });
-        return out;
+    let mut structs = Vec::new();
+    for (pf, name, path) in [
+        (engine, "EngineCheckpoint", engine_path),
+        (service, "ServiceCheckpoint", service_path),
+    ] {
+        match struct_fields(pf, name) {
+            Some(fields) => structs.push((name, path, fields)),
+            None => {
+                return vec![Violation {
+                    rule: "checkpoint",
+                    path: path.to_string(),
+                    line: 0,
+                    message: format!(
+                        "could not locate `struct {name}` — checkpoint lint cannot run"
+                    ),
+                }]
+            }
+        }
     }
-    let service_fields = parse_struct_fields(&tokenize(service_src), "ServiceCheckpoint");
-    if service_fields.is_empty() {
-        out.push(Violation {
-            rule: "checkpoint",
-            path: service_path.to_string(),
-            line: 0,
-            message: "could not locate `struct ServiceCheckpoint` — checkpoint lint cannot run"
-                .into(),
-        });
-        return out;
-    }
-    let section = section_13(design_src);
-    let rows = parse_doc_fields(design_src);
+    // The first backticked span of each §13 table row is the field name.
+    let rows: Vec<(u32, String)> = doc_table_rows(design_src, 13)
+        .into_iter()
+        .map(|(line, cells)| (line, cells[0][0].clone()))
+        .collect();
     if rows.is_empty() {
-        out.push(Violation {
+        return vec![Violation {
             rule: "checkpoint",
             path: design_path.to_string(),
             line: 0,
             message: "could not locate the §13 checkpoint field table in DESIGN.md".into(),
-        });
-        return out;
+        }];
     }
 
-    for (struct_name, path, fields) in [
-        ("EngineCheckpoint", ckpt_path, &engine_fields),
-        ("ServiceCheckpoint", service_path, &service_fields),
-    ] {
-        for (field, line) in fields {
-            if !rows.iter().any(|(name, _)| name == field) {
+    let mut out = Vec::new();
+    for (struct_name, path, fields) in &structs {
+        for field in *fields {
+            if !rows.iter().any(|(_, name)| *name == field.name) {
                 out.push(Violation {
                     rule: "checkpoint",
                     path: path.to_string(),
-                    line: *line,
+                    line: field.line,
                     message: format!(
-                        "`{struct_name}::{field}` has no row in the DESIGN.md §13 checkpoint \
-                         schema tables — undocumented state cannot be trusted across a resume"
+                        "`{struct_name}::{}` has no row in the DESIGN.md §13 checkpoint \
+                         schema tables — undocumented state cannot be trusted across a resume",
+                        field.name
                     ),
                 });
             }
         }
     }
-    for (name, line) in &rows {
-        let live = engine_fields.iter().any(|(field, _)| field == name)
-            || service_fields.iter().any(|(field, _)| field == name);
+    for (line, name) in &rows {
+        let live = structs
+            .iter()
+            .any(|(_, _, fields)| fields.iter().any(|f| f.name == *name));
         if !live {
             out.push(Violation {
                 rule: "checkpoint",
@@ -154,8 +155,10 @@ pub fn check(
             });
         }
     }
+    let section = doc_section(design_src, 13);
     for kind in kinds {
-        if !section.contains(&format!("`{}`", kind.value)) {
+        let mention = format!("`{}`", kind.value);
+        if !section.iter().any(|(_, line)| line.contains(&mention)) {
             out.push(Violation {
                 rule: "checkpoint",
                 path: kind.path.clone(),
@@ -172,107 +175,24 @@ pub fn check(
     out
 }
 
-/// Parses the named struct's field names (and lines) from tokens.
-pub fn parse_struct_fields(toks: &[Spanned], struct_name: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.is_ident(struct_name)) {
-            break;
-        }
-        i += 1;
-    }
-    while i < toks.len() && !toks[i].is_punct('{') {
-        i += 1;
-    }
-    if i >= toks.len() {
-        return out;
-    }
-    let mut depth = 0i32;
-    let mut expect_field = true;
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Punct('{') | Tok::Punct('<') | Tok::Punct('(') => depth += 1,
-            Tok::Punct('}') | Tok::Punct('>') | Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            Tok::Punct(',') if depth == 1 => expect_field = true,
-            Tok::Ident(f)
-                if depth == 1
-                    && expect_field
-                    && f != "pub"
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct(':')) =>
-            {
-                out.push((f.clone(), toks[i].line));
-                expect_field = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses the §13 field-table rows out of DESIGN.md: the first backticked
-/// span of each row is the field name.
-pub fn parse_doc_fields(design: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut in_section = false;
-    for (ln, line) in design.lines().enumerate() {
-        if let Some(rest) = line.strip_prefix("## ") {
-            in_section = rest.trim_start().starts_with("13.") || rest.trim_start() == "13";
-            continue;
-        }
-        if !in_section || !line.trim_start().starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = line.trim().trim_matches('|').split('|').collect();
-        if cells.len() < 2 || cells[0].contains("---") {
-            continue;
-        }
-        let names = backticked(cells[0]);
-        let Some(name) = names.first() else { continue };
-        if name == "field" {
-            continue; // header row
-        }
-        out.push((name.clone(), (ln + 1) as u32));
-    }
-    out
-}
-
-/// The raw text of DESIGN.md §13 (used for kind-string mentions).
-fn section_13(design: &str) -> String {
-    let mut out = String::new();
-    let mut in_section = false;
-    for line in design.lines() {
-        if let Some(rest) = line.strip_prefix("## ") {
-            in_section = rest.trim_start().starts_with("13.") || rest.trim_start() == "13";
-            continue;
-        }
-        if in_section {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Extracts backtick-quoted spans from a markdown cell.
-fn backticked(cell: &str) -> Vec<String> {
-    cell.split('`')
-        .enumerate()
-        .filter(|(i, _)| i % 2 == 1)
-        .map(|(_, s)| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
+/// The `Field` children of the top-level `struct name`, when it exists
+/// and has named fields.
+fn struct_fields<'a>(pf: &'a ParsedFile, name: &str) -> Option<&'a [Item]> {
+    pf.items
+        .iter()
+        .find(|it| it.kind == ItemKind::Struct && it.name == name && !it.children.is_empty())
+        .map(|it| it.children.as_slice())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
+    use crate::parser::parse_file;
+
+    fn parse(src: &str) -> ParsedFile {
+        parse_file(&tokenize(src))
+    }
 
     const CKPT_SRC: &str = r#"
         pub struct EngineCheckpoint {
@@ -335,16 +255,20 @@ The service scheduler snapshot:
         assert_eq!(k[1].value, "htee");
     }
 
-    fn check_doc(doc: &str, kinds: &[KindConst]) -> Vec<Violation> {
+    fn check_srcs(ckpt: &str, service: &str, doc: &str, kinds: &[KindConst]) -> Vec<Violation> {
         check(
-            CKPT_SRC,
+            &parse(ckpt),
             "ckpt.rs",
-            SERVICE_SRC,
+            &parse(service),
             "service.rs",
             doc,
             "DESIGN.md",
             kinds,
         )
+    }
+
+    fn check_doc(doc: &str, kinds: &[KindConst]) -> Vec<Violation> {
+        check_srcs(CKPT_SRC, SERVICE_SRC, doc, kinds)
     }
 
     #[test]
@@ -404,26 +328,10 @@ The service scheduler snapshot:
 
     #[test]
     fn missing_struct_or_table_degrades_to_file_level_finding() {
-        let v = check(
-            "fn nothing() {}",
-            "ckpt.rs",
-            SERVICE_SRC,
-            "service.rs",
-            GOOD_DOC,
-            "DESIGN.md",
-            &[],
-        );
+        let v = check_srcs("fn nothing() {}", SERVICE_SRC, GOOD_DOC, &[]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 0);
-        let v = check(
-            CKPT_SRC,
-            "ckpt.rs",
-            "fn nothing() {}",
-            "service.rs",
-            GOOD_DOC,
-            "DESIGN.md",
-            &[],
-        );
+        let v = check_srcs(CKPT_SRC, "fn nothing() {}", GOOD_DOC, &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("ServiceCheckpoint"), "{v:?}");
         assert_eq!(v[0].path, "service.rs");

@@ -10,100 +10,46 @@
 //! overrides `next_decision_in` must be exercised by name in
 //! `tests/macro_equivalence.rs`.
 
-use super::{test_code_mask, Violation};
-use crate::lexer::{Spanned, Tok};
+use super::Violation;
+use crate::symbols::SymbolTable;
 
 /// The equivalence suite every overriding controller must appear in,
 /// relative to the repo root.
 pub const SUITE_PATH: &str = "tests/macro_equivalence.rs";
 
-/// Checks one source file: any non-test `impl … Controller for X { … }`
-/// whose body defines `fn next_decision_in` requires `X` to be named in
-/// `suite_src` (the text of [`SUITE_PATH`]).
-pub fn check(path: &str, toks: &[Spanned], suite_src: &str) -> Vec<Violation> {
-    let mask = test_code_mask(toks);
-    let mut out = Vec::new();
-    for (name, line, body) in controller_impls(toks, &mask) {
-        if !overrides_next_decision_in(body) {
-            continue;
-        }
-        if !suite_src.contains(&name) {
-            out.push(Violation {
+/// Checks every non-test `next_decision_in` defined in an `impl
+/// Controller for X`: `X` must be named in `suite_src` (the text of
+/// [`SUITE_PATH`]). The trait's own default has no self type and is
+/// skipped.
+pub fn check(table: &SymbolTable, suite_src: &str) -> Vec<Violation> {
+    table
+        .fns
+        .iter()
+        .filter(|f| {
+            !f.test_only
+                && f.name == "next_decision_in"
+                && f.trait_name.as_deref() == Some("Controller")
+        })
+        .filter_map(|f| {
+            let name = f.self_ty.as_deref()?;
+            (!suite_src.contains(name)).then(|| Violation {
                 rule: "horizon",
-                path: path.to_string(),
-                line,
+                path: f.file.clone(),
+                line: f.line,
                 message: format!(
                     "`{name}` overrides `Controller::next_decision_in` but is not \
                      exercised in {SUITE_PATH} — its horizon promise is unverified"
                 ),
-            });
-        }
-    }
-    out
-}
-
-/// Yields `(type_name, line, body_tokens)` for every `impl … Controller
-/// for TypeName { … }` outside test-gated code. The trait definition
-/// itself has no `for` clause and is skipped; inherent impls and impls of
-/// other traits never mention `Controller` before `for`.
-fn controller_impls<'t>(toks: &'t [Spanned], mask: &[bool]) -> Vec<(String, u32, &'t [Spanned])> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("impl") || mask[i] {
-            i += 1;
-            continue;
-        }
-        let impl_line = toks[i].line;
-        // Scan the header (up to the opening brace): the trait path must
-        // contain `Controller` and a `for` clause must follow it.
-        let mut j = i + 1;
-        let mut saw_controller = false;
-        let mut type_name: Option<String> = None;
-        while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-            match &toks[j].tok {
-                Tok::Ident(s) if s == "for" && saw_controller && type_name.is_none() => {
-                    if let Some(Tok::Ident(name)) = toks.get(j + 1).map(|t| &t.tok) {
-                        type_name = Some(name.clone());
-                    }
-                }
-                Tok::Ident(s) if s == "Controller" => saw_controller = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        let (Some(name), true) = (type_name, j < toks.len() && toks[j].is_punct('{')) else {
-            i = j + 1;
-            continue;
-        };
-        // Balanced body span.
-        let body_start = j + 1;
-        let mut depth = 1i32;
-        let mut k = body_start;
-        while k < toks.len() && depth > 0 {
-            match &toks[k].tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => depth -= 1,
-                _ => {}
-            }
-            k += 1;
-        }
-        out.push((name, impl_line, &toks[body_start..k.saturating_sub(1)]));
-        i = k;
-    }
-    out
-}
-
-/// Whether an impl body defines `fn next_decision_in`.
-fn overrides_next_decision_in(body: &[Spanned]) -> bool {
-    body.windows(2)
-        .any(|w| w[0].is_ident("fn") && w[1].is_ident("next_decision_in"))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::tokenize;
+    use crate::parser::parse_file;
 
     const SRC: &str = r#"
         pub trait Controller {
@@ -129,17 +75,21 @@ mod tests {
         }
     "#;
 
+    fn run(src: &str, suite: &str) -> Vec<Violation> {
+        let mut table = SymbolTable::default();
+        table.add_file("transfer", "control.rs", false, &parse_file(&tokenize(src)));
+        check(&table, suite)
+    }
+
     #[test]
     fn covered_overrides_pass() {
-        let toks = tokenize(SRC);
-        let v = check("control.rs", &toks, "uses Promising and Wrapped here");
+        let v = run(SRC, "uses Promising and Wrapped here");
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn uncovered_overrides_are_flagged() {
-        let toks = tokenize(SRC);
-        let v = check("control.rs", &toks, "only Promising appears");
+        let v = run(SRC, "only Promising appears");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("Wrapped"));
         assert_eq!(v[0].rule, "horizon");
@@ -147,10 +97,9 @@ mod tests {
 
     #[test]
     fn trait_default_and_non_overriding_impls_are_ignored() {
-        let toks = tokenize(SRC);
         // Neither the trait's own default nor `Quiet` (no override) ever
         // needs coverage, whatever the suite says.
-        let v = check("control.rs", &toks, "Promising Wrapped");
+        let v = run(SRC, "Promising Wrapped");
         assert!(v.iter().all(|v| !v.message.contains("Quiet")));
         assert!(v.is_empty(), "{v:?}");
     }
@@ -165,8 +114,7 @@ mod tests {
                 }
             }
         "#;
-        let toks = tokenize(src);
-        let v = check("control.rs", &toks, "");
+        let v = run(src, "");
         assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -1,53 +1,47 @@
 //! Lint rules and their shared plumbing.
 //!
-//! Ten rule families, mirroring the repo's invariants. Five are
-//! token-level:
+//! Eight rule families for the invariants clippy cannot see (clippy
+//! itself enforces the determinism and robustness policies, DESIGN.md
+//! §10). Each reads the parsed item/expr tree, the workspace symbol table
+//! or the call graph (DESIGN.md §15):
 //!
-//! * [`determinism`] — no ambient time, no ambient randomness, no
-//!   iteration-order-unstable collections anywhere in workspace code;
-//! * [`robustness`] — no `unwrap()` / `expect()` / `panic!` in the
-//!   non-test library code of the crates on the transfer hot path;
 //! * [`schema`] — every telemetry `Event` variant stays documented in the
 //!   DESIGN.md §9 JSONL schema table, field-for-field;
 //! * [`horizon`] — every `Controller` that overrides `next_decision_in`
 //!   is exercised by the macro-stepping equivalence suite;
-//! * [`checkpoint`] — every `EngineCheckpoint` field and every controller
-//!   snapshot kind stays covered by the DESIGN.md §13 checkpoint schema.
-//!
-//! Five run on the parsed item/expr tree and the workspace call graph
-//! (DESIGN.md §15):
-//!
+//! * [`checkpoint`] — every `EngineCheckpoint` / `ServiceCheckpoint`
+//!   field and every controller snapshot kind stays covered by the
+//!   DESIGN.md §13 checkpoint schema;
 //! * [`fp_order`] — `partial_cmp` comparators, float accumulation over
 //!   unordered iterators, and `as f32` narrowing in numeric hot paths;
 //! * [`hot_alloc`] — no `Vec::new`/`vec![]`/`.collect()`/`Box::new`
 //!   inside the configured slice-kernel hot functions (DESIGN.md §17);
-//! * [`panic_reach`] — the robustness ban made *transitive*: every
-//!   `unwrap`/`expect`/`panic!`/computed-index sink reachable from the
-//!   engine, fleet-worker and recovery roots, with per-edge allowlist
-//!   scoping;
+//! * [`panic_reach`] — every `unwrap`/`expect`/`panic!`/computed-index
+//!   sink reachable from the engine, fleet-executor and recovery roots,
+//!   with per-edge allowlist scoping;
 //! * [`unit_escape`] — raw-`f64` `+`/`-` mixing values extracted from
 //!   different unit newtypes within one function;
 //! * [`api_surface`] — per-crate public-API snapshots under `docs/api/`,
 //!   failing on undocumented drift.
+//!
+//! Two readings stay on the token stream, because the parser renders
+//! string literals as `"…"`: the `ev` tags in `Event::tag`'s match arms
+//! ([`schema`]) and the `…_KIND` snapshot-kind constants
+//! ([`checkpoint`]).
 
 pub mod api_surface;
 pub mod checkpoint;
-pub mod determinism;
 pub mod fp_order;
 pub mod horizon;
 pub mod hot_alloc;
 pub mod panic_reach;
-pub mod robustness;
 pub mod schema;
 pub mod unit_escape;
-
-use crate::lexer::{Spanned, Tok};
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule family id (`determinism`, `robustness`, `schema`, `horizon`,
-    /// `checkpoint`).
+    /// Rule family id (`schema`, `horizon`, `checkpoint`, `fp-order`, …).
     pub rule: &'static str,
     /// Repo-relative path the finding is in.
     pub path: String,
@@ -67,118 +61,65 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Computes a per-token mask of code gated behind tests: the item that
-/// follows a `#[test]` / `#[cfg(test)]` / `#[cfg(all(test, …))]`
-/// attribute, through its balanced `{ … }` body (or its terminating `;`
-/// for declarations such as `mod proptests;`).
-///
-/// `#[cfg(not(test))]` and other `not`-containing gates are treated as
-/// non-test code.
-pub fn test_code_mask(toks: &[Spanned]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            let (attr_end, gated) = scan_attribute(toks, i + 1);
-            if gated {
-                // Mark everything from the attribute through the item body.
-                let body_end = item_end(toks, attr_end);
-                for m in mask.iter_mut().take(body_end).skip(i) {
-                    *m = true;
-                }
-                i = body_end;
-                continue;
-            }
-            i = attr_end;
-            continue;
+/// The lines of DESIGN.md section `## {n}.`, with their 1-based numbers.
+pub(crate) fn doc_section(design: &str, n: u32) -> Vec<(u32, &str)> {
+    let (head, bare) = (format!("{n}."), n.to_string());
+    let mut in_section = false;
+    let mut out = Vec::new();
+    for (ln, line) in design.lines().enumerate() {
+        if let Some(rest) = line.strip_prefix("## ") {
+            let rest = rest.trim_start();
+            in_section = rest.starts_with(&head) || rest == bare;
+        } else if in_section {
+            out.push(((ln + 1) as u32, line));
         }
-        i += 1;
     }
-    mask
+    out
 }
 
-/// Scans a `[ … ]` attribute starting at its opening bracket. Returns the
-/// index just past the closing bracket and whether the attribute gates the
-/// following item behind tests.
-fn scan_attribute(toks: &[Spanned], open: usize) -> (usize, bool) {
-    let mut depth = 0i32;
-    let mut has_test = false;
-    let mut has_not = false;
-    let mut j = open;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct('[') => depth += 1,
-            Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            Tok::Ident(s) if s == "test" => has_test = true,
-            Tok::Ident(s) if s == "not" => has_not = true,
-            _ => {}
-        }
-        j += 1;
-    }
-    (j, has_test && !has_not)
+/// The body rows of the markdown tables in DESIGN.md section `n`: each
+/// row's 1-based line and the backticked spans of each of its cells.
+/// Header and separator rows have no backticked first cell and are
+/// skipped.
+pub(crate) fn doc_table_rows(design: &str, n: u32) -> Vec<(u32, Vec<Vec<String>>)> {
+    doc_section(design, n)
+        .into_iter()
+        .filter(|(_, line)| line.trim_start().starts_with('|'))
+        .map(|(ln, line)| {
+            let cells = line.trim().trim_matches('|').split('|');
+            (ln, cells.map(backticked).collect::<Vec<_>>())
+        })
+        .filter(|(_, cells)| cells.first().is_some_and(|c| !c.is_empty()))
+        .collect()
 }
 
-/// Given the index just past a test-gating attribute, returns the index
-/// just past the gated item: past the matching `}` of its first brace
-/// block, or past a `;` that arrives before any brace (declarations).
-/// Further attributes between the gate and the item are skipped.
-fn item_end(toks: &[Spanned], mut i: usize) -> usize {
-    // Skip stacked attributes (e.g. `#[test] #[ignore]`).
-    while i < toks.len()
-        && toks[i].is_punct('#')
-        && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
-    {
-        let (end, _) = scan_attribute(toks, i + 1);
-        i = end;
-    }
-    let mut j = i;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct(';') => return j + 1,
-            Tok::Punct('{') => {
-                let mut depth = 0i32;
-                while j < toks.len() {
-                    match &toks[j].tok {
-                        Tok::Punct('{') => depth += 1,
-                        Tok::Punct('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return j + 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return j;
-            }
-            _ => j += 1,
-        }
-    }
-    j
+/// Extracts backtick-quoted spans from a markdown cell.
+fn backticked(cell: &str) -> Vec<String> {
+    cell.split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::tokenize;
+    use crate::parser::parse_file;
 
-    fn masked_idents(src: &str) -> Vec<(String, bool)> {
-        let toks = tokenize(src);
-        let mask = test_code_mask(&toks);
-        toks.iter()
-            .zip(&mask)
-            .filter_map(|(t, &m)| match &t.tok {
-                Tok::Ident(s) => Some((s.clone(), m)),
-                _ => None,
-            })
-            .collect()
+    /// Whether the parser gates the item `name` behind tests: the one
+    /// definition of test code every rule reads (`Item::cfg_test`, and
+    /// through it `FnDef::test_only`).
+    fn gated(src: &str, name: &str) -> bool {
+        let mut found = None;
+        parse_file(&tokenize(src)).visit_items(&mut |it, _| {
+            if it.name == name {
+                found = Some(it.cfg_test);
+            }
+        });
+        found.unwrap_or_else(|| panic!("no item `{name}`"))
     }
 
     #[test]
@@ -191,34 +132,53 @@ mod tests {
             }
             fn also_live() { more(); }
         "#;
-        let ids = masked_idents(src);
-        let get = |name: &str| ids.iter().find(|(s, _)| s == name).unwrap().1;
-        assert!(!get("work"));
-        assert!(get("gadget"));
-        assert!(!get("more"));
+        assert!(!gated(src, "live"));
+        assert!(gated(src, "tests"));
+        assert!(gated(src, "helper"));
+        assert!(!gated(src, "also_live"));
     }
 
     #[test]
     fn test_fn_and_mod_declaration_are_masked() {
         let src = "#[cfg(test)]\nmod proptests;\n#[test]\nfn t() { probe(); }\nfn f() { live(); }";
-        let ids = masked_idents(src);
-        let get = |name: &str| ids.iter().find(|(s, _)| s == name).unwrap().1;
-        assert!(get("proptests"));
-        assert!(get("probe"));
-        assert!(!get("live"));
+        assert!(gated(src, "proptests"));
+        assert!(gated(src, "t"));
+        assert!(!gated(src, "f"));
     }
 
     #[test]
     fn cfg_not_test_is_live_code() {
-        let src = "#[cfg(not(test))]\nfn f() { live(); }";
-        let ids = masked_idents(src);
-        assert!(!ids.iter().find(|(s, _)| s == "live").unwrap().1);
+        assert!(!gated("#[cfg(not(test))]\nfn f() { live(); }", "f"));
     }
 
     #[test]
     fn cfg_all_test_feature_is_masked() {
         let src = "#[cfg(all(test, feature = \"slow\"))]\nmod heavy { fn x() { inner(); } }";
-        let ids = masked_idents(src);
-        assert!(ids.iter().find(|(s, _)| s == "inner").unwrap().1);
+        assert!(gated(src, "heavy"));
+        assert!(gated(src, "x"));
+    }
+
+    const DOC: &str = "\
+## 8. Before
+| `early` | x |
+
+## 9. Telemetry
+
+| tag | fields |
+|---|---|
+| `run_start` | `schema`, `seed?` |
+
+## 10. After
+| `late` | y |
+";
+
+    #[test]
+    fn table_rows_come_from_the_named_section_only() {
+        let rows = doc_table_rows(DOC, 9);
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!(rows[0].0, 8);
+        assert_eq!(rows[0].1[0], vec!["run_start"]);
+        assert_eq!(rows[0].1[1], vec!["schema", "seed?"]);
+        assert!(doc_section(DOC, 9).iter().all(|(_, l)| !l.contains("late")));
     }
 }

@@ -1,8 +1,9 @@
-//! Panic-reachability: the PR-3 no-panic rule, made transitive.
+//! Panic-reachability: the robustness policy, made transitive.
 //!
-//! The token-level robustness rule bans `unwrap`/`expect`/`panic!` in
-//! the non-test code of the hot-path crates — but a panic two calls
-//! away in `net` or `power` tears down an engine run just as surely.
+//! Clippy's `unwrap_used`/`expect_used`/`panic` lints ban those calls in
+//! the non-test code of the hot-path crates (`core`, `transfer`,
+//! `telemetry`; DESIGN.md §10) — but a panic two calls away in `net` or
+//! `power` tears down an engine run just as surely.
 //! This rule walks the conservative call graph from the workspace's
 //! crash-sensitive roots down to every panic *sink* and reports each
 //! reachable one with a sample call path.
@@ -30,6 +31,7 @@
 //! leg, where a panic is caught and booked as a `JobFailed` outcome).
 
 use super::Violation;
+use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
 use crate::parser::Expr;
 use crate::symbols::SymbolTable;
@@ -47,23 +49,23 @@ pub const ROOTS: &[(&str, &str)] = &[
 pub struct ReachReport {
     /// Reachable panic sinks that are not edge-severed.
     pub violations: Vec<Violation>,
-    /// One pseudo-violation per allowlist edge actually severed, so the
-    /// staleness check sees `panic-reach-edge` entries as live.
-    pub severed_edges: Vec<Violation>,
+    /// Indices into the allowlist of the `panic-reach-edge` entries that
+    /// severed at least one edge, ascending.
+    pub severed: Vec<usize>,
 }
 
-/// Runs the reachability walk. `edge_allow` holds the
-/// `panic-reach-edge` entries as `(path, context)`; `line_text` resolves
-/// `(file, line)` to source text for edge matching.
+/// Runs the reachability walk, severing the edges that `allow`'s
+/// `panic-reach-edge` entries name; `line_text` resolves `(file, line)`
+/// to source text for edge matching.
 pub fn check(
     table: &SymbolTable,
     graph: &CallGraph,
-    edge_allow: &[(String, String)],
+    allow: &Allowlist,
     mut line_text: impl FnMut(&str, u32) -> String,
 ) -> ReachReport {
     let mut report = ReachReport {
         violations: Vec::new(),
-        severed_edges: Vec::new(),
+        severed: Vec::new(),
     };
     let mut roots = Vec::new();
     for (file, name) in ROOTS {
@@ -88,13 +90,15 @@ pub fn check(
     }
 
     // Sever allowlisted edges, recording which entries fired.
-    let mut fired = vec![false; edge_allow.len()];
+    let mut fired = vec![false; allow.entries.len()];
     let reached = graph.reach(&roots, |e| {
         let caller = table.def(e.caller);
         let mut cut = false;
-        for (k, (path, context)) in edge_allow.iter().enumerate() {
-            if caller.file == *path
-                && (context.is_empty() || line_text(&caller.file, e.line).contains(context))
+        for (k, entry) in allow.entries.iter().enumerate() {
+            if entry.rule == "panic-reach-edge"
+                && caller.file == entry.path
+                && (entry.context.is_empty()
+                    || line_text(&caller.file, e.line).contains(&entry.context))
             {
                 fired[k] = true;
                 cut = true;
@@ -102,16 +106,7 @@ pub fn check(
         }
         cut
     });
-    for (k, (path, context)) in edge_allow.iter().enumerate() {
-        if fired[k] {
-            report.severed_edges.push(Violation {
-                rule: "panic-reach-edge",
-                path: path.clone(),
-                line: 0,
-                message: format!("call-graph edge severed (context: `{context}`)"),
-            });
-        }
-    }
+    report.severed = (0..fired.len()).filter(|&k| fired[k]).collect();
 
     // Nested helper fns are reachable both as their own def and inlined
     // in their parent's body (parser.rs), so the same sink can surface
@@ -209,7 +204,7 @@ mod tests {
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
-        let r = check(&t, &g, &[], |_, _| String::new());
+        let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert!(r.violations[0]
             .message
@@ -230,7 +225,7 @@ mod tests {
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
-        let r = check(&t, &g, &[], |_, _| String::new());
+        let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
@@ -248,10 +243,17 @@ mod tests {
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
-        let allow = vec![(ENGINE.to_string(), "guarded(".to_string())];
+        let allow = Allowlist {
+            entries: vec![crate::allow::AllowEntry {
+                rule: "panic-reach-edge".into(),
+                path: ENGINE.into(),
+                context: "guarded(".into(),
+                reason: "caught".into(),
+            }],
+        };
         let r = check(&t, &g, &allow, |_, _| "guarded();".to_string());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert_eq!(r.severed_edges.len(), 1);
+        assert_eq!(r.severed, vec![0]);
     }
 
     #[test]
@@ -268,7 +270,7 @@ mod tests {
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
         ]);
-        let r = check(&t, &g, &[], |_, _| String::new());
+        let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert!(r.violations[0].message.contains("computed index"));
     }
@@ -276,7 +278,7 @@ mod tests {
     #[test]
     fn missing_root_degrades_loudly() {
         let (t, g) = setup(&[("crates/other/src/lib.rs", "fn nothing() {}")]);
-        let r = check(&t, &g, &[], |_, _| String::new());
+        let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert_eq!(r.violations.len(), ROOTS.len());
         assert!(r.violations[0].message.contains("root"));
     }

@@ -12,63 +12,55 @@
 //!   field names exactly (a `?` suffix marks optional fields and is
 //!   ignored for the comparison).
 
-use super::Violation;
-use crate::lexer::{tokenize, Spanned, Tok};
+use super::{doc_table_rows, Violation};
+use crate::lexer::{Spanned, Tok};
+use crate::parser::{Item, ItemKind, ParsedFile};
 use std::collections::BTreeMap;
 
-/// An `Event` variant as parsed from source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Variant {
-    /// Variant identifier (`RunStart`).
-    pub name: String,
-    /// Field names in declaration order.
-    pub fields: Vec<String>,
-    /// 1-based line of the variant in `event.rs`.
-    pub line: u32,
-}
-
-/// One row of the DESIGN.md schema table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DocRow {
+/// One row of the DESIGN.md §9 schema table.
+struct DocRow {
     /// Tags the row documents (a row may cover several related tags).
-    pub tags: Vec<String>,
+    tags: Vec<String>,
     /// Documented field names, `?` suffixes stripped.
-    pub fields: Vec<String>,
+    fields: Vec<String>,
     /// 1-based line of the row in DESIGN.md.
-    pub line: u32,
+    line: u32,
 }
 
-/// Runs the schema lint: `event_src` is `crates/telemetry/src/event.rs`,
-/// `design_src` is DESIGN.md; the paths label the violations.
+/// Runs the schema lint over `crates/telemetry/src/event.rs` — its
+/// tokens and its parse — and DESIGN.md (`design_src`); the paths label
+/// the violations.
 pub fn check(
-    event_src: &str,
+    event_toks: &[Spanned],
+    event: &ParsedFile,
     event_path: &str,
     design_src: &str,
     design_path: &str,
 ) -> Vec<Violation> {
-    let toks = tokenize(event_src);
-    let mut out = Vec::new();
-    let variants = parse_event_variants(&toks);
-    let tags = parse_tag_map(&toks);
+    let variants: BTreeMap<&str, &Item> = event
+        .items
+        .iter()
+        .find(|it| it.kind == ItemKind::Enum && it.name == "Event")
+        .map(|e| e.children.iter().map(|v| (v.name.as_str(), v)).collect())
+        .unwrap_or_default();
+    let tags = parse_tag_map(event_toks);
     if variants.is_empty() || tags.is_empty() {
-        out.push(Violation {
+        return vec![Violation {
             rule: "schema",
             path: event_path.to_string(),
             line: 0,
             message: "could not locate `enum Event` and its `fn tag` — schema lint cannot run"
                 .into(),
-        });
-        return out;
+        }];
     }
-    let rows = parse_doc_rows(design_src);
+    let rows = doc_rows(design_src);
     if rows.is_empty() {
-        out.push(Violation {
+        return vec![Violation {
             rule: "schema",
             path: design_path.to_string(),
             line: 0,
             message: "could not locate the §9 event-schema table in DESIGN.md".into(),
-        });
-        return out;
+        }];
     }
 
     let mut doc_by_tag: BTreeMap<&str, &DocRow> = BTreeMap::new();
@@ -77,12 +69,11 @@ pub fn check(
             doc_by_tag.insert(tag, row);
         }
     }
-    let variant_by_name: BTreeMap<&str, &Variant> =
-        variants.iter().map(|v| (v.name.as_str(), v)).collect();
 
     // Every code tag must be documented, with matching fields.
+    let mut out = Vec::new();
     for (variant, tag) in &tags {
-        let Some(v) = variant_by_name.get(variant.as_str()) else {
+        let Some(v) = variants.get(variant.as_str()) else {
             continue; // unreachable if event.rs compiles
         };
         match doc_by_tag.get(tag.as_str()) {
@@ -95,7 +86,7 @@ pub fn check(
                 ),
             }),
             Some(row) => {
-                let mut code: Vec<&str> = v.fields.iter().map(String::as_str).collect();
+                let mut code: Vec<&str> = v.children.iter().map(|f| f.name.as_str()).collect();
                 let mut doc: Vec<&str> = row.fields.iter().map(String::as_str).collect();
                 code.sort_unstable();
                 doc.sort_unstable();
@@ -135,92 +126,9 @@ pub fn check(
     out
 }
 
-/// Parses `enum Event`'s variants and their field names.
-pub fn parse_event_variants(toks: &[Spanned]) -> Vec<Variant> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    // Find `enum Event {`.
-    while i < toks.len() {
-        if toks[i].is_ident("enum") && toks.get(i + 1).is_some_and(|t| t.is_ident("Event")) {
-            break;
-        }
-        i += 1;
-    }
-    while i < toks.len() && !toks[i].is_punct('{') {
-        i += 1;
-    }
-    if i >= toks.len() {
-        return out;
-    }
-    i += 1; // into the enum body
-    while i < toks.len() && !toks[i].is_punct('}') {
-        // Skip variant attributes such as `#[serde(default)]`.
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            let mut depth = 0i32;
-            i += 1;
-            while i < toks.len() {
-                match &toks[i].tok {
-                    Tok::Punct('[') => depth += 1,
-                    Tok::Punct(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            continue;
-        }
-        let Tok::Ident(name) = &toks[i].tok else {
-            i += 1;
-            continue;
-        };
-        let mut v = Variant {
-            name: name.clone(),
-            fields: Vec::new(),
-            line: toks[i].line,
-        };
-        i += 1;
-        if i < toks.len() && toks[i].is_punct('{') {
-            let mut depth = 0i32;
-            let mut expect_field = true;
-            while i < toks.len() {
-                match &toks[i].tok {
-                    Tok::Punct('{') | Tok::Punct('<') | Tok::Punct('(') => depth += 1,
-                    Tok::Punct('}') | Tok::Punct('>') | Tok::Punct(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    Tok::Punct(',') if depth == 1 => expect_field = true,
-                    Tok::Ident(f)
-                        if depth == 1
-                            && expect_field
-                            && toks.get(i + 1).is_some_and(|t| t.is_punct(':')) =>
-                    {
-                        v.fields.push(f.clone());
-                        expect_field = false;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-        out.push(v);
-        // Skip the trailing comma, if any.
-        if i < toks.len() && toks[i].is_punct(',') {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Parses the `fn tag` match arms into `(variant, tag)` pairs.
+/// Parses the `fn tag` match arms into `(variant, tag)` pairs. A token
+/// scan: the parser renders string literals as `"…"`, so the tags exist
+/// only in the token stream.
 pub fn parse_tag_map(toks: &[Spanned]) -> Vec<(String, String)> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -272,52 +180,34 @@ pub fn parse_tag_map(toks: &[Spanned]) -> Vec<(String, String)> {
     out
 }
 
-/// Parses the §9 schema table rows out of DESIGN.md.
-pub fn parse_doc_rows(design: &str) -> Vec<DocRow> {
-    let mut out = Vec::new();
-    let mut in_section = false;
-    for (ln, line) in design.lines().enumerate() {
-        if let Some(rest) = line.strip_prefix("## ") {
-            in_section = rest.trim_start().starts_with("9.") || rest.trim_start() == "9";
-            continue;
-        }
-        if !in_section || !line.trim_start().starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = line.trim().trim_matches('|').split('|').collect();
-        if cells.len() < 3 {
-            continue;
-        }
-        let tags = backticked(cells[0]);
-        if tags.is_empty() || cells[0].contains("---") || tags[0] == "tag" {
-            continue; // separator or header row
-        }
-        let fields = backticked(cells[2])
-            .into_iter()
-            .map(|f| f.trim_end_matches('?').to_string())
-            .collect();
-        out.push(DocRow {
-            tags,
-            fields,
-            line: (ln + 1) as u32,
-        });
-    }
-    out
-}
-
-/// Extracts backtick-quoted spans from a markdown cell.
-fn backticked(cell: &str) -> Vec<String> {
-    cell.split('`')
-        .enumerate()
-        .filter(|(i, _)| i % 2 == 1)
-        .map(|(_, s)| s.trim().to_string())
-        .filter(|s| !s.is_empty())
+/// The §9 schema table rows: tags in the first cell, fields in the third.
+fn doc_rows(design: &str) -> Vec<DocRow> {
+    doc_table_rows(design, 9)
+        .into_iter()
+        .filter_map(|(line, cells)| {
+            let fields = cells.get(2)?;
+            Some(DocRow {
+                tags: cells[0].clone(),
+                fields: fields
+                    .iter()
+                    .map(|f| f.trim_end_matches('?').to_string())
+                    .collect(),
+                line,
+            })
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
+    use crate::parser::parse_file;
+
+    fn run(event_src: &str, doc: &str) -> Vec<Violation> {
+        let toks = tokenize(event_src);
+        check(&toks, &parse_file(&toks), "event.rs", doc, "DESIGN.md")
+    }
 
     const EVENT_SRC: &str = r#"
         pub enum Event {
@@ -356,14 +246,14 @@ mod tests {
 
     #[test]
     fn in_sync_schema_passes() {
-        let v = check(EVENT_SRC, "event.rs", GOOD_DOC, "DESIGN.md");
+        let v = run(EVENT_SRC, GOOD_DOC);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn deleting_a_doc_row_is_flagged() {
         let doc = GOOD_DOC.replace("| `stage_start` | engine | `stage` |\n", "");
-        let v = check(EVENT_SRC, "event.rs", &doc, "DESIGN.md");
+        let v = run(EVENT_SRC, &doc);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("stage_start"));
         assert_eq!(v[0].path, "event.rs");
@@ -374,7 +264,7 @@ mod tests {
         let doc = GOOD_DOC
             .replace("`schema`, `seed`", "`schema`, `seeds`")
             .replace("## 10. Next", "| `ghost` | nobody | `x` |\n\n## 10. Next");
-        let v = check(EVENT_SRC, "event.rs", &doc, "DESIGN.md");
+        let v = run(EVENT_SRC, &doc);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.message.contains("out of sync")));
         assert!(v.iter().any(|v| v.message.contains("ghost")));
@@ -382,11 +272,12 @@ mod tests {
 
     #[test]
     fn optional_marker_and_generics_are_handled() {
-        let toks = tokenize(EVENT_SRC);
-        let vars = parse_event_variants(&toks);
+        let pf = parse_file(&tokenize(EVENT_SRC));
+        let vars = &pf.items[0].children;
         assert_eq!(vars.len(), 5);
-        assert_eq!(vars[2].fields, vec!["side", "active"]);
-        let rows = parse_doc_rows(GOOD_DOC);
+        let fields: Vec<&str> = vars[2].children.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(fields, vec!["side", "active"]);
+        let rows = doc_rows(GOOD_DOC);
         assert_eq!(rows[2].fields, vec!["side", "active"]);
     }
 
@@ -398,7 +289,7 @@ mod tests {
             "| `span_begin` | engine, controllers | `id`, `parent`, `kind`, `detail` |",
             "| `span_begin` | engine, controllers | `id`, `kind`, `detail` |",
         );
-        let v = check(EVENT_SRC, "event.rs", &doc, "DESIGN.md");
+        let v = run(EVENT_SRC, &doc);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("span_begin"), "{v:?}");
         assert!(v[0].message.contains("parent"), "{v:?}");
@@ -408,7 +299,7 @@ mod tests {
             "Event::SpanEnd { .. } => \"span_end\",",
             "Event::SpanEnd { .. } => \"span_close\",",
         );
-        let v = check(&src, "event.rs", GOOD_DOC, "DESIGN.md");
+        let v = run(&src, GOOD_DOC);
         assert!(v.iter().any(|v| v.message.contains("span_close")), "{v:?}");
     }
 }

@@ -3,19 +3,15 @@
 //! pass (never compiled) and plain text to cargo (subdirectories of
 //! `tests/` are not test targets).
 
+use eadt_lint::allow::{AllowEntry, Allowlist};
 use eadt_lint::callgraph::CallGraph;
 use eadt_lint::lexer::tokenize;
 use eadt_lint::parser::{parse_file, ParsedFile};
 use eadt_lint::rules::{
-    api_surface, determinism, fp_order, hot_alloc, panic_reach, robustness, schema, unit_escape,
-    Violation,
+    api_surface, fp_order, hot_alloc, panic_reach, schema, unit_escape, Violation,
 };
 use eadt_lint::symbols::SymbolTable;
 
-const DET_BAD: &str = include_str!("fixtures/determinism_bad.rs");
-const DET_OK: &str = include_str!("fixtures/determinism_ok.rs");
-const ROB_BAD: &str = include_str!("fixtures/robustness_bad.rs");
-const ROB_OK: &str = include_str!("fixtures/robustness_ok.rs");
 const SCHEMA_EVENT: &str = include_str!("fixtures/schema_event.rs");
 const SCHEMA_OK: &str = include_str!("fixtures/schema_design_ok.md");
 const SCHEMA_BAD: &str = include_str!("fixtures/schema_design_bad.md");
@@ -48,58 +44,20 @@ fn over_bodies(
     out
 }
 
-#[test]
-fn determinism_fixture_catches_every_forbidden_construct() {
-    let v = determinism::check("fixture.rs", &tokenize(DET_BAD));
-    let messages: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
-    for needle in [
-        "`HashMap`",
-        "`HashSet`",
-        "`Instant::now`",
-        "`SystemTime`",
-        "`thread_rng`",
-        "`rand::random`",
-    ] {
-        assert!(
-            messages.iter().any(|m| m.contains(needle)),
-            "missing {needle} in {messages:#?}"
-        );
-    }
-    // 3 HashMap + 2 HashSet + 1 Instant::now + 2 SystemTime + 1
-    // thread_rng + 1 rand::random.
-    assert_eq!(v.len(), 10, "{v:#?}");
-}
-
-#[test]
-fn determinism_fixture_negative_is_clean() {
-    let v = determinism::check("fixture.rs", &tokenize(DET_OK));
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-#[test]
-fn robustness_fixture_catches_unwrap_expect_panic() {
-    let v = robustness::check("crates/core/src/fixture.rs", &tokenize(ROB_BAD));
-    assert_eq!(v.len(), 3, "{v:#?}");
-    assert!(v[0].message.contains("unwrap"));
-    assert!(v[1].message.contains("expect"));
-    assert!(v[2].message.contains("panic"));
-}
-
-#[test]
-fn robustness_fixture_negative_is_clean() {
-    let v = robustness::check("crates/core/src/fixture.rs", &tokenize(ROB_OK));
-    assert!(v.is_empty(), "{v:#?}");
+fn schema_check(design: &str) -> Vec<Violation> {
+    let toks = tokenize(SCHEMA_EVENT);
+    schema::check(&toks, &parse_file(&toks), "event.rs", design, "DESIGN.md")
 }
 
 #[test]
 fn schema_fixture_in_sync_is_clean() {
-    let v = schema::check(SCHEMA_EVENT, "event.rs", SCHEMA_OK, "DESIGN.md");
+    let v = schema_check(SCHEMA_OK);
     assert!(v.is_empty(), "{v:#?}");
 }
 
 #[test]
 fn schema_fixture_detects_missing_row_field_drift_and_ghost() {
-    let v = schema::check(SCHEMA_EVENT, "event.rs", SCHEMA_BAD, "DESIGN.md");
+    let v = schema_check(SCHEMA_BAD);
     assert_eq!(v.len(), 3, "{v:#?}");
     assert!(v
         .iter()
@@ -226,10 +184,10 @@ fn reach_table(engine_src: &str) -> (SymbolTable, Vec<(String, String)>) {
     (table, texts)
 }
 
-fn reach_check(engine_src: &str, edge_allow: &[(String, String)]) -> panic_reach::ReachReport {
+fn reach_check(engine_src: &str, allow: &Allowlist) -> panic_reach::ReachReport {
     let (table, texts) = reach_table(engine_src);
     let graph = CallGraph::build(&table);
-    panic_reach::check(&table, &graph, edge_allow, |file, line| {
+    panic_reach::check(&table, &graph, allow, |file, line| {
         texts
             .iter()
             .find(|(p, _)| p == file)
@@ -241,7 +199,7 @@ fn reach_check(engine_src: &str, edge_allow: &[(String, String)]) -> panic_reach
 
 #[test]
 fn panic_reach_fixture_reports_transitive_sink_with_path() {
-    let report = reach_check(REACH_BAD, &[]);
+    let report = reach_check(REACH_BAD, &Allowlist::default());
     assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
     let v = &report.violations[0];
     assert_eq!(v.rule, "panic-reach");
@@ -256,29 +214,32 @@ fn panic_reach_fixture_reports_transitive_sink_with_path() {
 fn panic_reach_fixture_negative_is_clean() {
     // The typed-error chain is fine, and the unwrap in `stray` is
     // unreachable from every root.
-    let report = reach_check(REACH_OK, &[]);
+    let report = reach_check(REACH_OK, &Allowlist::default());
     assert!(report.violations.is_empty(), "{:#?}", report.violations);
 }
 
 #[test]
 fn panic_reach_edge_allowlist_severs_the_walk() {
-    let cut = vec![(
-        "crates/transfer/src/engine/mod.rs".to_string(),
-        "helper();".to_string(),
-    )];
+    let cut = Allowlist {
+        entries: vec![AllowEntry {
+            rule: "panic-reach-edge".into(),
+            path: "crates/transfer/src/engine/mod.rs".into(),
+            context: "helper();".into(),
+            reason: "caught".into(),
+        }],
+    };
     let report = reach_check(REACH_BAD, &cut);
     assert!(report.violations.is_empty(), "{:#?}", report.violations);
     // The severed edge is reported so the allowlist staleness check sees
     // the entry doing work.
-    assert_eq!(report.severed_edges.len(), 1, "{:#?}", report.severed_edges);
-    assert_eq!(report.severed_edges[0].rule, "panic-reach-edge");
+    assert_eq!(report.severed, vec![0]);
 }
 
 #[test]
 fn panic_reach_missing_root_is_loud() {
     // Stub out the engine file entirely: the hardcoded root fn is gone,
     // which must surface as a violation, not silently shrink the walk.
-    let report = reach_check("pub fn renamed() {}", &[]);
+    let report = reach_check("pub fn renamed() {}", &Allowlist::default());
     assert!(
         report
             .violations

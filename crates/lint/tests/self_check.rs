@@ -1,6 +1,6 @@
 //! The live workspace must pass its own conformance pass: this is the
-//! in-tree twin of CI's `lint-conformance` job, so a violation fails
-//! `cargo test` before it ever reaches CI.
+//! in-tree twin of CI's `lint-deep` job, so a violation fails `cargo test`
+//! before it ever reaches CI.
 
 use std::path::PathBuf;
 
@@ -33,28 +33,18 @@ fn live_workspace_is_lint_clean() {
 
 #[test]
 fn allowlist_entries_still_cover_something() {
-    // A stale allowlist entry (its violation was fixed) should be removed;
-    // surfacing that keeps the burn-down honest. The rng.rs determinism
-    // grant is charter-style (it sanctions the file as the RNG home even
-    // while no primitive is used), so it is exempt from the staleness
-    // check.
+    // A stale allowlist entry (its violation was fixed, or another entry
+    // now covers it) should be removed; surfacing that per entry keeps the
+    // burn-down honest even when several grants share a rule and file.
     let report = eadt_lint::run(&workspace_root()).expect("lint pass runs");
-    let text = std::fs::read_to_string(workspace_root().join(eadt_lint::ALLOW_TOML))
-        .expect("allowlist exists");
-    let list = eadt_lint::allow::Allowlist::parse(&text).expect("allowlist parses");
-    for entry in list
-        .entries
-        .iter()
-        .filter(|e| e.path != "crates/sim/src/rng.rs")
-    {
-        assert!(
-            report
-                .allowed
-                .iter()
-                .any(|v| v.rule == entry.rule && v.path == entry.path),
-            "stale allowlist entry: [{}] {} — the violation it covered is gone, remove it",
-            entry.rule,
-            entry.path
-        );
-    }
+    assert!(
+        report.stale.is_empty(),
+        "stale allowlist entries — the violations they covered are gone, remove them:\n{}",
+        report
+            .stale
+            .iter()
+            .map(|e| format!("[{}] {} ({})", e.rule, e.path, e.context))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }

@@ -17,6 +17,8 @@
 //! engine's hot loop pays nothing (the `telemetry_overhead` criterion
 //! bench guards this).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod chrome;
 pub mod event;
 pub mod ledger;

@@ -43,6 +43,10 @@ impl ControllerSnapshot {
     pub fn of<T: Serialize>(kind: &str, state: &T) -> Self {
         ControllerSnapshot {
             kind: kind.to_string(),
+            #[expect(
+                clippy::expect_used,
+                reason = "serde_json::to_string on the plain field-only snapshot structs (no maps, no non-string keys, no fallible Serialize impls) cannot fail"
+            )]
             data: serde_json::to_string(state).expect("controller state structs always serialize"),
         }
     }

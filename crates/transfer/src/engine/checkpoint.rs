@@ -239,6 +239,10 @@ impl EngineCheckpoint {
     /// Serializes the checkpoint as pretty JSON (newline-terminated),
     /// byte-deterministic for identical states.
     pub fn to_json(&self) -> String {
+        #[expect(
+            clippy::expect_used,
+            reason = "serde_json::to_string_pretty on EngineCheckpoint (plain field-only structs, no maps or fallible Serialize impls) cannot fail"
+        )]
         let mut s = serde_json::to_string_pretty(self).expect("checkpoints always serialize");
         s.push('\n');
         s
@@ -290,12 +294,20 @@ impl SliceRun<'_> {
         self.runtime = match (active, &ck.faults) {
             (Some(plan), Some(snap)) => Some(FaultRuntime::restore(plan, n_src, n_dst, snap)),
             (None, None) => None,
+            #[expect(
+                clippy::panic,
+                reason = "resume tripwire, not a degradable path: a checkpoint whose fault state contradicts the environment must abort loudly instead of silently diverging (DESIGN.md §13); fleet sessions catch the panic and book a JobFailed outcome"
+            )]
             (have_plan, snap) => panic!(
                 "checkpoint fault state ({}) does not match the environment ({})",
                 snap.as_ref().map_or("absent", |_| "present"),
                 have_plan.map_or("no plan", |_| "active plan"),
             ),
         };
+        #[expect(
+            clippy::panic,
+            reason = "resume tripwire, not a degradable path: a controller snapshot that fails kind/shape validation must abort loudly instead of resuming a divergent replay (DESIGN.md §13); fleet sessions catch the panic and book a JobFailed outcome"
+        )]
         self.controller
             .restore(&ck.controller)
             .unwrap_or_else(|e| panic!("{e}"));

@@ -27,6 +27,7 @@
 //! quarantined and re-ramp on recovery.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod control;
