@@ -68,6 +68,7 @@ fn bench(c: &mut Criterion) {
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "workers": workers,
+        "host_parallelism": workers,
     });
     let map = entry.as_object_mut().expect("entry is an object");
     if workers == 1 {

@@ -3,7 +3,7 @@
 
 use crate::args::{AlgorithmKind, Cli, Command, FaultArgs};
 use crate::envfile;
-use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
+use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, Manual, ProMc, SingleChunk};
 use eadt_core::{Algorithm, Htee, MinE, RunCtx, Slaee};
 use eadt_dataset::{partition, Dataset};
 use eadt_endsys::PoolCapacity;
@@ -14,7 +14,9 @@ use eadt_power::calibrate::{build_models, evaluate_model, GroundTruth, ToolProfi
 use eadt_sim::{EadtError, SimDuration, SimTime};
 use eadt_telemetry::{chrome, timeline, Event, Journal, Telemetry, SCHEMA_VERSION};
 use eadt_testbeds::Environment;
-use eadt_transfer::{FaultModel, OutageModel, SiteSide, TransferEnv, TransferReport};
+use eadt_transfer::{
+    FaultModel, OutageModel, SiteSide, TransferEnv, TransferParams, TransferReport,
+};
 use std::io::Write;
 
 type Out<'a> = &'a mut dyn Write;
@@ -50,14 +52,8 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
                     out,
                 )?
             } else if *algorithm == AlgorithmKind::Manual {
-                let params =
-                    eadt_transfer::TransferParams::new(*pipelining, *parallelism, *max_channel);
-                let plan = eadt_transfer::uniform_plan(
-                    &dataset,
-                    params,
-                    eadt_endsys::Placement::PackFirst,
-                );
-                run_manual(&tb.env, &plan, cli.faults.fault_aware)
+                let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
+                manual(params, cli).run(&mut RunCtx::new(&tb.env, &dataset))
             } else {
                 run_algorithm(
                     &tb,
@@ -464,14 +460,8 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
                 },
             );
             let report = if *algorithm == AlgorithmKind::Manual {
-                let params =
-                    eadt_transfer::TransferParams::new(*pipelining, *parallelism, *max_channel);
-                let plan = eadt_transfer::uniform_plan(
-                    &dataset,
-                    params,
-                    eadt_endsys::Placement::PackFirst,
-                );
-                run_manual_instrumented(&tb.env, &plan, cli.faults.fault_aware, &mut tel)
+                let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
+                manual(params, cli).run(&mut RunCtx::with_telemetry(&tb.env, &dataset, &mut tel))
             } else {
                 run_algorithm_instrumented(
                     &tb,
@@ -537,16 +527,8 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
                     let tb = resolve(cli)?;
                     let dataset = make_dataset(cli, &tb, out)?;
                     let report = if *algorithm == AlgorithmKind::Manual {
-                        let plan = eadt_transfer::uniform_plan(
-                            &dataset,
-                            eadt_transfer::TransferParams::new(
-                                *pipelining,
-                                *parallelism,
-                                *max_channel,
-                            ),
-                            eadt_endsys::Placement::PackFirst,
-                        );
-                        run_manual(&tb.env, &plan, cli.faults.fault_aware)
+                        let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
+                        manual(params, cli).run(&mut RunCtx::new(&tb.env, &dataset))
                     } else {
                         run_algorithm(
                             &tb,
@@ -760,16 +742,13 @@ pub fn run_algorithm_instrumented(
             ..BruteForce::new(max_channel)
         }
         .run(&mut ctx),
-        AlgorithmKind::Manual => {
-            // Defaults to the untuned baseline when called through this
-            // path; the CLI's transfer command supplies explicit values.
-            let plan = eadt_transfer::uniform_plan(
-                dataset,
-                eadt_transfer::TransferParams::new(1, 1, max_channel),
-                eadt_endsys::Placement::PackFirst,
-            );
-            run_manual_instrumented(&tb.env, &plan, fault_aware, ctx.telemetry())
+        // Defaults to the untuned baseline when called through this path;
+        // the CLI's transfer command supplies explicit values.
+        AlgorithmKind::Manual => Manual {
+            params: TransferParams::new(1, 1, max_channel),
+            fault_aware,
         }
+        .run(&mut ctx),
     }
 }
 
@@ -822,32 +801,12 @@ fn run_transfer_checkpointed(
     }
 }
 
-fn run_manual(
-    env: &TransferEnv,
-    plan: &eadt_transfer::TransferPlan,
-    fault_aware: bool,
-) -> TransferReport {
-    run_manual_instrumented(env, plan, fault_aware, &mut Telemetry::disabled())
-}
-
-fn run_manual_instrumented(
-    env: &TransferEnv,
-    plan: &eadt_transfer::TransferPlan,
-    fault_aware: bool,
-    tel: &mut Telemetry,
-) -> TransferReport {
-    if fault_aware {
-        eadt_transfer::Engine::new(env).run_instrumented(
-            plan,
-            &mut eadt_transfer::FaultAware::new(eadt_transfer::NullController),
-            tel,
-        )
-    } else {
-        eadt_transfer::Engine::new(env).run_instrumented(
-            plan,
-            &mut eadt_transfer::NullController,
-            tel,
-        )
+/// The manual algorithm with explicit parameters and the CLI's
+/// fault-aware flag.
+fn manual(params: TransferParams, cli: &Cli) -> Manual {
+    Manual {
+        params,
+        fault_aware: cli.faults.fault_aware,
     }
 }
 

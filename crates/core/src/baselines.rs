@@ -16,15 +16,18 @@
 //! * [`BruteForce`] (BF) — the oracle: runs the full transfer at every
 //!   concurrency level and reports the best throughput/energy ratio,
 //!   the 100% mark of Figures 2c/3c/4c.
+//!
+//! [`Manual`] is the hand-tuned client: the whole dataset with explicit
+//! pipelining, parallelism and concurrency.
 
 use crate::planner::Planner;
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, Prepared, RunCtx};
 use eadt_dataset::{partition, partition_globus_online, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
-
+use eadt_telemetry::Telemetry;
 use eadt_transfer::{
-    ChunkPlan, Engine, FaultAware, NullController, RunControl, RunOutcome, TransferEnv,
-    TransferPlan, TransferReport,
+    uniform_plan, ChunkPlan, NullController, TransferEnv, TransferParams, TransferPlan,
+    TransferReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -45,14 +48,9 @@ impl Algorithm for GlobusUrlCopy {
         "GUC"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
-        let plan = eadt_transfer::uniform_plan(
-            dataset,
-            eadt_transfer::TransferParams::BASELINE,
-            Placement::RoundRobin,
-        );
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+    fn prepare(&self, _env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
+        let plan = uniform_plan(dataset, TransferParams::BASELINE, Placement::RoundRobin);
+        (plan, Box::new(NullController))
     }
 }
 
@@ -82,8 +80,7 @@ impl Algorithm for GlobusOnline {
         "GO"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn prepare(&self, _env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = partition_globus_online(dataset);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
@@ -95,7 +92,7 @@ impl Algorithm for GlobusOnline {
         // GO transfers partitions one by one and spreads its channels over
         // all of the site's servers.
         let plan = TransferPlan::sequential(chunk_plans, Placement::RoundRobin);
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        (plan, Box::new(NullController))
     }
 }
 
@@ -123,8 +120,7 @@ impl Algorithm for SingleChunk {
         "SC"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
@@ -139,7 +135,7 @@ impl Algorithm for SingleChunk {
             })
             .collect();
         let plan = TransferPlan::sequential(chunk_plans, Placement::PackFirst);
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        (plan, Box::new(NullController))
     }
 }
 
@@ -150,9 +146,9 @@ pub struct ProMc {
     pub concurrency: u32,
     /// BDP-relative partitioning thresholds.
     pub partition: PartitionConfig,
-    /// Run under a [`FaultAware`] wrapper: shed concurrency while servers
-    /// are quarantined, re-ramp on recovery (the static plan is otherwise
-    /// kept as-is).
+    /// Run under a [`FaultAware`](eadt_transfer::FaultAware) wrapper: shed
+    /// concurrency while servers are quarantined, re-ramp on recovery (the
+    /// static plan is otherwise kept as-is).
     #[serde(default)]
     pub fault_aware: bool,
 }
@@ -188,20 +184,12 @@ impl Algorithm for ProMc {
         "ProMC"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
-        let plan = self.plan(env, dataset);
-        if self.fault_aware {
-            Engine::new(env).run_controlled_in(
-                &plan,
-                &mut FaultAware::new(NullController),
-                tel,
-                ctl,
-                arena,
-            )
-        } else {
-            Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
-        }
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
+        (self.plan(env, dataset), Box::new(NullController))
+    }
+
+    fn fault_aware(&self) -> bool {
+        self.fault_aware
     }
 }
 
@@ -260,18 +248,44 @@ impl Algorithm for BruteForce {
         "BF"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        // The sweep itself runs uninstrumented; only the winning level is
-        // re-run through the caller's context so the journal shows one
-        // coherent transfer. On resume the sweep replays deterministically
-        // before the final run rejoins the checkpoint.
-        let (level, _) = self.best(ctx.env(), ctx.dataset());
+    /// Runs the sweep (uninstrumented) and plans the winning level as
+    /// ProMC, so the journal shows one coherent transfer. The sweep runs
+    /// once per planning: once per job, and again only to restore a
+    /// checkpoint read back from disk.
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, tel: &mut Telemetry) -> Prepared {
+        let (level, _) = self.best(env, dataset);
         let promc = ProMc {
             concurrency: level,
             partition: self.partition,
             fault_aware: false,
         };
-        promc.run_controlled(ctx, ctl)
+        promc.prepare(env, dataset, tel)
+    }
+}
+
+/// Manual tuning: the whole dataset as one chunk with explicit
+/// pipelining, parallelism and concurrency (a hand-tuned
+/// globus-url-copy).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Manual {
+    /// The hand-picked parameters.
+    pub params: TransferParams,
+    /// Run under a [`FaultAware`](eadt_transfer::FaultAware) wrapper.
+    pub fault_aware: bool,
+}
+
+impl Algorithm for Manual {
+    fn name(&self) -> &'static str {
+        "manual"
+    }
+
+    fn prepare(&self, _env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
+        let plan = uniform_plan(dataset, self.params, Placement::PackFirst);
+        (plan, Box::new(NullController))
+    }
+
+    fn fault_aware(&self) -> bool {
+        self.fault_aware
     }
 }
 

@@ -1,55 +1,38 @@
 //! The run context: everything an [`Algorithm`](crate::Algorithm) needs
 //! for one transfer, in one place.
 //!
-//! The old API split every algorithm into `run(env, dataset)` and
-//! `run_instrumented(env, dataset, tel)`; fault-plan overrides had to be
-//! baked into a cloned `TransferEnv` by every caller. [`RunCtx`] collapses
-//! the split: it carries the environment (borrowed until a caller overrides
-//! something, cloned-on-write after), the dataset, the telemetry sink, and
-//! the fault plan, and `Algorithm::run(&self, ctx)` is the single entry
-//! point.
+//! [`RunCtx`] carries the environment (fault plan included), the dataset
+//! and the telemetry sink, and `Algorithm::run(&self, ctx)` is the single
+//! one-call entry point.
 
 use eadt_dataset::Dataset;
 use eadt_telemetry::Telemetry;
-use eadt_transfer::{FaultPlan, SliceArena, TransferEnv};
-use std::borrow::Cow;
+use eadt_transfer::TransferEnv;
 
 enum TelSlot<'a> {
     Owned(Telemetry),
     Borrowed(&'a mut Telemetry),
 }
 
-enum ArenaSlot<'a> {
-    // Boxed: the arena's inline columns would otherwise dominate the
-    // enum (clippy::large_enum_variant) and every RunCtx on the stack.
-    Owned(Box<SliceArena>),
-    Borrowed(&'a mut SliceArena),
-}
-
 /// Everything one [`Algorithm::run`](crate::Algorithm::run) call needs:
-/// environment, dataset, telemetry, fault plan.
+/// environment, dataset, telemetry.
 ///
 /// Build one with [`RunCtx::new`] (telemetry disabled) or
-/// [`RunCtx::with_telemetry`], optionally override the fault plan with
-/// [`RunCtx::override_faults`], and pass it to `Algorithm::run`. The
-/// context is reusable across runs (e.g. SLAEE's reference run and its
-/// own run share one context).
+/// [`RunCtx::with_telemetry`] and pass it to `Algorithm::run`. The
+/// context is reusable across runs.
 pub struct RunCtx<'a> {
-    env: Cow<'a, TransferEnv>,
+    env: &'a TransferEnv,
     dataset: &'a Dataset,
     tel: TelSlot<'a>,
-    arena: ArenaSlot<'a>,
 }
 
 impl<'a> RunCtx<'a> {
-    /// A plain run: telemetry disabled, fault plan as the environment
-    /// declares it.
+    /// A plain run: telemetry disabled.
     pub fn new(env: &'a TransferEnv, dataset: &'a Dataset) -> Self {
         RunCtx {
-            env: Cow::Borrowed(env),
+            env,
             dataset,
             tel: TelSlot::Owned(Telemetry::disabled()),
-            arena: ArenaSlot::Owned(Box::default()),
         }
     }
 
@@ -61,72 +44,20 @@ impl<'a> RunCtx<'a> {
         tel: &'a mut Telemetry,
     ) -> Self {
         RunCtx {
-            env: Cow::Borrowed(env),
+            env,
             dataset,
             tel: TelSlot::Borrowed(tel),
-            arena: ArenaSlot::Owned(Box::default()),
         }
     }
 
-    /// Lends a caller-owned [`SliceArena`] to every engine run this
-    /// context dispatches (see
-    /// [`Engine::run_controlled_in`](eadt_transfer::Engine::run_controlled_in)):
-    /// the arena's buffer capacity then survives beyond this context, so a
-    /// caller re-running jobs — the fleet service advancing a resident
-    /// every quantum — stops paying engine-scratch allocations. Without
-    /// this the context owns a private arena, which is just as correct but
-    /// warms up from cold each time.
-    pub fn use_arena(&mut self, arena: &'a mut SliceArena) -> &mut Self {
-        self.arena = ArenaSlot::Borrowed(arena);
-        self
-    }
-
-    /// Replaces the environment's fault plan for this run (clones the
-    /// environment on first override). `None` disables fault injection.
-    pub fn override_faults(&mut self, faults: Option<FaultPlan>) -> &mut Self {
-        self.env.to_mut().faults = faults;
-        self
-    }
-
-    /// The environment the transfer runs in.
-    pub fn env(&self) -> &TransferEnv {
-        self.env.as_ref()
-    }
-
-    /// The dataset being transferred.
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    /// The telemetry sink (a no-op handle when the context was built with
+    /// All three pieces at once: the environment, the dataset and the
+    /// telemetry sink (a no-op handle when the context was built with
     /// [`RunCtx::new`]).
-    pub fn telemetry(&mut self) -> &mut Telemetry {
-        match &mut self.tel {
-            TelSlot::Owned(t) => t,
-            TelSlot::Borrowed(t) => t,
-        }
-    }
-
-    /// All three pieces at once — the implementor-side accessor that keeps
-    /// the borrow checker happy when an algorithm needs the environment
-    /// and the telemetry sink simultaneously.
-    pub fn parts(&mut self) -> (&TransferEnv, &'a Dataset, &mut Telemetry) {
-        let (env, dataset, tel, _) = self.parts_arena();
-        (env, dataset, tel)
-    }
-
-    /// [`RunCtx::parts`] plus the scratch arena — for implementors that
-    /// drive the engine through
-    /// [`Engine::run_controlled_in`](eadt_transfer::Engine::run_controlled_in).
-    pub fn parts_arena(&mut self) -> (&TransferEnv, &'a Dataset, &mut Telemetry, &mut SliceArena) {
+    pub fn parts(&mut self) -> (&'a TransferEnv, &'a Dataset, &mut Telemetry) {
         let tel = match &mut self.tel {
             TelSlot::Owned(t) => t,
             TelSlot::Borrowed(t) => &mut **t,
         };
-        let arena = match &mut self.arena {
-            ArenaSlot::Owned(a) => a,
-            ArenaSlot::Borrowed(a) => &mut **a,
-        };
-        (self.env.as_ref(), self.dataset, tel, arena)
+        (self.env, self.dataset, tel)
     }
 }

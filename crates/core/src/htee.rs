@@ -1,14 +1,13 @@
 //! Algorithm 2 — the High Throughput Energy-Efficient (HTEE) algorithm.
 
 use crate::planner::{weight_allocation_live, Planner};
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, Prepared};
 use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig};
 use eadt_endsys::Placement;
 use eadt_sim::{SimDuration, SimTime};
-use eadt_telemetry::Event;
+use eadt_telemetry::{Event, Telemetry};
 use eadt_transfer::{
-    ChunkPlan, ControlAction, Controller, ControllerSnapshot, Engine, FaultAware, RunControl,
-    RunOutcome, SliceCtx, TransferEnv, TransferPlan,
+    ChunkPlan, ControlAction, Controller, ControllerSnapshot, SliceCtx, TransferEnv, TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +40,8 @@ pub struct Htee {
     /// (background traffic, faults). `None` (the paper's behaviour) commits
     /// once and never looks back.
     pub reprobe_interval: Option<SimDuration>,
-    /// Wrap the search controller in [`FaultAware`]: shed concurrency while
+    /// Wrap the search controller in
+    /// [`FaultAware`](eadt_transfer::FaultAware): shed concurrency while
     /// servers are quarantined, re-ramp on recovery.
     #[serde(default)]
     pub fault_aware: bool,
@@ -78,8 +78,7 @@ impl Algorithm for Htee {
         "HTEE"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = self.chunks(env, dataset);
         let levels = self.search_levels();
         let first_alloc = Planner::new(&env.link).weight_allocation(&chunks, levels[0]);
@@ -94,17 +93,11 @@ impl Algorithm for Htee {
         let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
         let mut controller = HteeController::new(chunks, levels, self.probe_window);
         controller.reprobe_interval = self.reprobe_interval;
-        if self.fault_aware {
-            Engine::new(env).run_controlled_in(
-                &plan,
-                &mut FaultAware::new(controller),
-                tel,
-                ctl,
-                arena,
-            )
-        } else {
-            Engine::new(env).run_controlled_in(&plan, &mut controller, tel, ctl, arena)
-        }
+        (plan, Box::new(controller))
+    }
+
+    fn fault_aware(&self) -> bool {
+        self.fault_aware
     }
 }
 
@@ -405,7 +398,8 @@ impl Controller for HteeController {
 mod tests {
     use super::*;
     use crate::test_support::{mixed_dataset, wan_env};
-    use eadt_telemetry::Telemetry;
+    use crate::RunCtx;
+    use eadt_transfer::Engine;
 
     #[test]
     fn search_levels_stride_two() {

@@ -40,34 +40,84 @@ pub(crate) mod test_support;
 
 use eadt_dataset::Dataset;
 use eadt_telemetry::Telemetry;
-use eadt_transfer::{RunControl, RunOutcome, TransferEnv, TransferReport};
+use eadt_transfer::{
+    Controller, EngineCheckpoint, EngineRun, FaultAware, RunControl, RunOutcome, TransferEnv,
+    TransferPlan, TransferReport,
+};
+use std::borrow::Cow;
 
 pub use ctx::RunCtx;
 pub use htee::Htee;
 pub use kind::AlgorithmKind;
 pub use mine::MinE;
-pub use planner::Planner;
-#[allow(deprecated)]
-pub use planner::{
-    chunk_params, linear_weight_allocation, mine_allocation, weight_allocation, ChunkParams,
-};
+pub use planner::{ChunkParams, Planner};
 pub use slaee::Slaee;
 
 /// The one-stop import for experiment code: the trait, the run context,
 /// every algorithm and baseline, the planner, and the kind selector.
 pub mod prelude {
-    pub use crate::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
+    pub use crate::baselines::{
+        BruteForce, GlobusOnline, GlobusUrlCopy, Manual, ProMc, SingleChunk,
+    };
     pub use crate::ctx::RunCtx;
     pub use crate::kind::AlgorithmKind;
     pub use crate::planner::{ChunkParams, Planner};
     pub use crate::{Algorithm, Htee, MinE, Slaee};
 }
 
+/// A planned transfer: the static plan and the controller that steers it.
+pub type Prepared = (TransferPlan, Box<dyn Controller>);
+
 /// A data-transfer scheduling algorithm: plans a dataset against an
 /// environment and executes it on the simulated GridFTP engine.
 pub trait Algorithm {
     /// Display name used in figures and tables.
     fn name(&self) -> &'static str;
+
+    /// Plans the transfer: the static plan and the controller that steers
+    /// it online. Planning is deterministic, so a resumed run rebuilds
+    /// exactly the plan and controller the checkpoint was taken under.
+    /// Planning-time decisions are journaled into `tel`.
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, tel: &mut Telemetry) -> Prepared;
+
+    /// Whether the controller runs under a [`FaultAware`] decorator: shed
+    /// concurrency while servers are quarantined, re-ramp on recovery.
+    fn fault_aware(&self) -> bool {
+        false
+    }
+
+    /// Plans the transfer and builds its engine run: fresh, or restored
+    /// from `resume` (DESIGN.md §13). A restore replays the planning but
+    /// not its telemetry — those events are already in the journal prefix
+    /// the checkpoint was cut from. This is the one place a controller is
+    /// wrapped in [`FaultAware`].
+    ///
+    /// # Panics
+    /// As [`EngineRun::restore`], when `resume` was taken under another
+    /// configuration.
+    fn start(
+        &self,
+        env: &TransferEnv,
+        dataset: &Dataset,
+        tel: &mut Telemetry,
+        resume: Option<EngineCheckpoint>,
+    ) -> EngineRun<'static> {
+        let mut quiet = Telemetry::disabled();
+        let plan_tel = if resume.is_some() {
+            &mut quiet
+        } else {
+            &mut *tel
+        };
+        let (plan, mut controller) = self.prepare(env, dataset, plan_tel);
+        if self.fault_aware() {
+            controller = Box::new(FaultAware::new(controller));
+        }
+        let plan = Cow::Owned(plan);
+        match resume {
+            Some(ck) => EngineRun::restore(env, plan, controller, tel, ck),
+            None => EngineRun::new(env, plan, controller, tel),
+        }
+    }
 
     /// Runs the whole transfer described by `ctx` — environment, dataset,
     /// telemetry sink, fault plan — and returns its measurements.
@@ -84,32 +134,12 @@ pub trait Algorithm {
     }
 
     /// Runs with checkpoint control: resuming from an
-    /// [`eadt_transfer::EngineCheckpoint`] and/or halting at a slice
-    /// boundary to produce one (DESIGN.md §13).
-    ///
-    /// Planning is deterministic, so a resuming implementation rebuilds
-    /// its plan and controller from `ctx` exactly as the original run did,
-    /// suppresses any planning-time telemetry (those events are already in
-    /// the journal prefix the checkpoint was cut from), and hands the
-    /// checkpoint to [`eadt_transfer::Engine::run_controlled`], which
-    /// fast-forwards the controller through
-    /// [`Controller::restore`](eadt_transfer::Controller::restore).
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome;
-
-    /// Shim for the pre-`RunCtx` two-argument entry point.
-    #[deprecated(since = "0.2.0", note = "build a `RunCtx` and call `run`")]
-    fn run_plain(&self, env: &TransferEnv, dataset: &Dataset) -> TransferReport {
-        self.run(&mut RunCtx::new(env, dataset))
-    }
-
-    /// Shim for the pre-`RunCtx` instrumented entry point.
-    #[deprecated(since = "0.2.0", note = "use `RunCtx::with_telemetry` and call `run`")]
-    fn run_instrumented(
-        &self,
-        env: &TransferEnv,
-        dataset: &Dataset,
-        tel: &mut Telemetry,
-    ) -> TransferReport {
-        self.run(&mut RunCtx::with_telemetry(env, dataset, tel))
+    /// [`EngineCheckpoint`] and/or halting at a slice boundary to produce
+    /// one (DESIGN.md §13) — the cold wrapper that starts the run and
+    /// hands it to [`EngineRun::run_to`].
+    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
+        let (env, dataset, tel) = ctx.parts();
+        let run = self.start(env, dataset, tel, ctl.resume.map(|ck| *ck));
+        run.run_to(env, tel, ctl.halt_after, ctl.share)
     }
 }

@@ -1,14 +1,12 @@
 //! Algorithm 1 — the Minimum Energy (MinE) transfer algorithm.
 
 use crate::planner::Planner;
-use crate::{Algorithm, RunCtx};
+use crate::{Algorithm, Prepared};
 use eadt_dataset::{partition, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
 use eadt_sim::SimTime;
-use eadt_telemetry::Event;
-use eadt_transfer::{
-    ChunkPlan, Engine, NullController, RunControl, RunOutcome, TransferEnv, TransferPlan,
-};
+use eadt_telemetry::{Event, Telemetry};
+use eadt_transfer::{ChunkPlan, NullController, TransferEnv, TransferPlan};
 use serde::{Deserialize, Serialize};
 
 /// Minimum Energy transfer (Algorithm 1).
@@ -64,21 +62,16 @@ impl Algorithm for MinE {
         "MinE"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, tel: &mut Telemetry) -> Prepared {
         let plan = self.plan(env, dataset);
-        // A resumed run replays the deterministic planning but not its
-        // telemetry: the decision event is already in the journal prefix.
-        if ctl.resume.is_none() {
-            tel.record_with(SimTime::ZERO, || {
-                let targets: Vec<u32> = plan.stages[0].chunks.iter().map(|c| c.channels).collect();
-                Event::Decision {
-                    reason: "closed-form plan: Large chunks pinned to one channel".to_string(),
-                    targets,
-                }
-            });
-        }
-        Engine::new(env).run_controlled_in(&plan, &mut NullController, tel, ctl, arena)
+        tel.record_with(SimTime::ZERO, || {
+            let targets: Vec<u32> = plan.stages[0].chunks.iter().map(|c| c.channels).collect();
+            Event::Decision {
+                reason: "closed-form plan: Large chunks pinned to one channel".to_string(),
+                targets,
+            }
+        });
+        (plan, Box::new(NullController))
     }
 }
 
@@ -86,6 +79,7 @@ impl Algorithm for MinE {
 mod tests {
     use super::*;
     use crate::test_support::{mixed_dataset, wan_env};
+    use crate::RunCtx;
 
     #[test]
     fn plan_pins_large_chunk_to_one_channel() {

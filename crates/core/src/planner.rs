@@ -28,10 +28,8 @@ pub struct ChunkParams {
 /// The planner: all parameter rules and channel-allocation policies of
 /// Algorithms 1–3, bound to the path they plan against.
 ///
-/// This replaces the old loose free functions (`chunk_params`,
-/// `weight_allocation`, `mine_allocation`, `linear_weight_allocation`) with
-/// one type: construct it once per environment with [`Planner::new`] and
-/// call policies as methods. The live-set variants used by mid-transfer
+/// Construct it once per environment with [`Planner::new`] and call
+/// policies as methods. The live-set variants used by mid-transfer
 /// controllers ([`weight_allocation_live`], [`sla_allocation_live`]) remain
 /// free functions because controllers re-plan without a link in hand.
 #[derive(Debug, Clone, Copy)]
@@ -110,12 +108,6 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Deprecated free-function form of [`Planner::chunk_params`].
-#[deprecated(since = "0.2.0", note = "use `Planner::new(link).chunk_params(chunk)`")]
-pub fn chunk_params(link: &Link, chunk: &Chunk) -> ChunkParams {
-    chunk_params_policy(link, chunk)
-}
-
 fn chunk_params_policy(link: &Link, chunk: &Chunk) -> ChunkParams {
     let bdp = link.bdp().as_f64().max(1.0);
     let avg = chunk.avg_file_size().as_f64().max(1.0);
@@ -144,17 +136,6 @@ fn chunk_params_policy(link: &Link, chunk: &Chunk) -> ChunkParams {
 /// * Large-class chunks get exactly one channel each (the energy guard);
 /// * the remaining budget is shared by the non-Large chunks,
 ///   weight-proportionally, each getting at least one.
-///
-/// Deprecated free-function form of [`Planner::mine_allocation`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Planner::new(link).mine_allocation(chunks, max_channel)`"
-)]
-pub fn mine_allocation(link: &Link, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-    let _ = link; // classification already encodes the BDP comparison
-    mine_allocation_policy(chunks, max_channel)
-}
-
 fn mine_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     let n = chunks.len();
     if n == 0 {
@@ -214,16 +195,6 @@ fn mine_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
 /// listing, every live chunk is guaranteed one channel and leftover
 /// channels (from flooring) go to the heaviest chunks, so exactly
 /// `max_channel` channels are allocated whenever `max_channel ≥ #chunks`.
-///
-/// Deprecated free-function form of [`Planner::weight_allocation`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Planner::new(link).weight_allocation(chunks, max_channel)`"
-)]
-pub fn weight_allocation(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-    weight_allocation_policy(chunks, max_channel)
-}
-
 fn weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     allocation_by_weights(
         &chunks.iter().map(Chunk::weight).collect::<Vec<_>>(),
@@ -231,7 +202,7 @@ fn weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     )
 }
 
-/// [`weight_allocation`] restricted to chunks still holding bytes: dead
+/// [`Planner::weight_allocation`] restricted to chunks still holding bytes: dead
 /// chunks get zero channels and the whole budget lands on the live ones
 /// (mid-transfer reallocations must not leak channels to finished chunks).
 pub fn weight_allocation_live(chunks: &[Chunk], live: &[bool], max_channel: u32) -> Vec<u32> {
@@ -257,20 +228,11 @@ pub fn weight_allocation_live(chunks: &[Chunk], live: &[bool], max_channel: u32)
     out
 }
 
-/// Ablation variant of [`weight_allocation`]: weights proportional to raw
-/// chunk byte counts instead of the paper's `log(size)·log(count)`. Linear
-/// weights starve many-small-file chunks of channels — the ablation bench
-/// quantifies what the paper's logarithmic damping buys.
-///
-/// Deprecated free-function form of [`Planner::linear_weight_allocation`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Planner::new(link).linear_weight_allocation(chunks, max_channel)`"
-)]
-pub fn linear_weight_allocation(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-    linear_weight_allocation_policy(chunks, max_channel)
-}
-
+/// Ablation variant of [`Planner::weight_allocation`]: weights
+/// proportional to raw chunk byte counts instead of the paper's
+/// `log(size)·log(count)`. Linear weights starve many-small-file chunks of
+/// channels — the ablation bench quantifies what the paper's logarithmic
+/// damping buys.
 fn linear_weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     allocation_by_weights(
         &chunks

@@ -2,14 +2,13 @@
 
 use crate::htee::PROBE_WINDOW;
 use crate::planner::{sla_allocation_live, Planner};
-use crate::{Algorithm, RunCtx};
-use eadt_dataset::{partition, Chunk, PartitionConfig};
+use crate::{Algorithm, Prepared};
+use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig};
 use eadt_endsys::Placement;
 use eadt_sim::{Bytes, Rate, SimDuration, SimTime};
-use eadt_telemetry::Event;
+use eadt_telemetry::{Event, Telemetry};
 use eadt_transfer::{
-    ChunkPlan, ControlAction, Controller, ControllerSnapshot, Engine, FaultAware, RunControl,
-    RunOutcome, SliceCtx, TransferPlan,
+    ChunkPlan, ControlAction, Controller, ControllerSnapshot, SliceCtx, TransferEnv, TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +46,8 @@ pub struct Slaee {
     /// windows after raises trigger the revert-to-best guard. 0.97 by
     /// default.
     pub degrade_tolerance: f64,
-    /// Wrap the adaptation loop in [`FaultAware`]: shed concurrency while
+    /// Wrap the adaptation loop in
+    /// [`FaultAware`](eadt_transfer::FaultAware): shed concurrency while
     /// servers are quarantined, re-ramp on recovery.
     #[serde(default)]
     pub fault_aware: bool,
@@ -79,8 +79,7 @@ impl Algorithm for Slaee {
         "SLAEE"
     }
 
-    fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
-        let (env, dataset, tel, arena) = ctx.parts_arena();
+    fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
         let first_alloc = Planner::new(&env.link).sla_allocation(&chunks, 1, false);
         let chunk_plans: Vec<ChunkPlan> = chunks
@@ -100,17 +99,11 @@ impl Algorithm for Slaee {
         );
         controller.overshoot_margin = self.overshoot_margin.max(1.0);
         controller.degrade_tolerance = self.degrade_tolerance.clamp(0.0, 1.0);
-        if self.fault_aware {
-            Engine::new(env).run_controlled_in(
-                &plan,
-                &mut FaultAware::new(controller),
-                tel,
-                ctl,
-                arena,
-            )
-        } else {
-            Engine::new(env).run_controlled_in(&plan, &mut controller, tel, ctl, arena)
-        }
+        (plan, Box::new(controller))
+    }
+
+    fn fault_aware(&self) -> bool {
+        self.fault_aware
     }
 }
 
@@ -413,6 +406,7 @@ mod tests {
     use super::*;
     use crate::baselines::ProMc;
     use crate::test_support::{mixed_dataset, wan_env};
+    use crate::RunCtx;
 
     fn max_throughput() -> Rate {
         let env = wan_env();

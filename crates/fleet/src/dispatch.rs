@@ -1,13 +1,17 @@
-//! Executing one job spec: dataset generation, fault handling, algorithm
-//! dispatch through the [`RunCtx`] entry point.
+//! Executing one job spec: dataset generation, the fault override, and
+//! dispatch to the spec's [`Algorithm`].
 
 use crate::spec::{FaultOverride, JobSpec};
-use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
+use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, Manual, ProMc, SingleChunk};
 use eadt_core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
 use eadt_dataset::Dataset;
 use eadt_sim::Rate;
 use eadt_telemetry::Telemetry;
-use eadt_transfer::{RunControl, RunOutcome, SliceArena, TransferReport};
+use eadt_transfer::{
+    EngineCheckpoint, EngineRun, RunControl, RunOutcome, TransferEnv, TransferParams,
+    TransferReport,
+};
+use std::borrow::Cow;
 
 /// Runs one job at the given seed and returns the engine's report.
 ///
@@ -22,113 +26,72 @@ pub fn run_job(spec: &JobSpec, seed: u64) -> TransferReport {
         .expect("no halt boundary configured")
 }
 
-/// A job prepared for controlled (checkpointable) execution.
+/// A job prepared for execution.
 ///
-/// Preparation does everything *before* the engine run once — dataset
-/// generation and, for SLAEE, the ProMC reference measurement — so a
-/// checkpoint/resume cycle repeats only the deterministic plan build and
-/// the engine itself. Both preparation and execution are bit-reproducible
-/// from `(spec, seed)`, which is what lets a resumed job re-join its
+/// Preparation does everything *before* planning once — the environment
+/// with the spec's fault override, dataset generation and, for SLAEE, the
+/// ProMC reference measurement. `JobRunner::start` then plans the job
+/// and builds its [`EngineRun`]. Both are bit-reproducible from
+/// `(spec, seed)`, which is what lets a run restored from disk re-join its
 /// checkpoint exactly.
 pub struct JobRunner<'a> {
     spec: &'a JobSpec,
+    env: Cow<'a, TransferEnv>,
     dataset: Dataset,
     reference: Option<Rate>,
 }
 
 impl<'a> JobRunner<'a> {
-    /// Generates the dataset (and SLAEE's reference throughput) for a job.
+    /// Resolves the environment and generates the dataset (and SLAEE's
+    /// reference throughput) for a job.
     pub fn prepare(spec: &'a JobSpec, seed: u64) -> Self {
         let tb = &spec.env;
+        let env = match &spec.faults {
+            FaultOverride::Inherit => Cow::Borrowed(&tb.env),
+            FaultOverride::Disable => Cow::Owned(TransferEnv {
+                faults: None,
+                ..tb.env.clone()
+            }),
+            FaultOverride::Replace(plan) => Cow::Owned(TransferEnv {
+                faults: Some(plan.clone()),
+                ..tb.env.clone()
+            }),
+        };
         let dataset = match &spec.dataset {
             Some(d) => d.clone(),
             None => tb.dataset_spec.scaled(spec.scale).generate(seed),
         };
         let reference = (spec.kind == AlgorithmKind::Slaee).then(|| {
-            let mut ctx = Self::ctx(spec, &dataset);
             ProMc {
                 partition: tb.partition,
                 ..ProMc::new(tb.reference_concurrency)
             }
-            .run(&mut ctx)
+            .run(&mut RunCtx::new(&env, &dataset))
             .avg_throughput()
         });
         JobRunner {
             spec,
+            env,
             dataset,
             reference,
         }
     }
 
-    fn ctx<'b>(spec: &'b JobSpec, dataset: &'b Dataset) -> RunCtx<'b> {
-        Self::ctx_with(spec, dataset, None)
-    }
-
-    fn ctx_with<'b>(
-        spec: &'b JobSpec,
-        dataset: &'b Dataset,
-        tel: Option<&'b mut Telemetry>,
-    ) -> RunCtx<'b> {
-        let mut ctx = match tel {
-            Some(tel) => RunCtx::with_telemetry(&spec.env.env, dataset, tel),
-            None => RunCtx::new(&spec.env.env, dataset),
-        };
-        match &spec.faults {
-            FaultOverride::Inherit => {}
-            FaultOverride::Disable => {
-                ctx.override_faults(None);
-            }
-            FaultOverride::Replace(plan) => {
-                ctx.override_faults(Some(plan.clone()));
-            }
-        }
-        ctx
-    }
-
-    /// Runs the job under checkpoint control (fresh, halting, or resuming
-    /// per `ctl`). Calling this repeatedly with the default control always
-    /// reproduces the same report.
-    pub fn run_controlled(&self, ctl: RunControl) -> RunOutcome {
-        self.run_with(ctl, None, None)
-    }
-
-    /// Like [`JobRunner::run_controlled`], but recording into `tel` —
-    /// the fleet's metrics-collection path. When `tel` carries a metrics
-    /// registry the engine samples its gauges and histograms into it,
-    /// and a resume restores the registry from the checkpoint before
-    /// continuing, so the final snapshot is interrupt-invariant.
-    pub fn run_instrumented(&self, ctl: RunControl, tel: &mut Telemetry) -> RunOutcome {
-        self.run_with(ctl, Some(tel), None)
-    }
-
-    /// The one dispatch behind every run: `tel` defaults to a disabled
-    /// sink and `arena` to a private one. The executor's legs pass their
-    /// own, so a job re-entered every quantum reuses warm engine scratch.
-    pub(crate) fn run_with(
-        &self,
-        ctl: RunControl,
-        tel: Option<&mut Telemetry>,
-        arena: Option<&mut SliceArena>,
-    ) -> RunOutcome {
+    /// The spec's algorithm, configured from its knobs.
+    fn algorithm(&self) -> Box<dyn Algorithm> {
         let spec = self.spec;
         let partition = spec.env.partition;
-        let mut ctx = Self::ctx_with(spec, &self.dataset, tel);
-        if let Some(arena) = arena {
-            ctx.use_arena(arena);
-        }
         match spec.kind {
-            AlgorithmKind::MinE => MinE {
+            AlgorithmKind::MinE => Box::new(MinE {
                 partition,
                 ..MinE::new(spec.max_channel)
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Htee => Htee {
+            }),
+            AlgorithmKind::Htee => Box::new(Htee {
                 partition,
                 fault_aware: spec.fault_aware,
                 ..Htee::new(spec.max_channel)
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Slaee => Slaee {
+            }),
+            AlgorithmKind::Slaee => Box::new(Slaee {
                 partition,
                 fault_aware: spec.fault_aware,
                 ..Slaee::new(
@@ -136,57 +99,61 @@ impl<'a> JobRunner<'a> {
                     self.reference.expect("prepare measures the reference"),
                     spec.max_channel,
                 )
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Guc => GlobusUrlCopy::new().run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Go => GlobusOnline::new().run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Sc => SingleChunk {
+            }),
+            AlgorithmKind::Guc => Box::new(GlobusUrlCopy::new()),
+            AlgorithmKind::Go => Box::new(GlobusOnline::new()),
+            AlgorithmKind::Sc => Box::new(SingleChunk {
                 partition,
                 ..SingleChunk::new(spec.max_channel)
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::ProMc => ProMc {
+            }),
+            AlgorithmKind::ProMc => Box::new(ProMc {
                 partition,
                 fault_aware: spec.fault_aware,
                 ..ProMc::new(spec.max_channel)
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Bf => BruteForce {
+            }),
+            AlgorithmKind::Bf => Box::new(BruteForce {
                 partition,
                 ..BruteForce::new(spec.max_channel)
-            }
-            .run_controlled(&mut ctx, ctl),
-            AlgorithmKind::Manual => {
-                let plan = eadt_transfer::uniform_plan(
-                    &self.dataset,
-                    eadt_transfer::TransferParams::new(
-                        spec.pipelining,
-                        spec.parallelism,
-                        spec.max_channel,
-                    ),
-                    eadt_endsys::Placement::PackFirst,
-                );
-                let (env, _, tel, arena) = ctx.parts_arena();
-                let engine = eadt_transfer::Engine::new(env);
-                if spec.fault_aware {
-                    engine.run_controlled_in(
-                        &plan,
-                        &mut eadt_transfer::FaultAware::new(eadt_transfer::NullController),
-                        tel,
-                        ctl,
-                        arena,
-                    )
-                } else {
-                    engine.run_controlled_in(
-                        &plan,
-                        &mut eadt_transfer::NullController,
-                        tel,
-                        ctl,
-                        arena,
-                    )
-                }
-            }
+            }),
+            AlgorithmKind::Manual => Box::new(Manual {
+                params: TransferParams::new(spec.pipelining, spec.parallelism, spec.max_channel),
+                fault_aware: spec.fault_aware,
+            }),
         }
+    }
+
+    /// Plans the job and builds its engine run: fresh, or restored from
+    /// `resume`, a checkpoint read back from disk.
+    pub(crate) fn start(
+        &self,
+        tel: &mut Telemetry,
+        resume: Option<EngineCheckpoint>,
+    ) -> EngineRun<'static> {
+        self.algorithm()
+            .start(&self.env, &self.dataset, tel, resume)
+    }
+
+    /// The job's environment, fault override applied. Consumes the runner:
+    /// a started run holds its own files, so the dataset goes.
+    pub(crate) fn into_env(self) -> Cow<'a, TransferEnv> {
+        self.env
+    }
+
+    /// Runs the job in one call under checkpoint control (fresh, halting,
+    /// or resuming per `ctl`). Calling this repeatedly with the default
+    /// control always reproduces the same report.
+    pub fn run_controlled(&self, ctl: RunControl) -> RunOutcome {
+        self.run_instrumented(ctl, &mut Telemetry::disabled())
+    }
+
+    /// Like [`JobRunner::run_controlled`], but recording into `tel`. When
+    /// `tel` carries a metrics registry the engine samples its gauges and
+    /// histograms into it, and a resume restores the registry from the
+    /// checkpoint before continuing, so the final snapshot is
+    /// interrupt-invariant.
+    pub fn run_instrumented(&self, ctl: RunControl, tel: &mut Telemetry) -> RunOutcome {
+        let mut ctx = RunCtx::with_telemetry(&self.env, &self.dataset, tel);
+        self.algorithm().run_controlled(&mut ctx, ctl)
     }
 }
 

@@ -5,8 +5,9 @@
 //! A batch maps [`run_to_completion`] over its jobs. The service keeps
 //! each job's [`Leg`] from its first admission until it finishes and
 //! maps [`Leg::advance`] over each round's residents. Either way a job is
-//! prepared once, and a panic anywhere in it is caught in
-//! [`Leg::advance`] and booked as that job's `JobFailed` outcome.
+//! prepared and planned once and then stepped as one live
+//! [`EngineRun`]; a panic anywhere in it is caught in [`Leg::advance`]
+//! and booked as that job's `JobFailed` outcome.
 
 use crate::dispatch::JobRunner;
 use crate::session::JobOutcome;
@@ -14,8 +15,9 @@ use crate::spec::JobSpec;
 use eadt_ckpt::{CheckpointStore, CkptError, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
 use eadt_sim::{EadtError, SimDuration};
 use eadt_telemetry::{MetricsRegistry, Telemetry};
-use eadt_transfer::{EngineCheckpoint, ResourceShare, RunControl, RunOutcome, SliceArena};
+use eadt_transfer::{EngineCheckpoint, EngineRun, ResourceShare, TransferEnv, TransferReport};
 use std::any::Any;
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,25 +76,28 @@ fn lock<T>(cell: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One job from its first admission until it finishes: the prepared
-/// runner, its telemetry and scratch arena, and the engine state the next
-/// leg resumes from. A finished job's leg is dropped, so it holds no
-/// runner and no arena.
+/// One job from its first admission until it finishes: its telemetry,
+/// and — from the first advance on — its environment and live
+/// [`EngineRun`]. A finished job's leg is dropped with its run.
 pub(crate) struct Leg<'a> {
     index: usize,
     spec: &'a JobSpec,
     seed: u64,
-    /// Prepared inside the first [`Leg::advance`], under its panic guard.
-    runner: Option<JobRunner<'a>>,
     tel: Telemetry,
-    arena: SliceArena,
-    engine: Option<Box<EngineCheckpoint>>,
+    /// The environment (fault override applied) and the run stepping in
+    /// it, built inside the first [`Leg::advance`], under its panic guard.
+    live: Option<(Cow<'a, TransferEnv>, EngineRun<'static>)>,
+    /// Engine state read back from disk, restored by the first advance.
+    saved: Option<EngineCheckpoint>,
+    /// Engine states this leg snapshotted, and restored from disk.
+    pub(crate) snapshots: u64,
+    pub(crate) restores: u64,
 }
 
 /// How one [`Leg::advance`] ended.
 pub(crate) enum Step {
-    /// Halted at the requested boundary; the leg holds the engine state.
-    Halted,
+    /// Paused at the step boundary; the leg holds the live run.
+    Paused,
     /// The engine ran the job to its end.
     Done(JobOutcome),
     /// A panic was caught and booked as the job's `JobFailed` outcome.
@@ -101,9 +106,8 @@ pub(crate) enum Step {
 
 impl<'a> Leg<'a> {
     /// Job `index` of `spec` at `seed`, not yet prepared. `metrics`
-    /// attaches a registry sampling on that cadence; a resume restores its
-    /// contents from the checkpoint, so the final snapshot is
-    /// interrupt-invariant.
+    /// attaches a registry sampling on that cadence; a restore refills it
+    /// from the checkpoint, so the final snapshot is interrupt-invariant.
     pub(crate) fn new(
         index: usize,
         spec: &'a JobSpec,
@@ -114,52 +118,60 @@ impl<'a> Leg<'a> {
             index,
             spec,
             seed,
-            runner: None,
             tel: Telemetry::from_parts(None, metrics.map(MetricsRegistry::new)),
-            arena: SliceArena::default(),
-            engine: None,
+            live: None,
+            saved: None,
+            snapshots: 0,
+            restores: 0,
         }
     }
 
-    /// True once the job has halted at least once: it resumes, not starts.
+    /// True once the job has engine state: it resumes, not starts.
     pub(crate) fn started(&self) -> bool {
-        self.engine.is_some()
+        self.live.is_some() || self.saved.is_some()
     }
 
-    /// The held engine state, bound to this job.
-    pub(crate) fn checkpoint(&self) -> Option<JobCheckpoint> {
-        self.engine.as_ref().map(|engine| JobCheckpoint {
+    /// The leg's engine state, bound to this job: a snapshot of the live
+    /// run, or the state read back from disk that no advance has
+    /// restored yet.
+    pub(crate) fn checkpoint(&mut self) -> Option<JobCheckpoint> {
+        let engine = match (&self.live, &self.saved) {
+            (Some((_, run)), _) => {
+                self.snapshots += 1;
+                run.snapshot(&self.tel)
+            }
+            (None, Some(saved)) => saved.clone(),
+            (None, None) => return None,
+        };
+        Some(JobCheckpoint {
             schema: JOB_CHECKPOINT_SCHEMA_VERSION,
             job: self.index,
             label: self.spec.display_label(),
             algorithm: self.spec.kind.name().to_string(),
             seed: self.seed,
-            engine: (**engine).clone(),
+            engine,
         })
     }
 
     /// Resumes the job from `ck` once it is validated against the job.
     pub(crate) fn restore(&mut self, ck: JobCheckpoint) -> Result<(), CkptError> {
         ck.validate(self.index, &self.spec.display_label(), self.seed)?;
-        self.engine = Some(Box::new(ck.engine));
+        self.saved = Some(ck.engine);
         Ok(())
     }
 
-    /// Runs one leg under `share`: from the held engine state (or from
-    /// scratch) until `halt_every` more slices have executed, or to the
-    /// end when `None`.
+    /// Steps the job by `slices` more slices under `share` (`None`: to
+    /// its end). The first advance prepares and plans the job and builds
+    /// its run — restored from the saved engine state, if any.
     ///
     /// This is the crate's only panic guard: a panic in preparation or in
     /// the engine becomes the job's `JobFailed` outcome instead of taking
     /// the batch or the service down.
-    pub(crate) fn advance(&mut self, halt_every: Option<u64>, share: ResourceShare) -> Step {
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_leg(halt_every, share)));
+    pub(crate) fn advance(&mut self, slices: Option<u64>, share: ResourceShare) -> Step {
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_leg(slices, share)));
         let report = match run {
-            Ok(RunOutcome::Halted(engine)) => {
-                self.engine = Some(engine);
-                return Step::Halted;
-            }
-            Ok(RunOutcome::Done(report)) => report,
+            Ok(None) => return Step::Paused,
+            Ok(Some(report)) => report,
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
                 return Step::Panicked(
@@ -173,22 +185,19 @@ impl<'a> Leg<'a> {
         ))
     }
 
-    fn run_leg(&mut self, halt_every: Option<u64>, share: ResourceShare) -> RunOutcome {
+    fn run_leg(&mut self, slices: Option<u64>, share: ResourceShare) -> Option<TransferReport> {
         if cfg!(test) && self.spec.label.as_deref() == Some(TEST_PANIC_LABEL) {
             panic!("injected chaos payload");
         }
-        let runner = self
-            .runner
-            .get_or_insert_with(|| JobRunner::prepare(self.spec, self.seed));
-        // `halt_after` is an absolute slice count, so the next boundary
-        // is measured from the held state.
-        let done = self.engine.as_ref().map_or(0, |engine| engine.slices_done);
-        let ctl = RunControl {
-            resume: self.engine.take(),
-            halt_after: halt_every.map(|every| done + every),
-            share,
-        };
-        runner.run_with(ctl, Some(&mut self.tel), Some(&mut self.arena))
+        let (env, run) = self.live.get_or_insert_with(|| {
+            let runner = JobRunner::prepare(self.spec, self.seed);
+            let saved = self.saved.take();
+            let restored = saved.is_some();
+            let run = runner.start(&mut self.tel, saved);
+            self.restores += u64::from(restored);
+            (runner.into_env(), run)
+        });
+        run.step(env, &mut self.tel, slices, share)
     }
 
     fn failed(&self, message: String) -> JobOutcome {
@@ -202,9 +211,9 @@ impl<'a> Leg<'a> {
 /// With a checkpoint directory `(dir, every)` the job's own files there
 /// are its commit point (DESIGN.md §13): on `resume` a matching outcome
 /// file is re-admitted as-is; otherwise the job resumes from its job
-/// checkpoint when one exists, saves a new one every `every` slices, and
-/// once the engine finishes leaves its outcome file in the checkpoint's
-/// place. A caught panic is booked but not saved, so the job checkpoint
+/// checkpoint when one exists, pauses every `every` slices to save a
+/// snapshot of its live run, and once the engine finishes leaves its
+/// outcome file in the checkpoint's place. A caught panic is booked but not saved, so the job checkpoint
 /// survives for a resume once the cause is fixed. A store failure is
 /// booked as the job's failure.
 pub(crate) fn run_to_completion(
@@ -229,7 +238,7 @@ pub(crate) fn run_to_completion(
         }
         loop {
             match leg.advance(dir.map(|(_, every)| every), ResourceShare::FULL) {
-                Step::Halted => {
+                Step::Paused => {
                     if let (Some(store), Some(ck)) = (&store, leg.checkpoint()) {
                         store.save_job_checkpoint(&ck)?;
                     }

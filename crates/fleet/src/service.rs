@@ -6,8 +6,8 @@
 //! [`Workload`] — jobs arriving over simulated time on a seeded Poisson
 //! process, competing for shared per-site resource pools
 //! ([`eadt_endsys::pool`]) under fair-share or strict-priority
-//! arbitration, preempted and resumed through the engine's
-//! checkpoint/halt path, and rolled up into per-site energy accounting.
+//! arbitration, preempted by simply not being stepped, and rolled up into
+//! per-site energy accounting.
 //!
 //! The scheduler is a deterministic round loop. Each **round** is
 //! `quantum` engine slices long; at every round boundary the coordinator
@@ -16,20 +16,26 @@
 //! 1. moves newly-arrived jobs into the admission queue (`job_submitted`);
 //! 2. preempts, under strict priority, the lowest-priority resident of a
 //!    full site when a higher-priority job waits (`job_preempted`) —
-//!    eviction is just *not rescheduling*: the victim's leg already holds
-//!    the engine state of the previous round's halt;
+//!    eviction is just *not stepping*: the victim's leg keeps its live
+//!    engine run, paused where the previous round left it;
 //! 3. admits queued jobs while core slots remain (`job_admitted`,
 //!    `job_resumed` for re-entries);
 //! 4. arbitrates each site's pooled bandwidth and disk across its
 //!    residents ([`arbitrate`]), converting grants into per-run
 //!    [`ResourceShare`] factors;
 //! 5. advances every resident by one quantum **in parallel** on the
-//!    executor's worker pool — each job keeps one executor leg (prepared
-//!    runner, scratch arena, engine state) from its first admission until
-//!    it finishes, and each quantum is a pure function of that state and
-//!    the share, so worker count cannot leak into results;
-//! 6. books finished transfers (`job_finished`) and carries halted legs
+//!    executor's worker pool — each job keeps one executor leg (planned
+//!    once, holding its live [`eadt_transfer::EngineRun`]) from its first
+//!    admission until it finishes, and each quantum is one
+//!    [`step`](eadt_transfer::EngineRun::step): a pure function of that
+//!    run and the share, so worker count cannot leak into results;
+//! 6. books finished transfers (`job_finished`) and carries paused legs
 //!    to the next round.
+//!
+//! Engine state is serialized only when a commit is due: with a
+//! checkpoint directory, every `every_rounds` rounds the coordinator
+//! snapshots each live run into the service checkpoint, and a resume
+//! restores exactly the runs that checkpoint lists.
 //!
 //! Same root seed ⇒ byte-identical [`ServiceReport`] JSON and service
 //! journal, whatever the worker count — the contract CI's
@@ -326,9 +332,8 @@ impl ServiceSessionBuilder {
 
     /// Sets the scheduling quantum in engine slices (default 600 — one
     /// simulated minute at the standard 100 ms slice). Pool membership
-    /// can only change at quantum boundaries, which is exactly the
-    /// `next_change` horizon the engine's macro-stepping sees as the
-    /// halt boundary of each leg.
+    /// can only change at quantum boundaries, which is exactly the step
+    /// boundary each resident's engine run pauses at.
     pub fn quantum(mut self, slices: u64) -> Self {
         self.quantum = slices.max(1);
         self
@@ -373,13 +378,20 @@ pub struct ServiceSession {
 
 /// What a service run produced: the canonical report plus the service
 /// journal (admission/preemption/finish events, one record per line via
-/// [`Journal::to_jsonl`]).
+/// [`Journal::to_jsonl`]), and how often the run serialized or rebuilt
+/// an engine state.
 #[derive(Debug, Clone)]
 pub struct ServiceRun {
     /// The canonical aggregate report.
     pub report: ServiceReport,
     /// The service-level event journal.
     pub journal: Journal,
+    /// Live engine runs snapshotted into service commits: one per live
+    /// leg per commit, none without a checkpoint directory.
+    pub engine_snapshots: u64,
+    /// Engine runs restored from the commit file a resume started from:
+    /// exactly the runs it lists, none for a fresh run.
+    pub engine_restores: u64,
 }
 
 impl ServiceSession {
@@ -647,14 +659,16 @@ impl ServiceSession {
 
             // 6. Collect in residency order (journal and persistence order
             // must not depend on completion order). A finished job's leg
-            // is dropped with its runner and arena; a leg that panicked
-            // finishes its job with the `JobFailed` outcome.
+            // is dropped with its run; a leg that panicked finishes its job
+            // with the `JobFailed` outcome.
             let end = round_start(slice, self.quantum, round + 1);
             for (job, leg, step) in advanced {
                 let (Step::Done(outcome) | Step::Panicked(outcome)) = step else {
                     state.legs[job] = Some(leg);
                     continue;
                 };
+                state.counts.0 += leg.snapshots;
+                state.counts.1 += leg.restores;
                 journal.record(
                     end,
                     Event::JobFinished {
@@ -682,24 +696,33 @@ impl ServiceSession {
             // one file, so its atomic rename is the whole commit.
             if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
                 if round.is_multiple_of(*every) {
-                    self.persist(workload, store, &state, &journal, fingerprint)
+                    self.persist(workload, store, &mut state, &journal, fingerprint)
                         .map_err(ckpt_err)?;
                 }
             }
         }
 
+        let (engine_snapshots, engine_restores) = (state.legs.iter().flatten())
+            .fold(state.counts, |(s, r), leg| {
+                (s + leg.snapshots, r + leg.restores)
+            });
         let report = self.assemble(workload, &seeds, &arrivals, state, round);
-        Ok(ServiceRun { report, journal })
+        Ok(ServiceRun {
+            report,
+            journal,
+            engine_snapshots,
+            engine_restores,
+        })
     }
 
     /// Persists a cadence snapshot: the journal prefix, then the
-    /// service checkpoint embedding every live engine state (the commit
-    /// point).
+    /// service checkpoint embedding a snapshot of every live engine run
+    /// (the commit point).
     fn persist(
         &self,
         workload: &Workload,
         store: &CheckpointStore,
-        state: &SchedulerState,
+        state: &mut SchedulerState,
         journal: &Journal,
         fingerprint: u64,
     ) -> Result<(), eadt_ckpt::CkptError> {
@@ -727,7 +750,7 @@ impl ServiceSession {
             journal_seq: journal.next_seq(),
             engines: state
                 .legs
-                .iter()
+                .iter_mut()
                 .flatten()
                 .filter_map(Leg::checkpoint)
                 .collect(),
@@ -958,6 +981,8 @@ struct SchedulerState<'w> {
     admitted_round: Vec<Option<u64>>,
     finished_round: Vec<Option<u64>>,
     preemptions: Vec<u32>,
+    /// Engine snapshots and restores of the legs already dropped.
+    counts: (u64, u64),
 }
 
 impl SchedulerState<'_> {
@@ -972,6 +997,7 @@ impl SchedulerState<'_> {
             admitted_round: vec![None; n],
             finished_round: vec![None; n],
             preemptions: vec![0; n],
+            counts: (0, 0),
         }
     }
 
@@ -991,7 +1017,7 @@ impl SchedulerState<'_> {
         (self.site_residents(jobs, site).len() as u32) < cap.core_slots
     }
 
-    /// Moves a resident back to the queue (keeps its engine state).
+    /// Moves a resident back to the queue (keeps its live engine run).
     fn evict(&mut self, job: usize) {
         self.resident.retain(|&r| r != job);
         self.phase[job] = Phase::Queued;
@@ -1303,14 +1329,31 @@ mod tests {
         assert_ne!(fine_a[1], fine_c[1]);
     }
 
+    /// Live legs summed over the commits of a run that checkpoints every
+    /// `every` rounds. The commit after round `c - 1` snapshots job `j`
+    /// iff `admitted < c <= finished`: a leg lives from its first
+    /// admission until the round it finishes in. (It holds for workloads
+    /// whose every admitted job is stepped in its admission round, as on
+    /// one-slot sites.)
+    fn live_legs_at_commits(report: &ServiceReport, every: u64) -> u64 {
+        let live = |j: &ServiceJobOutcome| match (j.admitted_round, j.finished_round) {
+            (Some(a), Some(f)) => (a + 1..=f).filter(|c| c % every == 0).count() as u64,
+            _ => 0,
+        };
+        report.jobs.iter().map(live).sum()
+    }
+
     #[test]
     fn service_checkpoint_resume_is_byte_identical() {
         // Cadences 1..=5 under both policies, on a 1-slot workload that
         // queues and on one that preempts: the checkpointing run, a resume
         // from the directory it leaves, and a resume whose journal file
         // ran ahead of the last commit must all reproduce the straight
-        // run's report and journal; a torn commit file must fail the
-        // resume without touching the directory.
+        // run's report and journal. Engine state is serialized only into
+        // commits and rebuilt only from the commit a resume starts from.
+        // A missing or foreign outcome file of a finished job, and a torn
+        // commit file, must fail the resume naming the file, without
+        // touching the directory.
         let workloads = [
             ("queueing", two_tenant_workload(1)),
             ("preempting", preempting_workload()),
@@ -1319,6 +1362,7 @@ mod tests {
             ArbitrationPolicy::FairShare,
             ArbitrationPolicy::StrictPriority,
         ];
+        let mut drilled = 0;
         for (name, workload) in &workloads {
             for policy in policies {
                 let builder = || {
@@ -1329,6 +1373,11 @@ mod tests {
                         .policy(policy)
                 };
                 let straight = builder().workers(1).build().run(workload).unwrap();
+                assert_eq!(
+                    straight.engine_snapshots, 0,
+                    "{name}: no commits, no snapshots"
+                );
+                assert_eq!(straight.engine_restores, 0, "{name}");
                 for every in 1..=5 {
                     let cell = format!("{name}/{}/every {every}", policy.name());
                     let dir = std::env::temp_dir().join(format!(
@@ -1338,14 +1387,24 @@ mod tests {
                     ));
                     let _ = std::fs::remove_dir_all(&dir);
                     let session = builder().checkpoints(&dir, every).build();
+                    let store = CheckpointStore::create(&dir).unwrap();
+                    let last_commit = || store.load_service_checkpoint().unwrap().unwrap();
                     let journal = dir.join(CheckpointStore::service_journal_name());
                     let ahead = || {
                         // A crash after the journal write, before the commit.
                         std::fs::write(&journal, straight.journal.to_jsonl()).unwrap();
                         session.resume(workload)
                     };
-                    for run in [session.run(workload), session.resume(workload), ahead()] {
-                        let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let first = session
+                        .run(workload)
+                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let expected = live_legs_at_commits(&straight.report, every);
+                    assert_eq!(first.engine_snapshots, expected, "{cell}");
+                    assert_eq!(first.engine_restores, 0, "{cell}");
+                    let listed = last_commit().engines.len() as u64;
+                    let resumes = [session.resume(workload), ahead()]
+                        .map(|run| run.unwrap_or_else(|e| panic!("{cell}: {e}")));
+                    for run in resumes.iter().chain([&first]) {
                         assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
                         assert_eq!(
                             run.journal.to_jsonl(),
@@ -1353,28 +1412,55 @@ mod tests {
                             "{cell}"
                         );
                     }
+                    for run in &resumes {
+                        assert_eq!(run.engine_restores, listed, "{cell}");
+                    }
+
+                    let contents = || {
+                        let mut files: Vec<_> = std::fs::read_dir(&dir)
+                            .unwrap()
+                            .map(|entry| {
+                                let path = entry.unwrap().path();
+                                (
+                                    path.file_name().unwrap().to_owned(),
+                                    std::fs::read(&path).unwrap(),
+                                )
+                            })
+                            .collect();
+                        files.sort();
+                        files
+                    };
+                    let fails_untouched = |file: &str, what: &str| {
+                        let before = contents();
+                        let Err(err) = session.resume(workload) else {
+                            panic!("{cell}: resumed with {what}");
+                        };
+                        assert!(err.to_string().contains(file), "{cell}: {err}");
+                        assert_eq!(contents(), before, "{cell}: {what}");
+                    };
+                    if let Some(&done) = last_commit().finished.first() {
+                        let file = CheckpointStore::outcome_name(done as usize);
+                        let path = dir.join(&file);
+                        let kept = std::fs::read(&path).unwrap();
+                        std::fs::remove_file(&path).unwrap();
+                        fails_untouched(&file, "a missing outcome file");
+                        let other = &straight.report.jobs[1 - done as usize].outcome;
+                        let mut foreign = serde_json::to_string_pretty(other).unwrap();
+                        foreign.push('\n');
+                        std::fs::write(&path, foreign).unwrap();
+                        fails_untouched(&file, "another job's outcome file");
+                        std::fs::write(&path, kept).unwrap();
+                        drilled += 1;
+                    }
 
                     let commit = dir.join(CheckpointStore::service_checkpoint_name());
                     let text = std::fs::read(&commit).unwrap();
                     std::fs::write(&commit, &text[..text.len() / 2]).unwrap();
-                    let listing = || {
-                        let mut names: Vec<_> = std::fs::read_dir(&dir)
-                            .unwrap()
-                            .map(|entry| entry.unwrap().file_name())
-                            .collect();
-                        names.sort();
-                        names
-                    };
-                    let before = listing();
-                    let Err(err) = session.resume(workload) else {
-                        panic!("{cell}: a torn commit file resumed");
-                    };
-                    let name = CheckpointStore::service_checkpoint_name();
-                    assert!(err.to_string().contains(name), "{cell}: {err}");
-                    assert_eq!(listing(), before, "{cell}");
+                    fails_untouched(CheckpointStore::service_checkpoint_name(), "a torn commit");
                     let _ = std::fs::remove_dir_all(&dir);
                 }
             }
         }
+        assert!(drilled > 0, "no last commit listed a finished job");
     }
 }

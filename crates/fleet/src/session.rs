@@ -40,9 +40,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables crash-safe checkpointing (DESIGN.md §13): each job halts
-    /// every `every_slices` engine slices and atomically writes its
-    /// [`JobCheckpoint`](eadt_ckpt::JobCheckpoint) under `dir`; finished
+    /// Enables crash-safe checkpointing (DESIGN.md §13): each job pauses
+    /// every `every_slices` engine slices and atomically writes a snapshot
+    /// of its run, a [`JobCheckpoint`](eadt_ckpt::JobCheckpoint), under `dir`; finished
     /// jobs leave a `job-<i>.outcome.json` instead. A batch interrupted at
     /// any point can then be completed with [`Session::resume`].
     pub fn checkpoints(mut self, dir: impl Into<PathBuf>, every_slices: u64) -> Self {
@@ -644,7 +644,7 @@ mod tests {
             let mut leg = Leg::new(i, job, derive_job_seed(4, i as u64), Some(cadence));
             let step = leg.advance(Some(1), ResourceShare::FULL);
             assert!(
-                matches!(step, Step::Halted),
+                matches!(step, Step::Paused),
                 "job {i} too short to interrupt"
             );
             store

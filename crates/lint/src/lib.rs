@@ -22,7 +22,7 @@
 //!   `Box::new` inside the configured slice-kernel hot functions
 //!   (the zero-allocation contract of DESIGN.md §17);
 //! * **panic-reach** — panic sinks transitively reachable from
-//!   `Engine::run_controlled`, the fleet executor and checkpoint
+//!   `EngineRun::step` and `restore`, the fleet executor and checkpoint
 //!   recovery, with per-edge allowlist scoping (`panic-reach-edge`);
 //! * **unit-escape** — raw-`f64` `+`/`-` across different unit-newtype
 //!   extractor families within one function;

@@ -2,7 +2,7 @@
 //! structural.
 //!
 //! The SoA refactor (DESIGN.md §17) moved every per-slice buffer into
-//! the engine-owned `SliceArena`, and the `perf_gate` counting-allocator
+//! the run-owned `SliceArena`, and the `perf_gate` counting-allocator
 //! test proves the steady-state slice loop performs **zero** heap
 //! allocations at runtime. That proof is statistical (a measured window
 //! of one scenario); this rule is the syntactic backstop: inside the

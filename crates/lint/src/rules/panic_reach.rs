@@ -10,8 +10,9 @@
 //!
 //! **Roots** (the surfaces whose liveness the repo guarantees):
 //!
-//! * `Engine::run_controlled` — the engine entry every algorithm runs
-//!   through (DESIGN.md §12);
+//! * `EngineRun::step` — the engine entry every run steps through
+//!   (DESIGN.md §12);
+//! * `EngineRun::restore` — the only resume path (§13);
 //! * `Leg::advance` — the fleet executor's guarded leg, which every batch
 //!   and service job runs through (§11);
 //! * `run_to_completion` — a batch job's checkpoint and outcome files
@@ -38,7 +39,8 @@ use crate::symbols::SymbolTable;
 
 /// The crash-sensitive roots: `(file, fn name)`.
 pub const ROOTS: &[(&str, &str)] = &[
-    ("crates/transfer/src/engine/mod.rs", "run_controlled"),
+    ("crates/transfer/src/engine/mod.rs", "step"),
+    ("crates/transfer/src/engine/checkpoint.rs", "restore"),
     ("crates/fleet/src/exec.rs", "advance"),
     ("crates/fleet/src/exec.rs", "run_to_completion"),
     ("crates/fleet/src/service.rs", "run_rounds"),
@@ -195,7 +197,7 @@ mod tests {
         let (t, g) = setup(&[
             (
                 ENGINE,
-                "struct Engine;\nimpl Engine { pub fn run_controlled(&self) { helper(); } }\nfn helper() { deep(); }\nfn deep(x: Option<u32>) { x.unwrap(); }",
+                "struct EngineRun;\nimpl EngineRun { pub fn step(&self) { helper(); } }\nfn helper() { deep(); }\nfn deep(x: Option<u32>) { x.unwrap(); }",
             ),
             (
                 "crates/fleet/src/exec.rs",
@@ -203,12 +205,14 @@ mod tests {
             ),
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
+            (
+                "crates/transfer/src/engine/checkpoint.rs",
+                "pub fn restore() {}",
+            ),
         ]);
         let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert!(r.violations[0]
-            .message
-            .contains("run_controlled -> helper -> deep"));
+        assert!(r.violations[0].message.contains("step -> helper -> deep"));
     }
 
     #[test]
@@ -216,7 +220,7 @@ mod tests {
         let (t, g) = setup(&[
             (
                 ENGINE,
-                "struct Engine;\nimpl Engine { pub fn run_controlled(&self) {} }\nfn stray(x: Option<u32>) { x.unwrap(); }",
+                "struct EngineRun;\nimpl EngineRun { pub fn step(&self) {} }\nfn stray(x: Option<u32>) { x.unwrap(); }",
             ),
             (
                 "crates/fleet/src/exec.rs",
@@ -224,6 +228,10 @@ mod tests {
             ),
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
+            (
+                "crates/transfer/src/engine/checkpoint.rs",
+                "pub fn restore() {}",
+            ),
         ]);
         let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -234,7 +242,7 @@ mod tests {
         let (t, g) = setup(&[
             (
                 ENGINE,
-                "struct Engine;\nimpl Engine { pub fn run_controlled(&self) { guarded(); } }\nfn guarded(x: Option<u32>) { x.unwrap(); }",
+                "struct EngineRun;\nimpl EngineRun { pub fn step(&self) { guarded(); } }\nfn guarded(x: Option<u32>) { x.unwrap(); }",
             ),
             (
                 "crates/fleet/src/exec.rs",
@@ -242,6 +250,10 @@ mod tests {
             ),
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
+            (
+                "crates/transfer/src/engine/checkpoint.rs",
+                "pub fn restore() {}",
+            ),
         ]);
         let allow = Allowlist {
             entries: vec![crate::allow::AllowEntry {
@@ -261,7 +273,7 @@ mod tests {
         let (t, g) = setup(&[
             (
                 ENGINE,
-                "struct Engine;\nimpl Engine { pub fn run_controlled(&self, v: &[u32], i: usize) { let a = v[i]; let b = v[i + 1]; } }",
+                "struct EngineRun;\nimpl EngineRun { pub fn step(&self, v: &[u32], i: usize) { let a = v[i]; let b = v[i + 1]; } }",
             ),
             (
                 "crates/fleet/src/exec.rs",
@@ -269,6 +281,10 @@ mod tests {
             ),
             ("crates/fleet/src/service.rs", "fn run_rounds() {}"),
             ("crates/ckpt/src/recover.rs", "pub fn resume_verified() {}"),
+            (
+                "crates/transfer/src/engine/checkpoint.rs",
+                "pub fn restore() {}",
+            ),
         ]);
         let r = check(&t, &g, &Allowlist::default(), |_, _| String::new());
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);

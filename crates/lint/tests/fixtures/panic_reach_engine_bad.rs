@@ -2,10 +2,10 @@
 //! crates/transfer/src/engine/mod.rs in the test's symbol table, with a
 //! panic sink two calls below the guaranteed surface. Never compiled.
 
-pub struct Engine;
+pub struct EngineRun;
 
-impl Engine {
-    pub fn run_controlled(&self) {
+impl EngineRun {
+    pub fn step(&self) {
         helper();
     }
 }

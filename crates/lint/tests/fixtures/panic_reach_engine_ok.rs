@@ -3,10 +3,10 @@
 //! surface returns a typed error, and the one panic in the file sits in
 //! a function nothing reachable calls. Never compiled.
 
-pub struct Engine;
+pub struct EngineRun;
 
-impl Engine {
-    pub fn run_controlled(&self) -> Result<(), String> {
+impl EngineRun {
+    pub fn step(&self) -> Result<(), String> {
         helper()
     }
 }

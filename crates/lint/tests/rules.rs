@@ -126,7 +126,7 @@ fn hot_alloc_list_covers_the_kernel_and_its_helpers() {
         "crates/net/src/fair.rs",
         "fair_share_into"
     ));
-    for cold in ["run_instrumented", "run_controlled_in", "stage_setup"] {
+    for cold in ["run_instrumented", "snapshot", "stage_setup"] {
         assert!(!hot_alloc::is_hot(
             "crates/transfer/src/engine/mod.rs",
             cold
@@ -174,6 +174,11 @@ fn reach_table(engine_src: &str) -> (SymbolTable, Vec<(String, String)>) {
             "crates/ckpt/src/recover.rs",
             "pub fn resume_verified() {}".to_string(),
         ),
+        (
+            "transfer",
+            "crates/transfer/src/engine/checkpoint.rs",
+            "pub fn restore() {}".to_string(),
+        ),
     ];
     let mut table = SymbolTable::default();
     let mut texts = Vec::new();
@@ -204,7 +209,7 @@ fn panic_reach_fixture_reports_transitive_sink_with_path() {
     let v = &report.violations[0];
     assert_eq!(v.rule, "panic-reach");
     assert!(
-        v.message.contains("run_controlled -> helper -> deep"),
+        v.message.contains("step -> helper -> deep"),
         "{}",
         v.message
     );
@@ -244,7 +249,7 @@ fn panic_reach_missing_root_is_loud() {
         report
             .violations
             .iter()
-            .any(|v| v.message.contains("run_controlled")),
+            .any(|v| v.message.contains("root `step`")),
         "{:#?}",
         report.violations
     );

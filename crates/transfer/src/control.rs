@@ -154,8 +154,10 @@ pub enum ControlAction {
     Reallocate(Vec<u32>),
 }
 
-/// Observes slices and optionally retunes the running stage.
-pub trait Controller {
+/// Observes slices and optionally retunes the running stage. `Send`,
+/// because a controller travels with its [`EngineRun`](crate::EngineRun)
+/// to whichever worker steps it next.
+pub trait Controller: Send {
     /// Called once per slice, after measurements are updated.
     fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction;
 
@@ -226,6 +228,39 @@ pub trait Controller {
         }
     }
 }
+
+/// A boxed or borrowed controller steers like the controller itself: an
+/// [`EngineRun`](crate::EngineRun) owns its controller as a box, and the
+/// cold [`Engine`](crate::Engine) wrappers lend it the caller's.
+macro_rules! forward_controller {
+    ($($ty:ty),+) => {$(
+        impl<C: Controller + ?Sized> Controller for $ty {
+            fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+                (**self).on_slice(ctx)
+            }
+            fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
+                (**self).next_decision_in(ctx, slice)
+            }
+            fn probing(&self) -> bool {
+                (**self).probing()
+            }
+            fn enable_event_capture(&mut self) {
+                (**self).enable_event_capture()
+            }
+            fn drain_events(&mut self) -> Vec<Event> {
+                (**self).drain_events()
+            }
+            fn snapshot(&self) -> ControllerSnapshot {
+                (**self).snapshot()
+            }
+            fn restore(&mut self, snap: &ControllerSnapshot) -> Result<(), String> {
+                (**self).restore(snap)
+            }
+        }
+    )+};
+}
+
+forward_controller!(Box<C>, &mut C);
 
 /// A controller that never intervenes (all static algorithms).
 #[derive(Debug, Clone, Copy, Default)]

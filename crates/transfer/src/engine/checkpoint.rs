@@ -6,38 +6,36 @@
 //! opens. At that instant every piece of engine state lives in the run's
 //! accumulators, the chunk runtime states, the fault runtime, the
 //! controller, and the telemetry sinks; [`EngineCheckpoint`] captures all
-//! of them (`SliceRun::halt_checkpoint`, and `SliceRun::restore` on the
-//! way back in — both cold, outside the slice loop). Restoring into a
-//! freshly built engine with the identical plan and environment resumes
-//! the run so that the completed report, the journal suffix, and every
-//! metric are **bit-identical** to an uninterrupted run (the chaos suite
-//! in `eadt-ckpt` asserts this across algorithms, testbeds and fault
-//! regimes).
+//! of them ([`EngineRun::snapshot`], and [`EngineRun::restore`] on the
+//! way back in — both cold, outside the slice loop). A paused run is
+//! already at such a boundary, so a snapshot reads the live state and
+//! leaves the run stepping. Restoring with the identical plan and
+//! environment resumes the run so that the completed report, the journal
+//! suffix, and every metric are **bit-identical** to an uninterrupted run
+//! (the chaos suite in `eadt-ckpt` asserts this across algorithms,
+//! testbeds and fault regimes).
 //!
 //! All floating-point accumulators survive the JSON transport exactly:
 //! the vendored `serde_json` prints `f64` with shortest-roundtrip
 //! formatting, so `parse(print(x)) == x` bit-for-bit.
-//!
-//! [`Engine::run_controlled`]: super::Engine::run_controlled
 
-use super::{Accumulators, ChannelSoA, ChunkState, SliceArena, SliceRun};
-use crate::control::ControllerSnapshot;
+use super::{Accumulators, ChannelSoA, ChunkState, EngineRun, SliceArena, SliceRun};
+use crate::control::{Controller, ControllerSnapshot};
 use crate::env::TransferEnv;
 use crate::plan::TransferPlan;
 use crate::report::{ChunkStat, TransferReport};
 use crate::retry::{FaultRuntime, FaultRuntimeSnapshot};
 use eadt_sim::{Bytes, SimDuration, SimTime, TimeSeries};
-use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, SpanCursor};
+use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, SpanCursor, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Version of the checkpoint schema. Bumped on any change to the
-/// serialized layout; [`Engine::run_controlled`] refuses checkpoints
-/// from another version instead of misinterpreting them. Version 2
-/// replaced the flat `src_energy_j`/`dst_energy_j` accumulators with the
+/// serialized layout; [`EngineRun::restore`] refuses checkpoints from
+/// another version instead of misinterpreting them. Version 2 replaced
+/// the flat `src_energy_j`/`dst_energy_j` accumulators with the
 /// energy-attribution ledger and added the observability cursors
 /// (`horizon_end`, `open_spans`).
-///
-/// [`Engine::run_controlled`]: super::Engine::run_controlled
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Progress of one file: full size (for restart-on-failure) and bytes
@@ -161,13 +159,10 @@ impl ChunkSnapshot {
 
 /// The full in-flight state of a run at a slice boundary.
 ///
-/// Everything a resumed [`Engine::run_controlled`] needs beyond the
-/// (reconstructible) plan, environment, and controller configuration.
-/// The `fingerprint` binds the checkpoint to that configuration so a
-/// resume against the wrong plan fails loudly instead of silently
-/// diverging.
-///
-/// [`Engine::run_controlled`]: super::Engine::run_controlled
+/// Everything [`EngineRun::restore`] needs beyond the (reconstructible)
+/// plan, environment, and controller configuration. The `fingerprint`
+/// binds the checkpoint to that configuration so a resume against the
+/// wrong plan fails loudly instead of silently diverging.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// [`CHECKPOINT_SCHEMA_VERSION`] at capture time.
@@ -190,7 +185,7 @@ pub struct EngineCheckpoint {
     /// the restored phase sums.
     pub ledger: EnergyLedger,
     /// End boundary (in `slices_done`) of the horizon span open at the
-    /// halt, if any (journaled runs only). The resumed run closes the
+    /// boundary, if any (journaled runs only). The resumed run closes the
     /// span at this boundary instead of opening a new one.
     pub horizon_end: Option<u64>,
     /// Span cursors open at the boundary (journaled runs only): restored
@@ -263,35 +258,49 @@ impl EngineCheckpoint {
     }
 }
 
-impl SliceRun<'_> {
-    /// Resume restore (cold): validates the checkpoint against this run's
-    /// configuration, then overwrites the fresh fault runtime, controller,
-    /// telemetry sinks and accumulators with the checkpoint's. Returns the
-    /// stage to resume and its chunk snapshots.
+impl<'c> EngineRun<'c> {
+    /// Rebuilds a run from a checkpoint read back from disk (cold) — the
+    /// only resume path. The plan, the environment, the controller's type
+    /// and `tel`'s sinks must be the ones the checkpoint was taken under;
+    /// `tel`'s metrics and open spans are restored from it. The run then
+    /// continues bit-exactly, its journal at
+    /// [`EngineCheckpoint::journal_seq`].
     ///
     /// # Panics
-    /// On any mismatch (see [`Engine::run_controlled`]).
-    ///
-    /// [`Engine::run_controlled`]: super::Engine::run_controlled
-    pub(super) fn restore(&mut self, ck: EngineCheckpoint) -> (usize, Option<Vec<ChunkSnapshot>>) {
-        let env = self.env;
+    /// On a mismatch of schema version, fingerprint, stage, chunk count,
+    /// fault-plan presence, controller kind or telemetry sinks. Callers
+    /// that need a typed error (`eadt-ckpt`) validate first.
+    pub fn restore(
+        env: &TransferEnv,
+        plan: Cow<'c, TransferPlan>,
+        controller: Box<dyn Controller + 'c>,
+        tel: &mut Telemetry,
+        ck: EngineCheckpoint,
+    ) -> Self {
+        let mut run = SliceRun::fresh(env, plan, controller);
         assert_eq!(
             ck.version, CHECKPOINT_SCHEMA_VERSION,
             "checkpoint schema version mismatch"
         );
         assert_eq!(
-            ck.fingerprint, self.fingerprint,
+            ck.fingerprint, run.fingerprint,
             "checkpoint was taken under a different plan/environment"
         );
+        let stage = ck.stage as usize;
         assert!(
-            (ck.stage as usize) < self.plan.stages.len(),
+            stage < run.plan.stages.len(),
             "checkpoint stage {} out of range ({} stages)",
             ck.stage,
-            self.plan.stages.len()
+            run.plan.stages.len()
+        );
+        assert_eq!(
+            ck.chunks.len(),
+            run.plan.stages[stage].chunks.len(),
+            "checkpoint chunk count does not match the stage"
         );
         let active = env.faults.as_ref().filter(|p| p.is_active());
         let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
-        self.runtime = match (active, &ck.faults) {
+        run.runtime = match (active, &ck.faults) {
             (Some(plan), Some(snap)) => Some(FaultRuntime::restore(plan, n_src, n_dst, snap)),
             (None, None) => None,
             #[expect(
@@ -308,19 +317,19 @@ impl SliceRun<'_> {
             clippy::panic,
             reason = "resume tripwire, not a degradable path: a controller snapshot that fails kind/shape validation must abort loudly instead of resuming a divergent replay (DESIGN.md §13); fleet sessions catch the panic and book a JobFailed outcome"
         )]
-        self.controller
+        run.controller
             .restore(&ck.controller)
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
-            self.tel.metrics_ref().is_some(),
+            tel.metrics_ref().is_some(),
             ck.metrics.is_some(),
             "checkpoint metrics state does not match the telemetry configuration"
         );
-        if let (Some(m), Some(snap)) = (self.tel.metrics(), &ck.metrics) {
+        if let (Some(m), Some(snap)) = (tel.metrics(), &ck.metrics) {
             *m = MetricsRegistry::restore(snap);
         }
-        self.tel.set_open_spans(ck.open_spans);
-        self.acc = Accumulators {
+        tel.set_open_spans(ck.open_spans);
+        run.acc = Accumulators {
             now: ck.now,
             slices_done: ck.slices_done,
             estimated_energy: ck.estimated_energy_j,
@@ -338,40 +347,59 @@ impl SliceRun<'_> {
             prev_src_active: ck.prev_src_active,
             prev_dst_active: ck.prev_dst_active,
         };
-        (ck.stage as usize, Some(ck.chunks))
+        run.wire(tel);
+        // The running stage resumes mid-way: no stage preamble.
+        let mut a = SliceArena::default();
+        a.begin_stage(ck.chunks.len());
+        for (ci, snap) in ck.chunks.into_iter().enumerate() {
+            let start = a.ch.len();
+            run.chunks.push(snap.into_state(&mut a.ch, ci as u32));
+            a.chunk_start[ci] = start;
+            a.chunk_len[ci] = a.ch.len() - start;
+            let in_flight = (start..a.ch.len()).filter(|&i| a.ch.has_file[i]).count();
+            a.chunk_in_flight[ci] = in_flight as u32;
+            a.chunk_remaining[ci] = run.chunks[ci].recount_remaining(&a, ci);
+        }
+        (run.stage, run.staged) = (stage, true);
+        run.release_files(stage);
+        run.stage_caps(&mut a, env);
+        EngineRun { run, arena: a }
     }
 
-    /// Halt snapshot (cold): the run's full in-flight state at this slice
-    /// boundary of stage `stage`. Every controller/runtime event buffer
-    /// was drained by the slice that just ended.
-    pub(super) fn halt_checkpoint(self, a: &SliceArena, stage: usize) -> EngineCheckpoint {
-        let (acc, chunks) = (self.acc, self.chunks.iter().enumerate());
+    /// The run's full in-flight state at its current slice boundary
+    /// (cold), without consuming the run; `tel` must be the run's
+    /// telemetry. The last slice drained every event buffer.
+    pub fn snapshot(&self, tel: &Telemetry) -> EngineCheckpoint {
+        let (run, a) = (&self.run, &self.arena);
+        let acc = &run.acc;
         EngineCheckpoint {
             version: CHECKPOINT_SCHEMA_VERSION,
-            fingerprint: self.fingerprint,
-            stage: stage as u64,
+            fingerprint: run.fingerprint,
+            stage: run.stage as u64,
             now: acc.now,
             slices_done: acc.slices_done,
             estimated_energy_j: acc.estimated_energy,
             retransmitted: acc.retransmitted,
             ledger: acc.ledger,
             horizon_end: acc.horizon_end,
-            open_spans: self.tel.open_spans().to_vec(),
+            open_spans: tel.open_spans().to_vec(),
             moved_total: acc.moved_total,
             wire_bytes_f: acc.wire_bytes_f,
             audit_gross: acc.audit_gross,
             audit_stage_requested: acc.audit_stage_requested,
-            chunk_stats: acc.chunk_stats,
-            throughput_series: acc.throughput_series,
-            power_series: acc.power_series,
-            concurrency_series: acc.concurrency_series,
-            chunks: chunks.map(|(ci, c)| ChunkSnapshot::of(c, a, ci)).collect(),
-            prev_src_active: acc.prev_src_active,
-            prev_dst_active: acc.prev_dst_active,
-            faults: self.runtime.as_ref().map(FaultRuntime::snapshot),
-            controller: self.controller.snapshot(),
-            metrics: self.tel.metrics_ref().map(MetricsRegistry::snapshot),
-            journal_seq: self.tel.journal().map_or(0, |j| j.next_seq()),
+            chunk_stats: acc.chunk_stats.clone(),
+            throughput_series: acc.throughput_series.clone(),
+            power_series: acc.power_series.clone(),
+            concurrency_series: acc.concurrency_series.clone(),
+            chunks: (run.chunks.iter().enumerate())
+                .map(|(ci, c)| ChunkSnapshot::of(c, a, ci))
+                .collect(),
+            prev_src_active: acc.prev_src_active.clone(),
+            prev_dst_active: acc.prev_dst_active.clone(),
+            faults: run.runtime.as_ref().map(FaultRuntime::snapshot),
+            controller: run.controller.snapshot(),
+            metrics: tel.metrics_ref().map(MetricsRegistry::snapshot),
+            journal_seq: tel.journal().map_or(0, |j| j.next_seq()),
         }
     }
 }
@@ -390,9 +418,9 @@ impl SliceRun<'_> {
 ///
 /// The share is deliberately **not** part of the checkpoint or the
 /// config fingerprint: a service recomputes grants deterministically
-/// from pool membership on every leg, so a job may resume under a
-/// different share than it halted with (that is the whole point of
-/// re-arbitrating each round).
+/// from pool membership every round, so each step of a run may carry a
+/// different share (that is the whole point of re-arbitrating each
+/// round).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceShare {
     /// Fraction of the link bandwidth granted (0–1].
@@ -410,15 +438,6 @@ impl ResourceShare {
         src_disk: 1.0,
         dst_disk: 1.0,
     };
-
-    /// A uniform grant: the same fraction on link and both disks.
-    pub fn uniform(fraction: f64) -> Self {
-        ResourceShare {
-            bandwidth: fraction,
-            src_disk: fraction,
-            dst_disk: fraction,
-        }
-    }
 }
 
 impl Default for ResourceShare {
@@ -427,7 +446,9 @@ impl Default for ResourceShare {
     }
 }
 
-/// How [`Engine::run_controlled`] starts and stops.
+/// How a one-call run ([`Engine::run_controlled`], an algorithm's
+/// `run_controlled`) starts and stops: the cold wrapper over an
+/// [`EngineRun`] that restores, steps once and snapshots.
 ///
 /// [`Engine::run_controlled`]: super::Engine::run_controlled
 #[derive(Debug, Default)]
@@ -451,18 +472,13 @@ impl RunControl {
     pub fn resume_from(ck: EngineCheckpoint) -> Self {
         RunControl {
             resume: Some(Box::new(ck)),
-            halt_after: None,
-            share: ResourceShare::FULL,
+            ..RunControl::default()
         }
     }
 
     /// Start fresh and halt once `slices` slices have executed.
     pub fn halt_at(slices: u64) -> Self {
-        RunControl {
-            resume: None,
-            halt_after: Some(slices),
-            share: ResourceShare::FULL,
-        }
+        RunControl::default().with_halt(slices)
     }
 
     /// Caps this control with a halt boundary (keeps any resume state).
@@ -470,17 +486,9 @@ impl RunControl {
         self.halt_after = Some(slices);
         self
     }
-
-    /// Applies a resource share grant (keeps resume/halt state).
-    pub fn with_share(mut self, share: ResourceShare) -> Self {
-        self.share = share;
-        self
-    }
 }
 
-/// What [`Engine::run_controlled`] produced.
-///
-/// [`Engine::run_controlled`]: super::Engine::run_controlled
+/// What a one-call run ([`EngineRun::run_to`]) produced.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum RunOutcome {
@@ -506,11 +514,6 @@ impl RunOutcome {
             RunOutcome::Done(_) => None,
             RunOutcome::Halted(ck) => Some(ck),
         }
-    }
-
-    /// True when the run halted at a boundary.
-    pub fn halted(&self) -> bool {
-        matches!(self, RunOutcome::Halted(_))
     }
 }
 

@@ -1,7 +1,10 @@
 //! The time-sliced transfer engine.
 //!
+//! A transfer in progress is an [`EngineRun`]: it owns its plan,
+//! controller, chunk states, accumulators, fault runtime and scratch
+//! arena, and [`EngineRun::step`] advances it by any number of slices.
 //! Each slice (default 100 ms) runs the phase functions of the private
-//! `SliceRun`, in order, over the engine's [`SliceArena`]:
+//! `SliceRun`, in order, over the run's `SliceArena`:
 //!
 //! 1. `sync_channels` — grows or shrinks every chunk's channel block to
 //!    the target the [`Controller`] set (freed targets move to the
@@ -32,7 +35,7 @@
 //! # Data layout (DESIGN.md §17)
 //!
 //! The hot state is struct-of-arrays: every per-channel field lives in a
-//! flat column of the engine-owned [`SliceArena`] ([`ChannelSoA`]),
+//! flat column of the run-owned `SliceArena` (`ChannelSoA`),
 //! grouped chunk-major, and every per-chunk quantity the kernel needs
 //! (remaining bytes, in-flight count, channel capacity, duty cycle,
 //! demand, inter-file gap) is a flat array indexed by chunk. The slice
@@ -47,7 +50,7 @@
 use crate::control::{ControlAction, Controller, FaultView, SliceCtx};
 use crate::env::TransferEnv;
 use crate::faults::{FaultCause, SiteSide};
-use crate::plan::{ChunkPlan, StagePlan, TransferPlan};
+use crate::plan::{ChunkPlan, TransferPlan};
 use crate::report::{ChunkStat, TransferReport};
 use crate::retry::FaultRuntime;
 use eadt_dataset::FileSpec;
@@ -59,6 +62,7 @@ use eadt_telemetry::{
     EnergyLedger, EnergyPhase, Event, GaugeId, HistogramId, MetricsRegistry, Side, SideLedger,
     Telemetry,
 };
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 mod checkpoint;
@@ -227,7 +231,9 @@ impl ChunkState {
     }
 }
 
-/// Executes [`TransferPlan`]s in a [`TransferEnv`].
+/// Executes [`TransferPlan`]s in a [`TransferEnv`]: the cold one-call
+/// wrappers over an [`EngineRun`] that borrow the caller's plan and
+/// controller.
 #[derive(Debug, Clone)]
 pub struct Engine<'a> {
     env: &'a TransferEnv,
@@ -269,19 +275,8 @@ impl<'a> Engine<'a> {
     /// [`EngineCheckpoint`] and/or halting at a slice boundary to produce
     /// one (see [`RunControl`]).
     ///
-    /// On resume, the plan, environment, telemetry configuration and
-    /// controller *type* must be the ones the checkpoint was taken under:
-    /// the config fingerprint and the controller snapshot kind are
-    /// checked and a mismatch panics (callers that need a typed error —
-    /// `eadt-ckpt` — validate first). A resumed run continues bit-exactly:
-    /// the completed report, the journal suffix (sequence numbers
-    /// continuing at [`EngineCheckpoint::journal_seq`]) and all metrics
-    /// are identical to an uninterrupted run.
-    ///
     /// # Panics
-    /// Panics when resuming against a different configuration (schema
-    /// version, fingerprint, stage index, fault-plan presence, controller
-    /// kind, or telemetry sinks not matching the checkpoint).
+    /// As [`EngineRun::restore`].
     pub fn run_controlled(
         &self,
         plan: &TransferPlan,
@@ -289,62 +284,122 @@ impl<'a> Engine<'a> {
         tel: &mut Telemetry,
         ctl: RunControl,
     ) -> RunOutcome {
-        self.run_controlled_in(plan, controller, tel, ctl, &mut SliceArena::default())
+        let (env, plan) = (self.env, Cow::Borrowed(plan));
+        let controller: Box<dyn Controller + '_> = Box::new(controller);
+        let run = match ctl.resume {
+            Some(ck) => EngineRun::restore(env, plan, controller, tel, *ck),
+            None => EngineRun::new(env, plan, controller, tel),
+        };
+        run.run_to(env, tel, ctl.halt_after, ctl.share)
+    }
+}
+
+/// One transfer in progress, owned and steppable (DESIGN.md §13): the
+/// plan, the controller, the chunk states, the accumulators, the fault
+/// runtime and the run's own scratch arena. Between
+/// [`EngineRun::step`]s it simply waits; [`EngineRun::snapshot`] and
+/// [`EngineRun::restore`] carry it to disk and back. Every step must be
+/// given the environment and the telemetry the run was built with.
+pub struct EngineRun<'c> {
+    run: SliceRun<'c>,
+    arena: SliceArena,
+}
+
+impl<'c> EngineRun<'c> {
+    /// A fresh run of `plan` under `controller`, wired to `tel`'s sinks.
+    pub fn new(
+        env: &TransferEnv,
+        plan: Cow<'c, TransferPlan>,
+        controller: Box<dyn Controller + 'c>,
+        tel: &mut Telemetry,
+    ) -> Self {
+        let mut run = SliceRun::fresh(env, plan, controller);
+        run.wire(tel);
+        EngineRun {
+            run,
+            arena: SliceArena::default(),
+        }
     }
 
-    /// [`Engine::run_controlled`] with a caller-owned [`SliceArena`]:
-    /// all per-slice scratch state lives in `arena` and its buffer
-    /// capacity survives across calls, so repeated runs — the fleet
-    /// service re-advancing a job every quantum, benchmark loops —
-    /// allocate nothing once the arena is warm. The arena carries no
-    /// state between runs (every stage resets it); reusing one arena
-    /// across different plans, environments or resumed checkpoints is
-    /// always sound and byte-identical to a fresh arena.
+    /// Advances the run by `slices` more slices (`None`: to its end)
+    /// under `share`: the report once the run has ended, `None` when it
+    /// paused. A pause inside a macro-stepped window cuts the replay at
+    /// exactly that slice, so stepping in any pieces is bit-identical to
+    /// one unbounded step.
     ///
     /// # Panics
-    /// As [`Engine::run_controlled`].
-    pub fn run_controlled_in(
-        &self,
-        plan: &TransferPlan,
-        controller: &mut dyn Controller,
+    /// When stepped again after it returned the report.
+    pub fn step(
+        &mut self,
+        env: &TransferEnv,
         tel: &mut Telemetry,
-        ctl: RunControl,
-        arena: &mut SliceArena,
-    ) -> RunOutcome {
-        let (mut run, start_stage, mut resumed) =
-            SliceRun::begin(self.env, plan, controller, tel, ctl);
-        let mut completed = true;
-        for (idx, stage) in plan.stages.iter().enumerate().skip(start_stage) {
-            run.stage_setup(arena, idx, stage, resumed.take());
-            match run.drive_stage(arena, idx) {
-                StageEnd::Drained => {}
-                // Stats for the timed-out stage are still collected.
-                StageEnd::TimedOut => completed = false,
-                StageEnd::Halted => {
-                    return RunOutcome::Halted(Box::new(run.halt_checkpoint(arena, idx)))
-                }
+        slices: Option<u64>,
+        share: ResourceShare,
+    ) -> Option<TransferReport> {
+        let (run, a) = (&mut self.run, &mut self.arena);
+        assert!(!run.spent, "an engine run cannot be stepped after its end");
+        let until = slices.map(|n| run.acc.slices_done.saturating_add(n));
+        let mut cx = StepCx {
+            env,
+            tel,
+            share,
+            until,
+        };
+        while run.stage < run.plan.stages.len() {
+            if !run.staged {
+                run.stage_setup(a, &mut cx);
             }
+            let end = run.drive_stage(a, &mut cx);
+            if matches!(end, StageEnd::Paused) {
+                return None;
+            }
+            // Stats for a timed-out stage are still collected.
             run.acc
                 .chunk_stats
                 .extend(run.chunks.iter().map(ChunkState::stat));
-            if !completed {
-                break;
+            run.stage += 1;
+            run.staged = false;
+            if matches!(end, StageEnd::TimedOut) {
+                return Some(run.finish(&mut cx, false));
             }
         }
-        RunOutcome::Done(run.finish(completed))
+        Some(run.finish(&mut cx, true))
+    }
+
+    /// Slices executed since the run began (replayed slices count
+    /// individually).
+    pub fn slices_done(&self) -> u64 {
+        self.run.acc.slices_done
+    }
+
+    /// [`RunControl`]'s cold path: steps to the absolute slice count
+    /// `halt_after` (or to the end) and returns the report, or the
+    /// snapshot of the halted run.
+    pub fn run_to(
+        mut self,
+        env: &TransferEnv,
+        tel: &mut Telemetry,
+        halt_after: Option<u64>,
+        share: ResourceShare,
+    ) -> RunOutcome {
+        let slices = halt_after.map(|h| h.saturating_sub(self.slices_done()));
+        match self.step(env, tel, slices, share) {
+            Some(report) => RunOutcome::Done(report),
+            None => RunOutcome::Halted(Box::new(self.snapshot(tel))),
+        }
     }
 }
 
 /// How a stage's slice loop ended: every chunk drained, the time guard
-/// (`max_duration`) tripped, or the run reached its halt boundary.
+/// (`max_duration`) tripped, or the run reached its step boundary.
 enum StageEnd {
     Drained,
     TimedOut,
-    Halted,
+    Paused,
 }
 
 /// The run's accumulators: everything a slice books into, carried across
-/// stages and captured whole by a halt checkpoint — each field means what
+/// stages and captured whole by a snapshot — each field means what
 /// the [`EngineCheckpoint`] field of the same name documents.
 #[derive(Default)]
 struct Accumulators {
@@ -413,18 +468,24 @@ struct SliceOutcome {
     dst: SitePower,
 }
 
-/// One run in progress: the configuration every phase reads, the
-/// collaborators it drives, and the accumulators it books into.
-struct SliceRun<'r> {
-    env: &'r TransferEnv,
-    plan: &'r TransferPlan,
-    controller: &'r mut dyn Controller,
-    tel: &'r mut Telemetry,
-    halt_after: Option<u64>,
-    share: ResourceShare,
+/// The state of one run, everything but its arena: the configuration
+/// every phase reads, the collaborators it drives, and the accumulators
+/// it books into.
+struct SliceRun<'c> {
+    /// An owned plan gives up each stage's file lists once the stage's
+    /// chunk states hold the files.
+    plan: Cow<'c, TransferPlan>,
+    controller: Box<dyn Controller + 'c>,
+    /// Bytes the plan requests, fixed before any file list is released.
+    requested: Bytes,
     fingerprint: u64,
     runtime: Option<FaultRuntime>,
     gauges: Option<EngineGauges>,
+    /// The running stage, and whether its chunk states are built.
+    stage: usize,
+    staged: bool,
+    /// Set once the run has produced its report.
+    spent: bool,
     /// The running stage's chunk states, in plan order. Per-run data, not
     /// reusable capacity, so it lives here rather than in the arena.
     chunks: Vec<ChunkState>,
@@ -436,32 +497,37 @@ struct SliceRun<'r> {
     acc: Accumulators,
 }
 
-impl<'r> SliceRun<'r> {
-    /// Run setup (cold): fresh state, then — on resume — the checkpoint's,
-    /// then the telemetry wiring. Returns the run, the stage to start at
-    /// and, for a mid-stage resume, that stage's chunk snapshots.
-    fn begin(
-        env: &'r TransferEnv,
-        plan: &'r TransferPlan,
-        controller: &'r mut dyn Controller,
-        tel: &'r mut Telemetry,
-        ctl: RunControl,
-    ) -> (Self, usize, Option<Vec<ChunkSnapshot>>) {
+/// What one step lends the run: the environment, the telemetry sinks,
+/// the resource grant, and the slice count the step pauses at.
+struct StepCx<'s> {
+    env: &'s TransferEnv,
+    tel: &'s mut Telemetry,
+    share: ResourceShare,
+    until: Option<u64>,
+}
+
+impl<'c> SliceRun<'c> {
+    /// Run setup (cold): fresh state, telemetry not yet wired.
+    fn fresh(
+        env: &TransferEnv,
+        plan: Cow<'c, TransferPlan>,
+        controller: Box<dyn Controller + 'c>,
+    ) -> Self {
         let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
-        let mut run = SliceRun {
-            env,
+        SliceRun {
+            requested: plan.total_bytes(),
+            fingerprint: config_fingerprint(env, &plan),
             plan,
             controller,
-            tel,
-            halt_after: ctl.halt_after,
-            share: ctl.share,
-            fingerprint: config_fingerprint(env, plan),
             runtime: env
                 .faults
                 .as_ref()
                 .filter(|p| p.is_active())
                 .map(|p| FaultRuntime::new(p, n_src, n_dst)),
             gauges: None,
+            stage: 0,
+            staged: false,
+            spent: false,
             chunks: Vec::new(),
             journaling: false,
             slice: env.tuning.slice,
@@ -471,77 +537,46 @@ impl<'r> SliceRun<'r> {
                 prev_dst_active: vec![false; n_dst],
                 ..Accumulators::default()
             },
-        };
-        let (start_stage, resumed) = ctl.resume.map_or((0, None), |ck| run.restore(*ck));
-        // Capture flags are not part of checkpoints; they are re-derived
-        // here, after restore.
-        run.journaling = run.tel.journaling();
-        run.gauges = run.tel.metrics().map(EngineGauges::register);
-        if run.journaling {
-            run.controller.enable_event_capture();
-            if let Some(rt) = &mut run.runtime {
+        }
+    }
+
+    /// Telemetry wiring (cold). Capture flags and gauge handles are not
+    /// part of checkpoints: a restore derives them afresh.
+    fn wire(&mut self, tel: &mut Telemetry) {
+        self.journaling = tel.journaling();
+        self.gauges = tel.metrics().map(EngineGauges::register);
+        if self.journaling {
+            self.controller.enable_event_capture();
+            if let Some(rt) = &mut self.runtime {
                 rt.capture_events(true);
             }
         }
-        (run, start_stage, resumed)
     }
 
-    /// Stage setup (cold): resets the arena for the stage and builds its
-    /// chunk states — from the plan, or from the checkpoint of a
-    /// mid-stage resume, which skips the stage preamble (its events and
-    /// audit booking happened before the checkpoint was taken).
-    fn stage_setup(
-        &mut self,
-        a: &mut SliceArena,
-        idx: usize,
-        stage: &StagePlan,
-        resumed: Option<Vec<ChunkSnapshot>>,
-    ) {
+    /// Stage setup (cold): resets the arena for the running stage, builds
+    /// its chunk states from the plan (an owned plan then gives up the
+    /// stage's file lists), books the stage and journals its preamble.
+    fn stage_setup(&mut self, a: &mut SliceArena, cx: &mut StepCx) {
+        let idx = self.stage;
+        let stage = &self.plan.stages[idx];
         a.begin_stage(stage.chunks.len());
         self.chunks.clear();
-        let fresh = resumed.is_none();
-        match resumed {
-            Some(snaps) => {
-                assert_eq!(
-                    snaps.len(),
-                    stage.chunks.len(),
-                    "checkpoint chunk count does not match the stage"
-                );
-                for (ci, snap) in snaps.into_iter().enumerate() {
-                    let start = a.ch.len();
-                    self.chunks.push(snap.into_state(&mut a.ch, ci as u32));
-                    a.chunk_start[ci] = start;
-                    a.chunk_len[ci] = a.ch.len() - start;
-                    let in_flight = (start..a.ch.len()).filter(|&i| a.ch.has_file[i]).count();
-                    a.chunk_in_flight[ci] = in_flight as u32;
-                    a.chunk_remaining[ci] = self.chunks[ci].recount_remaining(a, ci);
-                }
-            }
-            None => {
-                for (ci, cp) in stage.chunks.iter().enumerate() {
-                    let c = ChunkState::fresh(cp);
-                    a.chunk_remaining[ci] = c.total_bytes;
-                    self.chunks.push(c);
-                }
-            }
+        for (ci, cp) in stage.chunks.iter().enumerate() {
+            let c = ChunkState::fresh(cp);
+            a.chunk_remaining[ci] = c.total_bytes;
+            self.chunks.push(c);
         }
-        // The channel rate ceiling depends only on the chunk's (fixed)
-        // parallelism: computed once per stage, read every slice.
-        for (ci, c) in self.chunks.iter().enumerate() {
-            a.chunk_cap[ci] = self.env.channel_cap(c.parallelism);
-        }
-        if !fresh {
-            return;
-        }
+        self.release_files(idx);
+        self.staged = true;
+        self.stage_caps(a, cx.env);
         if cfg!(feature = "debug-invariants") {
             self.acc.audit_stage_requested += self.chunks.iter().map(|c| c.total_bytes).sum();
         }
         if self.journaling {
             let now = self.acc.now;
-            self.tel
-                .record(now, Event::StageStart { stage: idx as u32 });
+            cx.tel.record(now, Event::StageStart { stage: idx as u32 });
             for (ci, c) in self.chunks.iter().enumerate() {
-                self.tel.record_with(now, || Event::ChunkStart {
+                cx.tel.record_with(now, || Event::ChunkStart {
                     chunk: ci as u32,
                     label: c.label.clone(),
                     bytes: c.total_bytes.as_u64(),
@@ -551,43 +586,63 @@ impl<'r> SliceRun<'r> {
         }
     }
 
+    /// Drops the file lists of stages `..=last` from an owned plan: their
+    /// files now live in chunk states, or have already moved.
+    fn release_files(&mut self, last: usize) {
+        if let Cow::Owned(plan) = &mut self.plan {
+            for stage in plan.stages.iter_mut().take(last + 1) {
+                for cp in &mut stage.chunks {
+                    cp.files = Vec::new();
+                }
+            }
+        }
+    }
+
+    /// The channel rate ceiling depends only on each chunk's (fixed)
+    /// parallelism: computed once per stage, read every slice.
+    fn stage_caps(&self, a: &mut SliceArena, env: &TransferEnv) {
+        for (ci, c) in self.chunks.iter().enumerate() {
+            a.chunk_cap[ci] = env.channel_cap(c.parallelism);
+        }
+    }
+
     /// The stage's slice loop: runs slices until every chunk drains, the
-    /// time guard trips, or the halt boundary arrives.
-    fn drive_stage(&mut self, a: &mut SliceArena, stage: usize) -> StageEnd {
+    /// time guard trips, or the step boundary arrives.
+    fn drive_stage(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> StageEnd {
         while (0..self.chunks.len()).any(|ci| self.chunks[ci].live(a.chunk_in_flight[ci])) {
             let done = self.acc.slices_done;
-            // Checkpoint boundary: between slices, before the next
-            // slice's fault window opens. All controller/runtime event
-            // buffers are drained here, making the snapshot complete.
-            if self.halt_after.is_some_and(|h| done >= h) {
-                return StageEnd::Halted;
+            // Step boundary: between slices, before the next slice's
+            // fault window opens. All controller/runtime event buffers
+            // are drained here, so a snapshot taken now is complete.
+            if cx.until.is_some_and(|h| done >= h) {
+                return StageEnd::Paused;
             }
             // A horizon span closes at the first boundary at/after its
-            // promised end. This sits after the halt check — a halted
-            // run leaves the span open in the checkpoint and the resumed
-            // run emits the `span_end` at the same sequence number an
-            // uninterrupted run would.
+            // promised end. This sits after the boundary check — a
+            // paused run leaves the span open (in its snapshot too) and
+            // the next step emits the `span_end` at the same sequence
+            // number an uninterrupted run would.
             if self.acc.horizon_end.is_some_and(|h| done >= h) {
                 self.acc.horizon_end = None;
-                self.tel.record_with(self.acc.now, || Event::SpanEnd {
+                cx.tel.record_with(self.acc.now, || Event::SpanEnd {
                     id: 0,
                     kind: "horizon".to_string(),
                     detail: String::new(),
                 });
             }
-            if self.acc.now.since(SimTime::ZERO) >= self.env.tuning.max_duration {
+            if self.acc.now.since(SimTime::ZERO) >= cx.env.tuning.max_duration {
                 return StageEnd::TimedOut;
             }
-            self.run_slice(a, stage);
+            self.run_slice(a, cx);
         }
         StageEnd::Drained
     }
 
     /// One executed slice, phase by phase, followed by the replay of the
     /// steady window it may open.
-    fn run_slice(&mut self, a: &mut SliceArena, stage: usize) {
+    fn run_slice(&mut self, a: &mut SliceArena, cx: &mut StepCx) {
         let start = self.acc.now;
-        let channels = self.sync_channels(a);
+        let channels = self.sync_channels(a, cx);
         if channels == 0 {
             // No channels but work remains (controller zeroed
             // everything): force one channel on the fattest chunk. The
@@ -600,12 +655,12 @@ impl<'r> SliceRun<'r> {
             }
             return;
         }
-        self.place_on_sites(a, channels);
-        let kills = self.kill_faulted(a);
-        let (streams, in_backoff) = self.tick_working_set(a);
-        let eff = self.demand_and_grant(a, streams);
-        let bytes = self.advance_channels(a);
-        let (env, secs) = (self.env, self.slice_secs);
+        self.place_on_sites(a, cx.env, channels);
+        let kills = self.kill_faulted(a, cx);
+        let (streams, in_backoff) = self.tick_working_set(a, cx);
+        let eff = self.demand_and_grant(a, cx, streams);
+        let bytes = self.advance_channels(a, cx);
+        let (env, secs) = (cx.env, self.slice_secs);
         let src = site_power(env, a, secs, eff, true);
         let dst = site_power(env, a, secs, eff, false);
         let outcome = SliceOutcome {
@@ -620,10 +675,10 @@ impl<'r> SliceRun<'r> {
             src,
             dst,
         };
-        self.book_slice(a, &outcome);
-        let k = self.consult_controller(a, stage, &outcome, start);
+        self.book_slice(a, cx, &outcome);
+        let k = self.consult_controller(a, cx, &outcome, start);
         if k > 0 && env.tuning.macro_step {
-            self.replay_window(a, k, outcome);
+            self.replay_window(a, cx, k, outcome);
         }
     }
 
@@ -631,7 +686,7 @@ impl<'r> SliceRun<'r> {
     /// chunk, opens the fault runtime's slice window, and grows or
     /// shrinks each chunk's channel block to its target. Returns the
     /// channel count.
-    fn sync_channels(&mut self, a: &mut SliceArena) -> u32 {
+    fn sync_channels(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> u32 {
         rebalance_targets(
             &mut self.chunks,
             &a.chunk_in_flight,
@@ -658,7 +713,7 @@ impl<'r> SliceRun<'r> {
                 &mut c.queue,
                 ci as u32,
                 c.target,
-                self.env.link.rtt,
+                cx.env.link.rtt,
                 || self.runtime.as_mut().and_then(FaultRuntime::sample_ttf),
             );
             let (chunk, count) = (ci as u32, a.chunk_len[ci] as u32);
@@ -676,7 +731,7 @@ impl<'r> SliceRun<'r> {
                         count,
                     }
                 };
-                self.tel.record(now, event);
+                cx.tel.record(now, event);
             }
             start += a.chunk_len[ci];
         }
@@ -689,11 +744,11 @@ impl<'r> SliceRun<'r> {
     /// discovered by failing against it. Without a fault runtime the
     /// masks stay empty (the stage setup cleared them), which places
     /// unmasked.
-    fn place_on_sites(&self, a: &mut SliceArena, channels: u32) {
+    fn place_on_sites(&self, a: &mut SliceArena, env: &TransferEnv, channels: u32) {
         if let Some(rt) = &self.runtime {
             rt.avail_masks_into(&mut a.src_avail, &mut a.dst_avail);
         }
-        let (env, placement) = (self.env, self.plan.placement);
+        let placement = self.plan.placement;
         env.src
             .place_channels_masked_into(channels, placement, &a.src_avail, &mut a.place);
         assign_servers_into(&a.place, &mut a.src_assign);
@@ -708,7 +763,7 @@ impl<'r> SliceRun<'r> {
     /// leaves `moved_total` and is booked as retransmission) and
     /// schedules the reconnect through the retry policy. Returns whether
     /// any channel died.
-    fn kill_faulted(&mut self, a: &mut SliceArena) -> bool {
+    fn kill_faulted(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> bool {
         let Some(rt) = &mut self.runtime else {
             return false;
         };
@@ -768,7 +823,7 @@ impl<'r> SliceRun<'r> {
             }
             if self.journaling {
                 let (chunk, channel) = (ci as u32, (i - a.chunk_start[ci]) as u32);
-                self.tel.record_with(now, || Event::ChannelFail {
+                cx.tel.record_with(now, || Event::ChannelFail {
                     chunk,
                     channel,
                     cause: match cause {
@@ -778,7 +833,7 @@ impl<'r> SliceRun<'r> {
                     src_server: src as u32,
                     dst_server: dst as u32,
                 });
-                self.tel.record(
+                cx.tel.record(
                     now,
                     Event::ChannelRetry {
                         chunk,
@@ -800,8 +855,8 @@ impl<'r> SliceRun<'r> {
     /// neither counts it for disk contention nor burns power on it.
     /// Returns the working stream total and the channels in backoff at
     /// the slice start.
-    fn tick_working_set(&mut self, a: &mut SliceArena) -> (u32, u32) {
-        let (n_src, n_dst) = (self.env.src.servers.len(), self.env.dst.servers.len());
+    fn tick_working_set(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> (u32, u32) {
+        let (n_src, n_dst) = (cx.env.src.servers.len(), cx.env.dst.servers.len());
         reset(&mut a.src_chan, n_src, 0);
         reset(&mut a.src_streams, n_src, 0);
         reset(&mut a.dst_chan, n_dst, 0);
@@ -843,7 +898,7 @@ impl<'r> SliceRun<'r> {
                             server,
                             active,
                         };
-                        self.tel.record(acc.now, edge);
+                        cx.tel.record(acc.now, edge);
                     }
                 }
             }
@@ -857,8 +912,8 @@ impl<'r> SliceRun<'r> {
     /// must not reserve bandwidth it cannot use), shaped max-min fairly
     /// through each server's disk subsystem on both ends, then through
     /// the path. Returns the congestion efficiency of `streams`.
-    fn demand_and_grant(&self, a: &mut SliceArena, streams: u32) -> f64 {
-        let (env, rt, share) = (self.env, self.runtime.as_ref(), self.share);
+    fn demand_and_grant(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) -> f64 {
+        let (env, rt, share) = (cx.env, self.runtime.as_ref(), cx.share);
         let eff = env.congestion.efficiency(streams);
         let bg = env
             .background
@@ -921,8 +976,8 @@ impl<'r> SliceRun<'r> {
     /// remaining bytes are maintained incrementally: `moved` leaves the
     /// queue/in-flight total exactly, in integer arithmetic. Returns the
     /// bytes moved.
-    fn advance_channels(&mut self, a: &mut SliceArena) -> Bytes {
-        let (n_src, n_dst) = (self.env.src.servers.len(), self.env.dst.servers.len());
+    fn advance_channels(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> Bytes {
+        let (n_src, n_dst) = (cx.env.src.servers.len(), cx.env.dst.servers.len());
         let mut bytes = Bytes::ZERO;
         reset(&mut a.src_moved, n_src, Bytes::ZERO);
         reset(&mut a.dst_moved, n_dst, Bytes::ZERO);
@@ -960,7 +1015,7 @@ impl<'r> SliceRun<'r> {
             }
             if self.journaling {
                 for ev in rt.take_events() {
-                    self.tel.record(now, ev);
+                    cx.tel.record(now, ev);
                 }
             }
         }
@@ -978,7 +1033,7 @@ impl<'r> SliceRun<'r> {
     /// closes the slice and audits it. Executed and replayed slices both
     /// book here, so every accumulator receives the same addends in the
     /// same order either way (DESIGN.md §12).
-    fn book_slice(&mut self, a: &SliceArena, o: &SliceOutcome) {
+    fn book_slice(&mut self, a: &SliceArena, cx: &mut StepCx, o: &SliceOutcome) {
         let (secs, acc) = (self.slice_secs, &mut self.acc);
         let (now, power, thr_mbps) = (acc.now, o.power_w, o.thr_mbps);
         acc.moved_total += o.bytes;
@@ -1010,7 +1065,7 @@ impl<'r> SliceRun<'r> {
         // Metrics: refresh gauges, observe slice-level histograms, and
         // let the sampler decide whether this slice lands on the cadence
         // grid (which also journals a `sample` event).
-        if let (Some(g), Some(m)) = (&self.gauges, self.tel.metrics()) {
+        if let (Some(g), Some(m)) = (&self.gauges, cx.tel.metrics()) {
             for (i, moved) in a.ch_moved.iter().enumerate() {
                 if a.working[i] {
                     m.observe(g.channel_mbps, moved.as_f64() * 8.0 / secs / 1e6);
@@ -1026,7 +1081,7 @@ impl<'r> SliceRun<'r> {
             m.observe(g.backoff_occ, f64::from(o.in_backoff));
             m.observe(g.queue_hist, queue_depth as f64);
             if m.tick(now) && self.journaling {
-                self.tel.record(
+                cx.tel.record(
                     now,
                     Event::Sample {
                         throughput_mbps: thr_mbps,
@@ -1052,7 +1107,7 @@ impl<'r> SliceRun<'r> {
     fn consult_controller(
         &mut self,
         a: &mut SliceArena,
-        stage: usize,
+        cx: &mut StepCx,
         o: &SliceOutcome,
         start: SimTime,
     ) -> u64 {
@@ -1060,7 +1115,7 @@ impl<'r> SliceRun<'r> {
         if self.journaling {
             for (ci, c) in self.chunks.iter().enumerate() {
                 if c.completed_at == Some(now) {
-                    self.tel.record_with(now, || Event::ChunkDrain {
+                    cx.tel.record_with(now, || Event::ChunkDrain {
                         chunk: ci as u32,
                         label: c.label.clone(),
                     });
@@ -1095,7 +1150,7 @@ impl<'r> SliceRun<'r> {
         remaining_per_chunk.extend_from_slice(&a.chunk_remaining);
         let ctx = SliceCtx {
             now,
-            stage,
+            stage: self.stage,
             slice_bytes: o.bytes,
             slice_energy_j: o.power_w * self.slice_secs,
             total_bytes: self.acc.moved_total,
@@ -1107,7 +1162,7 @@ impl<'r> SliceRun<'r> {
         let action = self.controller.on_slice(&ctx);
         if self.journaling {
             for ev in self.controller.drain_events() {
-                self.tel.record(now, ev);
+                cx.tel.record(now, ev);
             }
         }
         let k = match action {
@@ -1118,7 +1173,7 @@ impl<'r> SliceRun<'r> {
                     "reallocation must cover every chunk of the stage"
                 );
                 if self.journaling {
-                    self.tel.record_with(now, || Event::Reallocate {
+                    cx.tel.record_with(now, || Event::Reallocate {
                         targets: new_targets.clone(),
                     });
                 }
@@ -1134,10 +1189,10 @@ impl<'r> SliceRun<'r> {
             // resumed mid-window run) nothing is recomputed until it
             // closes at its boundary.
             ControlAction::Continue
-                if (self.env.tuning.macro_step || self.journaling)
+                if (cx.env.tuning.macro_step || self.journaling)
                     && self.acc.horizon_end.is_none() =>
             {
-                self.horizon_window(a, &ctx, start)
+                self.horizon_window(a, cx, &ctx, start)
             }
             ControlAction::Continue => 0,
         };
@@ -1155,8 +1210,14 @@ impl<'r> SliceRun<'r> {
     /// journaled runs. Every bound is conservative — when in doubt the
     /// horizon is 0 and the engine falls back to the plain slice loop.
     /// `start` is the start of the slice just executed.
-    fn horizon_window(&mut self, a: &SliceArena, ctx: &SliceCtx, start: SimTime) -> u64 {
-        let (slice, now, env) = (self.slice, self.acc.now, self.env);
+    fn horizon_window(
+        &mut self,
+        a: &SliceArena,
+        cx: &mut StepCx,
+        ctx: &SliceCtx,
+        start: SimTime,
+    ) -> u64 {
+        let (slice, now, env) = (self.slice, self.acc.now, cx.env);
         let mut k = self.controller.next_decision_in(ctx, slice);
         // A state boundary at time `b` caps the window: every skipped
         // slice must start strictly before it.
@@ -1177,7 +1238,7 @@ impl<'r> SliceRun<'r> {
             ),
             (
                 "metrics",
-                self.tel.metrics_ref().map(MetricsRegistry::next_tick),
+                cx.tel.metrics_ref().map(MetricsRegistry::next_tick),
             ),
             ("background", env.background.map(|bg| bg.next_change(start))),
             (
@@ -1247,7 +1308,7 @@ impl<'r> SliceRun<'r> {
 
         if k > 0 && self.journaling {
             let detail = format!("{k_src} k={k}");
-            self.tel.record_with(now, || Event::SpanBegin {
+            cx.tel.record_with(now, || Event::SpanBegin {
                 id: 0,
                 parent: 0,
                 kind: "horizon".to_string(),
@@ -1261,11 +1322,17 @@ impl<'r> SliceRun<'r> {
     /// Replay: advances `k` provably steady slices arithmetically and
     /// books each through [`SliceRun::book_slice`] with the executed
     /// slice's outcome, so reports, journals and metrics stay
-    /// bit-identical to `k` executed slices. A halt boundary inside the
-    /// window cuts the replay at exactly that slice; the resumed run
+    /// bit-identical to `k` executed slices. A step boundary inside the
+    /// window cuts the replay at exactly that slice; the next step
     /// recomputes the remainder (a promised slice re-executed normally is
     /// state-identical by the promise contract).
-    fn replay_window(&mut self, a: &mut SliceArena, k: u64, executed: SliceOutcome) {
+    fn replay_window(
+        &mut self,
+        a: &mut SliceArena,
+        cx: &mut StepCx,
+        k: u64,
+        executed: SliceOutcome,
+    ) {
         let slice = self.slice;
         // Kills cannot happen inside a window, and the probe flag, outage
         // state and first-byte state are pinned by its bounds, so each
@@ -1297,22 +1364,23 @@ impl<'r> SliceRun<'r> {
             for (ci, moved) in a.chunk_moved.iter().enumerate() {
                 a.chunk_remaining[ci] = a.chunk_remaining[ci].saturating_sub(*moved);
             }
-            self.book_slice(a, &o);
-            if self.halt_after.is_some_and(|h| self.acc.slices_done >= h) {
+            self.book_slice(a, cx, &o);
+            if cx.until.is_some_and(|h| self.acc.slices_done >= h) {
                 break;
             }
         }
     }
 
-    /// Run end (cold): journals the run summary and derives the report
-    /// from the accumulators.
-    fn finish(self, completed: bool) -> TransferReport {
-        let (env, acc) = (self.env, self.acc);
-        let requested = self.plan.total_bytes();
+    /// Run end (cold): journals the run summary and moves the
+    /// accumulators into the report, which spends the run.
+    fn finish(&mut self, cx: &mut StepCx, completed: bool) -> TransferReport {
+        self.spent = true;
+        let (env, acc) = (cx.env, std::mem::take(&mut self.acc));
+        let requested = self.requested;
         let completed = completed && acc.moved_total == requested;
         let duration = acc.now.since(SimTime::ZERO);
         if self.journaling {
-            self.tel.record(
+            cx.tel.record(
                 acc.now,
                 Event::RunEnd {
                     moved_bytes: acc.moved_total.as_u64(),
@@ -1323,7 +1391,7 @@ impl<'r> SliceRun<'r> {
             );
         }
         let wire_bytes = Bytes(acc.wire_bytes_f.round() as u64);
-        let fault_stats = self.runtime.map(|rt| rt.stats).unwrap_or_default();
+        let fault_stats = self.runtime.take().map(|rt| rt.stats).unwrap_or_default();
         debug_assert_eq!(acc.retransmitted, fault_stats.retransmitted_bytes);
         // The report's per-site energy IS the ledger's fixed-order phase
         // sum, so the profile accounts for 100% of it within 0 ULP.
@@ -1448,16 +1516,13 @@ fn rebalance_targets(
     // exactly MinE's behaviour once only pinned Large chunks remain.
 }
 
-/// The engine's reusable scratch arena (DESIGN.md §17): the flat
-/// [`ChannelSoA`] channel columns, the per-chunk hot state, and every
-/// per-slice buffer the kernel touches, owned in one place so buffer
-/// capacity survives across slices, stages, and — via
-/// [`Engine::run_controlled_in`] — across whole runs (the fleet service
-/// keeps one arena per slot and re-advances jobs through it every
-/// quantum). The arena carries no semantic state between runs; reusing
-/// it is always byte-identical to starting fresh.
+/// The engine's scratch arena (DESIGN.md §17): the flat [`ChannelSoA`]
+/// channel columns, the per-chunk hot state, and every per-slice buffer
+/// the kernel touches, owned in one place — by the [`EngineRun`] — so
+/// buffer capacity survives across slices, stages and steps. A stage
+/// setup resets it, and a restore rebuilds it from the checkpoint.
 #[derive(Debug, Default, Clone)]
-pub struct SliceArena {
+struct SliceArena {
     /// Flat per-channel columns, chunk-major.
     ch: ChannelSoA,
     /// First channel index of each chunk's block.

@@ -837,3 +837,52 @@ fn resume_rejects_foreign_checkpoint() {
         RunControl::resume_from(*ck),
     );
 }
+
+#[test]
+fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
+    let mut env = wan_env();
+    env.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(10), 7).into());
+    let stage = |mb: u64| ChunkPlan {
+        label: format!("s{mb}"),
+        files: files(4, mb),
+        pipelining: 1,
+        parallelism: 2,
+        channels: 3,
+        accepts_reallocation: true,
+    };
+    let plan = TransferPlan::sequential(vec![stage(300), stage(200)], Placement::PackFirst);
+    let telemetry = || Telemetry::enabled(SimDuration::from_millis(500));
+    let mut tel = telemetry();
+    let straight = Engine::new(&env).run_instrumented(&plan, &mut NullController, &mut tel);
+    let straight_journal = tel.journal().unwrap().to_jsonl();
+    for every in [3u64, 17] {
+        let mut tel = telemetry();
+        let controller = Box::new(NullController);
+        let mut run = EngineRun::new(&env, Cow::Owned(plan.clone()), controller, &mut tel);
+        let report = loop {
+            if let Some(report) = run.step(&env, &mut tel, Some(every), ResourceShare::FULL) {
+                break report;
+            }
+            let halted = Engine::new(&env)
+                .run_controlled(
+                    &plan,
+                    &mut NullController,
+                    &mut telemetry(),
+                    RunControl::halt_at(run.slices_done()),
+                )
+                .into_checkpoint()
+                .expect("halted");
+            assert_eq!(
+                run.snapshot(&tel).to_json(),
+                halted.to_json(),
+                "every {every}"
+            );
+        };
+        assert_eq!(
+            serde_json::to_string(&straight).unwrap(),
+            serde_json::to_string(&report).unwrap(),
+            "stepping every {every} slices must be invisible"
+        );
+        assert_eq!(tel.journal().unwrap().to_jsonl(), straight_journal);
+    }
+}

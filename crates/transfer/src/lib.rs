@@ -51,8 +51,8 @@ pub use control_channel::{
     closed_form_goodput, exact_goodput, simulate_channel, ControlChannelRun,
 };
 pub use engine::{
-    config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine, EngineCheckpoint, FileSnapshot,
-    ResourceShare, RunControl, RunOutcome, SliceArena, CHECKPOINT_SCHEMA_VERSION,
+    config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine, EngineCheckpoint, EngineRun,
+    FileSnapshot, ResourceShare, RunControl, RunOutcome, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use env::{EngineTuning, TransferEnv};
 pub use faults::{

@@ -5,7 +5,9 @@
 
 use eadt::core::AlgorithmKind;
 use eadt::endsys::{ArbitrationPolicy, PoolCapacity};
-use eadt::fleet::{JobSpec, ServiceJob, ServiceRun, ServiceSession, Workload};
+use eadt::fleet::{JobSpec, ServiceJob, ServiceRun, ServiceSession, Session, Workload};
+use eadt::sim::SimDuration;
+use eadt::transfer::{FaultModel, FaultPlan};
 
 fn pool(slots: u32) -> PoolCapacity {
     let tb = eadt::testbeds::didclab();
@@ -169,4 +171,56 @@ fn fair_and_priority_schedules_differ_but_each_is_deterministic() {
         );
         assert_eq!(first.journal.to_jsonl(), again.journal.to_jsonl());
     }
+}
+
+/// A job served alone on an uncontended one-slot pool is stepped one
+/// quantum at a time, yet its outcome must equal the same job run in a
+/// one-job batch: pausing a run is invisible. Every algorithm on both
+/// testbeds, with and without a channel-fault plan under `fault_aware`,
+/// at a quantum that puts step boundaries inside many macro-stepped
+/// windows (7) and at the benchmark's (100).
+#[test]
+fn lone_served_job_equals_its_batch_run_for_every_algorithm() {
+    let faults = FaultPlan::channel_only(FaultModel::new(SimDuration::from_secs(20), 9));
+    let mut injected = 0;
+    for tb in [eadt::testbeds::didclab(), eadt::testbeds::xsede()] {
+        let pool = PoolCapacity::from_servers(tb.env.link.bandwidth, &tb.env.src.servers, 1);
+        for kind in AlgorithmKind::ALL {
+            for faulted in [false, true] {
+                let mut spec = JobSpec::new(kind, tb.clone())
+                    .with_scale(0.02)
+                    .with_max_channel(4);
+                if faulted {
+                    spec = spec.with_faults(faults.clone()).with_fault_aware(true);
+                }
+                let batch = Session::builder()
+                    .root_seed(13)
+                    .workers(1)
+                    .build()
+                    .run(std::slice::from_ref(&spec));
+                let batch = serde_json::to_string_pretty(&batch.jobs[0]).unwrap();
+                for quantum in [7, 100] {
+                    let workload = Workload::new()
+                        .site("site", pool)
+                        .job(ServiceJob::new(spec.clone(), "site"));
+                    let served = ServiceSession::builder()
+                        .root_seed(13)
+                        .workers(1)
+                        .quantum(quantum)
+                        .build()
+                        .run(&workload)
+                        .expect("workload is valid");
+                    let outcome = &served.report.jobs[0].outcome;
+                    injected += outcome.failures;
+                    assert_eq!(
+                        serde_json::to_string_pretty(outcome).unwrap(),
+                        batch,
+                        "{}/{kind}/faults {faulted}/quantum {quantum}",
+                        tb.name
+                    );
+                }
+            }
+        }
+    }
+    assert!(injected > 0, "the fault plan must fire");
 }
