@@ -188,7 +188,7 @@ pub fn measure_allocs_per_slice(
 }
 
 /// Workspace-root path of `BENCH_engine.json`.
-pub fn bench_json_path() -> &'static str {
+pub(crate) fn bench_json_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json")
 }
 

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablate;
+pub(crate) mod ablate;
 pub mod accuracy;
 pub mod device;
 pub mod estimator;
@@ -32,6 +32,6 @@ pub use kernel::{
 pub use plot::{write_sla_plot, write_sweep_plot, write_trace_plot};
 pub use repeat::{replicated_sweep, AggregatePoint, ReplicatedSweep};
 pub use sla::{sla_figure, SlaFigure, SlaRow};
-pub use surface::{parameter_surface, sweep_knob, Knob, ParameterSweep, SurfacePoint};
+pub use surface::{parameter_surface, Knob, ParameterSweep, SurfacePoint};
 pub use sweep::{sweep_figure, SweepFigure, SweepPoint};
-pub use workloads::{composed_dataset, workload_study, WorkloadRow};
+pub use workloads::{workload_study, WorkloadRow};

@@ -6,7 +6,6 @@ use eadt_dataset::Dataset;
 use eadt_sim::SimTime;
 use eadt_testbeds::Environment;
 use eadt_transfer::TransferReport;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One SLA target's measurements.
@@ -46,7 +45,7 @@ pub struct SlaFigure {
 /// Steady-state throughput: time-weighted mean of the throughput series
 /// once the adaptation phase has had time to settle (after `skip_secs`),
 /// falling back to the whole-transfer mean for short runs.
-pub fn steady_throughput_mbps(report: &TransferReport, skip_secs: f64) -> f64 {
+pub(crate) fn steady_throughput_mbps(report: &TransferReport, skip_secs: f64) -> f64 {
     let series = &report.throughput_series;
     let (Some(start), Some(end)) = (series.start(), series.end()) else {
         return 0.0;
@@ -77,7 +76,7 @@ pub fn sla_figure(tb: &Environment, dataset: &Dataset, targets: &[u32]) -> SlaFi
     let max_rate = promc.avg_throughput();
 
     let rows: Vec<SlaRow> = targets
-        .par_iter()
+        .iter()
         .map(|&pct| {
             let level = f64::from(pct) / 100.0;
             let slaee = Slaee {

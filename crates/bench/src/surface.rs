@@ -60,25 +60,8 @@ pub struct ParameterSweep {
     pub points: Vec<SurfacePoint>,
 }
 
-impl ParameterSweep {
-    /// Throughput gain of the best point over the first (value = 1).
-    pub fn best_speedup(&self) -> f64 {
-        let base = self.points.first().map_or(0.0, |p| p.throughput_mbps);
-        let best = self
-            .points
-            .iter()
-            .map(|p| p.throughput_mbps)
-            .fold(0.0, f64::max);
-        if base <= 0.0 {
-            0.0
-        } else {
-            best / base
-        }
-    }
-}
-
 /// A uniform dataset of `n` files of `size` each.
-pub fn uniform_dataset(n: usize, size: Bytes) -> Dataset {
+pub(crate) fn uniform_dataset(n: usize, size: Bytes) -> Dataset {
     Dataset::from_sizes(format!("{n} × {size}"), std::iter::repeat_n(size, n))
 }
 
@@ -93,7 +76,7 @@ fn run_point(tb: &Environment, dataset: &Dataset, params: TransferParams) -> Sur
 }
 
 /// Sweeps one knob over `values` with the other two pinned at 1.
-pub fn sweep_knob(
+pub(crate) fn sweep_knob(
     tb: &Environment,
     dataset: &Dataset,
     knob: Knob,
@@ -146,6 +129,21 @@ mod tests {
     use super::*;
     use eadt_testbeds::xsede;
 
+    /// Throughput gain of the best point over the first (value = 1).
+    fn best_speedup(sweep: &ParameterSweep) -> f64 {
+        let base = sweep.points.first().map_or(0.0, |p| p.throughput_mbps);
+        let best = sweep
+            .points
+            .iter()
+            .map(|p| p.throughput_mbps)
+            .fold(0.0, f64::max);
+        if base <= 0.0 {
+            0.0
+        } else {
+            best / base
+        }
+    }
+
     fn values() -> Vec<u32> {
         vec![1, 2, 4, 8]
     }
@@ -159,14 +157,14 @@ mod tests {
         let s = sweep_knob(&tb, &small, Knob::Pipelining, &values());
         let l = sweep_knob(&tb, &large, Knob::Pipelining, &values());
         assert!(
-            s.best_speedup() > 1.15,
+            best_speedup(&s) > 1.15,
             "pipelining must pay on sub-BDP files: {}",
-            s.best_speedup()
+            best_speedup(&s)
         );
         assert!(
-            l.best_speedup() < 1.05,
+            best_speedup(&l) < 1.05,
             "pipelining must be useless on files ≫ BDP: {}",
-            l.best_speedup()
+            best_speedup(&l)
         );
     }
 
@@ -178,9 +176,9 @@ mod tests {
         let large = uniform_dataset(4, Bytes::from_gb(1));
         let l = sweep_knob(&tb, &large, Knob::Parallelism, &values());
         assert!(
-            l.best_speedup() > 1.2,
+            best_speedup(&l) > 1.2,
             "parallelism must pay on large files: {}",
-            l.best_speedup()
+            best_speedup(&l)
         );
     }
 
@@ -193,11 +191,11 @@ mod tests {
         let pp = sweep_knob(&tb, &mixed, Knob::Pipelining, &vals);
         let p = sweep_knob(&tb, &mixed, Knob::Parallelism, &vals);
         assert!(
-            cc.best_speedup() >= pp.best_speedup() && cc.best_speedup() >= p.best_speedup(),
+            best_speedup(&cc) >= best_speedup(&pp) && best_speedup(&cc) >= best_speedup(&p),
             "cc {} vs pp {} vs p {}",
-            cc.best_speedup(),
-            pp.best_speedup(),
-            p.best_speedup()
+            best_speedup(&cc),
+            best_speedup(&pp),
+            best_speedup(&p)
         );
     }
 

@@ -28,7 +28,12 @@ pub struct WorkloadRow {
 
 /// Builds a dataset of `total` bytes with the given small-file byte share
 /// (small: BDP/10-ish files; large: ≫ BDP files).
-pub fn composed_dataset(tb: &Environment, total: Bytes, small_share: f64, seed: u64) -> Dataset {
+pub(crate) fn composed_dataset(
+    tb: &Environment,
+    total: Bytes,
+    small_share: f64,
+    seed: u64,
+) -> Dataset {
     let share = small_share.clamp(0.0, 1.0);
     let bdp = tb.env.link.bdp().as_u64().max(10_000_000);
     let small_total = Bytes((total.as_f64() * share) as u64);

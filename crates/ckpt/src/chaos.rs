@@ -143,7 +143,7 @@ where
 /// durable `prefix`, then (depending on `crash`) a few complete lines
 /// the run appended after the checkpoint, then a torn final line cut
 /// mid-record.
-pub fn simulate_crash_journal(prefix: &str, full: &str, crash: CrashWrite) -> String {
+pub(crate) fn simulate_crash_journal(prefix: &str, full: &str, crash: CrashWrite) -> String {
     debug_assert!(
         full.starts_with(prefix),
         "baseline journal must extend the halted run's prefix"

@@ -117,11 +117,6 @@ impl CheckpointStore {
         format!("job-{job}.ckpt.json")
     }
 
-    /// Journal file name for a job.
-    pub fn journal_name(job: usize) -> String {
-        format!("job-{job}.journal.jsonl")
-    }
-
     /// Final-outcome file name for a job.
     pub fn outcome_name(job: usize) -> String {
         format!("job-{job}.outcome.json")

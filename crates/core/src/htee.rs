@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// The paper's probe window: each concurrency level is "executed for five
 /// second time intervals" (§2.4).
-pub const PROBE_WINDOW: SimDuration = SimDuration::from_secs(5);
+pub(crate) const PROBE_WINDOW: SimDuration = SimDuration::from_secs(5);
 
 /// High Throughput Energy-Efficient transfer (Algorithm 2).
 ///
@@ -62,7 +62,7 @@ impl Htee {
 
     /// The search schedule: 1, 3, 5, … up to `max_channel` (inclusive when
     /// it falls on the stride).
-    pub fn search_levels(&self) -> Vec<u32> {
+    pub(crate) fn search_levels(&self) -> Vec<u32> {
         (1..=self.max_channel)
             .step_by(self.search_stride.max(1))
             .collect()
@@ -91,7 +91,7 @@ impl Algorithm for Htee {
             })
             .collect();
         let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
-        let mut controller = HteeController::new(chunks, levels, self.probe_window);
+        let mut controller = HteeController::new(&chunks, levels, self.probe_window);
         controller.reprobe_interval = self.reprobe_interval;
         (plan, Box::new(controller))
     }
@@ -111,7 +111,7 @@ enum Phase {
 }
 
 /// Snapshot kind tag for [`HteeController`].
-pub const HTEE_KIND: &str = "htee";
+pub(crate) const HTEE_KIND: &str = "htee";
 
 /// Mutable state of [`HteeController`] as stored in a checkpoint.
 /// Configuration (chunks, levels, window) is reconstructed from the
@@ -135,7 +135,8 @@ struct HteeState {
 /// The controller implementing HTEE's search phase.
 #[derive(Debug, Clone)]
 pub struct HteeController {
-    chunks: Vec<Chunk>,
+    /// Per-chunk [`Chunk::weight`]s, in plan order.
+    weights: Vec<f64>,
     levels: Vec<u32>,
     window: SimDuration,
     phase: Phase,
@@ -156,11 +157,12 @@ pub struct HteeController {
 }
 
 impl HteeController {
-    /// Creates the controller; the engine must start at `levels[0]`.
-    pub fn new(chunks: Vec<Chunk>, levels: Vec<u32>, window: SimDuration) -> Self {
+    /// Creates the controller for the plan's `chunks`; the engine must
+    /// start at `levels[0]`.
+    pub fn new(chunks: &[Chunk], levels: Vec<u32>, window: SimDuration) -> Self {
         assert!(!levels.is_empty());
         HteeController {
-            chunks,
+            weights: chunks.iter().map(Chunk::weight).collect(),
             levels,
             window,
             phase: Phase::Searching { idx: 0 },
@@ -235,7 +237,7 @@ impl Controller for HteeController {
                         self.window_start = ctx.now;
                         self.searches += 1;
                         let targets = weight_allocation_live(
-                            &self.chunks,
+                            &self.weights,
                             &ctx.live_chunks(),
                             self.levels[0],
                         );
@@ -289,7 +291,7 @@ impl Controller for HteeController {
             self.phase = Phase::Searching { idx: next };
             self.open_probe_span(self.levels[next]);
             ControlAction::Reallocate(weight_allocation_live(
-                &self.chunks,
+                &self.weights,
                 &live,
                 self.levels[next],
             ))
@@ -315,7 +317,7 @@ impl Controller for HteeController {
                     ),
                 });
             }
-            ControlAction::Reallocate(weight_allocation_live(&self.chunks, &live, level))
+            ControlAction::Reallocate(weight_allocation_live(&self.weights, &live, level))
         }
     }
 
@@ -470,7 +472,7 @@ mod tests {
             })
             .collect();
         let plan = TransferPlan::concurrent(plans, Placement::PackFirst);
-        let mut ctl = HteeController::new(chunks, levels, SimDuration::from_secs(5));
+        let mut ctl = HteeController::new(&chunks, levels, SimDuration::from_secs(5));
         ctl.reprobe_interval = Some(SimDuration::from_secs(30));
         let r = Engine::new(&env).run(&plan, &mut ctl);
         assert!(r.completed);
@@ -548,7 +550,7 @@ mod tests {
             })
             .collect();
         let plan = TransferPlan::concurrent(plans, Placement::PackFirst);
-        let mut ctl = HteeController::new(chunks, levels, SimDuration::from_secs(5));
+        let mut ctl = HteeController::new(&chunks, levels, SimDuration::from_secs(5));
         let _ = Engine::new(&env).run(&plan, &mut ctl);
         assert_eq!(ctl.ratios.len(), n_levels, "ratios={:?}", ctl.ratios);
         assert!(ctl.chosen_level.is_some());

@@ -8,13 +8,12 @@
 
 use eadt_dataset::Chunk;
 use eadt_net::link::Link;
-use eadt_sim::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Upper bound on the pipelining depth (control-channel command queue).
-pub const MAX_PIPELINING: u32 = 64;
+pub(crate) const MAX_PIPELINING: u32 = 64;
 /// Upper bound on per-channel parallel streams.
-pub const MAX_PARALLELISM: u32 = 8;
+pub(crate) const MAX_PARALLELISM: u32 = 8;
 
 /// Pipelining and parallelism chosen for one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,8 +29,8 @@ pub struct ChunkParams {
 ///
 /// Construct it once per environment with [`Planner::new`] and call
 /// policies as methods. The live-set variants used by mid-transfer
-/// controllers ([`weight_allocation_live`], [`sla_allocation_live`]) remain
-/// free functions because controllers re-plan without a link in hand.
+/// controllers remain crate-private free functions over precomputed chunk
+/// weights, because controllers re-plan without a link or chunks in hand.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner<'a> {
     link: &'a Link,
@@ -64,47 +63,30 @@ impl<'a> Planner<'a> {
 
     /// Algorithm 1 lines 10–11: MinE's channel allocation (Large chunks
     /// pinned to one channel, the rest shared weight-proportionally).
-    pub fn mine_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
+    pub(crate) fn mine_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
         mine_allocation_policy(chunks, max_channel)
     }
 
     /// Algorithm 2 lines 6–13: HTEE's weight-proportional allocation.
-    pub fn weight_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
+    pub(crate) fn weight_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
         weight_allocation_policy(chunks, max_channel)
     }
 
-    /// [`Planner::weight_allocation`] restricted to chunks still holding
-    /// bytes (see [`weight_allocation_live`]).
-    pub fn weight_allocation_live(
-        &self,
-        chunks: &[Chunk],
-        live: &[bool],
-        max_channel: u32,
-    ) -> Vec<u32> {
-        weight_allocation_live(chunks, live, max_channel)
-    }
-
-    /// Ablation variant of [`Planner::weight_allocation`] with weights
-    /// proportional to raw chunk byte counts.
+    /// Ablation variant of HTEE's weight-proportional allocation
+    /// (Algorithm 2) with weights proportional to raw chunk byte counts.
     pub fn linear_weight_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
         linear_weight_allocation_policy(chunks, max_channel)
     }
 
     /// SLAEE's allocation (Algorithm 3): the weight allocation with Large
     /// chunks capped at one channel until `rearranged`.
-    pub fn sla_allocation(&self, chunks: &[Chunk], max_channel: u32, rearranged: bool) -> Vec<u32> {
-        sla_allocation(chunks, max_channel, rearranged)
-    }
-
-    /// [`Planner::sla_allocation`] over live chunks only.
-    pub fn sla_allocation_live(
+    pub(crate) fn sla_allocation(
         &self,
         chunks: &[Chunk],
-        live: &[bool],
         max_channel: u32,
         rearranged: bool,
     ) -> Vec<u32> {
-        sla_allocation_live(chunks, live, max_channel, rearranged)
+        sla_allocation(chunks, max_channel, rearranged)
     }
 }
 
@@ -202,30 +184,25 @@ fn weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     )
 }
 
-/// [`Planner::weight_allocation`] restricted to chunks still holding bytes: dead
-/// chunks get zero channels and the whole budget lands on the live ones
-/// (mid-transfer reallocations must not leak channels to finished chunks).
-pub fn weight_allocation_live(chunks: &[Chunk], live: &[bool], max_channel: u32) -> Vec<u32> {
-    debug_assert_eq!(chunks.len(), live.len());
-    let weights: Vec<f64> = chunks
+/// [`Planner::weight_allocation`] restricted to chunks still holding bytes,
+/// over the chunks' [`Chunk::weight`]s: dead chunks get zero channels and
+/// the whole budget lands on the live ones (mid-transfer reallocations
+/// must not leak channels to finished chunks).
+pub(crate) fn weight_allocation_live(weights: &[f64], live: &[bool], max_channel: u32) -> Vec<u32> {
+    debug_assert_eq!(weights.len(), live.len());
+    let live_weights: Vec<f64> = weights
         .iter()
         .zip(live)
-        .map(|(c, &l)| if l { c.weight() } else { f64::NAN })
+        .filter(|(_, &l)| l)
+        .map(|(&w, _)| w)
         .collect();
-    let live_weights: Vec<f64> = weights.iter().copied().filter(|w| !w.is_nan()).collect();
     if live_weights.is_empty() {
-        return vec![0; chunks.len()];
+        return vec![0; weights.len()];
     }
-    let sub = allocation_by_weights(&live_weights, max_channel);
-    let mut out = vec![0u32; chunks.len()];
-    let mut k = 0usize;
-    for (i, w) in weights.iter().enumerate() {
-        if !w.is_nan() {
-            out[i] = sub[k];
-            k += 1;
-        }
-    }
-    out
+    let mut sub = allocation_by_weights(&live_weights, max_channel).into_iter();
+    live.iter()
+        .map(|&l| if l { sub.next().unwrap_or(0) } else { 0 })
+        .collect()
 }
 
 /// Ablation variant of [`Planner::weight_allocation`]: weights
@@ -327,19 +304,26 @@ fn allocation_by_weights_impl(weights: &[f64], max_channel: u32) -> Vec<u32> {
 /// lifts the cap (Algorithm 3 line 18, `reArrangeChannels`) and falls back
 /// to the pure weight allocation. The total never changes, so a budget of
 /// one really is one channel.
-pub fn sla_allocation(chunks: &[Chunk], max_channel: u32, rearranged: bool) -> Vec<u32> {
+pub(crate) fn sla_allocation(chunks: &[Chunk], max_channel: u32, rearranged: bool) -> Vec<u32> {
+    let weights: Vec<f64> = chunks.iter().map(Chunk::weight).collect();
+    let is_large: Vec<bool> = chunks
+        .iter()
+        .map(|c| c.class == eadt_dataset::SizeClass::Large)
+        .collect();
     let live = vec![true; chunks.len()];
-    sla_allocation_live(chunks, &live, max_channel, rearranged)
+    sla_allocation_live(&weights, &is_large, &live, max_channel, rearranged)
 }
 
-/// [`sla_allocation`] over live chunks only (see [`weight_allocation_live`]).
-pub fn sla_allocation_live(
-    chunks: &[Chunk],
+/// [`sla_allocation`] over live chunks only (see [`weight_allocation_live`]),
+/// given each chunk's weight and whether it is Large.
+pub(crate) fn sla_allocation_live(
+    weights: &[f64],
+    is_large: &[bool],
     live: &[bool],
     max_channel: u32,
     rearranged: bool,
 ) -> Vec<u32> {
-    let mut alloc = weight_allocation_live(chunks, live, max_channel);
+    let mut alloc = weight_allocation_live(weights, live, max_channel);
     let budget_spent: u32 = if cfg!(feature = "debug-invariants") {
         alloc.iter().sum()
     } else {
@@ -348,15 +332,7 @@ pub fn sla_allocation_live(
     if rearranged {
         return alloc;
     }
-    let is_large: Vec<bool> = chunks
-        .iter()
-        .map(|c| c.class == eadt_dataset::SizeClass::Large)
-        .collect();
-    let has_live_non_large = chunks
-        .iter()
-        .zip(live)
-        .zip(&is_large)
-        .any(|((_, &l), &lg)| l && !lg);
+    let has_live_non_large = live.iter().zip(is_large).any(|(&l, &lg)| l && !lg);
     if !has_live_non_large {
         return alloc; // nothing to shift the excess onto
     }
@@ -372,10 +348,10 @@ pub fn sla_allocation_live(
         return alloc;
     }
     // Hand the excess to live non-Large chunks, heaviest first, round-robin.
-    let mut order: Vec<usize> = (0..chunks.len())
+    let mut order: Vec<usize> = (0..weights.len())
         .filter(|&i| live[i] && !is_large[i])
         .collect();
-    order.sort_by(|&a, &b| chunks[b].weight().total_cmp(&chunks[a].weight()));
+    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
     // `order` is non-empty (has_live_non_large above), so cycling it
     // places every excess channel.
     for &i in order.iter().cycle().take(excess as usize) {
@@ -398,16 +374,11 @@ pub fn sla_allocation_live(
     alloc
 }
 
-/// Convenience: total bytes of a chunk in MB (used by weights tests).
-pub fn chunk_mb(chunk: &Chunk) -> f64 {
-    Bytes::as_mb(chunk.total_size())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eadt_dataset::{FileSpec, SizeClass};
-    use eadt_sim::{Rate, SimDuration};
+    use eadt_sim::{Bytes, Rate, SimDuration};
 
     fn xsede_link() -> Link {
         Link::new(

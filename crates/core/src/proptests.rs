@@ -69,7 +69,8 @@ proptest! {
     ) {
         let live: Vec<bool> =
             (0..chunks.len()).map(|i| dead_mask & (1 << i) == 0).collect();
-        let alloc = weight_allocation_live(&chunks, &live, max);
+        let weights: Vec<f64> = chunks.iter().map(Chunk::weight).collect();
+        let alloc = weight_allocation_live(&weights, &live, max);
         for (i, &a) in alloc.iter().enumerate() {
             if !live[i] {
                 prop_assert_eq!(a, 0);
@@ -122,7 +123,9 @@ proptest! {
     fn sla_live_matches_mask(chunks in any_chunks(), max in 1u32..32, dead_mask in 0u8..8) {
         let live: Vec<bool> =
             (0..chunks.len()).map(|i| dead_mask & (1 << i) == 0).collect();
-        let alloc = sla_allocation_live(&chunks, &live, max, false);
+        let weights: Vec<f64> = chunks.iter().map(Chunk::weight).collect();
+        let is_large: Vec<bool> = chunks.iter().map(|c| c.class == SizeClass::Large).collect();
+        let alloc = sla_allocation_live(&weights, &is_large, &live, max, false);
         for (i, &a) in alloc.iter().enumerate() {
             if !live[i] {
                 prop_assert_eq!(a, 0);

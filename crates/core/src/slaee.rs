@@ -3,7 +3,7 @@
 use crate::htee::PROBE_WINDOW;
 use crate::planner::{sla_allocation_live, Planner};
 use crate::{Algorithm, Prepared};
-use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig};
+use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
 use eadt_sim::{Bytes, Rate, SimDuration, SimTime};
 use eadt_telemetry::{Event, Telemetry};
@@ -69,7 +69,7 @@ impl Slaee {
     }
 
     /// The throughput the SLA promises.
-    pub fn target_throughput(&self) -> Rate {
+    pub(crate) fn target_throughput(&self) -> Rate {
         self.max_throughput * self.sla_level
     }
 }
@@ -92,7 +92,7 @@ impl Algorithm for Slaee {
             .collect();
         let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
         let mut controller = SlaeeController::new(
-            chunks,
+            &chunks,
             self.target_throughput(),
             self.max_channel,
             self.probe_window,
@@ -108,7 +108,7 @@ impl Algorithm for Slaee {
 }
 
 /// Snapshot kind tag for [`SlaeeController`].
-pub const SLAEE_KIND: &str = "slaee";
+pub(crate) const SLAEE_KIND: &str = "slaee";
 
 /// Mutable state of [`SlaeeController`] as stored in a checkpoint.
 /// Configuration (chunks, target, max_channel, window) is reconstructed
@@ -137,7 +137,10 @@ struct SlaeeState {
 /// The controller implementing SLAEE's adaptation loop.
 #[derive(Debug, Clone)]
 pub struct SlaeeController {
-    chunks: Vec<Chunk>,
+    /// Per-chunk [`Chunk::weight`]s, in plan order.
+    weights: Vec<f64>,
+    /// Which chunks are Large (capped at one channel until rearranged).
+    is_large: Vec<bool>,
     target: Rate,
     max_channel: u32,
     window: SimDuration,
@@ -169,10 +172,12 @@ pub struct SlaeeController {
 }
 
 impl SlaeeController {
-    /// Creates the controller; the engine must start at concurrency 1.
-    pub fn new(chunks: Vec<Chunk>, target: Rate, max_channel: u32, window: SimDuration) -> Self {
+    /// Creates the controller for the plan's `chunks`; the engine must
+    /// start at concurrency 1.
+    pub fn new(chunks: &[Chunk], target: Rate, max_channel: u32, window: SimDuration) -> Self {
         SlaeeController {
-            chunks,
+            weights: chunks.iter().map(Chunk::weight).collect(),
+            is_large: chunks.iter().map(|c| c.class == SizeClass::Large).collect(),
             target,
             max_channel: max_channel.max(1),
             window,
@@ -196,7 +201,13 @@ impl SlaeeController {
     }
 
     fn allocation(&self, live: &[bool]) -> Vec<u32> {
-        sla_allocation_live(&self.chunks, live, self.concurrency, self.rearranged)
+        sla_allocation_live(
+            &self.weights,
+            &self.is_large,
+            live,
+            self.concurrency,
+            self.rearranged,
+        )
     }
 
     /// Emits the allocation for the current state, logging `reason` when

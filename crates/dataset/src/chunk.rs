@@ -88,18 +88,6 @@ impl PartitionConfig {
         self.large_fraction = large_fraction;
         self
     }
-
-    /// Sets the `mergeChunks` minimum file count.
-    pub fn with_min_files(mut self, min_files: usize) -> Self {
-        self.min_files = min_files;
-        self
-    }
-
-    /// Sets the `mergeChunks` minimum byte fraction.
-    pub fn with_min_bytes_fraction(mut self, min_bytes_fraction: f64) -> Self {
-        self.min_bytes_fraction = min_bytes_fraction;
-        self
-    }
 }
 
 /// A contiguous class of files scheduled with one parameter combination.

@@ -80,24 +80,6 @@ impl Dataset {
             Bytes(self.total_size().as_u64() / self.files.len() as u64)
         }
     }
-
-    /// Largest file size; zero for an empty dataset.
-    pub fn max_file_size(&self) -> Bytes {
-        self.files
-            .iter()
-            .map(|f| f.size)
-            .max()
-            .unwrap_or(Bytes::ZERO)
-    }
-
-    /// Smallest file size; zero for an empty dataset.
-    pub fn min_file_size(&self) -> Bytes {
-        self.files
-            .iter()
-            .map(|f| f.size)
-            .min()
-            .unwrap_or(Bytes::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -110,8 +92,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.total_size(), Bytes::ZERO);
         assert_eq!(d.avg_file_size(), Bytes::ZERO);
-        assert_eq!(d.max_file_size(), Bytes::ZERO);
-        assert_eq!(d.min_file_size(), Bytes::ZERO);
     }
 
     #[test]
@@ -130,7 +110,5 @@ mod tests {
         );
         assert_eq!(d.total_size(), Bytes::from_mb(9));
         assert_eq!(d.avg_file_size(), Bytes::from_mb(3));
-        assert_eq!(d.max_file_size(), Bytes::from_mb(6));
-        assert_eq!(d.min_file_size(), Bytes::from_mb(1));
     }
 }

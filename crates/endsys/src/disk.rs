@@ -69,14 +69,6 @@ impl DiskSubsystem {
         }
     }
 
-    /// Fair per-accessor throughput for `k` concurrent accessors.
-    pub fn per_access_rate(&self, k: u32) -> Rate {
-        if k == 0 {
-            return Rate::ZERO;
-        }
-        self.aggregate_rate(k) / k as f64
-    }
-
     /// The largest aggregate rate this subsystem can ever deliver (used for
     /// utilization normalisation).
     pub fn peak_rate(&self) -> Rate {
@@ -93,7 +85,7 @@ impl DiskSubsystem {
     /// under the current contention — a thrashing disk reads near-100%
     /// busy even at low goodput. A **striped array** serves accessors
     /// independently, so its busy fraction is simply goodput over peak.
-    pub fn busy_fraction(&self, k: u32, goodput: Rate) -> f64 {
+    pub(crate) fn busy_fraction(&self, k: u32, goodput: Rate) -> f64 {
         let capability = match self {
             DiskSubsystem::Single { .. } => self.aggregate_rate(k),
             DiskSubsystem::Array { .. } => self.peak_rate(),
@@ -123,7 +115,7 @@ mod tests {
     #[test]
     fn zero_accessors_zero_rate() {
         assert_eq!(single().aggregate_rate(0), Rate::ZERO);
-        assert_eq!(array().per_access_rate(0), Rate::ZERO);
+        assert_eq!(array().aggregate_rate(0), Rate::ZERO);
     }
 
     #[test]
@@ -149,12 +141,6 @@ mod tests {
         assert!((d.aggregate_rate(1).as_mbps() - 1000.0).abs() < 1e-9);
         assert!((d.aggregate_rate(4).as_mbps() - 4000.0).abs() < 1e-9);
         assert!((d.aggregate_rate(16).as_gbps() - 8.0).abs() < 1e-9); // capped
-    }
-
-    #[test]
-    fn per_access_shares_fairly() {
-        let d = array();
-        assert!((d.per_access_rate(16).as_mbps() - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod site;
 pub mod util;
 
 pub use disk::DiskSubsystem;
-pub use pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolGrant, PoolMember, SitePool};
+pub use pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolGrant, PoolMember};
 pub use server::ServerSpec;
 pub use site::{Placement, Site};
 pub use util::{ServerLoad, Utilization, UtilizationCoeffs};

@@ -2,10 +2,10 @@
 //!
 //! A real transfer site serves many tenants at once: their channels
 //! compete for the same NIC uplink, the same disk arrays and the same
-//! CPU cores. This module models that contention surface as a
-//! [`SitePool`] — a capacity vector ([`PoolCapacity`]) plus the set of
-//! transfers currently resident at the site ([`PoolMember`]) — and
-//! resolves it each scheduling round with [`arbitrate`], which grants
+//! CPU cores. This module models that contention surface as a capacity
+//! vector ([`PoolCapacity`]) shared by the transfers currently resident
+//! at the site ([`PoolMember`]), and resolves it each scheduling round
+//! with [`arbitrate`], which grants
 //! every member a share of the bandwidth and disk capacity under one of
 //! two [`ArbitrationPolicy`]s:
 //!
@@ -21,8 +21,8 @@
 //!
 //! Core slots are the third, *integral* dimension: they are not
 //! arbitrated fractionally each round but consumed whole at admission
-//! time and released on finish/preemption ([`PoolCapacity::core_slots`],
-//! [`SitePool::slots_free`]).
+//! time and released on finish/preemption ([`PoolCapacity::core_slots`];
+//! the service layer in `eadt-fleet` does that accounting).
 //!
 //! Everything here is pure arithmetic over the inputs — no RNG, no
 //! clocks — so a scheduler built on it stays deterministic.
@@ -135,62 +135,6 @@ fn fraction(grant: Rate, demand: Rate) -> f64 {
         return 1.0;
     }
     (grant.as_bps() / demand.as_bps()).clamp(0.0, 1.0)
-}
-
-/// A site's shared pool: capacity plus current residents.
-///
-/// The pool tracks *who* is resident (for slot accounting) but does not
-/// schedule; admission, preemption and round pacing belong to the
-/// service layer (`eadt-fleet`). Membership order is insertion order
-/// and is part of the deterministic contract — grants are returned in
-/// the same order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SitePool {
-    /// Site label (matches the testbed site name).
-    pub name: String,
-    /// The shared capacity vector.
-    pub capacity: PoolCapacity,
-    /// Transfers currently resident, in admission order.
-    pub members: Vec<PoolMember>,
-}
-
-impl SitePool {
-    /// An empty pool over the given capacity.
-    pub fn new(name: impl Into<String>, capacity: PoolCapacity) -> Self {
-        SitePool {
-            name: name.into(),
-            capacity,
-            members: Vec::new(),
-        }
-    }
-
-    /// Core slots not yet consumed by residents (each member holds one).
-    pub fn slots_free(&self) -> u32 {
-        self.capacity
-            .core_slots
-            .saturating_sub(self.members.len() as u32)
-    }
-
-    /// Admits a member if a core slot is free; returns whether it joined.
-    pub fn admit(&mut self, member: PoolMember) -> bool {
-        if self.slots_free() == 0 {
-            return false;
-        }
-        self.members.push(member);
-        true
-    }
-
-    /// Removes the member with `id`, freeing its slot.
-    pub fn evict(&mut self, id: u32) -> Option<PoolMember> {
-        let idx = self.members.iter().position(|m| m.id == id)?;
-        Some(self.members.remove(idx))
-    }
-
-    /// Arbitrates the pool's bandwidth and disk across the current
-    /// members under `policy`. See [`arbitrate`].
-    pub fn arbitrate(&self, policy: ArbitrationPolicy) -> Vec<PoolGrant> {
-        arbitrate(&self.capacity, &self.members, policy)
-    }
 }
 
 /// Splits `capacity` across `members` under `policy`, returning one
@@ -463,20 +407,6 @@ mod tests {
         let members = vec![member(0, 1.0, 0, 5.0)];
         let g = arbitrate(&cap(0.0, 4), &members, ArbitrationPolicy::FairShare);
         assert_eq!(g[0].bandwidth.as_bps(), 0.0);
-    }
-
-    #[test]
-    fn slot_accounting_admits_and_evicts() {
-        let mut pool = SitePool::new("site", cap(10.0, 2));
-        assert_eq!(pool.slots_free(), 2);
-        assert!(pool.admit(member(7, 1.0, 0, 5.0)));
-        assert!(pool.admit(member(8, 1.0, 0, 5.0)));
-        assert!(!pool.admit(member(9, 1.0, 0, 5.0)), "slots exhausted");
-        assert_eq!(pool.slots_free(), 0);
-        assert_eq!(pool.evict(7).map(|m| m.id), Some(7));
-        assert_eq!(pool.evict(7), None);
-        assert_eq!(pool.slots_free(), 1);
-        assert!(pool.admit(member(9, 1.0, 0, 5.0)));
     }
 
     #[test]

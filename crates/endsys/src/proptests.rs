@@ -32,10 +32,6 @@ proptest! {
         let agg = disk.aggregate_rate(k);
         prop_assert!(agg.as_bps() >= 0.0);
         prop_assert!(agg.as_bps() <= disk.peak_rate().as_bps() + 1e-6);
-        let per = disk.per_access_rate(k);
-        if k > 0 {
-            prop_assert!(per.as_bps() * k as f64 <= agg.as_bps() + 1e-3);
-        }
     }
 
     #[test]
@@ -99,7 +95,8 @@ proptest! {
 
     #[test]
     fn placement_conserves_and_bounds(
-        servers in 1usize..8, channels in 0u32..64
+        src_servers in 1usize..8, dst_servers in 1usize..8, channels in 0u32..64,
+        mask in 0u8..=u8::MAX
     ) {
         let server = ServerSpec::new(
             "s",
@@ -108,15 +105,30 @@ proptest! {
             Rate::from_gbps(10.0),
             DiskSubsystem::Array { per_access: Rate::from_gbps(1.0), aggregate: Rate::from_gbps(4.0) },
         );
-        let site = Site::new("site", vec![server; servers]);
+        let src = Site::new("src", vec![server.clone(); src_servers]);
+        let dst = Site::new("dst", vec![server; dst_servers]);
+        // One buffer serves both sites in turn, as in the engine's slice
+        // arena, so it must be resized to each site's server count.
+        let mut counts = Vec::new();
         for placement in [Placement::PackFirst, Placement::RoundRobin] {
-            let counts = site.place_channels(channels, placement);
-            prop_assert_eq!(counts.len(), servers);
-            prop_assert_eq!(counts.iter().sum::<u32>(), channels);
-            if placement == Placement::RoundRobin && channels > 0 {
-                let max = counts.iter().max().unwrap();
-                let min = counts.iter().min().unwrap();
-                prop_assert!(max - min <= 1, "uneven spread: {:?}", counts);
+            for site in [&src, &dst] {
+                let avail: Vec<bool> =
+                    (0..site.server_count()).map(|i| mask & (1 << i) != 0).collect();
+                site.place_channels_masked_into(channels, placement, &avail, &mut counts);
+                prop_assert_eq!(counts.len(), site.server_count());
+                prop_assert_eq!(counts.iter().sum::<u32>(), channels);
+                // An all-false mask is ignored: placement falls back to every server.
+                let usable: Vec<u32> = if avail.contains(&true) {
+                    counts.iter().zip(&avail).filter(|(_, &a)| a).map(|(&c, _)| c).collect()
+                } else {
+                    counts.clone()
+                };
+                prop_assert_eq!(usable.iter().sum::<u32>(), channels, "channels on masked servers: {:?}", counts);
+                if placement == Placement::RoundRobin && channels > 0 {
+                    let max = usable.iter().max().unwrap();
+                    let min = usable.iter().min().unwrap();
+                    prop_assert!(max - min <= 1, "uneven spread: {:?}", counts);
+                }
             }
         }
     }

@@ -48,18 +48,16 @@ impl Site {
     }
 
     /// Distributes `channels` data channels across the site's servers under
-    /// `placement`, returning the channel count per server (same order as
-    /// [`Site::servers`]).
-    pub fn place_channels(&self, channels: u32, placement: Placement) -> Vec<u32> {
-        let mut counts = Vec::new();
-        self.place_channels_into(channels, placement, &mut counts);
-        counts
-    }
-
-    /// In-place variant of [`Site::place_channels`] for hot paths: writes
-    /// the per-server channel counts into `counts` (cleared and refilled;
-    /// capacity is reused across calls, so a warm buffer never allocates).
-    pub fn place_channels_into(&self, channels: u32, placement: Placement, counts: &mut Vec<u32>) {
+    /// `placement`, writing the channel count per server (same order as
+    /// [`Site::servers`]) into `counts`. The buffer is cleared and refilled;
+    /// its capacity is reused across calls, so a warm buffer never
+    /// allocates.
+    pub(crate) fn place_channels_into(
+        &self,
+        channels: u32,
+        placement: Placement,
+        counts: &mut Vec<u32>,
+    ) {
         let n = self.servers.len();
         counts.clear();
         counts.resize(n, 0);
@@ -80,27 +78,16 @@ impl Site {
         }
     }
 
-    /// Like [`Site::place_channels`], but restricted to the servers marked
-    /// available in `avail` (same order as [`Site::servers`]) — used to
-    /// route channels around quarantined servers. PackFirst packs onto the
-    /// first available server; RoundRobin spreads over the available ones.
-    /// When *no* server is available (or the mask length mismatches) the
-    /// mask is ignored: a client with nowhere good to go still has to try
-    /// somewhere.
-    pub fn place_channels_masked(
-        &self,
-        channels: u32,
-        placement: Placement,
-        avail: &[bool],
-    ) -> Vec<u32> {
-        let mut counts = Vec::new();
-        self.place_channels_masked_into(channels, placement, avail, &mut counts);
-        counts
-    }
-
-    /// In-place variant of [`Site::place_channels_masked`]: same semantics,
-    /// writing into a reusable buffer and allocating nothing when the
-    /// buffer is warm.
+    /// Distributes `channels` data channels under `placement` across the
+    /// servers marked available in `avail` (same order as
+    /// [`Site::servers`]), writing the channel count per server into
+    /// `counts` — used to route channels around quarantined servers.
+    /// PackFirst packs onto the first available server; RoundRobin spreads
+    /// over the available ones. When *no* server is available (or the mask
+    /// length mismatches) the mask is ignored: a client with nowhere good
+    /// to go still has to try somewhere. The buffer is cleared and
+    /// refilled; its capacity is reused across calls, so a warm buffer
+    /// never allocates.
     pub fn place_channels_masked_into(
         &self,
         channels: u32,
@@ -136,15 +123,6 @@ impl Site {
             }
         }
     }
-
-    /// Number of servers that would be active (≥ 1 channel) for a given
-    /// placement.
-    pub fn active_servers(&self, channels: u32, placement: Placement) -> usize {
-        self.place_channels(channels, placement)
-            .iter()
-            .filter(|&&c| c > 0)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -170,46 +148,57 @@ mod tests {
     #[test]
     fn pack_first_uses_one_server() {
         let s = site(4);
-        assert_eq!(s.place_channels(7, Placement::PackFirst), vec![7, 0, 0, 0]);
-        assert_eq!(s.active_servers(7, Placement::PackFirst), 1);
+        let mut counts = Vec::new();
+        s.place_channels_into(7, Placement::PackFirst, &mut counts);
+        assert_eq!(counts, vec![7, 0, 0, 0]);
     }
 
     #[test]
     fn round_robin_spreads_evenly() {
         let s = site(4);
-        assert_eq!(s.place_channels(8, Placement::RoundRobin), vec![2, 2, 2, 2]);
-        assert_eq!(s.place_channels(6, Placement::RoundRobin), vec![2, 2, 1, 1]);
-        assert_eq!(s.active_servers(2, Placement::RoundRobin), 2);
+        let mut counts = Vec::new();
+        s.place_channels_into(8, Placement::RoundRobin, &mut counts);
+        assert_eq!(counts, vec![2, 2, 2, 2]);
+        s.place_channels_into(6, Placement::RoundRobin, &mut counts);
+        assert_eq!(counts, vec![2, 2, 1, 1]);
     }
 
     #[test]
     fn round_robin_concurrency_2_wakes_two_servers() {
         // The Figure 2b effect: GO at concurrency 2 runs two servers.
         let s = site(4);
-        assert_eq!(s.place_channels(2, Placement::RoundRobin), vec![1, 1, 0, 0]);
+        let mut counts = Vec::new();
+        s.place_channels_into(2, Placement::RoundRobin, &mut counts);
+        assert_eq!(counts, vec![1, 1, 0, 0]);
     }
 
     #[test]
     fn zero_channels_place_nowhere() {
         let s = site(3);
-        assert_eq!(s.place_channels(0, Placement::RoundRobin), vec![0, 0, 0]);
-        assert_eq!(s.active_servers(0, Placement::PackFirst), 0);
+        // A stale buffer is cleared, not added to.
+        let mut counts = vec![9, 9, 9, 9];
+        s.place_channels_into(0, Placement::RoundRobin, &mut counts);
+        assert_eq!(counts, vec![0, 0, 0]);
     }
 
     #[test]
     fn single_server_site_is_equivalent_under_both_policies() {
         let s = site(1);
-        assert_eq!(s.place_channels(5, Placement::PackFirst), vec![5]);
-        assert_eq!(s.place_channels(5, Placement::RoundRobin), vec![5]);
+        let mut counts = Vec::new();
+        s.place_channels_into(5, Placement::PackFirst, &mut counts);
+        assert_eq!(counts, vec![5]);
+        s.place_channels_into(5, Placement::RoundRobin, &mut counts);
+        assert_eq!(counts, vec![5]);
     }
 
     #[test]
     fn placement_conserves_channels() {
         let s = site(4);
+        let mut counts = Vec::new();
         for c in 0..40 {
             for p in [Placement::PackFirst, Placement::RoundRobin] {
-                let total: u32 = s.place_channels(c, p).iter().sum();
-                assert_eq!(total, c);
+                s.place_channels_into(c, p, &mut counts);
+                assert_eq!(counts.iter().sum::<u32>(), c);
             }
         }
     }
@@ -223,32 +212,28 @@ mod tests {
     #[test]
     fn masked_placement_routes_around_unavailable_servers() {
         let s = site(4);
+        let mut counts = Vec::new();
         let avail = [true, false, true, false];
-        assert_eq!(
-            s.place_channels_masked(7, Placement::PackFirst, &avail),
-            vec![7, 0, 0, 0]
-        );
-        assert_eq!(
-            s.place_channels_masked(5, Placement::RoundRobin, &avail),
-            vec![3, 0, 2, 0]
-        );
+        s.place_channels_masked_into(7, Placement::PackFirst, &avail, &mut counts);
+        assert_eq!(counts, vec![7, 0, 0, 0]);
+        s.place_channels_masked_into(5, Placement::RoundRobin, &avail, &mut counts);
+        assert_eq!(counts, vec![3, 0, 2, 0]);
         // First server down: PackFirst packs onto the next available one.
         let avail = [false, true, true, true];
-        assert_eq!(
-            s.place_channels_masked(4, Placement::PackFirst, &avail),
-            vec![0, 4, 0, 0]
-        );
+        s.place_channels_masked_into(4, Placement::PackFirst, &avail, &mut counts);
+        assert_eq!(counts, vec![0, 4, 0, 0]);
     }
 
     #[test]
     fn masked_placement_conserves_channels() {
         let s = site(4);
+        let mut counts = Vec::new();
         for mask in 0u32..16 {
             let avail: Vec<bool> = (0..4).map(|b| mask & (1 << b) != 0).collect();
             for c in 0..20 {
                 for p in [Placement::PackFirst, Placement::RoundRobin] {
-                    let total: u32 = s.place_channels_masked(c, p, &avail).iter().sum();
-                    assert_eq!(total, c, "mask {mask:04b} c {c} {p:?}");
+                    s.place_channels_masked_into(c, p, &avail, &mut counts);
+                    assert_eq!(counts.iter().sum::<u32>(), c, "mask {mask:04b} c {c} {p:?}");
                 }
             }
         }
@@ -257,14 +242,18 @@ mod tests {
     #[test]
     fn fully_masked_site_falls_back_to_unmasked_placement() {
         let s = site(3);
-        assert_eq!(
-            s.place_channels_masked(6, Placement::RoundRobin, &[false, false, false]),
-            s.place_channels(6, Placement::RoundRobin)
+        let (mut masked, mut plain) = (Vec::new(), Vec::new());
+        s.place_channels_masked_into(
+            6,
+            Placement::RoundRobin,
+            &[false, false, false],
+            &mut masked,
         );
+        s.place_channels_into(6, Placement::RoundRobin, &mut plain);
+        assert_eq!(masked, plain);
         // Untouched mask (all true) is the plain placement too.
-        assert_eq!(
-            s.place_channels_masked(6, Placement::PackFirst, &[true, true, true]),
-            s.place_channels(6, Placement::PackFirst)
-        );
+        s.place_channels_masked_into(6, Placement::PackFirst, &[true, true, true], &mut masked);
+        s.place_channels_into(6, Placement::PackFirst, &mut plain);
+        assert_eq!(masked, plain);
     }
 }

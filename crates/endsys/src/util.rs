@@ -28,14 +28,6 @@ pub struct ServerLoad {
 }
 
 impl ServerLoad {
-    /// An idle server.
-    pub const IDLE: ServerLoad = ServerLoad {
-        channels: 0,
-        streams: 0,
-        goodput: Rate::ZERO,
-        wire_rate: Rate::ZERO,
-    };
-
     /// Convenience constructor for uncongested load (wire = goodput).
     pub fn new(channels: u32, streams: u32, goodput: Rate) -> Self {
         ServerLoad {
@@ -113,7 +105,7 @@ pub struct Utilization {
 
 impl Utilization {
     /// All-zero utilization (idle server).
-    pub const IDLE: Utilization = Utilization {
+    pub(crate) const IDLE: Utilization = Utilization {
         cpu: 0.0,
         memory: 0.0,
         disk: 0.0,
@@ -186,7 +178,11 @@ mod tests {
 
     #[test]
     fn idle_server_has_zero_utilization() {
-        let u = Utilization::compute(&server(4), ServerLoad::IDLE, &UtilizationCoeffs::default());
+        let u = Utilization::compute(
+            &server(4),
+            ServerLoad::new(0, 0, Rate::ZERO),
+            &UtilizationCoeffs::default(),
+        );
         assert_eq!(u, Utilization::IDLE);
     }
 

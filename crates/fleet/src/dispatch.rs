@@ -9,22 +9,8 @@ use eadt_sim::Rate;
 use eadt_telemetry::Telemetry;
 use eadt_transfer::{
     EngineCheckpoint, EngineRun, RunControl, RunOutcome, TransferEnv, TransferParams,
-    TransferReport,
 };
 use std::borrow::Cow;
-
-/// Runs one job at the given seed and returns the engine's report.
-///
-/// The seed drives dataset generation; fault streams keep the seeds baked
-/// into the (possibly overridden) fault plan so a replayed job is
-/// bit-identical. SLAEE derives its reference maximum from a ProMC run at
-/// the testbed's reference concurrency, exactly as the CLI does.
-pub fn run_job(spec: &JobSpec, seed: u64) -> TransferReport {
-    JobRunner::prepare(spec, seed)
-        .run_controlled(RunControl::default())
-        .into_report()
-        .expect("no halt boundary configured")
-}
 
 /// A job prepared for execution.
 ///
@@ -170,7 +156,10 @@ mod tests {
                 .with_scale(0.005)
                 .with_max_channel(4)
                 .with_sla_level(0.8);
-            let r = run_job(&spec, 1);
+            let r = JobRunner::prepare(&spec, 1)
+                .run_controlled(RunControl::default())
+                .into_report()
+                .unwrap();
             assert!(r.completed, "{kind:?}");
         }
     }
@@ -181,10 +170,14 @@ mod tests {
         tb.env.faults = Some(eadt_transfer::FaultPlan::channel_only(
             eadt_transfer::FaultModel::new(eadt_sim::SimDuration::from_secs(5), 3),
         ));
-        let spec = JobSpec::new(AlgorithmKind::ProMc, tb)
-            .with_scale(0.02)
-            .without_faults();
-        let r = run_job(&spec, 1);
+        let spec = JobSpec {
+            faults: FaultOverride::Disable,
+            ..JobSpec::new(AlgorithmKind::ProMc, tb).with_scale(0.02)
+        };
+        let r = JobRunner::prepare(&spec, 1)
+            .run_controlled(RunControl::default())
+            .into_report()
+            .unwrap();
         assert_eq!(r.failures, 0, "disabled faults must not fire");
     }
 }

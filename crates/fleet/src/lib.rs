@@ -52,13 +52,13 @@ mod service;
 mod session;
 mod spec;
 
-pub use dispatch::{run_job, JobRunner};
-pub use matrix::{figures_matrix, sweep_matrix};
+pub use dispatch::JobRunner;
+pub use matrix::figures_matrix;
 pub use rollup::FleetMetrics;
 pub use seed::derive_job_seed;
 pub use service::{
     ServiceJob, ServiceJobOutcome, ServiceReport, ServiceRun, ServiceSession,
-    ServiceSessionBuilder, SiteReport, Workload, SERVICE_SCHEMA_VERSION,
+    ServiceSessionBuilder, SiteReport, Workload,
 };
 pub use session::{FleetReport, JobOutcome, Session, SessionBuilder, FLEET_SCHEMA_VERSION};
 pub use spec::{FaultOverride, JobSpec};

@@ -19,7 +19,7 @@ const FIGURE_KINDS: [AlgorithmKind; 7] = [
 
 /// One testbed's figure sweep: every panel algorithm at every concurrency
 /// level the testbed declares, at the given dataset scale.
-pub fn sweep_matrix(tb: &Environment, scale: f64) -> Vec<JobSpec> {
+pub(crate) fn sweep_matrix(tb: &Environment, scale: f64) -> Vec<JobSpec> {
     let mut jobs = Vec::with_capacity(tb.sweep_levels.len() * FIGURE_KINDS.len());
     for &cc in &tb.sweep_levels {
         for kind in FIGURE_KINDS {

@@ -57,7 +57,7 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// Version stamped into [`ServiceReport`] JSON.
-pub const SERVICE_SCHEMA_VERSION: u32 = 1;
+pub(crate) const SERVICE_SCHEMA_VERSION: u32 = 1;
 
 /// The label of the chartered RNG stream arrival times derive from.
 const ARRIVAL_STREAM: &str = "fleet-service";
@@ -102,12 +102,6 @@ impl ServiceJob {
     /// Sets the priority class.
     pub fn with_priority(mut self, priority: u32) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Sets the fair-share weight.
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
         self
     }
 }
@@ -1067,7 +1061,7 @@ pub struct SiteReport {
 /// The canonical result of a service run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceReport {
-    /// Report schema version ([`SERVICE_SCHEMA_VERSION`]).
+    /// Report schema version (`SERVICE_SCHEMA_VERSION`).
     pub schema: u32,
     /// The root seed the service ran at.
     pub root_seed: u64,

@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_payload_and_job_id() {
         let mut jobs = small_jobs();
-        jobs[1] = jobs[1].clone().with_label(exec::TEST_PANIC_LABEL);
+        jobs[1].label = Some(exec::TEST_PANIC_LABEL.into());
         let session = Session::builder().root_seed(9).workers(2).build();
         let report = session.run(&jobs);
         assert_eq!(report.error_count(), 1);

@@ -80,12 +80,6 @@ impl JobSpec {
         }
     }
 
-    /// Sets the display label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
-
     /// Sets the dataset scale factor.
     pub fn with_scale(mut self, scale: f64) -> Self {
         self.scale = scale;
@@ -119,12 +113,6 @@ impl JobSpec {
     /// Replaces the environment's fault plan for this job.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = FaultOverride::Replace(plan);
-        self
-    }
-
-    /// Strips fault injection for this job.
-    pub fn without_faults(mut self) -> Self {
-        self.faults = FaultOverride::Disable;
         self
     }
 
@@ -163,7 +151,10 @@ mod tests {
     fn default_label_names_testbed_algorithm_and_budget() {
         let spec = JobSpec::new(AlgorithmKind::Htee, eadt_testbeds::didclab()).with_max_channel(4);
         assert_eq!(spec.display_label(), "DIDCLAB/HTEE@4");
-        let named = spec.with_label("my-run");
+        let named = JobSpec {
+            label: Some("my-run".into()),
+            ..spec
+        };
         assert_eq!(named.display_label(), "my-run");
     }
 }

@@ -40,11 +40,12 @@ impl SourceFile {
     }
 }
 
-/// Collects every `.rs` file of the workspace under `root`, skipping
-/// [`SKIP_DIRS`]. Files come back sorted by their normalized repo-relative
-/// path **as UTF-8 bytes** — not by `PathBuf`'s platform-dependent
-/// component order — so finding order and the API snapshots are
-/// byte-stable across filesystems and readdir orders.
+/// Collects every `.rs` file of the workspace under `root`, skipping the
+/// `vendor`, `target`, `.git`, `fixtures` and `results` directories. Files
+/// come back sorted by their normalized repo-relative path **as UTF-8
+/// bytes** — not by `PathBuf`'s platform-dependent component order — so
+/// finding order and the API snapshots are byte-stable across filesystems
+/// and readdir orders.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     walk(root, &mut paths)?;

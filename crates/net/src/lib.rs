@@ -9,7 +9,7 @@
 //! 2. aggregate demand is fit onto the bottleneck link by **max-min fair
 //!    sharing** ([`fair::fair_share`]);
 //! 3. oversubscription (too many total streams) costs goodput via a
-//!    **congestion efficiency** factor ([`tcp::congestion_efficiency`]) —
+//!    **congestion efficiency** factor (`tcp::congestion_efficiency`) —
 //!    the paper's "too many simultaneous streams can cause network
 //!    congestion and throughput decline";
 //! 4. moved bytes are converted to **packet counts** ([`packets`]) for the
@@ -27,4 +27,4 @@ pub mod tcp;
 
 pub use fair::{fair_share, fair_share_into, FairScratch};
 pub use link::Link;
-pub use tcp::{congestion_efficiency, stream_ceiling, CongestionModel};
+pub use tcp::{stream_ceiling, CongestionModel};

@@ -20,7 +20,7 @@ pub struct Link {
 
 impl Link {
     /// Standard Ethernet MTU.
-    pub const DEFAULT_MTU: Bytes = Bytes(1500);
+    pub(crate) const DEFAULT_MTU: Bytes = Bytes(1500);
 
     /// Creates a link with the default MTU.
     pub fn new(bandwidth: Rate, rtt: SimDuration, tcp_buffer: Bytes) -> Self {

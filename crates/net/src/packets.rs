@@ -30,7 +30,7 @@ impl Default for PacketModel {
 
 impl PacketModel {
     /// Data packets needed for `bytes` of payload (ceiling division).
-    pub fn data_packets(&self, bytes: Bytes) -> u64 {
+    pub(crate) fn data_packets(&self, bytes: Bytes) -> u64 {
         let mtu = self.mtu.as_u64().max(1);
         bytes.as_u64().div_ceil(mtu)
     }

@@ -55,7 +55,7 @@ impl CongestionModel {
 }
 
 /// Efficiency in `[model.floor, 1]` for `streams` simultaneous streams.
-pub fn congestion_efficiency(streams: u32, model: &CongestionModel) -> f64 {
+pub(crate) fn congestion_efficiency(streams: u32, model: &CongestionModel) -> f64 {
     if streams <= model.saturation_streams {
         return 1.0;
     }

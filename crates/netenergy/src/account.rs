@@ -70,7 +70,7 @@ pub struct EnergyDecomposition {
 
 impl EnergyDecomposition {
     /// Total energy.
-    pub fn total_joules(&self) -> f64 {
+    pub(crate) fn total_joules(&self) -> f64 {
         self.end_system_joules + self.network_joules
     }
 

@@ -72,7 +72,7 @@ impl DeviceKind {
 
     /// Total load-dependent energy per forwarded packet, in Joules:
     /// `P_p + P_s−f` of Eq. 5.
-    pub fn per_packet_energy_joules(self) -> f64 {
+    pub(crate) fn per_packet_energy_joules(self) -> f64 {
         self.per_packet_processing_nj() * 1e-9 + self.per_packet_store_forward_pj() * 1e-12
     }
 
@@ -80,7 +80,7 @@ impl DeviceKind {
     /// reported by §4's citations as 70–80% of total device power. Not used
     /// in algorithm comparisons (it does not depend on the transfer), but
     /// needed to reproduce the "idle dominates" observation.
-    pub fn idle_watts(self) -> f64 {
+    pub(crate) fn idle_watts(self) -> f64 {
         match self {
             DeviceKind::EnterpriseSwitch => 150.0,
             DeviceKind::EdgeSwitch => 100.0,
@@ -92,7 +92,7 @@ impl DeviceKind {
     /// Maximum *dynamic* power at full line rate, Watts. With idle power at
     /// 70–80% of the total (§4's citations), the dynamic headroom is about
     /// 30% of the idle figure.
-    pub fn max_dynamic_watts(self) -> f64 {
+    pub(crate) fn max_dynamic_watts(self) -> f64 {
         self.idle_watts() * 0.3
     }
 }

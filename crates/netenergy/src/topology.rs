@@ -40,7 +40,7 @@ impl NetworkPath {
 
     /// Load-dependent energy per forwarded packet over the whole path,
     /// Joules.
-    pub fn per_packet_energy_joules(&self) -> f64 {
+    pub(crate) fn per_packet_energy_joules(&self) -> f64 {
         self.devices
             .iter()
             .map(|d| d.per_packet_energy_joules())
@@ -48,7 +48,7 @@ impl NetworkPath {
     }
 
     /// Total idle power of all devices on the path, Watts.
-    pub fn idle_watts(&self) -> f64 {
+    pub(crate) fn idle_watts(&self) -> f64 {
         self.devices.iter().map(|d| d.idle_watts()).sum()
     }
 

@@ -72,7 +72,7 @@ impl GroundTruth {
     }
 
     /// The noise-free expected power for a utilization snapshot.
-    pub fn expected_watts(&self, util: &Utilization) -> f64 {
+    pub(crate) fn expected_watts(&self, util: &Utilization) -> f64 {
         let cpu_lin = self.cpu_scale * cpu_coefficient(util.active_cores) * util.cpu;
         let cpu_quad = self.cpu_quadratic * (util.cpu / 100.0).powi(2) * util.cpu;
         let disk = self.c_disk * util.disk * (1.0 - 0.15 * (util.disk / 100.0));
@@ -92,7 +92,7 @@ impl GroundTruth {
 /// application-layer transfer tools such as scp, rsync, ftp, bbcp and
 /// gridftp"; each stresses the components differently (scp burns CPU on
 /// crypto, bbcp/gridftp push the NIC and disk, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ToolProfile {
     /// Tool name.
     pub name: &'static str,
@@ -171,7 +171,7 @@ impl ToolProfile {
     /// disk flushes, ACK bursts and cache pressure each wander on their own
     /// — and that decorrelation is exactly why the paper's CPU-only
     /// predictor correlates at 89.71% rather than ~100%.
-    pub fn utilization_at_jittered(
+    pub(crate) fn utilization_at_jittered(
         &self,
         load: f64,
         active_cores: u32,
@@ -201,7 +201,7 @@ impl ToolProfile {
 
     /// A deterministic load trace for this tool: a ramp up, a sustained
     /// plateau with jitter, and a ramp down — shaped like a real transfer.
-    pub fn load_trace(&self, steps: usize, rng: &mut SimRng) -> Vec<f64> {
+    pub(crate) fn load_trace(&self, steps: usize, rng: &mut SimRng) -> Vec<f64> {
         let mut out = Vec::with_capacity(steps);
         for i in 0..steps {
             let phase = i as f64 / steps.max(1) as f64;

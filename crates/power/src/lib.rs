@@ -15,18 +15,16 @@
 //! [`calibrate`] reproduces the model-building phase: sweep synthetic load
 //! levels against a ground-truth power oracle, fit coefficients by least
 //! squares, and score models with MAPE against held-out transfer profiles
-//! (the paper's "error rate below 6%" experiment). [`meter`] integrates
-//! predicted Watts into Joules over simulated time.
+//! (the paper's "error rate below 6%" experiment). The transfer engine
+//! integrates the predicted Watts into Joules over simulated time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibrate;
-pub mod meter;
 pub mod model;
 
 pub use calibrate::{CalibrationOutcome, GroundTruth, ToolProfile};
-pub use meter::EnergyMeter;
 pub use model::{
     cpu_coefficient, CpuOnlyModel, FineGrainedModel, PowerBreakdown, PowerModel, PowerModelKind,
 };

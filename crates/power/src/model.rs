@@ -114,7 +114,7 @@ impl FineGrainedModel {
     }
 
     /// The effective CPU coefficient for `n` active cores.
-    pub fn c_cpu(&self, active_cores: u32) -> f64 {
+    pub(crate) fn c_cpu(&self, active_cores: u32) -> f64 {
         self.cpu_scale * cpu_coefficient(active_cores)
     }
 }
@@ -182,7 +182,7 @@ impl CpuOnlyModel {
     }
 
     /// The TDP scaling factor `TDP_SR / TDP_SL`.
-    pub fn tdp_ratio(&self) -> f64 {
+    pub(crate) fn tdp_ratio(&self) -> f64 {
         if self.local_tdp <= 0.0 {
             1.0
         } else {

@@ -10,14 +10,11 @@
 //!   [`Rate`]) plus bandwidth-delay-product helpers.
 //! * [`rng`] — a seedable, splittable deterministic random source so every
 //!   experiment is exactly reproducible.
-//! * [`event`] — a minimal discrete-event queue used by the transfer engine
-//!   for control-channel bookkeeping, with slab-backed payload storage so
-//!   steady-state scheduling allocates nothing.
 //! * [`error`] — the workspace-wide typed error ([`EadtError`]) and its
 //!   coarse classification ([`ErrorKind`]), shared by the CLI, the transfer
 //!   runtime, and the fleet batch runner.
 //! * [`series`] — append-only time series with trapezoidal integration
-//!   (power → energy) and resampling.
+//!   (power → energy).
 //! * [`stats`] — summary statistics and ordinary least squares regression
 //!   (simple and multiple), used to fit the paper's power-model
 //!   coefficients during calibration.
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod event;
 #[cfg(test)]
 mod proptests;
 pub mod rng;
@@ -40,7 +36,6 @@ pub mod time;
 pub mod units;
 
 pub use error::{EadtError, ErrorKind};
-pub use event::{EventQueue, ScheduledEvent};
 pub use rng::{RngSnapshot, SimRng};
 pub use series::TimeSeries;
 pub use stats::{LinearFit, MultiLinearFit, Summary};

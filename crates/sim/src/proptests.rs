@@ -79,7 +79,8 @@ proptest! {
             .collect();
         let fit = MultiLinearFit::fit(&rows, false).unwrap();
         for (x, y) in &rows {
-            prop_assert!((fit.predict(x) - y).abs() < 1e-6 * y.abs().max(1.0));
+            let predicted: f64 = fit.coefficients.iter().zip(x).map(|(c, v)| c * v).sum();
+            prop_assert!((predicted + fit.intercept - y).abs() < 1e-6 * y.abs().max(1.0));
         }
     }
 

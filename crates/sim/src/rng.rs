@@ -104,7 +104,7 @@ impl SimRng {
 
     /// Uniform `f64` in `[lo, hi)`; returns `lo` when the range is empty.
     #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return lo;
         }
@@ -113,7 +113,7 @@ impl SimRng {
 
     /// Uniform `u64` in `[lo, hi)`; returns `lo` when the range is empty.
     #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
         }
@@ -133,7 +133,7 @@ impl SimRng {
 
     /// Gaussian sample via Box–Muller (mean 0, std 1).
     #[inline]
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box–Muller; u1 is kept away from 0 so ln() stays finite.
         let u1 = self.unit().max(1e-12);
         let u2 = self.unit();

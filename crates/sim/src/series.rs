@@ -1,12 +1,11 @@
-//! Append-only time series with integration and windowed summaries.
+//! Append-only time series with integration and summaries.
 //!
 //! The transfer engine samples instantaneous power (Watts) and throughput
 //! (Mbps) once per slice; [`TimeSeries`] turns those samples into the
 //! quantities the paper reports: energy in Joules (trapezoidal integral of
-//! power over time) and per-window averages (the 5-second probe windows of
-//! HTEE and SLAEE).
+//! power over time) and time-weighted means.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// One sample: a value observed at a simulated instant.
@@ -151,25 +150,6 @@ impl TimeSeries {
         }
     }
 
-    /// Mean of the samples whose timestamps fall in `[from, from + window)`.
-    /// Returns `None` when the window contains no samples.
-    pub fn window_mean(&self, from: SimTime, window: SimDuration) -> Option<f64> {
-        let to = from + window;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for s in &self.samples {
-            if s.time >= from && s.time < to {
-                sum += s.value;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
     /// Maximum sample value; `None` when empty.
     pub fn max_value(&self) -> Option<f64> {
         self.samples
@@ -179,33 +159,6 @@ impl TimeSeries {
                 None => Some(v),
                 Some(m) => Some(m.max(v)),
             })
-    }
-
-    /// Resamples to a fixed step with zero-order hold (last value persists),
-    /// useful for plotting aligned series.
-    pub fn resample(&self, step: SimDuration) -> Vec<Sample> {
-        let (Some(start), Some(end)) = (self.start(), self.end()) else {
-            return Vec::new();
-        };
-        if step.is_zero() {
-            return self.samples.clone();
-        }
-        let mut out = Vec::new();
-        let mut t = start;
-        let mut idx = 0usize;
-        let mut current = self.samples[0].value;
-        while t <= end {
-            while idx < self.samples.len() && self.samples[idx].time <= t {
-                current = self.samples[idx].value;
-                idx += 1;
-            }
-            out.push(Sample {
-                time: t,
-                value: current,
-            });
-            t += step;
-        }
-        out
     }
 }
 
@@ -224,7 +177,6 @@ mod tests {
         assert_eq!(s.integrate(), 0.0);
         assert_eq!(s.time_weighted_mean(), 0.0);
         assert_eq!(s.max_value(), None);
-        assert!(s.resample(SimDuration::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -277,37 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn window_mean_selects_half_open_interval() {
-        let mut s = TimeSeries::new();
-        for i in 0..10 {
-            s.push(t(i as f64), i as f64);
-        }
-        let m = s.window_mean(t(2.0), SimDuration::from_secs(3)).unwrap();
-        assert!((m - 3.0).abs() < 1e-12); // samples at 2,3,4
-        assert_eq!(s.window_mean(t(100.0), SimDuration::from_secs(5)), None);
-    }
-
-    #[test]
     fn max_value_finds_peak() {
         let mut s = TimeSeries::new();
         s.push(t(0.0), 1.0);
         s.push(t(1.0), 9.0);
         s.push(t(2.0), 3.0);
         assert_eq!(s.max_value(), Some(9.0));
-    }
-
-    #[test]
-    fn resample_zero_order_hold() {
-        let mut s = TimeSeries::new();
-        s.push(t(0.0), 1.0);
-        s.push(t(2.5), 5.0);
-        s.push(t(5.0), 2.0);
-        let r = s.resample(SimDuration::from_secs(1));
-        assert_eq!(r.len(), 6); // t = 0..=5
-        assert_eq!(r[0].value, 1.0);
-        assert_eq!(r[2].value, 1.0); // 2.0 < 2.5: still holding first value
-        assert_eq!(r[3].value, 5.0); // 3.0 ≥ 2.5
-        assert_eq!(r[5].value, 2.0);
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl LinearFit {
             r_squared: r * r,
         })
     }
-
-    /// Predicts `y` at `x`.
-    #[inline]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 /// Result of a multiple least-squares fit `y ≈ Σ cᵢ·xᵢ (+ intercept)`.
@@ -194,17 +188,6 @@ impl MultiLinearFit {
             intercept,
             r_squared,
         })
-    }
-
-    /// Predicts `y` for the predictor vector `x` (missing trailing
-    /// predictors are treated as zero).
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        self.coefficients
-            .iter()
-            .zip(x)
-            .map(|(c, v)| c * v)
-            .sum::<f64>()
-            + self.intercept
     }
 }
 
@@ -305,7 +288,7 @@ mod tests {
         assert!((fit.slope - 3.0).abs() < 1e-10);
         assert!((fit.intercept - 2.0).abs() < 1e-10);
         assert!((fit.r - 1.0).abs() < 1e-10);
-        assert!((fit.predict(20.0) - 62.0).abs() < 1e-9);
+        assert!((fit.slope * 20.0 + fit.intercept - 62.0).abs() < 1e-9);
     }
 
     #[test]
@@ -352,7 +335,7 @@ mod tests {
         let fit = MultiLinearFit::fit(&rows, true).unwrap();
         assert!((fit.coefficients[0] - 2.0).abs() < 1e-9);
         assert!((fit.intercept - 5.0).abs() < 1e-9);
-        assert!((fit.predict(&[10.0]) - 25.0).abs() < 1e-8);
+        assert!((fit.coefficients[0] * 10.0 + fit.intercept - 25.0).abs() < 1e-8);
     }
 
     #[test]

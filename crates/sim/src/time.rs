@@ -12,7 +12,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An instant on the simulated clock, measured from the start of the
 /// simulation (time zero).
@@ -70,14 +70,6 @@ impl SimTime {
         SimDuration {
             micros: self.micros.saturating_sub(earlier.micros),
         }
-    }
-
-    /// Checked subtraction; `None` if `rhs` is later than `self`.
-    #[inline]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimTime> {
-        self.micros
-            .checked_sub(rhs.micros)
-            .map(|m| SimTime { micros: m })
     }
 }
 
@@ -344,16 +336,6 @@ mod tests {
         let late = SimTime::from_micros(30);
         assert_eq!(late.since(early).as_micros(), 20);
         assert_eq!(early.since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checked_sub_detects_underflow() {
-        let t = SimTime::from_micros(5);
-        assert_eq!(t.checked_sub(SimDuration::from_micros(6)), None);
-        assert_eq!(
-            t.checked_sub(SimDuration::from_micros(5)),
-            Some(SimTime::ZERO)
-        );
     }
 
     #[test]

@@ -1062,11 +1062,6 @@ impl Journal {
         out
     }
 
-    /// Writes the journal as JSON Lines.
-    pub fn write_jsonl(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        out.write_all(self.to_jsonl().as_bytes())
-    }
-
     /// Parses a JSON Lines journal (blank lines are skipped).
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut records = Vec::new();

@@ -81,23 +81,6 @@ impl Histogram {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Upper bound of the bucket holding the q-quantile (0 ≤ q ≤ 1), or
-    /// `None` when empty. Overflow observations report infinity.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(f64::INFINITY));
-            }
-        }
-        Some(f64::INFINITY)
-    }
 }
 
 struct Counter {
@@ -184,12 +167,6 @@ impl MetricsRegistry {
         HistogramId(self.histograms.len() - 1)
     }
 
-    /// Adds to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].value += by;
-    }
-
     /// Sets a gauge's current value (snapshotted on the next sample).
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: f64) {
@@ -228,37 +205,6 @@ impl MetricsRegistry {
     /// may skip without missing a gauge sample.
     pub fn next_tick(&self) -> SimTime {
         self.next_sample
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
-    /// Sampled series of a gauge.
-    pub fn gauge_series(&self, id: GaugeId) -> &TimeSeries {
-        &self.gauges[id.0].series
-    }
-
-    /// Looks a gauge's series up by name.
-    pub fn series_by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.gauges
-            .iter()
-            .find(|g| g.name == name)
-            .map(|g| &g.series)
-    }
-
-    /// Histogram contents.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].hist
-    }
-
-    /// Looks a histogram up by name.
-    pub fn histogram_by_name(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| &h.hist)
     }
 
     /// All counters as `(name, value)` in registration order.
@@ -410,17 +356,6 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         true
     }
-
-    /// Rebuilds a live [`Histogram`] from the snapshot (quantile queries
-    /// on rolled-up fleet data).
-    pub fn to_histogram(&self) -> Histogram {
-        Histogram {
-            bounds: self.bounds.clone(),
-            counts: self.counts.clone(),
-            count: self.count,
-            sum: self.sum,
-        }
-    }
 }
 
 /// Serializable state of a [`MetricsRegistry`], for checkpointing.
@@ -452,12 +387,11 @@ mod tests {
         let a = m.counter("retries");
         let b = m.counter("retries");
         assert_eq!(a, b);
-        m.inc(a, 2);
-        m.inc(b, 3);
-        assert_eq!(m.counter_value(a), 5);
+        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("retries", 0)]);
 
         let g = m.gauge("watts");
         assert_eq!(m.gauge("watts"), g);
+        assert_eq!(m.gauges().count(), 1);
     }
 
     #[test]
@@ -473,7 +407,7 @@ mod tests {
         assert!(m.tick(t(1.0)));
         assert!(!m.tick(t(1.5)));
 
-        let s = m.gauge_series(g).samples();
+        let s = m.gauges().next().unwrap().1.samples();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].value, 10.0);
         assert_eq!(s[1].value, 20.0);
@@ -490,7 +424,7 @@ mod tests {
         assert!(m.tick(t(10.25)));
         assert!(!m.tick(t(10.9)));
         assert!(m.tick(t(11.0)));
-        assert_eq!(m.gauge_series(g).len(), 3);
+        assert_eq!(m.gauges().next().unwrap().1.len(), 3);
     }
 
     #[test]
@@ -501,9 +435,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.counts(), &[2, 1, 1, 1]);
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
         assert!((h.mean() - 23.4 / 5.0).abs() < 1e-12);
     }
 
@@ -513,7 +444,6 @@ mod tests {
         let c = m.counter("retries");
         let g = m.gauge("thr");
         let h = m.histogram("lat", &[1.0, 5.0]);
-        m.inc(c, 7);
         m.set(g, 42.0);
         m.observe(h, 3.0);
         m.tick(t(0.0));
@@ -526,9 +456,8 @@ mod tests {
         assert_eq!(back.counter("retries"), c);
         assert_eq!(back.gauge("thr"), g);
         assert_eq!(back.histogram("lat", &[1.0, 5.0]), h);
-        assert_eq!(back.counter_value(c), 7);
-        assert_eq!(back.histogram_ref(h).count(), 1);
-        assert_eq!(back.gauge_series(g).len(), 2);
+        assert_eq!(back.snapshot(), snap);
+        assert_eq!(back.gauges().next().unwrap().1.len(), 2);
         // ...and the sampler grid continues where it stopped.
         assert_eq!(back.next_tick(), m.next_tick());
         assert!(!back.tick(t(1.5)));
@@ -545,42 +474,10 @@ mod tests {
         h.observe(1.0);
         h.observe(2.0);
         assert_eq!(h.counts(), &[1, 1, 0]);
-    }
-
-    #[test]
-    fn quantile_of_an_empty_histogram_is_none() {
-        let h = Histogram::new(vec![1.0, 2.0]);
-        for q in [0.0, 0.5, 1.0, -3.0, 42.0] {
-            assert_eq!(h.quantile(q), None);
-        }
-    }
-
-    #[test]
-    fn quantile_extremes_and_out_of_range_q_clamp() {
-        let mut h = Histogram::new(vec![1.0, 5.0, 10.0]);
-        for v in [0.5, 3.0, 7.0] {
-            h.observe(v);
-        }
-        // q=0 lands on the first occupied bucket, q=1 on the last.
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-        // Out-of-range q clamps to [0, 1] rather than panicking.
-        assert_eq!(h.quantile(-0.5), h.quantile(0.0));
-        assert_eq!(h.quantile(7.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn quantile_of_a_single_bucket_histogram() {
         // No explicit bounds: everything lands in the overflow bucket.
         let mut h = Histogram::new(vec![]);
         h.observe(3.0);
         assert_eq!(h.counts(), &[1]);
-        assert_eq!(h.quantile(0.0), Some(f64::INFINITY));
-        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
-        // One real bucket that holds the only observation.
-        let mut h = Histogram::new(vec![10.0]);
-        h.observe(3.0);
-        assert_eq!(h.quantile(0.5), Some(10.0));
     }
 
     fn snap_of(values: &[f64]) -> HistogramSnapshot {
@@ -618,8 +515,6 @@ mod tests {
         assert_eq!(ab_c.count, 6);
         assert_eq!(ab_c.counts, vec![1, 2, 1, 2]);
         assert_eq!(ab_c.sum, 38.0);
-        // And the merged snapshot still answers quantile queries.
-        assert_eq!(ab_c.to_histogram().quantile(0.5), Some(5.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use eadt_telemetry::Event;
 use serde::{Deserialize, Serialize};
 
 /// Snapshot kind used by controllers with no mutable state.
-pub const STATELESS_KIND: &str = "stateless";
+pub(crate) const STATELESS_KIND: &str = "stateless";
 
 /// A serialized controller state, as stored inside an engine checkpoint.
 ///
@@ -305,7 +305,7 @@ pub struct FaultAware<C> {
 }
 
 /// Snapshot kind tag for [`FaultAware`].
-pub const FAULT_AWARE_KIND: &str = "fault-aware";
+pub(crate) const FAULT_AWARE_KIND: &str = "fault-aware";
 
 /// Mutable state of [`FaultAware`] as stored in a checkpoint. The
 /// decorator's configuration knobs ride along so a tuned decorator

@@ -1,10 +1,9 @@
 //! A minimal discrete-event queue backed by a payload slab.
 //!
-//! The transfer engine is primarily time-sliced, but control-plane actions —
-//! probe-window boundaries, scheduled concurrency changes, SLA re-checks —
-//! are naturally discrete events. [`EventQueue`] orders them by simulated
-//! time with a stable FIFO tie-break so that two events scheduled for the
-//! same instant fire in the order they were scheduled (determinism again).
+//! The transfer engine is time-sliced; the control-channel oracle is the
+//! one discrete-event simulation. [`EventQueue`] orders its events by
+//! simulated time with a stable FIFO tie-break, so that two events
+//! scheduled for the same instant fire in the order they were scheduled.
 //!
 //! Internally the queue separates *ordering* from *storage*: the binary
 //! heap holds small `Copy` keys `(at, seq, slot)` while payloads live in a
@@ -13,7 +12,7 @@
 //! one, pop one, millions of times) allocates nothing after warm-up, and
 //! heap sift operations move 20-byte keys instead of arbitrary payloads.
 
-use crate::time::SimTime;
+use eadt_sim::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -76,17 +75,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before any allocation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             next_seq: 0,
         }

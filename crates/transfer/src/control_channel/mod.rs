@@ -1,4 +1,5 @@
-//! An event-driven micro-simulation of one GridFTP control channel.
+//! An event-driven micro-simulation of one GridFTP control channel, kept as
+//! a test oracle.
 //!
 //! The engine models pipelining with a closed-form duty cycle: a channel
 //! moving files of size `s` at rate `r` pays `RTT/pipelining + overhead`
@@ -7,13 +8,16 @@
 //! up to `pipelining` transfer commands in flight, each file's data flowing
 //! only after its command arrives at the server, the server paying a
 //! per-file setup cost, completion acknowledgements returning after half an
-//! RTT — on the kernel's [`EventQueue`].
+//! RTT — on the earliest-first [`EventQueue`] of the [`event`] submodule.
 //!
 //! The unit tests assert the event-driven transfer time matches the
 //! engine's closed-form model within a few percent across pipelining
 //! depths, which is what justifies using the cheap formula in the hot loop.
 
-use eadt_sim::{Bytes, EventQueue, Rate, SimDuration, SimTime};
+mod event;
+
+use eadt_sim::{Bytes, Rate, SimDuration, SimTime};
+use event::EventQueue;
 
 /// One file's lifecycle events inside the micro-simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -507,14 +507,6 @@ impl RunOutcome {
             RunOutcome::Halted(_) => None,
         }
     }
-
-    /// The checkpoint, when the run halted.
-    pub fn into_checkpoint(self) -> Option<Box<EngineCheckpoint>> {
-        match self {
-            RunOutcome::Done(_) => None,
-            RunOutcome::Halted(ck) => Some(ck),
-        }
-    }
 }
 
 /// A stable digest of the run configuration: plan shape (stages, chunk

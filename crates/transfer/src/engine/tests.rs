@@ -806,7 +806,9 @@ fn checkpoint_carries_schema_version_and_fingerprint() {
         &mut Telemetry::disabled(),
         RunControl::halt_at(3),
     );
-    let ck = out.into_checkpoint().expect("halted");
+    let RunOutcome::Halted(ck) = out else {
+        panic!("halted")
+    };
     assert_eq!(ck.version, CHECKPOINT_SCHEMA_VERSION);
     assert_eq!(ck.fingerprint, config_fingerprint(&env, &plan));
     assert_eq!(ck.slices_done, 3);
@@ -821,15 +823,14 @@ fn resume_rejects_foreign_checkpoint() {
     let env = wan_env();
     let plan_a = simple_plan(4, 500, 1, 1, 2);
     let plan_b = simple_plan(5, 500, 1, 1, 2);
-    let ck = Engine::new(&env)
-        .run_controlled(
-            &plan_a,
-            &mut NullController,
-            &mut Telemetry::disabled(),
-            RunControl::halt_at(2),
-        )
-        .into_checkpoint()
-        .expect("halted");
+    let RunOutcome::Halted(ck) = Engine::new(&env).run_controlled(
+        &plan_a,
+        &mut NullController,
+        &mut Telemetry::disabled(),
+        RunControl::halt_at(2),
+    ) else {
+        panic!("halted")
+    };
     let _ = Engine::new(&env).run_controlled(
         &plan_b,
         &mut NullController,
@@ -863,15 +864,14 @@ fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
             if let Some(report) = run.step(&env, &mut tel, Some(every), ResourceShare::FULL) {
                 break report;
             }
-            let halted = Engine::new(&env)
-                .run_controlled(
-                    &plan,
-                    &mut NullController,
-                    &mut telemetry(),
-                    RunControl::halt_at(run.slices_done()),
-                )
-                .into_checkpoint()
-                .expect("halted");
+            let RunOutcome::Halted(halted) = Engine::new(&env).run_controlled(
+                &plan,
+                &mut NullController,
+                &mut telemetry(),
+                RunControl::halt_at(run.slices_done()),
+            ) else {
+                panic!("halted")
+            };
             assert_eq!(
                 run.snapshot(&tel).to_json(),
                 halted.to_json(),

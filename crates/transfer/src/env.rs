@@ -92,12 +92,6 @@ impl EngineTuning {
         self.max_duration = max_duration;
         self
     }
-
-    /// Enables or disables event-horizon macro-stepping (on by default).
-    pub fn with_macro_step(mut self, macro_step: bool) -> Self {
-        self.macro_step = macro_step;
-        self
-    }
 }
 
 /// Everything the engine needs to know about the world: the path, the two
@@ -144,12 +138,12 @@ pub struct TransferEnv {
 impl TransferEnv {
     /// Per-stream achievable rate: the window ceiling clamped by the
     /// loss-limited cap.
-    pub fn stream_rate(&self) -> Rate {
+    pub(crate) fn stream_rate(&self) -> Rate {
         eadt_net::tcp::stream_ceiling(&self.link).min(self.tuning.wan_stream_cap)
     }
 
     /// Per-channel ceiling for a channel running `parallelism` streams.
-    pub fn channel_cap(&self, parallelism: u32) -> Rate {
+    pub(crate) fn channel_cap(&self, parallelism: u32) -> Rate {
         (self.stream_rate() * f64::from(parallelism.max(1)))
             .min(self.tuning.proc_channel_cap)
             .min(self.link.bandwidth)

@@ -66,7 +66,7 @@ impl FaultModel {
     /// make the channel fail on *every* slice for the rest of the run.
     /// The result is floored at one microsecond so even the unluckiest draw
     /// fails once, resamples, and moves on.
-    pub fn sample_ttf(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_ttf(&self, rng: &mut SimRng) -> SimDuration {
         let u = rng.unit().max(1e-12);
         self.mtbf.mul_f64(-u.ln()).max(SimDuration::from_micros(1))
     }
@@ -83,7 +83,7 @@ pub enum SiteSide {
 
 /// Why an injected failure killed a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultCause {
+pub(crate) enum FaultCause {
     /// Independent per-channel failure ([`FaultModel`] TTF expiry).
     Channel,
     /// Correlated server outage ([`OutageModel`] window).
@@ -203,7 +203,7 @@ impl DiskDegradationModel {
 /// degradations; polling must be monotonic in time (the engine polls once
 /// per slice).
 #[derive(Debug, Clone)]
-pub struct EpisodeStream {
+pub(crate) struct EpisodeStream {
     rng: SimRng,
     mean_gap: SimDuration,
     duration: SimDuration,
@@ -215,7 +215,7 @@ pub struct EpisodeStream {
 
 impl EpisodeStream {
     /// A stream whose first window opens one gap after time zero.
-    pub fn new(mean_gap: SimDuration, duration: SimDuration, seed: u64) -> Self {
+    pub(crate) fn new(mean_gap: SimDuration, duration: SimDuration, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).fork("episodes");
         let gap = Self::sample_gap(mean_gap, &mut rng);
         EpisodeStream {
@@ -236,7 +236,7 @@ impl EpisodeStream {
 
     /// Advances the stream to `now` and reports whether a window is active.
     /// `now` must not go backwards between calls.
-    pub fn active(&mut self, now: SimTime) -> bool {
+    pub(crate) fn active(&mut self, now: SimTime) -> bool {
         while now >= self.next_end {
             let gap = Self::sample_gap(self.mean_gap, &mut self.rng);
             self.next_start = self.next_end + gap;
@@ -253,7 +253,7 @@ impl EpisodeStream {
 
     /// Number of windows entered so far (rising edges observed by
     /// [`EpisodeStream::active`]).
-    pub fn started(&self) -> u64 {
+    pub(crate) fn started(&self) -> u64 {
         self.started
     }
 
@@ -263,7 +263,7 @@ impl EpisodeStream {
     /// closing edge while active. Must be called *after* `active(now)`
     /// advanced the stream to `now` (the engine polls once per slice), so
     /// `next_end > now` always holds and no RNG draw is needed.
-    pub fn next_boundary(&self, now: SimTime) -> SimTime {
+    pub(crate) fn next_boundary(&self, now: SimTime) -> SimTime {
         if now < self.next_start {
             self.next_start
         } else {
@@ -272,7 +272,7 @@ impl EpisodeStream {
     }
 
     /// Captures the stream's full state for a checkpoint.
-    pub fn snapshot(&self) -> EpisodeStreamSnapshot {
+    pub(crate) fn snapshot(&self) -> EpisodeStreamSnapshot {
         EpisodeStreamSnapshot {
             rng: self.rng.snapshot(),
             mean_gap: self.mean_gap,
@@ -288,7 +288,7 @@ impl EpisodeStream {
     /// captured stream stopped (same pending window, same future draws).
     ///
     /// [`snapshot`]: EpisodeStream::snapshot
-    pub fn restore(snap: &EpisodeStreamSnapshot) -> Self {
+    pub(crate) fn restore(snap: &EpisodeStreamSnapshot) -> Self {
         EpisodeStream {
             rng: SimRng::restore(&snap.rng),
             mean_gap: snap.mean_gap,
@@ -301,7 +301,7 @@ impl EpisodeStream {
     }
 }
 
-/// Serializable state of an [`EpisodeStream`], for checkpointing.
+/// Serializable state of an `EpisodeStream`, for checkpointing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpisodeStreamSnapshot {
     /// Window-gap RNG state.
@@ -388,14 +388,8 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Whether any fault source is configured at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.channel.is_some()
             || !self.outages.is_empty()
             || self.stall.is_some()
@@ -409,7 +403,7 @@ impl FaultPlan {
     }
 
     /// Seed for streams not owned by a specific model (retry jitter).
-    pub fn base_seed(&self) -> u64 {
+    pub(crate) fn base_seed(&self) -> u64 {
         self.channel.map_or(0x5eed_fa17, |c| c.seed)
     }
 }
@@ -453,7 +447,7 @@ impl BackgroundTraffic {
     }
 
     /// Multiplier on the link capacity at `t` (1 − occupancy).
-    pub fn capacity_factor(&self, t: SimTime) -> f64 {
+    pub(crate) fn capacity_factor(&self, t: SimTime) -> f64 {
         (1.0 - self.occupancy(t)).max(0.0)
     }
 
@@ -464,7 +458,7 @@ impl BackgroundTraffic {
     /// empty or covers the whole period).
     ///
     /// [`occupancy`]: BackgroundTraffic::occupancy
-    pub fn next_change(&self, t: SimTime) -> SimTime {
+    pub(crate) fn next_change(&self, t: SimTime) -> SimTime {
         let period = self.period.as_micros().max(1);
         let active = self.active.as_micros();
         if self.fraction == 0.0 || active == 0 || active >= period {

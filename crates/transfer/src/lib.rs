@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod control;
-pub mod control_channel;
 pub mod engine;
 pub mod env;
 pub mod faults;
@@ -41,14 +40,12 @@ pub mod report;
 pub mod retry;
 
 #[cfg(test)]
+mod control_channel;
+#[cfg(test)]
 mod proptests;
 
 pub use control::{
     ControlAction, Controller, ControllerSnapshot, FaultAware, FaultView, NullController, SliceCtx,
-    FAULT_AWARE_KIND, STATELESS_KIND,
-};
-pub use control_channel::{
-    closed_form_goodput, exact_goodput, simulate_channel, ControlChannelRun,
 };
 pub use engine::{
     config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine, EngineCheckpoint, EngineRun,
@@ -56,12 +53,10 @@ pub use engine::{
 };
 pub use env::{EngineTuning, TransferEnv};
 pub use faults::{
-    BackgroundTraffic, DiskDegradationModel, EpisodeStream, EpisodeStreamSnapshot, FaultCause,
-    FaultModel, FaultPlan, OutageModel, SiteSide, StallModel,
+    BackgroundTraffic, DiskDegradationModel, EpisodeStreamSnapshot, FaultModel, FaultPlan,
+    OutageModel, SiteSide, StallModel,
 };
 pub use params::TransferParams;
 pub use plan::{uniform_plan, ChunkPlan, StagePlan, TransferPlan};
 pub use report::{ChunkStat, FaultStats, TransferReport, REPORT_SCHEMA_VERSION};
-pub use retry::{
-    BreakerSnapshot, BreakerStateSnapshot, FaultRuntime, FaultRuntimeSnapshot, RetryPolicy,
-};
+pub use retry::{BreakerSnapshot, BreakerStateSnapshot, FaultRuntimeSnapshot, RetryPolicy};

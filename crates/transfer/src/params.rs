@@ -40,14 +40,6 @@ impl TransferParams {
     pub fn total_streams(&self) -> u32 {
         self.concurrency.saturating_mul(self.parallelism)
     }
-
-    /// Returns a copy with a different concurrency.
-    pub fn with_concurrency(&self, concurrency: u32) -> Self {
-        TransferParams {
-            concurrency: concurrency.max(1),
-            ..*self
-        }
-    }
 }
 
 impl Default for TransferParams {
@@ -80,16 +72,6 @@ mod tests {
     fn total_streams() {
         assert_eq!(TransferParams::new(4, 3, 5).total_streams(), 15);
         assert_eq!(TransferParams::BASELINE.total_streams(), 1);
-    }
-
-    #[test]
-    fn with_concurrency_replaces_only_concurrency() {
-        let p = TransferParams::new(10, 2, 4).with_concurrency(8);
-        assert_eq!(p, TransferParams::new(10, 2, 8));
-        assert_eq!(
-            TransferParams::new(1, 1, 5).with_concurrency(0).concurrency,
-            1
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   cooldown expires, at which point a half-open probe decides between
 //!   closing the breaker and re-opening it.
 //!
-//! [`FaultRuntime`] owns the live state (episode streams, breakers, the
+//! `FaultRuntime` owns the live state (episode streams, breakers, the
 //! jitter stream, accumulated [`FaultStats`]) for one engine run.
 
 use crate::faults::{EpisodeStream, EpisodeStreamSnapshot, FaultCause, FaultPlan, SiteSide};
@@ -105,51 +105,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Sets the first-retry delay.
-    pub fn with_base_delay(mut self, base_delay: SimDuration) -> Self {
-        self.base_delay = base_delay;
-        self
-    }
-
-    /// Sets the backoff ceiling.
-    pub fn with_max_delay(mut self, max_delay: SimDuration) -> Self {
-        self.max_delay = max_delay;
-        self
-    }
-
-    /// Sets the backoff growth factor.
-    pub fn with_multiplier(mut self, multiplier: f64) -> Self {
-        self.multiplier = multiplier;
-        self
-    }
-
-    /// Sets the jitter amplitude.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Sets the per-channel retry budget.
-    pub fn with_retry_budget(mut self, retry_budget: u32) -> Self {
-        self.retry_budget = retry_budget;
-        self
-    }
-
-    /// Sets the breaker-open threshold.
-    pub fn with_breaker_threshold(mut self, breaker_threshold: u32) -> Self {
-        self.breaker_threshold = breaker_threshold;
-        self
-    }
-
-    /// Sets the breaker / exhausted-budget cooldown.
-    pub fn with_cooldown(mut self, cooldown: SimDuration) -> Self {
-        self.cooldown = cooldown;
-        self
-    }
-
     /// Raw (un-jittered) backoff for the given 0-based consecutive-failure
     /// count: `base · multiplier^attempt`, capped at `max_delay`.
-    pub fn raw_backoff(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn raw_backoff(&self, attempt: u32) -> SimDuration {
         let factor = self.multiplier.max(1.0).powi(attempt.min(63) as i32);
         self.base_delay.mul_f64(factor).min(self.max_delay)
     }
@@ -277,7 +235,7 @@ pub struct BreakerSnapshot {
 /// slice, per-server breakers, the jitter stream, and accumulated
 /// statistics.
 #[derive(Debug, Clone)]
-pub struct FaultRuntime {
+pub(crate) struct FaultRuntime {
     plan: FaultPlan,
     jitter_rng: SimRng,
     ttf_rng: Option<SimRng>,
@@ -321,7 +279,7 @@ fn server_detail(side: EvSide, server: usize) -> String {
 impl FaultRuntime {
     /// Builds the runtime for a plan over sites with the given server
     /// counts. Out-of-range server indices in the plan are ignored.
-    pub fn new(plan: &FaultPlan, src_servers: usize, dst_servers: usize) -> Self {
+    pub(crate) fn new(plan: &FaultPlan, src_servers: usize, dst_servers: usize) -> Self {
         let in_range = |side: SiteSide, server: usize| match side {
             SiteSide::Src => server < src_servers,
             SiteSide::Dst => server < dst_servers,
@@ -390,18 +348,18 @@ impl FaultRuntime {
 
     /// Switches on telemetry event capture: breaker transitions and
     /// fault-episode edges are buffered for [`FaultRuntime::take_events`].
-    pub fn capture_events(&mut self, on: bool) {
+    pub(crate) fn capture_events(&mut self, on: bool) {
         self.capture = on;
     }
 
     /// Returns (and clears) the buffered telemetry events.
-    pub fn take_events(&mut self) -> Vec<Event> {
+    pub(crate) fn take_events(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.events)
     }
 
     /// Advances episode streams and breaker cooldowns to the start of a
     /// slice and refreshes the per-slice snapshot.
-    pub fn begin_slice(&mut self, now: SimTime) {
+    pub(crate) fn begin_slice(&mut self, now: SimTime) {
         for (srv, b) in self.src_breakers.iter_mut().enumerate() {
             if b.begin_slice(now) && self.capture {
                 self.events.push(Event::Breaker {
@@ -515,7 +473,7 @@ impl FaultRuntime {
     }
 
     /// Samples a fresh time-to-failure when the plan has a channel model.
-    pub fn sample_ttf(&mut self) -> Option<SimDuration> {
+    pub(crate) fn sample_ttf(&mut self) -> Option<SimDuration> {
         let model = self.plan.channel?;
         let rng = self.ttf_rng.as_mut()?;
         Some(model.sample_ttf(rng))
@@ -523,12 +481,12 @@ impl FaultRuntime {
 
     /// Whether any outage window is currently active on either site (the
     /// engine's `outage_idle` ledger-phase signal).
-    pub fn any_outage(&self) -> bool {
+    pub(crate) fn any_outage(&self) -> bool {
         self.src_outage.iter().chain(&self.dst_outage).any(|&o| o)
     }
 
     /// Whether an outage window currently covers the given server.
-    pub fn outage_active(&self, side: SiteSide, server: usize) -> bool {
+    pub(crate) fn outage_active(&self, side: SiteSide, server: usize) -> bool {
         match side {
             SiteSide::Src => self.src_outage.get(server).copied().unwrap_or(false),
             SiteSide::Dst => self.dst_outage.get(server).copied().unwrap_or(false),
@@ -536,12 +494,12 @@ impl FaultRuntime {
     }
 
     /// Current inter-file control-gap multiplier (1.0 when not stalled).
-    pub fn gap_multiplier(&self) -> f64 {
+    pub(crate) fn gap_multiplier(&self) -> f64 {
         self.stall_multiplier
     }
 
     /// Current disk-rate factor for a server (1.0 when healthy).
-    pub fn disk_factor(&self, side: SiteSide, server: usize) -> f64 {
+    pub(crate) fn disk_factor(&self, side: SiteSide, server: usize) -> f64 {
         match side {
             SiteSide::Src => self.src_disk_factor.get(server).copied().unwrap_or(1.0),
             SiteSide::Dst => self.dst_disk_factor.get(server).copied().unwrap_or(1.0),
@@ -551,18 +509,9 @@ impl FaultRuntime {
     /// Placement masks from *learned* state only: a server reads as
     /// unavailable while its breaker is open. Active outages the client
     /// has not collided with yet do not mask — the client is not an
-    /// oracle; it discovers outages by failing against them.
-    pub fn avail_masks(&self) -> (Vec<bool>, Vec<bool>) {
-        let mut src = Vec::new();
-        let mut dst = Vec::new();
-        self.avail_masks_into(&mut src, &mut dst);
-        (src, dst)
-    }
-
-    /// In-place variant of [`FaultRuntime::avail_masks`] for the engine's
-    /// hot loop: refills the caller's buffers (capacity reused, so warm
-    /// buffers never allocate).
-    pub fn avail_masks_into(&self, src: &mut Vec<bool>, dst: &mut Vec<bool>) {
+    /// oracle; it discovers outages by failing against them. Refills the
+    /// caller's buffers (capacity reused, so warm buffers never allocate).
+    pub(crate) fn avail_masks_into(&self, src: &mut Vec<bool>, dst: &mut Vec<bool>) {
         src.clear();
         src.extend(self.src_breakers.iter().map(|b| !b.is_open()));
         dst.clear();
@@ -571,7 +520,7 @@ impl FaultRuntime {
 
     /// Fraction of servers not quarantined, taken as the min over both
     /// sites — the controller-facing degradation signal.
-    pub fn capacity_fraction(&self) -> f64 {
+    pub(crate) fn capacity_fraction(&self) -> f64 {
         let frac = |brs: &[Breaker]| {
             if brs.is_empty() {
                 1.0
@@ -584,7 +533,7 @@ impl FaultRuntime {
 
     /// Books a failure: bumps the per-cause counter and, for outage kills,
     /// charges the breaker of every server whose outage the channel hit.
-    pub fn record_failure(
+    pub(crate) fn record_failure(
         &mut self,
         cause: FaultCause,
         src_srv: usize,
@@ -672,7 +621,7 @@ impl FaultRuntime {
 
     /// Books bytes successfully moved through a server: resets its
     /// breaker's failure run and closes a half-open probe.
-    pub fn record_success(&mut self, side: SiteSide, server: usize) {
+    pub(crate) fn record_success(&mut self, side: SiteSide, server: usize) {
         let breaker = match side {
             SiteSide::Src => self.src_breakers.get_mut(server),
             SiteSide::Dst => self.dst_breakers.get_mut(server),
@@ -723,7 +672,7 @@ impl FaultRuntime {
     /// 0-based consecutive-failure count: jittered exponential backoff
     /// while within budget, a full cooldown once the budget is exhausted.
     /// Returns `(delay, budget_exhausted)` and books the retry.
-    pub fn next_delay(&mut self, consecutive: u32) -> (SimDuration, bool) {
+    pub(crate) fn next_delay(&mut self, consecutive: u32) -> (SimDuration, bool) {
         self.stats.retries += 1;
         let policy = self.plan.retry;
         if consecutive >= policy.retry_budget.max(1) {
@@ -751,22 +700,17 @@ impl FaultRuntime {
     }
 
     /// Adds backoff wait time to the accounting.
-    pub fn book_backoff(&mut self, waited: SimDuration) {
+    pub(crate) fn book_backoff(&mut self, waited: SimDuration) {
         self.stats.backoff_time += waited;
     }
 
     /// Adds retransmitted (lost-progress) bytes to the accounting.
-    pub fn book_retransmit(&mut self, lost: Bytes) {
+    pub(crate) fn book_retransmit(&mut self, lost: Bytes) {
         self.stats.retransmitted_bytes += lost;
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_active(&self) -> bool {
-        self.plan.is_active()
-    }
-
     /// Effective restart-marker setting for the plan.
-    pub fn restart_markers(&self) -> bool {
+    pub(crate) fn restart_markers(&self) -> bool {
         self.plan.restart_markers()
     }
 
@@ -781,7 +725,7 @@ impl FaultRuntime {
     ///
     /// Channel-TTF expiry and in-flight backoffs are *not* covered here;
     /// the engine tracks those per channel.
-    pub fn next_change(&self, now: SimTime) -> SimTime {
+    pub(crate) fn next_change(&self, now: SimTime) -> SimTime {
         let mut earliest = SimTime::from_micros(u64::MAX);
         for (_, _, stream) in &self.outages {
             earliest = earliest.min(stream.next_boundary(now));
@@ -802,16 +746,9 @@ impl FaultRuntime {
         earliest
     }
 
-    /// Breaker quarantine mask for one site (true = quarantined).
-    pub fn quarantined(&self, side: SiteSide) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.quarantined_into(side, &mut out);
-        out
-    }
-
-    /// In-place variant of [`FaultRuntime::quarantined`]: refills the
-    /// caller's buffer (capacity reused across slices).
-    pub fn quarantined_into(&self, side: SiteSide, out: &mut Vec<bool>) {
+    /// Breaker quarantine mask for one site (true = quarantined): refills
+    /// the caller's buffer (capacity reused across slices).
+    pub(crate) fn quarantined_into(&self, side: SiteSide, out: &mut Vec<bool>) {
         out.clear();
         match side {
             SiteSide::Src => out.extend(self.src_breakers.iter().map(Breaker::is_open)),
@@ -825,7 +762,7 @@ impl FaultRuntime {
     ///
     /// The event buffer must be empty at capture time (the engine drains
     /// it every slice); a non-empty buffer would silently drop events.
-    pub fn snapshot(&self) -> FaultRuntimeSnapshot {
+    pub(crate) fn snapshot(&self) -> FaultRuntimeSnapshot {
         debug_assert!(
             self.events.is_empty(),
             "fault-runtime events must be drained before a checkpoint"
@@ -857,7 +794,7 @@ impl FaultRuntime {
     /// (`eadt-ckpt` guards this with a config fingerprint).
     ///
     /// [`snapshot`]: FaultRuntime::snapshot
-    pub fn restore(
+    pub(crate) fn restore(
         plan: &FaultPlan,
         src_servers: usize,
         dst_servers: usize,
@@ -915,7 +852,7 @@ impl FaultRuntime {
     }
 }
 
-/// Serializable state of a [`FaultRuntime`], for checkpointing.
+/// Serializable state of a `FaultRuntime`, for checkpointing.
 ///
 /// Only mutable state is captured; the immutable configuration (plan,
 /// server counts, capture flag) is re-supplied on restore. Episode streams
@@ -1036,14 +973,16 @@ mod tests {
             rt.record_failure(FaultCause::Outage, 0, 1, t);
         }
         assert_eq!(rt.stats.breaker_opens, 1);
-        assert_eq!(rt.quarantined(SiteSide::Dst), vec![false, true]);
-        let (_, dst_avail) = rt.avail_masks();
+        let (mut quarantined, mut src_avail, mut dst_avail) = (Vec::new(), Vec::new(), Vec::new());
+        rt.quarantined_into(SiteSide::Dst, &mut quarantined);
+        assert_eq!(quarantined, vec![false, true]);
+        rt.avail_masks_into(&mut src_avail, &mut dst_avail);
         assert_eq!(dst_avail, vec![true, false]);
         assert!((rt.capacity_fraction() - 0.5).abs() < 1e-12);
         // After the cooldown the breaker half-opens: available for a probe.
         let mut t = t + plan.retry.cooldown + slice;
         rt.begin_slice(t);
-        let (_, dst_avail) = rt.avail_masks();
+        rt.avail_masks_into(&mut src_avail, &mut dst_avail);
         assert_eq!(dst_avail, vec![true, true]);
         // A probe that collides with the *next* outage window re-opens the
         // breaker instantly (outage kills only charge breakers while the
@@ -1057,12 +996,14 @@ mod tests {
             );
         }
         rt.record_failure(FaultCause::Outage, 0, 1, t);
-        assert!(rt.quarantined(SiteSide::Dst)[1]);
+        rt.quarantined_into(SiteSide::Dst, &mut quarantined);
+        assert!(quarantined[1]);
         assert_eq!(rt.stats.breaker_opens, 2);
         let after = t + plan.retry.cooldown + slice;
         rt.begin_slice(after);
         rt.record_success(SiteSide::Dst, 1);
-        assert!(!rt.quarantined(SiteSide::Dst)[1]);
+        rt.quarantined_into(SiteSide::Dst, &mut quarantined);
+        assert!(!quarantined[1]);
         assert!((rt.capacity_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -1119,7 +1060,9 @@ mod tests {
         for _ in 0..plan.retry.breaker_threshold {
             rt.record_failure(FaultCause::Outage, 0, 1, t);
         }
-        assert!(rt.quarantined(SiteSide::Dst)[1]);
+        let mut quarantined = Vec::new();
+        rt.quarantined_into(SiteSide::Dst, &mut quarantined);
+        assert!(quarantined[1]);
         assert!(rt.next_change(t) <= t + plan.retry.cooldown);
         let probe_time = t + plan.retry.cooldown + slice;
         rt.begin_slice(probe_time);
@@ -1160,10 +1103,10 @@ mod tests {
         assert_eq!(snap, back);
         let mut resumed = FaultRuntime::restore(&plan, 1, 2, &back);
         assert_eq!(resumed.stats, live.stats);
-        assert_eq!(
-            resumed.quarantined(SiteSide::Dst),
-            live.quarantined(SiteSide::Dst)
-        );
+        let (mut resumed_q, mut live_q) = (Vec::new(), Vec::new());
+        resumed.quarantined_into(SiteSide::Dst, &mut resumed_q);
+        live.quarantined_into(SiteSide::Dst, &mut live_q);
+        assert_eq!(resumed_q, live_q);
         // From here on both runtimes must evolve identically.
         for i in 0..4000 {
             t += slice;
