@@ -834,7 +834,9 @@ impl ServiceSession {
             .read(CheckpointStore::service_journal_name())
             .map_err(ckpt_err)?
         {
-            let loaded = Journal::from_jsonl(&text)
+            // A crash mid-write tears at most the final line; if that
+            // line lies within the commit, the length check below fails.
+            let (loaded, _) = Journal::recover_jsonl(&text)
                 .map_err(|e| EadtError::io(CheckpointStore::service_journal_name(), e))?;
             if loaded.next_seq() < ck.journal_seq {
                 return Err(EadtError::io(
@@ -1343,11 +1345,13 @@ mod tests {
         // queues and on one that preempts: the checkpointing run, a resume
         // from the directory it leaves, and a resume whose journal file
         // ran ahead of the last commit must all reproduce the straight
-        // run's report and journal. Engine state is serialized only into
-        // commits and rebuilt only from the commit a resume starts from.
-        // A missing or foreign outcome file of a finished job, and a torn
-        // commit file, must fail the resume naming the file, without
-        // touching the directory.
+        // run's report and journal, and so must one whose journal ran
+        // ahead with its last line torn. Engine state is serialized only
+        // into commits and rebuilt only from the commit a resume starts
+        // from. A missing or foreign outcome file of a finished job, a
+        // journal torn inside the commit's last record, and a torn commit
+        // file must fail the resume naming the file, without touching the
+        // directory.
         let workloads = [
             ("queueing", two_tenant_workload(1)),
             ("preempting", preempting_workload()),
@@ -1356,7 +1360,7 @@ mod tests {
             ArbitrationPolicy::FairShare,
             ArbitrationPolicy::StrictPriority,
         ];
-        let mut drilled = 0;
+        let (mut drilled, mut torn_ahead) = (0, 0);
         for (name, workload) in &workloads {
             for policy in policies {
                 let builder = || {
@@ -1384,9 +1388,18 @@ mod tests {
                     let store = CheckpointStore::create(&dir).unwrap();
                     let last_commit = || store.load_service_checkpoint().unwrap().unwrap();
                     let journal = dir.join(CheckpointStore::service_journal_name());
-                    let ahead = || {
-                        // A crash after the journal write, before the commit.
-                        std::fs::write(&journal, straight.journal.to_jsonl()).unwrap();
+                    let straight_jsonl = straight.journal.to_jsonl();
+                    // The straight journal's first `n` lines, the last of
+                    // them cut in half by a crash mid-write.
+                    let torn = |n: usize| {
+                        let lines: Vec<&str> = straight_jsonl.lines().take(n).collect();
+                        let (last, whole) = lines.split_last().unwrap();
+                        let mut text: String = whole.iter().map(|l| format!("{l}\n")).collect();
+                        text.push_str(&last[..last.len() / 2]);
+                        text
+                    };
+                    let resume_with = |text: &str| {
+                        std::fs::write(&journal, text).unwrap();
                         session.resume(workload)
                     };
                     let first = session
@@ -1396,8 +1409,20 @@ mod tests {
                     assert_eq!(first.engine_snapshots, expected, "{cell}");
                     assert_eq!(first.engine_restores, 0, "{cell}");
                     let listed = last_commit().engines.len() as u64;
-                    let resumes = [session.resume(workload), ahead()]
-                        .map(|run| run.unwrap_or_else(|e| panic!("{cell}: {e}")));
+                    let cursor = last_commit().journal_seq as usize;
+                    let records = straight.journal.records().len();
+                    // A crash after the journal write, before the commit;
+                    // where the journal has records past the commit's
+                    // cursor, also one that tore its last line.
+                    let mut resumes = vec![session.resume(workload), resume_with(&straight_jsonl)];
+                    if cursor < records {
+                        resumes.push(resume_with(&torn(records)));
+                        torn_ahead += 1;
+                    }
+                    let resumes: Vec<_> = resumes
+                        .into_iter()
+                        .map(|run| run.unwrap_or_else(|e| panic!("{cell}: {e}")))
+                        .collect();
                     for run in resumes.iter().chain([&first]) {
                         assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
                         assert_eq!(
@@ -1447,6 +1472,11 @@ mod tests {
                         drilled += 1;
                     }
 
+                    std::fs::write(&journal, torn(cursor)).unwrap();
+                    let name = CheckpointStore::service_journal_name();
+                    fails_untouched(name, "a journal torn inside the commit");
+                    std::fs::write(&journal, &straight_jsonl).unwrap();
+
                     let commit = dir.join(CheckpointStore::service_checkpoint_name());
                     let text = std::fs::read(&commit).unwrap();
                     std::fs::write(&commit, &text[..text.len() / 2]).unwrap();
@@ -1456,5 +1486,6 @@ mod tests {
             }
         }
         assert!(drilled > 0, "no last commit listed a finished job");
+        assert!(torn_ahead > 0, "no journal ran ahead of its last commit");
     }
 }

@@ -35,6 +35,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "kill_faulted"),
     ("crates/transfer/src/engine/mod.rs", "tick_working_set"),
     ("crates/transfer/src/engine/mod.rs", "demand_and_grant"),
+    ("crates/transfer/src/engine/mod.rs", "solve_grants"),
     ("crates/transfer/src/engine/mod.rs", "advance_channels"),
     ("crates/transfer/src/engine/mod.rs", "book_slice"),
     ("crates/transfer/src/engine/mod.rs", "consult_controller"),

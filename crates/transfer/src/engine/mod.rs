@@ -32,6 +32,21 @@
 //! Everything is deterministic: no wall clock, and the only RNGs are the
 //! fault plan's seeded streams.
 //!
+//! # Incremental slices
+//!
+//! An executed slice re-solves only what its inputs changed. Without a
+//! fault runtime the placement is a pure function of the channel count,
+//! and without background traffic as well the grant solve is a pure
+//! function of the share, the working set, the channel-to-chunk map and
+//! the placement. `place_on_sites` and `demand_and_grant` each compare
+//! those inputs with the ones they stored at their last solve (in the
+//! arena, which a stage setup or a restore starts without any) and keep
+//! their outputs while they match; a run with faults or background
+//! traffic solves every slice. Under `debug-invariants` every reuse also
+//! re-solves and asserts that the kept outputs match bit for bit. The
+//! horizon checks each channel's cheap disqualifiers first and returns 0
+//! at the first pinned channel, before any steady mover's search runs.
+//!
 //! # Data layout (DESIGN.md §17)
 //!
 //! The hot state is struct-of-arrays: every per-channel field lives in a
@@ -743,8 +758,15 @@ impl<'c> SliceRun<'c> {
     /// — an outage the client has not collided with yet does not; it is
     /// discovered by failing against it. Without a fault runtime the
     /// masks stay empty (the stage setup cleared them), which places
-    /// unmasked.
+    /// unmasked: the placement is then a pure function of the channel
+    /// count, and the last one holds while the count repeats.
     fn place_on_sites(&self, a: &mut SliceArena, env: &TransferEnv, channels: u32) {
+        if self.runtime.is_none() && a.placed == Some(channels) {
+            if cfg!(feature = "debug-invariants") {
+                self.audit_placement(a, env, channels);
+            }
+            return;
+        }
         if let Some(rt) = &self.runtime {
             rt.avail_masks_into(&mut a.src_avail, &mut a.dst_avail);
         }
@@ -755,6 +777,28 @@ impl<'c> SliceRun<'c> {
         env.dst
             .place_channels_masked_into(channels, placement, &a.dst_avail, &mut a.place);
         assign_servers_into(&a.place, &mut a.dst_assign);
+        a.placed = Some(channels);
+        #[cfg(test)]
+        {
+            a.placement_solves += 1;
+        }
+    }
+
+    /// The `debug-invariants` check of a reused placement: a fresh solve
+    /// into scratch must reproduce both sites' kept assignment.
+    fn audit_placement(&self, a: &mut SliceArena, env: &TransferEnv, channels: u32) {
+        let sites = [
+            (&env.src, &a.src_avail, &a.src_assign),
+            (&env.dst, &a.dst_avail, &a.dst_assign),
+        ];
+        for (site, avail, kept) in sites {
+            site.place_channels_masked_into(channels, self.plan.placement, avail, &mut a.place);
+            assign_servers_into(&a.place, &mut a.audit_assign);
+            assert_eq!(
+                a.audit_assign, *kept,
+                "invariant: a reused placement diverged from a fresh solve"
+            );
+        }
     }
 
     /// Fault kill: a channel dies when its TTF runs out or when it would
@@ -912,7 +956,65 @@ impl<'c> SliceRun<'c> {
     /// must not reserve bandwidth it cannot use), shaped max-min fairly
     /// through each server's disk subsystem on both ends, then through
     /// the path. Returns the congestion efficiency of `streams`.
+    ///
+    /// Without a fault runtime or background traffic the solve reads
+    /// nothing but the share, the working set, the channel-to-chunk map,
+    /// the placement and stage constants, so while those four repeat the
+    /// last solve's grants, gaps and efficiency still hold.
     fn demand_and_grant(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) -> f64 {
+        let pure = self.runtime.is_none() && cx.env.background.is_none();
+        let last = &a.last_grant;
+        if pure
+            && last.share == Some(share_bits(cx.share))
+            && last.working == a.working
+            && last.chunk == a.ch.chunk
+            && last.src_assign == a.src_assign
+            && last.dst_assign == a.dst_assign
+        {
+            if cfg!(feature = "debug-invariants") {
+                self.audit_grants(a, cx, streams);
+            }
+            return a.last_grant.eff;
+        }
+        let eff = self.solve_grants(a, cx, streams);
+        if pure {
+            let last = &mut a.last_grant;
+            last.share = Some(share_bits(cx.share));
+            last.working.clone_from(&a.working);
+            last.chunk.clone_from(&a.ch.chunk);
+            last.src_assign.clone_from(&a.src_assign);
+            last.dst_assign.clone_from(&a.dst_assign);
+            last.eff = eff;
+        }
+        #[cfg(test)]
+        {
+            a.grant_solves += 1;
+        }
+        eff
+    }
+
+    /// The `debug-invariants` check of a reused grant solve: the kept
+    /// grants and gaps are copied to scratch, solved afresh, and must
+    /// match the fresh solve bit for bit, as must the efficiency.
+    fn audit_grants(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) {
+        a.audit_grants.clone_from(&a.grants);
+        a.audit_gap.clone_from(&a.chunk_gap);
+        let eff = self.solve_grants(a, cx, streams);
+        let bits = |g: &Rate| g.as_bps().to_bits();
+        assert!(
+            eff.to_bits() == a.last_grant.eff.to_bits()
+                && a.grants
+                    .iter()
+                    .map(bits)
+                    .eq(a.audit_grants.iter().map(bits))
+                && a.chunk_gap == a.audit_gap,
+            "invariant: reused grants diverged from a fresh solve at t={:?}",
+            self.acc.now
+        );
+    }
+
+    /// The grant solve behind [`SliceRun::demand_and_grant`].
+    fn solve_grants(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) -> f64 {
         let (env, rt, share) = (cx.env, self.runtime.as_ref(), cx.share);
         let eff = env.congestion.efficiency(streams);
         let bg = env
@@ -1210,6 +1312,11 @@ impl<'c> SliceRun<'c> {
     /// journaled runs. Every bound is conservative — when in doubt the
     /// horizon is 0 and the engine falls back to the plain slice loop.
     /// `start` is the start of the slice just executed.
+    ///
+    /// The checks run cheapest first, and the first channel that pins
+    /// the window to 0 ends the scan: the per-channel disqualifiers and
+    /// O(1) bounds, then the steady movers' searches, then the
+    /// controller's promise and the time bounds.
     fn horizon_window(
         &mut self,
         a: &SliceArena,
@@ -1218,6 +1325,60 @@ impl<'c> SliceRun<'c> {
         start: SimTime,
     ) -> u64 {
         let (slice, now, env) = (self.slice, self.acc.now, cx.env);
+        let ch = &a.ch;
+        let mut k_channel = u64::MAX;
+        for i in 0..ch.len() {
+            let ci = ch.chunk[i] as usize;
+            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
+            let next_working = busy && ch.gap[i] < slice;
+            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+            if next_working
+                && self.runtime.as_ref().is_some_and(|rt| {
+                    rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst)
+                })
+            {
+                // The next slice's kill check fires for busy connecting
+                // channels inside an active outage window — a channel can
+                // reach that state mid-slice (e.g. it inherited a killed
+                // channel's file after its own kill check passed), so
+                // post-slice state must be re-checked.
+                return 0;
+            }
+            if next_working != a.working[i] {
+                // The channel would enter or leave the working set next
+                // slice.
+                return 0;
+            }
+            if a.working[i] {
+                // Steady mover: mid-file, no pending gap, and the
+                // executed slice moved exactly the per-slice quantum.
+                let quantum = a.grants[i].bytes_in(slice);
+                if !(ch.has_file[i] && ch.gap[i].is_zero() && a.ch_moved[i] == quantum) {
+                    return 0;
+                }
+            } else if busy || ch.in_backoff[i] {
+                // Blocked channel: its gap must outlast every skipped
+                // slice (an idle channel's draining gap is inert and
+                // replayed).
+                k_channel = k_channel.min(ch.gap[i].slices_within(slice));
+            }
+            if let Some(ttf) = ch.ttf[i] {
+                k_channel = k_channel.min(ttf.slices_before(slice));
+            }
+            if k_channel == 0 {
+                return 0;
+            }
+        }
+        for i in (0..ch.len()).filter(|&i| a.working[i]) {
+            let quantum = a.grants[i].bytes_in(slice);
+            k_channel = k_channel.min(steady_move_bound(
+                ch.file_remaining[i],
+                quantum,
+                a.grants[i],
+                slice,
+            ));
+        }
+
         let mut k = self.controller.next_decision_in(ctx, slice);
         // A state boundary at time `b` caps the window: every skipped
         // slice must start strictly before it.
@@ -1252,57 +1413,10 @@ impl<'c> SliceRun<'c> {
                 k_src = src;
             }
         }
-
-        let k_before_channels = k;
-        let ch = &a.ch;
-        for i in 0..ch.len() {
-            if k == 0 {
-                break;
-            }
-            let ci = ch.chunk[i] as usize;
-            if let Some(ttf) = ch.ttf[i] {
-                k = k.min(ttf.slices_before(slice));
-            }
-            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
-            let next_working = busy && ch.gap[i] < slice;
-            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
-            if next_working
-                && self.runtime.as_ref().is_some_and(|rt| {
-                    rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst)
-                })
-            {
-                // The next slice's kill check fires for busy connecting
-                // channels inside an active outage window — a channel can
-                // reach that state mid-slice (e.g. it inherited a killed
-                // channel's file after its own kill check passed), so
-                // post-slice state must be re-checked.
-                k = 0;
-            } else if next_working != a.working[i] {
-                // The channel would enter or leave the working set next
-                // slice.
-                k = 0;
-            } else if a.working[i] {
-                // Steady mover: mid-file, no pending gap, and the
-                // executed slice moved exactly the per-slice quantum.
-                let quantum = a.grants[i].bytes_in(slice);
-                if ch.has_file[i] && ch.gap[i].is_zero() && a.ch_moved[i] == quantum {
-                    k = k.min(steady_move_bound(
-                        ch.file_remaining[i],
-                        quantum,
-                        a.grants[i],
-                        slice,
-                    ));
-                } else {
-                    k = 0;
-                }
-            } else if busy || ch.in_backoff[i] {
-                // Blocked channel: its gap must outlast every skipped
-                // slice (an idle channel's draining gap is inert and
-                // replayed).
-                k = k.min(ch.gap[i].slices_within(slice));
-            }
-        }
-        if k < k_before_channels {
+        // The channels name the span only when strictly below every
+        // other bound.
+        if k_channel < k {
+            k = k_channel;
             k_src = "channel";
         }
 
@@ -1568,6 +1682,21 @@ struct SliceArena {
     /// fault runtime.
     src_avail: Vec<bool>,
     dst_avail: Vec<bool>,
+    /// The channel count `src_assign`/`dst_assign` were placed for;
+    /// `None` until a stage's first placement.
+    placed: Option<u32>,
+    /// The inputs of the last grant solve, kept to reuse its outputs.
+    last_grant: GrantKey,
+    /// `debug-invariants` scratch: a placement and the grants and gaps
+    /// kept across a reuse, checked against a fresh solve.
+    audit_assign: Vec<usize>,
+    audit_grants: Vec<Rate>,
+    audit_gap: Vec<SimDuration>,
+    /// Placement and grant solves so far, which the engine tests pin.
+    #[cfg(test)]
+    placement_solves: u64,
+    #[cfg(test)]
+    grant_solves: u64,
     /// Lending buffers for the controller's [`SliceCtx`]/[`FaultView`]
     /// vectors, reclaimed after each decision.
     ctx_channels: Vec<u32>,
@@ -1582,11 +1711,14 @@ struct SliceArena {
 
 impl SliceArena {
     /// Resets the channel columns, per-chunk arrays and placement masks
-    /// for a stage of `n` chunks, keeping every buffer's capacity.
+    /// for a stage of `n` chunks, and forgets the last placement and
+    /// grant solve, keeping every buffer's capacity.
     fn begin_stage(&mut self, n: usize) {
         self.ch.clear();
         self.src_avail.clear();
         self.dst_avail.clear();
+        self.placed = None;
+        self.last_grant.share = None;
         reset(&mut self.chunk_start, n, 0);
         reset(&mut self.chunk_len, n, 0);
         reset(&mut self.chunk_in_flight, n, 0);
@@ -1597,6 +1729,25 @@ impl SliceArena {
         reset(&mut self.chunk_demand, n, Rate::ZERO);
         reset(&mut self.chunk_moved, n, Bytes::ZERO);
     }
+}
+
+/// What the last grant solve read beyond stage constants
+/// ([`SliceRun::demand_and_grant`]), and the efficiency it returned.
+/// `share` holds the bits of its three factors, so a match is exact; it
+/// is `None` until a stage's first solve.
+#[derive(Debug, Default, Clone)]
+struct GrantKey {
+    share: Option<[u64; 3]>,
+    working: Vec<bool>,
+    chunk: Vec<u32>,
+    src_assign: Vec<usize>,
+    dst_assign: Vec<usize>,
+    eff: f64,
+}
+
+/// The bits of a share's three factors.
+fn share_bits(s: ResourceShare) -> [u64; 3] {
+    [s.bandwidth, s.src_disk, s.dst_disk].map(f64::to_bits)
 }
 
 /// Reusable buffers for [`apply_disk_fairness`].

@@ -886,3 +886,73 @@ fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
         assert_eq!(tel.journal().unwrap().to_jsonl(), straight_journal);
     }
 }
+
+// ---- incremental slice kernel ----
+
+#[test]
+fn placement_and_grants_are_solved_once_per_change() {
+    // Four channels, then six, then three, over 100 MB files whose
+    // per-file overhead blocks a channel for a slice at every file
+    // boundary; one slice per step, so every executed slice is seen.
+    struct Reshape;
+    impl Controller for Reshape {
+        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+            let secs = ctx.now.as_secs_f64();
+            let want = if secs < 60.0 {
+                4
+            } else if secs < 120.0 {
+                6
+            } else {
+                3
+            };
+            if ctx.channels[0] == want {
+                ControlAction::Continue
+            } else {
+                ControlAction::Reallocate(vec![want])
+            }
+        }
+    }
+    let mut env = wan_env();
+    env.tuning.macro_step = false;
+    env.tuning.per_file_overhead = SimDuration::from_millis(100);
+    let plan = simple_plan(1000, 100, 1, 2, 4);
+    let mut tel = Telemetry::disabled();
+    let mut run = EngineRun::new(&env, Cow::Borrowed(&plan), Box::new(Reshape), &mut tel);
+    let (mut slices, mut layouts, mut keys, mut last) = (0u64, 0u64, 0u64, None);
+    let report = loop {
+        let report = run.step(&env, &mut tel, Some(1), ResourceShare::FULL);
+        let a = &run.arena;
+        let key = (
+            a.ch.chunk.clone(),
+            a.working.clone(),
+            a.src_assign.clone(),
+            a.dst_assign.clone(),
+        );
+        let last = last.replace(key.clone());
+        slices += 1;
+        layouts += u64::from(last.as_ref().map(|l| l.0.len()) != Some(key.0.len()));
+        keys += u64::from(last != Some(key));
+        if let Some(report) = report {
+            break report;
+        }
+    };
+    let a = &run.arena;
+    assert!(report.completed && slices > 2_000, "{slices} slices");
+    assert_eq!(report.duration, env.tuning.slice * slices);
+    assert_eq!(layouts, 3, "4, 6 and 3 channels");
+    assert_eq!(a.placement_solves, layouts);
+    assert_eq!(a.grant_solves, keys);
+    assert!(
+        keys < slices / 2,
+        "{keys} grant solves over {slices} slices"
+    );
+
+    // Under a fault plan every executed slice solves both afresh.
+    env.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(60), 3).into());
+    let mut run = EngineRun::new(&env, Cow::Borrowed(&plan), Box::new(Reshape), &mut tel);
+    let report = run.step(&env, &mut tel, None, ResourceShare::FULL).unwrap();
+    assert!(report.completed && report.failures > 0);
+    let slices = report.duration.as_micros() / env.tuning.slice.as_micros();
+    assert_eq!(run.arena.placement_solves, slices);
+    assert_eq!(run.arena.grant_solves, slices);
+}
