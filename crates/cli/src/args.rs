@@ -274,7 +274,8 @@ OPTIONS:
   --csv FILE         (transfer) write per-slice series as CSV
   --pipelining N     (transfer --algorithm manual) command queue depth
   --parallelism N    (transfer --algorithm manual) streams per channel
-  --workers N        (fleet, serve) worker threads     [default: all cores]
+  --workers N        (fleet, serve) threads in total, the main
+                     thread included                   [default: all cores]
   --jobs N           (serve) total jobs to submit      [default: one per algorithm]
   --tenants N        (serve) tenants, round-robin over jobs; the tenant
                      index is also the job's priority  [default: 2]

@@ -2,12 +2,16 @@
 //! one [`Leg`] per job, and the only code that reads or writes outcome
 //! and batch job-checkpoint files.
 //!
-//! A batch maps [`run_to_completion`] over its jobs. The service keeps
-//! each job's [`Leg`] from its first admission until it finishes and
-//! maps [`Leg::advance`] over each round's residents. Either way a job is
-//! prepared and planned once and then stepped as one live
-//! [`EngineRun`]; a panic anywhere in it is caught in [`Leg::advance`]
-//! and booked as that job's `JobFailed` outcome.
+//! The pool ([`with_pool`]) lives for one batch or one service run: the
+//! calling thread plus up to `workers - 1` scoped helpers, which park
+//! between [`Pool::map`] calls. A batch makes one `map` call of
+//! [`run_to_completion`] over its jobs. The service keeps each job's
+//! [`Leg`] from its first admission until it finishes and makes one
+//! `map` call of [`Leg::advance`] per round over its residents, which
+//! only wakes parked helpers. Either way a job is prepared and planned
+//! once and then stepped as one live [`EngineRun`]; a panic anywhere in
+//! it is caught in [`Leg::advance`] and booked as that job's `JobFailed`
+//! outcome.
 
 use crate::dispatch::JobRunner;
 use crate::session::JobOutcome;
@@ -20,60 +24,170 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A job carrying this label panics inside its guarded leg in test
 /// builds, so the tests can drive the panic path through real jobs.
 pub(crate) const TEST_PANIC_LABEL: &str = "exec-test-panic";
 
-/// Applies `f` to every item and returns the results in item order.
+/// Runs `body` with a worker pool that maps `f` over items: `workers`
+/// threads in total, the calling thread included.
 ///
-/// Up to `workers` scoped threads claim items from an atomic cursor, so a
-/// slow item never stalls the others; because results land in per-item
-/// cells, neither the worker count nor the claiming order can reach the
-/// output. One worker (or one item) runs serially on the calling thread.
-pub(crate) fn par_map<T: Send, R: Send>(
+/// The pool lives until `body` returns. Its `workers - 1` helpers are
+/// scoped threads, each spawned the first time a [`Pool::map`] call has
+/// an item for it. Between calls a helper parks on its wake channel;
+/// when `body` returns or unwinds, dropping the pool closes the channels
+/// and the scope joins the helpers. There is no process-wide pool.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned spawn site: the fleet executor's worker pool, whose scoped helpers live for one batch or one service run and park between map calls; results land in per-item slots read back in item order, and the service's single-threaded coordinator emits every journal event, so reports and journals are byte-identical for any worker count (tests/fleet_determinism.rs and tests/service_determinism.rs prove it)"
+)]
+pub(crate) fn with_pool<T: Send, R: Send, O>(
     workers: usize,
-    items: Vec<T>,
     f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let cells: Vec<Mutex<(Option<T>, Option<R>)>> = items
-        .into_iter()
-        .map(|item| Mutex::new((Some(item), None)))
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the one sanctioned worker-pool spawn site: the fleet executor's order-preserving parallel map, which both the batch Session and the service's per-round advance run on; results land in per-item cells read back in item order, and the service's single-threaded coordinator emits every journal event, so reports and journals are byte-identical for any worker count (tests/fleet_determinism.rs and tests/service_determinism.rs prove it)"
-    )]
+    body: impl FnOnce(&mut Pool<'_, '_, T, R>) -> O,
+) -> O {
+    let shared = Shared {
+        batch: Mutex::new(Batch {
+            todo: Vec::new().into_iter().enumerate(),
+            results: Vec::new(),
+            running: 0,
+        }),
+        done: Condvar::new(),
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                    let item = lock(cell).0.take();
-                    if let Some(item) = item {
-                        let result = f(item);
-                        lock(cell).1 = Some(result);
-                    }
-                }
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .filter_map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner).1)
-        .collect()
+        body(&mut Pool {
+            scope,
+            shared: &shared,
+            f: &f,
+            workers,
+            helpers: Vec::new(),
+        })
+    })
 }
 
-/// Locks a cell. No guard is held while `f` runs and every update is one
-/// assignment, so a poisoned cell still holds whole values.
-fn lock<T>(cell: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    cell.lock().unwrap_or_else(PoisonError::into_inner)
+/// The handle [`with_pool`] lends its body.
+pub(crate) struct Pool<'scope, 'env, T, R> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: &'env Shared<T, R>,
+    f: &'env (dyn Fn(T) -> R + Sync),
+    workers: usize,
+    /// The wake channel of each helper spawned so far.
+    helpers: Vec<Sender<()>>,
+}
+
+/// What the caller and the helpers share: the current call's items under
+/// a lock, and the condvar the caller waits on for the last of them.
+struct Shared<T, R> {
+    batch: Mutex<Batch<T, R>>,
+    done: Condvar,
+}
+
+/// The current [`Pool::map`] call's items.
+struct Batch<T, R> {
+    /// Items nobody has claimed yet, with their indices.
+    todo: std::iter::Enumerate<std::vec::IntoIter<T>>,
+    /// Per-item slots: the result, or the payload of a panic in `f`.
+    results: Vec<Option<std::thread::Result<R>>>,
+    /// Items claimed but not yet finished.
+    running: usize,
+}
+
+impl<T: Send, R: Send> Pool<'_, '_, T, R> {
+    /// Applies `f` to every item and returns the results in item order.
+    ///
+    /// The caller and `min(workers, items) - 1` woken helpers claim items
+    /// one at a time, so a slow item never stalls the others; because
+    /// results land in per-item slots, neither the worker count nor the
+    /// claiming order can reach the output. One worker, or one item, runs
+    /// serially on the calling thread and wakes nobody.
+    ///
+    /// A panic in `f` on any thread is re-raised here once every item has
+    /// finished, so the call never returns fewer results than items. The
+    /// caller claims items until none is left, and then waits only for
+    /// items a helper is running, so it never waits on a parked or dead
+    /// helper.
+    pub(crate) fn map(&mut self, items: Vec<T>) -> Vec<R> {
+        let wake = self
+            .workers
+            .saturating_sub(1)
+            .min(items.len().saturating_sub(1));
+        if wake == 0 {
+            return items.into_iter().map(self.f).collect();
+        }
+        let mut batch = lock(&self.shared.batch);
+        batch.results.resize_with(items.len(), || None);
+        batch.todo = items.into_iter().enumerate();
+        drop(batch);
+        while self.helpers.len() < wake {
+            let (tx, rx) = mpsc::channel();
+            let (shared, f) = (self.shared, self.f);
+            self.scope.spawn(move || shared.help(&rx, f));
+            self.helpers.push(tx);
+        }
+        for helper in self.helpers.iter().take(wake) {
+            // A helper that is gone leaves its items to the others.
+            let _ = helper.send(());
+        }
+        let mut batch = self.shared.drain(lock(&self.shared.batch), self.f);
+        while batch.running > 0 {
+            batch = self
+                .shared
+                .done
+                .wait(batch)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let results = std::mem::take(&mut batch.results);
+        drop(batch);
+        results
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|| Err(Box::new("unclaimed pool item"))))
+            .map(|slot| slot.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    }
+}
+
+impl<T, R> Shared<T, R> {
+    /// A helper's life: drain the current call's items on each wake, and
+    /// return once the pool has dropped the sending end.
+    fn help(&self, wake: &Receiver<()>, f: &(dyn Fn(T) -> R + Sync)) {
+        while wake.recv().is_ok() {
+            drop(self.drain(lock(&self.batch), f));
+        }
+    }
+
+    /// Claims and runs items until none is left. Each runs outside the
+    /// lock under `catch_unwind`, so every claimed item finishes with a
+    /// result or a panic payload; the last one to finish wakes the
+    /// caller.
+    fn drain<'g>(
+        &'g self,
+        mut batch: MutexGuard<'g, Batch<T, R>>,
+        f: &(dyn Fn(T) -> R + Sync),
+    ) -> MutexGuard<'g, Batch<T, R>> {
+        while let Some((index, item)) = batch.todo.next() {
+            batch.running += 1;
+            drop(batch);
+            let call = AssertUnwindSafe(|| f(item));
+            let result = std::panic::catch_unwind(call);
+            batch = lock(&self.batch);
+            batch.running -= 1;
+            if let Some(slot) = batch.results.get_mut(index) {
+                *slot = Some(result);
+            }
+            if batch.running == 0 {
+                self.done.notify_one();
+            }
+        }
+        batch
+    }
+}
+
+/// Locks a mutex. No guard on the batch is held while `f` runs and every
+/// update is a plain assignment, so a poisoned batch is still whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One job from its first admission until it finishes: its telemetry,
@@ -291,4 +405,76 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "worker panicked".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::catch_unwind;
+    use std::thread::ThreadId;
+
+    /// Item sizes every pool test cycles through: empty, serial and
+    /// parallel calls, fewer and more items than workers.
+    const SIZES: [u64; 5] = [0, 1, 2, 3, 9];
+
+    fn square(x: u64) -> u64 {
+        x * x + 1
+    }
+
+    #[test]
+    fn map_returns_the_serial_results_in_item_order() {
+        for workers in [1, 2, 4] {
+            with_pool(workers, square, |pool| {
+                for call in 0..60u64 {
+                    let n = SIZES[call as usize % SIZES.len()];
+                    let items: Vec<u64> = (0..n).map(|i| call * 100 + i).collect();
+                    let serial: Vec<u64> = items.iter().copied().map(square).collect();
+                    assert_eq!(pool.map(items), serial, "{workers} workers, call {call}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn every_call_of_a_pool_runs_on_at_most_workers_threads() {
+        for workers in [1, 2, 4] {
+            let seen: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+            let record = |x: u64| {
+                let id = std::thread::current().id();
+                let mut seen = lock(&seen);
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
+                x
+            };
+            with_pool(workers, record, |pool| {
+                for call in 0..60u64 {
+                    let n = SIZES[call as usize % SIZES.len()];
+                    assert_eq!(pool.map((0..n).collect()).len() as u64, n);
+                }
+            });
+            let threads = lock(&seen).len();
+            assert!(
+                (1..=workers).contains(&threads),
+                "{workers} workers ran on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_in_any_item_panics_the_call_on_the_caller() {
+        let f = |x: u64| {
+            assert!(x != 5, "item five fails");
+            x
+        };
+        with_pool(3, f, |pool| {
+            for _ in 0..10 {
+                let call = catch_unwind(AssertUnwindSafe(|| pool.map((0..9).collect())));
+                let payload = call.err().map(|p| panic_message(p.as_ref()));
+                assert_eq!(payload.as_deref(), Some("item five fails"));
+                // The pool survives: the next call maps every item.
+                assert_eq!(pool.map((6..9).collect()), vec![6, 7, 8]);
+            }
+        });
+    }
 }

@@ -15,9 +15,10 @@
 //!   RNG splitter plus an index-bijective splitmix step, so job N's world
 //!   is the same whether it runs first on one thread or last on eight,
 //!   and no two jobs of a batch ever share a seed.
-//! * **Work stealing over an atomic cursor** ([`Session::run`]) — workers
-//!   pull the next unclaimed job index; scheduling order affects only
-//!   wall time, never results, because no job reads another job's state.
+//! * **Dynamic claiming** ([`Session::run`]) — the calling thread and
+//!   the run's helper threads pull the next unclaimed job; scheduling
+//!   order affects only wall time, never results, because no job reads
+//!   another job's state.
 //! * **Merge-ordered aggregation** ([`FleetReport`]) — results land in a
 //!   slot per job index and are emitted in job order. The report contains
 //!   no worker count, timestamps or wall-clock measurements, so its JSON

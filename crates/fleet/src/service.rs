@@ -24,9 +24,11 @@
 //!    residents ([`arbitrate`]), converting grants into per-run
 //!    [`ResourceShare`] factors;
 //! 5. advances every resident by one quantum **in parallel** on the
-//!    executor's worker pool — each job keeps one executor leg (planned
-//!    once, holding its live [`eadt_transfer::EngineRun`]) from its first
-//!    admission until it finishes, and each quantum is one
+//!    executor's worker pool, which lives for the whole run: a round
+//!    wakes parked helpers, and the coordinator's thread advances legs
+//!    too. Each job keeps one executor leg (planned once, holding its
+//!    live [`eadt_transfer::EngineRun`]) from its first admission until
+//!    it finishes, and each quantum is one
 //!    [`step`](eadt_transfer::EngineRun::step): a pure function of that
 //!    run and the share, so worker count cannot leak into results;
 //! 6. books finished transfers (`job_finished`) and carries paused legs
@@ -311,8 +313,10 @@ impl ServiceSessionBuilder {
         self
     }
 
-    /// Sets the worker-thread count for the per-round parallel advance.
-    /// `1` runs residents serially; the default asks the OS.
+    /// Sets the thread count for the per-round parallel advance, the
+    /// calling thread included: `n` is the caller plus up to `n - 1`
+    /// helper threads that live for the whole run. `1` runs residents
+    /// serially on the calling thread; the default asks the OS.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -426,8 +430,12 @@ impl ServiceSession {
     }
 
     /// The round loop: the single-threaded coordinator of the module
-    /// docs, with each round's legs advanced on the executor's pool.
-    fn run_rounds(&self, workload: &Workload, resume: bool) -> Result<ServiceRun, EadtError> {
+    /// docs, with each round's legs advanced on the run's worker pool.
+    fn run_rounds<'w>(
+        &self,
+        workload: &'w Workload,
+        resume: bool,
+    ) -> Result<ServiceRun, EadtError> {
         workload.check()?;
         let jobs = workload.jobs();
         let slice = jobs
@@ -462,239 +470,245 @@ impl ServiceSession {
             }
         }
 
-        let mut round = state.round;
-        loop {
-            // 1. Arrivals.
-            for i in 0..jobs.len() {
-                if state.phase[i] == Phase::Pending && arrivals[i] <= round {
-                    state.phase[i] = Phase::Queued;
-                    state.queue.push(i);
-                    journal.record(
-                        round_start(slice, self.quantum, round),
-                        Event::JobSubmitted {
-                            job: i as u32,
-                            tenant: jobs[i].tenant,
-                            site: jobs[i].site.clone(),
-                            priority: jobs[i].priority,
-                        },
-                    );
-                }
-            }
-
-            // Nothing live: finished, or fast-forward to the next arrival.
-            if state.queue.is_empty() && state.resident.is_empty() {
-                let next = (0..jobs.len())
-                    .filter(|&i| state.phase[i] == Phase::Pending)
-                    .map(|i| arrivals[i])
-                    .min();
-                match next {
-                    None => break,
-                    Some(next_round) => {
-                        round = next_round.max(round + 1);
-                        continue;
-                    }
-                }
-            }
-
-            // 2. Priority preemption: under strict priority, a full site
-            // must yield its lowest-priority resident to a strictly
-            // higher-priority waiter. The victim keeps its leg and goes
-            // back to the queue — preemption is "not rescheduling".
-            if self.policy == ArbitrationPolicy::StrictPriority {
-                for (site, cap) in workload.sites() {
-                    let Some(&challenger) = state
-                        .queue
-                        .iter()
-                        .filter(|&&q| jobs[q].site == *site)
-                        .max_by_key(|&&q| jobs[q].priority)
-                    else {
-                        continue;
-                    };
-                    let residents_full =
-                        state.site_residents(jobs, site).len() as u32 >= cap.core_slots;
-                    if !residents_full {
-                        continue;
-                    }
-                    let Some(&victim) = state
-                        .site_residents(jobs, site)
-                        .iter()
-                        .min_by_key(|&&r| jobs[r].priority)
-                    else {
-                        continue;
-                    };
-                    if jobs[victim].priority < jobs[challenger].priority {
-                        state.evict(victim);
-                        state.preemptions[victim] += 1;
+        // The pool outlives the rounds, so a round's advance (step 5) only
+        // wakes parked helpers.
+        let quantum = self.quantum;
+        let advance = |(job, mut leg, share): (usize, Leg<'w>, ResourceShare)| {
+            let step = leg.advance(Some(quantum), share);
+            (job, leg, step)
+        };
+        let round = exec::with_pool(self.workers, advance, |pool| {
+            let mut round = state.round;
+            loop {
+                // 1. Arrivals.
+                for i in 0..jobs.len() {
+                    if state.phase[i] == Phase::Pending && arrivals[i] <= round {
+                        state.phase[i] = Phase::Queued;
+                        state.queue.push(i);
                         journal.record(
                             round_start(slice, self.quantum, round),
-                            Event::JobPreempted {
-                                job: victim as u32,
-                                by: Some(challenger as u32),
-                                site: site.clone(),
+                            Event::JobSubmitted {
+                                job: i as u32,
+                                tenant: jobs[i].tenant,
+                                site: jobs[i].site.clone(),
+                                priority: jobs[i].priority,
                             },
                         );
                     }
                 }
-            }
 
-            // 3. Admission: fill free slots in policy order.
-            loop {
-                let candidate = match self.policy {
-                    ArbitrationPolicy::FairShare => state
-                        .queue
-                        .iter()
-                        .position(|&q| state.site_has_slot(workload, jobs, &jobs[q].site)),
-                    ArbitrationPolicy::StrictPriority => state
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &q)| state.site_has_slot(workload, jobs, &jobs[q].site))
-                        .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
-                        .map(|(pos, _)| pos),
-                };
-                let Some(pos) = candidate else { break };
-                let job = state.queue.remove(pos);
-                state.phase[job] = Phase::Resident;
-                state.resident.push(job);
-                let returning = state.legs[job]
-                    .get_or_insert_with(|| Leg::new(job, &jobs[job].spec, seeds[job], None))
-                    .started();
-                let now = round_start(slice, self.quantum, round);
-                if state.admitted_round[job].is_none() {
-                    state.admitted_round[job] = Some(round);
-                }
-                if returning {
-                    journal.record(
-                        now,
-                        Event::JobResumed {
-                            job: job as u32,
-                            site: jobs[job].site.clone(),
-                            round,
-                        },
-                    );
-                } else {
-                    journal.record(
-                        now,
-                        Event::JobAdmitted {
-                            job: job as u32,
-                            site: jobs[job].site.clone(),
-                            resident: state.site_residents(jobs, &jobs[job].site).len() as u32,
-                            waiting: state.queue.len() as u32,
-                        },
-                    );
-                }
-            }
-
-            // 4. Arbitration: pooled bandwidth/disk split per site.
-            let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
-            for (site, cap) in workload.sites() {
-                let residents = state.site_residents(jobs, site);
-                if residents.is_empty() {
-                    continue;
-                }
-                let members: Vec<PoolMember> = residents
-                    .iter()
-                    .map(|&r| {
-                        let (bw, disk) = demands(&jobs[r].spec);
-                        PoolMember {
-                            id: r as u32,
-                            weight: jobs[r].weight,
-                            priority: jobs[r].priority,
-                            bandwidth_demand: bw,
-                            disk_demand: disk,
+                // Nothing live: finished, or fast-forward to the next arrival.
+                if state.queue.is_empty() && state.resident.is_empty() {
+                    let next = (0..jobs.len())
+                        .filter(|&i| state.phase[i] == Phase::Pending)
+                        .map(|i| arrivals[i])
+                        .min();
+                    match next {
+                        None => break,
+                        Some(next_round) => {
+                            round = next_round.max(round + 1);
+                            continue;
                         }
+                    }
+                }
+
+                // 2. Priority preemption: under strict priority, a full site
+                // must yield its lowest-priority resident to a strictly
+                // higher-priority waiter. The victim keeps its leg and goes
+                // back to the queue — preemption is "not rescheduling".
+                if self.policy == ArbitrationPolicy::StrictPriority {
+                    for (site, cap) in workload.sites() {
+                        let Some(&challenger) = state
+                            .queue
+                            .iter()
+                            .filter(|&&q| jobs[q].site == *site)
+                            .max_by_key(|&&q| jobs[q].priority)
+                        else {
+                            continue;
+                        };
+                        let residents_full =
+                            state.site_residents(jobs, site).len() as u32 >= cap.core_slots;
+                        if !residents_full {
+                            continue;
+                        }
+                        let Some(&victim) = state
+                            .site_residents(jobs, site)
+                            .iter()
+                            .min_by_key(|&&r| jobs[r].priority)
+                        else {
+                            continue;
+                        };
+                        if jobs[victim].priority < jobs[challenger].priority {
+                            state.evict(victim);
+                            state.preemptions[victim] += 1;
+                            journal.record(
+                                round_start(slice, self.quantum, round),
+                                Event::JobPreempted {
+                                    job: victim as u32,
+                                    by: Some(challenger as u32),
+                                    site: site.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+
+                // 3. Admission: fill free slots in policy order.
+                loop {
+                    let candidate = match self.policy {
+                        ArbitrationPolicy::FairShare => state
+                            .queue
+                            .iter()
+                            .position(|&q| state.site_has_slot(workload, jobs, &jobs[q].site)),
+                        ArbitrationPolicy::StrictPriority => state
+                            .queue
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &q)| state.site_has_slot(workload, jobs, &jobs[q].site))
+                            .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
+                            .map(|(pos, _)| pos),
+                    };
+                    let Some(pos) = candidate else { break };
+                    let job = state.queue.remove(pos);
+                    state.phase[job] = Phase::Resident;
+                    state.resident.push(job);
+                    let returning = state.legs[job]
+                        .get_or_insert_with(|| Leg::new(job, &jobs[job].spec, seeds[job], None))
+                        .started();
+                    let now = round_start(slice, self.quantum, round);
+                    if state.admitted_round[job].is_none() {
+                        state.admitted_round[job] = Some(round);
+                    }
+                    if returning {
+                        journal.record(
+                            now,
+                            Event::JobResumed {
+                                job: job as u32,
+                                site: jobs[job].site.clone(),
+                                round,
+                            },
+                        );
+                    } else {
+                        journal.record(
+                            now,
+                            Event::JobAdmitted {
+                                job: job as u32,
+                                site: jobs[job].site.clone(),
+                                resident: state.site_residents(jobs, &jobs[job].site).len() as u32,
+                                waiting: state.queue.len() as u32,
+                            },
+                        );
+                    }
+                }
+
+                // 4. Arbitration: pooled bandwidth/disk split per site.
+                let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
+                for (site, cap) in workload.sites() {
+                    let residents = state.site_residents(jobs, site);
+                    if residents.is_empty() {
+                        continue;
+                    }
+                    let members: Vec<PoolMember> = residents
+                        .iter()
+                        .map(|&r| {
+                            let (bw, disk) = demands(&jobs[r].spec);
+                            PoolMember {
+                                id: r as u32,
+                                weight: jobs[r].weight,
+                                priority: jobs[r].priority,
+                                bandwidth_demand: bw,
+                                disk_demand: disk,
+                            }
+                        })
+                        .collect();
+                    let grants = arbitrate(cap, &members, self.policy);
+                    for (member, grant) in members.iter().zip(&grants) {
+                        shares[member.id as usize] = Some(ResourceShare {
+                            bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
+                            src_disk: grant.disk_fraction(member.disk_demand),
+                            dst_disk: 1.0,
+                        });
+                    }
+                    // Zero-grant guard: a resident granted no bandwidth at all
+                    // would burn its transfer clock idling; requeue it instead
+                    // (only safe while someone else at the site makes
+                    // progress, which positive pool capacity guarantees).
+                    for (member, grant) in members.iter().zip(&grants) {
+                        if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
+                            let job = member.id as usize;
+                            state.evict(job);
+                            state.preemptions[job] += 1;
+                            shares[job] = None;
+                            journal.record(
+                                round_start(slice, self.quantum, round),
+                                Event::JobPreempted {
+                                    job: job as u32,
+                                    by: None,
+                                    site: site.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+
+                // 5. Parallel advance: one quantum per resident on its own
+                // leg, fixed shares.
+                let advancing: Vec<(usize, Leg, ResourceShare)> = state
+                    .resident
+                    .iter()
+                    .filter_map(|&job| {
+                        let leg = state.legs[job].take()?;
+                        Some((job, leg, shares[job].unwrap_or_default()))
                     })
                     .collect();
-                let grants = arbitrate(cap, &members, self.policy);
-                for (member, grant) in members.iter().zip(&grants) {
-                    shares[member.id as usize] = Some(ResourceShare {
-                        bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
-                        src_disk: grant.disk_fraction(member.disk_demand),
-                        dst_disk: 1.0,
-                    });
+                let advanced = pool.map(advancing);
+
+                // 6. Collect in residency order (journal and persistence order
+                // must not depend on completion order). A finished job's leg
+                // is dropped with its run; a leg that panicked finishes its job
+                // with the `JobFailed` outcome.
+                let end = round_start(slice, self.quantum, round + 1);
+                for (job, leg, step) in advanced {
+                    let (Step::Done(outcome) | Step::Panicked(outcome)) = step else {
+                        state.legs[job] = Some(leg);
+                        continue;
+                    };
+                    state.counts.0 += leg.snapshots;
+                    state.counts.1 += leg.restores;
+                    journal.record(
+                        end,
+                        Event::JobFinished {
+                            job: job as u32,
+                            completed: outcome.completed,
+                            moved_bytes: outcome.moved_bytes,
+                        },
+                    );
+                    state.phase[job] = Phase::Done;
+                    state.finished_round[job] = Some(round);
+                    if let Some(store) = &store {
+                        exec::save_outcome(store, &outcome).map_err(ckpt_err)?;
+                    }
+                    state.outcome[job] = Some(outcome);
                 }
-                // Zero-grant guard: a resident granted no bandwidth at all
-                // would burn its transfer clock idling; requeue it instead
-                // (only safe while someone else at the site makes
-                // progress, which positive pool capacity guarantees).
-                for (member, grant) in members.iter().zip(&grants) {
-                    if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
-                        let job = member.id as usize;
-                        state.evict(job);
-                        state.preemptions[job] += 1;
-                        shares[job] = None;
-                        journal.record(
-                            round_start(slice, self.quantum, round),
-                            Event::JobPreempted {
-                                job: job as u32,
-                                by: None,
-                                site: site.clone(),
-                            },
-                        );
+                state
+                    .resident
+                    .retain(|&job| state.phase[job] == Phase::Resident);
+
+                round += 1;
+                state.round = round;
+
+                // Cadence checkpoint: the journal prefix, then the service
+                // checkpoint — scheduler state and every live engine state in
+                // one file, so its atomic rename is the whole commit.
+                if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
+                    if round.is_multiple_of(*every) {
+                        self.persist(workload, store, &mut state, &journal, fingerprint)
+                            .map_err(ckpt_err)?;
                     }
                 }
             }
-
-            // 5. Parallel advance: one quantum per resident on its own
-            // leg, fixed shares.
-            let quantum = self.quantum;
-            let advancing: Vec<(usize, Leg, ResourceShare)> = state
-                .resident
-                .iter()
-                .filter_map(|&job| {
-                    let leg = state.legs[job].take()?;
-                    Some((job, leg, shares[job].unwrap_or_default()))
-                })
-                .collect();
-            let advanced = exec::par_map(self.workers, advancing, |(job, mut leg, share)| {
-                let step = leg.advance(Some(quantum), share);
-                (job, leg, step)
-            });
-
-            // 6. Collect in residency order (journal and persistence order
-            // must not depend on completion order). A finished job's leg
-            // is dropped with its run; a leg that panicked finishes its job
-            // with the `JobFailed` outcome.
-            let end = round_start(slice, self.quantum, round + 1);
-            for (job, leg, step) in advanced {
-                let (Step::Done(outcome) | Step::Panicked(outcome)) = step else {
-                    state.legs[job] = Some(leg);
-                    continue;
-                };
-                state.counts.0 += leg.snapshots;
-                state.counts.1 += leg.restores;
-                journal.record(
-                    end,
-                    Event::JobFinished {
-                        job: job as u32,
-                        completed: outcome.completed,
-                        moved_bytes: outcome.moved_bytes,
-                    },
-                );
-                state.phase[job] = Phase::Done;
-                state.finished_round[job] = Some(round);
-                if let Some(store) = &store {
-                    exec::save_outcome(store, &outcome).map_err(ckpt_err)?;
-                }
-                state.outcome[job] = Some(outcome);
-            }
-            state
-                .resident
-                .retain(|&job| state.phase[job] == Phase::Resident);
-
-            round += 1;
-            state.round = round;
-
-            // Cadence checkpoint: the journal prefix, then the service
-            // checkpoint — scheduler state and every live engine state in
-            // one file, so its atomic rename is the whole commit.
-            if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
-                if round.is_multiple_of(*every) {
-                    self.persist(workload, store, &mut state, &journal, fingerprint)
-                        .map_err(ckpt_err)?;
-                }
-            }
-        }
+            Ok::<u64, EadtError>(round)
+        })?;
 
         let (engine_snapshots, engine_restores) = (state.legs.iter().flatten())
             .fold(state.counts, |(s, r), leg| {

@@ -33,8 +33,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the worker-thread count. `1` runs the batch serially on the
-    /// calling thread; the default asks the OS for its parallelism.
+    /// Sets the thread count, the calling thread included: `n` is the
+    /// caller plus up to `n - 1` helper threads that live for one `run`.
+    /// `1` runs the batch serially on the calling thread; the default
+    /// asks the OS for its parallelism.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -99,7 +101,7 @@ impl Session {
         self.root_seed
     }
 
-    /// The worker-thread count `run` will use.
+    /// The thread count `run` will use, the calling thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -112,11 +114,12 @@ impl Session {
 
     /// Runs the batch and returns results merged in job order.
     ///
-    /// Workers claim jobs from an atomic cursor (work stealing over the
-    /// job queue): a slow job never stalls the others, and because each
-    /// job's seed depends only on `(root_seed, index)`, claiming order
-    /// cannot leak into results. A job that panics is booked as an
-    /// [`EadtError::JobFailed`] outcome and the batch moves on.
+    /// The calling thread and the run's helper threads claim jobs one at
+    /// a time from the shared job queue: a slow job never stalls the
+    /// others, and because each job's seed depends only on
+    /// `(root_seed, index)`, claiming order cannot leak into results. A
+    /// job that panics is booked as an [`EadtError::JobFailed`] outcome
+    /// and the batch moves on.
     pub fn run(&self, jobs: &[JobSpec]) -> FleetReport {
         self.run_inner(jobs, false)
     }
@@ -142,9 +145,8 @@ impl Session {
 
     fn run_inner(&self, jobs: &[JobSpec], resume: bool) -> FleetReport {
         let indexed: Vec<(usize, &JobSpec)> = jobs.iter().enumerate().collect();
-        let jobs = exec::par_map(self.workers, indexed, |(index, job)| {
-            self.run_job(index, job, resume)
-        });
+        let run = |(index, job): (usize, &JobSpec)| self.run_job(index, job, resume);
+        let jobs = exec::with_pool(self.workers, run, |pool| pool.map(indexed));
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
             root_seed: self.root_seed,

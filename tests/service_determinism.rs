@@ -7,6 +7,7 @@ use eadt::core::AlgorithmKind;
 use eadt::endsys::{ArbitrationPolicy, PoolCapacity};
 use eadt::fleet::{JobSpec, ServiceJob, ServiceRun, ServiceSession, Session, Workload};
 use eadt::sim::SimDuration;
+use eadt::telemetry::{Event, Journal};
 use eadt::transfer::{FaultModel, FaultPlan};
 
 fn pool(slots: u32) -> PoolCapacity {
@@ -52,6 +53,54 @@ fn preemption_workload() -> Workload {
         )
 }
 
+/// Eight jobs of four algorithms from three priority tenants, arriving
+/// over time at one 3-slot site: rounds with three residents make one
+/// thread advance two legs at 2 workers and leave a helper idle at 4.
+fn three_slot_workload() -> Workload {
+    let kinds = [
+        AlgorithmKind::Sc,
+        AlgorithmKind::MinE,
+        AlgorithmKind::ProMc,
+        AlgorithmKind::Htee,
+    ];
+    let mut workload = Workload::new().site("didclab", pool(3)).arrival_gap_s(5.0);
+    for i in 0..8u32 {
+        workload = workload.job(
+            ServiceJob::new(spec(kinds[i as usize % 4], 0.03), "didclab")
+                .with_tenant(i % 3)
+                .with_priority(i % 3),
+        );
+    }
+    workload
+}
+
+/// The most residents any round advanced, read from the journal. A
+/// round's admissions and preemptions carry its start time, and the
+/// previous round's finishes come first at that time, so the jobs
+/// admitted or resumed and not since preempted or finished after the
+/// last record at a time are the residents of the round starting then.
+fn most_residents(journal: &Journal) -> usize {
+    let records = journal.records();
+    let mut resident = Vec::new();
+    let mut most = 0;
+    for (k, record) in records.iter().enumerate() {
+        match &record.event {
+            Event::JobAdmitted { job, .. } | Event::JobResumed { job, .. } => resident.push(*job),
+            Event::JobPreempted { job, .. } | Event::JobFinished { job, .. } => {
+                resident.retain(|r| r != job);
+            }
+            _ => {}
+        }
+        if records
+            .get(k + 1)
+            .is_none_or(|next| next.t_us != record.t_us)
+        {
+            most = most.max(resident.len());
+        }
+    }
+    most
+}
+
 fn run(workload: &Workload, seed: u64, workers: usize, policy: ArbitrationPolicy) -> ServiceRun {
     ServiceSession::builder()
         .root_seed(seed)
@@ -65,24 +114,42 @@ fn run(workload: &Workload, seed: u64, workers: usize, policy: ArbitrationPolicy
 
 #[test]
 fn service_report_and_journal_are_identical_across_worker_counts() {
-    let workload = contended_workload();
-    let baseline = run(&workload, 7, 1, ArbitrationPolicy::FairShare);
-    let base_json = baseline.report.to_json();
-    let base_journal = baseline.journal.to_jsonl();
-    assert!(base_json.contains("\"root_seed\": 7"), "{base_json}");
-    assert_eq!(baseline.report.completed_count(), 2);
-    for workers in [2, 4] {
-        let got = run(&workload, 7, workers, ArbitrationPolicy::FairShare);
-        assert_eq!(
-            base_json,
-            got.report.to_json(),
-            "{workers}-worker service report diverged from serial"
+    let inputs = [
+        (contended_workload(), 7, ArbitrationPolicy::FairShare, 2),
+        (
+            three_slot_workload(),
+            4,
+            ArbitrationPolicy::StrictPriority,
+            3,
+        ),
+    ];
+    for (workload, seed, policy, residents) in inputs {
+        let baseline = run(&workload, seed, 1, policy);
+        let base_json = baseline.report.to_json();
+        let base_journal = baseline.journal.to_jsonl();
+        assert!(
+            base_json.contains(&format!("\"root_seed\": {seed}")),
+            "{base_json}"
         );
+        assert_eq!(baseline.report.completed_count(), workload.jobs().len());
         assert_eq!(
-            base_journal,
-            got.journal.to_jsonl(),
-            "{workers}-worker service journal diverged from serial"
+            most_residents(&baseline.journal),
+            residents,
+            "{base_journal}"
         );
+        for workers in [2, 3, 4] {
+            let got = run(&workload, seed, workers, policy);
+            assert_eq!(
+                base_json,
+                got.report.to_json(),
+                "{workers}-worker service report diverged from serial"
+            );
+            assert_eq!(
+                base_journal,
+                got.journal.to_jsonl(),
+                "{workers}-worker service journal diverged from serial"
+            );
+        }
     }
 }
 
