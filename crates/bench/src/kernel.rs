@@ -226,6 +226,10 @@ pub struct KernelGate {
     /// Ceiling on turbulent allocations per executed slice (fault
     /// machinery may allocate, but only a bounded constant).
     pub max_turbulent_allocs_per_slice: f64,
+    /// Ceiling on the allocations of one `EngineCheckpoint::to_json`,
+    /// whatever the size of the checkpoint: encoding writes the text
+    /// straight into one growing string.
+    pub max_checkpoint_encode_allocs: f64,
 }
 
 impl KernelGate {
@@ -237,6 +241,7 @@ impl KernelGate {
             max_kernel_ns_per_slice: 40_000.0,
             max_steady_allocs_per_slice: 0.01,
             max_turbulent_allocs_per_slice: 16.0,
+            max_checkpoint_encode_allocs: 64.0,
         };
         let Some(root) = std::fs::read_to_string(bench_json_path())
             .ok()
@@ -258,6 +263,10 @@ impl KernelGate {
             max_turbulent_allocs_per_slice: num(
                 "max_turbulent_allocs_per_slice",
                 fallback.max_turbulent_allocs_per_slice,
+            ),
+            max_checkpoint_encode_allocs: num(
+                "max_checkpoint_encode_allocs",
+                fallback.max_checkpoint_encode_allocs,
             ),
         }
     }

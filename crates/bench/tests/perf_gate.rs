@@ -2,7 +2,7 @@
 //! thresholds committed under the `kernel_gate` key of
 //! `BENCH_engine.json` (DESIGN.md §17).
 //!
-//! Two properties are enforced, each with an observed-vs-allowed failure
+//! Three properties are enforced, each with an observed-vs-allowed failure
 //! message so a regression is diagnosable from the CI log alone:
 //!
 //! * **zero-allocation kernel** — a counting `#[global_allocator]`
@@ -11,6 +11,9 @@
 //!   N/2 and 3N/4 of a macro-step-off run), and that turbulent slices —
 //!   where fault machinery legitimately allocates — stay under a small
 //!   committed constant;
+//! * **bounded checkpoint encoding** — encoding an engine checkpoint
+//!   makes at most a committed constant of allocations, for a run halted
+//!   early and for one halted 30× later whose checkpoint is 30× larger;
 //! * **kernel throughput** — wall time per executed steady slice stays
 //!   under a committed ceiling sized for slow 1-core CI hosts (~8×
 //!   headroom over a developer-laptop observation), so only a real
@@ -28,7 +31,8 @@ use eadt_bench::kernel::{
     count_executed_slices, kernel_env, measure_allocs_per_slice, steady_scenario,
     turbulent_scenario, KernelGate,
 };
-use eadt_transfer::{Engine, NullController};
+use eadt_telemetry::Telemetry;
+use eadt_transfer::{Engine, NullController, RunControl, RunOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -105,6 +109,41 @@ fn turbulent_slices_allocate_a_bounded_constant() {
         "perf-gate: turbulent allocs/slice regression: observed {observed:.2} > allowed {:.2}",
         gate.max_turbulent_allocs_per_slice
     );
+}
+
+/// `EngineCheckpoint::to_json` writes JSON text straight into its output
+/// string, so its allocations stay under a committed constant however
+/// many per-slice samples the checkpoint carries: the steady scenario
+/// halted at slice 200 and at slice 6,000 must both stay under it.
+#[test]
+fn checkpoint_encode_allocations_are_bounded() {
+    let _alone = measure_alone();
+    let gate = KernelGate::load();
+    let (env, plan) = steady_scenario();
+    for halt in [200, 6_000] {
+        let outcome = Engine::new(&env).run_controlled(
+            &plan,
+            &mut NullController,
+            &mut Telemetry::disabled(),
+            RunControl::halt_at(halt),
+        );
+        let RunOutcome::Halted(ck) = outcome else {
+            panic!("the steady scenario must halt at slice {halt}");
+        };
+        let before = alloc_count();
+        let text = std::hint::black_box(ck.to_json());
+        let observed = alloc_count() - before;
+        eprintln!(
+            "perf-gate: checkpoint at slice {halt}: {} bytes, {observed} allocations",
+            text.len()
+        );
+        assert!(
+            observed as f64 <= gate.max_checkpoint_encode_allocs,
+            "perf-gate: checkpoint encode allocations at slice {halt}: observed {observed} > \
+             allowed {:.0}",
+            gate.max_checkpoint_encode_allocs
+        );
+    }
 }
 
 /// Kernel wall time per executed steady slice versus the committed

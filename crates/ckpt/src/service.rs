@@ -75,7 +75,7 @@ pub struct ServiceCheckpoint {
 
 impl ServiceCheckpoint {
     /// Serializes as pretty JSON with a trailing newline (deterministic:
-    /// declaration field order, shortest-roundtrip floats).
+    /// fields sorted by name, shortest-roundtrip floats).
     pub fn to_json(&self) -> String {
         let mut text = serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string());
         text.push('\n');

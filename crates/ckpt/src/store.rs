@@ -50,7 +50,7 @@ pub struct JobCheckpoint {
 
 impl JobCheckpoint {
     /// Serializes as pretty JSON with a trailing newline (deterministic:
-    /// shortest-roundtrip floats, declaration field order).
+    /// shortest-roundtrip floats, fields sorted by name).
     pub fn to_json(&self) -> String {
         let mut text = serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string());
         text.push('\n');

@@ -15,7 +15,7 @@
 //! Timestamps are simulated microseconds, which is exactly the unit
 //! `trace_event` expects in `ts`/`dur`.
 
-use crate::event::{write_json_f64, write_json_str, Event, Journal};
+use crate::event::{line_writer, Event, Journal};
 use std::fmt::Write as _;
 
 /// Thread row that carries instant (non-chunk) events.
@@ -52,13 +52,13 @@ fn push_span(s: &mut String, kind: &str, span: &OpenSpan, end_us: u64) {
         span.id,
         span.parent
     );
-    write_json_str(s, &span.detail);
+    line_writer(s).str(&span.detail);
     s.push_str("}}");
 }
 
 fn push_common(s: &mut String, name: &str, ph: char, ts: u64, tid: u32) {
     s.push_str("{\"name\":");
-    write_json_str(s, name);
+    line_writer(s).str(name);
     let _ = write!(s, ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}");
 }
 
@@ -152,7 +152,7 @@ pub fn to_chrome_trace(journal: &Journal) -> String {
                 push_common(&mut s, "channel_fail", 'i', ts, *chunk);
                 s.push_str(",\"s\":\"t\",\"args\":{\"channel\":");
                 let _ = write!(s, "{channel},\"cause\":");
-                write_json_str(&mut s, cause);
+                line_writer(&mut s).str(cause);
                 s.push_str("}}");
             }
             Event::ChannelRetry {
@@ -174,7 +174,7 @@ pub fn to_chrome_trace(journal: &Journal) -> String {
                 sep(&mut s);
                 push_common(&mut s, "decision", 'i', ts, CONTROL_TID);
                 s.push_str(",\"s\":\"p\",\"args\":{\"reason\":");
-                write_json_str(&mut s, reason);
+                line_writer(&mut s).str(reason);
                 s.push_str("}}");
             }
             Event::ProbeWindow {
@@ -183,16 +183,16 @@ pub fn to_chrome_trace(journal: &Journal) -> String {
                 sep(&mut s);
                 push_common(&mut s, "probe_window", 'i', ts, CONTROL_TID);
                 let _ = write!(s, ",\"s\":\"p\",\"args\":{{\"level\":{level},\"mbps\":");
-                write_json_f64(&mut s, *mbps);
+                line_writer(&mut s).f64(*mbps);
                 s.push_str(",\"ratio\":");
-                write_json_f64(&mut s, *ratio);
+                line_writer(&mut s).f64(*ratio);
                 s.push_str("}}");
             }
             Event::Commit { level, reason } => {
                 sep(&mut s);
                 push_common(&mut s, "commit", 'i', ts, CONTROL_TID);
                 let _ = write!(s, ",\"s\":\"p\",\"args\":{{\"level\":{level},\"reason\":");
-                write_json_str(&mut s, reason);
+                line_writer(&mut s).str(reason);
                 s.push_str("}}");
             }
             Event::Breaker {
@@ -228,12 +228,12 @@ pub fn to_chrome_trace(journal: &Journal) -> String {
                 sep(&mut s);
                 push_common(&mut s, "throughput_mbps", 'C', ts, 0);
                 s.push_str(",\"args\":{\"value\":");
-                write_json_f64(&mut s, *throughput_mbps);
+                line_writer(&mut s).f64(*throughput_mbps);
                 s.push_str("}}");
                 sep(&mut s);
                 push_common(&mut s, "power_w", 'C', ts, 0);
                 s.push_str(",\"args\":{\"value\":");
-                write_json_f64(&mut s, *power_w);
+                line_writer(&mut s).f64(*power_w);
                 s.push_str("}}");
                 sep(&mut s);
                 push_common(&mut s, "channels", 'C', ts, 0);

@@ -9,16 +9,17 @@
 //! snake_case schema; identical seeds produce byte-identical journals,
 //! which the determinism CI gate enforces.
 //!
-//! The vendored serde derive emits externally-tagged enums with no field
-//! ordering control, so the journal hand-rolls its line format instead:
-//! a flat object `{"seq":N,"t_us":T,"ev":"<tag>",...fields}` with fields
-//! in declaration order. Parsing goes through the vendored
+//! The line format is derived: each line is one flat object
+//! `{"seq":N,"t_us":T,"ev":"<tag>",...fields}`, fields in declaration
+//! order, an absent optional field left out, and floats printed as Rust's
+//! `{}` prints them (`5`, not `5.0`). Parsing goes through the vendored
 //! [`serde::value`] tree, so readers tolerate extra fields from newer
 //! schema versions.
 
 use eadt_sim::SimTime;
-use serde::value::{Map, Value};
-use std::fmt::{self, Write as _};
+use serde::ser::Writer;
+use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Version of the journal schema. Bump on any breaking change to
 /// [`Event`] field names or semantics; readers skip unknown fields, so
@@ -26,7 +27,8 @@ use std::fmt::{self, Write as _};
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Which end of the transfer a server-scoped event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Side {
     /// The sending site.
     Src,
@@ -42,14 +44,6 @@ impl Side {
             Side::Dst => "dst",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "src" => Ok(Side::Src),
-            "dst" => Ok(Side::Dst),
-            other => Err(format!("unknown side `{other}`")),
-        }
-    }
 }
 
 impl fmt::Display for Side {
@@ -59,7 +53,8 @@ impl fmt::Display for Side {
 }
 
 /// Circuit-breaker states as they appear in the journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum BreakerState {
     /// The breaker opened: the server is quarantined.
     Open,
@@ -78,15 +73,6 @@ impl BreakerState {
             BreakerState::Closed => "closed",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "open" => Ok(BreakerState::Open),
-            "half_open" => Ok(BreakerState::HalfOpen),
-            "closed" => Ok(BreakerState::Closed),
-            other => Err(format!("unknown breaker state `{other}`")),
-        }
-    }
 }
 
 impl fmt::Display for BreakerState {
@@ -96,7 +82,8 @@ impl fmt::Display for BreakerState {
 }
 
 /// Fault-episode kinds (mirrors the fault taxonomy of `eadt-transfer`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum EpisodeKind {
     /// A server-outage window.
     Outage,
@@ -115,15 +102,6 @@ impl EpisodeKind {
             EpisodeKind::Disk => "disk",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "outage" => Ok(EpisodeKind::Outage),
-            "stall" => Ok(EpisodeKind::Stall),
-            "disk" => Ok(EpisodeKind::Disk),
-            other => Err(format!("unknown episode kind `{other}`")),
-        }
-    }
 }
 
 impl fmt::Display for EpisodeKind {
@@ -137,8 +115,10 @@ impl fmt::Display for EpisodeKind {
 /// The `ev` tag and all field names are part of the stable JSONL schema
 /// (documented in DESIGN.md §9); readers ignore unknown fields, so new
 /// fields may be added freely, but never rename existing ones without
-/// bumping [`SCHEMA_VERSION`].
-#[derive(Debug, Clone, PartialEq)]
+/// bumping [`SCHEMA_VERSION`]. The `ev` tag is the variant name in
+/// snake_case, the same string [`Event::tag`] returns.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "ev", rename_all = "snake_case", declaration_order)]
 pub enum Event {
     /// Emitted once by the tracer before the engine starts.
     RunStart {
@@ -266,8 +246,10 @@ pub enum Event {
         /// Episode kind.
         kind: EpisodeKind,
         /// Site of the affected server (absent for path-wide stalls).
+        #[serde(skip_serializing_if = "Option::is_none")]
         side: Option<Side>,
         /// Affected server (absent for path-wide stalls).
+        #[serde(skip_serializing_if = "Option::is_none")]
         server: Option<u32>,
         /// True when the window opened, false when it closed.
         active: bool,
@@ -365,6 +347,7 @@ pub enum Event {
         job: u32,
         /// The higher-priority job that displaced it (absent when the
         /// eviction had no single displacing job, e.g. a zero grant).
+        #[serde(skip_serializing_if = "Option::is_none")]
         by: Option<u32>,
         /// Site whose pool evicted the job.
         site: String,
@@ -420,506 +403,18 @@ impl Event {
             Event::JobFinished { .. } => "job_finished",
         }
     }
-
-    /// Writes the variant's fields (each preceded by a comma) onto a
-    /// JSON object body in declaration order.
-    fn write_fields(&self, s: &mut String) {
-        match self {
-            Event::RunStart {
-                schema,
-                algorithm,
-                environment,
-                seed,
-                requested_bytes,
-            } => {
-                let _ = write!(s, ",\"schema\":{schema},\"algorithm\":");
-                write_json_str(s, algorithm);
-                s.push_str(",\"environment\":");
-                write_json_str(s, environment);
-                let _ = write!(s, ",\"seed\":{seed},\"requested_bytes\":{requested_bytes}");
-            }
-            Event::StageStart { stage } => {
-                let _ = write!(s, ",\"stage\":{stage}");
-            }
-            Event::ChunkStart {
-                chunk,
-                label,
-                bytes,
-                files,
-            } => {
-                let _ = write!(s, ",\"chunk\":{chunk},\"label\":");
-                write_json_str(s, label);
-                let _ = write!(s, ",\"bytes\":{bytes},\"files\":{files}");
-            }
-            Event::ChunkDrain { chunk, label } => {
-                let _ = write!(s, ",\"chunk\":{chunk},\"label\":");
-                write_json_str(s, label);
-            }
-            Event::ChannelOpen {
-                chunk,
-                opened,
-                count,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"chunk\":{chunk},\"opened\":{opened},\"count\":{count}"
-                );
-            }
-            Event::ChannelClose {
-                chunk,
-                closed,
-                count,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"chunk\":{chunk},\"closed\":{closed},\"count\":{count}"
-                );
-            }
-            Event::ChannelFail {
-                chunk,
-                channel,
-                cause,
-                src_server,
-                dst_server,
-            } => {
-                let _ = write!(s, ",\"chunk\":{chunk},\"channel\":{channel},\"cause\":");
-                write_json_str(s, cause);
-                let _ = write!(
-                    s,
-                    ",\"src_server\":{src_server},\"dst_server\":{dst_server}"
-                );
-            }
-            Event::ChannelRetry {
-                chunk,
-                channel,
-                attempt,
-                delay_us,
-                exhausted,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"chunk\":{chunk},\"channel\":{channel},\"attempt\":{attempt},\
-                     \"delay_us\":{delay_us},\"exhausted\":{exhausted}"
-                );
-            }
-            Event::Reallocate { targets } => {
-                s.push_str(",\"targets\":");
-                write_u32_array(s, targets);
-            }
-            Event::Decision { reason, targets } => {
-                s.push_str(",\"reason\":");
-                write_json_str(s, reason);
-                s.push_str(",\"targets\":");
-                write_u32_array(s, targets);
-            }
-            Event::ProbeWindow {
-                level,
-                window_s,
-                mbps,
-                energy_j,
-                ratio,
-            } => {
-                let _ = write!(s, ",\"level\":{level},\"window_s\":");
-                write_json_f64(s, *window_s);
-                s.push_str(",\"mbps\":");
-                write_json_f64(s, *mbps);
-                s.push_str(",\"energy_j\":");
-                write_json_f64(s, *energy_j);
-                s.push_str(",\"ratio\":");
-                write_json_f64(s, *ratio);
-            }
-            Event::Commit { level, reason } => {
-                let _ = write!(s, ",\"level\":{level},\"reason\":");
-                write_json_str(s, reason);
-            }
-            Event::Breaker {
-                side,
-                server,
-                state,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"side\":\"{}\",\"server\":{server},\"state\":\"{}\"",
-                    side.as_str(),
-                    state.as_str()
-                );
-            }
-            Event::FaultEpisode {
-                kind,
-                side,
-                server,
-                active,
-            } => {
-                let _ = write!(s, ",\"kind\":\"{}\"", kind.as_str());
-                if let Some(side) = side {
-                    let _ = write!(s, ",\"side\":\"{}\"", side.as_str());
-                }
-                if let Some(server) = server {
-                    let _ = write!(s, ",\"server\":{server}");
-                }
-                let _ = write!(s, ",\"active\":{active}");
-            }
-            Event::PowerState {
-                side,
-                server,
-                active,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"side\":\"{}\",\"server\":{server},\"active\":{active}",
-                    side.as_str()
-                );
-            }
-            Event::SpanBegin {
-                id,
-                parent,
-                kind,
-                detail,
-            } => {
-                let _ = write!(s, ",\"id\":{id},\"parent\":{parent},\"kind\":");
-                write_json_str(s, kind);
-                s.push_str(",\"detail\":");
-                write_json_str(s, detail);
-            }
-            Event::SpanEnd { id, kind, detail } => {
-                let _ = write!(s, ",\"id\":{id},\"kind\":");
-                write_json_str(s, kind);
-                s.push_str(",\"detail\":");
-                write_json_str(s, detail);
-            }
-            Event::Sample {
-                throughput_mbps,
-                power_w,
-                concurrency,
-                in_backoff,
-                queue_depth,
-            } => {
-                s.push_str(",\"throughput_mbps\":");
-                write_json_f64(s, *throughput_mbps);
-                s.push_str(",\"power_w\":");
-                write_json_f64(s, *power_w);
-                let _ = write!(
-                    s,
-                    ",\"concurrency\":{concurrency},\"in_backoff\":{in_backoff},\
-                     \"queue_depth\":{queue_depth}"
-                );
-            }
-            Event::RunEnd {
-                moved_bytes,
-                duration_s,
-                energy_j,
-                completed,
-            } => {
-                let _ = write!(s, ",\"moved_bytes\":{moved_bytes},\"duration_s\":");
-                write_json_f64(s, *duration_s);
-                s.push_str(",\"energy_j\":");
-                write_json_f64(s, *energy_j);
-                let _ = write!(s, ",\"completed\":{completed}");
-            }
-            Event::JobSubmitted {
-                job,
-                tenant,
-                site,
-                priority,
-            } => {
-                let _ = write!(s, ",\"job\":{job},\"tenant\":{tenant},\"site\":");
-                write_json_str(s, site);
-                let _ = write!(s, ",\"priority\":{priority}");
-            }
-            Event::JobAdmitted {
-                job,
-                site,
-                resident,
-                waiting,
-            } => {
-                let _ = write!(s, ",\"job\":{job},\"site\":");
-                write_json_str(s, site);
-                let _ = write!(s, ",\"resident\":{resident},\"waiting\":{waiting}");
-            }
-            Event::JobPreempted { job, by, site } => {
-                let _ = write!(s, ",\"job\":{job}");
-                if let Some(by) = by {
-                    let _ = write!(s, ",\"by\":{by}");
-                }
-                s.push_str(",\"site\":");
-                write_json_str(s, site);
-            }
-            Event::JobResumed { job, site, round } => {
-                let _ = write!(s, ",\"job\":{job},\"site\":");
-                write_json_str(s, site);
-                let _ = write!(s, ",\"round\":{round}");
-            }
-            Event::JobFinished {
-                job,
-                completed,
-                moved_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{job},\"completed\":{completed},\"moved_bytes\":{moved_bytes}"
-                );
-            }
-        }
-    }
-
-    /// Rebuilds the variant tagged `tag` from a parsed JSON object.
-    fn from_map(tag: &str, m: &Map) -> Result<Self, String> {
-        match tag {
-            "run_start" => Ok(Event::RunStart {
-                schema: get_u32(m, "schema")?,
-                algorithm: get_string(m, "algorithm")?,
-                environment: get_string(m, "environment")?,
-                seed: get_u64(m, "seed")?,
-                requested_bytes: get_u64(m, "requested_bytes")?,
-            }),
-            "stage_start" => Ok(Event::StageStart {
-                stage: get_u32(m, "stage")?,
-            }),
-            "chunk_start" => Ok(Event::ChunkStart {
-                chunk: get_u32(m, "chunk")?,
-                label: get_string(m, "label")?,
-                bytes: get_u64(m, "bytes")?,
-                files: get_u64(m, "files")?,
-            }),
-            "chunk_drain" => Ok(Event::ChunkDrain {
-                chunk: get_u32(m, "chunk")?,
-                label: get_string(m, "label")?,
-            }),
-            "channel_open" => Ok(Event::ChannelOpen {
-                chunk: get_u32(m, "chunk")?,
-                opened: get_u32(m, "opened")?,
-                count: get_u32(m, "count")?,
-            }),
-            "channel_close" => Ok(Event::ChannelClose {
-                chunk: get_u32(m, "chunk")?,
-                closed: get_u32(m, "closed")?,
-                count: get_u32(m, "count")?,
-            }),
-            "channel_fail" => Ok(Event::ChannelFail {
-                chunk: get_u32(m, "chunk")?,
-                channel: get_u32(m, "channel")?,
-                cause: get_string(m, "cause")?,
-                src_server: get_u32(m, "src_server")?,
-                dst_server: get_u32(m, "dst_server")?,
-            }),
-            "channel_retry" => Ok(Event::ChannelRetry {
-                chunk: get_u32(m, "chunk")?,
-                channel: get_u32(m, "channel")?,
-                attempt: get_u32(m, "attempt")?,
-                delay_us: get_u64(m, "delay_us")?,
-                exhausted: get_bool(m, "exhausted")?,
-            }),
-            "reallocate" => Ok(Event::Reallocate {
-                targets: get_u32_array(m, "targets")?,
-            }),
-            "decision" => Ok(Event::Decision {
-                reason: get_string(m, "reason")?,
-                targets: get_u32_array(m, "targets")?,
-            }),
-            "probe_window" => Ok(Event::ProbeWindow {
-                level: get_u32(m, "level")?,
-                window_s: get_f64(m, "window_s")?,
-                mbps: get_f64(m, "mbps")?,
-                energy_j: get_f64(m, "energy_j")?,
-                ratio: get_f64(m, "ratio")?,
-            }),
-            "commit" => Ok(Event::Commit {
-                level: get_u32(m, "level")?,
-                reason: get_string(m, "reason")?,
-            }),
-            "breaker" => Ok(Event::Breaker {
-                side: Side::parse(&get_string(m, "side")?)?,
-                server: get_u32(m, "server")?,
-                state: BreakerState::parse(&get_string(m, "state")?)?,
-            }),
-            "fault_episode" => Ok(Event::FaultEpisode {
-                kind: EpisodeKind::parse(&get_string(m, "kind")?)?,
-                side: match m.get("side") {
-                    Some(v) => Some(Side::parse(
-                        v.as_str().ok_or_else(|| err_type("side", "string"))?,
-                    )?),
-                    None => None,
-                },
-                server: match m.get("server") {
-                    Some(v) => Some(
-                        u32::try_from(v.as_u64().ok_or_else(|| err_type("server", "integer"))?)
-                            .map_err(|_| err_type("server", "u32"))?,
-                    ),
-                    None => None,
-                },
-                active: get_bool(m, "active")?,
-            }),
-            "power_state" => Ok(Event::PowerState {
-                side: Side::parse(&get_string(m, "side")?)?,
-                server: get_u32(m, "server")?,
-                active: get_bool(m, "active")?,
-            }),
-            "span_begin" => Ok(Event::SpanBegin {
-                id: get_u64(m, "id")?,
-                parent: get_u64(m, "parent")?,
-                kind: get_string(m, "kind")?,
-                detail: get_string(m, "detail")?,
-            }),
-            "span_end" => Ok(Event::SpanEnd {
-                id: get_u64(m, "id")?,
-                kind: get_string(m, "kind")?,
-                detail: get_string(m, "detail")?,
-            }),
-            "sample" => Ok(Event::Sample {
-                throughput_mbps: get_f64(m, "throughput_mbps")?,
-                power_w: get_f64(m, "power_w")?,
-                concurrency: get_u32(m, "concurrency")?,
-                in_backoff: get_u32(m, "in_backoff")?,
-                queue_depth: get_u64(m, "queue_depth")?,
-            }),
-            "run_end" => Ok(Event::RunEnd {
-                moved_bytes: get_u64(m, "moved_bytes")?,
-                duration_s: get_f64(m, "duration_s")?,
-                energy_j: get_f64(m, "energy_j")?,
-                completed: get_bool(m, "completed")?,
-            }),
-            "job_submitted" => Ok(Event::JobSubmitted {
-                job: get_u32(m, "job")?,
-                tenant: get_u32(m, "tenant")?,
-                site: get_string(m, "site")?,
-                priority: get_u32(m, "priority")?,
-            }),
-            "job_admitted" => Ok(Event::JobAdmitted {
-                job: get_u32(m, "job")?,
-                site: get_string(m, "site")?,
-                resident: get_u32(m, "resident")?,
-                waiting: get_u32(m, "waiting")?,
-            }),
-            "job_preempted" => Ok(Event::JobPreempted {
-                job: get_u32(m, "job")?,
-                by: match m.get("by") {
-                    Some(v) => Some(
-                        u32::try_from(v.as_u64().ok_or_else(|| err_type("by", "integer"))?)
-                            .map_err(|_| err_type("by", "u32"))?,
-                    ),
-                    None => None,
-                },
-                site: get_string(m, "site")?,
-            }),
-            "job_resumed" => Ok(Event::JobResumed {
-                job: get_u32(m, "job")?,
-                site: get_string(m, "site")?,
-                round: get_u64(m, "round")?,
-            }),
-            "job_finished" => Ok(Event::JobFinished {
-                job: get_u32(m, "job")?,
-                completed: get_bool(m, "completed")?,
-                moved_bytes: get_u64(m, "moved_bytes")?,
-            }),
-            other => Err(format!("unknown event tag `{other}`")),
-        }
-    }
-}
-
-/// JSON string literal with escaping for quotes, backslashes and control
-/// characters.
-pub(crate) fn write_json_str(s: &mut String, text: &str) {
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Shortest-roundtrip float rendering (Rust's `{}` for `f64`), the same
-/// value every run — the byte-determinism guarantee rests on this.
-pub(crate) fn write_json_f64(s: &mut String, f: f64) {
-    debug_assert!(f.is_finite(), "journal floats must be finite, got {f}");
-    if f.is_finite() {
-        let _ = write!(s, "{f}");
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn write_u32_array(s: &mut String, xs: &[u32]) {
-    s.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{x}");
-    }
-    s.push(']');
-}
-
-fn err_missing(key: &str) -> String {
-    format!("missing field `{key}`")
-}
-
-fn err_type(key: &str, expected: &str) -> String {
-    format!("field `{key}`: expected {expected}")
-}
-
-fn field<'a>(m: &'a Map, key: &str) -> Result<&'a Value, String> {
-    m.get(key).ok_or_else(|| err_missing(key))
-}
-
-fn get_u64(m: &Map, key: &str) -> Result<u64, String> {
-    field(m, key)?
-        .as_u64()
-        .ok_or_else(|| err_type(key, "unsigned integer"))
-}
-
-fn get_u32(m: &Map, key: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(m, key)?).map_err(|_| err_type(key, "u32"))
-}
-
-fn get_f64(m: &Map, key: &str) -> Result<f64, String> {
-    field(m, key)?
-        .as_f64()
-        .ok_or_else(|| err_type(key, "number"))
-}
-
-fn get_bool(m: &Map, key: &str) -> Result<bool, String> {
-    field(m, key)?
-        .as_bool()
-        .ok_or_else(|| err_type(key, "boolean"))
-}
-
-fn get_string(m: &Map, key: &str) -> Result<String, String> {
-    Ok(field(m, key)?
-        .as_str()
-        .ok_or_else(|| err_type(key, "string"))?
-        .to_string())
-}
-
-fn get_u32_array(m: &Map, key: &str) -> Result<Vec<u32>, String> {
-    field(m, key)?
-        .as_array()
-        .ok_or_else(|| err_type(key, "array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| err_type(key, "array of u32"))
-        })
-        .collect()
 }
 
 /// One journal line: a sequence number, a timestamp and the event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(declaration_order)]
 pub struct Record {
     /// Monotone sequence number (0-based), total order of the journal.
     pub seq: u64,
     /// Simulated time of the event, microseconds since transfer start.
     pub t_us: u64,
     /// The event itself, flattened into the same JSON object on disk.
+    #[serde(flatten)]
     pub event: Event,
 }
 
@@ -934,15 +429,7 @@ impl Record {
     /// order. Byte-deterministic for identical records.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"seq\":{},\"t_us\":{},\"ev\":\"{}\"",
-            self.seq,
-            self.t_us,
-            self.event.tag()
-        );
-        self.event.write_fields(&mut s);
-        s.push('}');
+        self.write_json(&mut line_writer(&mut s));
         s
     }
 
@@ -950,13 +437,15 @@ impl Record {
     /// journals from newer (additive) schema versions stay readable.
     pub fn from_json(line: &str) -> Result<Self, String> {
         let v = serde::value::parse(line).map_err(|e| e.to_string())?;
-        let m = v.as_object().ok_or("expected a JSON object")?;
-        let seq = get_u64(m, "seq")?;
-        let t_us = get_u64(m, "t_us")?;
-        let tag = get_string(m, "ev")?;
-        let event = Event::from_map(&tag, m)?;
-        Ok(Record { seq, t_us, event })
+        Record::deser_value(&v).map_err(|e| e.to_string())
     }
+}
+
+/// The writer of journal lines and of what is rendered from them: compact,
+/// with floats printed as Rust's `{}` prints them (`"window_s":5`), where
+/// reports and checkpoints print `5.0`.
+pub(crate) fn line_writer(s: &mut String) -> Writer<'_> {
+    Writer::compact(s).bare_floats()
 }
 
 /// What [`Journal::recover_jsonl`] found while reading a journal that
@@ -1051,12 +540,13 @@ impl Journal {
         self.records.is_empty()
     }
 
-    /// Serializes the journal as JSON Lines. Output is byte-deterministic
-    /// for identical event streams (field order is declaration order).
+    /// Serializes the journal as JSON Lines, one [`Record::to_json`] line
+    /// per record. Output is byte-deterministic for identical event
+    /// streams.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&r.to_json());
+            r.write_json(&mut line_writer(&mut out));
             out.push('\n');
         }
         out
@@ -1273,15 +763,88 @@ mod tests {
                 energy_j: 4210.0,
                 completed: true,
             },
+            Event::Decision {
+                reason: "hold".into(),
+                targets: vec![],
+            },
+            Event::JobSubmitted {
+                job: 3,
+                tenant: 1,
+                site: "didclab".into(),
+                priority: 9,
+            },
+            Event::JobAdmitted {
+                job: 3,
+                site: "didclab".into(),
+                resident: 2,
+                waiting: 0,
+            },
+            Event::JobPreempted {
+                job: 1,
+                by: Some(3),
+                site: "didclab".into(),
+            },
+            Event::JobPreempted {
+                job: 2,
+                by: None,
+                site: "didclab".into(),
+            },
+            Event::JobResumed {
+                job: 1,
+                site: "didclab".into(),
+                round: 17,
+            },
+            Event::JobFinished {
+                job: 3,
+                completed: true,
+                moved_bytes: 2048,
+            },
         ];
         for (i, e) in events.into_iter().enumerate() {
             j.record(t(i as f64), e);
         }
         let text = j.to_jsonl();
+        assert_eq!(text, EVERY_VARIANT_JSONL, "journal bytes changed");
+        for (line, r) in text.lines().zip(j.records()) {
+            let v = serde::value::parse(line).unwrap();
+            assert_eq!(v["ev"], r.event.tag(), "{line}");
+        }
         let back = Journal::from_jsonl(&text).unwrap();
         assert_eq!(back.records(), j.records());
         assert_eq!(back.to_jsonl(), text, "serialization is deterministic");
     }
+
+    /// The bytes of `jsonl_round_trips_every_variant`'s journal: every
+    /// variant, integral floats printed without a fraction (`"window_s":5`)
+    /// and absent options left out.
+    const EVERY_VARIANT_JSONL: &str = r#"{"seq":0,"t_us":0,"ev":"run_start","schema":1,"algorithm":"HTEE","environment":"didclab","seed":42,"requested_bytes":1000}
+{"seq":1,"t_us":1000000,"ev":"stage_start","stage":0}
+{"seq":2,"t_us":2000000,"ev":"chunk_start","chunk":0,"label":"Small","bytes":500,"files":3}
+{"seq":3,"t_us":3000000,"ev":"channel_open","chunk":0,"opened":1,"count":1}
+{"seq":4,"t_us":4000000,"ev":"channel_fail","chunk":0,"channel":0,"cause":"outage","src_server":0,"dst_server":1}
+{"seq":5,"t_us":5000000,"ev":"channel_retry","chunk":0,"channel":0,"attempt":1,"delay_us":4000000,"exhausted":false}
+{"seq":6,"t_us":6000000,"ev":"breaker","side":"dst","server":1,"state":"open"}
+{"seq":7,"t_us":7000000,"ev":"fault_episode","kind":"stall","active":true}
+{"seq":8,"t_us":8000000,"ev":"fault_episode","kind":"outage","side":"src","server":2,"active":false}
+{"seq":9,"t_us":9000000,"ev":"probe_window","level":3,"window_s":5,"mbps":812.5,"energy_j":950,"ratio":694.9}
+{"seq":10,"t_us":10000000,"ev":"commit","level":5,"reason":"best measured ratio"}
+{"seq":11,"t_us":11000000,"ev":"decision","reason":"shed to 50% capacity","targets":[2,1]}
+{"seq":12,"t_us":12000000,"ev":"reallocate","targets":[2,1]}
+{"seq":13,"t_us":13000000,"ev":"power_state","side":"src","server":0,"active":true}
+{"seq":14,"t_us":14000000,"ev":"span_begin","id":10,"parent":3,"kind":"probe","detail":"level 3"}
+{"seq":15,"t_us":15000000,"ev":"span_end","id":10,"kind":"probe","detail":"ratio 694.9"}
+{"seq":16,"t_us":16000000,"ev":"sample","throughput_mbps":420,"power_w":310.5,"concurrency":4,"in_backoff":1,"queue_depth":12}
+{"seq":17,"t_us":17000000,"ev":"channel_close","chunk":0,"closed":1,"count":0}
+{"seq":18,"t_us":18000000,"ev":"chunk_drain","chunk":0,"label":"Small"}
+{"seq":19,"t_us":19000000,"ev":"run_end","moved_bytes":1000,"duration_s":12.5,"energy_j":4210,"completed":true}
+{"seq":20,"t_us":20000000,"ev":"decision","reason":"hold","targets":[]}
+{"seq":21,"t_us":21000000,"ev":"job_submitted","job":3,"tenant":1,"site":"didclab","priority":9}
+{"seq":22,"t_us":22000000,"ev":"job_admitted","job":3,"site":"didclab","resident":2,"waiting":0}
+{"seq":23,"t_us":23000000,"ev":"job_preempted","job":1,"by":3,"site":"didclab"}
+{"seq":24,"t_us":24000000,"ev":"job_preempted","job":2,"site":"didclab"}
+{"seq":25,"t_us":25000000,"ev":"job_resumed","job":1,"site":"didclab","round":17}
+{"seq":26,"t_us":26000000,"ev":"job_finished","job":3,"completed":true,"moved_bytes":2048}
+"#;
 
     #[test]
     fn jsonl_lines_carry_the_tag_field() {

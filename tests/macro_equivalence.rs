@@ -20,38 +20,42 @@
 
 use eadt::core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
 use eadt::core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
-use eadt::sim::SimDuration;
+use eadt::sim::{Bytes, SimDuration};
 use eadt::telemetry::{Telemetry, DEFAULT_CADENCE};
 use eadt::testbeds::{didclab, futuregrid, xsede, Environment};
 use eadt::transfer::{
-    BackgroundTraffic, DiskDegradationModel, FaultModel, FaultPlan, OutageModel, SiteSide,
-    StallModel,
+    BackgroundTraffic, DiskDegradationModel, EngineCheckpoint, FaultModel, FaultPlan, OutageModel,
+    RunControl, RunOutcome, SiteSide, StallModel,
 };
 
 const SEED: u64 = 11;
 const SCALE: f64 = 0.01;
 
-/// Runs one algorithm with journal + metrics telemetry and returns the
-/// serialized report, journal and metrics snapshot — the three artifacts
-/// that must be bit-identical with and without macro-stepping.
-fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String, String, String) {
+/// Runs one algorithm with journal + metrics telemetry under `ctl` and
+/// returns what it produced with the telemetry it fed.
+fn run_cell(
+    tb: &Environment,
+    kind: AlgorithmKind,
+    fault_aware: bool,
+    ctl: RunControl,
+) -> (RunOutcome, Telemetry) {
     let dataset = tb.dataset_spec.scaled(SCALE).generate(SEED);
     let partition = tb.partition;
     let mut tel = Telemetry::enabled(DEFAULT_CADENCE);
-    let report = {
+    let outcome = {
         let mut ctx = RunCtx::with_telemetry(&tb.env, &dataset, &mut tel);
         match kind {
             AlgorithmKind::MinE => MinE {
                 partition,
                 ..MinE::new(6)
             }
-            .run(&mut ctx),
+            .run_controlled(&mut ctx, ctl),
             AlgorithmKind::Htee => Htee {
                 partition,
                 fault_aware,
                 ..Htee::new(6)
             }
-            .run(&mut ctx),
+            .run_controlled(&mut ctx, ctl),
             AlgorithmKind::Slaee => {
                 let reference = ProMc {
                     partition,
@@ -63,26 +67,26 @@ fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String
                     fault_aware,
                     ..Slaee::new(0.8, reference.avg_throughput(), 6)
                 }
-                .run(&mut ctx)
+                .run_controlled(&mut ctx, ctl)
             }
-            AlgorithmKind::Guc => GlobusUrlCopy::new().run(&mut ctx),
-            AlgorithmKind::Go => GlobusOnline::new().run(&mut ctx),
+            AlgorithmKind::Guc => GlobusUrlCopy::new().run_controlled(&mut ctx, ctl),
+            AlgorithmKind::Go => GlobusOnline::new().run_controlled(&mut ctx, ctl),
             AlgorithmKind::Sc => SingleChunk {
                 partition,
                 ..SingleChunk::new(6)
             }
-            .run(&mut ctx),
+            .run_controlled(&mut ctx, ctl),
             AlgorithmKind::ProMc => ProMc {
                 partition,
                 fault_aware,
                 ..ProMc::new(6)
             }
-            .run(&mut ctx),
+            .run_controlled(&mut ctx, ctl),
             AlgorithmKind::Bf => BruteForce {
                 partition,
                 ..BruteForce::new(6)
             }
-            .run(&mut ctx),
+            .run_controlled(&mut ctx, ctl),
             AlgorithmKind::Manual => {
                 let plan = eadt::transfer::uniform_plan(
                     &dataset,
@@ -91,22 +95,38 @@ fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String
                 );
                 let engine = eadt::transfer::Engine::new(&tb.env);
                 if fault_aware {
-                    engine.run_instrumented(
+                    engine.run_controlled(
                         &plan,
                         &mut eadt::transfer::FaultAware::new(eadt::transfer::NullController),
                         &mut tel,
+                        ctl,
                     )
                 } else {
-                    engine.run_instrumented(&plan, &mut eadt::transfer::NullController, &mut tel)
+                    engine.run_controlled(&plan, &mut eadt::transfer::NullController, &mut tel, ctl)
                 }
             }
         }
     };
+    (outcome, tel)
+}
+
+/// Runs one algorithm to completion and returns the serialized report,
+/// journal and metrics snapshot — the three artifacts that must be
+/// bit-identical with and without macro-stepping — and the run's slice
+/// count.
+fn run_once(
+    tb: &Environment,
+    kind: AlgorithmKind,
+    fault_aware: bool,
+) -> (String, String, String, u64) {
+    let (outcome, tel) = run_cell(tb, kind, fault_aware, RunControl::default());
+    let report = outcome.into_report().expect("no halt boundary configured");
     let json = serde_json::to_string(&report).expect("report serializes");
     let metrics = serde_json::to_string(&tel.metrics_ref().expect("metrics attached").snapshot())
         .expect("metrics snapshot serializes");
     let journal = tel.into_journal().expect("journal attached").to_jsonl();
-    (json, journal, metrics)
+    let slices = report.throughput_series.len() as u64;
+    (json, journal, metrics, slices)
 }
 
 /// Asserts byte identity of report, journal and metrics across the
@@ -115,9 +135,9 @@ fn run_once(tb: &Environment, kind: AlgorithmKind, fault_aware: bool) -> (String
 fn assert_matrix(mut tb: Environment, label: &str, fault_aware: bool) {
     for kind in AlgorithmKind::ALL {
         tb.env.tuning.macro_step = true;
-        let (fast_report, fast_journal, fast_metrics) = run_once(&tb, kind, fault_aware);
+        let (fast_report, fast_journal, fast_metrics, _) = run_once(&tb, kind, fault_aware);
         tb.env.tuning.macro_step = false;
-        let (slow_report, slow_journal, slow_metrics) = run_once(&tb, kind, fault_aware);
+        let (slow_report, slow_journal, slow_metrics, _) = run_once(&tb, kind, fault_aware);
         assert_eq!(
             fast_report, slow_report,
             "{label}/{kind}: macro-stepped report differs from slice-by-slice"
@@ -231,7 +251,10 @@ fn every_algorithm_is_bit_identical_with_markers_off() {
 // every matrix cell's (report, journal) pair — and of a service run that
 // preempts and resumes through the checkpoint path — were captured from
 // the pre-SoA engine and committed under `tests/golden/`; the refactored
-// engine must reproduce them exactly.
+// engine must reproduce them exactly. The checkpoint of each cell's run
+// halted halfway and the last commit of a checkpointed service run are
+// pinned the same way, so a change to the JSON writer cannot move a byte
+// of what a resume reads back.
 //
 // Regenerate (only when an intentional output change lands) with:
 //   EADT_REGEN_GOLDEN=1 cargo test --release --test macro_equivalence golden
@@ -254,6 +277,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// is preempted mid-transfer and resumed from its engine checkpoint — the
 /// halt/resume path the arena must leave byte-identical.
 fn serve_preempt_resume_digest() -> String {
+    let run = serve_preempt_resume_session(None);
+    assert!(
+        run.report.jobs.iter().any(|j| j.preemptions > 0),
+        "golden service scenario must actually preempt"
+    );
+    format!(
+        "serve/preempt-resume report={:016x} journal={:016x}\n",
+        fnv1a(run.report.to_json().as_bytes()),
+        fnv1a(run.journal.to_jsonl().as_bytes())
+    )
+}
+
+/// Runs the golden service scenario, committing every `n` rounds into
+/// the directory when `checkpoints` names one.
+fn serve_preempt_resume_session(
+    checkpoints: Option<(&std::path::Path, u64)>,
+) -> eadt::fleet::ServiceRun {
     use eadt::core::AlgorithmKind;
     use eadt::endsys::{ArbitrationPolicy, PoolCapacity};
     use eadt::fleet::{JobSpec, ServiceJob, ServiceSession, Workload};
@@ -277,23 +317,50 @@ fn serve_preempt_resume_digest() -> String {
                 .with_tenant(1)
                 .with_priority(9),
         );
-    let run = ServiceSession::builder()
+    let mut builder = ServiceSession::builder()
         .root_seed(5)
         .workers(1)
         .policy(ArbitrationPolicy::StrictPriority)
-        .quantum(100)
-        .build()
-        .run(&workload)
-        .expect("workload is valid");
+        .quantum(100);
+    if let Some((dir, every)) = checkpoints {
+        builder = builder.checkpoints(dir, every);
+    }
+    builder.build().run(&workload).expect("workload is valid")
+}
+
+/// The golden service scenario checkpointed every `COMMIT_EVERY` rounds:
+/// the last commit it leaves, `service.ckpt.json`, embeds the engine state
+/// of a job still running.
+fn serve_commit_digest() -> String {
+    use eadt_ckpt::{CheckpointStore, ServiceCheckpoint};
+    const COMMIT_EVERY: u64 = 3;
+    let dir = std::env::temp_dir().join(format!("eadt-golden-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    serve_preempt_resume_session(Some((&dir, COMMIT_EVERY)));
+    let commit = std::fs::read_to_string(dir.join(CheckpointStore::service_checkpoint_name()))
+        .expect("the checkpointed run commits");
+    std::fs::remove_dir_all(&dir).expect("scratch checkpoint directory is removable");
+    let mut ck = ServiceCheckpoint::from_json(&commit).expect("the commit parses");
+    assert_eq!(ck.to_json(), commit, "the commit round-trips byte for byte");
     assert!(
-        run.report.jobs.iter().any(|j| j.preemptions > 0),
-        "golden service scenario must actually preempt"
+        !ck.engines.is_empty(),
+        "the last commit must list a live engine"
     );
+    for job in &mut ck.engines {
+        without_audit(&mut job.engine);
+    }
     format!(
-        "serve/preempt-resume report={:016x} journal={:016x}\n",
-        fnv1a(run.report.to_json().as_bytes()),
-        fnv1a(run.journal.to_jsonl().as_bytes())
+        "serve/preempt-resume commit={:016x}\n",
+        fnv1a(ck.to_json().as_bytes())
     )
+}
+
+/// Zeroes the `debug-invariants` auditor's accumulators, which book only
+/// in builds with that feature, so that one digest holds for both builds.
+fn without_audit(ck: &mut EngineCheckpoint) -> &EngineCheckpoint {
+    ck.audit_gross = Bytes::ZERO;
+    ck.audit_stage_requested = Bytes::ZERO;
+    ck
 }
 
 #[test]
@@ -303,16 +370,29 @@ fn golden_digests_match_the_seed_engine() {
         for (label, mut tb, aware) in regimes(tb, name) {
             tb.env.tuning.macro_step = true;
             for kind in AlgorithmKind::ALL {
-                let (report, journal, _) = run_once(&tb, kind, aware);
+                let (report, journal, _, slices) = run_once(&tb, kind, aware);
                 lines.push_str(&format!(
                     "{label}/{kind} report={:016x} journal={:016x}\n",
                     fnv1a(report.as_bytes()),
                     fnv1a(journal.as_bytes())
                 ));
+                // The same run halted halfway, with its journal and
+                // metrics on: the checkpoint carries the controller's
+                // state, the metrics, the open spans and, under a fault
+                // plan, the fault runtime.
+                let (outcome, _) = run_cell(&tb, kind, aware, RunControl::halt_at(slices / 2));
+                let RunOutcome::Halted(mut ck) = outcome else {
+                    panic!("{label}/{kind}: the run must halt at slice {}", slices / 2);
+                };
+                lines.push_str(&format!(
+                    "{label}/{kind} checkpoint={:016x}\n",
+                    fnv1a(without_audit(&mut ck).to_json().as_bytes())
+                ));
             }
         }
     }
     lines.push_str(&serve_preempt_resume_digest());
+    lines.push_str(&serve_commit_digest());
     if std::env::var_os("EADT_REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
             .expect("golden dir");
