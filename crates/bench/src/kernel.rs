@@ -230,6 +230,10 @@ pub struct KernelGate {
     /// whatever the size of the checkpoint: encoding writes the text
     /// straight into one growing string.
     pub max_checkpoint_encode_allocs: f64,
+    /// Ceiling on the live heap bytes a finished batch or service report
+    /// keeps per job, whatever the jobs' simulated duration: an outcome
+    /// holds its summary, not its run's per-slice series.
+    pub max_retained_bytes_per_job: f64,
 }
 
 impl KernelGate {
@@ -242,6 +246,7 @@ impl KernelGate {
             max_steady_allocs_per_slice: 0.01,
             max_turbulent_allocs_per_slice: 16.0,
             max_checkpoint_encode_allocs: 64.0,
+            max_retained_bytes_per_job: 2048.0,
         };
         let Some(root) = std::fs::read_to_string(bench_json_path())
             .ok()
@@ -267,6 +272,10 @@ impl KernelGate {
             max_checkpoint_encode_allocs: num(
                 "max_checkpoint_encode_allocs",
                 fallback.max_checkpoint_encode_allocs,
+            ),
+            max_retained_bytes_per_job: num(
+                "max_retained_bytes_per_job",
+                fallback.max_retained_bytes_per_job,
             ),
         }
     }

@@ -14,6 +14,9 @@
 //! * **bounded checkpoint encoding** — encoding an engine checkpoint
 //!   makes at most a committed constant of allocations, for a run halted
 //!   early and for one halted 30× later whose checkpoint is 30× larger;
+//! * **bounded retained memory** — a finished batch or service report
+//!   keeps at most a committed constant of live heap bytes per job,
+//!   however long its jobs ran in simulated time;
 //! * **kernel throughput** — wall time per executed steady slice stays
 //!   under a committed ceiling sized for slow 1-core CI hosts (~8×
 //!   headroom over a developer-laptop observation), so only a real
@@ -31,31 +34,43 @@ use eadt_bench::kernel::{
     count_executed_slices, kernel_env, measure_allocs_per_slice, steady_scenario,
     turbulent_scenario, KernelGate,
 };
+use eadt_core::AlgorithmKind;
+use eadt_endsys::{ArbitrationPolicy, PoolCapacity};
+use eadt_fleet::{figures_matrix, JobSpec, ServiceJob, ServiceSession, Session, Workload};
 use eadt_telemetry::Telemetry;
 use eadt_transfer::{Engine, NullController, RunControl, RunOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Counting allocator: `System` plus an allocation odometer. Duplicated
-/// in `benches/slice_kernel.rs` — a `#[global_allocator]` must live in
-/// the binary target it measures, and the library forbids unsafe code.
+/// Counting allocator: `System` plus an allocation odometer and a count
+/// of live heap bytes. The odometer is duplicated in
+/// `benches/slice_kernel.rs` — a `#[global_allocator]` must live in the
+/// binary target it measures, and the library forbids unsafe code.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Live heap bytes: alloc adds the size, dealloc subtracts it, realloc
+/// adds the difference (a wrapping add, so a shrink subtracts).
+static LIVE: AtomicU64 = AtomicU64::new(0);
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let grown = (new_size as u64).wrapping_sub(layout.size() as u64);
+        LIVE.fetch_add(grown, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,6 +80,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// Serializes the measurements: held for the whole of each test.
@@ -144,6 +163,91 @@ fn checkpoint_encode_allocations_are_bounded() {
             gate.max_checkpoint_encode_allocs
         );
     }
+}
+
+/// The heap bytes `run`'s result holds per job: live bytes while it is
+/// held, less live bytes before the call.
+fn retained_per_job<R>(jobs: usize, run: impl FnOnce() -> R) -> f64 {
+    let before = live_bytes();
+    let held = std::hint::black_box(run());
+    let retained = live_bytes().wrapping_sub(before) as i64;
+    drop(held);
+    retained as f64 / jobs as f64
+}
+
+/// A finished batch or service keeps each job's summary, not the
+/// per-slice series its engine run recorded (48 bytes per simulated
+/// slice), so the bytes its report retains per job stay under a committed
+/// constant: for the didclab jobs of the figures matrix at scales 0.05
+/// and 0.2 (21,458 and 59,016 simulated slices), and for a small contended
+/// service workload (without its journal, which grows with rounds, not
+/// jobs). Runs on 1 worker, so no helper thread allocates alongside.
+#[test]
+fn finished_jobs_retain_a_bounded_summary() {
+    let _alone = measure_alone();
+    let gate = KernelGate::load();
+    let batch = |scale: f64| -> Vec<JobSpec> {
+        let didclab = eadt_testbeds::didclab().name;
+        let jobs = figures_matrix(scale).into_iter();
+        jobs.filter(|job| job.env.name == didclab).collect()
+    };
+    let session = Session::builder().root_seed(42).workers(1).build();
+    let mut observed = Vec::new();
+    for scale in [0.05, 0.2] {
+        let jobs = batch(scale);
+        let per_job = retained_per_job(jobs.len(), || session.run(&jobs));
+        observed.push((
+            format!("batch of {} jobs at scale {scale}", jobs.len()),
+            per_job,
+        ));
+    }
+    let workload = service_workload();
+    let service = ServiceSession::builder()
+        .root_seed(42)
+        .workers(1)
+        .policy(ArbitrationPolicy::StrictPriority)
+        .quantum(100)
+        .build();
+    let per_job = retained_per_job(workload.jobs().len(), || {
+        service.run(&workload).map(|run| run.report)
+    });
+    observed.push((
+        format!("service of {} jobs", workload.jobs().len()),
+        per_job,
+    ));
+    for (what, per_job) in &observed {
+        eprintln!("perf-gate: {what}: {per_job:.0} bytes retained per job");
+    }
+    for (what, per_job) in observed {
+        assert!(
+            per_job <= gate.max_retained_bytes_per_job,
+            "perf-gate: {what} retains {per_job:.0} bytes per job > allowed {:.0} \
+             (a finished job must keep its summary, not its per-slice series)",
+            gate.max_retained_bytes_per_job
+        );
+    }
+}
+
+/// Six didclab jobs of three tenants, whose index is their priority, on
+/// one 2-slot pool.
+fn service_workload() -> Workload {
+    let kinds = [AlgorithmKind::Sc, AlgorithmKind::MinE, AlgorithmKind::ProMc];
+    let tb = eadt_testbeds::didclab();
+    let site = tb.name.clone();
+    let capacity = PoolCapacity::from_servers(tb.env.link.bandwidth, &tb.env.src.servers, 2);
+    let mut workload = Workload::new()
+        .site(site.clone(), capacity)
+        .arrival_gap_s(5.0);
+    for i in 0..6 {
+        let tenant = (i % 3) as u32;
+        let spec = JobSpec::new(kinds[i % kinds.len()], tb.clone()).with_scale(0.05);
+        workload = workload.job(
+            ServiceJob::new(spec, site.clone())
+                .with_tenant(tenant)
+                .with_priority(tenant),
+        );
+    }
+    workload
 }
 
 /// Kernel wall time per executed steady slice versus the committed

@@ -212,8 +212,9 @@ pub(crate) struct Leg<'a> {
 pub(crate) enum Step {
     /// Paused at the step boundary; the leg holds the live run.
     Paused,
-    /// The engine ran the job to its end.
-    Done(JobOutcome),
+    /// The engine ran the job to its end: the job's summary, and the
+    /// engine report it was built from, per-slice series included.
+    Done(JobOutcome, Box<TransferReport>),
     /// A panic was caught and booked as the job's `JobFailed` outcome.
     Panicked(JobOutcome),
 }
@@ -294,9 +295,8 @@ impl<'a> Leg<'a> {
             }
         };
         let metrics = self.tel.metrics_ref().map(MetricsRegistry::snapshot);
-        Step::Done(JobOutcome::from_report(
-            self.index, self.spec, self.seed, report, metrics,
-        ))
+        let outcome = JobOutcome::from_report(self.index, self.spec, self.seed, &report, metrics);
+        Step::Done(outcome, Box::new(report))
     }
 
     fn run_leg(&mut self, slices: Option<u64>, share: ResourceShare) -> Option<TransferReport> {
@@ -330,12 +330,16 @@ impl<'a> Leg<'a> {
 /// outcome file in the checkpoint's place. A caught panic is booked but not saved, so the job checkpoint
 /// survives for a resume once the cause is fixed. A store failure is
 /// booked as the job's failure.
+///
+/// Beside the outcome comes the engine report of a job the engine
+/// finished here; a re-admitted or failed job has none.
 pub(crate) fn run_to_completion(
     mut leg: Leg<'_>,
     dir: Option<(&Path, u64)>,
     resume: bool,
-) -> JobOutcome {
-    let run_legs = |leg: &mut Leg<'_>| -> Result<JobOutcome, CkptError> {
+) -> (JobOutcome, Option<TransferReport>) {
+    type Finished = (JobOutcome, Option<TransferReport>);
+    let run_legs = |leg: &mut Leg<'_>| -> Result<Finished, CkptError> {
         let store = dir
             .map(|(dir, _)| CheckpointStore::create(dir))
             .transpose()?;
@@ -343,7 +347,7 @@ pub(crate) fn run_to_completion(
             if resume {
                 let cadence = leg.tel.metrics_ref().map(MetricsRegistry::cadence);
                 if let Some(outcome) = load_outcome(store, leg.index, leg.spec, leg.seed, cadence) {
-                    return Ok(outcome);
+                    return Ok((outcome, None));
                 }
             }
             if let Some(ck) = store.load_job_checkpoint(leg.index)? {
@@ -357,18 +361,18 @@ pub(crate) fn run_to_completion(
                         store.save_job_checkpoint(&ck)?;
                     }
                 }
-                Step::Done(outcome) => {
+                Step::Done(outcome, report) => {
                     if let Some(store) = &store {
                         save_outcome(store, &outcome)?;
                         store.remove(&CheckpointStore::checkpoint_name(leg.index))?;
                     }
-                    return Ok(outcome);
+                    return Ok((outcome, Some(*report)));
                 }
-                Step::Panicked(outcome) => return Ok(outcome),
+                Step::Panicked(outcome) => return Ok((outcome, None)),
             }
         }
     };
-    run_legs(&mut leg).unwrap_or_else(|e| leg.failed(format!("job {}: {e}", leg.index)))
+    run_legs(&mut leg).unwrap_or_else(|e| (leg.failed(format!("job {}: {e}", leg.index)), None))
 }
 
 /// Writes a finished job's outcome file.

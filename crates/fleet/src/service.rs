@@ -665,11 +665,11 @@ impl ServiceSession {
 
                 // 6. Collect in residency order (journal and persistence order
                 // must not depend on completion order). A finished job's leg
-                // is dropped with its run; a leg that panicked finishes its job
-                // with the `JobFailed` outcome.
+                // is dropped with its run and its engine report; a leg that
+                // panicked finishes its job with the `JobFailed` outcome.
                 let end = round_start(slice, self.quantum, round + 1);
                 for (job, leg, step) in advanced {
-                    let (Step::Done(outcome) | Step::Panicked(outcome)) = step else {
+                    let (Step::Done(outcome, _) | Step::Panicked(outcome)) = step else {
                         state.legs[job] = Some(leg);
                         continue;
                     };
@@ -876,7 +876,8 @@ impl ServiceSession {
         Ok((state, journal))
     }
 
-    /// Folds the final state into the canonical report.
+    /// Folds the final state into the canonical report. The rollup
+    /// absorbs each outcome in job order as it is placed, without a copy.
     fn assemble(
         &self,
         workload: &Workload,
@@ -886,6 +887,7 @@ impl ServiceSession {
         rounds: u64,
     ) -> ServiceReport {
         let jobs = workload.jobs();
+        let mut metrics = FleetMetrics::default();
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (i, slot) in state.outcome.into_iter().enumerate() {
             let outcome = slot.unwrap_or_else(|| {
@@ -899,6 +901,7 @@ impl ServiceSession {
                     ),
                 )
             });
+            metrics.absorb(&outcome);
             outcomes.push(ServiceJobOutcome {
                 tenant: jobs[i].tenant,
                 site: jobs[i].site.clone(),
@@ -911,8 +914,6 @@ impl ServiceSession {
                 outcome,
             });
         }
-        let flat: Vec<JobOutcome> = outcomes.iter().map(|o| o.outcome.clone()).collect();
-        let metrics = FleetMetrics::rollup(&flat);
         let sites = workload
             .sites()
             .iter()
@@ -1167,6 +1168,8 @@ mod tests {
         assert_eq!(run.report.sites.len(), 1);
         assert!(run.report.sites[0].energy_j > 0.0);
         assert_eq!(run.report.sites[0].jobs, 2);
+        // A finished job keeps its summary, not its engine report.
+        assert!(run.report.jobs.iter().all(|j| j.outcome.report.is_none()));
     }
 
     #[test]

@@ -107,9 +107,12 @@ impl Session {
     }
 
     /// Runs one job (job index 0 of a single-job batch) on the calling
-    /// thread — the convenience path for single-transfer callers.
+    /// thread — the convenience path for single-transfer callers. Unlike
+    /// [`Session::run`], the outcome keeps the engine `report`, per-slice
+    /// series included, when the engine finished the job.
     pub fn run_one(&self, job: &JobSpec) -> JobOutcome {
-        self.run_job(0, job, false)
+        let (outcome, report) = self.run_job(0, job, false);
+        JobOutcome { report, ..outcome }
     }
 
     /// Runs the batch and returns results merged in job order.
@@ -119,7 +122,8 @@ impl Session {
     /// others, and because each job's seed depends only on
     /// `(root_seed, index)`, claiming order cannot leak into results. A
     /// job that panics is booked as an [`EadtError::JobFailed`] outcome
-    /// and the batch moves on.
+    /// and the batch moves on. Each outcome holds only its summary: the
+    /// engine report is dropped once the summary is built.
     pub fn run(&self, jobs: &[JobSpec]) -> FleetReport {
         self.run_inner(jobs, false)
     }
@@ -145,7 +149,7 @@ impl Session {
 
     fn run_inner(&self, jobs: &[JobSpec], resume: bool) -> FleetReport {
         let indexed: Vec<(usize, &JobSpec)> = jobs.iter().enumerate().collect();
-        let run = |(index, job): (usize, &JobSpec)| self.run_job(index, job, resume);
+        let run = |(index, job): (usize, &JobSpec)| self.run_job(index, job, resume).0;
         let jobs = exec::with_pool(self.workers, run, |pool| pool.map(indexed));
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
@@ -155,7 +159,12 @@ impl Session {
         }
     }
 
-    fn run_job(&self, index: usize, job: &JobSpec, resume: bool) -> JobOutcome {
+    fn run_job(
+        &self,
+        index: usize,
+        job: &JobSpec,
+        resume: bool,
+    ) -> (JobOutcome, Option<TransferReport>) {
         let seed = job
             .seed
             .unwrap_or_else(|| derive_job_seed(self.root_seed, index as u64));
@@ -172,9 +181,11 @@ impl Session {
 /// Serialization deliberately covers only simulation-determined fields —
 /// no worker id, no wall-clock timing — so the aggregate JSON is
 /// byte-identical between serial and parallel runs at the same root seed.
-/// The full [`TransferReport`] stays available in memory (`report`) for
-/// consumers that need the time series; a [`JobOutcome`] loaded back from
-/// a checkpoint directory has `report: None`.
+/// An outcome holds just these fields, so its size does not grow with
+/// simulated time: only [`Session::run_one`] also keeps the full
+/// [`TransferReport`] (`report`), with its per-slice series. Outcomes of
+/// [`Session::run`]/[`Session::resume`] and of the service, and outcomes
+/// loaded back from a checkpoint directory, have `report: None`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// The job's index in the batch (also its seed-derivation index).
@@ -231,8 +242,9 @@ pub struct JobOutcome {
     pub error_kind: Option<String>,
     /// Human-readable error (`None` for a clean run).
     pub error: Option<String>,
-    /// The full engine report (absent when the worker panicked; skipped
-    /// in JSON to keep aggregates compact).
+    /// The full engine report, filled only by [`Session::run_one`] when
+    /// the engine finished the job (`None` everywhere else; skipped in
+    /// JSON to keep aggregates compact).
     #[serde(skip)]
     pub report: Option<TransferReport>,
 }
@@ -242,7 +254,7 @@ impl JobOutcome {
         index: usize,
         job: &JobSpec,
         seed: u64,
-        report: TransferReport,
+        report: &TransferReport,
         metrics: Option<MetricsSnapshot>,
     ) -> Self {
         let failure = report.failure();
@@ -269,7 +281,7 @@ impl JobOutcome {
             metrics,
             error_kind: failure.as_ref().map(|e| e.kind().as_str().to_string()),
             error: failure.as_ref().map(EadtError::to_string),
-            report: Some(report),
+            report: None,
         }
     }
 
@@ -399,6 +411,29 @@ mod tests {
             .build()
             .run(&jobs);
         assert_eq!(serial.to_json(), parallel.to_json());
+    }
+
+    #[test]
+    fn only_run_one_keeps_the_engine_report() {
+        let jobs = small_jobs();
+        let session = Session::builder().root_seed(5).workers(1).build();
+        let engine = JobRunner::prepare(&jobs[0], derive_job_seed(5, 0))
+            .run_controlled(RunControl::default())
+            .into_report()
+            .unwrap();
+        assert!(!engine.throughput_series.is_empty());
+        let dir = ckpt_dir("run-one");
+        let checkpointed = Session::builder().root_seed(5).checkpoints(&dir, 4).build();
+        for one in [session.run_one(&jobs[0]), checkpointed.run_one(&jobs[0])] {
+            let report = one.report.as_ref().expect("run_one keeps the report");
+            assert_eq!(
+                serde_json::to_string(report).unwrap(),
+                serde_json::to_string(&engine).unwrap()
+            );
+        }
+        let batch = session.run(&jobs);
+        assert!(batch.jobs.iter().all(|j| j.completed && j.report.is_none()));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests over the kernel's core data structures.
 
 use crate::stats::{mape, LinearFit, MultiLinearFit};
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_to_u64, SimDuration, SimTime};
 use crate::units::{Bytes, Rate};
 use crate::{SimRng, TimeSeries};
 use proptest::prelude::*;
@@ -31,6 +31,18 @@ proptest! {
         let loss = size.as_f64() - back.as_f64();
         prop_assert!(loss.abs() <= rate.as_bps() / 8.0 * 2e-6 + 1.0,
             "loss {} for {} at {}", loss, size, rate);
+    }
+
+    // Bit patterns below that of 2^64 are every non-negative f64 that
+    // fits a u64, each binade equally likely.
+    #[test]
+    fn rounding_and_flooring_match_libm(bits in 0u64..0x43F0_0000_0000_0000, bps in 0u64..1 << 40) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_to_u64(x), x.round() as u64, "{:?}", x);
+        let rate = Rate::from_bps(bps as f64);
+        let dur = SimDuration::from_micros(bits >> 20);
+        let floored = (rate.as_bps() * dur.as_secs_f64() / 8.0).floor() as u64;
+        prop_assert_eq!(rate.bytes_in(dur).as_u64(), floored);
     }
 
     #[test]

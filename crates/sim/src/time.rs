@@ -196,8 +196,18 @@ fn secs_to_micros(secs: f64) -> u64 {
     if micros >= u64::MAX as f64 {
         u64::MAX
     } else {
-        micros.round() as u64
+        round_to_u64(micros)
     }
+}
+
+/// `x.round() as u64` for `0 <= x < 2^64`, without the libm call that
+/// `round` compiles to on baseline x86-64. Exact on the whole domain:
+/// below 2^52 the fraction `x - trunc(x)` is computed exactly, and from
+/// 2^52 up every `f64` is an integer, so the fraction is 0.
+#[inline]
+pub(crate) fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -314,6 +324,29 @@ mod tests {
             SimDuration::from_secs_f64(f64::NEG_INFINITY),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn rounding_matches_libm_at_ties_and_edges() {
+        let two52 = 2f64.powi(52);
+        let top = u64::MAX as f64;
+        for x in [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            2f64.powi(53) + 2.0,
+            top / 2.0,
+            f64::from_bits(top.to_bits() - 1),
+            f64::from_bits(top.to_bits() - 2),
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:?}");
+        }
     }
 
     #[test]

@@ -179,10 +179,12 @@ impl Rate {
         self.bits_per_sec / 1e9
     }
 
-    /// Bytes moved in `dur` at this rate.
+    /// Bytes moved in `dur` at this rate, rounded down. The saturating
+    /// `as u64` floors every non-negative value and maps NaN and
+    /// negatives to 0 and +∞ to `u64::MAX`, so no `floor` call is needed.
     #[inline]
     pub fn bytes_in(self, dur: SimDuration) -> Bytes {
-        Bytes((self.bits_per_sec * dur.as_secs_f64() / 8.0).floor() as u64)
+        Bytes((self.bits_per_sec * dur.as_secs_f64() / 8.0) as u64)
     }
 
     /// The smaller of two rates.

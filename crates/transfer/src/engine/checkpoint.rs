@@ -342,8 +342,8 @@ impl<'c> EngineRun<'c> {
             throughput_series: ck.throughput_series,
             power_series: ck.power_series,
             concurrency_series: ck.concurrency_series,
-            audit_gross: ck.audit_gross,
-            audit_stage_requested: ck.audit_stage_requested,
+            audit_gross: Bytes::ZERO,
+            audit_stage_requested: Bytes::ZERO,
             prev_src_active: ck.prev_src_active,
             prev_dst_active: ck.prev_dst_active,
         };
@@ -359,6 +359,16 @@ impl<'c> EngineRun<'c> {
             let in_flight = (start..a.ch.len()).filter(|&i| a.ch.has_file[i]).count();
             a.chunk_in_flight[ci] = in_flight as u32;
             a.chunk_remaining[ci] = run.chunks[ci].recount_remaining(&a, ci);
+        }
+        // The auditor's two totals book only under `debug-invariants`, so a
+        // plain build writes them as 0. Derive them from the restored state
+        // instead: these are the values the auditor asserts at every
+        // boundary, so either build resumes either build's checkpoint.
+        if cfg!(feature = "debug-invariants") {
+            let acc = &mut run.acc;
+            let remaining: Bytes = a.chunk_remaining.iter().copied().sum();
+            acc.audit_gross = acc.moved_total + acc.retransmitted;
+            acc.audit_stage_requested = acc.moved_total + remaining;
         }
         (run.stage, run.staged) = (stage, true);
         run.release_files(stage);
