@@ -18,7 +18,7 @@
 use crate::error::CkptError;
 use crate::recover::{resume_verified, VerifiedResume};
 use eadt_sim::SimDuration;
-use eadt_telemetry::{Event, Journal, MetricsSnapshot, Telemetry};
+use eadt_telemetry::{Event, Journal, MetricsRegistry, Telemetry};
 use eadt_transfer::{EngineCheckpoint, RunControl, RunOutcome};
 
 /// A straight-through reference run.
@@ -30,8 +30,8 @@ pub struct Baseline {
     pub journal: String,
     /// Total slices the run executed (every kill point below this halts).
     pub slices: u64,
-    /// Final metrics state.
-    pub metrics: Option<MetricsSnapshot>,
+    /// The final metrics registry.
+    pub metrics: Option<MetricsRegistry>,
 }
 
 /// How the simulated crash mangles the journal tail on disk.
@@ -91,9 +91,7 @@ where
             report_json,
             journal: journal.expect("telemetry was enabled").to_jsonl(),
             slices,
-            metrics: metrics
-                .as_ref()
-                .map(eadt_telemetry::MetricsRegistry::snapshot),
+            metrics,
         }
     }
 

@@ -13,7 +13,7 @@
 //! to stitch a Frankenstein journal.
 
 use crate::error::CkptError;
-use eadt_telemetry::{Journal, JournalRecovery, MetricsRegistry, MetricsSnapshot, Telemetry};
+use eadt_telemetry::{Journal, JournalRecovery, MetricsRegistry, Telemetry};
 use eadt_transfer::{EngineCheckpoint, RunControl, RunOutcome, TransferReport};
 
 /// The product of a verified resume.
@@ -30,8 +30,8 @@ pub struct VerifiedResume {
     /// How many tail records (events the crashed run wrote *after* the
     /// checkpoint) were cross-checked against the replay.
     pub tail_verified: usize,
-    /// Final metrics-registry state, when the run sampled metrics.
-    pub metrics: Option<MetricsSnapshot>,
+    /// The final metrics registry, when the run sampled metrics.
+    pub metrics: Option<MetricsRegistry>,
 }
 
 /// Resumes a run from `ck` against the journal bytes found on disk,
@@ -50,7 +50,9 @@ pub struct VerifiedResume {
 /// 2. split at the checkpoint's sequence cursor into durable prefix and
 ///    unverified tail; a prefix shorter than the cursor is a hard error
 ///    (the journal and checkpoint are not from the same run);
-/// 3. replay from the checkpoint, journaling the suffix;
+/// 3. replay from the checkpoint, journaling the suffix and sampling into
+///    the checkpoint's own metrics registry (one that cannot sample is
+///    corrupt);
 /// 4. cross-check every tail record against the replayed suffix,
 ///    byte-for-byte;
 /// 5. stitch prefix + suffix into the canonical journal.
@@ -90,10 +92,18 @@ where
         .map(|r| r.to_json())
         .collect();
 
-    let mut tel = Telemetry::from_parts(
-        Some(Journal::with_start_seq(cursor)),
-        ck.metrics.as_ref().map(MetricsRegistry::restore),
-    );
+    // The replay samples into the checkpoint's own registry, which must
+    // be able to: a zero cadence or a histogram whose counts do not fit
+    // its bounds would hang or panic the run.
+    if !ck.metrics.as_ref().is_none_or(MetricsRegistry::is_sound) {
+        return Err(CkptError::Corrupt {
+            path: Default::default(),
+            detail: "checkpoint metrics registry cannot sample: a zero cadence or a \
+                     histogram whose counts do not fit its bounds"
+                .to_string(),
+        });
+    }
+    let mut tel = Telemetry::from_parts(Some(Journal::with_start_seq(cursor)), ck.metrics.clone());
     let report = run(&mut tel, RunControl::resume_from(ck))
         .into_report()
         .ok_or(CkptError::Interrupted)?;
@@ -138,6 +148,6 @@ where
         journal: stitched,
         repair,
         tail_verified: tail.len(),
-        metrics: metrics.as_ref().map(MetricsRegistry::snapshot),
+        metrics,
     })
 }

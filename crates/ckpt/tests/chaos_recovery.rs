@@ -15,7 +15,8 @@ use eadt_sim::{Rate, SimDuration};
 use eadt_telemetry::Telemetry;
 use eadt_testbeds::Environment;
 use eadt_transfer::{
-    FaultModel, FaultPlan, OutageModel, RunControl, RunOutcome, SiteSide, StallModel, TransferEnv,
+    EngineCheckpoint, FaultModel, FaultPlan, OutageModel, RunControl, RunOutcome, SiteSide,
+    StallModel, TransferEnv,
 };
 
 const CADENCE: SimDuration = SimDuration::from_millis(500);
@@ -242,6 +243,43 @@ fn cross_run_journal_is_rejected() {
         matches!(err, eadt_ckpt::CkptError::TailDiverged { .. }),
         "{err}"
     );
+}
+
+/// A checkpoint whose metrics registry cannot sample — a zero cadence, or
+/// a histogram whose counts do not fit its bounds — is corrupt: recovery
+/// refuses it instead of replaying into a hang or a panic.
+#[test]
+fn unsound_checkpoint_metrics_are_corrupt() {
+    let tb = eadt_testbeds::didclab();
+    let (env, dataset) = case_env(&tb, Regime::Clean);
+    let algo = MinE {
+        partition: tb.partition,
+        ..MinE::new(8)
+    };
+    let d = driver(&algo, &env, &dataset);
+    let baseline = d.baseline(env.tuning.slice);
+    let (ck, prefix) = d
+        .checkpoint_at(baseline.slices / 2)
+        .expect("run long enough");
+    // Every histogram one count too long, or the sampler's cadence zero.
+    let text = serde_json::to_string(&ck).unwrap();
+    let cadence = format!(
+        "\"metrics\":{{\"cadence\":{{\"micros\":{}}}",
+        CADENCE.as_micros()
+    );
+    assert!(text.contains(&cadence) && text.contains("\"counts\":["));
+    for bad in [
+        text.replace(&cadence, "\"metrics\":{\"cadence\":{\"micros\":0}"),
+        text.replace("\"counts\":[", "\"counts\":[0,"),
+    ] {
+        let ck: EngineCheckpoint = serde_json::from_str(&bad).unwrap();
+        let err = eadt_ckpt::resume_verified(ck, &prefix, |tel, ctl| {
+            let mut ctx = RunCtx::with_telemetry(&env, &dataset, tel);
+            algo.run_controlled(&mut ctx, ctl)
+        })
+        .expect_err("an unsound registry must be refused");
+        assert!(matches!(err, eadt_ckpt::CkptError::Corrupt { .. }), "{err}");
+    }
 }
 
 /// The recovered journal from a torn-tail crash reports the repair.

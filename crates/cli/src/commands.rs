@@ -3,20 +3,18 @@
 
 use crate::args::{AlgorithmKind, Cli, Command, FaultArgs};
 use crate::envfile;
-use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, Manual, ProMc, SingleChunk};
-use eadt_core::{Algorithm, Htee, MinE, RunCtx, Slaee};
+use eadt_core::baselines::ProMc;
+use eadt_core::{Algorithm, RunCtx, Slaee};
 use eadt_dataset::{partition, Dataset};
 use eadt_endsys::PoolCapacity;
 use eadt_fleet::{
-    figures_matrix, FleetReport, JobSpec, ServiceJob, ServiceSession, Session, Workload,
+    figures_matrix, FleetReport, JobRunner, JobSpec, ServiceJob, ServiceSession, Session, Workload,
 };
 use eadt_power::calibrate::{build_models, evaluate_model, GroundTruth, ToolProfile};
 use eadt_sim::{EadtError, SimDuration, SimTime};
 use eadt_telemetry::{chrome, timeline, Event, Journal, Telemetry, SCHEMA_VERSION};
 use eadt_testbeds::Environment;
-use eadt_transfer::{
-    FaultModel, OutageModel, SiteSide, TransferEnv, TransferParams, TransferReport,
-};
+use eadt_transfer::{FaultModel, OutageModel, RunControl, SiteSide, TransferEnv, TransferReport};
 use std::io::Write;
 
 type Out<'a> = &'a mut dyn Write;
@@ -38,31 +36,11 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
         } => {
             let tb = resolve(cli)?;
             let dataset = make_dataset(cli, &tb, out)?;
-            let report = if let Some(dir) = &cli.checkpoint_dir {
-                run_transfer_checkpointed(
-                    cli,
-                    &tb,
-                    &dataset,
-                    *algorithm,
-                    *max_channel,
-                    *sla_level,
-                    *pipelining,
-                    *parallelism,
-                    dir,
-                    out,
-                )?
-            } else if *algorithm == AlgorithmKind::Manual {
-                let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
-                manual(params, cli).run(&mut RunCtx::new(&tb.env, &dataset))
-            } else {
-                run_algorithm(
-                    &tb,
-                    &dataset,
-                    *algorithm,
-                    *max_channel,
-                    *sla_level,
-                    cli.faults.fault_aware,
-                )
+            let job = job_spec(cli, &tb, &dataset, *algorithm, *max_channel, *sla_level)
+                .with_manual_params(*pipelining, *parallelism);
+            let report = match &cli.checkpoint_dir {
+                Some(dir) => run_checkpointed(cli, &job, dir, out)?,
+                None => run_job(cli, &job, &mut Telemetry::disabled())?,
             };
             if let Some(path) = csv {
                 let mut file = std::fs::File::create(path)?;
@@ -81,7 +59,8 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
             )?;
             for &cc in levels {
                 for &a in algorithms {
-                    let r = run_algorithm(&tb, &dataset, a, cc, 0.9, cli.faults.fault_aware);
+                    let job = job_spec(cli, &tb, &dataset, a, cc, 0.9);
+                    let r = run_job(cli, &job, &mut Telemetry::disabled())?;
                     writeln!(
                         out,
                         "{:<8} {:>5} {:>10.0} {:>10.1} {:>12.0} {:>10.4}",
@@ -395,14 +374,8 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
         } => {
             let tb = resolve(cli)?;
             let dataset = make_dataset(cli, &tb, out)?;
-            let r = run_algorithm(
-                &tb,
-                &dataset,
-                *algorithm,
-                *max_channel,
-                0.9,
-                cli.faults.fault_aware,
-            );
+            let job = job_spec(cli, &tb, &dataset, *algorithm, *max_channel, 0.9);
+            let r = run_job(cli, &job, &mut Telemetry::disabled())?;
             let packets = tb.env.packets.total_packets(r.wire_bytes);
             let d = eadt_netenergy::decompose(
                 r.total_energy_j(),
@@ -459,20 +432,9 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
                     requested_bytes: dataset.total_size().as_u64(),
                 },
             );
-            let report = if *algorithm == AlgorithmKind::Manual {
-                let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
-                manual(params, cli).run(&mut RunCtx::with_telemetry(&tb.env, &dataset, &mut tel))
-            } else {
-                run_algorithm_instrumented(
-                    &tb,
-                    &dataset,
-                    *algorithm,
-                    *max_channel,
-                    *sla_level,
-                    cli.faults.fault_aware,
-                    &mut tel,
-                )
-            };
+            let job = job_spec(cli, &tb, &dataset, *algorithm, *max_channel, *sla_level)
+                .with_manual_params(*pipelining, *parallelism);
+            let report = run_job(cli, &job, &mut tel)?;
             let journal = tel.into_journal().expect("trace telemetry has a journal");
             std::fs::write(journal_path, journal.to_jsonl())
                 .map_err(|e| EadtError::io(journal_path.clone(), e.to_string()))?;
@@ -526,19 +488,9 @@ pub fn execute(cli: &Cli, out: Out) -> Result<(), EadtError> {
                 None => {
                     let tb = resolve(cli)?;
                     let dataset = make_dataset(cli, &tb, out)?;
-                    let report = if *algorithm == AlgorithmKind::Manual {
-                        let params = TransferParams::new(*pipelining, *parallelism, *max_channel);
-                        manual(params, cli).run(&mut RunCtx::new(&tb.env, &dataset))
-                    } else {
-                        run_algorithm(
-                            &tb,
-                            &dataset,
-                            *algorithm,
-                            *max_channel,
-                            *sla_level,
-                            cli.faults.fault_aware,
-                        )
-                    };
+                    let job = job_spec(cli, &tb, &dataset, *algorithm, *max_channel, *sla_level)
+                        .with_manual_params(*pipelining, *parallelism);
+                    let report = run_job(cli, &job, &mut Telemetry::disabled())?;
                     (algorithm.name().to_string(), report.ledger)
                 }
             };
@@ -662,129 +614,54 @@ fn make_dataset(cli: &Cli, tb: &Environment, out: Out) -> Result<Dataset, EadtEr
     Ok(dataset)
 }
 
-/// Runs one algorithm by kind. SLAEE derives its reference maximum from a
-/// ProMC run at the testbed's reference concurrency. `fault_aware` wraps
-/// the controller of the algorithms that support it (HTEE, SLAEE, ProMC,
-/// manual); the energy-agnostic baselines run as the paper describes them.
-pub fn run_algorithm(
-    tb: &Environment,
-    dataset: &Dataset,
-    kind: AlgorithmKind,
-    max_channel: u32,
-    sla_level: f64,
-    fault_aware: bool,
-) -> TransferReport {
-    run_algorithm_instrumented(
-        tb,
-        dataset,
-        kind,
-        max_channel,
-        sla_level,
-        fault_aware,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// [`run_algorithm`] with telemetry: journal events and metric samples
-/// land in `tel` (pass [`Telemetry::disabled`] for a plain run). SLAEE's
-/// uninstrumented reference run stays out of the journal.
-pub fn run_algorithm_instrumented(
-    tb: &Environment,
-    dataset: &Dataset,
-    kind: AlgorithmKind,
-    max_channel: u32,
-    sla_level: f64,
-    fault_aware: bool,
-    tel: &mut Telemetry,
-) -> TransferReport {
-    let partition = tb.partition;
-    let mut ctx = RunCtx::with_telemetry(&tb.env, dataset, tel);
-    match kind {
-        AlgorithmKind::MinE => MinE {
-            partition,
-            ..MinE::new(max_channel)
-        }
-        .run(&mut ctx),
-        AlgorithmKind::Htee => Htee {
-            partition,
-            fault_aware,
-            ..Htee::new(max_channel)
-        }
-        .run(&mut ctx),
-        AlgorithmKind::Slaee => {
-            let reference = ProMc {
-                partition,
-                ..ProMc::new(tb.reference_concurrency)
-            }
-            .run(&mut RunCtx::new(&tb.env, dataset));
-            Slaee {
-                partition,
-                fault_aware,
-                ..Slaee::new(sla_level, reference.avg_throughput(), max_channel)
-            }
-            .run(&mut ctx)
-        }
-        AlgorithmKind::Guc => GlobusUrlCopy::new().run(&mut ctx),
-        AlgorithmKind::Go => GlobusOnline::new().run(&mut ctx),
-        AlgorithmKind::Sc => SingleChunk {
-            partition,
-            ..SingleChunk::new(max_channel)
-        }
-        .run(&mut ctx),
-        AlgorithmKind::ProMc => ProMc {
-            partition,
-            fault_aware,
-            ..ProMc::new(max_channel)
-        }
-        .run(&mut ctx),
-        AlgorithmKind::Bf => BruteForce {
-            partition,
-            ..BruteForce::new(max_channel)
-        }
-        .run(&mut ctx),
-        // Defaults to the untuned baseline when called through this path;
-        // the CLI's transfer command supplies explicit values.
-        AlgorithmKind::Manual => Manual {
-            params: TransferParams::new(1, 1, max_channel),
-            fault_aware,
-        }
-        .run(&mut ctx),
-    }
-}
-
-/// Runs one transfer under the crash-safe checkpoint cadence (DESIGN.md
-/// §13): the job executes through the fleet session's checkpointed
-/// runner, so an interrupted invocation rerun with the same flags resumes
-/// from the snapshot under `dir` — and determinism makes the final report
-/// byte-identical to an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-fn run_transfer_checkpointed(
+/// The job one transfer runs: the algorithm `kind` on the resolved
+/// testbed over the CLI's dataset. It builds the algorithm exactly as a
+/// fleet job does — SLAEE's reference maximum from a ProMC run at the
+/// testbed's reference concurrency, `--fault-aware` wrapping the
+/// controllers that support it (HTEE, SLAEE, ProMC, manual) — and manual
+/// runs the untuned `1 × 1` baseline unless the caller sets its
+/// parameters.
+fn job_spec(
     cli: &Cli,
     tb: &Environment,
     dataset: &Dataset,
     kind: AlgorithmKind,
     max_channel: u32,
     sla_level: f64,
-    pipelining: u32,
-    parallelism: u32,
-    dir: &str,
-    out: Out,
-) -> Result<TransferReport, EadtError> {
-    let mut job = JobSpec::new(kind, tb.clone())
-        .with_scale(cli.scale)
+) -> JobSpec {
+    JobSpec::new(kind, tb.clone())
         .with_dataset(dataset.clone())
         .with_max_channel(max_channel)
         .with_sla_level(sla_level)
         .with_fault_aware(cli.faults.fault_aware)
-        .with_seed(cli.seed);
-    if kind == AlgorithmKind::Manual {
-        job = job.with_manual_params(pipelining, parallelism);
-    }
+        .with_seed(cli.seed)
+}
+
+/// Runs `job` to its end, journal events and metric samples landing in
+/// `tel` (SLAEE's reference run stays out of it).
+fn run_job(cli: &Cli, job: &JobSpec, tel: &mut Telemetry) -> Result<TransferReport, EadtError> {
+    JobRunner::prepare(job, cli.seed)
+        .run_instrumented(RunControl::default(), tel)
+        .into_report()
+        .ok_or_else(|| EadtError::job_failed(job.display_label(), "halted without a boundary"))
+}
+
+/// Runs `job` under the crash-safe checkpoint cadence (DESIGN.md §13):
+/// the job executes through the fleet session's checkpointed runner, so
+/// an interrupted invocation rerun with the same flags resumes from the
+/// snapshot under `dir` — and determinism makes the final report
+/// byte-identical to an uninterrupted run.
+fn run_checkpointed(
+    cli: &Cli,
+    job: &JobSpec,
+    dir: &str,
+    out: Out,
+) -> Result<TransferReport, EadtError> {
     let outcome = Session::builder()
         .root_seed(cli.seed)
         .checkpoints(dir, cli.checkpoint_every)
         .build()
-        .run_one(&job);
+        .run_one(job);
     writeln!(
         out,
         "[checkpoints every {} slices -> {dir}]",
@@ -798,15 +675,6 @@ fn run_transfer_checkpointed(
                 .error
                 .unwrap_or_else(|| "job failed without an error message".to_string()),
         )),
-    }
-}
-
-/// The manual algorithm with explicit parameters and the CLI's
-/// fault-aware flag.
-fn manual(params: TransferParams, cli: &Cli) -> Manual {
-    Manual {
-        params,
-        fault_aware: cli.faults.fault_aware,
     }
 }
 
@@ -905,9 +773,6 @@ fn print_report(cli: &Cli, out: Out, name: &str, r: &TransferReport) -> Result<(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::args::EnvSource;
-
     fn run_cli(words: &str) -> String {
         let argv: Vec<String> = words.split_whitespace().map(str::to_string).collect();
         let mut buf = Vec::new();
@@ -1422,25 +1287,5 @@ mod tests {
         let mut buf = Vec::new();
         let err = crate::run(&argv, &mut buf).unwrap_err();
         assert_eq!(err.kind(), eadt_sim::ErrorKind::InvalidArgument);
-    }
-
-    #[test]
-    fn run_algorithm_covers_every_kind() {
-        let tb = envfile::load(&EnvSource::Testbed("didclab".into())).unwrap();
-        let dataset = tb.dataset_spec.scaled(0.005).generate(1);
-        for kind in [
-            AlgorithmKind::MinE,
-            AlgorithmKind::Htee,
-            AlgorithmKind::Slaee,
-            AlgorithmKind::Guc,
-            AlgorithmKind::Go,
-            AlgorithmKind::Sc,
-            AlgorithmKind::ProMc,
-            AlgorithmKind::Bf,
-        ] {
-            let r = run_algorithm(&tb, &dataset, kind, 4, 0.8, false);
-            assert!(r.completed, "{kind:?}");
-            assert_eq!(r.moved_bytes, dataset.total_size(), "{kind:?}");
-        }
     }
 }

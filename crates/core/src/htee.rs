@@ -92,7 +92,7 @@ impl Algorithm for Htee {
             .collect();
         let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
         let mut controller = HteeController::new(&chunks, levels, self.probe_window);
-        controller.reprobe_interval = self.reprobe_interval;
+        controller.state.reprobe_interval = self.reprobe_interval;
         (plan, Box::new(controller))
     }
 
@@ -113,9 +113,10 @@ enum Phase {
 /// Snapshot kind tag for [`HteeController`].
 pub(crate) const HTEE_KIND: &str = "htee";
 
-/// Mutable state of [`HteeController`] as stored in a checkpoint.
-/// Configuration (chunks, levels, window) is reconstructed from the
-/// algorithm definition on resume and therefore not serialized.
+/// The run state of [`HteeController`], which is also its checkpoint
+/// form (the `data` of its [`ControllerSnapshot`]). Configuration (chunk
+/// weights, levels, window) is rebuilt from the algorithm definition on
+/// resume and therefore not part of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct HteeState {
     phase: Phase,
@@ -123,12 +124,13 @@ struct HteeState {
     window_bytes: f64,
     window_energy: f64,
     ratios: Vec<f64>,
+    /// Re-probe period after committing (extension; `None` = paper).
     reprobe_interval: Option<SimDuration>,
+    /// How many full searches have run (1 = the initial one).
     searches: u32,
+    /// The concurrency level the search settled on.
     chosen_level: Option<u32>,
-    /// Whether the current probe window's span_begin was already emitted
-    /// (absent in pre-span checkpoints: no span was open).
-    #[serde(default)]
+    /// True while a probe-window span is open (capture only).
     span_open: bool,
 }
 
@@ -139,21 +141,9 @@ pub struct HteeController {
     weights: Vec<f64>,
     levels: Vec<u32>,
     window: SimDuration,
-    phase: Phase,
-    window_start: SimTime,
-    window_bytes: f64,
-    window_energy: f64,
-    ratios: Vec<f64>,
-    /// Re-probe period after committing (extension; `None` = paper).
-    pub reprobe_interval: Option<SimDuration>,
-    /// How many full searches have run (1 = the initial one).
-    pub searches: u32,
-    /// The concurrency level the search settled on (for inspection).
-    pub chosen_level: Option<u32>,
+    state: HteeState,
     capture: bool,
     events: Vec<Event>,
-    /// True while a probe-window span is open (capture only).
-    span_open: bool,
 }
 
 impl HteeController {
@@ -165,17 +155,19 @@ impl HteeController {
             weights: chunks.iter().map(Chunk::weight).collect(),
             levels,
             window,
-            phase: Phase::Searching { idx: 0 },
-            window_start: SimTime::ZERO,
-            window_bytes: 0.0,
-            window_energy: 0.0,
-            ratios: Vec::new(),
-            reprobe_interval: None,
-            searches: 1,
-            chosen_level: None,
+            state: HteeState {
+                phase: Phase::Searching { idx: 0 },
+                window_start: SimTime::ZERO,
+                window_bytes: 0.0,
+                window_energy: 0.0,
+                ratios: Vec::new(),
+                reprobe_interval: None,
+                searches: 1,
+                chosen_level: None,
+                span_open: false,
+            },
             capture: false,
             events: Vec::new(),
-            span_open: false,
         }
     }
 
@@ -189,19 +181,19 @@ impl HteeController {
                 kind: "probe".to_string(),
                 detail: format!("level {level}"),
             });
-            self.span_open = true;
+            self.state.span_open = true;
         }
     }
 
     /// Closes the open probe-window span for `level`.
     fn close_probe_span(&mut self, level: u32) {
-        if self.capture && self.span_open {
+        if self.capture && self.state.span_open {
             self.events.push(Event::SpanEnd {
                 id: 0,
                 kind: "probe".to_string(),
                 detail: format!("level {level}"),
             });
-            self.span_open = false;
+            self.state.span_open = false;
         }
     }
 
@@ -213,29 +205,29 @@ impl HteeController {
     /// per-window `thr/energy` would instead reward the *marginal* power
     /// efficiency, which always favours the lowest concurrency.
     fn window_ratio(&self, elapsed: f64) -> f64 {
-        if self.window_energy <= 0.0 || elapsed <= 0.0 {
+        if self.state.window_energy <= 0.0 || elapsed <= 0.0 {
             return 0.0;
         }
-        let mbps = self.window_bytes * 8.0 / elapsed / 1e6;
-        mbps * mbps / self.window_energy
+        let mbps = self.state.window_bytes * 8.0 / elapsed / 1e6;
+        mbps * mbps / self.state.window_energy
     }
 }
 
 impl Controller for HteeController {
     fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
-        let idx = match self.phase {
+        let idx = match self.state.phase {
             Phase::Searching { idx } => idx,
             Phase::Committed { since } => {
                 // Extension: periodically restart the search so the level
                 // tracks changing conditions.
-                if let Some(every) = self.reprobe_interval {
+                if let Some(every) = self.state.reprobe_interval {
                     if ctx.now.since(since) >= every {
-                        self.phase = Phase::Searching { idx: 0 };
-                        self.ratios.clear();
-                        self.window_bytes = 0.0;
-                        self.window_energy = 0.0;
-                        self.window_start = ctx.now;
-                        self.searches += 1;
+                        self.state.phase = Phase::Searching { idx: 0 };
+                        self.state.ratios.clear();
+                        self.state.window_bytes = 0.0;
+                        self.state.window_energy = 0.0;
+                        self.state.window_start = ctx.now;
+                        self.state.searches += 1;
                         let targets = weight_allocation_live(
                             &self.weights,
                             &ctx.live_chunks(),
@@ -245,7 +237,7 @@ impl Controller for HteeController {
                             self.events.push(Event::Decision {
                                 reason: format!(
                                     "re-probe: search {} restarts at level {}",
-                                    self.searches, self.levels[0]
+                                    self.state.searches, self.levels[0]
                                 ),
                                 targets: targets.clone(),
                             });
@@ -257,14 +249,14 @@ impl Controller for HteeController {
                 return ControlAction::Continue;
             }
         };
-        if self.capture && !self.span_open {
+        if self.capture && !self.state.span_open {
             // First observed slice of this probe window (covers the very
             // first window, whose start predates any controller event).
             self.open_probe_span(self.levels[idx]);
         }
-        self.window_bytes += ctx.slice_bytes.as_f64();
-        self.window_energy += ctx.slice_energy_j;
-        let elapsed = ctx.now.since(self.window_start);
+        self.state.window_bytes += ctx.slice_bytes.as_f64();
+        self.state.window_energy += ctx.slice_energy_j;
+        let elapsed = ctx.now.since(self.state.window_start);
         if elapsed < self.window {
             return ControlAction::Continue;
         }
@@ -275,20 +267,20 @@ impl Controller for HteeController {
             self.events.push(Event::ProbeWindow {
                 level: self.levels[idx],
                 window_s: secs,
-                mbps: self.window_bytes * 8.0 / secs / 1e6,
-                energy_j: self.window_energy,
+                mbps: self.state.window_bytes * 8.0 / secs / 1e6,
+                energy_j: self.state.window_energy,
                 ratio,
             });
         }
-        self.ratios.push(ratio);
+        self.state.ratios.push(ratio);
         self.close_probe_span(self.levels[idx]);
-        self.window_bytes = 0.0;
-        self.window_energy = 0.0;
-        self.window_start = ctx.now;
+        self.state.window_bytes = 0.0;
+        self.state.window_energy = 0.0;
+        self.state.window_start = ctx.now;
         let live = ctx.live_chunks();
         let next = idx + 1;
         if next < self.levels.len() {
-            self.phase = Phase::Searching { idx: next };
+            self.state.phase = Phase::Searching { idx: next };
             self.open_probe_span(self.levels[next]);
             ControlAction::Reallocate(weight_allocation_live(
                 &self.weights,
@@ -298,6 +290,7 @@ impl Controller for HteeController {
         } else {
             // Pick the level with the best throughput/energy ratio.
             let best = self
+                .state
                 .ratios
                 .iter()
                 .enumerate()
@@ -305,15 +298,15 @@ impl Controller for HteeController {
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             let level = self.levels[best];
-            self.chosen_level = Some(level);
-            self.phase = Phase::Committed { since: ctx.now };
+            self.state.chosen_level = Some(level);
+            self.state.phase = Phase::Committed { since: ctx.now };
             if self.capture {
                 self.events.push(Event::Commit {
                     level,
                     reason: format!(
                         "best thr\u{b2}/energy ratio {:.3} across {} probed levels",
-                        self.ratios[best],
-                        self.ratios.len()
+                        self.state.ratios[best],
+                        self.state.ratios.len()
                     ),
                 });
             }
@@ -324,7 +317,7 @@ impl Controller for HteeController {
     /// Searching windows sacrifice throughput to measure: the engine's
     /// energy ledger books them under the `probe` phase.
     fn probing(&self) -> bool {
-        matches!(self.phase, Phase::Searching { .. })
+        matches!(self.state.phase, Phase::Searching { .. })
     }
 
     fn enable_event_capture(&mut self) {
@@ -341,9 +334,9 @@ impl Controller for HteeController {
     ///
     /// Covered by the macro-equivalence suite (`tests/macro_equivalence.rs`).
     fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
-        match self.phase {
+        match self.state.phase {
             Phase::Searching { .. } => 0,
-            Phase::Committed { since } => match self.reprobe_interval {
+            Phase::Committed { since } => match self.state.reprobe_interval {
                 None => u64::MAX,
                 // Calls at `now + i·slice` stay `Continue` while they land
                 // strictly before the re-probe deadline `since + every`.
@@ -357,20 +350,7 @@ impl Controller for HteeController {
             self.events.is_empty(),
             "snapshot must follow an event drain"
         );
-        ControllerSnapshot::of(
-            HTEE_KIND,
-            &HteeState {
-                phase: self.phase,
-                window_start: self.window_start,
-                window_bytes: self.window_bytes,
-                window_energy: self.window_energy,
-                ratios: self.ratios.clone(),
-                reprobe_interval: self.reprobe_interval,
-                searches: self.searches,
-                chosen_level: self.chosen_level,
-                span_open: self.span_open,
-            },
-        )
+        ControllerSnapshot::of(HTEE_KIND, &self.state)
     }
 
     fn restore(&mut self, snap: &ControllerSnapshot) -> Result<(), String> {
@@ -383,15 +363,7 @@ impl Controller for HteeController {
                 ));
             }
         }
-        self.phase = state.phase;
-        self.window_start = state.window_start;
-        self.window_bytes = state.window_bytes;
-        self.window_energy = state.window_energy;
-        self.ratios = state.ratios;
-        self.reprobe_interval = state.reprobe_interval;
-        self.searches = state.searches;
-        self.chosen_level = state.chosen_level;
-        self.span_open = state.span_open;
+        self.state = state;
         Ok(())
     }
 }
@@ -401,7 +373,7 @@ mod tests {
     use super::*;
     use crate::test_support::{mixed_dataset, wan_env};
     use crate::RunCtx;
-    use eadt_transfer::Engine;
+    use eadt_transfer::{Engine, RunControl, RunOutcome};
 
     #[test]
     fn search_levels_stride_two() {
@@ -473,13 +445,13 @@ mod tests {
             .collect();
         let plan = TransferPlan::concurrent(plans, Placement::PackFirst);
         let mut ctl = HteeController::new(&chunks, levels, SimDuration::from_secs(5));
-        ctl.reprobe_interval = Some(SimDuration::from_secs(30));
+        ctl.state.reprobe_interval = Some(SimDuration::from_secs(30));
         let r = Engine::new(&env).run(&plan, &mut ctl);
         assert!(r.completed);
         assert!(
-            ctl.searches >= 2,
+            ctl.state.searches >= 2,
             "expected at least one re-probe, got {}",
-            ctl.searches
+            ctl.state.searches
         );
     }
 
@@ -552,7 +524,42 @@ mod tests {
         let plan = TransferPlan::concurrent(plans, Placement::PackFirst);
         let mut ctl = HteeController::new(&chunks, levels, SimDuration::from_secs(5));
         let _ = Engine::new(&env).run(&plan, &mut ctl);
-        assert_eq!(ctl.ratios.len(), n_levels, "ratios={:?}", ctl.ratios);
-        assert!(ctl.chosen_level.is_some());
+        assert_eq!(ctl.state.ratios.len(), n_levels, "{:?}", ctl.state.ratios);
+        assert!(ctl.state.chosen_level.is_some());
+    }
+
+    #[test]
+    fn checkpointed_state_is_pinned_mid_search_and_after_commit() {
+        let env = wan_env();
+        let dataset = mixed_dataset();
+        let mid_search = "{\"chosen_level\":null,\"phase\":{\"Searching\":{\"idx\":0}},\
+            \"ratios\":[],\"reprobe_interval\":null,\"searches\":1,\"span_open\":false,\
+            \"window_bytes\":402000000.0,\"window_energy\":24.75031073684211,\
+            \"window_start\":{\"micros\":0}}";
+        let committed = "{\"chosen_level\":5,\"phase\":{\"Committed\":{\"since\":\
+            {\"micros\":15000000}}},\"ratios\":[19696.639022261013,57143.58287349285,\
+            102002.22750014791],\"reprobe_interval\":null,\"searches\":1,\"span_open\":false,\
+            \"window_bytes\":0.0,\"window_energy\":0.0,\"window_start\":{\"micros\":15000000}}";
+        for (halt, data) in [(42, mid_search), (200, committed)] {
+            let ctl = RunControl::halt_at(halt);
+            let RunOutcome::Halted(ck) =
+                Htee::new(6).run_controlled(&mut RunCtx::new(&env, &dataset), ctl)
+            else {
+                panic!("the run ended before slice {halt}");
+            };
+            assert_eq!(ck.controller.kind, HTEE_KIND);
+            assert_eq!(ck.controller.data, data);
+            // A fresh controller restored from it snapshots the same bytes.
+            let (_, mut fresh) = Htee::new(6).prepare(&env, &dataset, &mut Telemetry::disabled());
+            fresh.restore(&ck.controller).unwrap();
+            assert_eq!(fresh.snapshot(), ck.controller);
+        }
+        // A probe index past the controller's levels is refused.
+        let (_, mut fresh) = Htee::new(6).prepare(&env, &dataset, &mut Telemetry::disabled());
+        let foreign = ControllerSnapshot {
+            kind: HTEE_KIND.to_string(),
+            data: mid_search.replace("\"idx\":0", "\"idx\":3"),
+        };
+        assert!(fresh.restore(&foreign).is_err());
     }
 }

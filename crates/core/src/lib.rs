@@ -140,6 +140,6 @@ pub trait Algorithm {
     fn run_controlled(&self, ctx: &mut RunCtx<'_>, ctl: RunControl) -> RunOutcome {
         let (env, dataset, tel) = ctx.parts();
         let run = self.start(env, dataset, tel, ctl.resume.map(|ck| *ck));
-        run.run_to(env, tel, ctl.halt_after, ctl.share)
+        run.run_to(env, tel, ctl.halt_after)
     }
 }

@@ -97,8 +97,8 @@ impl Algorithm for Slaee {
             self.max_channel,
             self.probe_window,
         );
-        controller.overshoot_margin = self.overshoot_margin.max(1.0);
-        controller.degrade_tolerance = self.degrade_tolerance.clamp(0.0, 1.0);
+        controller.state.overshoot_margin = self.overshoot_margin.max(1.0);
+        controller.state.degrade_tolerance = self.degrade_tolerance.clamp(0.0, 1.0);
         (plan, Box::new(controller))
     }
 
@@ -110,40 +110,12 @@ impl Algorithm for Slaee {
 /// Snapshot kind tag for [`SlaeeController`].
 pub(crate) const SLAEE_KIND: &str = "slaee";
 
-/// Mutable state of [`SlaeeController`] as stored in a checkpoint.
-/// Configuration (chunks, target, max_channel, window) is reconstructed
-/// from the algorithm definition on resume and therefore not serialized.
+/// The run state of [`SlaeeController`], which is also its checkpoint
+/// form (the `data` of its [`ControllerSnapshot`]). Configuration (chunk
+/// weights and classes, target, max_channel, window) is rebuilt from the
+/// algorithm definition on resume and therefore not part of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SlaeeState {
-    window_start: SimTime,
-    window_start_total: Bytes,
-    concurrency: u32,
-    rearranged: bool,
-    first_window_done: bool,
-    prev_window_mbps: Option<f64>,
-    raised_last_window: bool,
-    overshoot_margin: f64,
-    degrade_tolerance: f64,
-    degrade_count: u32,
-    best_seen: Option<(u32, f64)>,
-    frozen: bool,
-    window_throughputs: Vec<(SimTime, f64)>,
-    /// Whether a rearrangement-round span is open (absent in pre-span
-    /// checkpoints: no span was open).
-    #[serde(default)]
-    round_open: bool,
-}
-
-/// The controller implementing SLAEE's adaptation loop.
-#[derive(Debug, Clone)]
-pub struct SlaeeController {
-    /// Per-chunk [`Chunk::weight`]s, in plan order.
-    weights: Vec<f64>,
-    /// Which chunks are Large (capped at one channel until rearranged).
-    is_large: Vec<bool>,
-    target: Rate,
-    max_channel: u32,
-    window: SimDuration,
     window_start: SimTime,
     /// `ctx.total_bytes` at the start of the current probe window. The
     /// window's byte count is derived as a delta at window close (exact:
@@ -157,18 +129,31 @@ pub struct SlaeeController {
     prev_window_mbps: Option<f64>,
     raised_last_window: bool,
     /// See [`Slaee::overshoot_margin`].
-    pub overshoot_margin: f64,
+    overshoot_margin: f64,
     /// See [`Slaee::degrade_tolerance`].
-    pub degrade_tolerance: f64,
+    degrade_tolerance: f64,
     degrade_count: u32,
     best_seen: Option<(u32, f64)>,
     frozen: bool,
-    /// Trace of (window end, measured Mbps) pairs for inspection.
-    pub window_throughputs: Vec<(SimTime, f64)>,
-    capture: bool,
-    events: Vec<Event>,
+    /// Trace of (window end, measured Mbps) pairs.
+    window_throughputs: Vec<(SimTime, f64)>,
     /// True while a rearrangement-round span is open (capture only).
     round_open: bool,
+}
+
+/// The controller implementing SLAEE's adaptation loop.
+#[derive(Debug, Clone)]
+pub struct SlaeeController {
+    /// Per-chunk [`Chunk::weight`]s, in plan order.
+    weights: Vec<f64>,
+    /// Which chunks are Large (capped at one channel until rearranged).
+    is_large: Vec<bool>,
+    target: Rate,
+    max_channel: u32,
+    window: SimDuration,
+    state: SlaeeState,
+    capture: bool,
+    events: Vec<Event>,
 }
 
 impl SlaeeController {
@@ -181,22 +166,24 @@ impl SlaeeController {
             target,
             max_channel: max_channel.max(1),
             window,
-            window_start: SimTime::ZERO,
-            window_start_total: Bytes::ZERO,
-            concurrency: 1,
-            rearranged: false,
-            first_window_done: false,
-            prev_window_mbps: None,
-            raised_last_window: false,
-            overshoot_margin: 1.15,
-            degrade_tolerance: 0.97,
-            degrade_count: 0,
-            best_seen: None,
-            frozen: false,
-            window_throughputs: Vec::new(),
+            state: SlaeeState {
+                window_start: SimTime::ZERO,
+                window_start_total: Bytes::ZERO,
+                concurrency: 1,
+                rearranged: false,
+                first_window_done: false,
+                prev_window_mbps: None,
+                raised_last_window: false,
+                overshoot_margin: 1.15,
+                degrade_tolerance: 0.97,
+                degrade_count: 0,
+                best_seen: None,
+                frozen: false,
+                window_throughputs: Vec::new(),
+                round_open: false,
+            },
             capture: false,
             events: Vec::new(),
-            round_open: false,
         }
     }
 
@@ -205,8 +192,8 @@ impl SlaeeController {
             &self.weights,
             &self.is_large,
             live,
-            self.concurrency,
-            self.rearranged,
+            self.state.concurrency,
+            self.state.rearranged,
         )
     }
 
@@ -223,7 +210,7 @@ impl SlaeeController {
                 kind: "round".to_string(),
                 detail: reason.clone(),
             });
-            self.round_open = true;
+            self.state.round_open = true;
             self.events.push(Event::Decision {
                 reason,
                 targets: targets.clone(),
@@ -235,26 +222,26 @@ impl SlaeeController {
 
 impl Controller for SlaeeController {
     fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
-        let elapsed = ctx.now.since(self.window_start);
+        let elapsed = ctx.now.since(self.state.window_start);
         if elapsed < self.window {
             return ControlAction::Continue;
         }
         // Goodput moved during the window, as a delta of the running
         // total (f64 subtraction: with restart markers off a mid-window
         // channel kill can pull the total below the window's start).
-        let window_bytes = ctx.total_bytes.as_f64() - self.window_start_total.as_f64();
+        let window_bytes = ctx.total_bytes.as_f64() - self.state.window_start_total.as_f64();
         let actual_mbps = window_bytes * 8.0 / elapsed.as_secs_f64() / 1e6;
-        self.window_throughputs.push((ctx.now, actual_mbps));
-        self.window_start_total = ctx.total_bytes;
-        self.window_start = ctx.now;
+        self.state.window_throughputs.push((ctx.now, actual_mbps));
+        self.state.window_start_total = ctx.total_bytes;
+        self.state.window_start = ctx.now;
         // The window that evaluated the previous decision just closed.
-        if self.capture && self.round_open {
+        if self.capture && self.state.round_open {
             self.events.push(Event::SpanEnd {
                 id: 0,
                 kind: "round".to_string(),
                 detail: String::new(),
             });
-            self.round_open = false;
+            self.state.round_open = false;
         }
 
         let target_mbps = self.target.as_mbps();
@@ -263,37 +250,42 @@ impl Controller for SlaeeController {
         // ramping concurrency only makes things worse. If the last raise
         // lowered the measured throughput, step back and stop adapting —
         // "SLAEE does its best" with the level that worked (§3).
-        if self.best_seen.is_none_or(|(_, best)| actual_mbps > best) {
-            self.best_seen = Some((self.concurrency, actual_mbps));
+        if self
+            .state
+            .best_seen
+            .is_none_or(|(_, best)| actual_mbps > best)
+        {
+            self.state.best_seen = Some((self.state.concurrency, actual_mbps));
         }
-        if self.raised_last_window {
-            self.raised_last_window = false;
+        if self.state.raised_last_window {
+            self.state.raised_last_window = false;
             let degraded = self
+                .state
                 .prev_window_mbps
-                .is_some_and(|prev| actual_mbps < prev * self.degrade_tolerance);
+                .is_some_and(|prev| actual_mbps < prev * self.state.degrade_tolerance);
             if degraded {
-                self.degrade_count += 1;
+                self.state.degrade_count += 1;
             } else {
-                self.degrade_count = 0;
+                self.state.degrade_count = 0;
             }
-            if self.degrade_count >= 2 {
+            if self.state.degrade_count >= 2 {
                 // Two raises in a row made things worse: the target is
                 // unreachable on this path. Fall back to the best level
                 // observed and stop adapting.
-                if let Some((best_cc, _)) = self.best_seen {
-                    self.concurrency = best_cc;
+                if let Some((best_cc, _)) = self.state.best_seen {
+                    self.state.concurrency = best_cc;
                 }
-                self.frozen = true;
-                self.prev_window_mbps = Some(actual_mbps);
+                self.state.frozen = true;
+                self.state.prev_window_mbps = Some(actual_mbps);
                 let reason = format!(
                     "freeze at {} channels: raises degrade throughput, target unreachable",
-                    self.concurrency
+                    self.state.concurrency
                 );
                 return self.decide(reason, &ctx.live_chunks());
             }
         }
-        self.prev_window_mbps = Some(actual_mbps);
-        if self.frozen {
+        self.state.prev_window_mbps = Some(actual_mbps);
+        if self.state.frozen {
             return ControlAction::Continue;
         }
         if actual_mbps >= target_mbps {
@@ -302,42 +294,43 @@ impl Controller for SlaeeController {
             // target by a clear margin (e.g. after finished chunks donated
             // their channels to the rest), shed channels until throughput
             // sits just above the promise.
-            if actual_mbps > target_mbps * self.overshoot_margin && self.concurrency > 1 {
-                self.concurrency -= 1;
+            if actual_mbps > target_mbps * self.state.overshoot_margin && self.state.concurrency > 1
+            {
+                self.state.concurrency -= 1;
                 let reason = format!(
                     "shed to {} channels: {actual_mbps:.0} Mbps overshoots the \
                      {target_mbps:.0} Mbps target",
-                    self.concurrency
+                    self.state.concurrency
                 );
                 return self.decide(reason, &ctx.live_chunks());
             }
             return ControlAction::Continue;
         }
         let reason;
-        if !self.first_window_done {
+        if !self.state.first_window_done {
             // Line 11: proportional jump from the first measurement.
-            self.first_window_done = true;
-            let scaled =
-                (f64::from(self.concurrency) * target_mbps / actual_mbps.max(1.0)).ceil() as u32;
+            self.state.first_window_done = true;
+            let scaled = (f64::from(self.state.concurrency) * target_mbps / actual_mbps.max(1.0))
+                .ceil() as u32;
             let new_cc = scaled.clamp(1, self.max_channel);
-            self.raised_last_window = new_cc > self.concurrency;
-            self.concurrency = new_cc;
+            self.state.raised_last_window = new_cc > self.state.concurrency;
+            self.state.concurrency = new_cc;
             reason = format!(
                 "proportional jump to {new_cc} channels: measured {actual_mbps:.0} of \
                  {target_mbps:.0} Mbps target"
             );
-        } else if self.concurrency < self.max_channel {
+        } else if self.state.concurrency < self.max_channel {
             // Lines 14–16: incremental increase.
-            self.concurrency += 1;
-            self.raised_last_window = true;
+            self.state.concurrency += 1;
+            self.state.raised_last_window = true;
             reason = format!(
                 "climb to {} channels: {actual_mbps:.0} Mbps below {target_mbps:.0} Mbps target",
-                self.concurrency
+                self.state.concurrency
             );
-        } else if !self.rearranged {
+        } else if !self.state.rearranged {
             // Line 18: reArrangeChannels — let Large chunks have more than
             // one channel.
-            self.rearranged = true;
+            self.state.rearranged = true;
             reason = "rearrange: Large chunks may take multiple channels".to_string();
         } else {
             return ControlAction::Continue;
@@ -361,7 +354,7 @@ impl Controller for SlaeeController {
     ///
     /// Covered by the macro-equivalence suite (`tests/macro_equivalence.rs`).
     fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
-        (self.window_start + self.window)
+        (self.state.window_start + self.window)
             .since(ctx.now)
             .slices_before(slice)
     }
@@ -371,43 +364,13 @@ impl Controller for SlaeeController {
             self.events.is_empty(),
             "snapshot must follow an event drain"
         );
-        ControllerSnapshot::of(
-            SLAEE_KIND,
-            &SlaeeState {
-                window_start: self.window_start,
-                window_start_total: self.window_start_total,
-                concurrency: self.concurrency,
-                rearranged: self.rearranged,
-                first_window_done: self.first_window_done,
-                prev_window_mbps: self.prev_window_mbps,
-                raised_last_window: self.raised_last_window,
-                overshoot_margin: self.overshoot_margin,
-                degrade_tolerance: self.degrade_tolerance,
-                degrade_count: self.degrade_count,
-                best_seen: self.best_seen,
-                frozen: self.frozen,
-                window_throughputs: self.window_throughputs.clone(),
-                round_open: self.round_open,
-            },
-        )
+        ControllerSnapshot::of(SLAEE_KIND, &self.state)
     }
 
     fn restore(&mut self, snap: &ControllerSnapshot) -> Result<(), String> {
-        let state: SlaeeState = snap.payload(SLAEE_KIND)?;
-        self.window_start = state.window_start;
-        self.window_start_total = state.window_start_total;
-        self.concurrency = state.concurrency.clamp(1, self.max_channel);
-        self.rearranged = state.rearranged;
-        self.first_window_done = state.first_window_done;
-        self.prev_window_mbps = state.prev_window_mbps;
-        self.raised_last_window = state.raised_last_window;
-        self.overshoot_margin = state.overshoot_margin;
-        self.degrade_tolerance = state.degrade_tolerance;
-        self.degrade_count = state.degrade_count;
-        self.best_seen = state.best_seen;
-        self.frozen = state.frozen;
-        self.window_throughputs = state.window_throughputs;
-        self.round_open = state.round_open;
+        let mut state: SlaeeState = snap.payload(SLAEE_KIND)?;
+        state.concurrency = state.concurrency.clamp(1, self.max_channel);
+        self.state = state;
         Ok(())
     }
 }
@@ -418,6 +381,7 @@ mod tests {
     use crate::baselines::ProMc;
     use crate::test_support::{mixed_dataset, wan_env};
     use crate::RunCtx;
+    use eadt_transfer::{RunControl, RunOutcome};
 
     fn max_throughput() -> Rate {
         let env = wan_env();
@@ -522,5 +486,47 @@ mod tests {
             (peak - 6.0).abs() < 1e-9,
             "should reach maxChannel, peak={peak}"
         );
+    }
+
+    #[test]
+    fn checkpointed_state_is_pinned_mid_run() {
+        let env = wan_env();
+        let dataset = mixed_dataset();
+        let max = max_throughput();
+        let after_jump = "{\"best_seen\":[5,3297.6],\"concurrency\":5,\"degrade_count\":0,\
+            \"degrade_tolerance\":0.97,\"first_window_done\":true,\"frozen\":false,\
+            \"overshoot_margin\":1.15,\"prev_window_mbps\":3297.6,\"raised_last_window\":false,\
+            \"rearranged\":false,\"round_open\":false,\"window_start\":{\"micros\":10000000},\
+            \"window_start_total\":2536000000,\"window_throughputs\":[[{\"micros\":5000000},\
+            760.0],[{\"micros\":10000000},3297.6]]}";
+        let settled = "{\"best_seen\":[5,3297.6],\"concurrency\":5,\"degrade_count\":0,\
+            \"degrade_tolerance\":0.97,\"first_window_done\":true,\"frozen\":false,\
+            \"overshoot_margin\":1.15,\"prev_window_mbps\":3200.0,\"raised_last_window\":false,\
+            \"rearranged\":false,\"round_open\":false,\"window_start\":{\"micros\":25000000},\
+            \"window_start_total\":8536000000,\"window_throughputs\":[[{\"micros\":5000000},\
+            760.0],[{\"micros\":10000000},3297.6],[{\"micros\":15000000},3200.0],\
+            [{\"micros\":20000000},3200.0],[{\"micros\":25000000},3200.0]]}";
+        let algo = Slaee::new(0.9, max, 12);
+        for (halt, data) in [(120, after_jump), (260, settled)] {
+            let ctl = RunControl::halt_at(halt);
+            let RunOutcome::Halted(ck) = algo.run_controlled(&mut RunCtx::new(&env, &dataset), ctl)
+            else {
+                panic!("the run ended before slice {halt}");
+            };
+            assert_eq!(ck.controller.kind, SLAEE_KIND);
+            assert_eq!(ck.controller.data, data);
+            // A fresh controller restored from it snapshots the same bytes.
+            let (_, mut fresh) = algo.prepare(&env, &dataset, &mut Telemetry::disabled());
+            fresh.restore(&ck.controller).unwrap();
+            assert_eq!(fresh.snapshot(), ck.controller);
+        }
+        // A concurrency past the channel budget is clamped to it.
+        let (_, mut fresh) = algo.prepare(&env, &dataset, &mut Telemetry::disabled());
+        let wide = ControllerSnapshot {
+            kind: SLAEE_KIND.to_string(),
+            data: settled.replace("\"concurrency\":5", "\"concurrency\":40"),
+        };
+        fresh.restore(&wide).unwrap();
+        assert!(fresh.snapshot().data.contains("\"concurrency\":12,"));
     }
 }

@@ -294,7 +294,7 @@ impl<'a> Leg<'a> {
                 );
             }
         };
-        let metrics = self.tel.metrics_ref().map(MetricsRegistry::snapshot);
+        let metrics = self.tel.metrics_ref().cloned();
         let outcome = JobOutcome::from_report(self.index, self.spec, self.seed, &report, metrics);
         Step::Done(outcome, Box::new(report))
     }
@@ -399,7 +399,7 @@ pub(crate) fn load_outcome(
     (outcome.job == index
         && outcome.label == spec.display_label()
         && outcome.seed == seed
-        && outcome.metrics.as_ref().map(|m| m.cadence) == cadence)
+        && outcome.metrics.as_ref().map(MetricsRegistry::cadence) == cadence)
         .then_some(outcome)
 }
 

@@ -6,7 +6,7 @@
 //! and whether or not the batch went through a checkpoint/resume cycle.
 
 use crate::session::JobOutcome;
-use eadt_telemetry::{EnergyLedger, EnergyPhase, HistogramSnapshot};
+use eadt_telemetry::{EnergyLedger, EnergyPhase, Histogram};
 use serde::{Deserialize, Serialize};
 
 /// Fleet-wide counters, merged distributions and the summed energy
@@ -49,7 +49,7 @@ pub struct FleetMetrics {
     /// (job-index, registration) order. Empty unless the session was
     /// built with metrics collection on.
     #[serde(default)]
-    pub histograms: Vec<HistogramSnapshot>,
+    pub histograms: Vec<Histogram>,
 }
 
 impl FleetMetrics {
@@ -83,20 +83,20 @@ impl FleetMetrics {
         self.sim_seconds += job.duration_s;
         self.energy_j += job.energy_j;
         self.ledger.merge(&job.ledger);
-        if let Some(snap) = &job.metrics {
-            for h in &snap.histograms {
+        if let Some(registry) = &job.metrics {
+            for h in registry.histograms() {
                 self.merge_histogram(h);
             }
         }
     }
 
     /// Bucket-wise merge of one histogram by name; first sighting of a
-    /// name adopts its bounds. A later snapshot whose bounds disagree is
+    /// name adopts its bounds. A later histogram whose bounds disagree is
     /// dropped (merging across grids would silently misbucket) — in
     /// practice every job registers the engine's fixed bucket grids, so
     /// this never fires.
-    fn merge_histogram(&mut self, h: &HistogramSnapshot) {
-        match self.histograms.iter_mut().find(|m| m.name == h.name) {
+    fn merge_histogram(&mut self, h: &Histogram) {
+        match self.histograms.iter_mut().find(|m| m.name() == h.name()) {
             Some(existing) => {
                 let _ = existing.merge(h);
             }
@@ -214,22 +214,22 @@ impl FleetMetrics {
             }
         }
         for h in &self.histograms {
-            let name = format!("eadt_fleet_{}", h.name);
+            let name = format!("eadt_fleet_{}", h.name());
             out.push_str(&format!(
                 "# HELP {name} Engine histogram {:?}, merged across jobs.\n# TYPE {name} histogram\n",
-                h.name
+                h.name()
             ));
             let mut cumulative = 0u64;
-            for (i, count) in h.counts.iter().enumerate() {
+            for (i, count) in h.counts().iter().enumerate() {
                 cumulative += count;
-                let le = match h.bounds.get(i) {
+                let le = match h.bounds().get(i) {
                     Some(b) => format!("{b}"),
                     None => "+Inf".to_string(),
                 };
                 out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
-            out.push_str(&format!("{name}_sum {}\n", h.sum));
-            out.push_str(&format!("{name}_count {}\n", h.count));
+            out.push_str(&format!("{name}_sum {}\n", h.sum()));
+            out.push_str(&format!("{name}_count {}\n", h.count()));
         }
         out
     }
@@ -276,7 +276,7 @@ mod tests {
             breaker_opens: 0,
             retransmitted_bytes: 20,
             ledger,
-            metrics: Some(reg.snapshot()),
+            metrics: Some(reg),
             error_kind: None,
             error: None,
             report: None,
@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(m.ledger.dst.phase_j(EnergyPhase::Probe), 2.0);
         assert_eq!(m.energy_j, 32.0);
         assert_eq!(m.histograms.len(), 1);
-        assert_eq!(m.histograms[0].counts, vec![1, 1, 1]);
+        assert_eq!(m.histograms[0].counts(), [1, 1, 1]);
     }
 
     #[test]
@@ -316,20 +316,21 @@ mod tests {
         let mut grouped = FleetMetrics::rollup(&[a, b]);
         grouped.absorb(&c);
         assert_eq!(all, grouped);
-        assert_eq!(all.histograms[0].counts, vec![2, 2, 2]);
-        assert_eq!(all.histograms[0].sum, 5720.0);
+        assert_eq!(all.histograms[0].counts(), [2, 2, 2]);
+        assert_eq!(all.histograms[0].sum(), 5720.0);
     }
 
     #[test]
     fn rollup_drops_histograms_with_foreign_bounds() {
         let a = outcome(0, &[50.0]);
-        let mut b = outcome(1, &[60.0]);
-        if let Some(snap) = &mut b.metrics {
-            snap.histograms[0].bounds = vec![1.0, 2.0];
-        }
+        let mut b = outcome(1, &[]);
+        let mut foreign = MetricsRegistry::new(SimDuration::from_secs(1));
+        let h = foreign.histogram("channel_throughput_mbps", &[1.0, 2.0]);
+        foreign.observe(h, 60.0);
+        b.metrics = Some(foreign);
         let m = FleetMetrics::rollup(&[a, b]);
         assert_eq!(m.histograms.len(), 1);
-        assert_eq!(m.histograms[0].counts, vec![1, 0, 0]);
+        assert_eq!(m.histograms[0].counts(), [1, 0, 0]);
     }
 
     #[test]

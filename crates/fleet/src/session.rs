@@ -7,7 +7,7 @@ use crate::rollup::FleetMetrics;
 use crate::seed::derive_job_seed;
 use crate::spec::JobSpec;
 use eadt_sim::{EadtError, SimDuration};
-use eadt_telemetry::{EnergyLedger, MetricsSnapshot};
+use eadt_telemetry::{EnergyLedger, MetricsRegistry};
 use eadt_transfer::TransferReport;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -233,11 +233,11 @@ pub struct JobOutcome {
     /// rollup sums and `eadt profile --from` renders).
     #[serde(default)]
     pub ledger: EnergyLedger,
-    /// Final metrics-registry snapshot, when the session collects
-    /// metrics. Persisted with the outcome so a resumed batch re-admits
-    /// finished jobs with their histograms intact.
+    /// The final metrics registry, when the session collects metrics.
+    /// Persisted with the outcome so a resumed batch re-admits finished
+    /// jobs with their histograms intact.
     #[serde(default)]
-    pub metrics: Option<MetricsSnapshot>,
+    pub metrics: Option<MetricsRegistry>,
     /// Coarse error class (`None` for a clean run).
     pub error_kind: Option<String>,
     /// Human-readable error (`None` for a clean run).
@@ -255,7 +255,7 @@ impl JobOutcome {
         job: &JobSpec,
         seed: u64,
         report: &TransferReport,
-        metrics: Option<MetricsSnapshot>,
+        metrics: Option<MetricsRegistry>,
     ) -> Self {
         let failure = report.failure();
         JobOutcome {
@@ -573,7 +573,7 @@ mod tests {
         assert!(
             m.histograms
                 .iter()
-                .any(|h| h.name == "channel_throughput_mbps"),
+                .any(|h| h.name() == "channel_throughput_mbps"),
             "engine histograms should be merged into the rollup"
         );
         assert_eq!(
@@ -698,14 +698,25 @@ mod tests {
             .checkpoints(&dir, 4)
             .build()
             .resume(&jobs);
-        for (i, job) in mismatched.jobs.iter().enumerate().take(last) {
-            let err = job.error.as_deref().unwrap();
-            assert!(err.contains("metrics state"), "{err}");
-            assert!(dir.join(CheckpointStore::checkpoint_name(i)).exists());
-            assert!(!dir.join(CheckpointStore::outcome_name(i)).exists());
+        // ... and so does a resume at twice the cadence: no job finishes at
+        // its checkpoint's cadence inside a report of another ...
+        let doubled = Session::builder()
+            .root_seed(4)
+            .workers(2)
+            .metrics(eadt_sim::SimDuration::from_secs(2))
+            .checkpoints(&dir, 4)
+            .build()
+            .resume(&jobs);
+        for report in [&mismatched, &doubled] {
+            for (i, job) in report.jobs.iter().enumerate().take(last) {
+                let err = job.error.as_deref().unwrap_or("finished");
+                assert!(err.contains("metrics state"), "job {i}: {err}");
+                assert!(dir.join(CheckpointStore::checkpoint_name(i)).exists());
+                assert!(!dir.join(CheckpointStore::outcome_name(i)).exists());
+            }
         }
         // ... so the corrected resume completes the straight run, and
-        // recomputes the outcome saved under the other metrics cadence.
+        // recomputes the outcome saved under the other metrics cadences.
         let resumed = Session::builder()
             .root_seed(4)
             .workers(2)

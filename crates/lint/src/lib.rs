@@ -83,16 +83,16 @@ struct Analyzed {
     parsed: parser::ParsedFile,
 }
 
-/// Reads sources and materializes tokens + parse trees, once per file.
+/// Reads sources and materializes tokens + parse trees, once per file,
+/// then marks the files `#[cfg(test)] mod` declarations reach as test
+/// code.
 fn analyze_sources(root: &Path) -> Result<Vec<Analyzed>, String> {
-    let sources = walk::collect_sources(root).map_err(|e| format!("walking {root:?}: {e}"))?;
-    Ok(sources
-        .into_iter()
-        .map(|file| {
-            let toks = lexer::tokenize(&file.text);
-            let parsed = parser::parse_file(&toks);
-            Analyzed { file, toks, parsed }
-        })
+    let mut sources = walk::collect_sources(root).map_err(|e| format!("walking {root:?}: {e}"))?;
+    let toks: Vec<_> = sources.iter().map(|f| lexer::tokenize(&f.text)).collect();
+    let parsed: Vec<_> = toks.iter().map(|t| parser::parse_file(t)).collect();
+    walk::mark_test_modules(&mut sources, &parsed);
+    Ok((sources.into_iter().zip(toks).zip(parsed))
+        .map(|((file, toks), parsed)| Analyzed { file, toks, parsed })
         .collect())
 }
 
@@ -103,7 +103,7 @@ pub fn update_api_snapshots(root: &Path) -> Result<Vec<String>, String> {
     let snapshots = rules::api_surface::build_snapshots(
         analyzed
             .iter()
-            .filter(|a| !a.file.is_test_code())
+            .filter(|a| !a.file.test_only)
             .map(|a| (a.file.rel_path.as_str(), &a.parsed)),
     );
     let dir = root.join(rules::api_surface::API_DIR);
@@ -134,10 +134,9 @@ pub fn run(root: &Path) -> Result<Report, String> {
     let mut table = symbols::SymbolTable::default();
     for a in &analyzed {
         let file = &a.file;
-        let narrowing =
-            rules::fp_order::HOT_CRATES.contains(&file.crate_name()) && !file.is_test_code();
+        let narrowing = rules::fp_order::HOT_CRATES.contains(&file.crate_name()) && !file.test_only;
         let unit_checked =
-            rules::unit_escape::CHECKED_CRATES.contains(&file.crate_name()) && !file.is_test_code();
+            rules::unit_escape::CHECKED_CRATES.contains(&file.crate_name()) && !file.test_only;
         a.parsed.visit_items(&mut |it, stack| {
             // Nested helper fns are inlined into their enclosing body
             // (parser.rs), so visiting them again would double-report.
@@ -159,12 +158,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
             }
         });
 
-        table.add_file(
-            file.crate_name(),
-            &file.rel_path,
-            file.is_test_code(),
-            &a.parsed,
-        );
+        table.add_file(file.crate_name(), &file.rel_path, file.test_only, &a.parsed);
     }
 
     // --- Horizon coverage over the symbol table --------------------------
@@ -196,7 +190,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
     let snapshots = rules::api_surface::build_snapshots(
         analyzed
             .iter()
-            .filter(|a| !a.file.is_test_code())
+            .filter(|a| !a.file.test_only)
             .map(|a| (a.file.rel_path.as_str(), &a.parsed)),
     );
     let mut on_disk = BTreeMap::new();
@@ -240,7 +234,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
         (Some(ckpt_file), Some(service_file)) => {
             let mut kinds = Vec::new();
             for a in &analyzed {
-                if a.file.is_test_code() {
+                if a.file.test_only {
                     continue;
                 }
                 kinds.extend(rules::checkpoint::collect_kind_consts(

@@ -1,5 +1,6 @@
 //! Workspace file discovery.
 
+use crate::parser::{Item, ItemKind, ParsedFile};
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into: vendored dependency subsets are
@@ -14,19 +15,23 @@ pub struct SourceFile {
     pub rel_path: String,
     /// File contents.
     pub text: String,
+    /// Compiled only for tests: the file lies under a `tests/`, `benches/`
+    /// or `examples/` directory, or a `#[cfg(test)] mod name;`
+    /// declaration reaches it ([`mark_test_modules`]).
+    pub test_only: bool,
 }
 
 impl SourceFile {
-    /// True for files that are test-only by location or naming convention:
-    /// anything under a `tests/`, `benches/` or `examples/` directory,
-    /// plus the in-crate `proptests.rs` / `tests.rs` / `test_support.rs`
-    /// modules (each is `#[cfg(test)]`-gated at its `mod` site).
-    pub fn is_test_code(&self) -> bool {
-        let p = &self.rel_path;
-        p.split('/').any(|seg| {
-            matches!(seg, "tests" | "benches" | "examples")
-                || matches!(seg, "proptests.rs" | "tests.rs" | "test_support.rs")
-        })
+    /// A file at `rel_path`, test-only when it lies under a `tests/`,
+    /// `benches/` or `examples/` directory.
+    fn new(rel_path: String, text: String) -> Self {
+        let test_only =
+            (rel_path.split('/')).any(|seg| matches!(seg, "tests" | "benches" | "examples"));
+        SourceFile {
+            rel_path,
+            text,
+            test_only,
+        }
     }
 
     /// The workspace crate the file belongs to (`crates/<name>/…`), or
@@ -37,6 +42,60 @@ impl SourceFile {
             (Some("crates"), Some(name)) => name,
             _ => ".",
         }
+    }
+}
+
+/// Marks as test-only every file that a `#[cfg(test)] mod name;`
+/// declaration compiles only for tests: the module's own file and every
+/// file under its directory. `parsed[i]` is the parse of `files[i]`.
+pub fn mark_test_modules(files: &mut [SourceFile], parsed: &[ParsedFile]) {
+    let mut modules = Vec::new();
+    for (file, pf) in files.iter().zip(parsed) {
+        test_modules(&module_dir(&file.rel_path), &pf.items, &mut modules);
+    }
+    for file in files.iter_mut() {
+        let path = file.rel_path.as_str();
+        file.test_only |= modules.iter().any(|m| {
+            path.strip_prefix(m.as_str())
+                .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+        });
+    }
+}
+
+/// The directory in which a file's `mod name;` declarations resolve: a
+/// crate root (`lib.rs`, `main.rs`, a `bin/` target) or a `mod.rs`
+/// resolves beside itself, any other `name.rs` in `name/`.
+fn module_dir(rel_path: &str) -> String {
+    let (dir, file) = rel_path.rsplit_once('/').unwrap_or(("", rel_path));
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    if matches!(file, "lib.rs" | "main.rs" | "mod.rs") || dir.rsplit('/').next() == Some("bin") {
+        dir.to_string()
+    } else {
+        join(dir, stem)
+    }
+}
+
+/// Collects the paths (without `.rs`) of the out-of-line `#[cfg(test)]`
+/// modules that `items`, resolving in `dir`, declare; an inline module
+/// declares its children one directory further down.
+fn test_modules(dir: &str, items: &[Item], out: &mut Vec<String>) {
+    for it in items {
+        if let ItemKind::Mod { inline } = it.kind {
+            let path = join(dir, &it.name);
+            if inline {
+                test_modules(&path, &it.children, out);
+            } else if it.cfg_test {
+                out.push(path);
+            }
+        }
+    }
+}
+
+fn join(dir: &str, name: &str) -> String {
+    if dir.is_empty() {
+        name.to_string()
+    } else {
+        format!("{dir}/{name}")
     }
 }
 
@@ -65,11 +124,7 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     keyed.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
     let mut out = Vec::with_capacity(keyed.len());
     for (rel, p) in keyed {
-        let text = std::fs::read_to_string(&p)?;
-        out.push(SourceFile {
-            rel_path: rel,
-            text,
-        });
+        out.push(SourceFile::new(rel, std::fs::read_to_string(&p)?));
     }
     Ok(out)
 }
@@ -95,21 +150,60 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
+    use crate::parser::parse_file;
 
     fn sf(path: &str) -> SourceFile {
-        SourceFile {
-            rel_path: path.to_string(),
-            text: String::new(),
-        }
+        SourceFile::new(path.to_string(), String::new())
     }
 
     #[test]
     fn test_code_is_recognised_by_path() {
-        assert!(sf("crates/core/src/proptests.rs").is_test_code());
-        assert!(sf("crates/transfer/src/engine/tests.rs").is_test_code());
-        assert!(sf("tests/determinism.rs").is_test_code());
-        assert!(sf("crates/bench/benches/engine.rs").is_test_code());
-        assert!(!sf("crates/core/src/planner.rs").is_test_code());
+        assert!(sf("tests/determinism.rs").test_only);
+        assert!(sf("crates/bench/benches/engine.rs").test_only);
+        assert!(sf("crates/cli/examples/demo.rs").test_only);
+        assert!(!sf("crates/core/src/planner.rs").test_only);
+        // A name alone decides nothing: the `mod` declaration does.
+        assert!(!sf("crates/core/src/proptests.rs").test_only);
+    }
+
+    #[test]
+    fn cfg_test_mod_declarations_mark_their_files_and_subtrees() {
+        let files = [
+            (
+                "crates/t/src/lib.rs",
+                "#[cfg(test)]\nmod oracle;\nmod engine;\npub mod live;",
+            ),
+            ("crates/t/src/oracle/mod.rs", "mod event;"),
+            ("crates/t/src/oracle/event.rs", ""),
+            (
+                "crates/t/src/engine.rs",
+                "#[cfg(test)]\nmod tests;\nmod inner { #[cfg(test)] mod deep; }",
+            ),
+            ("crates/t/src/engine/tests.rs", ""),
+            ("crates/t/src/engine/inner/deep.rs", ""),
+            ("crates/t/src/live.rs", ""),
+            ("crates/t/src/oracle_helpers.rs", ""),
+        ];
+        let parsed: Vec<_> = files
+            .iter()
+            .map(|(_, src)| parse_file(&tokenize(src)))
+            .collect();
+        let mut sources: Vec<_> = files.iter().map(|(path, _)| sf(path)).collect();
+        mark_test_modules(&mut sources, &parsed);
+        let test_only: Vec<&str> = (sources.iter())
+            .filter(|f| f.test_only)
+            .map(|f| f.rel_path.as_str())
+            .collect();
+        assert_eq!(
+            test_only,
+            [
+                "crates/t/src/oracle/mod.rs",
+                "crates/t/src/oracle/event.rs",
+                "crates/t/src/engine/tests.rs",
+                "crates/t/src/engine/inner/deep.rs",
+            ]
+        );
     }
 
     #[test]

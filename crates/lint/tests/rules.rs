@@ -293,3 +293,37 @@ fn api_surface_fixture_catches_drift_both_ways_and_missing_file() {
     let none = std::collections::BTreeMap::new();
     assert!(!api_surface::check(&computed, &none).is_empty());
 }
+
+/// A module declared `#[cfg(test)] mod probe;` is test code however its
+/// file is named: its public items, and everything under its directory,
+/// stay out of the API snapshot and are test-only in the symbol table.
+#[test]
+fn cfg_test_modules_stay_out_of_the_api_and_are_test_only() {
+    let root = std::env::temp_dir().join(format!("eadt-lint-probe-{}", std::process::id()));
+    let src = root.join("crates/demo/src");
+    std::fs::create_dir_all(src.join("probe")).unwrap();
+    for (file, text) in [
+        ("lib.rs", "#[cfg(test)]\nmod probe;\n\npub fn live() {}\n"),
+        ("probe.rs", "mod deep;\n\npub fn oracle() {}\n"),
+        ("probe/deep.rs", "pub fn deeper() {}\n"),
+    ] {
+        std::fs::write(src.join(file), text).unwrap();
+    }
+
+    eadt_lint::update_api_snapshots(&root).unwrap();
+    let api = std::fs::read_to_string(root.join("docs/api/demo.txt")).unwrap();
+    assert!(api.contains("pub fn live()"), "{api}");
+    assert!(!api.contains("oracle") && !api.contains("deeper"), "{api}");
+
+    let mut files = eadt_lint::walk::collect_sources(&root).unwrap();
+    let parsed: Vec<_> = files.iter().map(|f| parse(&f.text)).collect();
+    eadt_lint::walk::mark_test_modules(&mut files, &parsed);
+    let mut table = SymbolTable::default();
+    for (f, pf) in files.iter().zip(&parsed) {
+        table.add_file(f.crate_name(), &f.rel_path, f.test_only, pf);
+    }
+    let test_only = |name: &str| table.fns.iter().find(|f| f.name == name).unwrap().test_only;
+    assert!(test_only("oracle") && test_only("deeper"));
+    assert!(!test_only("live"));
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -13,26 +13,46 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{de::Error, ser::Writer, value::Value, Deserialize, Serialize};
 
 /// A deterministic random stream.
-#[derive(Debug, Clone)]
+///
+/// A stream serializes as `{"seed", "state"}`: the seed it was created
+/// from (so [`SimRng::fork`] keeps deriving the same children after a
+/// checkpoint restore) and the generator's raw state words (so the draw
+/// sequence resumes exactly where it stopped).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     inner: SmallRng,
     seed: u64,
 }
 
-/// Serializable state of a [`SimRng`] stream, for checkpointing.
-///
-/// Captures both the originating seed (so [`SimRng::fork`] keeps deriving
-/// the same children after a restore) and the generator's raw state words
-/// (so the draw sequence resumes exactly where it stopped).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RngSnapshot {
-    /// Seed the stream was created from; drives `fork` derivation.
-    pub seed: u64,
-    /// xoshiro256++ state words at capture time.
-    pub state: [u64; 4],
+/// The written form of a [`SimRng`]: the vendored `SmallRng` keeps its
+/// xoshiro256++ state words private, so they travel through this pair.
+#[derive(Serialize, Deserialize)]
+struct StateWords {
+    seed: u64,
+    state: [u64; 4],
+}
+
+impl Serialize for SimRng {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        StateWords {
+            seed: self.seed,
+            state: self.inner.state(),
+        }
+        .write_json(w);
+    }
+}
+
+impl Deserialize for SimRng {
+    fn deser_value(v: &Value) -> Result<Self, Error> {
+        let StateWords { seed, state } = StateWords::deser_value(v)?;
+        Ok(SimRng {
+            inner: SmallRng::from_state(state),
+            seed,
+        })
+    }
 }
 
 impl SimRng {
@@ -47,25 +67,6 @@ impl SimRng {
     /// The seed this stream was created from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Captures the stream's full state for a checkpoint.
-    pub fn snapshot(&self) -> RngSnapshot {
-        RngSnapshot {
-            seed: self.seed,
-            state: self.inner.state(),
-        }
-    }
-
-    /// Rebuilds a stream from a [`snapshot`], resuming the exact draw
-    /// sequence and fork derivation of the captured stream.
-    ///
-    /// [`snapshot`]: SimRng::snapshot
-    pub fn restore(snap: &RngSnapshot) -> Self {
-        SimRng {
-            inner: SmallRng::from_state(snap.state),
-            seed: snap.seed,
-        }
     }
 
     /// Derives an independent child stream identified by `label`.
@@ -231,8 +232,14 @@ mod tests {
         for _ in 0..13 {
             live.next_u64();
         }
-        let snap = live.snapshot();
-        let mut resumed = SimRng::restore(&snap);
+        let mut text = String::new();
+        live.write_json(&mut Writer::compact(&mut text));
+        assert_eq!(
+            text,
+            "{\"seed\":42,\"state\":[7019281298391013388,11822455574851291876,\
+             8790548154218500974,13179076047628313453]}"
+        );
+        let mut resumed = SimRng::deser_value(&serde::value::parse(&text).unwrap()).unwrap();
         // Same draw sequence from the capture point...
         for _ in 0..50 {
             assert_eq!(live.next_u64(), resumed.next_u64());
@@ -242,7 +249,7 @@ mod tests {
             live.fork("child").next_u64(),
             resumed.fork("child").next_u64()
         );
-        assert_eq!(snap.seed, 42);
+        assert_eq!(resumed.seed(), 42);
     }
 
     #[test]

@@ -29,10 +29,7 @@ pub use event::{
     BreakerState, EpisodeKind, Event, Journal, JournalRecovery, Record, Side, SCHEMA_VERSION,
 };
 pub use ledger::{EnergyLedger, EnergyPhase, SideLedger};
-pub use metrics::{
-    CounterId, CounterSnapshot, GaugeId, GaugeSnapshot, Histogram, HistogramId, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry};
 
 use eadt_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};

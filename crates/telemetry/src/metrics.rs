@@ -23,8 +23,10 @@ pub struct HistogramId(usize);
 
 /// A fixed-bucket histogram: counts of observations falling at or below
 /// each upper bound, plus an overflow bucket, running count and sum.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
+    /// Registered name.
+    name: String,
     /// Ascending bucket upper bounds (inclusive).
     bounds: Vec<f64>,
     /// One count per bound, plus a final overflow bucket.
@@ -34,15 +36,21 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(mut bounds: Vec<f64>) -> Self {
+    fn new(name: &str, mut bounds: Vec<f64>) -> Self {
         bounds.sort_by(f64::total_cmp);
         let n = bounds.len();
         Histogram {
+            name: name.to_string(),
             bounds,
             counts: vec![0; n + 1],
             count: 0,
             sum: 0.0,
         }
+    }
+
+    /// Registered name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Records one observation.
@@ -81,33 +89,60 @@ impl Histogram {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
+
+    /// Bucket-wise merge (fleet rollup): adds `other`'s counts and sum
+    /// into `self`. Returns `false` — and leaves `self` untouched — when
+    /// the bucket bounds differ (merging across incompatible grids would
+    /// silently misbucket). Counts are integers and bucket addition is
+    /// commutative and associative; the f64 `sum` is order-sensitive like
+    /// any float accumulation, which is why the fleet merges in job-index
+    /// order.
+    pub fn merge(&mut self, other: &Histogram) -> bool {
+        if self.bounds != other.bounds || self.counts.len() != other.counts.len() {
+            return false;
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        true
+    }
 }
 
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Counter {
     name: String,
     value: u64,
 }
 
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Gauge {
     name: String,
+    /// Current (not-yet-sampled) value.
     value: f64,
+    /// Samples taken so far.
     series: TimeSeries,
-}
-
-struct NamedHistogram {
-    name: String,
-    hist: Histogram,
 }
 
 /// The registry. Gauges carry a current value set by instrumented code;
 /// [`MetricsRegistry::tick`] snapshots every gauge into its
 /// [`TimeSeries`] whenever the sampling cadence elapses.
+///
+/// The registry is its own checkpoint form: it serializes whole,
+/// registrations in order, so a registry read back from a checkpoint
+/// resolves the same handles (registration is find-by-name) and resumes
+/// the sampler grid where it stopped. Check such a registry with
+/// [`MetricsRegistry::is_sound`] before it samples.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     cadence: SimDuration,
+    /// Next instant the sampler fires.
     next_sample: SimTime,
+    /// Registrations, each in registration order.
     counters: Vec<Counter>,
     gauges: Vec<Gauge>,
-    histograms: Vec<NamedHistogram>,
+    histograms: Vec<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -160,10 +195,7 @@ impl MetricsRegistry {
         if let Some(i) = self.histograms.iter().position(|h| h.name == name) {
             return HistogramId(i);
         }
-        self.histograms.push(NamedHistogram {
-            name: name.to_string(),
-            hist: Histogram::new(bounds.to_vec()),
-        });
+        self.histograms.push(Histogram::new(name, bounds.to_vec()));
         HistogramId(self.histograms.len() - 1)
     }
 
@@ -176,7 +208,7 @@ impl MetricsRegistry {
     /// Records one histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: f64) {
-        self.histograms[id.0].hist.observe(value);
+        self.histograms[id.0].observe(value);
     }
 
     /// Advances the sampler to `now`. When the cadence has elapsed,
@@ -217,160 +249,21 @@ impl MetricsRegistry {
         self.gauges.iter().map(|g| (g.name.as_str(), &g.series))
     }
 
-    /// All histograms as `(name, histogram)` in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|h| (h.name.as_str(), &h.hist))
+    /// All histograms in registration order.
+    pub fn histograms(&self) -> &[Histogram] {
+        &self.histograms
     }
 
-    /// Captures the registry's full state (registrations included) for a
-    /// checkpoint.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cadence: self.cadence,
-            next_sample: self.next_sample,
-            counters: self
-                .counters
-                .iter()
-                .map(|c| CounterSnapshot {
-                    name: c.name.clone(),
-                    value: c.value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| GaugeSnapshot {
-                    name: g.name.clone(),
-                    value: g.value,
-                    series: g.series.clone(),
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|h| HistogramSnapshot {
-                    name: h.name.clone(),
-                    bounds: h.hist.bounds.clone(),
-                    counts: h.hist.counts.clone(),
-                    count: h.hist.count,
-                    sum: h.hist.sum,
-                })
-                .collect(),
-        }
+    /// Whether the registry keeps the invariants [`MetricsRegistry::new`]
+    /// and [`MetricsRegistry::histogram`] establish: a positive cadence
+    /// (else [`MetricsRegistry::tick`] never returns) and one count per
+    /// bucket plus the overflow in every histogram (else
+    /// [`Histogram::observe`] indexes out of range). A registry read back
+    /// from a checkpoint must pass this before it samples.
+    pub fn is_sound(&self) -> bool {
+        !self.cadence.is_zero()
+            && (self.histograms.iter()).all(|h| h.counts.len() == h.bounds.len() + 1)
     }
-
-    /// Rebuilds a registry from a [`snapshot`]. Registration order is
-    /// preserved, so handles resolved by instrumented code after a restore
-    /// (registration is find-by-name) land on the restored slots.
-    ///
-    /// [`snapshot`]: MetricsRegistry::snapshot
-    pub fn restore(snap: &MetricsSnapshot) -> Self {
-        MetricsRegistry {
-            cadence: snap.cadence,
-            next_sample: snap.next_sample,
-            counters: snap
-                .counters
-                .iter()
-                .map(|c| Counter {
-                    name: c.name.clone(),
-                    value: c.value,
-                })
-                .collect(),
-            gauges: snap
-                .gauges
-                .iter()
-                .map(|g| Gauge {
-                    name: g.name.clone(),
-                    value: g.value,
-                    series: g.series.clone(),
-                })
-                .collect(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|h| NamedHistogram {
-                    name: h.name.clone(),
-                    hist: Histogram {
-                        bounds: h.bounds.clone(),
-                        counts: h.counts.clone(),
-                        count: h.count,
-                        sum: h.sum,
-                    },
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Serializable state of one counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Current value.
-    pub value: u64,
-}
-
-/// Serializable state of one gauge, including its sampled series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Current (not-yet-sampled) value.
-    pub value: f64,
-    /// Samples taken so far.
-    pub series: TimeSeries,
-}
-
-/// Serializable state of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Bucket upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts (last entry is overflow).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-}
-
-impl HistogramSnapshot {
-    /// Bucket-wise merge (fleet rollup): adds `other`'s counts and sum
-    /// into `self`. Returns `false` — and leaves `self` untouched — when
-    /// the bucket bounds differ (merging across incompatible grids would
-    /// silently misbucket). Counts are integers and bucket addition is
-    /// commutative and associative; the f64 `sum` is order-sensitive like
-    /// any float accumulation, which is why the fleet merges in job-index
-    /// order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> bool {
-        if self.bounds != other.bounds || self.counts.len() != other.counts.len() {
-            return false;
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        true
-    }
-}
-
-/// Serializable state of a [`MetricsRegistry`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Sampling cadence.
-    pub cadence: SimDuration,
-    /// Next instant the sampler fires.
-    pub next_sample: SimTime,
-    /// Counters in registration order.
-    pub counters: Vec<CounterSnapshot>,
-    /// Gauges in registration order.
-    pub gauges: Vec<GaugeSnapshot>,
-    /// Histograms in registration order.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 #[cfg(test)]
@@ -429,7 +322,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(vec![1.0, 5.0, 10.0]);
+        let mut h = Histogram::new("lat", vec![1.0, 5.0, 10.0]);
         for v in [0.5, 0.9, 3.0, 7.0, 12.0] {
             h.observe(v);
         }
@@ -450,48 +343,62 @@ mod tests {
         m.set(g, 43.0);
         m.tick(t(1.0));
 
-        let snap = m.snapshot();
-        let mut back = MetricsRegistry::restore(&snap);
-        // Same handles resolve (find-by-name, same order)...
+        // The registry is its own checkpoint form, written sorted by name.
+        let text = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            text,
+            "{\"cadence\":{\"micros\":1000000},\"counters\":[{\"name\":\"retries\",\"value\":0}],\
+             \"gauges\":[{\"name\":\"thr\",\"series\":{\"samples\":[{\"time\":{\"micros\":0},\
+             \"value\":42.0},{\"time\":{\"micros\":1000000},\"value\":43.0}]},\"value\":43.0}],\
+             \"histograms\":[{\"bounds\":[1.0,5.0],\"count\":1,\"counts\":[0,1,0],\"name\":\"lat\",\
+             \"sum\":3.0}],\"next_sample\":{\"micros\":2000000}}"
+        );
+        // It survives its JSON transport bit-exactly...
+        let mut back: MetricsRegistry = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, m);
+        assert!(back.is_sound());
+        // ...the same handles resolve (find-by-name, same order)...
         assert_eq!(back.counter("retries"), c);
         assert_eq!(back.gauge("thr"), g);
         assert_eq!(back.histogram("lat", &[1.0, 5.0]), h);
-        assert_eq!(back.snapshot(), snap);
         assert_eq!(back.gauges().next().unwrap().1.len(), 2);
         // ...and the sampler grid continues where it stopped.
         assert_eq!(back.next_tick(), m.next_tick());
         assert!(!back.tick(t(1.5)));
         assert!(back.tick(t(2.0)));
-        // The snapshot survives its JSON transport bit-exactly.
-        let text = serde_json::to_string(&snap).unwrap();
-        let reparsed: MetricsSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(reparsed, snap);
+    }
+
+    #[test]
+    fn registries_read_from_disk_are_checked_for_soundness() {
+        let mut m = MetricsRegistry::new(SimDuration::from_secs(1));
+        m.histogram("lat", &[1.0, 5.0]);
+        assert!(m.is_sound());
+        let mut short = m.clone();
+        short.histograms[0].counts.pop();
+        assert!(!short.is_sound(), "observe would index past the counts");
+        let mut stalled = m.clone();
+        stalled.cadence = SimDuration::ZERO;
+        assert!(!stalled.is_sound(), "tick would never return");
     }
 
     #[test]
     fn histogram_boundary_values_fall_in_the_lower_bucket() {
-        let mut h = Histogram::new(vec![1.0, 2.0]);
+        let mut h = Histogram::new("lat", vec![1.0, 2.0]);
         h.observe(1.0);
         h.observe(2.0);
         assert_eq!(h.counts(), &[1, 1, 0]);
         // No explicit bounds: everything lands in the overflow bucket.
-        let mut h = Histogram::new(vec![]);
+        let mut h = Histogram::new("lat", vec![]);
         h.observe(3.0);
         assert_eq!(h.counts(), &[1]);
     }
 
-    fn snap_of(values: &[f64]) -> HistogramSnapshot {
-        let mut h = Histogram::new(vec![1.0, 5.0, 10.0]);
+    fn snap_of(values: &[f64]) -> Histogram {
+        let mut h = Histogram::new("lat", vec![1.0, 5.0, 10.0]);
         for v in values {
             h.observe(*v);
         }
-        HistogramSnapshot {
-            name: "lat".into(),
-            bounds: h.bounds().to_vec(),
-            counts: h.counts().to_vec(),
-            count: h.count(),
-            sum: h.sum(),
-        }
+        h
     }
 
     #[test]

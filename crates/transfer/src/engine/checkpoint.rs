@@ -24,9 +24,9 @@ use crate::control::{Controller, ControllerSnapshot};
 use crate::env::TransferEnv;
 use crate::plan::TransferPlan;
 use crate::report::{ChunkStat, TransferReport};
-use crate::retry::{FaultRuntime, FaultRuntimeSnapshot};
+use crate::retry::{FaultRuntime, FaultState};
 use eadt_sim::{Bytes, SimDuration, SimTime, TimeSeries};
-use eadt_telemetry::{EnergyLedger, MetricsRegistry, MetricsSnapshot, SpanCursor, Telemetry};
+use eadt_telemetry::{EnergyLedger, MetricsRegistry, SpanCursor, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -218,11 +218,11 @@ pub struct EngineCheckpoint {
     pub prev_dst_active: Vec<bool>,
     /// Fault-runtime state, present iff the environment has an active
     /// fault plan.
-    pub faults: Option<FaultRuntimeSnapshot>,
+    pub faults: Option<FaultState>,
     /// The controller's mutable state.
     pub controller: ControllerSnapshot,
-    /// Metrics-registry state, present iff the run sampled metrics.
-    pub metrics: Option<MetricsSnapshot>,
+    /// The metrics registry, present iff the run sampled metrics.
+    pub metrics: Option<MetricsRegistry>,
     /// Journal sequence cursor: the `seq` the next journaled event will
     /// carry. A resumed run journals only the suffix; concatenated with
     /// the prefix on disk it is byte-identical to an uninterrupted
@@ -268,8 +268,9 @@ impl<'c> EngineRun<'c> {
     ///
     /// # Panics
     /// On a mismatch of schema version, fingerprint, stage, chunk count,
-    /// fault-plan presence, controller kind or telemetry sinks. Callers
-    /// that need a typed error (`eadt-ckpt`) validate first.
+    /// fault-plan presence, controller kind, telemetry sinks or metrics
+    /// cadence, and on a histogram whose counts do not fit its bounds.
+    /// Callers that need a typed error (`eadt-ckpt`) validate first.
     pub fn restore(
         env: &TransferEnv,
         plan: Cow<'c, TransferPlan>,
@@ -300,8 +301,8 @@ impl<'c> EngineRun<'c> {
         );
         let active = env.faults.as_ref().filter(|p| p.is_active());
         let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
-        run.runtime = match (active, &ck.faults) {
-            (Some(plan), Some(snap)) => Some(FaultRuntime::restore(plan, n_src, n_dst, snap)),
+        run.runtime = match (active, ck.faults) {
+            (Some(plan), Some(state)) => Some(FaultRuntime::restore(plan, n_src, n_dst, state)),
             (None, None) => None,
             #[expect(
                 clippy::panic,
@@ -320,13 +321,16 @@ impl<'c> EngineRun<'c> {
         run.controller
             .restore(&ck.controller)
             .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(
-            tel.metrics_ref().is_some(),
-            ck.metrics.is_some(),
+        // The checkpoint's registry continues the run's: the same cadence
+        // (a configured cadence is positive) and sound histograms.
+        let cadence = tel.metrics_ref().map(MetricsRegistry::cadence);
+        assert!(
+            cadence == ck.metrics.as_ref().map(MetricsRegistry::cadence)
+                && ck.metrics.as_ref().is_none_or(MetricsRegistry::is_sound),
             "checkpoint metrics state does not match the telemetry configuration"
         );
-        if let (Some(m), Some(snap)) = (tel.metrics(), &ck.metrics) {
-            *m = MetricsRegistry::restore(snap);
+        if let (Some(m), Some(saved)) = (tel.metrics(), ck.metrics) {
+            *m = saved;
         }
         tel.set_open_spans(ck.open_spans);
         run.acc = Accumulators {
@@ -408,7 +412,7 @@ impl<'c> EngineRun<'c> {
             prev_dst_active: acc.prev_dst_active.clone(),
             faults: run.runtime.as_ref().map(FaultRuntime::snapshot),
             controller: run.controller.snapshot(),
-            metrics: tel.metrics_ref().map(MetricsRegistry::snapshot),
+            metrics: tel.metrics_ref().cloned(),
             journal_seq: tel.journal().map_or(0, |j| j.next_seq()),
         }
     }
@@ -472,9 +476,6 @@ pub struct RunControl {
     /// completion. A halt inside a macro-stepped horizon cuts the replay
     /// at exactly this boundary — resuming recomputes the rest.
     pub halt_after: Option<u64>,
-    /// Fraction of shared site resources granted to this run (defaults
-    /// to the full machine). See [`ResourceShare`].
-    pub share: ResourceShare,
 }
 
 impl RunControl {

@@ -305,7 +305,7 @@ impl<'a> Engine<'a> {
             Some(ck) => EngineRun::restore(env, plan, controller, tel, *ck),
             None => EngineRun::new(env, plan, controller, tel),
         };
-        run.run_to(env, tel, ctl.halt_after, ctl.share)
+        run.run_to(env, tel, ctl.halt_after)
     }
 }
 
@@ -387,18 +387,17 @@ impl<'c> EngineRun<'c> {
         self.run.acc.slices_done
     }
 
-    /// [`RunControl`]'s cold path: steps to the absolute slice count
-    /// `halt_after` (or to the end) and returns the report, or the
-    /// snapshot of the halted run.
+    /// [`RunControl`]'s cold path: steps with the whole machine to the
+    /// absolute slice count `halt_after` (or to the end) and returns the
+    /// report, or the snapshot of the halted run.
     pub fn run_to(
         mut self,
         env: &TransferEnv,
         tel: &mut Telemetry,
         halt_after: Option<u64>,
-        share: ResourceShare,
     ) -> RunOutcome {
         let slices = halt_after.map(|h| h.saturating_sub(self.slices_done()));
-        match self.step(env, tel, slices, share) {
+        match self.step(env, tel, slices, ResourceShare::FULL) {
             Some(report) => RunOutcome::Done(report),
             None => RunOutcome::Halted(Box::new(self.snapshot(tel))),
         }
@@ -1238,7 +1237,7 @@ impl<'c> SliceRun<'c> {
                     capacity_fraction: rt.capacity_fraction(),
                     quarantined_src: q_src,
                     quarantined_dst: q_dst,
-                    failures: rt.stats.total_failures(),
+                    failures: rt.stats().total_failures(),
                     in_backoff: o.in_backoff,
                 }
             }
@@ -1505,7 +1504,7 @@ impl<'c> SliceRun<'c> {
             );
         }
         let wire_bytes = Bytes(acc.wire_bytes_f.round() as u64);
-        let fault_stats = self.runtime.take().map(|rt| rt.stats).unwrap_or_default();
+        let fault_stats = self.runtime.take().map(|rt| rt.stats()).unwrap_or_default();
         debug_assert_eq!(acc.retransmitted, fault_stats.retransmitted_bytes);
         // The report's per-site energy IS the ledger's fixed-order phase
         // sum, so the profile accounts for 100% of it within 0 ULP.

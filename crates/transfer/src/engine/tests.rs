@@ -760,7 +760,7 @@ fn halt_resume_with_faults_and_telemetry_is_bit_identical() {
     let mut tel = Telemetry::enabled(SimDuration::from_millis(500));
     let baseline = Engine::new(&env).run_instrumented(&plan, &mut NullController, &mut tel);
     let full_journal = tel.journal().unwrap().to_jsonl();
-    let full_metrics = tel.metrics_ref().unwrap().snapshot();
+    let full_metrics = tel.metrics_ref().unwrap().clone();
 
     let (resumed, stitched) = run_with_kills(&env, &plan, &mut NullController, 5, true);
     assert_eq!(

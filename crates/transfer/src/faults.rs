@@ -22,7 +22,7 @@
 //! [`crate::retry`].
 
 use crate::retry::RetryPolicy;
-use eadt_sim::{RngSnapshot, SimDuration, SimRng, SimTime};
+use eadt_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Deterministic channel-failure model.
@@ -201,15 +201,24 @@ impl DiskDegradationModel {
 /// A seeded stream of fixed-length episode windows separated by
 /// exponentially distributed gaps. Shared by outages, stalls and disk
 /// degradations; polling must be monotonic in time (the engine polls once
-/// per slice).
-#[derive(Debug, Clone)]
+/// per slice). A checkpoint stores the stream whole, so a restored one
+/// resumes exactly where it stopped (same pending window, same future
+/// draws).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct EpisodeStream {
+    /// Window-gap stream.
     rng: SimRng,
+    /// Mean gap between windows (model parameter).
     mean_gap: SimDuration,
+    /// Window length (model parameter).
     duration: SimDuration,
+    /// Opening edge of the pending/current window.
     next_start: SimTime,
+    /// Closing edge of the pending/current window.
     next_end: SimTime,
+    /// Whether the current window's rising edge was already counted.
     entered: bool,
+    /// Windows entered so far.
     started: u64,
 }
 
@@ -270,54 +279,6 @@ impl EpisodeStream {
             self.next_end
         }
     }
-
-    /// Captures the stream's full state for a checkpoint.
-    pub(crate) fn snapshot(&self) -> EpisodeStreamSnapshot {
-        EpisodeStreamSnapshot {
-            rng: self.rng.snapshot(),
-            mean_gap: self.mean_gap,
-            duration: self.duration,
-            next_start: self.next_start,
-            next_end: self.next_end,
-            entered: self.entered,
-            started: self.started,
-        }
-    }
-
-    /// Rebuilds a stream from a [`snapshot`], resuming exactly where the
-    /// captured stream stopped (same pending window, same future draws).
-    ///
-    /// [`snapshot`]: EpisodeStream::snapshot
-    pub(crate) fn restore(snap: &EpisodeStreamSnapshot) -> Self {
-        EpisodeStream {
-            rng: SimRng::restore(&snap.rng),
-            mean_gap: snap.mean_gap,
-            duration: snap.duration,
-            next_start: snap.next_start,
-            next_end: snap.next_end,
-            entered: snap.entered,
-            started: snap.started,
-        }
-    }
-}
-
-/// Serializable state of an `EpisodeStream`, for checkpointing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpisodeStreamSnapshot {
-    /// Window-gap RNG state.
-    pub rng: RngSnapshot,
-    /// Mean gap between windows (model parameter).
-    pub mean_gap: SimDuration,
-    /// Window length (model parameter).
-    pub duration: SimDuration,
-    /// Opening edge of the pending/current window.
-    pub next_start: SimTime,
-    /// Closing edge of the pending/current window.
-    pub next_end: SimTime,
-    /// Whether the current window's rising edge was already counted.
-    pub entered: bool,
-    /// Windows entered so far.
-    pub started: u64,
 }
 
 /// The composed fault scenario for a run: any subset of the taxonomy plus
@@ -650,12 +611,18 @@ mod tests {
             live.active(t);
             t += slice;
         }
-        let snap = live.snapshot();
-        // The snapshot survives JSON (the checkpoint transport).
-        let text = serde_json::to_string(&snap).unwrap();
-        let back: EpisodeStreamSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(snap, back);
-        let mut resumed = EpisodeStream::restore(&back);
+        // The stream is its own checkpoint form and survives JSON (the
+        // checkpoint transport).
+        let text = serde_json::to_string(&live).unwrap();
+        assert_eq!(
+            text,
+            "{\"duration\":{\"micros\":5000000},\"entered\":false,\"mean_gap\":{\"micros\":30000000},\
+             \"next_end\":{\"micros\":133683345},\"next_start\":{\"micros\":128683345},\
+             \"rng\":{\"seed\":8752054396902000590,\"state\":[8255353817509320422,\
+             18255410932640155711,9229951239167942000,14858011762908724120]},\"started\":6}"
+        );
+        let mut resumed: EpisodeStream = serde_json::from_str(&text).unwrap();
+        assert_eq!(resumed, live);
         for _ in 0..20_000 {
             assert_eq!(live.active(t), resumed.active(t));
             assert_eq!(live.started(), resumed.started());

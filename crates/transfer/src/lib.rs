@@ -53,10 +53,10 @@ pub use engine::{
 };
 pub use env::{EngineTuning, TransferEnv};
 pub use faults::{
-    BackgroundTraffic, DiskDegradationModel, EpisodeStreamSnapshot, FaultModel, FaultPlan,
-    OutageModel, SiteSide, StallModel,
+    BackgroundTraffic, DiskDegradationModel, FaultModel, FaultPlan, OutageModel, SiteSide,
+    StallModel,
 };
 pub use params::TransferParams;
 pub use plan::{uniform_plan, ChunkPlan, StagePlan, TransferPlan};
 pub use report::{ChunkStat, FaultStats, TransferReport, REPORT_SCHEMA_VERSION};
-pub use retry::{BreakerSnapshot, BreakerStateSnapshot, FaultRuntimeSnapshot, RetryPolicy};
+pub use retry::{FaultState, RetryPolicy};

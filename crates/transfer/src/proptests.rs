@@ -197,8 +197,8 @@ proptest! {
                 eadt_telemetry::Telemetry::enabled(eadt_telemetry::DEFAULT_CADENCE);
             let r = Engine::new(&e).run_instrumented(&p, &mut NullController, &mut tel);
             let json = serde_json::to_string(&r).expect("report serializes");
-            let metrics = tel.metrics_ref().expect("metrics attached").snapshot();
-            let metrics = serde_json::to_string(&metrics).expect("metrics serialize");
+            let metrics = tel.metrics_ref().expect("metrics attached");
+            let metrics = serde_json::to_string(metrics).expect("metrics serialize");
             let journal = tel.into_journal().expect("journal attached").to_jsonl();
             (json, journal, metrics)
         };

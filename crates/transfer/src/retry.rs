@@ -16,12 +16,14 @@
 //!   cooldown expires, at which point a half-open probe decides between
 //!   closing the breaker and re-opening it.
 //!
-//! `FaultRuntime` owns the live state (episode streams, breakers, the
-//! jitter stream, accumulated [`FaultStats`]) for one engine run.
+//! `FaultRuntime` drives one engine run's faults; its live state
+//! (episode streams, breakers, the jitter stream, accumulated
+//! [`FaultStats`]) is one [`FaultState`], which is also what a
+//! checkpoint stores.
 
-use crate::faults::{EpisodeStream, EpisodeStreamSnapshot, FaultCause, FaultPlan, SiteSide};
+use crate::faults::{EpisodeStream, FaultCause, FaultPlan, SiteSide};
 use crate::report::FaultStats;
-use eadt_sim::{Bytes, RngSnapshot, SimDuration, SimRng, SimTime};
+use eadt_sim::{Bytes, SimDuration, SimRng, SimTime};
 use eadt_telemetry::{
     BreakerState as EvBreakerState, EpisodeKind as EvEpisodeKind, Event, Side as EvSide,
 };
@@ -114,7 +116,7 @@ impl RetryPolicy {
 }
 
 /// Circuit-breaker state for one server.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum BreakerState {
     /// Healthy; failures are counted.
     Closed,
@@ -125,9 +127,11 @@ enum BreakerState {
 }
 
 /// Per-server failure tracker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Breaker {
+    /// State-machine position.
     state: BreakerState,
+    /// Consecutive failures counted against the server.
     consecutive: u32,
 }
 
@@ -184,77 +188,32 @@ impl Breaker {
     fn is_open(&self) -> bool {
         matches!(self.state, BreakerState::Open { .. })
     }
-
-    fn snapshot(&self) -> BreakerSnapshot {
-        BreakerSnapshot {
-            state: match self.state {
-                BreakerState::Closed => BreakerStateSnapshot::Closed,
-                BreakerState::Open { until } => BreakerStateSnapshot::Open { until },
-                BreakerState::HalfOpen => BreakerStateSnapshot::HalfOpen,
-            },
-            consecutive: self.consecutive,
-        }
-    }
-
-    fn restore(snap: &BreakerSnapshot) -> Self {
-        Breaker {
-            state: match snap.state {
-                BreakerStateSnapshot::Closed => BreakerState::Closed,
-                BreakerStateSnapshot::Open { until } => BreakerState::Open { until },
-                BreakerStateSnapshot::HalfOpen => BreakerState::HalfOpen,
-            },
-            consecutive: snap.consecutive,
-        }
-    }
 }
 
-/// Serializable mirror of the private circuit-breaker state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BreakerStateSnapshot {
-    /// Healthy; failures are counted.
-    Closed,
-    /// Quarantined until the given time.
-    Open {
-        /// Cooldown expiry.
-        until: SimTime,
-    },
-    /// Cooldown expired; the next slice probes the server.
-    HalfOpen,
-}
-
-/// Serializable state of one per-server circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerSnapshot {
-    /// State-machine position.
-    pub state: BreakerStateSnapshot,
-    /// Consecutive failures counted against the server.
-    pub consecutive: u32,
-}
-
-/// Live fault state for one engine run: episode streams advanced once per
-/// slice, per-server breakers, the jitter stream, and accumulated
-/// statistics.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultRuntime {
-    plan: FaultPlan,
+/// The mutable state of a run's fault runtime, which is also its
+/// checkpoint form. Captured at a slice boundary, so the runtime's
+/// per-slice episode snapshot is not part of it (the next `begin_slice`
+/// refreshes that before any read), and neither is what the runtime
+/// derives from the plan, which a restore re-supplies. Episode streams
+/// are stored in construction order (plan order after range filtering).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultState {
+    /// Backoff-jitter stream.
     jitter_rng: SimRng,
+    /// Channel TTF stream (present iff the plan has a channel model).
     ttf_rng: Option<SimRng>,
-    outages: Vec<(SiteSide, usize, EpisodeStream)>,
-    stall: Option<(f64, EpisodeStream)>,
-    disk: Vec<(SiteSide, usize, f64, EpisodeStream)>,
+    /// Outage episode streams, in plan order.
+    outages: Vec<EpisodeStream>,
+    /// Control-channel stall stream.
+    stall: Option<EpisodeStream>,
+    /// Disk-degradation streams, in plan order.
+    disk: Vec<EpisodeStream>,
+    /// Sender-site breakers, by server index.
     src_breakers: Vec<Breaker>,
+    /// Receiver-site breakers, by server index.
     dst_breakers: Vec<Breaker>,
-    // Per-slice snapshot, refreshed by `begin_slice`.
-    src_outage: Vec<bool>,
-    dst_outage: Vec<bool>,
-    stall_multiplier: f64,
-    src_disk_factor: Vec<f64>,
-    dst_disk_factor: Vec<f64>,
-    // Telemetry event capture (off by default, zero-cost when off). The
-    // `ev_*` vectors remember the last *reported* episode states so only
+    // Telemetry edge memory: the last *reported* episode states, so only
     // transitions are emitted.
-    capture: bool,
-    events: Vec<Event>,
     ev_src_outage: Vec<bool>,
     ev_dst_outage: Vec<bool>,
     ev_stall: bool,
@@ -268,7 +227,32 @@ pub(crate) struct FaultRuntime {
     span_src_quar: Vec<bool>,
     span_dst_quar: Vec<bool>,
     /// Accumulated fault accounting, copied into the report at the end.
-    pub stats: FaultStats,
+    stats: FaultStats,
+}
+
+/// The fault machinery of one engine run: its [`FaultState`], advanced
+/// once per slice, beside what the plan says each stream applies to, the
+/// per-slice episode snapshot and the telemetry event buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultRuntime {
+    plan: FaultPlan,
+    // What each stream of `state` applies to, derived from the plan: the
+    // `(side, server)` of each outage stream, the gap multiplier of the
+    // stall stream and the `(side, server, rate factor)` of each disk
+    // stream.
+    outage_servers: Vec<(SiteSide, usize)>,
+    stall_gap: f64,
+    disk_servers: Vec<(SiteSide, usize, f64)>,
+    state: FaultState,
+    // Per-slice snapshot, refreshed by `begin_slice`.
+    src_outage: Vec<bool>,
+    dst_outage: Vec<bool>,
+    stall_multiplier: f64,
+    src_disk_factor: Vec<f64>,
+    dst_disk_factor: Vec<f64>,
+    // Telemetry event capture (off by default, zero-cost when off).
+    capture: bool,
+    events: Vec<Event>,
 }
 
 /// Formats the span detail naming one server, e.g. `src[2]`.
@@ -284,47 +268,45 @@ impl FaultRuntime {
             SiteSide::Src => server < src_servers,
             SiteSide::Dst => server < dst_servers,
         };
-        let outages = plan
-            .outages
-            .iter()
+        let outages: Vec<_> = (plan.outages.iter())
             .filter(|o| in_range(o.side, o.server))
-            .map(|o| {
-                (
-                    o.side,
-                    o.server,
-                    EpisodeStream::new(o.mean_gap, o.duration, o.seed),
-                )
-            })
             .collect();
-        let stall = plan.stall.map(|s| {
-            (
-                s.gap_multiplier.max(1.0),
-                EpisodeStream::new(s.mean_gap, s.duration, s.seed),
-            )
-        });
-        let disk = plan
-            .disk
-            .iter()
+        let disk: Vec<_> = (plan.disk.iter())
             .filter(|d| in_range(d.side, d.server))
-            .map(|d| {
-                (
-                    d.side,
-                    d.server,
-                    d.rate_factor.clamp(0.0, 1.0),
-                    EpisodeStream::new(d.mean_gap, d.duration, d.seed),
-                )
-            })
             .collect();
         FaultRuntime {
-            jitter_rng: SimRng::new(plan.base_seed()).fork("retry-jitter"),
-            ttf_rng: plan
-                .channel
-                .map(|c| SimRng::new(c.seed).fork("engine-faults")),
-            outages,
-            stall,
-            disk,
-            src_breakers: (0..src_servers).map(|_| Breaker::new()).collect(),
-            dst_breakers: (0..dst_servers).map(|_| Breaker::new()).collect(),
+            outage_servers: outages.iter().map(|o| (o.side, o.server)).collect(),
+            stall_gap: plan.stall.map_or(1.0, |s| s.gap_multiplier.max(1.0)),
+            disk_servers: (disk.iter())
+                .map(|d| (d.side, d.server, d.rate_factor.clamp(0.0, 1.0)))
+                .collect(),
+            state: FaultState {
+                jitter_rng: SimRng::new(plan.base_seed()).fork("retry-jitter"),
+                ttf_rng: plan
+                    .channel
+                    .map(|c| SimRng::new(c.seed).fork("engine-faults")),
+                outages: (outages.iter())
+                    .map(|o| EpisodeStream::new(o.mean_gap, o.duration, o.seed))
+                    .collect(),
+                stall: plan
+                    .stall
+                    .map(|s| EpisodeStream::new(s.mean_gap, s.duration, s.seed)),
+                disk: (disk.iter())
+                    .map(|d| EpisodeStream::new(d.mean_gap, d.duration, d.seed))
+                    .collect(),
+                src_breakers: vec![Breaker::new(); src_servers],
+                dst_breakers: vec![Breaker::new(); dst_servers],
+                ev_src_outage: vec![false; src_servers],
+                ev_dst_outage: vec![false; dst_servers],
+                ev_stall: false,
+                ev_src_disk: vec![false; src_servers],
+                ev_dst_disk: vec![false; dst_servers],
+                span_src_retry: vec![false; src_servers],
+                span_dst_retry: vec![false; dst_servers],
+                span_src_quar: vec![false; src_servers],
+                span_dst_quar: vec![false; dst_servers],
+                stats: FaultStats::default(),
+            },
             src_outage: vec![false; src_servers],
             dst_outage: vec![false; dst_servers],
             stall_multiplier: 1.0,
@@ -332,16 +314,6 @@ impl FaultRuntime {
             dst_disk_factor: vec![1.0; dst_servers],
             capture: false,
             events: Vec::new(),
-            ev_src_outage: vec![false; src_servers],
-            ev_dst_outage: vec![false; dst_servers],
-            ev_stall: false,
-            ev_src_disk: vec![false; src_servers],
-            ev_dst_disk: vec![false; dst_servers],
-            span_src_retry: vec![false; src_servers],
-            span_dst_retry: vec![false; dst_servers],
-            span_src_quar: vec![false; src_servers],
-            span_dst_quar: vec![false; dst_servers],
-            stats: FaultStats::default(),
             plan: plan.clone(),
         }
     }
@@ -360,44 +332,41 @@ impl FaultRuntime {
     /// Advances episode streams and breaker cooldowns to the start of a
     /// slice and refreshes the per-slice snapshot.
     pub(crate) fn begin_slice(&mut self, now: SimTime) {
-        for (srv, b) in self.src_breakers.iter_mut().enumerate() {
-            if b.begin_slice(now) && self.capture {
-                self.events.push(Event::Breaker {
-                    side: EvSide::Src,
-                    server: srv as u32,
-                    state: EvBreakerState::HalfOpen,
-                });
-            }
-        }
-        for (srv, b) in self.dst_breakers.iter_mut().enumerate() {
-            if b.begin_slice(now) && self.capture {
-                self.events.push(Event::Breaker {
-                    side: EvSide::Dst,
-                    server: srv as u32,
-                    state: EvBreakerState::HalfOpen,
-                });
+        let st = &mut self.state;
+        for (side, breakers) in [
+            (EvSide::Src, &mut st.src_breakers),
+            (EvSide::Dst, &mut st.dst_breakers),
+        ] {
+            for (srv, b) in breakers.iter_mut().enumerate() {
+                if b.begin_slice(now) && self.capture {
+                    self.events.push(Event::Breaker {
+                        side,
+                        server: srv as u32,
+                        state: EvBreakerState::HalfOpen,
+                    });
+                }
             }
         }
         self.src_outage.iter_mut().for_each(|o| *o = false);
         self.dst_outage.iter_mut().for_each(|o| *o = false);
         let mut outage_windows = 0;
-        for (side, server, stream) in &mut self.outages {
+        for (&(side, server), stream) in self.outage_servers.iter().zip(&mut st.outages) {
             let active = stream.active(now);
             outage_windows += stream.started();
             if active {
                 match side {
-                    SiteSide::Src => self.src_outage[*server] = true,
-                    SiteSide::Dst => self.dst_outage[*server] = true,
+                    SiteSide::Src => self.src_outage[server] = true,
+                    SiteSide::Dst => self.dst_outage[server] = true,
                 }
             }
         }
-        self.stats.outage_episodes = outage_windows;
-        self.stall_multiplier = match &mut self.stall {
-            Some((mult, stream)) => {
+        st.stats.outage_episodes = outage_windows;
+        self.stall_multiplier = match &mut st.stall {
+            Some(stream) => {
                 let active = stream.active(now);
-                self.stats.stall_episodes = stream.started();
+                st.stats.stall_episodes = stream.started();
                 if active {
-                    *mult
+                    self.stall_gap
                 } else {
                     1.0
                 }
@@ -407,18 +376,18 @@ impl FaultRuntime {
         self.src_disk_factor.iter_mut().for_each(|f| *f = 1.0);
         self.dst_disk_factor.iter_mut().for_each(|f| *f = 1.0);
         let mut disk_windows = 0;
-        for (side, server, factor, stream) in &mut self.disk {
+        for (&(side, server, factor), stream) in self.disk_servers.iter().zip(&mut st.disk) {
             let active = stream.active(now);
             disk_windows += stream.started();
             if active {
                 let slot = match side {
-                    SiteSide::Src => &mut self.src_disk_factor[*server],
-                    SiteSide::Dst => &mut self.dst_disk_factor[*server],
+                    SiteSide::Src => &mut self.src_disk_factor[server],
+                    SiteSide::Dst => &mut self.dst_disk_factor[server],
                 };
-                *slot = slot.min(*factor);
+                *slot = slot.min(factor);
             }
         }
-        self.stats.disk_episodes = disk_windows;
+        st.stats.disk_episodes = disk_windows;
         if self.capture {
             self.emit_episode_edges();
         }
@@ -427,9 +396,10 @@ impl FaultRuntime {
     /// Diffs the per-slice episode snapshot against the last reported one
     /// and buffers a `fault_episode` event per transition.
     fn emit_episode_edges(&mut self) {
+        let st = &mut self.state;
         for (side, active, reported) in [
-            (EvSide::Src, &self.src_outage, &mut self.ev_src_outage),
-            (EvSide::Dst, &self.dst_outage, &mut self.ev_dst_outage),
+            (EvSide::Src, &self.src_outage, &mut st.ev_src_outage),
+            (EvSide::Dst, &self.dst_outage, &mut st.ev_dst_outage),
         ] {
             for (srv, (&now_active, was)) in active.iter().zip(reported.iter_mut()).enumerate() {
                 if now_active != *was {
@@ -444,8 +414,8 @@ impl FaultRuntime {
             }
         }
         let stalled = self.stall_multiplier > 1.0;
-        if stalled != self.ev_stall {
-            self.ev_stall = stalled;
+        if stalled != st.ev_stall {
+            st.ev_stall = stalled;
             self.events.push(Event::FaultEpisode {
                 kind: EvEpisodeKind::Stall,
                 side: None,
@@ -454,8 +424,8 @@ impl FaultRuntime {
             });
         }
         for (side, factors, reported) in [
-            (EvSide::Src, &self.src_disk_factor, &mut self.ev_src_disk),
-            (EvSide::Dst, &self.dst_disk_factor, &mut self.ev_dst_disk),
+            (EvSide::Src, &self.src_disk_factor, &mut st.ev_src_disk),
+            (EvSide::Dst, &self.dst_disk_factor, &mut st.ev_dst_disk),
         ] {
             for (srv, (&f, was)) in factors.iter().zip(reported.iter_mut()).enumerate() {
                 let now_active = f < 1.0;
@@ -475,7 +445,7 @@ impl FaultRuntime {
     /// Samples a fresh time-to-failure when the plan has a channel model.
     pub(crate) fn sample_ttf(&mut self) -> Option<SimDuration> {
         let model = self.plan.channel?;
-        let rng = self.ttf_rng.as_mut()?;
+        let rng = self.state.ttf_rng.as_mut()?;
         Some(model.sample_ttf(rng))
     }
 
@@ -513,9 +483,9 @@ impl FaultRuntime {
     /// caller's buffers (capacity reused, so warm buffers never allocate).
     pub(crate) fn avail_masks_into(&self, src: &mut Vec<bool>, dst: &mut Vec<bool>) {
         src.clear();
-        src.extend(self.src_breakers.iter().map(|b| !b.is_open()));
+        src.extend(self.state.src_breakers.iter().map(|b| !b.is_open()));
         dst.clear();
-        dst.extend(self.dst_breakers.iter().map(|b| !b.is_open()));
+        dst.extend(self.state.dst_breakers.iter().map(|b| !b.is_open()));
     }
 
     /// Fraction of servers not quarantined, taken as the min over both
@@ -528,7 +498,7 @@ impl FaultRuntime {
                 brs.iter().filter(|b| !b.is_open()).count() as f64 / brs.len() as f64
             }
         };
-        frac(&self.src_breakers).min(frac(&self.dst_breakers))
+        frac(&self.state.src_breakers).min(frac(&self.state.dst_breakers))
     }
 
     /// Books a failure: bumps the per-cause counter and, for outage kills,
@@ -541,24 +511,26 @@ impl FaultRuntime {
         now: SimTime,
     ) {
         match cause {
-            FaultCause::Channel => self.stats.channel_failures += 1,
+            FaultCause::Channel => self.state.stats.channel_failures += 1,
             FaultCause::Outage => {
-                self.stats.outage_failures += 1;
+                self.state.stats.outage_failures += 1;
                 if self.src_outage.get(src_srv).copied().unwrap_or(false) {
-                    let was_zero = self.src_breakers[src_srv].consecutive == 0;
-                    let opened = self.src_breakers[src_srv].record_failure(now, &self.plan.retry);
+                    let breaker = &mut self.state.src_breakers[src_srv];
+                    let was_zero = breaker.consecutive == 0;
+                    let opened = breaker.record_failure(now, &self.plan.retry);
                     if opened {
-                        self.stats.breaker_opens += 1;
+                        self.state.stats.breaker_opens += 1;
                     }
                     if self.capture {
                         self.charge_events(EvSide::Src, src_srv, was_zero, opened);
                     }
                 }
                 if self.dst_outage.get(dst_srv).copied().unwrap_or(false) {
-                    let was_zero = self.dst_breakers[dst_srv].consecutive == 0;
-                    let opened = self.dst_breakers[dst_srv].record_failure(now, &self.plan.retry);
+                    let breaker = &mut self.state.dst_breakers[dst_srv];
+                    let was_zero = breaker.consecutive == 0;
+                    let opened = breaker.record_failure(now, &self.plan.retry);
                     if opened {
-                        self.stats.breaker_opens += 1;
+                        self.state.stats.breaker_opens += 1;
                     }
                     if self.capture {
                         self.charge_events(EvSide::Dst, dst_srv, was_zero, opened);
@@ -574,8 +546,8 @@ impl FaultRuntime {
     fn charge_events(&mut self, side: EvSide, server: usize, was_zero: bool, opened: bool) {
         let begin_retry = {
             let retry_open = match side {
-                EvSide::Src => &mut self.span_src_retry,
-                EvSide::Dst => &mut self.span_dst_retry,
+                EvSide::Src => &mut self.state.span_src_retry,
+                EvSide::Dst => &mut self.state.span_dst_retry,
             };
             let begin = was_zero && !retry_open[server];
             if begin {
@@ -599,8 +571,8 @@ impl FaultRuntime {
             });
             let begin_quar = {
                 let quar_open = match side {
-                    EvSide::Src => &mut self.span_src_quar,
-                    EvSide::Dst => &mut self.span_dst_quar,
+                    EvSide::Src => &mut self.state.span_src_quar,
+                    EvSide::Dst => &mut self.state.span_dst_quar,
                 };
                 let begin = !quar_open[server];
                 if begin {
@@ -623,8 +595,8 @@ impl FaultRuntime {
     /// breaker's failure run and closes a half-open probe.
     pub(crate) fn record_success(&mut self, side: SiteSide, server: usize) {
         let breaker = match side {
-            SiteSide::Src => self.src_breakers.get_mut(server),
-            SiteSide::Dst => self.dst_breakers.get_mut(server),
+            SiteSide::Src => self.state.src_breakers.get_mut(server),
+            SiteSide::Dst => self.state.dst_breakers.get_mut(server),
         };
         let Some(b) = breaker else { return };
         let had_run = b.consecutive > 0;
@@ -635,8 +607,8 @@ impl FaultRuntime {
         // The failure run is over: close the server's retry span.
         if had_run {
             let retry_open = match side {
-                SiteSide::Src => &mut self.span_src_retry,
-                SiteSide::Dst => &mut self.span_dst_retry,
+                SiteSide::Src => &mut self.state.span_src_retry,
+                SiteSide::Dst => &mut self.state.span_dst_retry,
             };
             if retry_open[server] {
                 retry_open[server] = false;
@@ -654,8 +626,8 @@ impl FaultRuntime {
                 state: EvBreakerState::Closed,
             });
             let quar_open = match side {
-                SiteSide::Src => &mut self.span_src_quar,
-                SiteSide::Dst => &mut self.span_dst_quar,
+                SiteSide::Src => &mut self.state.span_src_quar,
+                SiteSide::Dst => &mut self.state.span_dst_quar,
             };
             if quar_open[server] {
                 quar_open[server] = false;
@@ -673,15 +645,15 @@ impl FaultRuntime {
     /// while within budget, a full cooldown once the budget is exhausted.
     /// Returns `(delay, budget_exhausted)` and books the retry.
     pub(crate) fn next_delay(&mut self, consecutive: u32) -> (SimDuration, bool) {
-        self.stats.retries += 1;
+        self.state.stats.retries += 1;
         let policy = self.plan.retry;
         if consecutive >= policy.retry_budget.max(1) {
-            self.stats.budget_exhaustions += 1;
+            self.state.stats.budget_exhaustions += 1;
             return (policy.cooldown, true);
         }
         let raw = policy.raw_backoff(consecutive);
         let amp = policy.jitter.clamp(0.0, 1.0);
-        let factor = 1.0 - amp + 2.0 * amp * self.jitter_rng.unit();
+        let factor = 1.0 - amp + 2.0 * amp * self.state.jitter_rng.unit();
         let delay = raw.mul_f64(factor).max(SimDuration::from_micros(1));
         // Auditor: jitter widens the backoff by at most (1 + amp), so a
         // delay past that envelope means the schedule lost its cap.
@@ -701,12 +673,12 @@ impl FaultRuntime {
 
     /// Adds backoff wait time to the accounting.
     pub(crate) fn book_backoff(&mut self, waited: SimDuration) {
-        self.stats.backoff_time += waited;
+        self.state.stats.backoff_time += waited;
     }
 
     /// Adds retransmitted (lost-progress) bytes to the accounting.
     pub(crate) fn book_retransmit(&mut self, lost: Bytes) {
-        self.stats.retransmitted_bytes += lost;
+        self.state.stats.retransmitted_bytes += lost;
     }
 
     /// Effective restart-marker setting for the plan.
@@ -726,17 +698,12 @@ impl FaultRuntime {
     /// Channel-TTF expiry and in-flight backoffs are *not* covered here;
     /// the engine tracks those per channel.
     pub(crate) fn next_change(&self, now: SimTime) -> SimTime {
+        let st = &self.state;
         let mut earliest = SimTime::from_micros(u64::MAX);
-        for (_, _, stream) in &self.outages {
+        for stream in st.outages.iter().chain(&st.stall).chain(&st.disk) {
             earliest = earliest.min(stream.next_boundary(now));
         }
-        if let Some((_, stream)) = &self.stall {
-            earliest = earliest.min(stream.next_boundary(now));
-        }
-        for (_, _, _, stream) in &self.disk {
-            earliest = earliest.min(stream.next_boundary(now));
-        }
-        for b in self.src_breakers.iter().chain(&self.dst_breakers) {
+        for b in st.src_breakers.iter().chain(&st.dst_breakers) {
             match b.state {
                 BreakerState::Closed => {}
                 BreakerState::Open { until } => earliest = earliest.min(until),
@@ -751,152 +718,69 @@ impl FaultRuntime {
     pub(crate) fn quarantined_into(&self, side: SiteSide, out: &mut Vec<bool>) {
         out.clear();
         match side {
-            SiteSide::Src => out.extend(self.src_breakers.iter().map(Breaker::is_open)),
-            SiteSide::Dst => out.extend(self.dst_breakers.iter().map(Breaker::is_open)),
+            SiteSide::Src => out.extend(self.state.src_breakers.iter().map(Breaker::is_open)),
+            SiteSide::Dst => out.extend(self.state.dst_breakers.iter().map(Breaker::is_open)),
         }
     }
 
-    /// Captures all mutable runtime state for a checkpoint, taken at a
-    /// slice boundary (the per-slice snapshot vectors are *not* captured —
-    /// the next `begin_slice` refreshes them before any read).
+    /// Accumulated fault accounting so far.
+    pub(crate) fn stats(&self) -> FaultStats {
+        self.state.stats
+    }
+
+    /// The runtime's state for a checkpoint, taken at a slice boundary.
     ///
     /// The event buffer must be empty at capture time (the engine drains
     /// it every slice); a non-empty buffer would silently drop events.
-    pub(crate) fn snapshot(&self) -> FaultRuntimeSnapshot {
+    pub(crate) fn snapshot(&self) -> FaultState {
         debug_assert!(
             self.events.is_empty(),
             "fault-runtime events must be drained before a checkpoint"
         );
-        FaultRuntimeSnapshot {
-            jitter_rng: self.jitter_rng.snapshot(),
-            ttf_rng: self.ttf_rng.as_ref().map(SimRng::snapshot),
-            outages: self.outages.iter().map(|(_, _, s)| s.snapshot()).collect(),
-            stall: self.stall.as_ref().map(|(_, s)| s.snapshot()),
-            disk: self.disk.iter().map(|(_, _, _, s)| s.snapshot()).collect(),
-            src_breakers: self.src_breakers.iter().map(Breaker::snapshot).collect(),
-            dst_breakers: self.dst_breakers.iter().map(Breaker::snapshot).collect(),
-            ev_src_outage: self.ev_src_outage.clone(),
-            ev_dst_outage: self.ev_dst_outage.clone(),
-            ev_stall: self.ev_stall,
-            ev_src_disk: self.ev_src_disk.clone(),
-            ev_dst_disk: self.ev_dst_disk.clone(),
-            span_src_retry: self.span_src_retry.clone(),
-            span_dst_retry: self.span_dst_retry.clone(),
-            span_src_quar: self.span_src_quar.clone(),
-            span_dst_quar: self.span_dst_quar.clone(),
-            stats: self.stats,
-        }
+        self.state.clone()
     }
 
-    /// Rebuilds a runtime from a plan plus a [`snapshot`], resuming every
-    /// stream, breaker and statistic exactly where the captured runtime
-    /// stopped. The plan and server counts must match the original run
-    /// (`eadt-ckpt` guards this with a config fingerprint).
-    ///
-    /// [`snapshot`]: FaultRuntime::snapshot
+    /// Rebuilds a runtime from a plan plus its checkpointed `state`,
+    /// resuming every stream, breaker and statistic exactly where the
+    /// captured runtime stopped. The plan and server counts must match the
+    /// original run (`eadt-ckpt` guards this with a config fingerprint);
+    /// the stream and per-server counts are checked here.
     pub(crate) fn restore(
         plan: &FaultPlan,
         src_servers: usize,
         dst_servers: usize,
-        snap: &FaultRuntimeSnapshot,
+        state: FaultState,
     ) -> Self {
         let mut rt = FaultRuntime::new(plan, src_servers, dst_servers);
         assert_eq!(
-            rt.outages.len(),
-            snap.outages.len(),
+            rt.state.outages.len(),
+            state.outages.len(),
             "checkpoint outage-stream count does not match the plan"
         );
         assert_eq!(
-            rt.disk.len(),
-            snap.disk.len(),
+            rt.state.disk.len(),
+            state.disk.len(),
             "checkpoint disk-stream count does not match the plan"
         );
         assert_eq!(
-            rt.stall.is_some(),
-            snap.stall.is_some(),
+            rt.state.stall.is_some(),
+            state.stall.is_some(),
             "checkpoint stall stream does not match the plan"
         );
-        assert_eq!(rt.src_breakers.len(), snap.src_breakers.len());
-        assert_eq!(rt.dst_breakers.len(), snap.dst_breakers.len());
-        rt.jitter_rng = SimRng::restore(&snap.jitter_rng);
-        rt.ttf_rng = snap.ttf_rng.as_ref().map(SimRng::restore);
-        for ((_, _, stream), s) in rt.outages.iter_mut().zip(&snap.outages) {
-            *stream = EpisodeStream::restore(s);
+        for (servers, per_server) in [
+            (src_servers, [&state.span_src_retry, &state.span_src_quar]),
+            (dst_servers, [&state.span_dst_retry, &state.span_dst_quar]),
+        ] {
+            assert!(
+                per_server.iter().all(|v| v.len() == servers),
+                "checkpoint span state does not match the site's {servers} servers"
+            );
         }
-        if let (Some((_, stream)), Some(s)) = (rt.stall.as_mut(), snap.stall.as_ref()) {
-            *stream = EpisodeStream::restore(s);
-        }
-        for ((_, _, _, stream), s) in rt.disk.iter_mut().zip(&snap.disk) {
-            *stream = EpisodeStream::restore(s);
-        }
-        rt.src_breakers = snap.src_breakers.iter().map(Breaker::restore).collect();
-        rt.dst_breakers = snap.dst_breakers.iter().map(Breaker::restore).collect();
-        rt.ev_src_outage = snap.ev_src_outage.clone();
-        rt.ev_dst_outage = snap.ev_dst_outage.clone();
-        rt.ev_stall = snap.ev_stall;
-        rt.ev_src_disk = snap.ev_src_disk.clone();
-        rt.ev_dst_disk = snap.ev_dst_disk.clone();
-        // Pre-span checkpoints carry empty vectors: resize to the server
-        // counts (no span was open).
-        let resized = |v: &Vec<bool>, n: usize| {
-            let mut v = v.clone();
-            v.resize(n, false);
-            v
-        };
-        rt.span_src_retry = resized(&snap.span_src_retry, src_servers);
-        rt.span_dst_retry = resized(&snap.span_dst_retry, dst_servers);
-        rt.span_src_quar = resized(&snap.span_src_quar, src_servers);
-        rt.span_dst_quar = resized(&snap.span_dst_quar, dst_servers);
-        rt.stats = snap.stats;
+        assert_eq!(rt.state.src_breakers.len(), state.src_breakers.len());
+        assert_eq!(rt.state.dst_breakers.len(), state.dst_breakers.len());
+        rt.state = state;
         rt
     }
-}
-
-/// Serializable state of a `FaultRuntime`, for checkpointing.
-///
-/// Only mutable state is captured; the immutable configuration (plan,
-/// server counts, capture flag) is re-supplied on restore. Episode streams
-/// are stored in construction order (plan order after range filtering).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultRuntimeSnapshot {
-    /// Backoff-jitter stream state.
-    pub jitter_rng: RngSnapshot,
-    /// Channel TTF stream state (present iff the plan has a channel model).
-    pub ttf_rng: Option<RngSnapshot>,
-    /// Outage episode streams, in plan order.
-    pub outages: Vec<EpisodeStreamSnapshot>,
-    /// Control-channel stall stream.
-    pub stall: Option<EpisodeStreamSnapshot>,
-    /// Disk-degradation streams, in plan order.
-    pub disk: Vec<EpisodeStreamSnapshot>,
-    /// Sender-site breakers, by server index.
-    pub src_breakers: Vec<BreakerSnapshot>,
-    /// Receiver-site breakers, by server index.
-    pub dst_breakers: Vec<BreakerSnapshot>,
-    /// Last *reported* outage state per src server (event-edge memory).
-    pub ev_src_outage: Vec<bool>,
-    /// Last reported outage state per dst server.
-    pub ev_dst_outage: Vec<bool>,
-    /// Last reported stall state.
-    pub ev_stall: bool,
-    /// Last reported disk-degradation state per src server.
-    pub ev_src_disk: Vec<bool>,
-    /// Last reported disk-degradation state per dst server.
-    pub ev_dst_disk: Vec<bool>,
-    /// Open `retry` span per src server (absent in pre-span checkpoints).
-    #[serde(default)]
-    pub span_src_retry: Vec<bool>,
-    /// Open `retry` span per dst server.
-    #[serde(default)]
-    pub span_dst_retry: Vec<bool>,
-    /// Open `quarantine` span per src server.
-    #[serde(default)]
-    pub span_src_quar: Vec<bool>,
-    /// Open `quarantine` span per dst server.
-    #[serde(default)]
-    pub span_dst_quar: Vec<bool>,
-    /// Accumulated fault accounting.
-    pub stats: FaultStats,
 }
 
 #[cfg(test)]
@@ -940,7 +824,7 @@ mod tests {
                 "attempt {attempt}: {d} vs {raw}"
             );
         }
-        assert_eq!(a.stats.retries, 6);
+        assert_eq!(a.stats().retries, 6);
     }
 
     #[test]
@@ -951,7 +835,7 @@ mod tests {
         let (delay, exhausted) = rt.next_delay(budget);
         assert!(exhausted);
         assert_eq!(delay, plan.retry.cooldown);
-        assert_eq!(rt.stats.budget_exhaustions, 1);
+        assert_eq!(rt.stats().budget_exhaustions, 1);
     }
 
     #[test]
@@ -972,7 +856,7 @@ mod tests {
         for _ in 0..plan.retry.breaker_threshold {
             rt.record_failure(FaultCause::Outage, 0, 1, t);
         }
-        assert_eq!(rt.stats.breaker_opens, 1);
+        assert_eq!(rt.stats().breaker_opens, 1);
         let (mut quarantined, mut src_avail, mut dst_avail) = (Vec::new(), Vec::new(), Vec::new());
         rt.quarantined_into(SiteSide::Dst, &mut quarantined);
         assert_eq!(quarantined, vec![false, true]);
@@ -984,6 +868,10 @@ mod tests {
         rt.begin_slice(t);
         rt.avail_masks_into(&mut src_avail, &mut dst_avail);
         assert_eq!(dst_avail, vec![true, true]);
+        assert_eq!(
+            serde_json::to_string(&rt.state.dst_breakers[1]).unwrap(),
+            "{\"consecutive\":3,\"state\":\"HalfOpen\"}"
+        );
         // A probe that collides with the *next* outage window re-opens the
         // breaker instantly (outage kills only charge breakers while the
         // outage is actually up); a successful probe closes it.
@@ -998,7 +886,7 @@ mod tests {
         rt.record_failure(FaultCause::Outage, 0, 1, t);
         rt.quarantined_into(SiteSide::Dst, &mut quarantined);
         assert!(quarantined[1]);
-        assert_eq!(rt.stats.breaker_opens, 2);
+        assert_eq!(rt.stats().breaker_opens, 2);
         let after = t + plan.retry.cooldown + slice;
         rt.begin_slice(after);
         rt.record_success(SiteSide::Dst, 1);
@@ -1015,8 +903,8 @@ mod tests {
         for _ in 0..10 {
             rt.record_failure(FaultCause::Channel, 0, 0, SimTime::ZERO);
         }
-        assert_eq!(rt.stats.channel_failures, 10);
-        assert_eq!(rt.stats.breaker_opens, 0);
+        assert_eq!(rt.stats().channel_failures, 10);
+        assert_eq!(rt.stats().breaker_opens, 0);
         assert!((rt.capacity_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -1070,17 +958,60 @@ mod tests {
         assert_eq!(rt.next_change(probe_time), probe_time);
     }
 
+    /// The runtime state the test below checkpoints after 200 s.
+    const RUNTIME_STATE_JSON: &str =
+        "{\"disk\":[{\"duration\":{\"micros\":8000000},\"entered\":false,\
+        \"mean_gap\":{\"micros\":50000000},\"next_end\":{\"micros\":218938773},\
+        \"next_start\":{\"micros\":210938773},\"rng\":{\"seed\":15141176370229221361,\
+        \"state\":[12535310937947998120,3689652127906190180,1551605264341901081,\
+        12633172385800479876]},\"started\":1}],\"dst_breakers\":[{\"consecutive\":0,\
+        \"state\":\"Closed\"},{\"consecutive\":185,\"state\":{\"Open\":{\"until\":\
+        {\"micros\":211600000}}}}],\"ev_dst_disk\":[false,false],\"ev_dst_outage\":[false,false],\
+        \"ev_src_disk\":[false],\"ev_src_outage\":[false],\"ev_stall\":false,\
+        \"jitter_rng\":{\"seed\":15078467903075888077,\"state\":[4945926364741042676,\
+        14393454304302319511,4835556012649981970,4280635433350132505]},\"outages\":[{\
+        \"duration\":{\"micros\":10000000},\"entered\":true,\"mean_gap\":{\"micros\":40000000},\
+        \"next_end\":{\"micros\":201544577},\"next_start\":{\"micros\":191544577},\
+        \"rng\":{\"seed\":6915747910816316914,\"state\":[8418735535295843871,\
+        2665630081225046464,2148309792423978042,245624889523532585]},\"started\":2}],\
+        \"span_dst_quar\":[false,false],\"span_dst_retry\":[false,false],\"span_src_quar\":[false],\
+        \"span_src_retry\":[false],\"src_breakers\":[{\"consecutive\":0,\"state\":\"Closed\"}],\
+        \"stall\":{\"duration\":{\"micros\":4000000},\"entered\":false,\
+        \"mean_gap\":{\"micros\":30000000},\"next_end\":{\"micros\":270672381},\
+        \"next_start\":{\"micros\":266672381},\"rng\":{\"seed\":5110281145934192440,\
+        \"state\":[1200618909386506604,8848825328059884672,11802019811439889527,\
+        14003804429269187854]},\"started\":7},\"stats\":{\"backoff_time\":{\"micros\":0},\
+        \"breaker_opens\":2,\"budget_exhaustions\":1,\"channel_failures\":0,\"disk_episodes\":1,\
+        \"outage_episodes\":2,\"outage_failures\":185,\"retransmitted_bytes\":0,\"retries\":7,\
+        \"stall_episodes\":7},\"ttf_rng\":{\"seed\":4695004485758087364,\
+        \"state\":[1000677385945380497,14045745002072769541,9322579711496374175,\
+        4860081993103111688]}}";
+
     #[test]
     fn runtime_snapshot_resumes_streams_breakers_and_stats() {
-        let plan = FaultPlan::from(FaultModel::new(SimDuration::from_secs(60), 4)).with_outage(
-            OutageModel::new(
+        use crate::faults::{DiskDegradationModel, StallModel};
+        let plan = FaultPlan::from(FaultModel::new(SimDuration::from_secs(60), 4))
+            .with_outage(OutageModel::new(
                 SiteSide::Dst,
                 1,
                 SimDuration::from_secs(40),
                 SimDuration::from_secs(10),
                 21,
-            ),
-        );
+            ))
+            .with_stall(StallModel::new(
+                SimDuration::from_secs(30),
+                SimDuration::from_secs(4),
+                8.0,
+                22,
+            ))
+            .with_disk(DiskDegradationModel::new(
+                SiteSide::Src,
+                0,
+                SimDuration::from_secs(50),
+                SimDuration::from_secs(8),
+                0.4,
+                23,
+            ));
         let mut live = FaultRuntime::new(&plan, 1, 2);
         let slice = SimDuration::from_millis(100);
         let mut t = SimTime::ZERO;
@@ -1097,12 +1028,14 @@ mod tests {
                 live.record_failure(FaultCause::Outage, 0, 1, t);
             }
         }
-        let snap = live.snapshot();
-        let text = serde_json::to_string(&snap).unwrap();
-        let back: FaultRuntimeSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(snap, back);
-        let mut resumed = FaultRuntime::restore(&plan, 1, 2, &back);
-        assert_eq!(resumed.stats, live.stats);
+        // Every stream kind and an open breaker, as the checkpoint holds
+        // them.
+        let text = serde_json::to_string(&live.snapshot()).unwrap();
+        assert_eq!(text, RUNTIME_STATE_JSON);
+        let back: FaultState = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, live.state);
+        let mut resumed = FaultRuntime::restore(&plan, 1, 2, back);
+        assert_eq!(resumed.stats(), live.stats());
         let (mut resumed_q, mut live_q) = (Vec::new(), Vec::new());
         resumed.quarantined_into(SiteSide::Dst, &mut resumed_q);
         live.quarantined_into(SiteSide::Dst, &mut live_q);
@@ -1125,7 +1058,7 @@ mod tests {
                 live.record_failure(FaultCause::Outage, 0, 1, t);
                 resumed.record_failure(FaultCause::Outage, 0, 1, t);
             }
-            assert_eq!(live.stats, resumed.stats);
+            assert_eq!(live.stats(), resumed.stats());
         }
     }
 

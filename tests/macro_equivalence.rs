@@ -4,8 +4,8 @@
 //! Every algorithm runs twice on every testbed — once with event-horizon
 //! macro-stepping (the default) and once with `macro_step = false` (the
 //! CLI's `--no-macro-step`) — and the *serialized* `TransferReport`, the
-//! telemetry journal JSONL and the metrics registry's `MetricsSnapshot`
-//! (counters, gauges, histograms) are compared for byte identity. The same
+//! telemetry journal JSONL and the serialized metrics registry (counters,
+//! gauges, histograms) are compared for byte identity. The same
 //! matrix repeats under fault plans (MTBF channel failures, correlated
 //! outages + stalls + disk degradation, markers-off restarts) and
 //! background cross traffic, because those are exactly the state sources
@@ -122,8 +122,8 @@ fn run_once(
     let (outcome, tel) = run_cell(tb, kind, fault_aware, RunControl::default());
     let report = outcome.into_report().expect("no halt boundary configured");
     let json = serde_json::to_string(&report).expect("report serializes");
-    let metrics = serde_json::to_string(&tel.metrics_ref().expect("metrics attached").snapshot())
-        .expect("metrics snapshot serializes");
+    let metrics = serde_json::to_string(tel.metrics_ref().expect("metrics attached"))
+        .expect("metrics registry serializes");
     let journal = tel.into_journal().expect("journal attached").to_jsonl();
     let slices = report.throughput_series.len() as u64;
     (json, journal, metrics, slices)
