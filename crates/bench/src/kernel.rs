@@ -5,7 +5,8 @@
 //! allocations per executed steady-state slice** once the scratch arena
 //! is warm. This module holds everything needed to *prove* that claim
 //! instead of asserting it in prose: the two bracket scenarios (steady
-//! and turbulent), slice-counting and allocation-window controllers, the
+//! and turbulent) and a small-file one whose working set keeps flipping,
+//! slice-counting and allocation-window controllers, the
 //! delta-method measurement, and the `BENCH_engine.json` plumbing the
 //! CI perf gate reads its committed thresholds from.
 //!
@@ -109,6 +110,17 @@ pub fn steady_scenario() -> (TransferEnv, TransferPlan) {
     let env = xsede().env;
     let dataset = Dataset::from_sizes("steady", [Bytes::from_gb(60); 16]);
     let plan = uniform_plan(&dataset, TransferParams::new(4, 4, 4), Placement::PackFirst);
+    (env, plan)
+}
+
+/// Small-file transfer, no faults: XSEDE's 100 ms per-file overhead
+/// blocks a channel for about a slice at every file boundary, so the
+/// working set keeps flipping among sets whose solves the engine
+/// remembers, recalls and refills.
+pub fn small_file_scenario() -> (TransferEnv, TransferPlan) {
+    let env = xsede().env;
+    let dataset = Dataset::from_sizes("small-files", [Bytes::from_mb(20); 2_000]);
+    let plan = uniform_plan(&dataset, TransferParams::new(1, 4, 4), Placement::PackFirst);
     (env, plan)
 }
 

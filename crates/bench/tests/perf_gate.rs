@@ -31,8 +31,8 @@
 
 use criterion::measurement::WallTime;
 use eadt_bench::kernel::{
-    count_executed_slices, kernel_env, measure_allocs_per_slice, steady_scenario,
-    turbulent_scenario, KernelGate,
+    count_executed_slices, kernel_env, measure_allocs_per_slice, small_file_scenario,
+    steady_scenario, turbulent_scenario, KernelGate,
 };
 use eadt_core::AlgorithmKind;
 use eadt_endsys::{ArbitrationPolicy, PoolCapacity};
@@ -110,6 +110,23 @@ fn steady_slice_kernel_allocates_nothing() {
         observed <= gate.max_steady_allocs_per_slice,
         "perf-gate: steady allocs/slice regression: observed {observed:.4} > allowed {:.4} \
          (the slice kernel must not touch the heap; see DESIGN.md §17)",
+        gate.max_steady_allocs_per_slice
+    );
+}
+
+/// A pure run whose working set flips at every file boundary recalls
+/// remembered solves and refills their buffers, and allocates nothing
+/// for it once the arena is warm (DESIGN.md §17).
+#[test]
+fn flipping_slices_allocate_nothing() {
+    let _alone = measure_alone();
+    let gate = KernelGate::load();
+    let (env, plan) = small_file_scenario();
+    let observed = measure_allocs_per_slice(&env, &plan, alloc_count);
+    assert!(
+        observed <= gate.max_steady_allocs_per_slice,
+        "perf-gate: small-file allocs/slice regression: observed {observed:.4} > allowed {:.4} \
+         (recalling or refilling a remembered working set must not touch the heap)",
         gate.max_steady_allocs_per_slice
     );
 }

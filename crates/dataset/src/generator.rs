@@ -7,7 +7,7 @@
 //! Small/Medium/Large classes the way a real mixed scientific dataset does.
 
 use crate::file::Dataset;
-use eadt_sim::{Bytes, SimRng};
+use eadt_sim::{Bytes, LogUniform, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// Declarative description of a synthetic dataset.
@@ -40,18 +40,25 @@ impl DatasetSpec {
     ///
     /// Deterministic in `seed`.
     pub fn generate(&self, seed: u64) -> Dataset {
-        let mut rng = SimRng::new(seed).fork("dataset-generator");
         let mut sizes = Vec::new();
-        let mut acc: u64 = 0;
+        self.draw_into(seed, &mut sizes);
+        Dataset::from_sizes(self.name.clone(), sizes)
+    }
+
+    /// Appends [`DatasetSpec::generate`]'s file sizes to `sizes`. The
+    /// range's logarithms are taken once, not per draw.
+    fn draw_into(&self, seed: u64, sizes: &mut Vec<Bytes>) {
+        let mut rng = SimRng::new(seed).fork("dataset-generator");
         let lo = self.min_file.as_f64().max(1.0);
         let hi = self.max_file.as_f64().max(lo + 1.0);
+        let sizes_in = LogUniform::new(lo, hi);
+        let (min, max) = (self.min_file.as_u64().max(1), self.max_file.as_u64());
+        let mut acc: u64 = 0;
         while acc < self.total.as_u64() {
-            let draw = rng.log_uniform(lo, hi).round() as u64;
-            let size = draw.clamp(self.min_file.as_u64().max(1), self.max_file.as_u64());
+            let size = sizes_in.sample_rounded(&mut rng).clamp(min, max);
             sizes.push(Bytes(size));
             acc += size;
         }
-        Dataset::from_sizes(self.name.clone(), sizes)
     }
 }
 
@@ -78,8 +85,7 @@ impl DatasetMix {
     pub fn generate(&self, seed: u64) -> Dataset {
         let mut sizes: Vec<Bytes> = Vec::new();
         for (i, spec) in self.components.iter().enumerate() {
-            let d = spec.generate(seed.wrapping_add(i as u64 * 0x9e37_79b9));
-            sizes.extend(d.files().iter().map(|f| f.size));
+            spec.draw_into(seed.wrapping_add(i as u64 * 0x9e37_79b9), &mut sizes);
         }
         let mut rng = SimRng::new(seed).fork("dataset-mix-shuffle");
         rng.shuffle(&mut sizes);
@@ -249,6 +255,42 @@ mod tests {
         let gb = d.total_size().as_gb();
         assert!((40.0..46.0).contains(&gb), "gb={gb}");
         assert!(d.file_count() > 10, "mixed dataset should have many files");
+    }
+
+    /// The paper datasets' bytes, pinned: every file count, total and
+    /// `(id, size)` pair below was produced by the per-draw `ln` and libm
+    /// `round` generator, and the once-per-component logarithms and
+    /// one-buffer mix must reproduce them exactly.
+    #[test]
+    fn paper_datasets_are_pinned() {
+        let cases = [
+            (
+                paper_dataset_10g().generate(42),
+                12_700,
+                162_818_384_087,
+                [(0, 3_644_270), (1, 5_059_251), (2, 4_325_348)],
+                [
+                    (12_697, 3_110_442),
+                    (12_698, 5_883_591),
+                    (12_699, 3_389_739),
+                ],
+            ),
+            (
+                paper_dataset_1g().generate(7),
+                3_323,
+                43_652_384_697,
+                [(0, 22_927_082), (1, 65_617_315), (2, 5_250_651)],
+                [(3_320, 7_297_961), (3_321, 6_991_697), (3_322, 5_002_017)],
+            ),
+        ];
+        for (d, count, total, head, tail) in cases {
+            let pairs: Vec<(u32, u64)> =
+                d.files().iter().map(|f| (f.id, f.size.as_u64())).collect();
+            assert_eq!(pairs.len(), count);
+            assert_eq!(d.total_size().as_u64(), total);
+            assert_eq!(pairs[..3], head);
+            assert_eq!(pairs[count - 3..], tail);
+        }
     }
 
     #[test]

@@ -78,20 +78,25 @@ impl DiskSubsystem {
         }
     }
 
-    /// Busy fraction (0–1) of the subsystem when `k` accessors move
-    /// `goodput` in aggregate.
+    /// The rate the subsystem's busy fraction is measured against when
+    /// `k` accessors share it (see [`busy_fraction`]).
     ///
     /// A **single** disk is busy relative to what it can still deliver
     /// under the current contention — a thrashing disk reads near-100%
     /// busy even at low goodput. A **striped array** serves accessors
     /// independently, so its busy fraction is simply goodput over peak.
-    pub(crate) fn busy_fraction(&self, k: u32, goodput: Rate) -> f64 {
-        let capability = match self {
+    pub(crate) fn busy_capability(&self, k: u32) -> Rate {
+        match self {
             DiskSubsystem::Single { .. } => self.aggregate_rate(k),
             DiskSubsystem::Array { .. } => self.peak_rate(),
-        };
-        goodput.fraction_of(capability).clamp(0.0, 1.0)
+        }
     }
+}
+
+/// Busy fraction (0–1) of a disk subsystem moving `goodput` in
+/// aggregate against its [`DiskSubsystem::busy_capability`].
+pub(crate) fn busy_fraction(goodput: Rate, capability: Rate) -> f64 {
+    goodput.fraction_of(capability).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

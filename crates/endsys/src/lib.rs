@@ -34,4 +34,4 @@ pub use disk::DiskSubsystem;
 pub use pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolGrant, PoolMember};
 pub use server::ServerSpec;
 pub use site::{Placement, Site};
-pub use util::{ServerLoad, Utilization, UtilizationCoeffs};
+pub use util::{LoadShape, ServerLoad, Utilization, UtilizationCoeffs};

@@ -1,9 +1,9 @@
 //! Property-based tests of disks, utilization and placement.
 
-use crate::disk::DiskSubsystem;
+use crate::disk::{busy_fraction, DiskSubsystem};
 use crate::server::ServerSpec;
 use crate::site::{Placement, Site};
-use crate::util::{ServerLoad, Utilization, UtilizationCoeffs};
+use crate::util::{LoadShape, ServerLoad, Utilization, UtilizationCoeffs};
 use eadt_sim::Rate;
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn busy_fraction_is_a_fraction(disk in any_disk(), k in 0u32..64, mbps in 0.0f64..20_000.0) {
-        let b = disk.busy_fraction(k, Rate::from_mbps(mbps));
+        let b = busy_fraction(Rate::from_mbps(mbps), disk.busy_capability(k));
         prop_assert!((0.0..=1.0).contains(&b));
     }
 
@@ -71,6 +71,50 @@ proptest! {
             prop_assert_eq!(u, Utilization::IDLE);
         } else {
             prop_assert!(u.active_cores >= 1);
+        }
+    }
+
+    #[test]
+    fn a_kept_load_shape_evaluates_to_the_one_pass_formulas_bits(
+        spec in any_server(),
+        channels in 1u32..64,
+        extra_streams in 0u32..128,
+        goodputs in proptest::collection::vec((0.0f64..50_000.0, 0.0f64..5_000.0), 1..8),
+    ) {
+        // `compute` used to evaluate everything in one pass; a shape kept
+        // across several goodputs must reproduce those formulas, each
+        // operation in its order, bit for bit.
+        let coeffs = UtilizationCoeffs::default();
+        let streams = channels + extra_streams;
+        let shape = LoadShape::new(&spec, channels, streams, &coeffs);
+        for (mbps, extra) in goodputs {
+            let (goodput, wire) = (Rate::from_mbps(mbps), Rate::from_mbps(mbps + extra));
+            let threads = streams.max(channels);
+            let cores = spec.cores.max(1);
+            let oversub = if threads > cores {
+                1.0 + coeffs.oversub_penalty * (threads - cores) as f64 / cores as f64
+            } else {
+                1.0
+            };
+            let thread_cpu = (coeffs.per_channel_cpu * channels as f64
+                + coeffs.per_stream_cpu * streams as f64)
+                * oversub;
+            let traffic_cpu = coeffs.cpu_per_gbps * wire.as_gbps() * oversub.sqrt();
+            let one_pass = Utilization {
+                cpu: (coeffs.base_cpu + thread_cpu + traffic_cpu).clamp(0.0, 100.0),
+                memory: (coeffs.mem_base
+                    + coeffs.mem_per_gbps * goodput.as_gbps()
+                    + coeffs.mem_per_stream * streams as f64)
+                    .clamp(0.0, 100.0),
+                disk: busy_fraction(goodput, spec.disk.busy_capability(channels)) * 100.0,
+                nic: (wire.fraction_of(spec.nic) * 100.0).clamp(0.0, 100.0),
+                active_cores: threads.min(cores),
+            };
+            let kept = shape.at(goodput, wire);
+            prop_assert_eq!(kept.as_vector().map(f64::to_bits), one_pass.as_vector().map(f64::to_bits));
+            prop_assert_eq!(kept.active_cores, one_pass.active_cores);
+            let load = ServerLoad { channels, streams, goodput, wire_rate: wire };
+            prop_assert_eq!(Utilization::compute(&spec, load, &coeffs), kept);
         }
     }
 

@@ -10,6 +10,7 @@
 //! congested). NIC and CPU work scale with wire traffic; disk work scales
 //! with goodput.
 
+use crate::disk::busy_fraction;
 use crate::server::ServerSpec;
 use eadt_sim::Rate;
 use serde::{Deserialize, Serialize};
@@ -113,48 +114,97 @@ impl Utilization {
         active_cores: 0,
     };
 
-    /// Computes utilization of `spec` under `load`.
+    /// Computes utilization of `spec` under `load`: the composition of
+    /// [`LoadShape::new`] and [`LoadShape::at`].
     pub fn compute(spec: &ServerSpec, load: ServerLoad, coeffs: &UtilizationCoeffs) -> Utilization {
         if load.channels == 0 {
             return Utilization::IDLE;
         }
-        let threads = load.streams.max(load.channels);
-        let cores = spec.cores.max(1);
-        let active_cores = threads.min(cores);
-
-        let oversub = if threads > cores {
-            1.0 + coeffs.oversub_penalty * (threads - cores) as f64 / cores as f64
-        } else {
-            1.0
-        };
-        let thread_cpu = (coeffs.per_channel_cpu * load.channels as f64
-            + coeffs.per_stream_cpu * load.streams as f64)
-            * oversub;
-        let traffic_cpu = coeffs.cpu_per_gbps * load.wire_rate.as_gbps() * oversub.sqrt();
-        let cpu = (coeffs.base_cpu + thread_cpu + traffic_cpu).clamp(0.0, 100.0);
-
-        let memory = (coeffs.mem_base
-            + coeffs.mem_per_gbps * load.goodput.as_gbps()
-            + coeffs.mem_per_stream * load.streams as f64)
-            .clamp(0.0, 100.0);
-
-        let disk = spec.disk.busy_fraction(load.channels, load.goodput) * 100.0;
-
-        let nic = (load.wire_rate.fraction_of(spec.nic) * 100.0).clamp(0.0, 100.0);
-
-        Utilization {
-            cpu,
-            memory,
-            disk,
-            nic,
-            active_cores,
-        }
+        LoadShape::new(spec, load.channels, load.streams, coeffs).at(load.goodput, load.wire_rate)
     }
 
     /// Utilization as the `[cpu, mem, disk, nic]` predictor vector used by
     /// regression fitting.
     pub fn as_vector(&self) -> [f64; 4] {
         [self.cpu, self.memory, self.disk, self.nic]
+    }
+}
+
+/// The part of [`Utilization::compute`] fixed by the server spec and a
+/// busy server's channel and stream counts: its active cores, the CPU
+/// share of participation and threads, the over-subscription factor,
+/// the per-stream memory term and the disk's service capability. A
+/// caller that keeps the shape while the counts repeat evaluates only
+/// [`LoadShape::at`] per goodput; the two parts run every floating-point
+/// operation of `compute` in its order, so the bits match.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadShape {
+    channels: u32,
+    streams: u32,
+    active_cores: u32,
+    /// `base_cpu + thread_cpu`.
+    fixed_cpu: f64,
+    /// `cpu_per_gbps`, and the square root of the over-subscription
+    /// factor that scales traffic CPU.
+    cpu_per_gbps: f64,
+    oversub_sqrt: f64,
+    /// `mem_base` and `mem_per_gbps`, and the per-stream memory term.
+    mem_base: f64,
+    mem_per_gbps: f64,
+    stream_memory: f64,
+    disk_capability: Rate,
+    nic: Rate,
+}
+
+impl LoadShape {
+    /// The shape of `spec` running `channels` (at least one) data
+    /// channels with `streams` TCP streams in total.
+    pub fn new(spec: &ServerSpec, channels: u32, streams: u32, coeffs: &UtilizationCoeffs) -> Self {
+        let threads = streams.max(channels);
+        let cores = spec.cores.max(1);
+        let oversub = if threads > cores {
+            1.0 + coeffs.oversub_penalty * (threads - cores) as f64 / cores as f64
+        } else {
+            1.0
+        };
+        let thread_cpu = (coeffs.per_channel_cpu * channels as f64
+            + coeffs.per_stream_cpu * streams as f64)
+            * oversub;
+        LoadShape {
+            channels,
+            streams,
+            active_cores: threads.min(cores),
+            fixed_cpu: coeffs.base_cpu + thread_cpu,
+            cpu_per_gbps: coeffs.cpu_per_gbps,
+            oversub_sqrt: oversub.sqrt(),
+            mem_base: coeffs.mem_base,
+            mem_per_gbps: coeffs.mem_per_gbps,
+            stream_memory: coeffs.mem_per_stream * streams as f64,
+            disk_capability: spec.disk.busy_capability(channels),
+            nic: spec.nic,
+        }
+    }
+
+    /// The `(channels, streams)` the shape was computed for.
+    pub fn counts(&self) -> (u32, u32) {
+        (self.channels, self.streams)
+    }
+
+    /// The utilization at `goodput` with `wire_rate` on the wire.
+    pub fn at(&self, goodput: Rate, wire_rate: Rate) -> Utilization {
+        let traffic_cpu = self.cpu_per_gbps * wire_rate.as_gbps() * self.oversub_sqrt;
+        let cpu = (self.fixed_cpu + traffic_cpu).clamp(0.0, 100.0);
+        let memory = (self.mem_base + self.mem_per_gbps * goodput.as_gbps() + self.stream_memory)
+            .clamp(0.0, 100.0);
+        let disk = busy_fraction(goodput, self.disk_capability) * 100.0;
+        let nic = (wire_rate.fraction_of(self.nic) * 100.0).clamp(0.0, 100.0);
+        Utilization {
+            cpu,
+            memory,
+            disk,
+            nic,
+            active_cores: self.active_cores,
+        }
     }
 }
 

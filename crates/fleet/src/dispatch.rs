@@ -8,7 +8,7 @@ use eadt_dataset::Dataset;
 use eadt_sim::Rate;
 use eadt_telemetry::Telemetry;
 use eadt_transfer::{
-    EngineCheckpoint, EngineRun, RunControl, RunOutcome, TransferEnv, TransferParams,
+    EngineCheckpoint, EngineRun, ResourceShare, RunControl, RunOutcome, TransferEnv, TransferParams,
 };
 use std::borrow::Cow;
 
@@ -47,13 +47,19 @@ impl<'a> JobRunner<'a> {
             Some(d) => d.clone(),
             None => tb.dataset_spec.scaled(spec.scale).generate(seed),
         };
+        // SLAEE's reference reads only the run's average throughput, so
+        // the run records no per-slice series.
         let reference = (spec.kind == AlgorithmKind::Slaee).then(|| {
-            ProMc {
+            let promc = ProMc {
                 partition: tb.partition,
                 ..ProMc::new(tb.reference_concurrency)
-            }
-            .run(&mut RunCtx::new(&env, &dataset))
-            .avg_throughput()
+            };
+            let mut tel = Telemetry::disabled();
+            let mut run = promc.start(&env, &dataset, &mut tel, None);
+            run.discard_series();
+            run.step(&env, &mut tel, None, ResourceShare::FULL)
+                .expect("an unbounded step runs to the end")
+                .avg_throughput()
         });
         JobRunner {
             spec,

@@ -203,6 +203,10 @@ pub(crate) struct Leg<'a> {
     live: Option<(Cow<'a, TransferEnv>, EngineRun<'static>)>,
     /// Engine state read back from disk, restored by the first advance.
     saved: Option<EngineCheckpoint>,
+    /// Whether the run records its per-slice series: only a leg whose
+    /// engine state may be checkpointed, or whose report reaches the
+    /// caller, needs them.
+    series: bool,
     /// Engine states this leg snapshotted, and restored from disk.
     pub(crate) snapshots: u64,
     pub(crate) restores: u64,
@@ -213,7 +217,8 @@ pub(crate) enum Step {
     /// Paused at the step boundary; the leg holds the live run.
     Paused,
     /// The engine ran the job to its end: the job's summary, and the
-    /// engine report it was built from, per-slice series included.
+    /// engine report it was built from, with its per-slice series when
+    /// the leg records them.
     Done(JobOutcome, Box<TransferReport>),
     /// A panic was caught and booked as the job's `JobFailed` outcome.
     Panicked(JobOutcome),
@@ -223,11 +228,15 @@ impl<'a> Leg<'a> {
     /// Job `index` of `spec` at `seed`, not yet prepared. `metrics`
     /// attaches a registry sampling on that cadence; a restore refills it
     /// from the checkpoint, so the final snapshot is interrupt-invariant.
+    /// Without `series` the run discards its per-slice series
+    /// ([`EngineRun::discard_series`]): the leg can then neither
+    /// checkpoint it nor hand back a report that shows them.
     pub(crate) fn new(
         index: usize,
         spec: &'a JobSpec,
         seed: u64,
         metrics: Option<SimDuration>,
+        series: bool,
     ) -> Self {
         Leg {
             index,
@@ -236,6 +245,7 @@ impl<'a> Leg<'a> {
             tel: Telemetry::from_parts(None, metrics.map(MetricsRegistry::new)),
             live: None,
             saved: None,
+            series,
             snapshots: 0,
             restores: 0,
         }
@@ -307,7 +317,10 @@ impl<'a> Leg<'a> {
             let runner = JobRunner::prepare(self.spec, self.seed);
             let saved = self.saved.take();
             let restored = saved.is_some();
-            let run = runner.start(&mut self.tel, saved);
+            let mut run = runner.start(&mut self.tel, saved);
+            if !self.series {
+                run.discard_series();
+            }
             self.restores += u64::from(restored);
             (runner.into_env(), run)
         });

@@ -408,7 +408,8 @@ impl ServiceSession {
         self.quantum
     }
 
-    /// Runs the workload to completion.
+    /// Runs the workload to completion. A finished job keeps its summary;
+    /// without a checkpoint directory its run records no per-slice series.
     pub fn run(&self, workload: &Workload) -> Result<ServiceRun, EadtError> {
         self.run_rounds(workload, false)
     }
@@ -471,7 +472,10 @@ impl ServiceSession {
         }
 
         // The pool outlives the rounds, so a round's advance (step 5) only
-        // wakes parked helpers.
+        // wakes parked helpers. A finished job's engine report never
+        // leaves the service, so a leg records its per-slice series only
+        // for the checkpoints a commit may take of it.
+        let series = self.checkpoint.is_some();
         let quantum = self.quantum;
         let advance = |(job, mut leg, share): (usize, Leg<'w>, ResourceShare)| {
             let step = leg.advance(Some(quantum), share);
@@ -573,7 +577,9 @@ impl ServiceSession {
                     state.phase[job] = Phase::Resident;
                     state.resident.push(job);
                     let returning = state.legs[job]
-                        .get_or_insert_with(|| Leg::new(job, &jobs[job].spec, seeds[job], None))
+                        .get_or_insert_with(|| {
+                            Leg::new(job, &jobs[job].spec, seeds[job], None, series)
+                        })
                         .started();
                     let now = round_start(slice, self.quantum, round);
                     if state.admitted_round[job].is_none() {
@@ -822,7 +828,9 @@ impl ServiceSession {
                     format!("engine state for job {i}, which is neither queued nor resident"),
                 ));
             }
-            let mut leg = Leg::new(i, &jobs[i].spec, seeds[i], None);
+            // Restored legs exist only under a checkpoint directory, whose
+            // commits carry their series.
+            let mut leg = Leg::new(i, &jobs[i].spec, seeds[i], None, true);
             leg.restore(engine).map_err(ckpt_err)?;
             state.legs[i] = Some(leg);
         }

@@ -111,7 +111,7 @@ impl Session {
     /// [`Session::run`], the outcome keeps the engine `report`, per-slice
     /// series included, when the engine finished the job.
     pub fn run_one(&self, job: &JobSpec) -> JobOutcome {
-        let (outcome, report) = self.run_job(0, job, false);
+        let (outcome, report) = self.run_job(0, job, false, true);
         JobOutcome { report, ..outcome }
     }
 
@@ -123,7 +123,9 @@ impl Session {
     /// `(root_seed, index)`, claiming order cannot leak into results. A
     /// job that panics is booked as an [`EadtError::JobFailed`] outcome
     /// and the batch moves on. Each outcome holds only its summary: the
-    /// engine report is dropped once the summary is built.
+    /// engine report is dropped once the summary is built, and without
+    /// [`SessionBuilder::checkpoints`] the jobs record no per-slice
+    /// series at all.
     pub fn run(&self, jobs: &[JobSpec]) -> FleetReport {
         self.run_inner(jobs, false)
     }
@@ -149,7 +151,7 @@ impl Session {
 
     fn run_inner(&self, jobs: &[JobSpec], resume: bool) -> FleetReport {
         let indexed: Vec<(usize, &JobSpec)> = jobs.iter().enumerate().collect();
-        let run = |(index, job): (usize, &JobSpec)| self.run_job(index, job, resume).0;
+        let run = |(index, job): (usize, &JobSpec)| self.run_job(index, job, resume, false).0;
         let jobs = exec::with_pool(self.workers, run, |pool| pool.map(indexed));
         FleetReport {
             schema: FLEET_SCHEMA_VERSION,
@@ -159,11 +161,16 @@ impl Session {
         }
     }
 
+    /// Runs job `index` to completion. The engine report comes back with
+    /// the outcome; its per-slice series are recorded only when the
+    /// caller keeps the `report` or the session checkpoints (a
+    /// checkpoint carries them).
     fn run_job(
         &self,
         index: usize,
         job: &JobSpec,
         resume: bool,
+        report: bool,
     ) -> (JobOutcome, Option<TransferReport>) {
         let seed = job
             .seed
@@ -172,7 +179,8 @@ impl Session {
             .checkpoint
             .as_ref()
             .map(|(dir, every)| (dir.as_path(), *every));
-        exec::run_to_completion(Leg::new(index, job, seed, self.metrics), dir, resume)
+        let leg = Leg::new(index, job, seed, self.metrics, report || dir.is_some());
+        exec::run_to_completion(leg, dir, resume)
     }
 }
 
@@ -357,6 +365,7 @@ mod tests {
     use crate::exec::Step;
     use eadt_ckpt::{CheckpointStore, JobCheckpoint, JOB_CHECKPOINT_SCHEMA_VERSION};
     use eadt_core::AlgorithmKind;
+    use eadt_sim::TimeSeries;
     use eadt_transfer::{ResourceShare, RunControl, RunOutcome};
     use std::fs;
 
@@ -433,6 +442,22 @@ mod tests {
         }
         let batch = session.run(&jobs);
         assert!(batch.jobs.iter().all(|j| j.completed && j.report.is_none()));
+        // The leg that finishes a job for `Session::run` records no
+        // series and hands back the same report without them; a
+        // checkpointed `Session::run` keeps them for its checkpoints.
+        let json = |r: Option<TransferReport>| serde_json::to_string(&r.unwrap()).unwrap();
+        let kept = checkpointed.run_job(0, &jobs[0], false, false).1;
+        assert_eq!(json(kept), serde_json::to_string(&engine).unwrap());
+        let mut stripped = engine;
+        for series in [
+            &mut stripped.throughput_series,
+            &mut stripped.power_series,
+            &mut stripped.concurrency_series,
+        ] {
+            *series = TimeSeries::new();
+        }
+        let plain = session.run_job(0, &jobs[0], false, false).1;
+        assert_eq!(json(plain), serde_json::to_string(&stripped).unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -678,7 +703,7 @@ mod tests {
         let store = CheckpointStore::create(&dir).unwrap();
         let last = jobs.len() - 1;
         for (i, job) in jobs.iter().enumerate().take(last) {
-            let mut leg = Leg::new(i, job, derive_job_seed(4, i as u64), Some(cadence));
+            let mut leg = Leg::new(i, job, derive_job_seed(4, i as u64), Some(cadence), true);
             let step = leg.advance(Some(1), ResourceShare::FULL);
             assert!(
                 matches!(step, Step::Paused),

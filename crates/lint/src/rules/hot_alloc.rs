@@ -34,7 +34,11 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "place_on_sites"),
     ("crates/transfer/src/engine/mod.rs", "kill_faulted"),
     ("crates/transfer/src/engine/mod.rs", "tick_working_set"),
+    ("crates/transfer/src/engine/mod.rs", "count_working"),
+    ("crates/transfer/src/engine/mod.rs", "find"),
+    ("crates/transfer/src/engine/mod.rs", "recall_counts"),
     ("crates/transfer/src/engine/mod.rs", "demand_and_grant"),
+    ("crates/transfer/src/engine/mod.rs", "remember_set"),
     ("crates/transfer/src/engine/mod.rs", "solve_grants"),
     ("crates/transfer/src/engine/mod.rs", "advance_channels"),
     ("crates/transfer/src/engine/mod.rs", "book_slice"),
@@ -51,6 +55,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "apply_disk_fairness"),
     ("crates/transfer/src/engine/mod.rs", "steady_move_bound"),
     ("crates/transfer/src/engine/mod.rs", "site_power"),
+    ("crates/endsys/src/util.rs", "at"),
+    ("crates/power/src/model.rs", "evaluate"),
     ("crates/net/src/fair.rs", "fair_share_into"),
     ("crates/endsys/src/site.rs", "place_channels_into"),
     ("crates/endsys/src/site.rs", "place_channels_masked_into"),

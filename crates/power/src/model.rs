@@ -117,23 +117,33 @@ impl FineGrainedModel {
     pub(crate) fn c_cpu(&self, active_cores: u32) -> f64 {
         self.cpu_scale * cpu_coefficient(active_cores)
     }
+
+    /// Eq. 1 evaluated once: its four products, summed in the equation's
+    /// order (cpu, memory, disk, nic) into the Watts of
+    /// [`PowerModel::power_watts`], and split by component as
+    /// [`PowerModel::power_components`] (memory under `other_w`).
+    pub fn evaluate(&self, util: &Utilization) -> (f64, PowerBreakdown) {
+        let cpu = self.c_cpu(util.active_cores) * util.cpu;
+        let memory = self.c_memory * util.memory;
+        let disk = self.c_disk * util.disk;
+        let nic = self.c_nic * util.nic;
+        let split = PowerBreakdown {
+            cpu_w: cpu,
+            nic_w: nic,
+            disk_w: disk,
+            other_w: memory,
+        };
+        (cpu + memory + disk + nic, split)
+    }
 }
 
 impl PowerModel for FineGrainedModel {
     fn power_watts(&self, util: &Utilization) -> f64 {
-        self.c_cpu(util.active_cores) * util.cpu
-            + self.c_memory * util.memory
-            + self.c_disk * util.disk
-            + self.c_nic * util.nic
+        self.evaluate(util).0
     }
 
     fn power_components(&self, util: &Utilization) -> PowerBreakdown {
-        PowerBreakdown {
-            cpu_w: self.c_cpu(util.active_cores) * util.cpu,
-            nic_w: self.c_nic * util.nic,
-            disk_w: self.c_disk * util.disk,
-            other_w: self.c_memory * util.memory,
-        }
+        self.evaluate(util).1
     }
 
     fn name(&self) -> &str {
@@ -375,5 +385,38 @@ mod tests {
         let kind = PowerModelKind::CpuOnly(cpu);
         assert_eq!(kind.power_watts(&u), cpu.power_watts(&u));
         assert_eq!(kind.name(), "cpu-only");
+    }
+
+    proptest::proptest! {
+        /// `evaluate` computes Eq. 1's four products once; its total must
+        /// be the one-expression sum `power_watts` used to compute, and
+        /// its split the four products, bit for bit.
+        #[test]
+        fn one_evaluation_gives_both_views_bits(
+            cpu in 0.0f64..100.0,
+            mem in 0.0f64..100.0,
+            disk in 0.0f64..100.0,
+            nic in 0.0f64..100.0,
+            cores in 0u32..64,
+            scale in 0.1f64..3.0,
+        ) {
+            let m = FineGrainedModel {
+                cpu_scale: scale,
+                ..FineGrainedModel::paper_default()
+            };
+            let u = util(cpu, mem, disk, nic, cores);
+            let one_expression = m.c_cpu(u.active_cores) * u.cpu
+                + m.c_memory * u.memory
+                + m.c_disk * u.disk
+                + m.c_nic * u.nic;
+            let (watts, split) = m.evaluate(&u);
+            proptest::prop_assert_eq!(watts.to_bits(), one_expression.to_bits());
+            proptest::prop_assert_eq!(m.power_watts(&u).to_bits(), watts.to_bits());
+            proptest::prop_assert_eq!(m.power_components(&u), split);
+            proptest::prop_assert_eq!(split.cpu_w.to_bits(), (m.c_cpu(cores) * cpu).to_bits());
+            proptest::prop_assert_eq!(split.other_w.to_bits(), (m.c_memory * mem).to_bits());
+            proptest::prop_assert_eq!(split.disk_w.to_bits(), (m.c_disk * disk).to_bits());
+            proptest::prop_assert_eq!(split.nic_w.to_bits(), (m.c_nic * nic).to_bits());
+        }
     }
 }

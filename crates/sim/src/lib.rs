@@ -36,7 +36,7 @@ pub mod time;
 pub mod units;
 
 pub use error::{EadtError, ErrorKind};
-pub use rng::SimRng;
+pub use rng::{LogUniform, SimRng};
 pub use series::TimeSeries;
 pub use stats::{LinearFit, MultiLinearFit, Summary};
 pub use time::{SimDuration, SimTime};

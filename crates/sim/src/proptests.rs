@@ -123,4 +123,25 @@ proptest! {
             prop_assert!(x >= lo && x < hi, "{} not in [{}, {})", x, lo, hi);
         }
     }
+
+    #[test]
+    fn log_uniform_sampler_draws_log_uniforms_bits(
+        seed in 0u64..500,
+        lo in -10.0f64..1e7,
+        span in 0.5f64..1e4,
+    ) {
+        // The sampler takes the logarithms once; the draws, their
+        // rounding, and the degenerate ranges (a bound not positive,
+        // `hi <= lo`) must all match `log_uniform` exactly.
+        let hi = lo * span;
+        let dist = crate::LogUniform::new(lo, hi);
+        let (mut a, mut b, mut c) = (SimRng::new(seed), SimRng::new(seed), SimRng::new(seed));
+        for _ in 0..20 {
+            let x = a.log_uniform(lo, hi);
+            prop_assert_eq!(dist.sample(&mut b).to_bits(), x.to_bits());
+            prop_assert_eq!(dist.sample_rounded(&mut c), x.round() as u64);
+        }
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(&a, &c);
+    }
 }

@@ -126,10 +126,7 @@ impl SimRng {
     /// Both bounds must be positive; degenerate ranges return `lo`.
     #[inline]
     pub fn log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        if lo <= 0.0 || hi <= lo {
-            return lo.max(0.0);
-        }
-        (self.range_f64(lo.ln(), hi.ln())).exp()
+        LogUniform::new(lo, hi).sample(self)
     }
 
     /// Gaussian sample via Box–Muller (mean 0, std 1).
@@ -163,6 +160,54 @@ impl SimRng {
             let j = self.range_u64(0, (i + 1) as u64) as usize;
             slice.swap(i, j);
         }
+    }
+}
+
+/// The log-uniform distribution over `[lo, hi)` of
+/// [`SimRng::log_uniform`], with both logarithms taken once: a draw is
+/// one uniform draw between them and one `exp`, the same bits as
+/// `log_uniform(lo, hi)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogUniform {
+    ln_lo: f64,
+    ln_hi: f64,
+    /// What a degenerate range (a bound not positive, or `hi <= lo`)
+    /// returns without drawing.
+    fixed: Option<f64>,
+}
+
+impl LogUniform {
+    /// The distribution over `[lo, hi)`; degenerate ranges draw `lo`
+    /// (at least 0).
+    pub fn new(lo: f64, hi: f64) -> Self {
+        if lo <= 0.0 || hi <= lo {
+            return LogUniform {
+                ln_lo: 0.0,
+                ln_hi: 0.0,
+                fixed: Some(lo.max(0.0)),
+            };
+        }
+        LogUniform {
+            ln_lo: lo.ln(),
+            ln_hi: hi.ln(),
+            fixed: None,
+        }
+    }
+
+    /// One draw.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match self.fixed {
+            Some(x) => x,
+            None => rng.range_f64(self.ln_lo, self.ln_hi).exp(),
+        }
+    }
+
+    /// One draw rounded to the nearest integer, ties away from zero:
+    /// `sample(rng).round() as u64` for every draw below 2^64.
+    #[inline]
+    pub fn sample_rounded(&self, rng: &mut SimRng) -> u64 {
+        crate::time::round_to_u64(self.sample(rng))
     }
 }
 

@@ -383,8 +383,16 @@ impl<'c> EngineRun<'c> {
     /// The run's full in-flight state at its current slice boundary
     /// (cold), without consuming the run; `tel` must be the run's
     /// telemetry. The last slice drained every event buffer.
+    ///
+    /// # Panics
+    /// On a run that discards its series
+    /// ([`EngineRun::discard_series`]): a checkpoint carries them.
     pub fn snapshot(&self, tel: &Telemetry) -> EngineCheckpoint {
         let (run, a) = (&self.run, &self.arena);
+        assert!(
+            run.series,
+            "cannot snapshot an engine run that discards its per-slice series: a checkpoint carries them"
+        );
         let acc = &run.acc;
         EngineCheckpoint {
             version: CHECKPOINT_SCHEMA_VERSION,

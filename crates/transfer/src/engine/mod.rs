@@ -34,18 +34,27 @@
 //!
 //! # Incremental slices
 //!
-//! An executed slice re-solves only what its inputs changed. Without a
-//! fault runtime the placement is a pure function of the channel count,
-//! and without background traffic as well the grant solve is a pure
-//! function of the share, the working set, the channel-to-chunk map and
-//! the placement. `place_on_sites` and `demand_and_grant` each compare
-//! those inputs with the ones they stored at their last solve (in the
-//! arena, which a stage setup or a restore starts without any) and keep
-//! their outputs while they match; a run with faults or background
-//! traffic solves every slice. Under `debug-invariants` every reuse also
-//! re-solves and asserts that the kept outputs match bit for bit. The
-//! horizon checks each channel's cheap disqualifiers first and returns 0
-//! at the first pinned channel, before any steady mover's search runs.
+//! An executed slice pays only for what changed (DESIGN.md §17). Without
+//! a fault runtime the placement is a pure function of the channel
+//! count, and `place_on_sites` keeps it while the count repeats. A
+//! *pure* run (no fault runtime, no background traffic) solves its
+//! grants from nothing but the share, the working set, the layout (the
+//! channel-to-chunk map and both sites' assignments) and stage
+//! constants, so it remembers the solves of its last few working sets:
+//! their per-server counts, grants and efficiency. A slice whose working
+//! set repeats the previous slice's recounts and solves nothing; a flip
+//! back to a remembered set copies its counts and grants in once; any
+//! other set solves and replaces the least recently used entry. A
+//! layout generation, bumped where `sync_channels` and `place_on_sites`
+//! change the layout, a change of the share, a stage setup and a
+//! restore forget every entry; a run with faults or background traffic
+//! solves every slice. Under `debug-invariants` every reuse also
+//! recounts and re-solves and asserts that the kept outputs match bit
+//! for bit. `site_power` keeps each busy server's load shape while its
+//! channel and stream counts repeat. A run whose per-slice series no
+//! caller reads ([`EngineRun::discard_series`]) books none. The horizon
+//! checks each channel's cheap disqualifiers first and returns 0 at the
+//! first pinned channel, before any steady mover's bound is computed.
 //!
 //! # Data layout (DESIGN.md §17)
 //!
@@ -69,7 +78,7 @@ use crate::plan::{ChunkPlan, TransferPlan};
 use crate::report::{ChunkStat, TransferReport};
 use crate::retry::FaultRuntime;
 use eadt_dataset::FileSpec;
-use eadt_endsys::{ServerLoad, Utilization};
+use eadt_endsys::LoadShape;
 use eadt_net::fair::{fair_share_into, FairScratch};
 use eadt_power::{PowerBreakdown, PowerModel};
 use eadt_sim::{Bytes, Rate, SimDuration, SimTime, TimeSeries};
@@ -353,6 +362,8 @@ impl<'c> EngineRun<'c> {
     ) -> Option<TransferReport> {
         let (run, a) = (&mut self.run, &mut self.arena);
         assert!(!run.spent, "an engine run cannot be stepped after its end");
+        // A step's share holds for all its slices.
+        a.sets.retain_for_share(share_bits(share));
         let until = slices.map(|n| run.acc.slices_done.saturating_add(n));
         let mut cx = StepCx {
             env,
@@ -385,6 +396,24 @@ impl<'c> EngineRun<'c> {
     /// individually).
     pub fn slices_done(&self) -> u64 {
         self.run.acc.slices_done
+    }
+
+    /// Stops recording the three per-slice series (throughput, power,
+    /// concurrency) and drops what they hold, for a caller that reads
+    /// only the report's totals: the report's series come back empty,
+    /// and every total, ledger bucket and counter stays bit-identical.
+    /// A checkpoint carries the series, so such a run cannot be
+    /// snapshotted.
+    pub fn discard_series(&mut self) {
+        let acc = &mut self.run.acc;
+        self.run.series = false;
+        for series in [
+            &mut acc.throughput_series,
+            &mut acc.power_series,
+            &mut acc.concurrency_series,
+        ] {
+            *series = TimeSeries::new();
+        }
     }
 
     /// [`RunControl`]'s cold path: steps with the whole machine to the
@@ -506,6 +535,9 @@ struct SliceRun<'c> {
     /// The single branch every event hook reduces to when telemetry is
     /// off.
     journaling: bool,
+    /// Whether slices book the three per-slice series (cleared by
+    /// [`EngineRun::discard_series`]).
+    series: bool,
     slice: SimDuration,
     slice_secs: f64,
     acc: Accumulators,
@@ -544,6 +576,7 @@ impl<'c> SliceRun<'c> {
             spent: false,
             chunks: Vec::new(),
             journaling: false,
+            series: true,
             slice: env.tuning.slice,
             slice_secs: env.tuning.slice.as_secs_f64(),
             acc: Accumulators {
@@ -661,7 +694,9 @@ impl<'c> SliceRun<'c> {
             // No channels but work remains (controller zeroed
             // everything): force one channel on the fattest chunk. The
             // stage loop only runs while a chunk is live, so one exists.
-            self.acc.concurrency_series.push(start, 0.0);
+            if self.series {
+                self.acc.concurrency_series.push(start, 0.0);
+            }
             let busiest =
                 busiest_chunk(&self.chunks, &a.chunk_in_flight, &a.chunk_remaining, false);
             if let Some(idx) = busiest {
@@ -671,8 +706,8 @@ impl<'c> SliceRun<'c> {
         }
         self.place_on_sites(a, cx.env, channels);
         let kills = self.kill_faulted(a, cx);
-        let (streams, in_backoff) = self.tick_working_set(a, cx);
-        let eff = self.demand_and_grant(a, cx, streams);
+        let (set, in_backoff) = self.tick_working_set(a, cx);
+        let eff = self.demand_and_grant(a, cx, set);
         let bytes = self.advance_channels(a, cx);
         let (env, secs) = (cx.env, self.slice_secs);
         let src = site_power(env, a, secs, eff, true);
@@ -731,6 +766,9 @@ impl<'c> SliceRun<'c> {
                 || self.runtime.as_mut().and_then(FaultRuntime::sample_ttf),
             );
             let (chunk, count) = (ci as u32, a.chunk_len[ci] as u32);
+            if count != before {
+                a.layout += 1;
+            }
             if self.journaling && count != before {
                 let event = if count > before {
                     Event::ChannelOpen {
@@ -777,6 +815,7 @@ impl<'c> SliceRun<'c> {
             .place_channels_masked_into(channels, placement, &a.dst_avail, &mut a.place);
         assign_servers_into(&a.place, &mut a.dst_assign);
         a.placed = Some(channels);
+        a.layout += 1;
         #[cfg(test)]
         {
             a.placement_solves += 1;
@@ -892,35 +931,45 @@ impl<'c> SliceRun<'c> {
     }
 
     /// Working set and backoff tick: books one slice of every failure
-    /// backoff, then counts per server the channels that move bytes this
-    /// slice and their streams. A channel whose gap outlasts the slice is
-    /// *blocked* — it moves nothing, holds no demand, and its server
-    /// neither counts it for disk contention nor burns power on it.
-    /// Returns the working stream total and the channels in backoff at
-    /// the slice start.
-    fn tick_working_set(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> (u32, u32) {
-        let (n_src, n_dst) = (cx.env.src.servers.len(), cx.env.dst.servers.len());
-        reset(&mut a.src_chan, n_src, 0);
-        reset(&mut a.src_streams, n_src, 0);
-        reset(&mut a.dst_chan, n_dst, 0);
-        reset(&mut a.dst_streams, n_dst, 0);
-        reset(&mut a.working, a.ch.len(), false);
-        let (mut streams, mut in_backoff) = (0u32, 0u32);
-        for i in 0..a.ch.len() {
+    /// backoff, marks the channels that move bytes this slice, and counts
+    /// them and their streams per server. A channel whose gap outlasts
+    /// the slice is *blocked* — it moves nothing, holds no demand, and
+    /// its server neither counts it for disk contention nor burns power
+    /// on it. Returns how the slice comes by its counts and grants, and
+    /// the channels in backoff at the slice start.
+    ///
+    /// A pure run (no fault runtime, no background traffic) takes the
+    /// counts of a working set it remembers instead of recounting: the
+    /// arena already holds them when the set repeats the previous
+    /// slice's, and a flip back to a remembered set copies them in once.
+    fn tick_working_set(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> (SetSolve, u32) {
+        let len = a.ch.len();
+        let mut flipped = a.working.len() != len;
+        a.working.resize(len, false);
+        let mut in_backoff = 0u32;
+        for i in 0..len {
             let ci = a.ch.chunk[i] as usize;
             let busy = a.ch.has_file[i] || !self.chunks[ci].queue.is_empty();
             in_backoff += u32::from(backoff_tick(&mut a.ch, i, &mut self.runtime, self.slice));
-            a.working[i] = busy && a.ch.gap[i] < self.slice;
-            if a.working[i] {
-                let p = self.chunks[ci].parallelism;
-                let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
-                a.src_chan[src] += 1;
-                a.src_streams[src] += p;
-                a.dst_chan[dst] += 1;
-                a.dst_streams[dst] += p;
-                streams += p;
-            }
+            let working = busy && a.ch.gap[i] < self.slice;
+            flipped |= a.working[i] != working;
+            a.working[i] = working;
         }
+        let set = if self.pure(cx.env) {
+            a.sets.retain_for_layout(a.layout);
+            match a.sets.held.filter(|_| !flipped) {
+                Some(e) => SetSolve::Held(e),
+                None => match a.sets.find(&a.working) {
+                    Some(e) => {
+                        a.recall_counts(e);
+                        SetSolve::Recalled(e)
+                    }
+                    None => SetSolve::Fresh(self.count_working(a, cx.env)),
+                },
+            }
+        } else {
+            SetSolve::Fresh(self.count_working(a, cx.env))
+        };
         if self.journaling {
             // Power-state edges: a server transitions between idle and
             // active when it gains/loses its first working channel (its
@@ -946,7 +995,35 @@ impl<'c> SliceRun<'c> {
                 }
             }
         }
-        (streams, in_backoff)
+        (set, in_backoff)
+    }
+
+    /// Whether the run is pure: no fault runtime and no background
+    /// traffic, so the grant solve reads nothing but the share, the
+    /// working set, the layout and stage constants.
+    fn pure(&self, env: &TransferEnv) -> bool {
+        self.runtime.is_none() && env.background.is_none()
+    }
+
+    /// Counts the working channels and their streams per server afresh;
+    /// returns the working stream total.
+    fn count_working(&self, a: &mut SliceArena, env: &TransferEnv) -> u32 {
+        let (n_src, n_dst) = (env.src.servers.len(), env.dst.servers.len());
+        reset(&mut a.src_chan, n_src, 0);
+        reset(&mut a.src_streams, n_src, 0);
+        reset(&mut a.dst_chan, n_dst, 0);
+        reset(&mut a.dst_streams, n_dst, 0);
+        let mut streams = 0u32;
+        for i in (0..a.ch.len()).filter(|&i| a.working[i]) {
+            let p = self.chunks[a.ch.chunk[i] as usize].parallelism;
+            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+            a.src_chan[src] += 1;
+            a.src_streams[src] += p;
+            a.dst_chan[dst] += 1;
+            a.dst_streams[dst] += p;
+            streams += p;
+        }
+        streams
     }
 
     /// Demand and grant: per-channel ceilings from the window/process
@@ -954,60 +1031,64 @@ impl<'c> SliceRun<'c> {
     /// small-file channel spends most of its time in per-file gaps and
     /// must not reserve bandwidth it cannot use), shaped max-min fairly
     /// through each server's disk subsystem on both ends, then through
-    /// the path. Returns the congestion efficiency of `streams`.
+    /// the path. Returns the congestion efficiency of the working
+    /// streams.
     ///
-    /// Without a fault runtime or background traffic the solve reads
-    /// nothing but the share, the working set, the channel-to-chunk map,
-    /// the placement and stage constants, so while those four repeat the
-    /// last solve's grants, gaps and efficiency still hold.
-    fn demand_and_grant(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) -> f64 {
-        let pure = self.runtime.is_none() && cx.env.background.is_none();
-        let last = &a.last_grant;
-        if pure
-            && last.share == Some(share_bits(cx.share))
-            && last.working == a.working
-            && last.chunk == a.ch.chunk
-            && last.src_assign == a.src_assign
-            && last.dst_assign == a.dst_assign
-        {
-            if cfg!(feature = "debug-invariants") {
-                self.audit_grants(a, cx, streams);
+    /// A remembered working set keeps its solve: the grants the arena
+    /// holds when the set repeats, or the remembered grants, copied in
+    /// once, when the set flips back to it. A pure run remembers every
+    /// fresh solve (DESIGN.md §17).
+    fn demand_and_grant(&self, a: &mut SliceArena, cx: &StepCx, set: SetSolve) -> f64 {
+        let e = match set {
+            SetSolve::Held(e) => e,
+            SetSolve::Recalled(e) => {
+                a.grants.clone_from(&a.sets.entries[e].grants);
+                e
             }
-            return a.last_grant.eff;
+            SetSolve::Fresh(streams) => {
+                let eff = self.solve_grants(a, cx, streams);
+                if self.pure(cx.env) {
+                    a.remember_set(streams, eff);
+                }
+                #[cfg(test)]
+                {
+                    a.grant_solves += 1;
+                }
+                return eff;
+            }
+        };
+        if cfg!(feature = "debug-invariants") {
+            self.audit_reuse(a, cx, e);
         }
-        let eff = self.solve_grants(a, cx, streams);
-        if pure {
-            let last = &mut a.last_grant;
-            last.share = Some(share_bits(cx.share));
-            last.working.clone_from(&a.working);
-            last.chunk.clone_from(&a.ch.chunk);
-            last.src_assign.clone_from(&a.src_assign);
-            last.dst_assign.clone_from(&a.dst_assign);
-            last.eff = eff;
-        }
-        #[cfg(test)]
-        {
-            a.grant_solves += 1;
-        }
-        eff
+        a.sets.entries[e].eff
     }
 
-    /// The `debug-invariants` check of a reused grant solve: the kept
-    /// grants and gaps are copied to scratch, solved afresh, and must
-    /// match the fresh solve bit for bit, as must the efficiency.
-    fn audit_grants(&self, a: &mut SliceArena, cx: &StepCx, streams: u32) {
+    /// The `debug-invariants` check of a reused solve: the kept counts,
+    /// grants and gaps are copied to scratch, recounted and solved
+    /// afresh, and must match the fresh ones bit for bit, as must the
+    /// stream total and the efficiency.
+    fn audit_reuse(&self, a: &mut SliceArena, cx: &StepCx, e: usize) {
+        let live = [&a.src_chan, &a.src_streams, &a.dst_chan, &a.dst_streams];
+        for (kept, live) in a.audit_counts.iter_mut().zip(live) {
+            kept.clone_from(live);
+        }
         a.audit_grants.clone_from(&a.grants);
         a.audit_gap.clone_from(&a.chunk_gap);
+        let streams = self.count_working(a, cx.env);
         let eff = self.solve_grants(a, cx, streams);
+        let kept = &a.sets.entries[e];
+        let live = [&a.src_chan, &a.src_streams, &a.dst_chan, &a.dst_streams];
         let bits = |g: &Rate| g.as_bps().to_bits();
         assert!(
-            eff.to_bits() == a.last_grant.eff.to_bits()
+            streams == kept.streams
+                && eff.to_bits() == kept.eff.to_bits()
+                && a.audit_counts.iter().eq(live)
                 && a.grants
                     .iter()
                     .map(bits)
                     .eq(a.audit_grants.iter().map(bits))
                 && a.chunk_gap == a.audit_gap,
-            "invariant: reused grants diverged from a fresh solve at t={:?}",
+            "invariant: a remembered working set's solve diverged from a fresh one at t={:?}",
             self.acc.now
         );
     }
@@ -1160,9 +1241,11 @@ impl<'c> SliceRun<'c> {
         o.src.book(&mut acc.ledger.src, phase);
         o.dst.book(&mut acc.ledger.dst, phase);
         acc.estimated_energy += o.estimated_j;
-        acc.concurrency_series.push(now, f64::from(o.channels));
-        acc.power_series.push(now, power);
-        acc.throughput_series.push(now, thr_mbps);
+        if self.series {
+            acc.concurrency_series.push(now, f64::from(o.channels));
+            acc.power_series.push(now, power);
+            acc.throughput_series.push(now, thr_mbps);
+        }
         // Metrics: refresh gauges, observe slice-level histograms, and
         // let the sampler decide whether this slice lands on the cadence
         // grid (which also journals a `sample` event).
@@ -1684,11 +1767,21 @@ struct SliceArena {
     /// The channel count `src_assign`/`dst_assign` were placed for;
     /// `None` until a stage's first placement.
     placed: Option<u32>,
-    /// The inputs of the last grant solve, kept to reuse its outputs.
-    last_grant: GrantKey,
-    /// `debug-invariants` scratch: a placement and the grants and gaps
-    /// kept across a reuse, checked against a fresh solve.
+    /// The layout generation: bumped whenever a chunk's block length
+    /// changes (`sync_channels`) or the placement solves
+    /// (`place_on_sites`), so a changed channel-to-chunk map or server
+    /// assignment never meets the solves remembered under the old one.
+    layout: u64,
+    /// The solves of a pure run's last few working sets.
+    sets: WorkingSets,
+    /// Each busy server's load shape, kept while its channel and stream
+    /// counts repeat.
+    src_shapes: Vec<Option<LoadShape>>,
+    dst_shapes: Vec<Option<LoadShape>>,
+    /// `debug-invariants` scratch: a placement, and the counts, grants
+    /// and gaps kept across a reuse, checked against a fresh solve.
     audit_assign: Vec<usize>,
+    audit_counts: [Vec<u32>; 4],
     audit_grants: Vec<Rate>,
     audit_gap: Vec<SimDuration>,
     /// Placement and grant solves so far, which the engine tests pin.
@@ -1711,13 +1804,13 @@ struct SliceArena {
 impl SliceArena {
     /// Resets the channel columns, per-chunk arrays and placement masks
     /// for a stage of `n` chunks, and forgets the last placement and
-    /// grant solve, keeping every buffer's capacity.
+    /// every remembered working set, keeping every buffer's capacity.
     fn begin_stage(&mut self, n: usize) {
         self.ch.clear();
         self.src_avail.clear();
         self.dst_avail.clear();
         self.placed = None;
-        self.last_grant.share = None;
+        self.sets.forget();
         reset(&mut self.chunk_start, n, 0);
         reset(&mut self.chunk_len, n, 0);
         reset(&mut self.chunk_in_flight, n, 0);
@@ -1728,20 +1821,142 @@ impl SliceArena {
         reset(&mut self.chunk_demand, n, Rate::ZERO);
         reset(&mut self.chunk_moved, n, Bytes::ZERO);
     }
+
+    /// Copies remembered entry `e`'s per-server counts into the arena,
+    /// which then holds that entry.
+    fn recall_counts(&mut self, e: usize) {
+        let live = [
+            &mut self.src_chan,
+            &mut self.src_streams,
+            &mut self.dst_chan,
+            &mut self.dst_streams,
+        ];
+        for (live, kept) in live.into_iter().zip(&self.sets.entries[e].counts) {
+            live.clone_from(kept);
+        }
+        self.sets.held = Some(e);
+    }
+
+    /// Remembers the fresh solve of the current working set, refilling
+    /// the least recently used entry's buffers once all are in use; the
+    /// arena then holds that entry.
+    fn remember_set(&mut self, streams: u32, eff: f64) {
+        let sets = &mut self.sets;
+        let e = if sets.live < REMEMBERED_SETS {
+            if sets.entries.len() == sets.live {
+                sets.entries.push(SolvedSet::default());
+            }
+            sets.live += 1;
+            sets.live - 1
+        } else {
+            (0..sets.live)
+                .min_by_key(|&e| sets.entries[e].used)
+                .unwrap_or(0)
+        };
+        let kept = &mut sets.entries[e];
+        kept.working.clone_from(&self.working);
+        let live = [
+            &self.src_chan,
+            &self.src_streams,
+            &self.dst_chan,
+            &self.dst_streams,
+        ];
+        for (kept, live) in kept.counts.iter_mut().zip(live) {
+            kept.clone_from(live);
+        }
+        kept.grants.clone_from(&self.grants);
+        (kept.streams, kept.eff) = (streams, eff);
+        sets.stamp(e);
+        sets.held = Some(e);
+    }
 }
 
-/// What the last grant solve read beyond stage constants
-/// ([`SliceRun::demand_and_grant`]), and the efficiency it returned.
-/// `share` holds the bits of its three factors, so a match is exact; it
-/// is `None` until a stage's first solve.
+/// How many working sets a pure run remembers the solves of.
+const REMEMBERED_SETS: usize = 4;
+
+/// The solves of a pure run's last few working sets (DESIGN.md §17).
+/// Every entry was solved under one layout generation and one share; a
+/// change of either forgets them all, and so do a stage setup and a
+/// restore. Forgetting keeps every entry's buffers for refills.
 #[derive(Debug, Default, Clone)]
-struct GrantKey {
-    share: Option<[u64; 3]>,
+struct WorkingSets {
+    /// The layout generation and share bits the entries were solved under.
+    layout: u64,
+    share: [u64; 3],
+    /// `entries[..live]` are remembered; the rest are spare buffers.
+    live: usize,
+    entries: Vec<SolvedSet>,
+    /// The entry whose counts and grants the arena holds.
+    held: Option<usize>,
+    /// Stamps entries on use, so the least recently used one is refilled.
+    clock: u64,
+}
+
+impl WorkingSets {
+    fn forget(&mut self) {
+        self.live = 0;
+        self.held = None;
+    }
+
+    /// Forgets every entry unless they were solved under `layout`.
+    fn retain_for_layout(&mut self, layout: u64) {
+        if self.layout != layout {
+            self.forget();
+            self.layout = layout;
+        }
+    }
+
+    /// Forgets every entry unless they were solved under the share of
+    /// these bits.
+    fn retain_for_share(&mut self, share: [u64; 3]) {
+        if self.share != share {
+            self.forget();
+            self.share = share;
+        }
+    }
+
+    /// The remembered entry of `working`, if any. The entry the arena
+    /// held until this flip is stamped as used first, then the one found.
+    fn find(&mut self, working: &[bool]) -> Option<usize> {
+        if let Some(h) = self.held {
+            self.stamp(h);
+        }
+        let e = (0..self.live).find(|&e| self.entries[e].working == working)?;
+        self.stamp(e);
+        Some(e)
+    }
+
+    fn stamp(&mut self, e: usize) {
+        self.clock += 1;
+        self.entries[e].used = self.clock;
+    }
+}
+
+/// One remembered working set and its solve: the per-server working
+/// channel and stream counts (`src_chan`, `src_streams`, `dst_chan`,
+/// `dst_streams`), the stream total, the grants and the congestion
+/// efficiency.
+#[derive(Debug, Default, Clone)]
+struct SolvedSet {
     working: Vec<bool>,
-    chunk: Vec<u32>,
-    src_assign: Vec<usize>,
-    dst_assign: Vec<usize>,
+    counts: [Vec<u32>; 4],
+    streams: u32,
+    grants: Vec<Rate>,
     eff: f64,
+    used: u64,
+}
+
+/// How an executed slice comes by its working set's counts and grants.
+#[derive(Debug, Clone, Copy)]
+enum SetSolve {
+    /// Counted afresh, with this working stream total: the grants solve.
+    Fresh(u32),
+    /// The remembered entry the arena already holds: the set repeats the
+    /// previous slice's.
+    Held(usize),
+    /// A remembered entry whose counts were just copied in; its grants
+    /// follow.
+    Recalled(usize),
 }
 
 /// The bits of a share's three factors.
@@ -1938,18 +2153,18 @@ fn steady_move_bound(remaining: Bytes, per_slice: Bytes, grant: Rate, slice: Sim
     if per_slice.is_zero() {
         return u64::MAX;
     }
-    // `pred` is monotone in `j`: binary search the last true value.
-    let mut lo = 1u64;
-    let mut hi = remaining.as_u64() / per_slice.as_u64() + 1; // pred(hi) is false
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
+    // Start from the whole quanta in the remainder (`pred(1)` holds, so
+    // `per_slice <= remaining`); `pred` is monotone in `j`, and the
+    // rounded time-need condition moves its last true value by a step or
+    // two at most.
+    let mut j = (remaining.as_u64() - per_slice.as_u64()) / per_slice.as_u64() + 1;
+    while !pred(j) {
+        j -= 1;
     }
-    lo
+    while pred(j + 1) {
+        j += 1;
+    }
+    j
 }
 
 /// Advances channel `i` for one slice at its granted rate; returns bytes
@@ -2013,35 +2228,50 @@ fn advance_channel(
 /// model's Watts plus (when configured) the secondary estimator's Watts
 /// over the same utilization snapshots, plus the reference model's
 /// per-component split (the energy profiler's approximate cpu/nic/disk
-/// attribution — the scalar total stays the authoritative number).
+/// attribution — the scalar total stays the authoritative number). Each
+/// busy server's load shape is kept in `shapes` while its channel and
+/// stream counts repeat; only its evaluation at the slice's goodput and
+/// wire rate runs every slice.
 fn site_power(
     env: &TransferEnv,
-    a: &SliceArena,
+    a: &mut SliceArena,
     slice_secs: f64,
     eff: f64,
     is_src: bool,
 ) -> SitePower {
-    let (site, channels, streams, moved) = if is_src {
-        (&env.src, &a.src_chan, &a.src_streams, &a.src_moved)
+    let (site, channels, streams, moved, shapes) = if is_src {
+        (
+            &env.src,
+            &a.src_chan,
+            &a.src_streams,
+            &a.src_moved,
+            &mut a.src_shapes,
+        )
     } else {
-        (&env.dst, &a.dst_chan, &a.dst_streams, &a.dst_moved)
+        (
+            &env.dst,
+            &a.dst_chan,
+            &a.dst_streams,
+            &a.dst_moved,
+            &mut a.dst_shapes,
+        )
     };
+    shapes.resize(site.servers.len(), None);
     let (mut watts, mut estimated, mut parts) = (0.0, 0.0, PowerBreakdown::default());
     for (i, spec) in site.servers.iter().enumerate() {
         if channels[i] == 0 {
             continue;
         }
-        let goodput = Rate::from_bps(moved[i].as_f64() * 8.0 / slice_secs);
-        let wire = goodput / eff.max(1e-6);
-        let load = ServerLoad {
-            channels: channels[i],
-            streams: streams[i],
-            goodput,
-            wire_rate: wire,
+        let counts = (channels[i], streams[i]);
+        let shape = match &mut shapes[i] {
+            Some(shape) if shape.counts() == counts => *shape,
+            slot => *slot.insert(LoadShape::new(spec, counts.0, counts.1, &env.util)),
         };
-        let util = Utilization::compute(spec, load, &env.util);
-        watts += env.power.power_watts(&util);
-        parts.add(&env.power.power_components(&util));
+        let goodput = Rate::from_bps(moved[i].as_f64() * 8.0 / slice_secs);
+        let util = shape.at(goodput, goodput / eff.max(1e-6));
+        let (w, split) = env.power.evaluate(&util);
+        watts += w;
+        parts.add(&split);
         if let Some(est) = &env.estimator {
             estimated += est.power_watts(&util);
         }

@@ -695,14 +695,15 @@ use eadt_telemetry::Journal;
 
 /// Runs `plan` to completion while killing it at every `every`-slice
 /// boundary, round-tripping each checkpoint through JSON, and returns the
-/// final report plus the concatenated journal segments.
+/// final report, the concatenated journal segments and the resumed run's
+/// final metrics registry.
 fn run_with_kills(
     env: &TransferEnv,
     plan: &TransferPlan,
     controller: &mut dyn Controller,
     every: u64,
     telemetry: bool,
-) -> (TransferReport, String) {
+) -> (TransferReport, String, Option<MetricsRegistry>) {
     let engine = Engine::new(env);
     let mut journal_out = String::new();
     let mut ctl = RunControl::halt_at(every);
@@ -717,7 +718,7 @@ fn run_with_kills(
                 if let Some(j) = tel.journal() {
                     journal_out.push_str(&j.to_jsonl());
                 }
-                return (report, journal_out);
+                return (report, journal_out, tel.metrics_ref().cloned());
             }
             RunOutcome::Halted(ck) => {
                 // Serialize / reparse: the JSON transport must be lossless.
@@ -742,7 +743,7 @@ fn halt_resume_matches_uninterrupted_run() {
     let plan = simple_plan(6, 400, 2, 2, 3);
     let baseline = Engine::new(&env).run(&plan, &mut NullController);
     for every in [1u64, 3, 17, 1000] {
-        let (resumed, _) = run_with_kills(&env, &plan, &mut NullController, every, false);
+        let (resumed, ..) = run_with_kills(&env, &plan, &mut NullController, every, false);
         assert_eq!(
             serde_json::to_string(&baseline).unwrap(),
             serde_json::to_string(&resumed).unwrap(),
@@ -762,7 +763,7 @@ fn halt_resume_with_faults_and_telemetry_is_bit_identical() {
     let full_journal = tel.journal().unwrap().to_jsonl();
     let full_metrics = tel.metrics_ref().unwrap().clone();
 
-    let (resumed, stitched) = run_with_kills(&env, &plan, &mut NullController, 5, true);
+    let (resumed, stitched, metrics) = run_with_kills(&env, &plan, &mut NullController, 5, true);
     assert_eq!(
         serde_json::to_string(&baseline).unwrap(),
         serde_json::to_string(&resumed).unwrap()
@@ -773,7 +774,7 @@ fn halt_resume_with_faults_and_telemetry_is_bit_identical() {
     );
     assert!(baseline.failures > 0, "fault regime must actually fire");
     // The final metrics registry state must match the uninterrupted one.
-    let _ = full_metrics;
+    assert_eq!(metrics, Some(full_metrics));
 }
 
 #[test]
@@ -789,7 +790,7 @@ fn halt_mid_stage_resumes_sequential_plans() {
     };
     let plan = TransferPlan::sequential(vec![stage(300), stage(200)], Placement::PackFirst);
     let baseline = Engine::new(&env).run(&plan, &mut NullController);
-    let (resumed, _) = run_with_kills(&env, &plan, &mut NullController, 4, false);
+    let (resumed, ..) = run_with_kills(&env, &plan, &mut NullController, 4, false);
     assert_eq!(
         serde_json::to_string(&baseline).unwrap(),
         serde_json::to_string(&resumed).unwrap()
@@ -909,6 +910,64 @@ fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
     }
 }
 
+#[test]
+fn a_run_that_discards_its_series_reports_the_same_totals() {
+    // A plain multi-chunk plan, and the same plan under a fault plan
+    // with telemetry, so retries, the ledger's phases and the metrics
+    // all book while the series are off.
+    let plain = wan_env();
+    let mut faulty = wan_env();
+    faulty.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(10), 7).into());
+    let plan = simple_plan(8, 300, 2, 2, 4);
+    for env in [plain, faulty] {
+        let telemetry = || Telemetry::enabled(SimDuration::from_millis(500));
+        let mut tel = telemetry();
+        let mut recorded = Engine::new(&env).run_instrumented(&plan, &mut NullController, &mut tel);
+        let recorded_journal = tel.journal().unwrap().to_jsonl();
+        assert!(!recorded.throughput_series.is_empty());
+        let mut tel = telemetry();
+        let mut run = EngineRun::new(
+            &env,
+            Cow::Borrowed(&plan),
+            Box::new(NullController),
+            &mut tel,
+        );
+        run.discard_series();
+        let quiet = run.step(&env, &mut tel, None, ResourceShare::FULL).unwrap();
+        assert_eq!(tel.journal().unwrap().to_jsonl(), recorded_journal);
+        for series in [
+            &mut recorded.throughput_series,
+            &mut recorded.power_series,
+            &mut recorded.concurrency_series,
+        ] {
+            *series = TimeSeries::new();
+        }
+        assert_eq!(
+            serde_json::to_string(&quiet).unwrap(),
+            serde_json::to_string(&recorded).unwrap()
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "discards its per-slice series")]
+fn a_run_that_discards_its_series_cannot_be_snapshotted() {
+    let env = wan_env();
+    let plan = simple_plan(4, 500, 1, 1, 2);
+    let mut tel = Telemetry::disabled();
+    let mut run = EngineRun::new(
+        &env,
+        Cow::Borrowed(&plan),
+        Box::new(NullController),
+        &mut tel,
+    );
+    run.discard_series();
+    assert!(run
+        .step(&env, &mut tel, Some(3), ResourceShare::FULL)
+        .is_none());
+    let _ = run.snapshot(&tel);
+}
+
 // ---- incremental slice kernel ----
 
 #[test]
@@ -934,47 +993,217 @@ fn placement_and_grants_are_solved_once_per_change() {
             }
         }
     }
+    /// Steps `plan` one slice at a time and counts its slices, its
+    /// placements (one per channel count), its layouts (channel-to-chunk
+    /// map plus both assignments) and the grant solves the remembered
+    /// working sets predict: a layout change forgets them all; a set
+    /// repeating the previous slice's, or still among the four most
+    /// recently used of its layout, reuses its solve; any other set
+    /// solves and is remembered in place of the least recently used. The
+    /// engine must place and solve exactly that often. A new stage is a
+    /// new placement and layout, even when it repeats the last one.
+    fn solves_of(
+        env: &TransferEnv,
+        plan: &TransferPlan,
+        controller: Box<dyn Controller>,
+    ) -> [u64; 4] {
+        let mut tel = Telemetry::disabled();
+        let mut run = EngineRun::new(env, Cow::Borrowed(plan), controller, &mut tel);
+        let (mut slices, mut placements, mut layouts, mut solves) = (0u64, 0u64, 0u64, 0u64);
+        let (mut placed, mut layout, mut recent) = (None, None, Vec::<Vec<bool>>::new());
+        let report = loop {
+            let report = run.step(env, &mut tel, Some(1), ResourceShare::FULL);
+            let a = &run.arena;
+            // A step that ends a stage pauses after the next one's setup,
+            // which empties the channel columns: its slice belongs to the
+            // layout before.
+            let staged = a.ch.chunk.is_empty();
+            if !staged && placed != Some(a.ch.len()) {
+                placements += 1;
+                placed = Some(a.ch.len());
+            }
+            let now = (
+                a.ch.chunk.clone(),
+                a.src_assign.clone(),
+                a.dst_assign.clone(),
+            );
+            if !staged && layout.as_ref() != Some(&now) {
+                layouts += 1;
+                layout = Some(now);
+                recent.clear();
+            }
+            match recent.iter().position(|w| *w == a.working) {
+                Some(hit) => {
+                    let w = recent.remove(hit);
+                    recent.push(w);
+                }
+                None => {
+                    solves += 1;
+                    recent.push(a.working.clone());
+                    if recent.len() > REMEMBERED_SETS {
+                        recent.remove(0);
+                    }
+                }
+            }
+            slices += 1;
+            if staged {
+                (placed, layout) = (None, None);
+            }
+            if let Some(report) = report {
+                break report;
+            }
+        };
+        let a = &run.arena;
+        assert!(report.completed);
+        assert_eq!(report.duration, env.tuning.slice * slices);
+        assert_eq!(a.placement_solves, placements);
+        assert_eq!(a.grant_solves, solves);
+        [slices, placements, layouts, solves]
+    }
     let mut env = wan_env();
     env.tuning.macro_step = false;
     env.tuning.per_file_overhead = SimDuration::from_millis(100);
     let plan = simple_plan(1000, 100, 1, 2, 4);
-    let mut tel = Telemetry::disabled();
-    let mut run = EngineRun::new(&env, Cow::Borrowed(&plan), Box::new(Reshape), &mut tel);
-    let (mut slices, mut layouts, mut keys, mut last) = (0u64, 0u64, 0u64, None);
-    let report = loop {
-        let report = run.step(&env, &mut tel, Some(1), ResourceShare::FULL);
-        let a = &run.arena;
-        let key = (
-            a.ch.chunk.clone(),
-            a.working.clone(),
-            a.src_assign.clone(),
-            a.dst_assign.clone(),
-        );
-        let last = last.replace(key.clone());
-        slices += 1;
-        layouts += u64::from(last.as_ref().map(|l| l.0.len()) != Some(key.0.len()));
-        keys += u64::from(last != Some(key));
-        if let Some(report) = report {
-            break report;
-        }
-    };
-    let a = &run.arena;
-    assert!(report.completed && slices > 2_000, "{slices} slices");
-    assert_eq!(report.duration, env.tuning.slice * slices);
-    assert_eq!(layouts, 3, "4, 6 and 3 channels");
-    assert_eq!(a.placement_solves, layouts);
-    assert_eq!(a.grant_solves, keys);
+    let [slices, placements, layouts, solves] = solves_of(&env, &plan, Box::new(Reshape));
+    assert!(slices > 2_000, "{slices} slices");
+    assert_eq!((placements, layouts), (3, 3), "4, 6 and 3 channels");
     assert!(
-        keys < slices / 2,
-        "{keys} grant solves over {slices} slices"
+        solves < slices / 20,
+        "{solves} grant solves over {slices} slices"
     );
+
+    // Two chunks of different parallelism trade a channel, so the
+    // channel count (and with it the placement) stays while the
+    // channel-to-chunk map changes: a working set that repeats bit for
+    // bit across the trade must still solve again.
+    struct Trade;
+    impl Controller for Trade {
+        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+            let want = if ctx.now.as_secs_f64() < 20.0 {
+                vec![2, 2]
+            } else {
+                vec![3, 1]
+            };
+            if ctx.channels == want {
+                ControlAction::Continue
+            } else {
+                ControlAction::Reallocate(want)
+            }
+        }
+    }
+    let chunk = |label: &str, parallelism| ChunkPlan {
+        label: label.into(),
+        files: files(60, 500),
+        pipelining: 1,
+        parallelism,
+        channels: 2,
+        accepts_reallocation: false,
+    };
+    let plan = TransferPlan::concurrent(vec![chunk("a", 2), chunk("b", 4)], Placement::PackFirst);
+    let [slices, placements, layouts, _] = solves_of(&env, &plan, Box::new(Trade));
+    assert!(slices > 300, "{slices} slices");
+    assert!(
+        layouts > placements,
+        "{layouts} layouts over {placements} placements"
+    );
+
+    // A single channel blocks at every file boundary: its working set
+    // flips between itself and the empty set, and each of the two
+    // stages (two layouts) solves both sets once.
+    let stage = |label: &str| ChunkPlan {
+        label: label.into(),
+        files: files(200, 100),
+        pipelining: 1,
+        parallelism: 2,
+        channels: 1,
+        accepts_reallocation: true,
+    };
+    let plan = TransferPlan::sequential(vec![stage("a"), stage("b")], Placement::PackFirst);
+    let [slices, placements, layouts, solves] = solves_of(&env, &plan, Box::new(NullController));
+    assert!(slices > 400, "{slices} slices");
+    assert_eq!((placements, layouts, solves), (2, 2, 4));
 
     // Under a fault plan every executed slice solves both afresh.
     env.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(60), 3).into());
+    let plan = simple_plan(1000, 100, 1, 2, 4);
+    let mut tel = Telemetry::disabled();
     let mut run = EngineRun::new(&env, Cow::Borrowed(&plan), Box::new(Reshape), &mut tel);
     let report = run.step(&env, &mut tel, None, ResourceShare::FULL).unwrap();
     assert!(report.completed && report.failures > 0);
     let slices = report.duration.as_micros() / env.tuning.slice.as_micros();
     assert_eq!(run.arena.placement_solves, slices);
     assert_eq!(run.arena.grant_solves, slices);
+}
+
+/// The binary search `steady_move_bound` ran before its closed-form
+/// start: the last `j` of the monotone predicate, probed by bisection.
+fn steady_move_bound_bisect(
+    remaining: Bytes,
+    per_slice: Bytes,
+    grant: Rate,
+    slice: SimDuration,
+) -> u64 {
+    let pred = |j: u64| -> bool {
+        let Some(consumed) = per_slice.as_u64().checked_mul(j - 1) else {
+            return false;
+        };
+        if consumed >= remaining.as_u64() {
+            return false;
+        }
+        let r = Bytes(remaining.as_u64() - consumed);
+        per_slice.as_u64() <= r.as_u64() && r.time_at(grant) > slice
+    };
+    if !pred(1) {
+        return 0;
+    }
+    if per_slice.is_zero() {
+        return u64::MAX;
+    }
+    let mut lo = 1u64;
+    let mut hi = remaining.as_u64() / per_slice.as_u64() + 1;
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig { cases: 2_000, ..Default::default() })]
+
+    /// The closed-form start agrees with the bisection everywhere: whole
+    /// quanta, remainders a few bytes past a whole quantum or anywhere
+    /// within one, quanta that are not the grant's own (`per_slice` off
+    /// by a few bytes either way, so `time_at` of the last quantum rounds
+    /// up past the slice or lands inside it), zero and sub-byte grants,
+    /// and remainders shorter than a quantum.
+    #[test]
+    fn steady_move_bound_matches_the_bisection(
+        mbps in 0.0f64..40_000.0,
+        slice_us in 1u64..1_000_000,
+        quanta in 0u64..5_000,
+        partial in 0.0f64..1.0,
+        bytes_past in 0u64..8,
+        whole in 0u8..2,
+        skew in 0i64..7,
+    ) {
+        let (grant, slice) = (Rate::from_mbps(mbps), SimDuration::from_micros(slice_us));
+        let per_slice = Bytes(grant.bytes_in(slice).as_u64().saturating_add_signed(skew - 3));
+        let tail = if whole == 1 {
+            bytes_past
+        } else {
+            (per_slice.as_f64() * partial) as u64
+        };
+        let remaining = Bytes(per_slice.as_u64() * quanta + tail);
+        proptest::prop_assert_eq!(
+            steady_move_bound(remaining, per_slice, grant, slice),
+            steady_move_bound_bisect(remaining, per_slice, grant, slice),
+            "remaining {:?}, per_slice {:?}, grant {:?}, slice {:?}",
+            remaining, per_slice, grant, slice
+        );
+    }
 }
