@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! <dir>/job-<index>.ckpt.json     batch job's latest engine checkpoint
-//! <dir>/job-<index>.journal.jsonl event journal as of that checkpoint
 //! <dir>/job-<index>.outcome.json  final outcome (job finished; ckpt gone)
 //! <dir>/service.ckpt.json         service commit point: scheduler state
 //!                                 and every live job's engine state

@@ -13,17 +13,22 @@
 //! `quantum` engine slices long; at every round boundary the coordinator
 //! (single-threaded, so the journal is worker-invariant):
 //!
-//! 1. moves newly-arrived jobs into the admission queue (`job_submitted`);
-//! 2. preempts, under strict priority, the lowest-priority resident of a
-//!    full site when a higher-priority job waits (`job_preempted`) —
-//!    eviction is just *not stepping*: the victim's leg keeps its live
-//!    engine run, paused where the previous round left it;
-//! 3. admits queued jobs while core slots remain (`job_admitted`,
-//!    `job_resumed` for re-entries);
-//! 4. arbitrates each site's pooled bandwidth and disk across its
-//!    residents ([`arbitrate`]), converting grants into per-run
-//!    [`ResourceShare`] factors;
-//! 5. advances every resident by one quantum **in parallel** on the
+//! 1. submits newly arrived jobs to the back of the queue
+//!    (`job_submitted`);
+//! 2. with no job queued or resident, skips to the next arrival round, or
+//!    ends the run once no job is left to arrive;
+//! 3. preempts, under strict priority, the lowest-priority resident of a
+//!    full site when a higher-priority job waits (`job_preempted` with
+//!    `by`) — eviction is just *not stepping*: the victim keeps its leg,
+//!    paused where the previous round left it, at the back of the queue;
+//! 4. admits queued jobs while core slots remain (`job_admitted`,
+//!    `job_resumed` for re-entries): fair share in queue order, strict
+//!    priority by priority, then by queue position;
+//! 5. arbitrates each site's pooled bandwidth and disk across its
+//!    residents ([`arbitrate`]) into per-run [`ResourceShare`] factors,
+//!    sending a resident granted no bandwidth beside others back to the
+//!    queue (`job_preempted` without `by`);
+//! 6. advances every resident by one quantum **in parallel** on the
 //!    executor's worker pool, which lives for the whole run: a round
 //!    wakes parked helpers, and the coordinator's thread advances legs
 //!    too. Each job keeps one executor leg (planned once, holding its
@@ -31,13 +36,13 @@
 //!    it finishes, and each quantum is one
 //!    [`step`](eadt_transfer::EngineRun::step): a pure function of that
 //!    run and the share, so worker count cannot leak into results;
-//! 6. books finished transfers (`job_finished`) and carries paused legs
-//!    to the next round.
+//! 7. books finished transfers (`job_finished`) in residency order;
+//! 8. with a checkpoint directory, commits every `every_rounds` rounds:
+//!    the journal prefix, then the service checkpoint, which snapshots
+//!    every live engine run.
 //!
-//! Engine state is serialized only when a commit is due: with a
-//! checkpoint directory, every `every_rounds` rounds the coordinator
-//! snapshots each live run into the service checkpoint, and a resume
-//! restores exactly the runs that checkpoint lists.
+//! The run is stepped a round at a time, so stopping it between rounds is
+//! simply not stepping it again: to a resume, that stop is a kill.
 //!
 //! Same root seed ⇒ byte-identical [`ServiceReport`] JSON and service
 //! journal, whatever the worker count — the contract CI's
@@ -49,10 +54,11 @@ use crate::seed::derive_job_seed;
 use crate::session::JobOutcome;
 use crate::spec::JobSpec;
 use eadt_ckpt::{
-    CheckpointStore, ServiceCheckpoint, ServiceJobState, SERVICE_CHECKPOINT_SCHEMA_VERSION,
+    CheckpointStore, CkptError, ServiceCheckpoint, ServiceJobState,
+    SERVICE_CHECKPOINT_SCHEMA_VERSION,
 };
 use eadt_endsys::pool::{arbitrate, ArbitrationPolicy, PoolCapacity, PoolMember};
-use eadt_sim::{EadtError, Rate, SimRng, SimTime};
+use eadt_sim::{EadtError, Fnv1a, Rate, SimDuration, SimRng, SimTime};
 use eadt_telemetry::{EnergyLedger, Event, Journal};
 use eadt_transfer::ResourceShare;
 use serde::{Deserialize, Serialize};
@@ -158,25 +164,27 @@ impl Workload {
     /// and quantum; a [`ServiceCheckpoint`] taken under a different
     /// shape refuses to resume.
     fn fingerprint(&self, policy: ArbitrationPolicy, quantum: u64) -> u64 {
-        let mut h = Fnv::new();
-        h.str(policy.name());
-        h.u64(quantum);
-        h.u64(self.arrival_gap_s.to_bits());
-        h.u64(self.sites.len() as u64);
+        let mut h = Fnv1a::new();
+        // Each string ends in 0xff, a byte no UTF-8 text contains.
+        let end = [0xff];
+        h.write(policy.name().as_bytes()).write(&end);
+        h.write(&quantum.to_le_bytes());
+        h.write(&self.arrival_gap_s.to_bits().to_le_bytes());
+        h.write(&(self.sites.len() as u64).to_le_bytes());
         for (name, cap) in &self.sites {
-            h.str(name);
-            h.u64(cap.bandwidth.as_bps().to_bits());
-            h.u64(cap.disk.as_bps().to_bits());
-            h.u64(u64::from(cap.core_slots));
+            h.write(name.as_bytes()).write(&end);
+            h.write(&cap.bandwidth.as_bps().to_bits().to_le_bytes());
+            h.write(&cap.disk.as_bps().to_bits().to_le_bytes());
+            h.write(&u64::from(cap.core_slots).to_le_bytes());
         }
-        h.u64(self.jobs.len() as u64);
+        h.write(&(self.jobs.len() as u64).to_le_bytes());
         for job in &self.jobs {
-            h.str(&job.site);
-            h.str(&job.spec.display_label());
-            h.u64(u64::from(job.tenant));
-            h.u64(u64::from(job.priority));
-            h.u64(job.weight.to_bits());
-            h.u64(job.spec.seed.map_or(0, |s| s ^ 0x5eed));
+            h.write(job.site.as_bytes()).write(&end);
+            h.write(job.spec.display_label().as_bytes()).write(&end);
+            h.write(&u64::from(job.tenant).to_le_bytes());
+            h.write(&u64::from(job.priority).to_le_bytes());
+            h.write(&job.weight.to_bits().to_le_bytes());
+            h.write(&job.spec.seed.map_or(0, |s| s ^ 0x5eed).to_le_bytes());
         }
         h.finish()
     }
@@ -253,34 +261,6 @@ impl Workload {
             }
         }
         rounds
-    }
-}
-
-/// FNV-1a over explicitly-fed words — the same construction
-/// `config_fingerprint` uses on the engine side.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-        self.byte(0xff);
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -430,422 +410,427 @@ impl ServiceSession {
         self.run_rounds(workload, true)
     }
 
-    /// The round loop: the single-threaded coordinator of the module
-    /// docs, with each round's legs advanced on the run's worker pool.
-    fn run_rounds<'w>(
-        &self,
+    /// Starts the run, steps it until no job is left and finishes it.
+    fn run_rounds(&self, workload: &Workload, resume: bool) -> Result<ServiceRun, EadtError> {
+        let mut run = Coordinator::start(self, workload, resume)?;
+        self.with_pool(|pool| {
+            while run.round(pool)? {}
+            Ok::<_, EadtError>(())
+        })?;
+        Ok(run.finish())
+    }
+
+    /// Runs `body` with the run's worker pool. It outlives the rounds, so
+    /// a round's advance only wakes parked helpers.
+    fn with_pool<'w, O>(&self, body: impl FnOnce(&mut LegPool<'_, '_, 'w>) -> O) -> O {
+        let quantum = self.quantum;
+        let advance = move |(job, mut leg, share): (usize, Leg<'w>, ResourceShare)| {
+            let step = leg.advance(Some(quantum), share);
+            (job, leg, step)
+        };
+        exec::with_pool(self.workers, advance, body)
+    }
+}
+
+/// The run's worker pool: it advances a resident's leg by one quantum
+/// under the resident's share.
+type LegPool<'p, 'e, 'w> =
+    exec::Pool<'p, 'e, (usize, Leg<'w>, ResourceShare), (usize, Leg<'w>, Step)>;
+
+/// A service run in progress, owned and steppable like an engine run: it
+/// `start`s fresh or from the last commit, advances a `round` at a time
+/// on the caller's worker pool and `finish`es into the [`ServiceRun`].
+struct Coordinator<'s, 'w> {
+    session: &'s ServiceSession,
+    workload: &'w Workload,
+    /// The workload's one slice duration: the service clock's tick.
+    slice: SimDuration,
+    fingerprint: u64,
+    /// Each job's arrival round, never decreasing with the job index.
+    arrivals: Vec<u64>,
+    seeds: Vec<u64>,
+    /// The checkpoint directory and its commit cadence in rounds.
+    store: Option<(CheckpointStore, u64)>,
+    journal: Journal,
+    state: SchedulerState<'w>,
+}
+
+impl<'s, 'w> Coordinator<'s, 'w> {
+    /// Checks the workload, derives its arrival rounds and job seeds and,
+    /// on `resume`, restores the last commit in the session's checkpoint
+    /// directory, if there is one.
+    fn start(
+        session: &'s ServiceSession,
         workload: &'w Workload,
         resume: bool,
-    ) -> Result<ServiceRun, EadtError> {
+    ) -> Result<Self, EadtError> {
         workload.check()?;
         let jobs = workload.jobs();
         let slice = jobs
             .first()
             .map(|j| j.spec.env.env.tuning.slice)
-            .unwrap_or_else(|| eadt_sim::SimDuration::from_secs_f64(0.1));
-        let round_s = slice.as_secs_f64() * self.quantum as f64;
-        let fingerprint = workload.fingerprint(self.policy, self.quantum);
-        let arrivals = workload.arrival_rounds(self.root_seed, round_s);
-        let seeds: Vec<u64> = jobs
+            .unwrap_or_else(|| SimDuration::from_secs_f64(0.1));
+        let round_s = slice.as_secs_f64() * session.quantum as f64;
+        let seeds = jobs
             .iter()
             .enumerate()
             .map(|(i, j)| {
                 j.spec
                     .seed
-                    .unwrap_or_else(|| derive_job_seed(self.root_seed, i as u64))
+                    .unwrap_or_else(|| derive_job_seed(session.root_seed, i as u64))
             })
             .collect();
-
-        let mut state = SchedulerState::fresh(jobs.len());
-        let mut journal = Journal::new();
-        let store = match &self.checkpoint {
-            Some((dir, _)) => Some(CheckpointStore::create(dir).map_err(ckpt_err)?),
+        let store = match &session.checkpoint {
+            Some((dir, every)) => Some((CheckpointStore::create(dir).map_err(ckpt_err)?, *every)),
             None => None,
         };
-        if resume {
-            if let Some(store) = &store {
-                if let Some(ck) = store.load_service_checkpoint().map_err(ckpt_err)? {
-                    ck.validate(fingerprint, self.root_seed).map_err(ckpt_err)?;
-                    (state, journal) = self.restore(workload, &seeds, store, ck)?;
+        let mut run = Coordinator {
+            session,
+            workload,
+            slice,
+            fingerprint: workload.fingerprint(session.policy, session.quantum),
+            arrivals: workload.arrival_rounds(session.root_seed, round_s),
+            seeds,
+            store,
+            journal: Journal::new(),
+            state: SchedulerState::fresh(jobs.len()),
+        };
+        if let (true, Some((store, _))) = (resume, &run.store) {
+            if let Some(ck) = store.load_service_checkpoint().map_err(ckpt_err)? {
+                ck.validate(run.fingerprint, session.root_seed)
+                    .map_err(ckpt_err)?;
+                (run.state, run.journal) = run.restore(store, ck)?;
+            }
+        }
+        Ok(run)
+    }
+
+    /// Runs one round (steps 1–8 of the module docs), or only skips to
+    /// the next arrival round; `false` once no job is left to arrive.
+    fn round(&mut self, pool: &mut LegPool<'_, '_, 'w>) -> Result<bool, EadtError> {
+        let (policy, workload) = (self.session.policy, self.workload);
+        let jobs = workload.jobs();
+        let round = self.state.round;
+        let now = self.clock(round);
+
+        // 1. Arrivals join the back of the queue.
+        let submitted = self.state.submitted;
+        let arrived = self.arrivals.partition_point(|&a| a <= round);
+        for (job, j) in (submitted..).zip(&jobs[submitted..arrived]) {
+            self.state.queue.push(job);
+            self.journal.record(
+                now,
+                Event::JobSubmitted {
+                    job: job as u32,
+                    tenant: j.tenant,
+                    site: j.site.clone(),
+                    priority: j.priority,
+                },
+            );
+        }
+        self.state.submitted = arrived;
+
+        // 2. Nothing live: skip to the next arrival round, which lies past
+        // this one (every arrival up to it was just submitted), or end.
+        if self.state.queue.is_empty() && self.state.resident.is_empty() {
+            let Some(&next) = self.arrivals.get(self.state.submitted) else {
+                return Ok(false);
+            };
+            self.state.round = next;
+            return Ok(true);
+        }
+
+        // 3. Strict-priority preemption: a full site yields its
+        // lowest-priority resident to a strictly higher-priority waiter.
+        if policy == ArbitrationPolicy::StrictPriority {
+            for (site, cap) in workload.sites() {
+                let state = &self.state;
+                let Some(&challenger) = state
+                    .queue
+                    .iter()
+                    .filter(|&&q| jobs[q].site == *site)
+                    .max_by_key(|&&q| jobs[q].priority)
+                else {
+                    continue;
+                };
+                if (state.site_residents(jobs, site).count() as u32) < cap.core_slots {
+                    continue;
+                }
+                let Some(victim) = state
+                    .site_residents(jobs, site)
+                    .min_by_key(|&r| jobs[r].priority)
+                else {
+                    continue;
+                };
+                if jobs[victim].priority < jobs[challenger].priority {
+                    self.preempt(victim, Some(challenger), now);
                 }
             }
         }
 
-        // The pool outlives the rounds, so a round's advance (step 5) only
-        // wakes parked helpers. A finished job's engine report never
-        // leaves the service, so a leg records its per-slice series only
-        // for the checkpoints a commit may take of it.
-        let series = self.checkpoint.is_some();
-        let quantum = self.quantum;
-        let advance = |(job, mut leg, share): (usize, Leg<'w>, ResourceShare)| {
-            let step = leg.advance(Some(quantum), share);
-            (job, leg, step)
-        };
-        let round = exec::with_pool(self.workers, advance, |pool| {
-            let mut round = state.round;
-            loop {
-                // 1. Arrivals.
-                for i in 0..jobs.len() {
-                    if state.phase[i] == Phase::Pending && arrivals[i] <= round {
-                        state.phase[i] = Phase::Queued;
-                        state.queue.push(i);
-                        journal.record(
-                            round_start(slice, self.quantum, round),
-                            Event::JobSubmitted {
-                                job: i as u32,
-                                tenant: jobs[i].tenant,
-                                site: jobs[i].site.clone(),
-                                priority: jobs[i].priority,
-                            },
-                        );
-                    }
-                }
-
-                // Nothing live: finished, or fast-forward to the next arrival.
-                if state.queue.is_empty() && state.resident.is_empty() {
-                    let next = (0..jobs.len())
-                        .filter(|&i| state.phase[i] == Phase::Pending)
-                        .map(|i| arrivals[i])
-                        .min();
-                    match next {
-                        None => break,
-                        Some(next_round) => {
-                            round = next_round.max(round + 1);
-                            continue;
-                        }
-                    }
-                }
-
-                // 2. Priority preemption: under strict priority, a full site
-                // must yield its lowest-priority resident to a strictly
-                // higher-priority waiter. The victim keeps its leg and goes
-                // back to the queue — preemption is "not rescheduling".
-                if self.policy == ArbitrationPolicy::StrictPriority {
-                    for (site, cap) in workload.sites() {
-                        let Some(&challenger) = state
-                            .queue
-                            .iter()
-                            .filter(|&&q| jobs[q].site == *site)
-                            .max_by_key(|&&q| jobs[q].priority)
-                        else {
-                            continue;
-                        };
-                        let residents_full =
-                            state.site_residents(jobs, site).len() as u32 >= cap.core_slots;
-                        if !residents_full {
-                            continue;
-                        }
-                        let Some(&victim) = state
-                            .site_residents(jobs, site)
-                            .iter()
-                            .min_by_key(|&&r| jobs[r].priority)
-                        else {
-                            continue;
-                        };
-                        if jobs[victim].priority < jobs[challenger].priority {
-                            state.evict(victim);
-                            state.preemptions[victim] += 1;
-                            journal.record(
-                                round_start(slice, self.quantum, round),
-                                Event::JobPreempted {
-                                    job: victim as u32,
-                                    by: Some(challenger as u32),
-                                    site: site.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // 3. Admission: fill free slots in policy order.
-                loop {
-                    let candidate = match self.policy {
-                        ArbitrationPolicy::FairShare => state
-                            .queue
-                            .iter()
-                            .position(|&q| state.site_has_slot(workload, jobs, &jobs[q].site)),
-                        ArbitrationPolicy::StrictPriority => state
-                            .queue
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &q)| state.site_has_slot(workload, jobs, &jobs[q].site))
-                            .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
-                            .map(|(pos, _)| pos),
-                    };
-                    let Some(pos) = candidate else { break };
-                    let job = state.queue.remove(pos);
-                    state.phase[job] = Phase::Resident;
-                    state.resident.push(job);
-                    let returning = state.legs[job]
-                        .get_or_insert_with(|| {
-                            Leg::new(job, &jobs[job].spec, seeds[job], None, series)
-                        })
-                        .started();
-                    let now = round_start(slice, self.quantum, round);
-                    if state.admitted_round[job].is_none() {
-                        state.admitted_round[job] = Some(round);
-                    }
-                    if returning {
-                        journal.record(
-                            now,
-                            Event::JobResumed {
-                                job: job as u32,
-                                site: jobs[job].site.clone(),
-                                round,
-                            },
-                        );
-                    } else {
-                        journal.record(
-                            now,
-                            Event::JobAdmitted {
-                                job: job as u32,
-                                site: jobs[job].site.clone(),
-                                resident: state.site_residents(jobs, &jobs[job].site).len() as u32,
-                                waiting: state.queue.len() as u32,
-                            },
-                        );
-                    }
-                }
-
-                // 4. Arbitration: pooled bandwidth/disk split per site.
-                let mut shares: Vec<Option<ResourceShare>> = vec![None; jobs.len()];
-                for (site, cap) in workload.sites() {
-                    let residents = state.site_residents(jobs, site);
-                    if residents.is_empty() {
-                        continue;
-                    }
-                    let members: Vec<PoolMember> = residents
-                        .iter()
-                        .map(|&r| {
-                            let (bw, disk) = demands(&jobs[r].spec);
-                            PoolMember {
-                                id: r as u32,
-                                weight: jobs[r].weight,
-                                priority: jobs[r].priority,
-                                bandwidth_demand: bw,
-                                disk_demand: disk,
-                            }
-                        })
-                        .collect();
-                    let grants = arbitrate(cap, &members, self.policy);
-                    for (member, grant) in members.iter().zip(&grants) {
-                        shares[member.id as usize] = Some(ResourceShare {
-                            bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
-                            src_disk: grant.disk_fraction(member.disk_demand),
-                            dst_disk: 1.0,
-                        });
-                    }
-                    // Zero-grant guard: a resident granted no bandwidth at all
-                    // would burn its transfer clock idling; requeue it instead
-                    // (only safe while someone else at the site makes
-                    // progress, which positive pool capacity guarantees).
-                    for (member, grant) in members.iter().zip(&grants) {
-                        if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
-                            let job = member.id as usize;
-                            state.evict(job);
-                            state.preemptions[job] += 1;
-                            shares[job] = None;
-                            journal.record(
-                                round_start(slice, self.quantum, round),
-                                Event::JobPreempted {
-                                    job: job as u32,
-                                    by: None,
-                                    site: site.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // 5. Parallel advance: one quantum per resident on its own
-                // leg, fixed shares.
-                let advancing: Vec<(usize, Leg, ResourceShare)> = state
-                    .resident
+        // 4. Admission: fill free slots in policy order. A finished job's
+        // engine report never leaves the service, so a leg records its
+        // per-slice series only for the checkpoints a commit may take.
+        let series = self.store.is_some();
+        loop {
+            let state = &self.state;
+            let free = |q: &usize| state.site_has_slot(workload, jobs, &jobs[*q].site);
+            let candidate = match policy {
+                ArbitrationPolicy::FairShare => state.queue.iter().position(free),
+                ArbitrationPolicy::StrictPriority => state
+                    .queue
                     .iter()
-                    .filter_map(|&job| {
-                        let leg = state.legs[job].take()?;
-                        Some((job, leg, shares[job].unwrap_or_default()))
-                    })
-                    .collect();
-                let advanced = pool.map(advancing);
-
-                // 6. Collect in residency order (journal and persistence order
-                // must not depend on completion order). A finished job's leg
-                // is dropped with its run and its engine report; a leg that
-                // panicked finishes its job with the `JobFailed` outcome.
-                let end = round_start(slice, self.quantum, round + 1);
-                for (job, leg, step) in advanced {
-                    let (Step::Done(outcome, _) | Step::Panicked(outcome)) = step else {
-                        state.legs[job] = Some(leg);
-                        continue;
-                    };
-                    state.counts.0 += leg.snapshots;
-                    state.counts.1 += leg.restores;
-                    journal.record(
-                        end,
-                        Event::JobFinished {
-                            job: job as u32,
-                            completed: outcome.completed,
-                            moved_bytes: outcome.moved_bytes,
-                        },
-                    );
-                    state.phase[job] = Phase::Done;
-                    state.finished_round[job] = Some(round);
-                    if let Some(store) = &store {
-                        exec::save_outcome(store, &outcome).map_err(ckpt_err)?;
-                    }
-                    state.outcome[job] = Some(outcome);
+                    .enumerate()
+                    .filter(|&(_, q)| free(q))
+                    .max_by_key(|&(pos, &q)| (jobs[q].priority, usize::MAX - pos))
+                    .map(|(pos, _)| pos),
+            };
+            let Some(pos) = candidate else { break };
+            let job = self.state.queue.remove(pos);
+            self.state.resident.push(job);
+            let slot = &mut self.state.slots[job];
+            let returning = slot
+                .leg
+                .get_or_insert_with(|| {
+                    Leg::new(job, &jobs[job].spec, self.seeds[job], None, series)
+                })
+                .started();
+            slot.timeline.admitted_round.get_or_insert(round);
+            let site = jobs[job].site.clone();
+            let event = if returning {
+                Event::JobResumed {
+                    job: job as u32,
+                    site,
+                    round,
                 }
-                state
-                    .resident
-                    .retain(|&job| state.phase[job] == Phase::Resident);
+            } else {
+                Event::JobAdmitted {
+                    job: job as u32,
+                    site,
+                    resident: self.state.site_residents(jobs, &jobs[job].site).count() as u32,
+                    waiting: self.state.queue.len() as u32,
+                }
+            };
+            self.journal.record(now, event);
+        }
 
-                round += 1;
-                state.round = round;
-
-                // Cadence checkpoint: the journal prefix, then the service
-                // checkpoint — scheduler state and every live engine state in
-                // one file, so its atomic rename is the whole commit.
-                if let (Some(store), Some((_, every))) = (&store, &self.checkpoint) {
-                    if round.is_multiple_of(*every) {
-                        self.persist(workload, store, &mut state, &journal, fingerprint)
-                            .map_err(ckpt_err)?;
+        // 5. Arbitration: each site's pooled bandwidth and disk, split
+        // across its residents. A resident granted no bandwidth at all
+        // would burn its transfer clock idling, so it goes back to the
+        // queue instead (only while another resident of the site is
+        // granted some, which positive pool capacity guarantees).
+        let mut shares = vec![ResourceShare::default(); jobs.len()];
+        for (site, cap) in workload.sites() {
+            let members: Vec<PoolMember> = self
+                .state
+                .site_residents(jobs, site)
+                .map(|r| {
+                    let (bw, disk) = demands(&jobs[r].spec);
+                    PoolMember {
+                        id: r as u32,
+                        weight: jobs[r].weight,
+                        priority: jobs[r].priority,
+                        bandwidth_demand: bw,
+                        disk_demand: disk,
                     }
+                })
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let grants = arbitrate(cap, &members, policy);
+            for (member, grant) in members.iter().zip(&grants) {
+                let job = member.id as usize;
+                if grant.bandwidth.as_bps() == 0.0 && grants.len() > 1 {
+                    self.preempt(job, None, now);
+                } else {
+                    shares[job] = ResourceShare {
+                        bandwidth: grant.bandwidth_fraction(member.bandwidth_demand),
+                        src_disk: grant.disk_fraction(member.disk_demand),
+                        dst_disk: 1.0,
+                    };
                 }
             }
-            Ok::<u64, EadtError>(round)
-        })?;
+        }
 
-        let (engine_snapshots, engine_restores) = (state.legs.iter().flatten())
-            .fold(state.counts, |(s, r), leg| {
-                (s + leg.snapshots, r + leg.restores)
-            });
-        let report = self.assemble(workload, &seeds, &arrivals, state, round);
-        Ok(ServiceRun {
-            report,
-            journal,
-            engine_snapshots,
-            engine_restores,
-        })
+        // 6. Parallel advance: one quantum per resident on its own leg.
+        let advancing = self
+            .state
+            .resident
+            .iter()
+            .filter_map(|&job| Some((job, self.state.slots[job].leg.take()?, shares[job])))
+            .collect();
+        let advanced = pool.map(advancing);
+
+        // 7. Collect in residency order: neither the journal nor a commit
+        // may depend on completion order. A finished job's leg is dropped
+        // with its run and its engine report; a leg that panicked
+        // finishes its job with the `JobFailed` outcome.
+        let end = self.clock(round + 1);
+        for (job, leg, step) in advanced {
+            let (Step::Done(outcome, _) | Step::Panicked(outcome)) = step else {
+                self.state.slots[job].leg = Some(leg);
+                continue;
+            };
+            self.state.counts.0 += leg.snapshots;
+            self.state.counts.1 += leg.restores;
+            self.journal.record(
+                end,
+                Event::JobFinished {
+                    job: job as u32,
+                    completed: outcome.completed,
+                    moved_bytes: outcome.moved_bytes,
+                },
+            );
+            if let Some((store, _)) = &self.store {
+                exec::save_outcome(store, &outcome).map_err(ckpt_err)?;
+            }
+            let slot = &mut self.state.slots[job];
+            slot.timeline.finished_round = Some(round);
+            slot.outcome = Some(outcome);
+        }
+        let slots = &self.state.slots;
+        self.state
+            .resident
+            .retain(|&job| slots[job].outcome.is_none());
+
+        // 8. Cadence commit.
+        self.state.round = round + 1;
+        self.persist().map_err(ckpt_err)?;
+        Ok(true)
     }
 
-    /// Persists a cadence snapshot: the journal prefix, then the
-    /// service checkpoint embedding a snapshot of every live engine run
-    /// (the commit point).
-    fn persist(
-        &self,
-        workload: &Workload,
-        store: &CheckpointStore,
-        state: &mut SchedulerState,
-        journal: &Journal,
-        fingerprint: u64,
-    ) -> Result<(), eadt_ckpt::CkptError> {
-        let jobs = workload.jobs();
-        store.write(CheckpointStore::service_journal_name(), &journal.to_jsonl())?;
-        let ck = ServiceCheckpoint {
+    /// Moves resident `job`, leg and all, to the back of the queue: `by`
+    /// the waiter it yields to, or `None` for a zero-grant eviction.
+    fn preempt(&mut self, job: usize, by: Option<usize>, now: SimTime) {
+        self.state.resident.retain(|&r| r != job);
+        self.state.queue.push(job);
+        self.state.slots[job].timeline.preemptions += 1;
+        self.journal.record(
+            now,
+            Event::JobPreempted {
+                job: job as u32,
+                by: by.map(|b| b as u32),
+                site: self.workload.jobs()[job].site.clone(),
+            },
+        );
+    }
+
+    /// Sim-time at which `round` starts.
+    fn clock(&self, round: u64) -> SimTime {
+        SimTime::ZERO + self.slice * (self.session.quantum * round)
+    }
+
+    /// Commits when the cadence is due: the journal prefix, then the
+    /// service checkpoint, whose atomic rename is the whole commit.
+    fn persist(&mut self) -> Result<(), CkptError> {
+        let Some((store, every)) = &self.store else {
+            return Ok(());
+        };
+        let state = &mut self.state;
+        if !state.round.is_multiple_of(*every) {
+            return Ok(());
+        }
+        store.write(
+            CheckpointStore::service_journal_name(),
+            &self.journal.to_jsonl(),
+        )?;
+        store.save_service_checkpoint(&ServiceCheckpoint {
             version: SERVICE_CHECKPOINT_SCHEMA_VERSION,
-            fingerprint,
-            root_seed: self.root_seed,
+            fingerprint: self.fingerprint,
+            root_seed: self.session.root_seed,
             round: state.round,
             queue: state.queue.iter().map(|&j| j as u32).collect(),
             resident: state.resident.iter().map(|&j| j as u32).collect(),
-            finished: (0..jobs.len())
-                .filter(|&i| state.phase[i] == Phase::Done)
-                .map(|i| i as u32)
+            finished: state
+                .slots
+                .iter()
+                .filter(|slot| slot.outcome.is_some())
+                .map(|slot| slot.timeline.job)
                 .collect(),
-            jobs: (0..jobs.len())
-                .map(|i| ServiceJobState {
-                    job: i as u32,
-                    admitted_round: state.admitted_round[i],
-                    finished_round: state.finished_round[i],
-                    preemptions: state.preemptions[i],
-                })
+            jobs: state
+                .slots
+                .iter()
+                .map(|slot| slot.timeline.clone())
                 .collect(),
-            journal_seq: journal.next_seq(),
+            journal_seq: self.journal.next_seq(),
             engines: state
-                .legs
+                .slots
                 .iter_mut()
-                .flatten()
-                .filter_map(Leg::checkpoint)
+                .filter_map(|slot| slot.leg.as_mut()?.checkpoint())
                 .collect(),
-        };
-        store.save_service_checkpoint(&ck)
+        })
     }
 
-    /// Rebuilds scheduler state and journal prefix from a checkpoint.
-    fn restore<'w>(
+    /// Rebuilds the scheduler state and the journal prefix from a commit.
+    fn restore(
         &self,
-        workload: &'w Workload,
-        seeds: &[u64],
         store: &CheckpointStore,
         ck: ServiceCheckpoint,
     ) -> Result<(SchedulerState<'w>, Journal), EadtError> {
-        let jobs = workload.jobs();
+        let jobs = self.workload.jobs();
+        let invalid = |message: String| EadtError::invalid_argument("service checkpoint", message);
         let mut state = SchedulerState::fresh(jobs.len());
         state.round = ck.round;
-        let in_range = |j: &u32| (*j as usize) < jobs.len();
-        if !ck.queue.iter().all(in_range)
-            || !ck.resident.iter().all(in_range)
-            || !ck.finished.iter().all(in_range)
-        {
-            return Err(EadtError::invalid_argument(
-                "service checkpoint",
-                "job index out of range for this workload",
-            ));
-        }
-        for js in &ck.jobs {
-            let i = js.job as usize;
-            if i >= jobs.len() {
-                continue;
+        // A commit at round R lists, across queue, resident and finished,
+        // exactly the jobs that arrived before R, each once.
+        state.submitted = self.arrivals.partition_point(|&a| a < ck.round);
+        let mut listed = vec![false; state.submitted];
+        for &j in ck.queue.iter().chain(&ck.resident).chain(&ck.finished) {
+            match listed.get_mut(j as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => {
+                    return Err(invalid(format!(
+                        "job {j} is listed twice, or had not arrived by round {}",
+                        ck.round
+                    )))
+                }
             }
-            state.admitted_round[i] = js.admitted_round;
-            state.finished_round[i] = js.finished_round;
-            state.preemptions[i] = js.preemptions;
+        }
+        if let Some(j) = listed.iter().position(|seen| !seen) {
+            return Err(invalid(format!(
+                "job {j} arrived before round {} but is not listed",
+                ck.round
+            )));
+        }
+        state.queue = ck.queue.iter().map(|&j| j as usize).collect();
+        state.resident = ck.resident.iter().map(|&j| j as usize).collect();
+        for timeline in ck.jobs {
+            if let Some(slot) = state.slots.get_mut(timeline.job as usize) {
+                slot.timeline = timeline;
+            }
         }
         for &j in &ck.finished {
             let i = j as usize;
-            state.phase[i] = Phase::Done;
-            let outcome =
-                exec::load_outcome(store, i, &jobs[i].spec, seeds[i], None).ok_or_else(|| {
+            let outcome = exec::load_outcome(store, i, &jobs[i].spec, self.seeds[i], None)
+                .ok_or_else(|| {
                     EadtError::io(
                         CheckpointStore::outcome_name(i),
                         "finished job's outcome file is missing or does not match the workload",
                     )
                 })?;
-            state.outcome[i] = Some(outcome);
-        }
-        for &j in &ck.queue {
-            state.phase[j as usize] = Phase::Queued;
-        }
-        for &j in &ck.resident {
-            state.phase[j as usize] = Phase::Resident;
+            state.slots[i].outcome = Some(outcome);
         }
         for engine in ck.engines {
             let i = engine.job;
-            if !matches!(state.phase.get(i), Some(Phase::Queued | Phase::Resident)) {
-                return Err(EadtError::invalid_argument(
-                    "service checkpoint",
-                    format!("engine state for job {i}, which is neither queued nor resident"),
-                ));
+            if !(state.queue.contains(&i) || state.resident.contains(&i)) {
+                return Err(invalid(format!(
+                    "engine state for job {i}, which is neither queued nor resident"
+                )));
             }
             // Restored legs exist only under a checkpoint directory, whose
             // commits carry their series.
-            let mut leg = Leg::new(i, &jobs[i].spec, seeds[i], None, true);
+            let mut leg = Leg::new(i, &jobs[i].spec, self.seeds[i], None, true);
             leg.restore(engine).map_err(ckpt_err)?;
-            state.legs[i] = Some(leg);
+            state.slots[i].leg = Some(leg);
         }
-        if let Some(&j) = ck
+        if let Some(&j) = state
             .resident
             .iter()
-            .find(|&&j| state.legs[j as usize].is_none())
+            .find(|&&j| state.slots[j].leg.is_none())
         {
-            return Err(EadtError::invalid_argument(
-                "service checkpoint",
-                format!("resident job {j} has no engine state"),
-            ));
+            return Err(invalid(format!("resident job {j} has no engine state")));
         }
-        state.queue = ck.queue.iter().map(|&j| j as usize).collect();
-        state.resident = ck.resident.iter().map(|&j| j as usize).collect();
 
         // Journal prefix: the persisted file, cut at the checkpoint's
         // cursor (a crash can leave the journal a fraction of a round
@@ -884,21 +869,24 @@ impl ServiceSession {
         Ok((state, journal))
     }
 
-    /// Folds the final state into the canonical report. The rollup
-    /// absorbs each outcome in job order as it is placed, without a copy.
-    fn assemble(
-        &self,
-        workload: &Workload,
-        seeds: &[u64],
-        arrivals: &[u64],
-        state: SchedulerState,
-        rounds: u64,
-    ) -> ServiceReport {
+    /// Folds the finished run, whose legs are all dropped, into the report
+    /// in job order; the rollup absorbs each outcome in place, without a
+    /// copy.
+    fn finish(self) -> ServiceRun {
+        let Coordinator {
+            session,
+            workload,
+            arrivals,
+            seeds,
+            journal,
+            state,
+            ..
+        } = self;
         let jobs = workload.jobs();
         let mut metrics = FleetMetrics::default();
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for (i, slot) in state.outcome.into_iter().enumerate() {
-            let outcome = slot.unwrap_or_else(|| {
+        for (i, slot) in state.slots.into_iter().enumerate() {
+            let outcome = slot.outcome.unwrap_or_else(|| {
                 JobOutcome::failed(
                     i,
                     &jobs[i].spec,
@@ -916,9 +904,9 @@ impl ServiceSession {
                 priority: jobs[i].priority,
                 weight: jobs[i].weight,
                 arrival_round: arrivals[i],
-                admitted_round: state.admitted_round[i],
-                finished_round: state.finished_round[i],
-                preemptions: state.preemptions[i],
+                admitted_round: slot.timeline.admitted_round,
+                finished_round: slot.timeline.finished_round,
+                preemptions: slot.timeline.preemptions,
                 outcome,
             });
         }
@@ -942,105 +930,102 @@ impl ServiceSession {
                 site
             })
             .collect();
-        ServiceReport {
-            schema: SERVICE_SCHEMA_VERSION,
-            root_seed: self.root_seed,
-            policy: self.policy.name().to_string(),
-            quantum_slices: self.quantum,
-            rounds,
-            sites,
-            metrics,
-            jobs: outcomes,
+        ServiceRun {
+            report: ServiceReport {
+                schema: SERVICE_SCHEMA_VERSION,
+                root_seed: session.root_seed,
+                policy: session.policy.name().to_string(),
+                quantum_slices: session.quantum,
+                rounds: state.round,
+                sites,
+                metrics,
+                jobs: outcomes,
+            },
+            journal,
+            engine_snapshots: state.counts.0,
+            engine_restores: state.counts.1,
         }
     }
-}
-
-/// Sim-time of a round boundary.
-fn round_start(slice: eadt_sim::SimDuration, quantum: u64, round: u64) -> SimTime {
-    SimTime::ZERO + slice * (quantum * round)
 }
 
 /// Standalone resource demands of a job: its private link ceiling and
 /// the peak disk aggregate of its (pooled) source site.
 fn demands(spec: &JobSpec) -> (Rate, Rate) {
     let env = &spec.env.env;
-    let disk: f64 = env
-        .src
-        .servers
-        .iter()
-        .map(|s| s.disk.peak_rate().as_bps())
-        .sum();
-    (env.link.bandwidth, Rate::from_bps(disk))
+    let alone = PoolCapacity::from_servers(env.link.bandwidth, &env.src.servers, 0);
+    (alone.bandwidth, alone.disk)
 }
 
-fn ckpt_err(e: eadt_ckpt::CkptError) -> EadtError {
+fn ckpt_err(e: CkptError) -> EadtError {
     EadtError::io("checkpoint store", e.to_string())
 }
 
-/// Where a job is in its service lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Pending,
-    Queued,
-    Resident,
-    Done,
-}
-
-/// The scheduler's mutable state, index-aligned with the workload's job
-/// list.
+/// The scheduler's state, with one slot per workload job.
 struct SchedulerState<'w> {
+    /// The next round to run.
     round: u64,
-    phase: Vec<Phase>,
     queue: Vec<usize>,
+    /// Residents, admission order.
     resident: Vec<usize>,
-    /// Each job's executor leg, from its first admission until it
-    /// finishes.
-    legs: Vec<Option<Leg<'w>>>,
-    outcome: Vec<Option<JobOutcome>>,
-    admitted_round: Vec<Option<u64>>,
-    finished_round: Vec<Option<u64>>,
-    preemptions: Vec<u32>,
-    /// Engine snapshots and restores of the legs already dropped.
+    /// Jobs `0..submitted` have arrived: arrival rounds never decrease
+    /// with the job index.
+    submitted: usize,
+    slots: Vec<JobSlot<'w>>,
+    /// Engine snapshots and restores of the legs dropped so far.
     counts: (u64, u64),
 }
 
-impl SchedulerState<'_> {
+/// One job's scheduler facts. Its lifecycle phase is where its index is:
+/// at or past `submitted`, in `queue`, in `resident`, or done once it has
+/// an outcome.
+struct JobSlot<'w> {
+    /// Admitted and finished rounds and preemptions, as a commit has them.
+    timeline: ServiceJobState,
+    /// The executor leg, from the first admission until the job finishes.
+    leg: Option<Leg<'w>>,
+    outcome: Option<JobOutcome>,
+}
+
+impl<'w> SchedulerState<'w> {
     fn fresh(n: usize) -> Self {
         SchedulerState {
             round: 0,
-            phase: vec![Phase::Pending; n],
             queue: Vec::new(),
             resident: Vec::new(),
-            legs: (0..n).map(|_| None).collect(),
-            outcome: (0..n).map(|_| None).collect(),
-            admitted_round: vec![None; n],
-            finished_round: vec![None; n],
-            preemptions: vec![0; n],
+            submitted: 0,
+            slots: (0..n)
+                .map(|job| JobSlot {
+                    timeline: ServiceJobState {
+                        job: job as u32,
+                        admitted_round: None,
+                        finished_round: None,
+                        preemptions: 0,
+                    },
+                    leg: None,
+                    outcome: None,
+                })
+                .collect(),
             counts: (0, 0),
         }
     }
 
     /// Residents of `site`, admission order.
-    fn site_residents(&self, jobs: &[ServiceJob], site: &str) -> Vec<usize> {
+    fn site_residents<'a>(
+        &'a self,
+        jobs: &'a [ServiceJob],
+        site: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
         self.resident
             .iter()
             .copied()
-            .filter(|&r| jobs[r].site == site)
-            .collect()
+            .filter(move |&r| jobs[r].site == site)
     }
 
     fn site_has_slot(&self, workload: &Workload, jobs: &[ServiceJob], site: &str) -> bool {
         let Some((_, cap)) = workload.sites().iter().find(|(name, _)| name == site) else {
             return false;
         };
-        (self.site_residents(jobs, site).len() as u32) < cap.core_slots
-    }
-
-    /// Moves a resident back to the queue (keeps its live engine run).
-    fn evict(&mut self, job: usize) {
-        self.resident.retain(|&r| r != job);
-        self.phase[job] = Phase::Queued;
-        self.queue.push(job);
+        (self.site_residents(jobs, site).count() as u32) < cap.core_slots
     }
 }
 
@@ -1364,153 +1349,261 @@ mod tests {
         report.jobs.iter().map(live).sum()
     }
 
+    /// Every file in `dir` with its bytes, name order.
+    fn contents(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Resumes `session` on `workload`, which must fail with an error
+    /// naming `file` and leave its checkpoint directory `dir` untouched.
+    fn fails_untouched(
+        session: &ServiceSession,
+        workload: &Workload,
+        dir: &std::path::Path,
+        file: &str,
+        what: &str,
+    ) {
+        let before = contents(dir);
+        let Err(err) = session.resume(workload) else {
+            panic!("resumed with {what}");
+        };
+        assert!(err.to_string().contains(file), "{what}: {err}");
+        assert_eq!(contents(dir), before, "{what}");
+    }
+
+    /// Starts a fresh checkpointing run of `session` in an emptied `dir`
+    /// and drops it after `rounds` rounds: what it leaves is what a kill
+    /// between rounds leaves.
+    fn kill_after(
+        session: &ServiceSession,
+        workload: &Workload,
+        dir: &std::path::Path,
+        rounds: u64,
+    ) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut run = Coordinator::start(session, workload, false).unwrap();
+        session.with_pool(|pool| {
+            for _ in 0..rounds {
+                if !run.round(pool).unwrap() {
+                    break;
+                }
+            }
+        });
+    }
+
     #[test]
     fn service_checkpoint_resume_is_byte_identical() {
-        // Cadences 1..=5 under both policies, on a 1-slot workload that
-        // queues and on one that preempts: the checkpointing run, a resume
-        // from the directory it leaves, and a resume whose journal file
-        // ran ahead of the last commit must all reproduce the straight
-        // run's report and journal, and so must one whose journal ran
-        // ahead with its last line torn. Engine state is serialized only
-        // into commits and rebuilt only from the commit a resume starts
-        // from. A missing or foreign outcome file of a finished job, a
-        // journal torn inside the commit's last record, and a torn commit
-        // file must fail the resume naming the file, without touching the
-        // directory.
-        let workloads = [
-            ("queueing", two_tenant_workload(1)),
-            ("preempting", preempting_workload()),
+        // Cadences 1..=5, under both policies on a 1-slot workload that
+        // queues and on one that preempts, and under strict priority on a
+        // 2-slot workload whose low-priority job is evicted for a zero
+        // grant: the checkpointing run, a resume from the directory it
+        // leaves, and a resume whose journal file ran ahead of the last
+        // commit must all reproduce the straight run's report and journal,
+        // and so must one whose journal ran ahead with its last line torn.
+        // At cadences 1 and 2 the run is also killed after every round
+        // short of its end — right after a commit, or between commits with
+        // the outcome files of jobs finished since — and resumed as it was
+        // left, and again with the straight journal run ahead of the commit
+        // and torn. Engine state is serialized only into commits and
+        // rebuilt only from the commit a resume starts from. A missing or
+        // foreign outcome file of a finished job, a journal torn inside the
+        // commit's last record, and a torn commit file must fail the resume
+        // naming the file, without touching the directory.
+        use ArbitrationPolicy::{FairShare, StrictPriority};
+        let cells = [
+            ("queueing", two_tenant_workload(1), FairShare),
+            ("queueing", two_tenant_workload(1), StrictPriority),
+            ("preempting", preempting_workload(), FairShare),
+            ("preempting", preempting_workload(), StrictPriority),
+            ("zero-grant", two_tenant_workload(2), StrictPriority),
         ];
-        let policies = [
-            ArbitrationPolicy::FairShare,
-            ArbitrationPolicy::StrictPriority,
-        ];
-        let (mut drilled, mut torn_ahead) = (0, 0);
-        for (name, workload) in &workloads {
-            for policy in policies {
-                let builder = || {
-                    ServiceSession::builder()
-                        .root_seed(21)
-                        .workers(2)
-                        .quantum(60)
-                        .policy(policy)
+        let (mut drilled, mut torn_ahead, mut orphans, mut zero_grants) = (0, 0, 0, 0);
+        for (name, workload, policy) in &cells {
+            let builder = || {
+                ServiceSession::builder()
+                    .root_seed(21)
+                    .workers(2)
+                    .quantum(60)
+                    .policy(*policy)
+            };
+            let straight = builder().workers(1).build().run(workload).unwrap();
+            assert_eq!(
+                straight.engine_snapshots, 0,
+                "{name}: no commits, no snapshots"
+            );
+            assert_eq!(straight.engine_restores, 0, "{name}");
+            let straight_jsonl = straight.journal.to_jsonl();
+            let records = straight.journal.records().len();
+            zero_grants += straight
+                .journal
+                .records()
+                .iter()
+                .filter(|r| matches!(r.event, Event::JobPreempted { by: None, .. }))
+                .count();
+            // The straight journal's first `n` lines, the last of them cut
+            // in half by a crash mid-write.
+            let torn = |n: usize| {
+                let lines: Vec<&str> = straight_jsonl.lines().take(n).collect();
+                let (last, whole) = lines.split_last().unwrap();
+                let mut text: String = whole.iter().map(|l| format!("{l}\n")).collect();
+                text.push_str(&last[..last.len() / 2]);
+                text
+            };
+            let same_as_straight = |run: Result<ServiceRun, EadtError>, cell: &str| {
+                let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
+                assert_eq!(run.journal.to_jsonl(), straight_jsonl, "{cell}");
+                run
+            };
+            for every in 1..=5 {
+                let cell = format!("{name}/{}/every {every}", policy.name());
+                let dir = std::env::temp_dir().join(format!(
+                    "eadt-service-resume-{name}-{}-{every}-{}",
+                    policy.name(),
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let session = builder().checkpoints(&dir, every).build();
+                let store = CheckpointStore::create(&dir).unwrap();
+                let last_commit = || store.load_service_checkpoint().unwrap().unwrap();
+                let journal = dir.join(CheckpointStore::service_journal_name());
+                let resume_with = |text: &str| {
+                    std::fs::write(&journal, text).unwrap();
+                    session.resume(workload)
                 };
-                let straight = builder().workers(1).build().run(workload).unwrap();
-                assert_eq!(
-                    straight.engine_snapshots, 0,
-                    "{name}: no commits, no snapshots"
-                );
-                assert_eq!(straight.engine_restores, 0, "{name}");
-                for every in 1..=5 {
-                    let cell = format!("{name}/{}/every {every}", policy.name());
-                    let dir = std::env::temp_dir().join(format!(
-                        "eadt-service-resume-{name}-{}-{every}-{}",
-                        policy.name(),
-                        std::process::id()
-                    ));
-                    let _ = std::fs::remove_dir_all(&dir);
-                    let session = builder().checkpoints(&dir, every).build();
-                    let store = CheckpointStore::create(&dir).unwrap();
-                    let last_commit = || store.load_service_checkpoint().unwrap().unwrap();
-                    let journal = dir.join(CheckpointStore::service_journal_name());
-                    let straight_jsonl = straight.journal.to_jsonl();
-                    // The straight journal's first `n` lines, the last of
-                    // them cut in half by a crash mid-write.
-                    let torn = |n: usize| {
-                        let lines: Vec<&str> = straight_jsonl.lines().take(n).collect();
-                        let (last, whole) = lines.split_last().unwrap();
-                        let mut text: String = whole.iter().map(|l| format!("{l}\n")).collect();
-                        text.push_str(&last[..last.len() / 2]);
-                        text
-                    };
-                    let resume_with = |text: &str| {
-                        std::fs::write(&journal, text).unwrap();
-                        session.resume(workload)
-                    };
-                    let first = session
-                        .run(workload)
-                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let first = same_as_straight(session.run(workload), &cell);
+                if workload.sites().iter().all(|(_, cap)| cap.core_slots == 1) {
                     let expected = live_legs_at_commits(&straight.report, every);
                     assert_eq!(first.engine_snapshots, expected, "{cell}");
-                    assert_eq!(first.engine_restores, 0, "{cell}");
-                    let listed = last_commit().engines.len() as u64;
-                    let cursor = last_commit().journal_seq as usize;
-                    let records = straight.journal.records().len();
-                    // A crash after the journal write, before the commit;
-                    // where the journal has records past the commit's
-                    // cursor, also one that tore its last line.
-                    let mut resumes = vec![session.resume(workload), resume_with(&straight_jsonl)];
-                    if cursor < records {
-                        resumes.push(resume_with(&torn(records)));
-                        torn_ahead += 1;
-                    }
-                    let resumes: Vec<_> = resumes
-                        .into_iter()
-                        .map(|run| run.unwrap_or_else(|e| panic!("{cell}: {e}")))
-                        .collect();
-                    for run in resumes.iter().chain([&first]) {
-                        assert_eq!(run.report.to_json(), straight.report.to_json(), "{cell}");
-                        assert_eq!(
-                            run.journal.to_jsonl(),
-                            straight.journal.to_jsonl(),
-                            "{cell}"
-                        );
-                    }
-                    for run in &resumes {
-                        assert_eq!(run.engine_restores, listed, "{cell}");
-                    }
-
-                    let contents = || {
-                        let mut files: Vec<_> = std::fs::read_dir(&dir)
-                            .unwrap()
-                            .map(|entry| {
-                                let path = entry.unwrap().path();
-                                (
-                                    path.file_name().unwrap().to_owned(),
-                                    std::fs::read(&path).unwrap(),
-                                )
-                            })
-                            .collect();
-                        files.sort();
-                        files
-                    };
-                    let fails_untouched = |file: &str, what: &str| {
-                        let before = contents();
-                        let Err(err) = session.resume(workload) else {
-                            panic!("{cell}: resumed with {what}");
-                        };
-                        assert!(err.to_string().contains(file), "{cell}: {err}");
-                        assert_eq!(contents(), before, "{cell}: {what}");
-                    };
-                    if let Some(&done) = last_commit().finished.first() {
-                        let file = CheckpointStore::outcome_name(done as usize);
-                        let path = dir.join(&file);
-                        let kept = std::fs::read(&path).unwrap();
-                        std::fs::remove_file(&path).unwrap();
-                        fails_untouched(&file, "a missing outcome file");
-                        let other = &straight.report.jobs[1 - done as usize].outcome;
-                        let mut foreign = serde_json::to_string_pretty(other).unwrap();
-                        foreign.push('\n');
-                        std::fs::write(&path, foreign).unwrap();
-                        fails_untouched(&file, "another job's outcome file");
-                        std::fs::write(&path, kept).unwrap();
-                        drilled += 1;
-                    }
-
-                    std::fs::write(&journal, torn(cursor)).unwrap();
-                    let name = CheckpointStore::service_journal_name();
-                    fails_untouched(name, "a journal torn inside the commit");
-                    std::fs::write(&journal, &straight_jsonl).unwrap();
-
-                    let commit = dir.join(CheckpointStore::service_checkpoint_name());
-                    let text = std::fs::read(&commit).unwrap();
-                    std::fs::write(&commit, &text[..text.len() / 2]).unwrap();
-                    fails_untouched(CheckpointStore::service_checkpoint_name(), "a torn commit");
-                    let _ = std::fs::remove_dir_all(&dir);
                 }
+                assert_eq!(first.engine_restores, 0, "{cell}");
+                let listed = last_commit().engines.len() as u64;
+                let cursor = last_commit().journal_seq as usize;
+                // A crash after the journal write, before the commit;
+                // where the journal has records past the commit's cursor,
+                // also one that tore its last line.
+                let mut resumes = vec![session.resume(workload), resume_with(&straight_jsonl)];
+                if cursor < records {
+                    resumes.push(resume_with(&torn(records)));
+                    torn_ahead += 1;
+                }
+                for run in resumes {
+                    let run = same_as_straight(run, &cell);
+                    assert_eq!(run.engine_restores, listed, "{cell}");
+                }
+
+                let fails_untouched = |file: &str, what: &str| {
+                    fails_untouched(&session, workload, &dir, file, &format!("{cell}: {what}"));
+                };
+                if let Some(&done) = last_commit().finished.first() {
+                    let file = CheckpointStore::outcome_name(done as usize);
+                    let path = dir.join(&file);
+                    let kept = std::fs::read(&path).unwrap();
+                    std::fs::remove_file(&path).unwrap();
+                    fails_untouched(&file, "a missing outcome file");
+                    let other = &straight.report.jobs[1 - done as usize].outcome;
+                    let mut foreign = serde_json::to_string_pretty(other).unwrap();
+                    foreign.push('\n');
+                    std::fs::write(&path, foreign).unwrap();
+                    fails_untouched(&file, "another job's outcome file");
+                    std::fs::write(&path, kept).unwrap();
+                    drilled += 1;
+                }
+
+                std::fs::write(&journal, torn(cursor)).unwrap();
+                let name = CheckpointStore::service_journal_name();
+                fails_untouched(name, "a journal torn inside the commit");
+                std::fs::write(&journal, &straight_jsonl).unwrap();
+
+                let commit = dir.join(CheckpointStore::service_checkpoint_name());
+                let text = std::fs::read(&commit).unwrap();
+                std::fs::write(&commit, &text[..text.len() / 2]).unwrap();
+                fails_untouched(CheckpointStore::service_checkpoint_name(), "a torn commit");
+
+                let stops = if every <= 2 {
+                    straight.report.rounds
+                } else {
+                    0
+                };
+                for stop in 0..stops {
+                    let cell = format!("{cell}/killed after {stop} rounds");
+                    kill_after(&session, workload, &dir, stop);
+                    let killed = contents(&dir);
+                    let commit = store.load_service_checkpoint().unwrap();
+                    let finished = commit.as_ref().map_or(&[][..], |ck| &ck.finished);
+                    orphans += (0..workload.jobs().len() as u32)
+                        .filter(|&j| !finished.contains(&j))
+                        .filter(|&j| dir.join(CheckpointStore::outcome_name(j as usize)).exists())
+                        .count();
+                    let listed = commit.as_ref().map_or(0, |ck| ck.engines.len() as u64);
+                    let run = same_as_straight(session.resume(workload), &cell);
+                    assert_eq!(run.engine_restores, listed, "{cell}");
+                    if commit.is_some_and(|ck| (ck.journal_seq as usize) < records) {
+                        std::fs::remove_dir_all(&dir).unwrap();
+                        std::fs::create_dir(&dir).unwrap();
+                        for (file, bytes) in &killed {
+                            std::fs::write(dir.join(file), bytes).unwrap();
+                        }
+                        same_as_straight(resume_with(&torn(records)), &format!("{cell}, torn"));
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
             }
         }
         assert!(drilled > 0, "no last commit listed a finished job");
         assert!(torn_ahead > 0, "no journal ran ahead of its last commit");
+        assert!(
+            orphans > 0,
+            "no kill left an outcome file its commit misses"
+        );
+        assert!(zero_grants > 0, "no straight run evicted for a zero grant");
+    }
+
+    #[test]
+    fn service_checkpoint_that_omits_or_repeats_a_job_is_refused() {
+        // A commit must list every job that arrived before its round
+        // exactly once; one that drops a finished job, or also queues one,
+        // is refused instead of rerunning that job.
+        let workload = two_tenant_workload(1);
+        let dir = std::env::temp_dir().join(format!("eadt-service-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = ServiceSession::builder()
+            .root_seed(3)
+            .workers(1)
+            .quantum(60)
+            .checkpoints(&dir, 1)
+            .build();
+        session.run(&workload).unwrap();
+        let store = CheckpointStore::create(&dir).unwrap();
+        let last = store.load_service_checkpoint().unwrap().unwrap();
+        assert_eq!(last.finished, [0, 1]);
+        let damaged = [
+            ("a commit that omits a finished job", {
+                let mut ck = last.clone();
+                ck.finished.pop();
+                ck
+            }),
+            ("a commit that also queues a finished job", {
+                let mut ck = last.clone();
+                ck.queue.push(ck.finished[0]);
+                ck
+            }),
+        ];
+        for (what, ck) in damaged {
+            store.save_service_checkpoint(&ck).unwrap();
+            fails_untouched(&session, &workload, &dir, "service checkpoint", what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,6 +10,8 @@
 //!   [`Rate`]) plus bandwidth-delay-product helpers.
 //! * [`rng`] — a seedable, splittable deterministic random source so every
 //!   experiment is exactly reproducible.
+//! * [`hash`] — 64-bit FNV-1a ([`Fnv1a`]), the one stable hash behind
+//!   checkpoint and workload fingerprints and digests.
 //! * [`error`] — the workspace-wide typed error ([`EadtError`]) and its
 //!   coarse classification ([`ErrorKind`]), shared by the CLI, the transfer
 //!   runtime, and the fleet batch runner.
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 #[cfg(test)]
 mod proptests;
 pub mod rng;
@@ -36,6 +39,7 @@ pub mod time;
 pub mod units;
 
 pub use error::{EadtError, ErrorKind};
+pub use hash::Fnv1a;
 pub use rng::{LogUniform, SimRng};
 pub use series::TimeSeries;
 pub use stats::{LinearFit, MultiLinearFit, Summary};

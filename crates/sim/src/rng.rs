@@ -85,6 +85,8 @@ impl SimRng {
     /// assert_eq!(a.next_u64(), b.next_u64());
     /// ```
     pub fn fork(&self, label: &str) -> SimRng {
+        // FNV-1a's shape, but not `Fnv1a`: the multiplier is not the FNV
+        // prime (0x100_0000_01b3), and every seeded stream depends on it.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
         for b in label.as_bytes() {
             h ^= u64::from(*b);

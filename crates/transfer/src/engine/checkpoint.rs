@@ -25,7 +25,7 @@ use crate::env::TransferEnv;
 use crate::plan::TransferPlan;
 use crate::report::{ChunkStat, TransferReport};
 use crate::retry::{FaultRuntime, FaultState};
-use eadt_sim::{Bytes, SimDuration, SimTime, TimeSeries};
+use eadt_sim::{Bytes, Fnv1a, SimDuration, SimTime, TimeSeries};
 use eadt_telemetry::{EnergyLedger, MetricsRegistry, SpanCursor, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -534,30 +534,25 @@ impl RunOutcome {
 /// order — not cryptographic, just a loud tripwire against resuming a
 /// checkpoint under a different configuration.
 pub fn config_fingerprint(env: &TransferEnv, plan: &TransferPlan) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&plan.total_bytes().as_u64().to_le_bytes());
-    eat(&(plan.stages.len() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write(&plan.total_bytes().as_u64().to_le_bytes());
+    h.write(&(plan.stages.len() as u64).to_le_bytes());
     for stage in &plan.stages {
         for c in &stage.chunks {
-            eat(c.label.as_bytes());
-            eat(&c.total_bytes().as_u64().to_le_bytes());
-            eat(&(c.files.len() as u64).to_le_bytes());
-            eat(&c.channels.to_le_bytes());
-            eat(&c.pipelining.to_le_bytes());
-            eat(&c.parallelism.to_le_bytes());
+            h.write(c.label.as_bytes());
+            h.write(&c.total_bytes().as_u64().to_le_bytes());
+            h.write(&(c.files.len() as u64).to_le_bytes());
+            h.write(&c.channels.to_le_bytes());
+            h.write(&c.pipelining.to_le_bytes());
+            h.write(&c.parallelism.to_le_bytes());
         }
     }
-    eat(&env.tuning.slice.as_micros().to_le_bytes());
-    eat(&env.tuning.max_duration.as_micros().to_le_bytes());
-    eat(&(env.src.servers.len() as u64).to_le_bytes());
-    eat(&(env.dst.servers.len() as u64).to_le_bytes());
-    eat(&env.link.bandwidth.as_bps().to_bits().to_le_bytes());
-    eat(&env.link.rtt.as_micros().to_le_bytes());
-    eat(&[u8::from(env.faults.as_ref().is_some_and(|p| p.is_active()))]);
-    h
+    h.write(&env.tuning.slice.as_micros().to_le_bytes());
+    h.write(&env.tuning.max_duration.as_micros().to_le_bytes());
+    h.write(&(env.src.servers.len() as u64).to_le_bytes());
+    h.write(&(env.dst.servers.len() as u64).to_le_bytes());
+    h.write(&env.link.bandwidth.as_bps().to_bits().to_le_bytes());
+    h.write(&env.link.rtt.as_micros().to_le_bytes());
+    h.write(&[u8::from(env.faults.as_ref().is_some_and(|p| p.is_active()))]);
+    h.finish()
 }

@@ -20,7 +20,7 @@
 
 use eadt::core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
 use eadt::core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
-use eadt::sim::{Bytes, SimDuration};
+use eadt::sim::{Bytes, Fnv1a, SimDuration};
 use eadt::telemetry::{Telemetry, DEFAULT_CADENCE};
 use eadt::testbeds::{didclab, futuregrid, xsede, Environment};
 use eadt::transfer::{
@@ -264,13 +264,9 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/engine_digests.txt"
 );
 
-/// FNV-1a over the artifact bytes: stable, dependency-free fingerprint.
+/// FNV-1a over the artifact bytes: a stable fingerprint.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::new().write(bytes).finish()
 }
 
 /// A strict-priority service run on one slot whose low-priority incumbent
