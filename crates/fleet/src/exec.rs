@@ -6,12 +6,15 @@
 //! calling thread plus up to `workers - 1` scoped helpers, which park
 //! between [`Pool::map`] calls. A batch makes one `map` call of
 //! [`run_to_completion`] over its jobs. The service keeps each job's
-//! [`Leg`] from its first admission until it finishes and makes one
-//! `map` call of [`Leg::advance`] per round over its residents, which
-//! only wakes parked helpers. Either way a job is prepared and planned
-//! once and then stepped as one live [`EngineRun`]; a panic anywhere in
-//! it is caught in [`Leg::advance`] and booked as that job's `JobFailed`
-//! outcome.
+//! [`Leg`] from its first admission (or from its preparation ahead of
+//! it) until it finishes and makes one `map` call per round, which only
+//! wakes parked helpers: [`Leg::advance`] over its residents and, beside
+//! a resident's first advance, [`Leg::prepare_ahead`] over the jobs it
+//! admits next. Either way a job is prepared and planned once and then
+//! stepped as one live [`EngineRun`], which the leg keeps boxed, so the
+//! pool moves legs as a few hundred bytes each; a panic anywhere in it is
+//! booked as that job's `JobFailed` outcome by its first or current
+//! [`Leg::advance`].
 
 use crate::dispatch::JobRunner;
 use crate::session::JobOutcome;
@@ -27,8 +30,8 @@ use std::path::Path;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A job carrying this label panics inside its guarded leg in test
-/// builds, so the tests can drive the panic path through real jobs.
+/// A job carrying this label panics in its preparation in test builds,
+/// so the tests can drive the panic paths through real jobs.
 pub(crate) const TEST_PANIC_LABEL: &str = "exec-test-panic";
 
 /// Runs `body` with a worker pool that maps `f` over items: `workers`
@@ -190,19 +193,17 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One job from its first admission until it finishes: its telemetry,
-/// and — from the first advance on — its environment and live
-/// [`EngineRun`]. A finished job's leg is dropped with its run.
+/// One job from its first admission (or its preparation ahead of it)
+/// until it finishes: its telemetry and its engine state, whose run or
+/// checkpoint is boxed, so a leg moves into and out of the pool as a few
+/// hundred bytes. A finished job's leg is dropped with its run.
 pub(crate) struct Leg<'a> {
     index: usize,
     spec: &'a JobSpec,
     seed: u64,
     tel: Telemetry,
-    /// The environment (fault override applied) and the run stepping in
-    /// it, built inside the first [`Leg::advance`], under its panic guard.
-    live: Option<(Cow<'a, TransferEnv>, EngineRun<'static>)>,
-    /// Engine state read back from disk, restored by the first advance.
-    saved: Option<EngineCheckpoint>,
+    /// `None` until the job is prepared or bound to a saved state.
+    state: Option<LegState<'a>>,
     /// Whether the run records its per-slice series: only a leg whose
     /// engine state may be checkpointed, or whose report reaches the
     /// caller, needs them.
@@ -212,16 +213,36 @@ pub(crate) struct Leg<'a> {
     pub(crate) restores: u64,
 }
 
-/// How one [`Leg::advance`] ended.
+/// A leg's engine state.
+enum LegState<'a> {
+    /// Read back from disk; [`Leg::prepare`] restores it.
+    Saved(Box<EngineCheckpoint>),
+    /// Prepared: never stepped, or live once stepped.
+    Run(Box<Live<'a>>),
+    /// [`Leg::prepare_ahead`] caught a panic with this message; the first
+    /// advance books it.
+    Failed(String),
+}
+
+/// A prepared job: the environment (fault override applied) and the run
+/// stepping in it.
+struct Live<'a> {
+    env: Cow<'a, TransferEnv>,
+    run: EngineRun<'static>,
+    stepped: bool,
+}
+
+/// How one [`Leg::advance`] ended. The outcome and report are boxed, so
+/// a paused step moves through the pool as a few bytes.
 pub(crate) enum Step {
     /// Paused at the step boundary; the leg holds the live run.
     Paused,
     /// The engine ran the job to its end: the job's summary, and the
     /// engine report it was built from, with its per-slice series when
     /// the leg records them.
-    Done(JobOutcome, Box<TransferReport>),
+    Done(Box<JobOutcome>, Box<TransferReport>),
     /// A panic was caught and booked as the job's `JobFailed` outcome.
-    Panicked(JobOutcome),
+    Panicked(Box<JobOutcome>),
 }
 
 impl<'a> Leg<'a> {
@@ -243,30 +264,40 @@ impl<'a> Leg<'a> {
             spec,
             seed,
             tel: Telemetry::from_parts(None, metrics.map(MetricsRegistry::new)),
-            live: None,
-            saved: None,
+            state: None,
             series,
             snapshots: 0,
             restores: 0,
         }
     }
 
-    /// True once the job has engine state: it resumes, not starts.
+    /// True once the job has stepped or holds a saved state: it resumes,
+    /// not starts.
     pub(crate) fn started(&self) -> bool {
-        self.live.is_some() || self.saved.is_some()
+        match &self.state {
+            Some(LegState::Saved(_)) => true,
+            Some(LegState::Run(live)) => live.stepped,
+            Some(LegState::Failed(_)) | None => false,
+        }
+    }
+
+    /// True once the job is prepared (its run built, or its preparation
+    /// failed): its next advance does not prepare it.
+    pub(crate) fn prepared(&self) -> bool {
+        matches!(self.state, Some(LegState::Run(_) | LegState::Failed(_)))
     }
 
     /// The leg's engine state, bound to this job: a snapshot of the live
     /// run, or the state read back from disk that no advance has
-    /// restored yet.
+    /// restored yet. A prepared run that never stepped has none.
     pub(crate) fn checkpoint(&mut self) -> Option<JobCheckpoint> {
-        let engine = match (&self.live, &self.saved) {
-            (Some((_, run)), _) => {
+        let engine = match &self.state {
+            Some(LegState::Run(live)) if live.stepped => {
                 self.snapshots += 1;
-                run.snapshot(&self.tel)
+                live.run.snapshot(&self.tel)
             }
-            (None, Some(saved)) => saved.clone(),
-            (None, None) => return None,
+            Some(LegState::Saved(saved)) => EngineCheckpoint::clone(saved),
+            _ => return None,
         };
         Some(JobCheckpoint {
             schema: JOB_CHECKPOINT_SCHEMA_VERSION,
@@ -281,50 +312,79 @@ impl<'a> Leg<'a> {
     /// Resumes the job from `ck` once it is validated against the job.
     pub(crate) fn restore(&mut self, ck: JobCheckpoint) -> Result<(), CkptError> {
         ck.validate(self.index, &self.spec.display_label(), self.seed)?;
-        self.saved = Some(ck.engine);
+        self.state = Some(LegState::Saved(Box::new(ck.engine)));
         Ok(())
     }
 
+    /// Prepares and plans the job and builds its run — restored from the
+    /// saved engine state, if any — on a leg that holds no run. It steps
+    /// nothing, so no stage starts and not even an empty job ends here.
+    /// The first advance calls it unless [`Leg::prepare_ahead`] did.
+    fn prepare(&mut self) {
+        if cfg!(test) && self.spec.label.as_deref() == Some(TEST_PANIC_LABEL) {
+            panic!("injected chaos payload");
+        }
+        let saved = match self.state.take() {
+            Some(LegState::Saved(saved)) => Some(*saved),
+            _ => None,
+        };
+        let restored = saved.is_some();
+        let runner = JobRunner::prepare(self.spec, self.seed);
+        let mut run = runner.start(&mut self.tel, saved);
+        if !self.series {
+            run.discard_series();
+        }
+        self.restores += u64::from(restored);
+        self.state = Some(LegState::Run(Box::new(Live {
+            env: runner.into_env(),
+            run,
+            stepped: false,
+        })));
+    }
+
+    /// Prepares a leg that holds no engine state ahead of its first
+    /// advance, which books a panic caught here as the job's `JobFailed`
+    /// outcome, exactly as it books one of its own.
+    pub(crate) fn prepare_ahead(&mut self) {
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| self.prepare())) {
+            self.state = Some(LegState::Failed(panic_message(payload.as_ref())));
+        }
+    }
+
     /// Steps the job by `slices` more slices under `share` (`None`: to
-    /// its end). The first advance prepares and plans the job and builds
-    /// its run — restored from the saved engine state, if any.
+    /// its end), preparing it first unless that is done.
     ///
-    /// This is the crate's only panic guard: a panic in preparation or in
-    /// the engine becomes the job's `JobFailed` outcome instead of taking
-    /// the batch or the service down.
+    /// This is the crate's panic guard, with [`Leg::prepare_ahead`]: a
+    /// panic in preparation or in the engine becomes the job's `JobFailed`
+    /// outcome instead of taking the batch or the service down.
     pub(crate) fn advance(&mut self, slices: Option<u64>, share: ResourceShare) -> Step {
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_leg(slices, share)));
+        let run = match &mut self.state {
+            Some(LegState::Failed(message)) => Err(std::mem::take(message)),
+            _ => std::panic::catch_unwind(AssertUnwindSafe(|| self.run_leg(slices, share)))
+                .map_err(|payload| panic_message(payload.as_ref())),
+        };
         let report = match run {
             Ok(None) => return Step::Paused,
             Ok(Some(report)) => report,
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                return Step::Panicked(
-                    self.failed(format!("worker panicked in job {}: {message}", self.index)),
-                );
+            Err(message) => {
+                let message = format!("worker panicked in job {}: {message}", self.index);
+                return Step::Panicked(Box::new(self.failed(message)));
             }
         };
         let metrics = self.tel.metrics_ref().cloned();
         let outcome = JobOutcome::from_report(self.index, self.spec, self.seed, &report, metrics);
-        Step::Done(outcome, Box::new(report))
+        Step::Done(Box::new(outcome), Box::new(report))
     }
 
     fn run_leg(&mut self, slices: Option<u64>, share: ResourceShare) -> Option<TransferReport> {
-        if cfg!(test) && self.spec.label.as_deref() == Some(TEST_PANIC_LABEL) {
-            panic!("injected chaos payload");
+        if !self.prepared() {
+            self.prepare();
         }
-        let (env, run) = self.live.get_or_insert_with(|| {
-            let runner = JobRunner::prepare(self.spec, self.seed);
-            let saved = self.saved.take();
-            let restored = saved.is_some();
-            let mut run = runner.start(&mut self.tel, saved);
-            if !self.series {
-                run.discard_series();
-            }
-            self.restores += u64::from(restored);
-            (runner.into_env(), run)
-        });
-        run.step(env, &mut self.tel, slices, share)
+        let Some(LegState::Run(live)) = &mut self.state else {
+            unreachable!("a prepared leg holds its run");
+        };
+        live.stepped = true;
+        live.run.step(&live.env, &mut self.tel, slices, share)
     }
 
     fn failed(&self, message: String) -> JobOutcome {
@@ -379,9 +439,9 @@ pub(crate) fn run_to_completion(
                         save_outcome(store, &outcome)?;
                         store.remove(&CheckpointStore::checkpoint_name(leg.index))?;
                     }
-                    return Ok((outcome, Some(*report)));
+                    return Ok((*outcome, Some(*report)));
                 }
-                Step::Panicked(outcome) => return Ok((outcome, None)),
+                Step::Panicked(outcome) => return Ok((*outcome, None)),
             }
         }
     };
@@ -493,5 +553,13 @@ mod tests {
                 assert_eq!(pool.map((6..9).collect()), vec![6, 7, 8]);
             }
         });
+    }
+
+    #[test]
+    fn a_leg_keeps_its_engine_state_boxed() {
+        // A round moves each resident's leg into the pool and back; a run
+        // or checkpoint stored inline again would make that kilobytes.
+        let size = std::mem::size_of::<Leg<'static>>();
+        assert!(size <= 512, "a leg is {size} bytes");
     }
 }

@@ -32,10 +32,17 @@
 //!    executor's worker pool, which lives for the whole run: a round
 //!    wakes parked helpers, and the coordinator's thread advances legs
 //!    too. Each job keeps one executor leg (planned once, holding its
-//!    live [`eadt_transfer::EngineRun`]) from its first admission until
-//!    it finishes, and each quantum is one
+//!    live [`eadt_transfer::EngineRun`]) from its first admission, or
+//!    its preparation ahead of it, until it finishes, and each quantum is
+//!    one
 //!    [`step`](eadt_transfer::EngineRun::step): a pure function of that
-//!    run and the share, so worker count cannot leak into results;
+//!    run and the share, so worker count cannot leak into results. A
+//!    resident's first advance prepares its job, which costs several
+//!    rounds of stepping, so while one is due the same pool call also
+//!    prepares the jobs the policy admits next, beside it: at most
+//!    `workers − 1` prepared legs wait unadmitted, none at 1 worker, and
+//!    a preparation, a pure function of the job, leaves no trace in the
+//!    bytes or in a commit;
 //! 7. books finished transfers (`job_finished`) in residency order;
 //! 8. with a checkpoint directory, commits every `every_rounds` rounds:
 //!    the journal prefix, then the service checkpoint, which snapshots
@@ -424,18 +431,32 @@ impl ServiceSession {
     /// a round's advance only wakes parked helpers.
     fn with_pool<'w, O>(&self, body: impl FnOnce(&mut LegPool<'_, '_, 'w>) -> O) -> O {
         let quantum = self.quantum;
-        let advance = move |(job, mut leg, share): (usize, Leg<'w>, ResourceShare)| {
-            let step = leg.advance(Some(quantum), share);
+        let advance = move |(job, mut leg, task): (usize, Leg<'w>, Task)| {
+            let step = match task {
+                Task::Quantum(share) => Some(leg.advance(Some(quantum), share)),
+                Task::Prepare => {
+                    leg.prepare_ahead();
+                    None
+                }
+            };
             (job, leg, step)
         };
         exec::with_pool(self.workers, advance, body)
     }
 }
 
-/// The run's worker pool: it advances a resident's leg by one quantum
-/// under the resident's share.
+/// What a round's pool does with a job's leg.
+enum Task {
+    /// Advance a resident by one quantum under its share.
+    Quantum(ResourceShare),
+    /// Prepare a job the policy admits next, ahead of its admission.
+    Prepare,
+}
+
+/// The run's worker pool: it runs each job's [`Task`] on its leg, and
+/// hands back the leg with the step a quantum took.
 type LegPool<'p, 'e, 'w> =
-    exec::Pool<'p, 'e, (usize, Leg<'w>, ResourceShare), (usize, Leg<'w>, Step)>;
+    exec::Pool<'p, 'e, (usize, Leg<'w>, Task), (usize, Leg<'w>, Option<Step>)>;
 
 /// A service run in progress, owned and steppable like an engine run: it
 /// `start`s fresh or from the last commit, advances a `round` at a time
@@ -453,6 +474,13 @@ struct Coordinator<'s, 'w> {
     store: Option<(CheckpointStore, u64)>,
     journal: Journal,
     state: SchedulerState<'w>,
+    /// Whether legs record their per-slice series: a finished job's
+    /// engine report never leaves the service, so only for the
+    /// checkpoints a commit may take.
+    series: bool,
+    /// The jobs prepared ahead of their admission, in preparation order.
+    #[cfg(test)]
+    prepared_ahead: Vec<usize>,
 }
 
 impl<'s, 'w> Coordinator<'s, 'w> {
@@ -491,9 +519,12 @@ impl<'s, 'w> Coordinator<'s, 'w> {
             fingerprint: workload.fingerprint(session.policy, session.quantum),
             arrivals: workload.arrival_rounds(session.root_seed, round_s),
             seeds,
+            series: store.is_some(),
             store,
             journal: Journal::new(),
             state: SchedulerState::fresh(jobs.len()),
+            #[cfg(test)]
+            prepared_ahead: Vec::new(),
         };
         if let (true, Some((store, _))) = (resume, &run.store) {
             if let Some(ck) = store.load_service_checkpoint().map_err(ckpt_err)? {
@@ -568,10 +599,7 @@ impl<'s, 'w> Coordinator<'s, 'w> {
             }
         }
 
-        // 4. Admission: fill free slots in policy order. A finished job's
-        // engine report never leaves the service, so a leg records its
-        // per-slice series only for the checkpoints a commit may take.
-        let series = self.store.is_some();
+        // 4. Admission: fill free slots in policy order.
         loop {
             let state = &self.state;
             let free = |q: &usize| state.site_has_slot(workload, jobs, &jobs[*q].site);
@@ -588,13 +616,13 @@ impl<'s, 'w> Coordinator<'s, 'w> {
             let Some(pos) = candidate else { break };
             let job = self.state.queue.remove(pos);
             self.state.resident.push(job);
-            let slot = &mut self.state.slots[job];
-            let returning = slot
+            let leg = self.state.slots[job]
                 .leg
-                .get_or_insert_with(|| {
-                    Leg::new(job, &jobs[job].spec, self.seeds[job], None, series)
-                })
-                .started();
+                .take()
+                .unwrap_or_else(|| self.new_leg(job));
+            let returning = leg.started();
+            let slot = &mut self.state.slots[job];
+            slot.leg = Some(leg);
             slot.timeline.admitted_round.get_or_insert(round);
             let site = jobs[job].site.clone();
             let event = if returning {
@@ -654,21 +682,35 @@ impl<'s, 'w> Coordinator<'s, 'w> {
         }
 
         // 6. Parallel advance: one quantum per resident on its own leg.
-        let advancing = self
+        // While a resident is still to be prepared, the jobs the policy
+        // admits next are prepared beside it, after the residents' items.
+        let mut tasks: Vec<_> = self
             .state
             .resident
             .iter()
-            .filter_map(|&job| Some((job, self.state.slots[job].leg.take()?, shares[job])))
+            .filter_map(|&job| {
+                let leg = self.state.slots[job].leg.take()?;
+                Some((job, leg, Task::Quantum(shares[job])))
+            })
             .collect();
-        let advanced = pool.map(advancing);
+        if tasks.iter().any(|(_, leg, _)| !leg.prepared()) {
+            for job in self.next_admissions() {
+                let leg = self.state.slots[job].leg.take();
+                tasks.push((job, leg.unwrap_or_else(|| self.new_leg(job)), Task::Prepare));
+                #[cfg(test)]
+                self.prepared_ahead.push(job);
+            }
+        }
+        let advanced = pool.map(tasks);
 
         // 7. Collect in residency order: neither the journal nor a commit
         // may depend on completion order. A finished job's leg is dropped
         // with its run and its engine report; a leg that panicked
-        // finishes its job with the `JobFailed` outcome.
+        // finishes its job with the `JobFailed` outcome. Prepared legs go
+        // back to their slots.
         let end = self.clock(round + 1);
         for (job, leg, step) in advanced {
-            let (Step::Done(outcome, _) | Step::Panicked(outcome)) = step else {
+            let Some(Step::Done(outcome, _) | Step::Panicked(outcome)) = step else {
                 self.state.slots[job].leg = Some(leg);
                 continue;
             };
@@ -687,7 +729,7 @@ impl<'s, 'w> Coordinator<'s, 'w> {
             }
             let slot = &mut self.state.slots[job];
             slot.timeline.finished_round = Some(round);
-            slot.outcome = Some(outcome);
+            slot.outcome = Some(*outcome);
         }
         let slots = &self.state.slots;
         self.state
@@ -698,6 +740,38 @@ impl<'s, 'w> Coordinator<'s, 'w> {
         self.state.round = round + 1;
         self.persist().map_err(ckpt_err)?;
         Ok(true)
+    }
+
+    /// A fresh leg for `job`.
+    fn new_leg(&self, job: usize) -> Leg<'w> {
+        let spec = &self.workload.jobs()[job].spec;
+        Leg::new(job, spec, self.seeds[job], None, self.series)
+    }
+
+    /// The jobs to prepare beside this round's advance: the next ones the
+    /// policy admits, among the queue and the jobs yet to arrive, which
+    /// join its back in arrival order, that hold no engine state; as many
+    /// as keep at most `workers − 1` prepared legs waiting unadmitted.
+    /// Preparation is a pure function of the job's spec and seed, so it
+    /// leaves no trace in the bytes.
+    fn next_admissions(&self) -> Vec<usize> {
+        let jobs = self.workload.jobs();
+        let state = &self.state;
+        let leg = |job: usize| state.slots[job].leg.as_ref();
+        let mut next = state.queue.clone();
+        next.extend(state.submitted..jobs.len());
+        let waiting = (next.iter())
+            .filter(|&&job| leg(job).is_some_and(|l| l.prepared() && !l.started()))
+            .count();
+        let room = self.session.workers.saturating_sub(1 + waiting);
+        if self.session.policy == ArbitrationPolicy::StrictPriority {
+            // Stable: equal priorities keep their queue positions, where
+            // a job yet to arrive joins at the back.
+            next.sort_by_key(|&job| std::cmp::Reverse(jobs[job].priority));
+        }
+        next.retain(|&job| leg(job).is_none_or(|l| !l.prepared() && !l.started()));
+        next.truncate(room);
+        next
     }
 
     /// Moves resident `job`, leg and all, to the back of the queue: `by`
@@ -818,9 +892,7 @@ impl<'s, 'w> Coordinator<'s, 'w> {
                     "engine state for job {i}, which is neither queued nor resident"
                 )));
             }
-            // Restored legs exist only under a checkpoint directory, whose
-            // commits carry their series.
-            let mut leg = Leg::new(i, &jobs[i].spec, self.seeds[i], None, true);
+            let mut leg = self.new_leg(i);
             leg.restore(engine).map_err(ckpt_err)?;
             state.slots[i].leg = Some(leg);
         }
@@ -981,7 +1053,8 @@ struct SchedulerState<'w> {
 struct JobSlot<'w> {
     /// Admitted and finished rounds and preemptions, as a commit has them.
     timeline: ServiceJobState,
-    /// The executor leg, from the first admission until the job finishes.
+    /// The executor leg, from the first admission (or the preparation
+    /// ahead of it) until the job finishes.
     leg: Option<Leg<'w>>,
     outcome: Option<JobOutcome>,
 }
@@ -1605,5 +1678,134 @@ mod tests {
             fails_untouched(&session, &workload, &dir, "service checkpoint", what);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Eight jobs of four algorithms from three priority tenants, arriving
+    /// over time at one 2-slot site: strict priority queues them, so a
+    /// round that admits a job finds later ones queued or yet to arrive.
+    fn queued_priority_workload() -> Workload {
+        let kinds = [
+            AlgorithmKind::Sc,
+            AlgorithmKind::ProMc,
+            AlgorithmKind::MinE,
+            AlgorithmKind::Htee,
+        ];
+        let workload = Workload::new().site("didclab", pool(2)).arrival_gap_s(4.0);
+        (0..8u32).fold(workload, |workload, i| {
+            workload.job(
+                ServiceJob::new(spec(kinds[i as usize % kinds.len()]), "didclab")
+                    .with_tenant(i % 3)
+                    .with_priority(i % 3),
+            )
+        })
+    }
+
+    /// Runs `session` on `workload` to its end: the run, the jobs it
+    /// prepared ahead of their admission, and the most prepared legs that
+    /// waited unadmitted at the end of any round.
+    fn run_counting(
+        session: &ServiceSession,
+        workload: &Workload,
+    ) -> (ServiceRun, Vec<usize>, usize) {
+        let mut run = Coordinator::start(session, workload, false).unwrap();
+        let mut most = 0;
+        session.with_pool(|pool| {
+            while run.round(pool).unwrap() {
+                let state = &run.state;
+                let waiting = (0..state.slots.len())
+                    .filter(|job| !state.resident.contains(job))
+                    .filter_map(|job| state.slots[job].leg.as_ref())
+                    .filter(|leg| leg.prepared() && !leg.started())
+                    .count();
+                most = most.max(waiting);
+            }
+        });
+        let ahead = std::mem::take(&mut run.prepared_ahead);
+        (run.finish(), ahead, most)
+    }
+
+    #[test]
+    fn legs_prepared_ahead_leave_reports_journals_and_commits_unchanged() {
+        // With jobs queued and yet to arrive, 2 and 4 workers prepare legs
+        // ahead of their admission, never more than `workers - 1` waiting
+        // at once, and 1 worker prepares none; the report and journal are
+        // the same at each. At a commit every round, a kill after any
+        // round leaves the same files at 2 workers as at 1.
+        let workload = queued_priority_workload();
+        let builder = |workers: usize| {
+            ServiceSession::builder()
+                .root_seed(13)
+                .workers(workers)
+                .quantum(100)
+                .policy(ArbitrationPolicy::StrictPriority)
+        };
+        let (serial, none, _) = run_counting(&builder(1).build(), &workload);
+        assert_eq!(none, [], "1 worker prepared legs ahead");
+        for workers in [2, 4] {
+            let (run, ahead, most) = run_counting(&builder(workers).build(), &workload);
+            assert_eq!(
+                run.report.to_json(),
+                serial.report.to_json(),
+                "{workers} workers"
+            );
+            let jsonl = run.journal.to_jsonl();
+            assert_eq!(jsonl, serial.journal.to_jsonl(), "{workers} workers");
+            assert!(!ahead.is_empty(), "{workers} workers prepared no leg ahead");
+            assert!(
+                most < workers,
+                "{most} prepared legs waited unadmitted at {workers} workers"
+            );
+        }
+
+        let killed = [1, 2].map(|workers| {
+            let dir = std::env::temp_dir().join(format!(
+                "eadt-service-ahead-{workers}-{}",
+                std::process::id()
+            ));
+            (builder(workers).checkpoints(&dir, 1).build(), dir)
+        });
+        for stop in 0..serial.report.rounds {
+            for (session, dir) in &killed {
+                kill_after(session, &workload, dir, stop);
+            }
+            let [(_, serial_dir), (_, dir)] = &killed;
+            assert_eq!(
+                contents(dir),
+                contents(serial_dir),
+                "killed after {stop} rounds"
+            );
+        }
+        for (_, dir) in &killed {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_leg_prepared_ahead_is_booked_as_an_inline_one() {
+        // One slot: job 1 waits behind job 0, and at 2 workers it is
+        // prepared beside job 0's first advance, where its injected panic
+        // is caught. Its own first advance books that panic, with the
+        // outcome, round and journal of the 1-worker run's inline panic.
+        let mut workload = two_tenant_workload(1);
+        workload.jobs[1].spec.label = Some(exec::TEST_PANIC_LABEL.into());
+        let session = |workers| {
+            ServiceSession::builder()
+                .root_seed(9)
+                .workers(workers)
+                .quantum(60)
+                .build()
+        };
+        let (inline, none, _) = run_counting(&session(1), &workload);
+        let (ahead, prepared, _) = run_counting(&session(2), &workload);
+        assert_eq!(none, []);
+        assert_eq!(prepared, [1]);
+        assert_eq!(ahead.report.to_json(), inline.report.to_json());
+        assert_eq!(ahead.journal.to_jsonl(), inline.journal.to_jsonl());
+        assert_eq!(inline.report.completed_count(), 1);
+        let failed = &inline.report.jobs[1];
+        assert!(failed.finished_round.is_some());
+        let err = failed.outcome.error.as_deref().unwrap();
+        assert!(err.contains("injected chaos payload"), "{err}");
+        assert!(err.contains("job 1"), "{err}");
     }
 }
