@@ -5,7 +5,8 @@
 //! benefit of each design choice is a number, not a claim.
 
 use eadt_core::baselines::ProMc;
-use eadt_core::{Algorithm, Htee, MinE, Planner, RunCtx, Slaee};
+use eadt_core::planner::{chunk_params, linear_weight_allocation};
+use eadt_core::{Algorithm, Htee, MinE, RunCtx, Slaee};
 use eadt_dataset::{partition, Dataset};
 use eadt_endsys::Placement;
 use eadt_sim::SimDuration;
@@ -57,13 +58,12 @@ pub fn ablation_matrix(tb: &Environment, dataset: &Dataset, max_channel: u32) ->
         .run(&mut RunCtx::new(env, dataset));
         rows.push(AblationRow::new("chunk-weights", "log-log (paper)", &paper));
         let chunks = partition(dataset, env.link.bdp(), &tb.partition);
-        let planner = Planner::new(&env.link);
-        let alloc = planner.linear_weight_allocation(&chunks, max_channel);
+        let alloc = linear_weight_allocation(&chunks, max_channel);
         let plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&alloc)
             .map(|(c, &ch)| {
-                let p = planner.chunk_params(c);
+                let p = chunk_params(&env.link, c);
                 ChunkPlan::from_chunk(c, p.pipelining, p.parallelism, ch)
             })
             .collect();

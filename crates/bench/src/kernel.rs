@@ -18,6 +18,7 @@
 use eadt_dataset::Dataset;
 use eadt_endsys::Placement;
 use eadt_sim::{Bytes, SimDuration};
+use eadt_telemetry::Telemetry;
 use eadt_testbeds::xsede;
 use eadt_transfer::{
     uniform_plan, BackgroundTraffic, ControlAction, Controller, DiskDegradationModel, Engine,
@@ -35,7 +36,7 @@ pub struct SliceCounter {
 }
 
 impl Controller for SliceCounter {
-    fn on_slice(&mut self, _ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, _ctx: &SliceCtx, _tel: &mut Telemetry) -> ControlAction {
         self.slices += 1;
         ControlAction::Continue
     }
@@ -89,7 +90,7 @@ impl AllocWindow {
 }
 
 impl Controller for AllocWindow {
-    fn on_slice(&mut self, _ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, _ctx: &SliceCtx, _tel: &mut Telemetry) -> ControlAction {
         self.slices += 1;
         if self.slices == self.lo {
             self.start_count = (self.counter)();

@@ -10,10 +10,11 @@
 //! <dir>/service.journal.jsonl     service journal prefix
 //! ```
 //!
-//! Every write goes through a temp file in the same directory followed by
-//! a rename, so a crash mid-write leaves either the old file or the new
-//! one — never a half-written checkpoint. (Journals are the exception by
-//! design: a crashed *appender* tears its final line, which
+//! Every write goes through a temp file in the same directory, synced to
+//! disk before a rename, so a crash or power loss mid-write leaves either
+//! the old file or the new one — never a half-written checkpoint.
+//! (Journals are the exception by design: a crashed *appender* tears its
+//! final line, which
 //! [`Journal::recover_jsonl`](eadt_telemetry::Journal::recover_jsonl)
 //! repairs on resume.)
 
@@ -21,7 +22,7 @@ use crate::error::CkptError;
 use eadt_transfer::EngineCheckpoint;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 /// Schema version of the [`JobCheckpoint`] wrapper (the engine checkpoint
@@ -125,7 +126,10 @@ impl CheckpointStore {
         self.dir.join(name)
     }
 
-    /// Writes `contents` to `name` atomically (temp file + rename).
+    /// Writes `contents` to `name` atomically: a temp file, synced to
+    /// disk, then renamed over `name`. The sync makes the rename point at
+    /// whole bytes; a rename lost to a crash leaves the previous file,
+    /// which a resume accepts as an older commit.
     pub fn write(&self, name: &str, contents: &str) -> Result<(), CkptError> {
         let target = self.path(name);
         let tmp = self.path(&format!(".{name}.tmp"));
@@ -133,7 +137,9 @@ impl CheckpointStore {
             path: target.clone(),
             detail: e.to_string(),
         };
-        fs::write(&tmp, contents).map_err(io)?;
+        let mut file = fs::File::create(&tmp).map_err(io)?;
+        file.write_all(contents.as_bytes()).map_err(io)?;
+        file.sync_all().map_err(io)?;
         fs::rename(&tmp, &target).map_err(io)
     }
 

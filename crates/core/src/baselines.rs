@@ -20,7 +20,7 @@
 //! [`Manual`] is the hand-tuned client: the whole dataset with explicit
 //! pipelining, parallelism and concurrency.
 
-use crate::planner::Planner;
+use crate::planner::{chunk_params, weight_allocation};
 use crate::{Algorithm, Prepared, RunCtx};
 use eadt_dataset::{partition, partition_globus_online, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
@@ -125,7 +125,7 @@ impl Algorithm for SingleChunk {
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
             .map(|chunk| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
+                let params = chunk_params(&env.link, chunk);
                 ChunkPlan::from_chunk(
                     chunk,
                     params.pipelining,
@@ -166,12 +166,12 @@ impl ProMc {
     /// Builds ProMC's static plan (shared with BruteForce).
     pub fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> TransferPlan {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let alloc = Planner::new(&env.link).weight_allocation(&chunks, self.concurrency);
+        let alloc = weight_allocation(&chunks, self.concurrency);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&alloc)
             .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
+                let params = chunk_params(&env.link, chunk);
                 ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
             })
             .collect();

@@ -1,6 +1,6 @@
 //! Algorithm 2 — the High Throughput Energy-Efficient (HTEE) algorithm.
 
-use crate::planner::{weight_allocation_live, Planner};
+use crate::planner::{chunk_params, weight_allocation, weight_allocation_live};
 use crate::{Algorithm, Prepared};
 use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig};
 use eadt_endsys::Placement;
@@ -81,12 +81,12 @@ impl Algorithm for Htee {
     fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = self.chunks(env, dataset);
         let levels = self.search_levels();
-        let first_alloc = Planner::new(&env.link).weight_allocation(&chunks, levels[0]);
+        let first_alloc = weight_allocation(&chunks, levels[0]);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&first_alloc)
             .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
+                let params = chunk_params(&env.link, chunk);
                 ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
             })
             .collect();
@@ -130,7 +130,7 @@ struct HteeState {
     searches: u32,
     /// The concurrency level the search settled on.
     chosen_level: Option<u32>,
-    /// True while a probe-window span is open (capture only).
+    /// True while a probe-window span is open (journaled runs only).
     span_open: bool,
 }
 
@@ -142,8 +142,6 @@ pub struct HteeController {
     levels: Vec<u32>,
     window: SimDuration,
     state: HteeState,
-    capture: bool,
-    events: Vec<Event>,
 }
 
 impl HteeController {
@@ -166,33 +164,37 @@ impl HteeController {
                 chosen_level: None,
                 span_open: false,
             },
-            capture: false,
-            events: Vec::new(),
         }
     }
 
-    /// Opens a probe-window span for `level` (capture only). The façade
-    /// assigns the deterministic id.
-    fn open_probe_span(&mut self, level: u32) {
-        if self.capture {
-            self.events.push(Event::SpanBegin {
-                id: 0,
-                parent: 0,
-                kind: "probe".to_string(),
-                detail: format!("level {level}"),
-            });
+    /// Opens a probe-window span for `level` at `now` (journaled runs
+    /// only). The façade assigns the deterministic id.
+    fn open_probe_span(&mut self, tel: &mut Telemetry, now: SimTime, level: u32) {
+        if tel.journaling() {
+            tel.record(
+                now,
+                Event::SpanBegin {
+                    id: 0,
+                    parent: 0,
+                    kind: "probe".to_string(),
+                    detail: format!("level {level}"),
+                },
+            );
             self.state.span_open = true;
         }
     }
 
-    /// Closes the open probe-window span for `level`.
-    fn close_probe_span(&mut self, level: u32) {
-        if self.capture && self.state.span_open {
-            self.events.push(Event::SpanEnd {
-                id: 0,
-                kind: "probe".to_string(),
-                detail: format!("level {level}"),
-            });
+    /// Closes the open probe-window span for `level` at `now`.
+    fn close_probe_span(&mut self, tel: &mut Telemetry, now: SimTime, level: u32) {
+        if tel.journaling() && self.state.span_open {
+            tel.record(
+                now,
+                Event::SpanEnd {
+                    id: 0,
+                    kind: "probe".to_string(),
+                    detail: format!("level {level}"),
+                },
+            );
             self.state.span_open = false;
         }
     }
@@ -214,7 +216,7 @@ impl HteeController {
 }
 
 impl Controller for HteeController {
-    fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
         let idx = match self.state.phase {
             Phase::Searching { idx } => idx,
             Phase::Committed { since } => {
@@ -233,26 +235,24 @@ impl Controller for HteeController {
                             &ctx.live_chunks(),
                             self.levels[0],
                         );
-                        if self.capture {
-                            self.events.push(Event::Decision {
-                                reason: format!(
-                                    "re-probe: search {} restarts at level {}",
-                                    self.state.searches, self.levels[0]
-                                ),
-                                targets: targets.clone(),
-                            });
-                        }
-                        self.open_probe_span(self.levels[0]);
+                        tel.record_with(ctx.now, || Event::Decision {
+                            reason: format!(
+                                "re-probe: search {} restarts at level {}",
+                                self.state.searches, self.levels[0]
+                            ),
+                            targets: targets.clone(),
+                        });
+                        self.open_probe_span(tel, ctx.now, self.levels[0]);
                         return ControlAction::Reallocate(targets);
                     }
                 }
                 return ControlAction::Continue;
             }
         };
-        if self.capture && !self.state.span_open {
+        if tel.journaling() && !self.state.span_open {
             // First observed slice of this probe window (covers the very
             // first window, whose start predates any controller event).
-            self.open_probe_span(self.levels[idx]);
+            self.open_probe_span(tel, ctx.now, self.levels[idx]);
         }
         self.state.window_bytes += ctx.slice_bytes.as_f64();
         self.state.window_energy += ctx.slice_energy_j;
@@ -261,19 +261,17 @@ impl Controller for HteeController {
             return ControlAction::Continue;
         }
         // Window done: score this level.
-        let ratio = self.window_ratio(elapsed.as_secs_f64());
-        if self.capture {
-            let secs = elapsed.as_secs_f64();
-            self.events.push(Event::ProbeWindow {
-                level: self.levels[idx],
-                window_s: secs,
-                mbps: self.state.window_bytes * 8.0 / secs / 1e6,
-                energy_j: self.state.window_energy,
-                ratio,
-            });
-        }
+        let secs = elapsed.as_secs_f64();
+        let ratio = self.window_ratio(secs);
+        tel.record_with(ctx.now, || Event::ProbeWindow {
+            level: self.levels[idx],
+            window_s: secs,
+            mbps: self.state.window_bytes * 8.0 / secs / 1e6,
+            energy_j: self.state.window_energy,
+            ratio,
+        });
         self.state.ratios.push(ratio);
-        self.close_probe_span(self.levels[idx]);
+        self.close_probe_span(tel, ctx.now, self.levels[idx]);
         self.state.window_bytes = 0.0;
         self.state.window_energy = 0.0;
         self.state.window_start = ctx.now;
@@ -281,7 +279,7 @@ impl Controller for HteeController {
         let next = idx + 1;
         if next < self.levels.len() {
             self.state.phase = Phase::Searching { idx: next };
-            self.open_probe_span(self.levels[next]);
+            self.open_probe_span(tel, ctx.now, self.levels[next]);
             ControlAction::Reallocate(weight_allocation_live(
                 &self.weights,
                 &live,
@@ -300,16 +298,14 @@ impl Controller for HteeController {
             let level = self.levels[best];
             self.state.chosen_level = Some(level);
             self.state.phase = Phase::Committed { since: ctx.now };
-            if self.capture {
-                self.events.push(Event::Commit {
-                    level,
-                    reason: format!(
-                        "best thr\u{b2}/energy ratio {:.3} across {} probed levels",
-                        self.state.ratios[best],
-                        self.state.ratios.len()
-                    ),
-                });
-            }
+            tel.record_with(ctx.now, || Event::Commit {
+                level,
+                reason: format!(
+                    "best thr\u{b2}/energy ratio {:.3} across {} probed levels",
+                    self.state.ratios[best],
+                    self.state.ratios.len()
+                ),
+            });
             ControlAction::Reallocate(weight_allocation_live(&self.weights, &live, level))
         }
     }
@@ -318,14 +314,6 @@ impl Controller for HteeController {
     /// energy ledger books them under the `probe` phase.
     fn probing(&self) -> bool {
         matches!(self.state.phase, Phase::Searching { .. })
-    }
-
-    fn enable_event_capture(&mut self) {
-        self.capture = true;
-    }
-
-    fn drain_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
     }
 
     /// While searching, every slice feeds the probe-window accumulators,
@@ -346,10 +334,6 @@ impl Controller for HteeController {
     }
 
     fn snapshot(&self) -> ControllerSnapshot {
-        debug_assert!(
-            self.events.is_empty(),
-            "snapshot must follow an event drain"
-        );
         ControllerSnapshot::of(HTEE_KIND, &self.state)
     }
 
@@ -434,12 +418,12 @@ mod tests {
         };
         let chunks = algo.chunks(&env, &dataset);
         let levels = algo.search_levels();
-        let first = Planner::new(&env.link).weight_allocation(&chunks, levels[0]);
+        let first = weight_allocation(&chunks, levels[0]);
         let plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&first)
             .map(|(c, &ch)| {
-                let p = Planner::new(&env.link).chunk_params(c);
+                let p = chunk_params(&env.link, c);
                 ChunkPlan::from_chunk(c, p.pipelining, p.parallelism, ch)
             })
             .collect();
@@ -512,12 +496,12 @@ mod tests {
         let chunks = algo.chunks(&env, &dataset);
         let levels = algo.search_levels();
         let n_levels = levels.len();
-        let first = Planner::new(&env.link).weight_allocation(&chunks, levels[0]);
+        let first = weight_allocation(&chunks, levels[0]);
         let plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&first)
             .map(|(c, &ch)| {
-                let p = Planner::new(&env.link).chunk_params(c);
+                let p = chunk_params(&env.link, c);
                 ChunkPlan::from_chunk(c, p.pipelining, p.parallelism, ch)
             })
             .collect();

@@ -50,18 +50,19 @@ pub use ctx::RunCtx;
 pub use htee::Htee;
 pub use kind::AlgorithmKind;
 pub use mine::MinE;
-pub use planner::{ChunkParams, Planner};
+pub use planner::{chunk_params, ChunkParams};
 pub use slaee::Slaee;
 
 /// The one-stop import for experiment code: the trait, the run context,
-/// every algorithm and baseline, the planner, and the kind selector.
+/// every algorithm and baseline, the chunk parameter rule, and the kind
+/// selector.
 pub mod prelude {
     pub use crate::baselines::{
         BruteForce, GlobusOnline, GlobusUrlCopy, Manual, ProMc, SingleChunk,
     };
     pub use crate::ctx::RunCtx;
     pub use crate::kind::AlgorithmKind;
-    pub use crate::planner::{ChunkParams, Planner};
+    pub use crate::planner::{chunk_params, ChunkParams};
     pub use crate::{Algorithm, Htee, MinE, Slaee};
 }
 

@@ -1,6 +1,6 @@
 //! Algorithm 1 — the Minimum Energy (MinE) transfer algorithm.
 
-use crate::planner::Planner;
+use crate::planner::{chunk_params, mine_allocation};
 use crate::{Algorithm, Prepared};
 use eadt_dataset::{partition, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
@@ -39,12 +39,12 @@ impl MinE {
     /// Builds the static transfer plan (exposed for inspection and tests).
     pub fn plan(&self, env: &TransferEnv, dataset: &Dataset) -> TransferPlan {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let alloc = Planner::new(&env.link).mine_allocation(&chunks, self.max_channel);
+        let alloc = mine_allocation(&chunks, self.max_channel);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&alloc)
             .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
+                let params = chunk_params(&env.link, chunk);
                 let mut plan =
                     ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels);
                 // The energy guard: Large chunks keep one channel for the

@@ -24,73 +24,17 @@ pub struct ChunkParams {
     pub parallelism: u32,
 }
 
-/// The planner: all parameter rules and channel-allocation policies of
-/// Algorithms 1–3, bound to the path they plan against.
+/// Algorithm 1 lines 8–9, for a chunk sent over `link`:
 ///
-/// Construct it once per environment with [`Planner::new`] and call
-/// policies as methods. The live-set variants used by mid-transfer
-/// controllers remain crate-private free functions over precomputed chunk
-/// weights, because controllers re-plan without a link or chunks in hand.
-#[derive(Debug, Clone, Copy)]
-pub struct Planner<'a> {
-    link: &'a Link,
-}
-
-impl<'a> Planner<'a> {
-    /// A planner for the given end-to-end path.
-    pub fn new(link: &'a Link) -> Self {
-        Planner { link }
-    }
-
-    /// The path this planner plans against.
-    pub fn link(&self) -> &'a Link {
-        self.link
-    }
-
-    /// Algorithm 1 lines 8–9:
-    ///
-    /// ```text
-    /// pipelining  = ⌈ BDP / avgFileSize ⌉
-    /// parallelism = max(min(⌈BDP/bufSize⌉, ⌈avgFileSize/bufSize⌉), 1)
-    /// ```
-    ///
-    /// Small chunks get deep pipelines and one stream; Large chunks get
-    /// shallow pipelines and enough streams to cover the BDP with the
-    /// available buffer.
-    pub fn chunk_params(&self, chunk: &Chunk) -> ChunkParams {
-        chunk_params_policy(self.link, chunk)
-    }
-
-    /// Algorithm 1 lines 10–11: MinE's channel allocation (Large chunks
-    /// pinned to one channel, the rest shared weight-proportionally).
-    pub(crate) fn mine_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-        mine_allocation_policy(chunks, max_channel)
-    }
-
-    /// Algorithm 2 lines 6–13: HTEE's weight-proportional allocation.
-    pub(crate) fn weight_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-        weight_allocation_policy(chunks, max_channel)
-    }
-
-    /// Ablation variant of HTEE's weight-proportional allocation
-    /// (Algorithm 2) with weights proportional to raw chunk byte counts.
-    pub fn linear_weight_allocation(&self, chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
-        linear_weight_allocation_policy(chunks, max_channel)
-    }
-
-    /// SLAEE's allocation (Algorithm 3): the weight allocation with Large
-    /// chunks capped at one channel until `rearranged`.
-    pub(crate) fn sla_allocation(
-        &self,
-        chunks: &[Chunk],
-        max_channel: u32,
-        rearranged: bool,
-    ) -> Vec<u32> {
-        sla_allocation(chunks, max_channel, rearranged)
-    }
-}
-
-fn chunk_params_policy(link: &Link, chunk: &Chunk) -> ChunkParams {
+/// ```text
+/// pipelining  = ⌈ BDP / avgFileSize ⌉
+/// parallelism = max(min(⌈BDP/bufSize⌉, ⌈avgFileSize/bufSize⌉), 1)
+/// ```
+///
+/// Small chunks get deep pipelines and one stream; Large chunks get
+/// shallow pipelines and enough streams to cover the BDP with the
+/// available buffer.
+pub fn chunk_params(link: &Link, chunk: &Chunk) -> ChunkParams {
     let bdp = link.bdp().as_f64().max(1.0);
     let avg = chunk.avg_file_size().as_f64().max(1.0);
     let buf = link.tcp_buffer.as_f64().max(1.0);
@@ -118,7 +62,7 @@ fn chunk_params_policy(link: &Link, chunk: &Chunk) -> ChunkParams {
 /// * Large-class chunks get exactly one channel each (the energy guard);
 /// * the remaining budget is shared by the non-Large chunks,
 ///   weight-proportionally, each getting at least one.
-fn mine_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
+pub(crate) fn mine_allocation(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     let n = chunks.len();
     if n == 0 {
         return Vec::new();
@@ -142,7 +86,7 @@ fn mine_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
         .max(1)
         .saturating_sub(large_count)
         .max(rest.len() as u32);
-    let rest_alloc = weight_allocation_policy(&rest, budget);
+    let rest_alloc = weight_allocation(&rest, budget);
     let mut out = Vec::with_capacity(n);
     let mut k = 0usize;
     for &l in &is_large {
@@ -177,14 +121,14 @@ fn mine_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
 /// listing, every live chunk is guaranteed one channel and leftover
 /// channels (from flooring) go to the heaviest chunks, so exactly
 /// `max_channel` channels are allocated whenever `max_channel ≥ #chunks`.
-fn weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
+pub(crate) fn weight_allocation(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     allocation_by_weights(
         &chunks.iter().map(Chunk::weight).collect::<Vec<_>>(),
         max_channel,
     )
 }
 
-/// [`Planner::weight_allocation`] restricted to chunks still holding bytes,
+/// [`weight_allocation`] restricted to chunks still holding bytes,
 /// over the chunks' [`Chunk::weight`]s: dead chunks get zero channels and
 /// the whole budget lands on the live ones (mid-transfer reallocations
 /// must not leak channels to finished chunks).
@@ -205,12 +149,12 @@ pub(crate) fn weight_allocation_live(weights: &[f64], live: &[bool], max_channel
         .collect()
 }
 
-/// Ablation variant of [`Planner::weight_allocation`]: weights
-/// proportional to raw chunk byte counts instead of the paper's
-/// `log(size)·log(count)`. Linear weights starve many-small-file chunks of
-/// channels — the ablation bench quantifies what the paper's logarithmic
-/// damping buys.
-fn linear_weight_allocation_policy(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
+/// Ablation variant of HTEE's weight-proportional allocation
+/// (Algorithm 2): weights proportional to raw chunk byte counts instead
+/// of the paper's `log(size)·log(count)`. Linear weights starve
+/// many-small-file chunks of channels — the ablation bench quantifies
+/// what the paper's logarithmic damping buys.
+pub fn linear_weight_allocation(chunks: &[Chunk], max_channel: u32) -> Vec<u32> {
     allocation_by_weights(
         &chunks
             .iter()
@@ -400,7 +344,7 @@ mod tests {
     #[test]
     fn params_small_chunk_gets_deep_pipeline_one_stream() {
         // BDP 50 MB, avg 5 MB → pp = 10; parallelism min(2, 1) = 1.
-        let p = Planner::new(&xsede_link()).chunk_params(&chunk_of(SizeClass::Small, 10, 5));
+        let p = chunk_params(&xsede_link(), &chunk_of(SizeClass::Small, 10, 5));
         assert_eq!(p.pipelining, 10);
         assert_eq!(p.parallelism, 1);
     }
@@ -408,7 +352,7 @@ mod tests {
     #[test]
     fn params_large_chunk_gets_streams_no_pipeline() {
         // avg 3 GB → pp = ⌈50/3000⌉ = 1; parallelism min(⌈50/32⌉=2, 94) = 2.
-        let p = Planner::new(&xsede_link()).chunk_params(&chunk_of(SizeClass::Large, 4, 3000));
+        let p = chunk_params(&xsede_link(), &chunk_of(SizeClass::Large, 4, 3000));
         assert_eq!(p.pipelining, 1);
         assert_eq!(p.parallelism, 2);
     }
@@ -421,7 +365,7 @@ mod tests {
             SimDuration::from_micros(200),
             Bytes::from_mb(32),
         );
-        let p = Planner::new(&lan).chunk_params(&chunk_of(SizeClass::Large, 4, 500));
+        let p = chunk_params(&lan, &chunk_of(SizeClass::Large, 4, 500));
         assert_eq!(p.pipelining, 1);
         assert_eq!(p.parallelism, 1);
     }
@@ -435,21 +379,17 @@ mod tests {
                 .map(|i| FileSpec::new(i, Bytes::from_kb(100)))
                 .collect(),
         );
-        assert_eq!(
-            Planner::new(&xsede_link()).chunk_params(&c).pipelining,
-            MAX_PIPELINING
-        );
+        assert_eq!(chunk_params(&xsede_link(), &c).pipelining, MAX_PIPELINING);
     }
 
     #[test]
     fn mine_allocation_pins_large_shares_rest() {
-        let link = xsede_link();
         let chunks = vec![
             chunk_of(SizeClass::Small, 200, 5),
             chunk_of(SizeClass::Medium, 40, 150),
             chunk_of(SizeClass::Large, 4, 3000),
         ];
-        let alloc = Planner::new(&link).mine_allocation(&chunks, 12);
+        let alloc = mine_allocation(&chunks, 12);
         assert_eq!(alloc[2], 1, "Large pinned to one channel: {alloc:?}");
         assert_eq!(alloc.iter().sum::<u32>(), 12);
         assert!(alloc[0] >= alloc[1], "small chunk favoured: {alloc:?}");
@@ -457,36 +397,33 @@ mod tests {
 
     #[test]
     fn mine_allocation_all_large_is_one_each() {
-        let link = xsede_link();
         let chunks = vec![
             chunk_of(SizeClass::Large, 4, 3000),
             chunk_of(SizeClass::Large, 6, 8000),
         ];
-        assert_eq!(Planner::new(&link).mine_allocation(&chunks, 12), vec![1, 1]);
+        assert_eq!(mine_allocation(&chunks, 12), vec![1, 1]);
     }
 
     #[test]
     fn mine_allocation_always_gives_at_least_one() {
-        let link = xsede_link();
         let chunks = vec![
             chunk_of(SizeClass::Small, 20, 1),
             chunk_of(SizeClass::Medium, 8, 30),
             chunk_of(SizeClass::Large, 4, 3000),
         ];
-        let alloc = Planner::new(&link).mine_allocation(&chunks, 1);
+        let alloc = mine_allocation(&chunks, 1);
         assert!(alloc.iter().all(|&c| c >= 1), "{alloc:?}");
     }
 
     #[test]
     fn mine_allocation_respects_budget_for_reasonable_inputs() {
-        let link = xsede_link();
         let chunks = vec![
             chunk_of(SizeClass::Small, 20, 5),
             chunk_of(SizeClass::Medium, 8, 150),
             chunk_of(SizeClass::Large, 4, 3000),
         ];
         for max in 3..=20u32 {
-            let alloc = Planner::new(&link).mine_allocation(&chunks, max);
+            let alloc = mine_allocation(&chunks, max);
             let total: u32 = alloc.iter().sum();
             // Every chunk gets a channel even on a tiny budget, so the total
             // may overrun `max` by at most the chunk count; with a sane
@@ -509,7 +446,7 @@ mod tests {
             chunk_of(SizeClass::Large, 10, 3000),
         ];
         for max in 3..=24u32 {
-            let alloc = Planner::new(&xsede_link()).weight_allocation(&chunks, max);
+            let alloc = weight_allocation(&chunks, max);
             assert_eq!(alloc.iter().sum::<u32>(), max, "max={max} alloc={alloc:?}");
             assert!(alloc.iter().all(|&c| c >= 1), "{alloc:?}");
         }
@@ -521,7 +458,7 @@ mod tests {
             chunk_of(SizeClass::Small, 500, 5), // many files, big log·log weight
             chunk_of(SizeClass::Large, 2, 3000),
         ];
-        let alloc = Planner::new(&xsede_link()).weight_allocation(&chunks, 10);
+        let alloc = weight_allocation(&chunks, 10);
         assert!(alloc[0] > alloc[1], "{alloc:?}");
     }
 
@@ -532,21 +469,16 @@ mod tests {
             chunk_of(SizeClass::Medium, 40, 150),
             chunk_of(SizeClass::Large, 10, 3000),
         ];
-        let alloc = Planner::new(&xsede_link()).weight_allocation(&chunks, 2);
+        let alloc = weight_allocation(&chunks, 2);
         assert_eq!(alloc.iter().sum::<u32>(), 2);
         assert_eq!(alloc.iter().filter(|&&c| c > 0).count(), 2);
     }
 
     #[test]
     fn weight_allocation_empty_and_single() {
-        assert!(Planner::new(&xsede_link())
-            .weight_allocation(&[], 5)
-            .is_empty());
+        assert!(weight_allocation(&[], 5).is_empty());
         let one = vec![chunk_of(SizeClass::Large, 3, 1000)];
-        assert_eq!(
-            Planner::new(&xsede_link()).weight_allocation(&one, 7),
-            vec![7]
-        );
+        assert_eq!(weight_allocation(&one, 7), vec![7]);
     }
 
     #[test]
@@ -556,16 +488,13 @@ mod tests {
             chunk_of(SizeClass::Medium, 40, 150),
             chunk_of(SizeClass::Large, 10, 3000),
         ];
-        let alloc = Planner::new(&xsede_link()).sla_allocation(&chunks, 12, false);
+        let alloc = sla_allocation(&chunks, 12, false);
         assert_eq!(alloc[2], 1, "{alloc:?}");
         assert_eq!(alloc.iter().sum::<u32>(), 12);
         // After reArrangeChannels the cap lifts.
-        let re = Planner::new(&xsede_link()).sla_allocation(&chunks, 12, true);
+        let re = sla_allocation(&chunks, 12, true);
         assert!(re[2] >= 1);
-        assert_eq!(
-            re,
-            Planner::new(&xsede_link()).weight_allocation(&chunks, 12)
-        );
+        assert_eq!(re, weight_allocation(&chunks, 12));
     }
 
     #[test]
@@ -574,10 +503,7 @@ mod tests {
             chunk_of(SizeClass::Large, 4, 2000),
             chunk_of(SizeClass::Large, 6, 5000),
         ];
-        let alloc = Planner::new(&xsede_link()).sla_allocation(&chunks, 8, false);
-        assert_eq!(
-            alloc,
-            Planner::new(&xsede_link()).weight_allocation(&chunks, 8)
-        );
+        let alloc = sla_allocation(&chunks, 8, false);
+        assert_eq!(alloc, weight_allocation(&chunks, 8));
     }
 }

@@ -1,9 +1,11 @@
 //! Property-based tests of the allocation policies.
 
-use crate::planner::{sla_allocation, sla_allocation_live, weight_allocation_live, Planner};
+use crate::planner::{
+    linear_weight_allocation, mine_allocation, sla_allocation, sla_allocation_live,
+    weight_allocation, weight_allocation_live,
+};
 use eadt_dataset::{Chunk, FileSpec, SizeClass};
-use eadt_net::link::Link;
-use eadt_sim::{Bytes, Rate, SimDuration};
+use eadt_sim::Bytes;
 use proptest::prelude::*;
 
 fn any_chunks() -> impl Strategy<Value = Vec<Chunk>> {
@@ -35,18 +37,10 @@ fn any_chunks() -> impl Strategy<Value = Vec<Chunk>> {
     })
 }
 
-fn xsede_link() -> Link {
-    Link::new(
-        Rate::from_gbps(10.0),
-        SimDuration::from_millis(40),
-        Bytes::from_mb(32),
-    )
-}
-
 proptest! {
     #[test]
     fn weight_allocation_is_exact_and_covering(chunks in any_chunks(), max in 1u32..32) {
-        let alloc = Planner::new(&xsede_link()).weight_allocation(&chunks, max);
+        let alloc = weight_allocation(&chunks, max);
         prop_assert_eq!(alloc.len(), chunks.len());
         let total: u32 = alloc.iter().sum();
         if max as usize >= chunks.len() {
@@ -59,7 +53,7 @@ proptest! {
 
     #[test]
     fn linear_weight_allocation_is_exact(chunks in any_chunks(), max in 1u32..32) {
-        let alloc = Planner::new(&xsede_link()).linear_weight_allocation(&chunks, max);
+        let alloc = linear_weight_allocation(&chunks, max);
         prop_assert_eq!(alloc.iter().sum::<u32>(), max.max(1));
     }
 
@@ -85,7 +79,7 @@ proptest! {
 
     #[test]
     fn mine_allocation_pins_every_large_chunk(chunks in any_chunks(), max in 1u32..32) {
-        let alloc = Planner::new(&xsede_link()).mine_allocation(&chunks, max);
+        let alloc = mine_allocation(&chunks, max);
         prop_assert_eq!(alloc.len(), chunks.len());
         let all_large = chunks.iter().all(|c| c.class == SizeClass::Large);
         for (c, &a) in chunks.iter().zip(&alloc) {
@@ -110,12 +104,12 @@ proptest! {
         // Rearranged equals the pure weight allocation.
         prop_assert_eq!(
             sla_allocation(&chunks, max, true),
-            Planner::new(&xsede_link()).weight_allocation(&chunks, max)
+            weight_allocation(&chunks, max)
         );
         // Both conserve the budget.
         prop_assert_eq!(
             alloc.iter().sum::<u32>(),
-            Planner::new(&xsede_link()).weight_allocation(&chunks, max).iter().sum::<u32>()
+            weight_allocation(&chunks, max).iter().sum::<u32>()
         );
     }
 

@@ -1,7 +1,7 @@
 //! Algorithm 3 — the SLA-based Energy-Efficient (SLAEE) algorithm.
 
 use crate::htee::PROBE_WINDOW;
-use crate::planner::{sla_allocation_live, Planner};
+use crate::planner::{chunk_params, sla_allocation, sla_allocation_live};
 use crate::{Algorithm, Prepared};
 use eadt_dataset::{partition, Chunk, Dataset, PartitionConfig, SizeClass};
 use eadt_endsys::Placement;
@@ -81,12 +81,12 @@ impl Algorithm for Slaee {
 
     fn prepare(&self, env: &TransferEnv, dataset: &Dataset, _tel: &mut Telemetry) -> Prepared {
         let chunks = partition(dataset, env.link.bdp(), &self.partition);
-        let first_alloc = Planner::new(&env.link).sla_allocation(&chunks, 1, false);
+        let first_alloc = sla_allocation(&chunks, 1, false);
         let chunk_plans: Vec<ChunkPlan> = chunks
             .iter()
             .zip(&first_alloc)
             .map(|(chunk, &channels)| {
-                let params = Planner::new(&env.link).chunk_params(chunk);
+                let params = chunk_params(&env.link, chunk);
                 ChunkPlan::from_chunk(chunk, params.pipelining, params.parallelism, channels)
             })
             .collect();
@@ -137,7 +137,8 @@ struct SlaeeState {
     frozen: bool,
     /// Trace of (window end, measured Mbps) pairs.
     window_throughputs: Vec<(SimTime, f64)>,
-    /// True while a rearrangement-round span is open (capture only).
+    /// True while a rearrangement-round span is open (journaled runs
+    /// only).
     round_open: bool,
 }
 
@@ -152,8 +153,6 @@ pub struct SlaeeController {
     max_channel: u32,
     window: SimDuration,
     state: SlaeeState,
-    capture: bool,
-    events: Vec<Event>,
 }
 
 impl SlaeeController {
@@ -182,8 +181,6 @@ impl SlaeeController {
                 window_throughputs: Vec::new(),
                 round_open: false,
             },
-            capture: false,
-            events: Vec::new(),
         }
     }
 
@@ -197,31 +194,37 @@ impl SlaeeController {
         )
     }
 
-    /// Emits the allocation for the current state, logging `reason` when
-    /// event capture is on. Each decision opens a rearrangement-round
-    /// span covering the probe window that evaluates the new allocation
-    /// (closed at the next window boundary).
-    fn decide(&mut self, reason: String, live: &[bool]) -> ControlAction {
-        let targets = self.allocation(live);
-        if self.capture {
-            self.events.push(Event::SpanBegin {
-                id: 0,
-                parent: 0,
-                kind: "round".to_string(),
-                detail: reason.clone(),
-            });
+    /// Emits the allocation for the current state over `ctx`'s live
+    /// chunks, journaling `reason` at `ctx.now`. Each journaled decision
+    /// opens a rearrangement-round span covering the probe window that
+    /// evaluates the new allocation (closed at the next window boundary).
+    fn decide(&mut self, reason: String, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
+        let targets = self.allocation(&ctx.live_chunks());
+        if tel.journaling() {
+            tel.record(
+                ctx.now,
+                Event::SpanBegin {
+                    id: 0,
+                    parent: 0,
+                    kind: "round".to_string(),
+                    detail: reason.clone(),
+                },
+            );
             self.state.round_open = true;
-            self.events.push(Event::Decision {
-                reason,
-                targets: targets.clone(),
-            });
+            tel.record(
+                ctx.now,
+                Event::Decision {
+                    reason,
+                    targets: targets.clone(),
+                },
+            );
         }
         ControlAction::Reallocate(targets)
     }
 }
 
 impl Controller for SlaeeController {
-    fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
         let elapsed = ctx.now.since(self.state.window_start);
         if elapsed < self.window {
             return ControlAction::Continue;
@@ -235,12 +238,15 @@ impl Controller for SlaeeController {
         self.state.window_start_total = ctx.total_bytes;
         self.state.window_start = ctx.now;
         // The window that evaluated the previous decision just closed.
-        if self.capture && self.state.round_open {
-            self.events.push(Event::SpanEnd {
-                id: 0,
-                kind: "round".to_string(),
-                detail: String::new(),
-            });
+        if tel.journaling() && self.state.round_open {
+            tel.record(
+                ctx.now,
+                Event::SpanEnd {
+                    id: 0,
+                    kind: "round".to_string(),
+                    detail: String::new(),
+                },
+            );
             self.state.round_open = false;
         }
 
@@ -281,7 +287,7 @@ impl Controller for SlaeeController {
                     "freeze at {} channels: raises degrade throughput, target unreachable",
                     self.state.concurrency
                 );
-                return self.decide(reason, &ctx.live_chunks());
+                return self.decide(reason, ctx, tel);
             }
         }
         self.state.prev_window_mbps = Some(actual_mbps);
@@ -302,7 +308,7 @@ impl Controller for SlaeeController {
                      {target_mbps:.0} Mbps target",
                     self.state.concurrency
                 );
-                return self.decide(reason, &ctx.live_chunks());
+                return self.decide(reason, ctx, tel);
             }
             return ControlAction::Continue;
         }
@@ -335,15 +341,7 @@ impl Controller for SlaeeController {
         } else {
             return ControlAction::Continue;
         }
-        self.decide(reason, &ctx.live_chunks())
-    }
-
-    fn enable_event_capture(&mut self) {
-        self.capture = true;
-    }
-
-    fn drain_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
+        self.decide(reason, ctx, tel)
     }
 
     /// Between probe-window closes the controller is pure bookkeeping-free
@@ -360,10 +358,6 @@ impl Controller for SlaeeController {
     }
 
     fn snapshot(&self) -> ControllerSnapshot {
-        debug_assert!(
-            self.events.is_empty(),
-            "snapshot must follow an event drain"
-        );
         ControllerSnapshot::of(SLAEE_KIND, &self.state)
     }
 

@@ -7,7 +7,7 @@
 //! controller may re-allocate channels across the current stage's chunks.
 
 use eadt_sim::{Bytes, SimDuration, SimTime};
-use eadt_telemetry::Event;
+use eadt_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Snapshot kind used by controllers with no mutable state.
@@ -158,15 +158,17 @@ pub enum ControlAction {
 /// because a controller travels with its [`EngineRun`](crate::EngineRun)
 /// to whichever worker steps it next.
 pub trait Controller: Send {
-    /// Called once per slice, after measurements are updated.
-    fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction;
+    /// Called once per slice, after measurements are updated. Events the
+    /// controller authors (decisions with reasons, probe windows, commits,
+    /// spans) go straight into the run's `tel`, stamped `ctx.now`.
+    fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction;
 
     /// Decision-cadence promise for the engine's macro-stepper: the number
     /// of upcoming `on_slice` calls — *assuming steady state holds* (every
     /// ctx field except `now`, `slice_bytes`, `slice_energy_j`,
     /// `total_bytes` and `remaining_bytes` unchanged; the latter advancing
     /// by a constant per-slice amount) — that are guaranteed to return
-    /// [`ControlAction::Continue`], buffer no events, and leave the
+    /// [`ControlAction::Continue`], journal nothing, and leave the
     /// controller in a state indistinguishable from having observed those
     /// slices. The engine may then skip calling `on_slice` for that many
     /// slices.
@@ -192,24 +194,10 @@ pub trait Controller: Send {
         false
     }
 
-    /// Switches on controller-authored telemetry: after this call the
-    /// controller buffers typed events (decisions with reasons, probe
-    /// windows, commits) for the engine to drain each slice. Off by
-    /// default, so un-instrumented runs never buffer. No-op for
-    /// controllers that emit nothing.
-    fn enable_event_capture(&mut self) {}
-
-    /// Returns (and clears) the events buffered since the last drain.
-    /// The engine timestamps them with the current slice's sim time.
-    fn drain_events(&mut self) -> Vec<Event> {
-        Vec::new()
-    }
-
     /// Serializes the controller's mutable state for an engine
-    /// checkpoint. Called at a slice boundary with the event buffer
-    /// drained; configuration (anything reconstructible from the run
-    /// setup) need not be included. The default suits controllers with
-    /// no mutable state.
+    /// checkpoint. Called at a slice boundary; configuration (anything
+    /// reconstructible from the run setup) need not be included. The
+    /// default suits controllers with no mutable state.
     fn snapshot(&self) -> ControllerSnapshot {
         ControllerSnapshot::stateless()
     }
@@ -235,20 +223,14 @@ pub trait Controller: Send {
 macro_rules! forward_controller {
     ($($ty:ty),+) => {$(
         impl<C: Controller + ?Sized> Controller for $ty {
-            fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
-                (**self).on_slice(ctx)
+            fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
+                (**self).on_slice(ctx, tel)
             }
             fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
                 (**self).next_decision_in(ctx, slice)
             }
             fn probing(&self) -> bool {
                 (**self).probing()
-            }
-            fn enable_event_capture(&mut self) {
-                (**self).enable_event_capture()
-            }
-            fn drain_events(&mut self) -> Vec<Event> {
-                (**self).drain_events()
             }
             fn snapshot(&self) -> ControllerSnapshot {
                 (**self).snapshot()
@@ -267,7 +249,7 @@ forward_controller!(Box<C>, &mut C);
 pub struct NullController;
 
 impl Controller for NullController {
-    fn on_slice(&mut self, _ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, _ctx: &SliceCtx, _tel: &mut Telemetry) -> ControlAction {
         ControlAction::Continue
     }
 
@@ -283,33 +265,32 @@ impl Controller for NullController {
 ///
 /// While the [`FaultView`] reports degraded capacity (servers
 /// quarantined), the inner controller's targets are scaled down by the
-/// capacity fraction — fewer channels pounding the surviving servers
-/// means less disk-head contention *and* less CPU power, which on
-/// single-disk servers is strictly faster and cheaper than piling the
-/// full allocation onto them. When the path recovers, concurrency is
-/// re-ramped gradually (`ramp_step` channels per slice) instead of
-/// snapping back, mirroring how the paper's client walks concurrency
-/// levels rather than jumping.
+/// capacity fraction, keeping at least one channel on every live chunk —
+/// fewer channels pounding the surviving servers means less disk-head
+/// contention *and* less CPU power, which on single-disk servers is
+/// strictly faster and cheaper than piling the full allocation onto them.
+/// When the path recovers, concurrency is re-ramped gradually (one
+/// channel per slice) instead of snapping back, mirroring how the paper's
+/// client walks concurrency levels rather than jumping.
 #[derive(Debug, Clone)]
 pub struct FaultAware<C> {
     /// The wrapped controller (it sees every slice regardless).
     pub inner: C,
-    /// Floor on any live chunk's channels while degraded.
-    pub min_channels: u32,
-    /// Total channels restored per slice during recovery.
-    pub ramp_step: u32,
     desired: Vec<u32>,
     degraded: bool,
-    capture: bool,
-    events: Vec<Event>,
 }
 
 /// Snapshot kind tag for [`FaultAware`].
 pub(crate) const FAULT_AWARE_KIND: &str = "fault-aware";
 
-/// Mutable state of [`FaultAware`] as stored in a checkpoint. The
-/// decorator's configuration knobs ride along so a tuned decorator
-/// survives resume even when the reconstruction used defaults.
+/// [`FaultAware`]'s floor on any live chunk's channels while degraded.
+const MIN_CHANNELS: u32 = 1;
+/// [`FaultAware`]'s total channels restored per slice during recovery.
+const RAMP_STEP: u32 = 1;
+
+/// Mutable state of [`FaultAware`] as stored in a checkpoint. The floor
+/// and the ramp ride along as fixed fields ([`MIN_CHANNELS`] and
+/// [`RAMP_STEP`]); a restore refuses a state that names other values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct FaultAwareState {
     min_channels: u32,
@@ -320,21 +301,17 @@ struct FaultAwareState {
 }
 
 impl<C> FaultAware<C> {
-    /// Wraps a controller with the default floor (1) and ramp (1/slice).
+    /// Wraps a controller.
     pub fn new(inner: C) -> Self {
         FaultAware {
             inner,
-            min_channels: 1,
-            ramp_step: 1,
             desired: Vec::new(),
             degraded: false,
-            capture: false,
-            events: Vec::new(),
         }
     }
 
     /// Scales the desired allocation by the capacity fraction, keeping at
-    /// least `min_channels` on every chunk the inner controller wants
+    /// least [`MIN_CHANNELS`] on every chunk the inner controller wants
     /// served.
     fn scaled(&self, frac: f64) -> Vec<u32> {
         self.desired
@@ -343,16 +320,16 @@ impl<C> FaultAware<C> {
                 if want == 0 {
                     0
                 } else {
-                    ((f64::from(want) * frac).round() as u32).max(self.min_channels.max(1))
+                    ((f64::from(want) * frac).round() as u32).max(MIN_CHANNELS)
                 }
             })
             .collect()
     }
 
-    /// Moves `current` toward `desired` by at most `ramp_step` total
+    /// Moves `current` toward `desired` by at most [`RAMP_STEP`] total
     /// channel additions (removals apply immediately).
     fn ramped(&self, current: &[u32]) -> Vec<u32> {
-        let mut budget = self.ramp_step.max(1);
+        let mut budget = RAMP_STEP;
         current
             .iter()
             .zip(&self.desired)
@@ -370,10 +347,11 @@ impl<C> FaultAware<C> {
 }
 
 impl<C: Controller> Controller for FaultAware<C> {
-    fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+    fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
         // The wrapped controller always sees the slice, so its own probe
-        // windows and measurements keep running during an incident.
-        let inner_action = self.inner.on_slice(ctx);
+        // windows and measurements keep running during an incident; its
+        // events land in the journal ahead of the decorator's.
+        let inner_action = self.inner.on_slice(ctx, tel);
         match &inner_action {
             ControlAction::Reallocate(targets) => self.desired = targets.clone(),
             ControlAction::Continue => {
@@ -395,21 +373,19 @@ impl<C: Controller> Controller for FaultAware<C> {
             self.degraded = true;
             let goal = self.scaled(ctx.fault.capacity_fraction);
             if goal != ctx.channels {
-                if self.capture {
-                    self.events.push(Event::Decision {
-                        reason: format!(
-                            "shed to {:.0}% capacity ({} quarantined)",
-                            ctx.fault.capacity_fraction * 100.0,
-                            ctx.fault
-                                .quarantined_src
-                                .iter()
-                                .chain(&ctx.fault.quarantined_dst)
-                                .filter(|&&q| q)
-                                .count()
-                        ),
-                        targets: goal.clone(),
-                    });
-                }
+                tel.record_with(ctx.now, || Event::Decision {
+                    reason: format!(
+                        "shed to {:.0}% capacity ({} quarantined)",
+                        ctx.fault.capacity_fraction * 100.0,
+                        ctx.fault
+                            .quarantined_src
+                            .iter()
+                            .chain(&ctx.fault.quarantined_dst)
+                            .filter(|&&q| q)
+                            .count()
+                    ),
+                    targets: goal.clone(),
+                });
                 return ControlAction::Reallocate(goal);
             }
             return ControlAction::Continue;
@@ -420,12 +396,10 @@ impl<C: Controller> Controller for FaultAware<C> {
                 self.degraded = false;
             }
             if ramped != ctx.channels {
-                if self.capture {
-                    self.events.push(Event::Decision {
-                        reason: "ramp after recovery".to_string(),
-                        targets: ramped.clone(),
-                    });
-                }
+                tel.record_with(ctx.now, || Event::Decision {
+                    reason: "ramp after recovery".to_string(),
+                    targets: ramped.clone(),
+                });
                 return ControlAction::Reallocate(ramped);
             }
             return ControlAction::Continue;
@@ -438,17 +412,6 @@ impl<C: Controller> Controller for FaultAware<C> {
 
     fn probing(&self) -> bool {
         self.inner.probing()
-    }
-
-    fn enable_event_capture(&mut self) {
-        self.capture = true;
-        self.inner.enable_event_capture();
-    }
-
-    fn drain_events(&mut self) -> Vec<Event> {
-        let mut events = self.inner.drain_events();
-        events.append(&mut self.events);
-        events
     }
 
     /// Healthy pass-through defers to the inner controller's promise (the
@@ -465,15 +428,11 @@ impl<C: Controller> Controller for FaultAware<C> {
     }
 
     fn snapshot(&self) -> ControllerSnapshot {
-        debug_assert!(
-            self.events.is_empty(),
-            "snapshot must follow an event drain"
-        );
         ControllerSnapshot::of(
             FAULT_AWARE_KIND,
             &FaultAwareState {
-                min_channels: self.min_channels,
-                ramp_step: self.ramp_step,
+                min_channels: MIN_CHANNELS,
+                ramp_step: RAMP_STEP,
                 desired: self.desired.clone(),
                 degraded: self.degraded,
                 inner: self.inner.snapshot(),
@@ -483,8 +442,13 @@ impl<C: Controller> Controller for FaultAware<C> {
 
     fn restore(&mut self, snap: &ControllerSnapshot) -> Result<(), String> {
         let state: FaultAwareState = snap.payload(FAULT_AWARE_KIND)?;
-        self.min_channels = state.min_channels;
-        self.ramp_step = state.ramp_step;
+        if (state.min_channels, state.ramp_step) != (MIN_CHANNELS, RAMP_STEP) {
+            return Err(format!(
+                "fault-aware snapshot names floor {} and ramp {}, the decorator uses \
+                 {MIN_CHANNELS} and {RAMP_STEP}",
+                state.min_channels, state.ramp_step
+            ));
+        }
         self.desired = state.desired;
         self.degraded = state.degraded;
         self.inner.restore(&state.inner)
@@ -514,7 +478,10 @@ mod tests {
     fn null_controller_always_continues() {
         let mut c = ctx(vec![1, 2, 3], FaultView::default());
         c.remaining_per_chunk = vec![Bytes::ZERO, Bytes::from_mb(1), Bytes::ZERO];
-        assert_eq!(NullController.on_slice(&c), ControlAction::Continue);
+        assert_eq!(
+            NullController.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
         assert_eq!(c.total_channels(), 6);
         assert_eq!(c.live_chunks(), vec![false, true, false]);
     }
@@ -531,7 +498,10 @@ mod tests {
     fn fault_aware_passes_through_on_healthy_path() {
         let mut fa = FaultAware::new(NullController);
         let c = ctx(vec![4, 4], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Continue);
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
     }
 
     #[test]
@@ -543,20 +513,38 @@ mod tests {
             ..FaultView::default()
         };
         let c = ctx(vec![8], degraded.clone());
-        assert_eq!(fa.on_slice(&c), ControlAction::Reallocate(vec![4]));
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Reallocate(vec![4])
+        );
         // Still degraded, engine applied the 4: stay there.
         let c = ctx(vec![4], degraded);
-        assert_eq!(fa.on_slice(&c), ControlAction::Continue);
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
         // Recovery: climb back one channel per slice, not in one jump.
         let c = ctx(vec![4], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Reallocate(vec![5]));
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Reallocate(vec![5])
+        );
         let c = ctx(vec![5], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Reallocate(vec![6]));
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Reallocate(vec![6])
+        );
         let c = ctx(vec![7], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Reallocate(vec![8]));
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Reallocate(vec![8])
+        );
         // Ramp complete: back to pass-through.
         let c = ctx(vec![8], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Continue);
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
     }
 
     #[test]
@@ -568,7 +556,10 @@ mod tests {
         };
         // Chunk with 1 channel stays at the floor; empty chunk stays empty.
         let c = ctx(vec![1, 0, 8], degraded);
-        assert_eq!(fa.on_slice(&c), ControlAction::Reallocate(vec![1, 0, 2]));
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Reallocate(vec![1, 0, 2])
+        );
     }
 
     #[test]
@@ -580,11 +571,14 @@ mod tests {
         };
         // Shed, then start the recovery ramp, then snapshot mid-ramp.
         assert_eq!(
-            fa.on_slice(&ctx(vec![8], degraded)),
+            fa.on_slice(&ctx(vec![8], degraded), &mut Telemetry::disabled()),
             ControlAction::Reallocate(vec![4])
         );
         assert_eq!(
-            fa.on_slice(&ctx(vec![4], FaultView::default())),
+            fa.on_slice(
+                &ctx(vec![4], FaultView::default()),
+                &mut Telemetry::disabled()
+            ),
             ControlAction::Reallocate(vec![5])
         );
         let snap = fa.snapshot();
@@ -594,11 +588,20 @@ mod tests {
         // Both continue the ramp identically from slice to slice.
         for ch in 5..8 {
             let c = ctx(vec![ch], FaultView::default());
-            assert_eq!(fa.on_slice(&c), restored.on_slice(&c));
+            assert_eq!(
+                fa.on_slice(&c, &mut Telemetry::disabled()),
+                restored.on_slice(&c, &mut Telemetry::disabled())
+            );
         }
         let c = ctx(vec![8], FaultView::default());
-        assert_eq!(fa.on_slice(&c), ControlAction::Continue);
-        assert_eq!(restored.on_slice(&c), ControlAction::Continue);
+        assert_eq!(
+            fa.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
+        assert_eq!(
+            restored.on_slice(&c, &mut Telemetry::disabled()),
+            ControlAction::Continue
+        );
         // JSON transport round-trips the envelope bit-exactly.
         let text = serde_json::to_string(&snap).unwrap();
         let back: ControllerSnapshot = serde_json::from_str(&text).unwrap();
@@ -624,7 +627,7 @@ mod tests {
     struct Fixed(Vec<u32>, u32);
 
     impl Controller for Fixed {
-        fn on_slice(&mut self, _ctx: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, _ctx: &SliceCtx, _tel: &mut Telemetry) -> ControlAction {
             self.1 += 1;
             ControlAction::Reallocate(self.0.clone())
         }
@@ -638,13 +641,112 @@ mod tests {
             ..FaultView::default()
         };
         assert_eq!(
-            fa.on_slice(&ctx(vec![6], degraded.clone())),
+            fa.on_slice(&ctx(vec![6], degraded.clone()), &mut Telemetry::disabled()),
             ControlAction::Reallocate(vec![3])
         );
         assert_eq!(
-            fa.on_slice(&ctx(vec![3], degraded)),
+            fa.on_slice(&ctx(vec![3], degraded), &mut Telemetry::disabled()),
             ControlAction::Continue
         );
         assert_eq!(fa.inner.1, 2);
+    }
+
+    /// An inner controller that journals one decision every slice and
+    /// otherwise keeps the allocation.
+    struct Noting;
+
+    impl Controller for Noting {
+        fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction {
+            tel.record_with(ctx.now, || Event::Decision {
+                reason: "inner".to_string(),
+                targets: ctx.channels.clone(),
+            });
+            ControlAction::Continue
+        }
+    }
+
+    /// The shed-and-recover sequence of `Noting` under the decorator,
+    /// stamped at 1 s, 2 s and 3 s.
+    fn drive_shed(tel: &mut Telemetry) -> Vec<ControlAction> {
+        let degraded = FaultView {
+            capacity_fraction: 0.5,
+            quarantined_src: vec![true, false],
+            ..FaultView::default()
+        };
+        let mut fa = FaultAware::new(Noting);
+        [
+            (vec![8], degraded.clone()),
+            (vec![4], degraded),
+            (vec![4], FaultView::default()),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (channels, fault))| {
+            let mut c = ctx(channels, fault);
+            c.now = SimTime::ZERO + SimDuration::from_secs(i as u64 + 1);
+            fa.on_slice(&c, tel)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn fault_aware_journals_after_its_inner_controller_at_ctx_now() {
+        let mut tel = Telemetry::with_journal();
+        let actions = drive_shed(&mut tel);
+        assert_eq!(
+            actions,
+            vec![
+                ControlAction::Reallocate(vec![4]),
+                ControlAction::Continue,
+                ControlAction::Reallocate(vec![5]),
+            ]
+        );
+        let journal = tel.into_journal().unwrap();
+        let got: Vec<(SimTime, &str, Vec<u32>)> = journal
+            .records()
+            .iter()
+            .map(|r| match &r.event {
+                Event::Decision { reason, targets } => (r.time(), reason.as_str(), targets.clone()),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let at = |s| SimTime::ZERO + SimDuration::from_secs(s);
+        assert_eq!(
+            got,
+            vec![
+                (at(1), "inner", vec![8]),
+                (at(1), "shed to 50% capacity (1 quarantined)", vec![4]),
+                (at(2), "inner", vec![4]),
+                (at(3), "inner", vec![4]),
+                (at(3), "ramp after recovery", vec![5]),
+            ]
+        );
+    }
+
+    #[test]
+    fn fault_aware_records_nothing_through_a_disabled_sink() {
+        let mut journaled = Telemetry::with_journal();
+        let mut off = Telemetry::disabled();
+        assert_eq!(drive_shed(&mut off), drive_shed(&mut journaled));
+        assert!(off.journal().is_none());
+    }
+
+    #[test]
+    fn fault_aware_restore_refuses_other_floor_or_ramp() {
+        let snap = FaultAware::new(NullController).snapshot();
+        assert!(snap.data.contains("\"min_channels\":1"), "{}", snap.data);
+        assert!(snap.data.contains("\"ramp_step\":1"), "{}", snap.data);
+        FaultAware::new(NullController).restore(&snap).unwrap();
+        for (from, to) in [
+            ("\"min_channels\":1", "\"min_channels\":2"),
+            ("\"ramp_step\":1", "\"ramp_step\":3"),
+        ] {
+            let tuned = ControllerSnapshot {
+                kind: snap.kind.clone(),
+                data: snap.data.replace(from, to),
+            };
+            let err = FaultAware::new(NullController).restore(&tuned).unwrap_err();
+            assert!(err.contains("floor"), "{err}");
+        }
     }
 }

@@ -382,7 +382,8 @@ impl<'c> EngineRun<'c> {
 
     /// The run's full in-flight state at its current slice boundary
     /// (cold), without consuming the run; `tel` must be the run's
-    /// telemetry. The last slice drained every event buffer.
+    /// telemetry. The last slice journaled its fault-runtime events, and
+    /// controllers journal as they decide, so no event is held back.
     ///
     /// # Panics
     /// On a run that discards its series

@@ -587,13 +587,13 @@ impl<'c> SliceRun<'c> {
         }
     }
 
-    /// Telemetry wiring (cold). Capture flags and gauge handles are not
-    /// part of checkpoints: a restore derives them afresh.
+    /// Telemetry wiring (cold). The fault runtime's capture flag and the
+    /// gauge handles are not part of checkpoints: a restore derives them
+    /// afresh.
     fn wire(&mut self, tel: &mut Telemetry) {
         self.journaling = tel.journaling();
         self.gauges = tel.metrics().map(EngineGauges::register);
         if self.journaling {
-            self.controller.enable_event_capture();
             if let Some(rt) = &mut self.runtime {
                 rt.capture_events(true);
             }
@@ -659,8 +659,9 @@ impl<'c> SliceRun<'c> {
         while (0..self.chunks.len()).any(|ci| self.chunks[ci].live(a.chunk_in_flight[ci])) {
             let done = self.acc.slices_done;
             // Step boundary: between slices, before the next slice's
-            // fault window opens. All controller/runtime event buffers
-            // are drained here, so a snapshot taken now is complete.
+            // fault window opens. The fault runtime's event buffer was
+            // drained at the end of the last slice's advance, so a
+            // snapshot taken now is complete.
             if cx.until.is_some_and(|h| done >= h) {
                 return StageEnd::Paused;
             }
@@ -1343,12 +1344,7 @@ impl<'c> SliceRun<'c> {
             remaining_per_chunk,
             fault,
         };
-        let action = self.controller.on_slice(&ctx);
-        if self.journaling {
-            for ev in self.controller.drain_events() {
-                cx.tel.record(now, ev);
-            }
-        }
+        let action = self.controller.on_slice(&ctx, cx.tel);
         let k = match action {
             ControlAction::Reallocate(new_targets) => {
                 assert_eq!(

@@ -216,7 +216,7 @@ fn reallocation_moves_channels_to_surviving_chunk() {
 fn controller_can_change_concurrency() {
     struct Bump;
     impl Controller for Bump {
-        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, ctx: &SliceCtx, _: &mut Telemetry) -> ControlAction {
             if ctx.now.as_secs_f64() > 2.0 && ctx.total_channels() < 8 {
                 ControlAction::Reallocate(vec![8])
             } else {
@@ -239,7 +239,7 @@ fn controller_can_change_concurrency() {
 fn zeroed_controller_targets_do_not_deadlock() {
     struct Zero;
     impl Controller for Zero {
-        fn on_slice(&mut self, _: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, _: &SliceCtx, _: &mut Telemetry) -> ControlAction {
             ControlAction::Reallocate(vec![0])
         }
     }
@@ -570,7 +570,7 @@ fn controller_sees_stage_indices_in_sequential_plans() {
         seen: Vec<usize>,
     }
     impl Controller for StageRecorder {
-        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, ctx: &SliceCtx, _: &mut Telemetry) -> ControlAction {
             if self.seen.last() != Some(&ctx.stage) {
                 self.seen.push(ctx.stage);
             }
@@ -977,7 +977,7 @@ fn placement_and_grants_are_solved_once_per_change() {
     // boundary; one slice per step, so every executed slice is seen.
     struct Reshape;
     impl Controller for Reshape {
-        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, ctx: &SliceCtx, _: &mut Telemetry) -> ControlAction {
             let secs = ctx.now.as_secs_f64();
             let want = if secs < 60.0 {
                 4
@@ -1078,7 +1078,7 @@ fn placement_and_grants_are_solved_once_per_change() {
     // bit across the trade must still solve again.
     struct Trade;
     impl Controller for Trade {
-        fn on_slice(&mut self, ctx: &SliceCtx) -> ControlAction {
+        fn on_slice(&mut self, ctx: &SliceCtx, _: &mut Telemetry) -> ControlAction {
             let want = if ctx.now.as_secs_f64() < 20.0 {
                 vec![2, 2]
             } else {

@@ -233,6 +233,14 @@ pub struct FaultState {
 /// The fault machinery of one engine run: its [`FaultState`], advanced
 /// once per slice, beside what the plan says each stream applies to, the
 /// per-slice episode snapshot and the telemetry event buffer.
+///
+/// The runtime is the one engine component that buffers its events
+/// instead of recording them where they arise. Its episode, breaker and
+/// span events arise in the engine's sync and kill phases, but the
+/// journal carries them at the end of the slice's advance, after that
+/// slice's `channel_open`/`channel_close`, `channel_fail`/`channel_retry`
+/// and `power_state` events; recording them in place would reorder the
+/// journal.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     plan: FaultPlan,

@@ -10,7 +10,7 @@
 //! ```
 
 use eadt::core::baselines::ProMc;
-use eadt::core::{Algorithm, Htee, MinE, Planner, RunCtx};
+use eadt::core::{chunk_params, Algorithm, Htee, MinE, RunCtx};
 use eadt::dataset::{partition, DatasetMix, DatasetSpec, PartitionConfig};
 use eadt::endsys::{DiskSubsystem, ServerSpec, Site, UtilizationCoeffs};
 use eadt::net::link::Link;
@@ -102,9 +102,8 @@ fn main() {
     // the small class, four 64 MB-buffered streams to cover 250 MB in
     // flight for the bulk class.
     let chunks = partition(&dataset, env.link.bdp(), &PartitionConfig::default());
-    let planner = Planner::new(&env.link);
     for c in &chunks {
-        let p = planner.chunk_params(c);
+        let p = chunk_params(&env.link, c);
         println!(
             "{:<7} {:>6} files, avg {:>10} → pipelining {:>2}, parallelism {}",
             c.class.label(),

@@ -76,7 +76,7 @@ pub use eadt_transfer as transfer;
 /// Commonly used items, importable in one line.
 pub mod prelude {
     pub use eadt_core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
-    pub use eadt_core::{Algorithm, AlgorithmKind, Htee, MinE, Planner, RunCtx, Slaee};
+    pub use eadt_core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
     pub use eadt_dataset::{Dataset, FileSpec};
     pub use eadt_endsys::{ArbitrationPolicy, PoolCapacity};
     pub use eadt_fleet::{
