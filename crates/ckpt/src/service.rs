@@ -13,6 +13,8 @@
 
 use crate::error::CkptError;
 use crate::store::{CheckpointStore, JobCheckpoint};
+use eadt_transfer::check_schema_version;
+use serde::ser::Writer;
 use serde::{Deserialize, Serialize};
 
 /// Schema version of [`ServiceCheckpoint`] (versioning policy: §13 —
@@ -74,24 +76,26 @@ pub struct ServiceCheckpoint {
 }
 
 impl ServiceCheckpoint {
-    /// Serializes as pretty JSON with a trailing newline (deterministic:
-    /// fields sorted by name, shortest-roundtrip floats).
+    /// Serializes as compact JSON with a trailing newline (deterministic:
+    /// shortest-roundtrip floats, fields sorted by name).
     pub fn to_json(&self) -> String {
-        let mut text = serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string());
+        let mut text = String::new();
+        self.write_json(&mut Writer::compact(&mut text));
         text.push('\n');
         text
     }
 
-    /// Parses and version-checks a snapshot produced by [`Self::to_json`].
+    /// Parses a snapshot produced by [`Self::to_json`], refusing another
+    /// schema version of it or of any job checkpoint it embeds before
+    /// decoding the rest.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let ck: ServiceCheckpoint = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if ck.version != SERVICE_CHECKPOINT_SCHEMA_VERSION {
-            return Err(format!(
-                "service checkpoint schema {} (this build reads {})",
-                ck.version, SERVICE_CHECKPOINT_SCHEMA_VERSION
-            ));
+        let doc = serde::value::parse(text).map_err(|e| e.to_string())?;
+        let want = SERVICE_CHECKPOINT_SCHEMA_VERSION;
+        check_schema_version(&doc, "version", "service checkpoint", want)?;
+        for job in doc["engines"].as_array().into_iter().flatten() {
+            JobCheckpoint::check_versions(job)?;
         }
-        Ok(ck)
+        Self::deser_value(&doc).map_err(|e| e.to_string())
     }
 
     /// Checks the snapshot against the workload it is about to resume.
@@ -203,6 +207,27 @@ mod tests {
         ck.version = SERVICE_CHECKPOINT_SCHEMA_VERSION + 1;
         let err = ServiceCheckpoint::from_json(&ck.to_json()).unwrap_err();
         assert!(err.contains("schema"), "{err}");
+    }
+
+    /// A service commit whose embedded engine checkpoint is of schema
+    /// version 2 (`eadt serve --testbed didclab --algorithms sc,promc
+    /// --tenants 2 --slots 1 --policy priority --arrival-gap 40 --quantum
+    /// 20 --scale 0.005 --seed 4 --workers 1 --checkpoint-every 1`, stopped
+    /// after its first commit) is refused by version.
+    #[test]
+    fn schema_2_commits_are_refused_by_version() {
+        let text = include_str!("../tests/fixtures/v2-service.ckpt.json");
+        let err = ServiceCheckpoint::from_json(text).unwrap_err();
+        assert!(err.contains("schema version 2"), "{err}");
+        let dir = std::env::temp_dir().join(format!("eadt-ckpt-service-v2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).unwrap();
+        store
+            .write(CheckpointStore::service_checkpoint_name(), text)
+            .unwrap();
+        let err = store.load_service_checkpoint().unwrap_err().to_string();
+        assert!(err.contains("schema version 2"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! repairs on resume.)
 
 use crate::error::CkptError;
-use eadt_transfer::EngineCheckpoint;
+use eadt_transfer::{check_schema_version, EngineCheckpoint};
+use serde::ser::Writer;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::fs;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -49,24 +51,30 @@ pub struct JobCheckpoint {
 }
 
 impl JobCheckpoint {
-    /// Serializes as pretty JSON with a trailing newline (deterministic:
+    /// Serializes as compact JSON with a trailing newline (deterministic:
     /// shortest-roundtrip floats, fields sorted by name).
     pub fn to_json(&self) -> String {
-        let mut text = serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string());
+        let mut text = String::new();
+        self.write_json(&mut Writer::compact(&mut text));
         text.push('\n');
         text
     }
 
-    /// Parses and version-checks a wrapper produced by [`Self::to_json`].
+    /// Parses a wrapper produced by [`Self::to_json`], refusing another
+    /// schema version of it or of its engine checkpoint before decoding
+    /// the rest.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let ck: JobCheckpoint = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if ck.schema != JOB_CHECKPOINT_SCHEMA_VERSION {
-            return Err(format!(
-                "job checkpoint schema {} (this build reads {})",
-                ck.schema, JOB_CHECKPOINT_SCHEMA_VERSION
-            ));
-        }
-        Ok(ck)
+        let doc = serde::value::parse(text).map_err(|e| e.to_string())?;
+        Self::check_versions(&doc)?;
+        Self::deser_value(&doc).map_err(|e| e.to_string())
+    }
+
+    /// Refuses a wrapper document, or the engine checkpoint it embeds, of
+    /// another schema version.
+    pub(crate) fn check_versions(doc: &Value) -> Result<(), String> {
+        let want = JOB_CHECKPOINT_SCHEMA_VERSION;
+        check_schema_version(doc, "schema", "job checkpoint", want)?;
+        EngineCheckpoint::check_version(&doc["engine"])
     }
 
     /// Checks the wrapper against the job it is about to resume.
@@ -263,6 +271,29 @@ pub(crate) mod tests {
         assert!(err.contains("schema"), "{err}");
     }
 
+    /// A job checkpoint of schema version 2: a fault-aware HTEE under a
+    /// 60-s MTBF (`eadt transfer --testbed xsede --algorithm htee --scale
+    /// 0.005 --seed 9 --mtbf 60 --fault-aware --checkpoint-every 10`,
+    /// stopped after its first checkpoint).
+    pub(crate) const V2_JOB: &str = include_str!("../tests/fixtures/v2-job-htee-mtbf.ckpt.json");
+
+    #[test]
+    fn schema_2_job_checkpoints_are_refused_by_version() {
+        let err = JobCheckpoint::from_json(V2_JOB).unwrap_err();
+        assert!(err.contains("schema version 2"), "{err}");
+        let engine = serde_json::to_string(&serde::value::parse(V2_JOB).unwrap()["engine"]);
+        let err = EngineCheckpoint::from_json(&engine.unwrap()).unwrap_err();
+        assert!(err.contains("schema version 2"), "{err}");
+        let dir = tmp_dir("v2");
+        let store = CheckpointStore::create(&dir).unwrap();
+        store
+            .write(&CheckpointStore::checkpoint_name(0), V2_JOB)
+            .unwrap();
+        let err = store.load_job_checkpoint(0).unwrap_err().to_string();
+        assert!(err.contains("schema version 2"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     pub(crate) fn sample_engine_checkpoint() -> EngineCheckpoint {
         use eadt_sim::{Bytes, SimTime, TimeSeries};
         EngineCheckpoint {
@@ -278,8 +309,6 @@ pub(crate) mod tests {
             open_spans: Vec::new(),
             moved_total: Bytes::ZERO,
             wire_bytes_f: 0.0,
-            audit_gross: Bytes::ZERO,
-            audit_stage_requested: Bytes::ZERO,
             chunk_stats: Vec::new(),
             throughput_series: TimeSeries::new(),
             power_series: TimeSeries::new(),

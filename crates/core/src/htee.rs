@@ -92,7 +92,7 @@ impl Algorithm for Htee {
             .collect();
         let plan = TransferPlan::concurrent(chunk_plans, Placement::PackFirst);
         let mut controller = HteeController::new(&chunks, levels, self.probe_window);
-        controller.state.reprobe_interval = self.reprobe_interval;
+        controller.reprobe_interval = self.reprobe_interval;
         (plan, Box::new(controller))
     }
 
@@ -114,9 +114,9 @@ enum Phase {
 pub(crate) const HTEE_KIND: &str = "htee";
 
 /// The run state of [`HteeController`], which is also its checkpoint
-/// form (the `data` of its [`ControllerSnapshot`]). Configuration (chunk
-/// weights, levels, window) is rebuilt from the algorithm definition on
-/// resume and therefore not part of it.
+/// form (the `data` object of its [`ControllerSnapshot`]). Configuration
+/// (chunk weights, levels, window, re-probe period) is rebuilt from the
+/// algorithm definition on resume and therefore not part of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct HteeState {
     phase: Phase,
@@ -124,8 +124,6 @@ struct HteeState {
     window_bytes: f64,
     window_energy: f64,
     ratios: Vec<f64>,
-    /// Re-probe period after committing (extension; `None` = paper).
-    reprobe_interval: Option<SimDuration>,
     /// How many full searches have run (1 = the initial one).
     searches: u32,
     /// The concurrency level the search settled on.
@@ -141,6 +139,8 @@ pub struct HteeController {
     weights: Vec<f64>,
     levels: Vec<u32>,
     window: SimDuration,
+    /// Re-probe period after committing (extension; `None` = paper).
+    reprobe_interval: Option<SimDuration>,
     state: HteeState,
 }
 
@@ -153,13 +153,13 @@ impl HteeController {
             weights: chunks.iter().map(Chunk::weight).collect(),
             levels,
             window,
+            reprobe_interval: None,
             state: HteeState {
                 phase: Phase::Searching { idx: 0 },
                 window_start: SimTime::ZERO,
                 window_bytes: 0.0,
                 window_energy: 0.0,
                 ratios: Vec::new(),
-                reprobe_interval: None,
                 searches: 1,
                 chosen_level: None,
                 span_open: false,
@@ -222,7 +222,7 @@ impl Controller for HteeController {
             Phase::Committed { since } => {
                 // Extension: periodically restart the search so the level
                 // tracks changing conditions.
-                if let Some(every) = self.state.reprobe_interval {
+                if let Some(every) = self.reprobe_interval {
                     if ctx.now.since(since) >= every {
                         self.state.phase = Phase::Searching { idx: 0 };
                         self.state.ratios.clear();
@@ -324,7 +324,7 @@ impl Controller for HteeController {
     fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
         match self.state.phase {
             Phase::Searching { .. } => 0,
-            Phase::Committed { since } => match self.state.reprobe_interval {
+            Phase::Committed { since } => match self.reprobe_interval {
                 None => u64::MAX,
                 // Calls at `now + i·slice` stay `Continue` while they land
                 // strictly before the re-probe deadline `since + every`.
@@ -429,7 +429,7 @@ mod tests {
             .collect();
         let plan = TransferPlan::concurrent(plans, Placement::PackFirst);
         let mut ctl = HteeController::new(&chunks, levels, SimDuration::from_secs(5));
-        ctl.state.reprobe_interval = Some(SimDuration::from_secs(30));
+        ctl.reprobe_interval = Some(SimDuration::from_secs(30));
         let r = Engine::new(&env).run(&plan, &mut ctl);
         assert!(r.completed);
         assert!(
@@ -517,12 +517,12 @@ mod tests {
         let env = wan_env();
         let dataset = mixed_dataset();
         let mid_search = "{\"chosen_level\":null,\"phase\":{\"Searching\":{\"idx\":0}},\
-            \"ratios\":[],\"reprobe_interval\":null,\"searches\":1,\"span_open\":false,\
+            \"ratios\":[],\"searches\":1,\"span_open\":false,\
             \"window_bytes\":402000000.0,\"window_energy\":24.75031073684211,\
             \"window_start\":{\"micros\":0}}";
         let committed = "{\"chosen_level\":5,\"phase\":{\"Committed\":{\"since\":\
             {\"micros\":15000000}}},\"ratios\":[19696.639022261013,57143.58287349285,\
-            102002.22750014791],\"reprobe_interval\":null,\"searches\":1,\"span_open\":false,\
+            102002.22750014791],\"searches\":1,\"span_open\":false,\
             \"window_bytes\":0.0,\"window_energy\":0.0,\"window_start\":{\"micros\":15000000}}";
         for (halt, data) in [(42, mid_search), (200, committed)] {
             let ctl = RunControl::halt_at(halt);
@@ -532,7 +532,7 @@ mod tests {
                 panic!("the run ended before slice {halt}");
             };
             assert_eq!(ck.controller.kind, HTEE_KIND);
-            assert_eq!(ck.controller.data, data);
+            assert_eq!(serde_json::to_string(&ck.controller.data).unwrap(), data);
             // A fresh controller restored from it snapshots the same bytes.
             let (_, mut fresh) = Htee::new(6).prepare(&env, &dataset, &mut Telemetry::disabled());
             fresh.restore(&ck.controller).unwrap();
@@ -542,7 +542,7 @@ mod tests {
         let (_, mut fresh) = Htee::new(6).prepare(&env, &dataset, &mut Telemetry::disabled());
         let foreign = ControllerSnapshot {
             kind: HTEE_KIND.to_string(),
-            data: mid_search.replace("\"idx\":0", "\"idx\":3"),
+            data: serde_json::from_str(&mid_search.replace("\"idx\":0", "\"idx\":3")).unwrap(),
         };
         assert!(fresh.restore(&foreign).is_err());
     }

@@ -97,8 +97,8 @@ impl Algorithm for Slaee {
             self.max_channel,
             self.probe_window,
         );
-        controller.state.overshoot_margin = self.overshoot_margin.max(1.0);
-        controller.state.degrade_tolerance = self.degrade_tolerance.clamp(0.0, 1.0);
+        controller.overshoot_margin = self.overshoot_margin.max(1.0);
+        controller.degrade_tolerance = self.degrade_tolerance.clamp(0.0, 1.0);
         (plan, Box::new(controller))
     }
 
@@ -111,9 +111,10 @@ impl Algorithm for Slaee {
 pub(crate) const SLAEE_KIND: &str = "slaee";
 
 /// The run state of [`SlaeeController`], which is also its checkpoint
-/// form (the `data` of its [`ControllerSnapshot`]). Configuration (chunk
-/// weights and classes, target, max_channel, window) is rebuilt from the
-/// algorithm definition on resume and therefore not part of it.
+/// form (the `data` object of its [`ControllerSnapshot`]). Configuration
+/// (chunk weights and classes, target, max_channel, window, overshoot
+/// margin, degrade tolerance) is rebuilt from the algorithm definition on
+/// resume and therefore not part of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SlaeeState {
     window_start: SimTime,
@@ -128,15 +129,9 @@ struct SlaeeState {
     first_window_done: bool,
     prev_window_mbps: Option<f64>,
     raised_last_window: bool,
-    /// See [`Slaee::overshoot_margin`].
-    overshoot_margin: f64,
-    /// See [`Slaee::degrade_tolerance`].
-    degrade_tolerance: f64,
     degrade_count: u32,
     best_seen: Option<(u32, f64)>,
     frozen: bool,
-    /// Trace of (window end, measured Mbps) pairs.
-    window_throughputs: Vec<(SimTime, f64)>,
     /// True while a rearrangement-round span is open (journaled runs
     /// only).
     round_open: bool,
@@ -152,6 +147,10 @@ pub struct SlaeeController {
     target: Rate,
     max_channel: u32,
     window: SimDuration,
+    /// See [`Slaee::overshoot_margin`].
+    overshoot_margin: f64,
+    /// See [`Slaee::degrade_tolerance`].
+    degrade_tolerance: f64,
     state: SlaeeState,
 }
 
@@ -165,6 +164,8 @@ impl SlaeeController {
             target,
             max_channel: max_channel.max(1),
             window,
+            overshoot_margin: 1.15,
+            degrade_tolerance: 0.97,
             state: SlaeeState {
                 window_start: SimTime::ZERO,
                 window_start_total: Bytes::ZERO,
@@ -173,12 +174,9 @@ impl SlaeeController {
                 first_window_done: false,
                 prev_window_mbps: None,
                 raised_last_window: false,
-                overshoot_margin: 1.15,
-                degrade_tolerance: 0.97,
                 degrade_count: 0,
                 best_seen: None,
                 frozen: false,
-                window_throughputs: Vec::new(),
                 round_open: false,
             },
         }
@@ -234,7 +232,6 @@ impl Controller for SlaeeController {
         // channel kill can pull the total below the window's start).
         let window_bytes = ctx.total_bytes.as_f64() - self.state.window_start_total.as_f64();
         let actual_mbps = window_bytes * 8.0 / elapsed.as_secs_f64() / 1e6;
-        self.state.window_throughputs.push((ctx.now, actual_mbps));
         self.state.window_start_total = ctx.total_bytes;
         self.state.window_start = ctx.now;
         // The window that evaluated the previous decision just closed.
@@ -268,7 +265,7 @@ impl Controller for SlaeeController {
             let degraded = self
                 .state
                 .prev_window_mbps
-                .is_some_and(|prev| actual_mbps < prev * self.state.degrade_tolerance);
+                .is_some_and(|prev| actual_mbps < prev * self.degrade_tolerance);
             if degraded {
                 self.state.degrade_count += 1;
             } else {
@@ -300,8 +297,7 @@ impl Controller for SlaeeController {
             // target by a clear margin (e.g. after finished chunks donated
             // their channels to the rest), shed channels until throughput
             // sits just above the promise.
-            if actual_mbps > target_mbps * self.state.overshoot_margin && self.state.concurrency > 1
-            {
+            if actual_mbps > target_mbps * self.overshoot_margin && self.state.concurrency > 1 {
                 self.state.concurrency -= 1;
                 let reason = format!(
                     "shed to {} channels: {actual_mbps:.0} Mbps overshoots the \
@@ -348,7 +344,7 @@ impl Controller for SlaeeController {
     /// `Continue` (the window byte count is a delta, not a per-slice
     /// accumulator), so every slice strictly before the next window
     /// boundary may be skipped — in every state, including frozen runs,
-    /// whose `window_throughputs` trace still grows at each close.
+    /// whose window cursor still moves at each close.
     ///
     /// Covered by the macro-equivalence suite (`tests/macro_equivalence.rs`).
     fn next_decision_in(&self, ctx: &SliceCtx, slice: SimDuration) -> u64 {
@@ -488,18 +484,13 @@ mod tests {
         let dataset = mixed_dataset();
         let max = max_throughput();
         let after_jump = "{\"best_seen\":[5,3297.6],\"concurrency\":5,\"degrade_count\":0,\
-            \"degrade_tolerance\":0.97,\"first_window_done\":true,\"frozen\":false,\
-            \"overshoot_margin\":1.15,\"prev_window_mbps\":3297.6,\"raised_last_window\":false,\
-            \"rearranged\":false,\"round_open\":false,\"window_start\":{\"micros\":10000000},\
-            \"window_start_total\":2536000000,\"window_throughputs\":[[{\"micros\":5000000},\
-            760.0],[{\"micros\":10000000},3297.6]]}";
+            \"first_window_done\":true,\"frozen\":false,\"prev_window_mbps\":3297.6,\
+            \"raised_last_window\":false,\"rearranged\":false,\"round_open\":false,\
+            \"window_start\":{\"micros\":10000000},\"window_start_total\":2536000000}";
         let settled = "{\"best_seen\":[5,3297.6],\"concurrency\":5,\"degrade_count\":0,\
-            \"degrade_tolerance\":0.97,\"first_window_done\":true,\"frozen\":false,\
-            \"overshoot_margin\":1.15,\"prev_window_mbps\":3200.0,\"raised_last_window\":false,\
-            \"rearranged\":false,\"round_open\":false,\"window_start\":{\"micros\":25000000},\
-            \"window_start_total\":8536000000,\"window_throughputs\":[[{\"micros\":5000000},\
-            760.0],[{\"micros\":10000000},3297.6],[{\"micros\":15000000},3200.0],\
-            [{\"micros\":20000000},3200.0],[{\"micros\":25000000},3200.0]]}";
+            \"first_window_done\":true,\"frozen\":false,\"prev_window_mbps\":3200.0,\
+            \"raised_last_window\":false,\"rearranged\":false,\"round_open\":false,\
+            \"window_start\":{\"micros\":25000000},\"window_start_total\":8536000000}";
         let algo = Slaee::new(0.9, max, 12);
         for (halt, data) in [(120, after_jump), (260, settled)] {
             let ctl = RunControl::halt_at(halt);
@@ -508,7 +499,7 @@ mod tests {
                 panic!("the run ended before slice {halt}");
             };
             assert_eq!(ck.controller.kind, SLAEE_KIND);
-            assert_eq!(ck.controller.data, data);
+            assert_eq!(serde_json::to_string(&ck.controller.data).unwrap(), data);
             // A fresh controller restored from it snapshots the same bytes.
             let (_, mut fresh) = algo.prepare(&env, &dataset, &mut Telemetry::disabled());
             fresh.restore(&ck.controller).unwrap();
@@ -518,9 +509,11 @@ mod tests {
         let (_, mut fresh) = algo.prepare(&env, &dataset, &mut Telemetry::disabled());
         let wide = ControllerSnapshot {
             kind: SLAEE_KIND.to_string(),
-            data: settled.replace("\"concurrency\":5", "\"concurrency\":40"),
+            data: serde_json::from_str(&settled.replace("\"concurrency\":5", "\"concurrency\":40"))
+                .unwrap(),
         };
         fresh.restore(&wide).unwrap();
-        assert!(fresh.snapshot().data.contains("\"concurrency\":12,"));
+        let clamped = serde_json::to_string(&fresh.snapshot().data).unwrap();
+        assert!(clamped.contains("\"concurrency\":12,"), "{clamped}");
     }
 }

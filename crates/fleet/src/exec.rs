@@ -23,6 +23,8 @@ use eadt_ckpt::{CheckpointStore, CkptError, JobCheckpoint, JOB_CHECKPOINT_SCHEMA
 use eadt_sim::{EadtError, SimDuration};
 use eadt_telemetry::{MetricsRegistry, Telemetry};
 use eadt_transfer::{EngineCheckpoint, EngineRun, ResourceShare, TransferEnv, TransferReport};
+use serde::ser::Writer;
+use serde::Serialize;
 use std::any::Any;
 use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
@@ -450,7 +452,8 @@ pub(crate) fn run_to_completion(
 
 /// Writes a finished job's outcome file.
 pub(crate) fn save_outcome(store: &CheckpointStore, outcome: &JobOutcome) -> Result<(), CkptError> {
-    let mut text = serde_json::to_string_pretty(outcome).unwrap_or_else(|_| "{}".to_string());
+    let mut text = String::new();
+    outcome.write_json(&mut Writer::pretty(&mut text));
     text.push('\n');
     store.write(&CheckpointStore::outcome_name(outcome.job), &text)
 }

@@ -1680,6 +1680,33 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A commit whose embedded engine checkpoint is of checkpoint schema
+    /// version 2 is refused by version, and nothing in it is resumed.
+    #[test]
+    fn service_checkpoint_of_schema_2_is_refused() {
+        let workload = two_tenant_workload(1);
+        let dir = std::env::temp_dir().join(format!("eadt-service-v2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let v2 = include_str!("../../ckpt/tests/fixtures/v2-service.ckpt.json");
+        CheckpointStore::create(&dir)
+            .unwrap()
+            .write(CheckpointStore::service_checkpoint_name(), v2)
+            .unwrap();
+        let session = ServiceSession::builder()
+            .root_seed(4)
+            .workers(1)
+            .checkpoints(&dir, 1)
+            .build();
+        fails_untouched(
+            &session,
+            &workload,
+            &dir,
+            "schema version 2",
+            "a schema-2 commit",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Eight jobs of four algorithms from three priority tenants, arriving
     /// over time at one 2-slot site: strict priority queues them, so a
     /// round that admits a job finds later ones queued or yet to arrive.

@@ -686,6 +686,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A job checkpoint of checkpoint schema version 2 is refused by
+    /// version before it is matched to its job, and the job is booked as
+    /// failed with that error.
+    #[test]
+    fn resume_refuses_a_schema_2_job_checkpoint() {
+        let jobs = small_jobs();
+        let dir = ckpt_dir("schema-2");
+        let store = CheckpointStore::create(&dir).unwrap();
+        let v2 = include_str!("../../ckpt/tests/fixtures/v2-job-htee-mtbf.ckpt.json");
+        store
+            .write(&CheckpointStore::checkpoint_name(0), v2)
+            .unwrap();
+        let resumed = Session::builder()
+            .root_seed(2)
+            .workers(1)
+            .checkpoints(&dir, 4)
+            .build()
+            .resume(&jobs);
+        let err = resumed.jobs[0].error.as_deref().unwrap();
+        assert!(err.contains("schema version 2"), "{err}");
+        assert!(resumed.jobs[1].error.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn panicked_resume_keeps_job_checkpoints() {
         let jobs = small_jobs();

@@ -9,6 +9,7 @@
 use eadt_sim::{Bytes, SimDuration, SimTime};
 use eadt_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// Snapshot kind used by controllers with no mutable state.
 pub(crate) const STATELESS_KIND: &str = "stateless";
@@ -17,17 +18,17 @@ pub(crate) const STATELESS_KIND: &str = "stateless";
 ///
 /// The envelope is deliberately opaque: `kind` names the controller type
 /// (so a restore into the wrong controller fails loudly instead of
-/// silently zeroing state) and `data` carries the controller's own state
-/// struct as JSON. Checkpoint resume reconstructs the controller from
-/// the run configuration exactly as the original run did, then calls
-/// [`Controller::restore`] to fast-forward its mutable state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// silently zeroing state) and `data` is the controller's own state
+/// struct, nested as a JSON object. Checkpoint resume reconstructs the
+/// controller from the run configuration exactly as the original run
+/// did, then calls [`Controller::restore`] to fast-forward its mutable
+/// state.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerSnapshot {
     /// Controller type tag (e.g. `"htee"`, `"fault-aware"`).
     pub kind: String,
-    /// The controller's state struct, serialized as JSON. Empty for
-    /// stateless controllers.
-    pub data: String,
+    /// The controller's state struct; `null` for stateless controllers.
+    pub data: Value,
 }
 
 impl ControllerSnapshot {
@@ -35,7 +36,7 @@ impl ControllerSnapshot {
     pub fn stateless() -> Self {
         ControllerSnapshot {
             kind: STATELESS_KIND.to_string(),
-            data: String::new(),
+            data: Value::Null,
         }
     }
 
@@ -45,9 +46,9 @@ impl ControllerSnapshot {
             kind: kind.to_string(),
             #[expect(
                 clippy::expect_used,
-                reason = "serde_json::to_string on the plain field-only snapshot structs (no maps, no non-string keys, no fallible Serialize impls) cannot fail"
+                reason = "serde_json::to_value on the plain field-only snapshot structs (no maps, no non-string keys, no fallible Serialize impls) cannot fail"
             )]
-            data: serde_json::to_string(state).expect("controller state structs always serialize"),
+            data: serde_json::to_value(state).expect("controller state structs always serialize"),
         }
     }
 
@@ -59,7 +60,7 @@ impl ControllerSnapshot {
                 self.kind
             ));
         }
-        serde_json::from_str(&self.data).map_err(|e| format!("controller snapshot ({kind}): {e}"))
+        T::deser_value(&self.data).map_err(|e| format!("controller snapshot ({kind}): {e}"))
     }
 }
 
@@ -288,13 +289,9 @@ const MIN_CHANNELS: u32 = 1;
 /// [`FaultAware`]'s total channels restored per slice during recovery.
 const RAMP_STEP: u32 = 1;
 
-/// Mutable state of [`FaultAware`] as stored in a checkpoint. The floor
-/// and the ramp ride along as fixed fields ([`MIN_CHANNELS`] and
-/// [`RAMP_STEP`]); a restore refuses a state that names other values.
+/// Mutable state of [`FaultAware`] as stored in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct FaultAwareState {
-    min_channels: u32,
-    ramp_step: u32,
     desired: Vec<u32>,
     degraded: bool,
     inner: ControllerSnapshot,
@@ -431,8 +428,6 @@ impl<C: Controller> Controller for FaultAware<C> {
         ControllerSnapshot::of(
             FAULT_AWARE_KIND,
             &FaultAwareState {
-                min_channels: MIN_CHANNELS,
-                ramp_step: RAMP_STEP,
                 desired: self.desired.clone(),
                 degraded: self.degraded,
                 inner: self.inner.snapshot(),
@@ -442,13 +437,6 @@ impl<C: Controller> Controller for FaultAware<C> {
 
     fn restore(&mut self, snap: &ControllerSnapshot) -> Result<(), String> {
         let state: FaultAwareState = snap.payload(FAULT_AWARE_KIND)?;
-        if (state.min_channels, state.ramp_step) != (MIN_CHANNELS, RAMP_STEP) {
-            return Err(format!(
-                "fault-aware snapshot names floor {} and ramp {}, the decorator uses \
-                 {MIN_CHANNELS} and {RAMP_STEP}",
-                state.min_channels, state.ramp_step
-            ));
-        }
         self.desired = state.desired;
         self.degraded = state.degraded;
         self.inner.restore(&state.inner)
@@ -614,7 +602,7 @@ mod tests {
         assert!(null.restore(&ControllerSnapshot::stateless()).is_ok());
         let foreign = ControllerSnapshot {
             kind: "htee".to_string(),
-            data: "{}".to_string(),
+            data: serde_json::from_str("{}").unwrap(),
         };
         let err = null.restore(&foreign).unwrap_err();
         assert!(err.contains("kind mismatch"), "{err}");
@@ -729,24 +717,5 @@ mod tests {
         let mut off = Telemetry::disabled();
         assert_eq!(drive_shed(&mut off), drive_shed(&mut journaled));
         assert!(off.journal().is_none());
-    }
-
-    #[test]
-    fn fault_aware_restore_refuses_other_floor_or_ramp() {
-        let snap = FaultAware::new(NullController).snapshot();
-        assert!(snap.data.contains("\"min_channels\":1"), "{}", snap.data);
-        assert!(snap.data.contains("\"ramp_step\":1"), "{}", snap.data);
-        FaultAware::new(NullController).restore(&snap).unwrap();
-        for (from, to) in [
-            ("\"min_channels\":1", "\"min_channels\":2"),
-            ("\"ramp_step\":1", "\"ramp_step\":3"),
-        ] {
-            let tuned = ControllerSnapshot {
-                kind: snap.kind.clone(),
-                data: snap.data.replace(from, to),
-            };
-            let err = FaultAware::new(NullController).restore(&tuned).unwrap_err();
-            assert!(err.contains("floor"), "{err}");
-        }
     }
 }

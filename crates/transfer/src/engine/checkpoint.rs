@@ -22,21 +22,37 @@
 use super::{Accumulators, ChannelSoA, ChunkState, EngineRun, SliceArena, SliceRun};
 use crate::control::{Controller, ControllerSnapshot};
 use crate::env::TransferEnv;
-use crate::plan::TransferPlan;
+use crate::plan::{ChunkPlan, TransferPlan};
 use crate::report::{ChunkStat, TransferReport};
 use crate::retry::{FaultRuntime, FaultState};
 use eadt_sim::{Bytes, Fnv1a, SimDuration, SimTime, TimeSeries};
 use eadt_telemetry::{EnergyLedger, MetricsRegistry, SpanCursor, Telemetry};
+use serde::ser::Writer;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::borrow::Cow;
 
 /// Version of the checkpoint schema. Bumped on any change to the
-/// serialized layout; [`EngineRun::restore`] refuses checkpoints from
-/// another version instead of misinterpreting them. Version 2 replaced
-/// the flat `src_energy_j`/`dst_energy_j` accumulators with the
-/// energy-attribution ledger and added the observability cursors
-/// (`horizon_end`, `open_spans`).
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+/// serialized layout; every reader checks it before decoding anything
+/// else, and [`EngineRun::restore`] refuses checkpoints from another
+/// version instead of misinterpreting them. Version 3 stores each piece
+/// of run state once: controller state nested, chunk snapshots without
+/// what the plan fixes, one fault record per server, and neither the
+/// auditor's totals nor controller configuration.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
+
+/// Refuses a checkpoint document whose `key` field is not schema version
+/// `want`, before anything else of it is decoded; `what` names the
+/// document in the error.
+pub fn check_schema_version(doc: &Value, key: &str, what: &str, want: u32) -> Result<(), String> {
+    match doc[key].as_u64() {
+        Some(got) if got == u64::from(want) => Ok(()),
+        Some(got) => Err(format!(
+            "{what} schema version {got} is not the supported {want}"
+        )),
+        None => Err(format!("{what}: no schema version `{key}`")),
+    }
+}
 
 /// Progress of one file: full size (for restart-on-failure) and bytes
 /// still to push. Also the engine's own queue and in-flight element.
@@ -64,25 +80,14 @@ pub struct ChannelSnapshot {
     pub in_backoff: bool,
 }
 
-/// Runtime state of one chunk within the running stage.
+/// Mutable state of one chunk within the running stage. What the plan
+/// fixes (label, parameters, byte and file counts) is not part of it: a
+/// restore rebuilds that from the plan's chunk, which the fingerprint
+/// binds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChunkSnapshot {
-    /// Chunk label from the plan.
-    pub label: String,
-    /// Pipelining depth.
-    pub pipelining: u32,
-    /// Streams per channel.
-    pub parallelism: u32,
-    /// Whether the chunk accepts freed channels.
-    pub accepts_reallocation: bool,
-    /// Total bytes the chunk carries.
-    pub total_bytes: Bytes,
-    /// Number of files in the chunk.
-    pub file_count: u64,
     /// When the chunk drained, if it already has.
     pub completed_at: Option<SimTime>,
-    /// Mean file size (drives the duty-cycle model).
-    pub avg_file: Bytes,
     /// Files not yet assigned to a channel, front first.
     pub queue: Vec<FileSnapshot>,
     /// The chunk's channels in engine order.
@@ -93,21 +98,12 @@ pub struct ChunkSnapshot {
 
 impl ChunkSnapshot {
     /// Captures chunk `ci`'s runtime state: the chunk itself plus its
-    /// block of channel columns in the arena's SoA. The serialized layout
-    /// is unchanged from the pre-SoA engine — channels re-materialize as
-    /// per-channel records in engine order, so checkpoints stay
-    /// byte-identical across the layout refactor.
+    /// block of channel columns in the arena's SoA, re-materialized as
+    /// per-channel records in engine order.
     pub(super) fn of(c: &ChunkState, a: &SliceArena, ci: usize) -> Self {
         let (ch, start) = (&a.ch, a.chunk_start[ci]);
         ChunkSnapshot {
-            label: c.label.clone(),
-            pipelining: c.pipelining,
-            parallelism: c.parallelism,
-            accepts_reallocation: c.accepts_reallocation,
-            total_bytes: c.total_bytes,
-            file_count: c.file_count as u64,
             completed_at: c.completed_at,
-            avg_file: c.avg_file,
             queue: c.queue.iter().cloned().collect(),
             channels: (start..start + a.chunk_len[ci])
                 .map(|i| ChannelSnapshot {
@@ -125,10 +121,11 @@ impl ChunkSnapshot {
         }
     }
 
-    /// Rebuilds the chunk's runtime state, appending its channels (as
-    /// chunk `ci`) to the arena's SoA columns. Callers restore chunks in
-    /// index order, preserving the chunk-major block layout.
-    pub(super) fn into_state(self, ch: &mut ChannelSoA, ci: u32) -> ChunkState {
+    /// Rebuilds the runtime state of plan chunk `cp` (whose files the plan
+    /// still holds), appending its channels (as chunk `ci`) to the arena's
+    /// SoA columns. Callers restore chunks in index order, preserving the
+    /// chunk-major block layout.
+    pub(super) fn into_state(self, cp: &ChunkPlan, ch: &mut ChannelSoA, ci: u32) -> ChunkState {
         for snap in self.channels {
             let pos = ch.len();
             ch.insert_fresh(pos, ci, snap.gap, snap.ttf);
@@ -140,20 +137,9 @@ impl ChunkSnapshot {
                 ch.file_remaining[pos] = f.remaining;
             }
         }
-        let mut queue = std::collections::VecDeque::with_capacity(self.file_count as usize);
+        let mut queue = std::collections::VecDeque::with_capacity(cp.files.len());
         queue.extend(self.queue);
-        ChunkState {
-            label: self.label,
-            pipelining: self.pipelining,
-            parallelism: self.parallelism,
-            accepts_reallocation: self.accepts_reallocation,
-            total_bytes: self.total_bytes,
-            file_count: self.file_count as usize,
-            completed_at: self.completed_at,
-            avg_file: self.avg_file,
-            queue,
-            target: self.target,
-        }
+        ChunkState::of_plan(cp, queue, self.completed_at, self.target)
     }
 }
 
@@ -197,10 +183,6 @@ pub struct EngineCheckpoint {
     /// Wire bytes (goodput inflated by congestion efficiency), exact
     /// f64 accumulator.
     pub wire_bytes_f: f64,
-    /// `debug-invariants` auditor: gross bytes moved.
-    pub audit_gross: Bytes,
-    /// `debug-invariants` auditor: bytes entered into started stages.
-    pub audit_stage_requested: Bytes,
     /// Per-chunk stats of stages that already finished.
     pub chunk_stats: Vec<ChunkStat>,
     /// Per-slice throughput samples so far.
@@ -231,30 +213,26 @@ pub struct EngineCheckpoint {
 }
 
 impl EngineCheckpoint {
-    /// Serializes the checkpoint as pretty JSON (newline-terminated),
+    /// Serializes the checkpoint as compact JSON (newline-terminated),
     /// byte-deterministic for identical states.
     pub fn to_json(&self) -> String {
-        #[expect(
-            clippy::expect_used,
-            reason = "serde_json::to_string_pretty on EngineCheckpoint (plain field-only structs, no maps or fallible Serialize impls) cannot fail"
-        )]
-        let mut s = serde_json::to_string_pretty(self).expect("checkpoints always serialize");
+        let mut s = String::new();
+        self.write_json(&mut Writer::compact(&mut s));
         s.push('\n');
         s
     }
 
-    /// Parses a checkpoint serialized by [`EngineCheckpoint::to_json`].
-    /// Rejects other schema versions.
+    /// Parses a checkpoint serialized by [`EngineCheckpoint::to_json`],
+    /// refusing another schema version before decoding the rest.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let ck: EngineCheckpoint =
-            serde_json::from_str(text).map_err(|e| format!("checkpoint: {e}"))?;
-        if ck.version != CHECKPOINT_SCHEMA_VERSION {
-            return Err(format!(
-                "checkpoint schema version {} is not the supported {CHECKPOINT_SCHEMA_VERSION}",
-                ck.version
-            ));
-        }
-        Ok(ck)
+        let doc = serde::value::parse(text).map_err(|e| format!("checkpoint: {e}"))?;
+        Self::check_version(&doc)?;
+        Self::deser_value(&doc).map_err(|e| format!("checkpoint: {e}"))
+    }
+
+    /// Refuses an engine checkpoint document of another schema version.
+    pub fn check_version(doc: &Value) -> Result<(), String> {
+        check_schema_version(doc, "version", "checkpoint", CHECKPOINT_SCHEMA_VERSION)
     }
 }
 
@@ -346,34 +324,25 @@ impl<'c> EngineRun<'c> {
             throughput_series: ck.throughput_series,
             power_series: ck.power_series,
             concurrency_series: ck.concurrency_series,
-            audit_gross: Bytes::ZERO,
-            audit_stage_requested: Bytes::ZERO,
             prev_src_active: ck.prev_src_active,
             prev_dst_active: ck.prev_dst_active,
+            ..Accumulators::default()
         };
         run.wire(tel);
         // The running stage resumes mid-way: no stage preamble.
         let mut a = SliceArena::default();
         a.begin_stage(ck.chunks.len());
-        for (ci, snap) in ck.chunks.into_iter().enumerate() {
+        let planned = &run.plan.stages[stage].chunks;
+        for (ci, (snap, cp)) in ck.chunks.into_iter().zip(planned).enumerate() {
             let start = a.ch.len();
-            run.chunks.push(snap.into_state(&mut a.ch, ci as u32));
+            run.chunks.push(snap.into_state(cp, &mut a.ch, ci as u32));
             a.chunk_start[ci] = start;
             a.chunk_len[ci] = a.ch.len() - start;
             let in_flight = (start..a.ch.len()).filter(|&i| a.ch.has_file[i]).count();
             a.chunk_in_flight[ci] = in_flight as u32;
             a.chunk_remaining[ci] = run.chunks[ci].recount_remaining(&a, ci);
         }
-        // The auditor's two totals book only under `debug-invariants`, so a
-        // plain build writes them as 0. Derive them from the restored state
-        // instead: these are the values the auditor asserts at every
-        // boundary, so either build resumes either build's checkpoint.
-        if cfg!(feature = "debug-invariants") {
-            let acc = &mut run.acc;
-            let remaining: Bytes = a.chunk_remaining.iter().copied().sum();
-            acc.audit_gross = acc.moved_total + acc.retransmitted;
-            acc.audit_stage_requested = acc.moved_total + remaining;
-        }
+        run.rearm_audit(&a);
         (run.stage, run.staged) = (stage, true);
         run.release_files(stage);
         run.stage_caps(&mut a, env);
@@ -408,8 +377,6 @@ impl<'c> EngineRun<'c> {
             open_spans: tel.open_spans().to_vec(),
             moved_total: acc.moved_total,
             wire_bytes_f: acc.wire_bytes_f,
-            audit_gross: acc.audit_gross,
-            audit_stage_requested: acc.audit_stage_requested,
             chunk_stats: acc.chunk_stats.clone(),
             throughput_series: acc.throughput_series.clone(),
             power_series: acc.power_series.clone(),

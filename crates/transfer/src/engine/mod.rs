@@ -92,8 +92,8 @@ use std::collections::VecDeque;
 mod checkpoint;
 
 pub use checkpoint::{
-    config_fingerprint, ChannelSnapshot, ChunkSnapshot, EngineCheckpoint, FileSnapshot,
-    ResourceShare, RunControl, RunOutcome, CHECKPOINT_SCHEMA_VERSION,
+    check_schema_version, config_fingerprint, ChannelSnapshot, ChunkSnapshot, EngineCheckpoint,
+    FileSnapshot, ResourceShare, RunControl, RunOutcome, CHECKPOINT_SCHEMA_VERSION,
 };
 
 impl FileSnapshot {
@@ -210,6 +210,19 @@ struct ChunkState {
 impl ChunkState {
     /// A chunk about to start: every file queued, no channel open yet.
     fn fresh(cp: &ChunkPlan) -> Self {
+        let queue = cp.files.iter().copied().map(FileSnapshot::fresh).collect();
+        ChunkState::of_plan(cp, queue, None, cp.channels)
+    }
+
+    /// Chunk `cp` of the plan at the given state: the files still queued,
+    /// when it drained, and its channel target. Everything else comes
+    /// from the plan.
+    fn of_plan(
+        cp: &ChunkPlan,
+        queue: VecDeque<FileSnapshot>,
+        completed_at: Option<SimTime>,
+        target: u32,
+    ) -> Self {
         let total = cp.total_bytes();
         ChunkState {
             label: cp.label.clone(),
@@ -218,14 +231,14 @@ impl ChunkState {
             accepts_reallocation: cp.accepts_reallocation,
             total_bytes: total,
             file_count: cp.files.len(),
-            completed_at: None,
+            completed_at,
             avg_file: if cp.files.is_empty() {
                 Bytes::ZERO
             } else {
                 Bytes(total.as_u64() / cp.files.len() as u64)
             },
-            queue: cp.files.iter().copied().map(FileSnapshot::fresh).collect(),
-            target: cp.channels,
+            queue,
+            target,
         }
     }
 
@@ -442,8 +455,9 @@ enum StageEnd {
 }
 
 /// The run's accumulators: everything a slice books into, carried across
-/// stages and captured whole by a snapshot — each field means what
-/// the [`EngineCheckpoint`] field of the same name documents.
+/// stages and captured by a snapshot — each field means what the
+/// [`EngineCheckpoint`] field of the same name documents. The auditor's
+/// totals are the exception: no checkpoint carries them.
 #[derive(Default)]
 struct Accumulators {
     now: SimTime,
@@ -642,6 +656,19 @@ impl<'c> SliceRun<'c> {
                     cp.files = Vec::new();
                 }
             }
+        }
+    }
+
+    /// Re-arms the auditor's totals (`debug-invariants`) of a run restored
+    /// mid-stage into arena `a`: a checkpoint carries neither, so both are
+    /// derived from the restored state as the values the auditor asserts
+    /// at every boundary.
+    fn rearm_audit(&mut self, a: &SliceArena) {
+        if cfg!(feature = "debug-invariants") {
+            let acc = &mut self.acc;
+            let remaining: Bytes = a.chunk_remaining.iter().copied().sum();
+            acc.audit_gross = acc.moved_total + acc.retransmitted;
+            acc.audit_stage_requested = acc.moved_total + remaining;
         }
     }
 

@@ -48,8 +48,9 @@ pub use control::{
     ControlAction, Controller, ControllerSnapshot, FaultAware, FaultView, NullController, SliceCtx,
 };
 pub use engine::{
-    config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine, EngineCheckpoint, EngineRun,
-    FileSnapshot, ResourceShare, RunControl, RunOutcome, CHECKPOINT_SCHEMA_VERSION,
+    check_schema_version, config_fingerprint, ChannelSnapshot, ChunkSnapshot, Engine,
+    EngineCheckpoint, EngineRun, FileSnapshot, ResourceShare, RunControl, RunOutcome,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use env::{EngineTuning, TransferEnv};
 pub use faults::{

@@ -29,12 +29,9 @@ use eadt_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 
-fn ev_side(side: SiteSide) -> EvSide {
-    match side {
-        SiteSide::Src => EvSide::Src,
-        SiteSide::Dst => EvSide::Dst,
-    }
-}
+/// Journal sides in per-side order: the sending site, then the receiving
+/// site ([`SiteSide`] order, which indexes every per-side pair below).
+const EV_SIDES: [EvSide; 2] = [EvSide::Src, EvSide::Dst];
 
 /// Backoff / budget / breaker parameters.
 ///
@@ -116,9 +113,10 @@ impl RetryPolicy {
 }
 
 /// Circuit-breaker state for one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 enum BreakerState {
     /// Healthy; failures are counted.
+    #[default]
     Closed,
     /// Quarantined until the given time; placement avoids the server.
     Open { until: SimTime },
@@ -126,8 +124,8 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Per-server failure tracker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Per-server failure tracker; a new one is closed with no failures.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct Breaker {
     /// State-machine position.
     state: BreakerState,
@@ -136,13 +134,6 @@ struct Breaker {
 }
 
 impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive: 0,
-        }
-    }
-
     /// Advances the cooldown; returns true when the breaker transitioned
     /// from open to half-open this slice.
     fn begin_slice(&mut self, now: SimTime) -> bool {
@@ -190,12 +181,30 @@ impl Breaker {
     }
 }
 
+/// The fault state of one server: its breaker, the episode states last
+/// reported to the journal (so only transitions are emitted), and the
+/// spans open on it (journaled runs only).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct ServerFaults {
+    breaker: Breaker,
+    /// An outage was last reported active.
+    outage: bool,
+    /// A disk degradation was last reported active.
+    disk: bool,
+    /// A `retry` span (the server's consecutive-failure run) is open.
+    retry: bool,
+    /// A `quarantine` span (the breaker-open interval) is open.
+    quarantine: bool,
+}
+
 /// The mutable state of a run's fault runtime, which is also its
 /// checkpoint form. Captured at a slice boundary, so the runtime's
 /// per-slice episode snapshot is not part of it (the next `begin_slice`
 /// refreshes that before any read), and neither is what the runtime
 /// derives from the plan, which a restore re-supplies. Episode streams
-/// are stored in construction order (plan order after range filtering).
+/// are stored in construction order (plan order after range filtering),
+/// and each server's breaker, journal edges and open spans in one
+/// per-server record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultState {
     /// Backoff-jitter stream.
@@ -208,24 +217,10 @@ pub struct FaultState {
     stall: Option<EpisodeStream>,
     /// Disk-degradation streams, in plan order.
     disk: Vec<EpisodeStream>,
-    /// Sender-site breakers, by server index.
-    src_breakers: Vec<Breaker>,
-    /// Receiver-site breakers, by server index.
-    dst_breakers: Vec<Breaker>,
-    // Telemetry edge memory: the last *reported* episode states, so only
-    // transitions are emitted.
-    ev_src_outage: Vec<bool>,
-    ev_dst_outage: Vec<bool>,
+    /// Per-server records by server index, one list per side.
+    servers: [Vec<ServerFaults>; 2],
+    /// A stall was last reported active.
     ev_stall: bool,
-    ev_src_disk: Vec<bool>,
-    ev_dst_disk: Vec<bool>,
-    // Per-server span-open memory (capture only): a `retry` span covers a
-    // server's consecutive-failure run, a `quarantine` span its
-    // breaker-open interval.
-    span_src_retry: Vec<bool>,
-    span_dst_retry: Vec<bool>,
-    span_src_quar: Vec<bool>,
-    span_dst_quar: Vec<bool>,
     /// Accumulated fault accounting, copied into the report at the end.
     stats: FaultStats,
 }
@@ -252,12 +247,11 @@ pub(crate) struct FaultRuntime {
     stall_gap: f64,
     disk_servers: Vec<(SiteSide, usize, f64)>,
     state: FaultState,
-    // Per-slice snapshot, refreshed by `begin_slice`.
-    src_outage: Vec<bool>,
-    dst_outage: Vec<bool>,
+    // Per-slice snapshot, refreshed by `begin_slice`: per side, each
+    // server's outage flag and disk-rate factor.
+    outage: [Vec<bool>; 2],
     stall_multiplier: f64,
-    src_disk_factor: Vec<f64>,
-    dst_disk_factor: Vec<f64>,
+    disk_factor: [Vec<f64>; 2],
     // Telemetry event capture (off by default, zero-cost when off).
     capture: bool,
     events: Vec<Event>,
@@ -272,10 +266,8 @@ impl FaultRuntime {
     /// Builds the runtime for a plan over sites with the given server
     /// counts. Out-of-range server indices in the plan are ignored.
     pub(crate) fn new(plan: &FaultPlan, src_servers: usize, dst_servers: usize) -> Self {
-        let in_range = |side: SiteSide, server: usize| match side {
-            SiteSide::Src => server < src_servers,
-            SiteSide::Dst => server < dst_servers,
-        };
+        let counts = [src_servers, dst_servers];
+        let in_range = |side: SiteSide, server: usize| server < counts[side as usize];
         let outages: Vec<_> = (plan.outages.iter())
             .filter(|o| in_range(o.side, o.server))
             .collect();
@@ -302,24 +294,13 @@ impl FaultRuntime {
                 disk: (disk.iter())
                     .map(|d| EpisodeStream::new(d.mean_gap, d.duration, d.seed))
                     .collect(),
-                src_breakers: vec![Breaker::new(); src_servers],
-                dst_breakers: vec![Breaker::new(); dst_servers],
-                ev_src_outage: vec![false; src_servers],
-                ev_dst_outage: vec![false; dst_servers],
+                servers: counts.map(|n| vec![ServerFaults::default(); n]),
                 ev_stall: false,
-                ev_src_disk: vec![false; src_servers],
-                ev_dst_disk: vec![false; dst_servers],
-                span_src_retry: vec![false; src_servers],
-                span_dst_retry: vec![false; dst_servers],
-                span_src_quar: vec![false; src_servers],
-                span_dst_quar: vec![false; dst_servers],
                 stats: FaultStats::default(),
             },
-            src_outage: vec![false; src_servers],
-            dst_outage: vec![false; dst_servers],
+            outage: counts.map(|n| vec![false; n]),
             stall_multiplier: 1.0,
-            src_disk_factor: vec![1.0; src_servers],
-            dst_disk_factor: vec![1.0; dst_servers],
+            disk_factor: counts.map(|n| vec![1.0; n]),
             capture: false,
             events: Vec::new(),
             plan: plan.clone(),
@@ -341,12 +322,9 @@ impl FaultRuntime {
     /// slice and refreshes the per-slice snapshot.
     pub(crate) fn begin_slice(&mut self, now: SimTime) {
         let st = &mut self.state;
-        for (side, breakers) in [
-            (EvSide::Src, &mut st.src_breakers),
-            (EvSide::Dst, &mut st.dst_breakers),
-        ] {
-            for (srv, b) in breakers.iter_mut().enumerate() {
-                if b.begin_slice(now) && self.capture {
+        for (side, servers) in EV_SIDES.into_iter().zip(&mut st.servers) {
+            for (srv, s) in servers.iter_mut().enumerate() {
+                if s.breaker.begin_slice(now) && self.capture {
                     self.events.push(Event::Breaker {
                         side,
                         server: srv as u32,
@@ -355,17 +333,13 @@ impl FaultRuntime {
                 }
             }
         }
-        self.src_outage.iter_mut().for_each(|o| *o = false);
-        self.dst_outage.iter_mut().for_each(|o| *o = false);
+        self.outage.iter_mut().flatten().for_each(|o| *o = false);
         let mut outage_windows = 0;
         for (&(side, server), stream) in self.outage_servers.iter().zip(&mut st.outages) {
             let active = stream.active(now);
             outage_windows += stream.started();
             if active {
-                match side {
-                    SiteSide::Src => self.src_outage[server] = true,
-                    SiteSide::Dst => self.dst_outage[server] = true,
-                }
+                self.outage[side as usize][server] = true;
             }
         }
         st.stats.outage_episodes = outage_windows;
@@ -381,17 +355,13 @@ impl FaultRuntime {
             }
             None => 1.0,
         };
-        self.src_disk_factor.iter_mut().for_each(|f| *f = 1.0);
-        self.dst_disk_factor.iter_mut().for_each(|f| *f = 1.0);
+        self.disk_factor.iter_mut().flatten().for_each(|f| *f = 1.0);
         let mut disk_windows = 0;
         for (&(side, server, factor), stream) in self.disk_servers.iter().zip(&mut st.disk) {
             let active = stream.active(now);
             disk_windows += stream.started();
             if active {
-                let slot = match side {
-                    SiteSide::Src => &mut self.src_disk_factor[server],
-                    SiteSide::Dst => &mut self.dst_disk_factor[server],
-                };
+                let slot = &mut self.disk_factor[side as usize][server];
                 *slot = slot.min(factor);
             }
         }
@@ -405,13 +375,11 @@ impl FaultRuntime {
     /// and buffers a `fault_episode` event per transition.
     fn emit_episode_edges(&mut self) {
         let st = &mut self.state;
-        for (side, active, reported) in [
-            (EvSide::Src, &self.src_outage, &mut st.ev_src_outage),
-            (EvSide::Dst, &self.dst_outage, &mut st.ev_dst_outage),
-        ] {
-            for (srv, (&now_active, was)) in active.iter().zip(reported.iter_mut()).enumerate() {
-                if now_active != *was {
-                    *was = now_active;
+        let sides = EV_SIDES.into_iter().zip(&mut st.servers);
+        for ((side, servers), outage) in sides.zip(&self.outage) {
+            for (srv, (s, &now_active)) in servers.iter_mut().zip(outage).enumerate() {
+                if now_active != s.outage {
+                    s.outage = now_active;
                     self.events.push(Event::FaultEpisode {
                         kind: EvEpisodeKind::Outage,
                         side: Some(side),
@@ -431,14 +399,12 @@ impl FaultRuntime {
                 active: stalled,
             });
         }
-        for (side, factors, reported) in [
-            (EvSide::Src, &self.src_disk_factor, &mut st.ev_src_disk),
-            (EvSide::Dst, &self.dst_disk_factor, &mut st.ev_dst_disk),
-        ] {
-            for (srv, (&f, was)) in factors.iter().zip(reported.iter_mut()).enumerate() {
+        let sides = EV_SIDES.into_iter().zip(&mut st.servers);
+        for ((side, servers), factors) in sides.zip(&self.disk_factor) {
+            for (srv, (s, &f)) in servers.iter_mut().zip(factors).enumerate() {
                 let now_active = f < 1.0;
-                if now_active != *was {
-                    *was = now_active;
+                if now_active != s.disk {
+                    s.disk = now_active;
                     self.events.push(Event::FaultEpisode {
                         kind: EvEpisodeKind::Disk,
                         side: Some(side),
@@ -460,15 +426,15 @@ impl FaultRuntime {
     /// Whether any outage window is currently active on either site (the
     /// engine's `outage_idle` ledger-phase signal).
     pub(crate) fn any_outage(&self) -> bool {
-        self.src_outage.iter().chain(&self.dst_outage).any(|&o| o)
+        self.outage.iter().flatten().any(|&o| o)
     }
 
     /// Whether an outage window currently covers the given server.
     pub(crate) fn outage_active(&self, side: SiteSide, server: usize) -> bool {
-        match side {
-            SiteSide::Src => self.src_outage.get(server).copied().unwrap_or(false),
-            SiteSide::Dst => self.dst_outage.get(server).copied().unwrap_or(false),
-        }
+        self.outage[side as usize]
+            .get(server)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Current inter-file control-gap multiplier (1.0 when not stalled).
@@ -478,10 +444,10 @@ impl FaultRuntime {
 
     /// Current disk-rate factor for a server (1.0 when healthy).
     pub(crate) fn disk_factor(&self, side: SiteSide, server: usize) -> f64 {
-        match side {
-            SiteSide::Src => self.src_disk_factor.get(server).copied().unwrap_or(1.0),
-            SiteSide::Dst => self.dst_disk_factor.get(server).copied().unwrap_or(1.0),
-        }
+        self.disk_factor[side as usize]
+            .get(server)
+            .copied()
+            .unwrap_or(1.0)
     }
 
     /// Placement masks from *learned* state only: a server reads as
@@ -490,23 +456,25 @@ impl FaultRuntime {
     /// oracle; it discovers outages by failing against them. Refills the
     /// caller's buffers (capacity reused, so warm buffers never allocate).
     pub(crate) fn avail_masks_into(&self, src: &mut Vec<bool>, dst: &mut Vec<bool>) {
-        src.clear();
-        src.extend(self.state.src_breakers.iter().map(|b| !b.is_open()));
-        dst.clear();
-        dst.extend(self.state.dst_breakers.iter().map(|b| !b.is_open()));
+        for (out, servers) in [src, dst].into_iter().zip(&self.state.servers) {
+            out.clear();
+            out.extend(servers.iter().map(|s| !s.breaker.is_open()));
+        }
     }
 
     /// Fraction of servers not quarantined, taken as the min over both
     /// sites — the controller-facing degradation signal.
     pub(crate) fn capacity_fraction(&self) -> f64 {
-        let frac = |brs: &[Breaker]| {
-            if brs.is_empty() {
+        let frac = |servers: &[ServerFaults]| {
+            if servers.is_empty() {
                 1.0
             } else {
-                brs.iter().filter(|b| !b.is_open()).count() as f64 / brs.len() as f64
+                let up = servers.iter().filter(|s| !s.breaker.is_open()).count();
+                up as f64 / servers.len() as f64
             }
         };
-        frac(&self.state.src_breakers).min(frac(&self.state.dst_breakers))
+        let [src, dst] = &self.state.servers;
+        frac(src).min(frac(dst))
     }
 
     /// Books a failure: bumps the per-cause counter and, for outage kills,
@@ -522,26 +490,18 @@ impl FaultRuntime {
             FaultCause::Channel => self.state.stats.channel_failures += 1,
             FaultCause::Outage => {
                 self.state.stats.outage_failures += 1;
-                if self.src_outage.get(src_srv).copied().unwrap_or(false) {
-                    let breaker = &mut self.state.src_breakers[src_srv];
+                for (side, srv) in [(SiteSide::Src, src_srv), (SiteSide::Dst, dst_srv)] {
+                    if !self.outage_active(side, srv) {
+                        continue;
+                    }
+                    let breaker = &mut self.state.servers[side as usize][srv].breaker;
                     let was_zero = breaker.consecutive == 0;
                     let opened = breaker.record_failure(now, &self.plan.retry);
                     if opened {
                         self.state.stats.breaker_opens += 1;
                     }
                     if self.capture {
-                        self.charge_events(EvSide::Src, src_srv, was_zero, opened);
-                    }
-                }
-                if self.dst_outage.get(dst_srv).copied().unwrap_or(false) {
-                    let breaker = &mut self.state.dst_breakers[dst_srv];
-                    let was_zero = breaker.consecutive == 0;
-                    let opened = breaker.record_failure(now, &self.plan.retry);
-                    if opened {
-                        self.state.stats.breaker_opens += 1;
-                    }
-                    if self.capture {
-                        self.charge_events(EvSide::Dst, dst_srv, was_zero, opened);
+                        self.charge_events(side, srv, was_zero, opened);
                     }
                 }
             }
@@ -551,19 +511,11 @@ impl FaultRuntime {
     /// Emits the telemetry for one breaker charge: the start of a
     /// consecutive-failure run opens a `retry` span, a newly opened
     /// breaker emits its transition and opens a `quarantine` span.
-    fn charge_events(&mut self, side: EvSide, server: usize, was_zero: bool, opened: bool) {
-        let begin_retry = {
-            let retry_open = match side {
-                EvSide::Src => &mut self.state.span_src_retry,
-                EvSide::Dst => &mut self.state.span_dst_retry,
-            };
-            let begin = was_zero && !retry_open[server];
-            if begin {
-                retry_open[server] = true;
-            }
-            begin
-        };
-        if begin_retry {
+    fn charge_events(&mut self, side: SiteSide, server: usize, was_zero: bool, opened: bool) {
+        let s = &mut self.state.servers[side as usize][server];
+        let side = EV_SIDES[side as usize];
+        if was_zero && !s.retry {
+            s.retry = true;
             self.events.push(Event::SpanBegin {
                 id: 0,
                 parent: 0,
@@ -577,18 +529,8 @@ impl FaultRuntime {
                 server: server as u32,
                 state: EvBreakerState::Open,
             });
-            let begin_quar = {
-                let quar_open = match side {
-                    EvSide::Src => &mut self.state.span_src_quar,
-                    EvSide::Dst => &mut self.state.span_dst_quar,
-                };
-                let begin = !quar_open[server];
-                if begin {
-                    quar_open[server] = true;
-                }
-                begin
-            };
-            if begin_quar {
+            if !s.quarantine {
+                s.quarantine = true;
                 self.events.push(Event::SpanBegin {
                     id: 0,
                     parent: 0,
@@ -602,47 +544,36 @@ impl FaultRuntime {
     /// Books bytes successfully moved through a server: resets its
     /// breaker's failure run and closes a half-open probe.
     pub(crate) fn record_success(&mut self, side: SiteSide, server: usize) {
-        let breaker = match side {
-            SiteSide::Src => self.state.src_breakers.get_mut(server),
-            SiteSide::Dst => self.state.dst_breakers.get_mut(server),
+        let Some(s) = self.state.servers[side as usize].get_mut(server) else {
+            return;
         };
-        let Some(b) = breaker else { return };
-        let had_run = b.consecutive > 0;
-        let closed = b.record_success();
+        let had_run = s.breaker.consecutive > 0;
+        let closed = s.breaker.record_success();
         if !self.capture {
             return;
         }
+        let side = EV_SIDES[side as usize];
         // The failure run is over: close the server's retry span.
-        if had_run {
-            let retry_open = match side {
-                SiteSide::Src => &mut self.state.span_src_retry,
-                SiteSide::Dst => &mut self.state.span_dst_retry,
-            };
-            if retry_open[server] {
-                retry_open[server] = false;
-                self.events.push(Event::SpanEnd {
-                    id: 0,
-                    kind: "retry".to_string(),
-                    detail: server_detail(ev_side(side), server),
-                });
-            }
+        if had_run && s.retry {
+            s.retry = false;
+            self.events.push(Event::SpanEnd {
+                id: 0,
+                kind: "retry".to_string(),
+                detail: server_detail(side, server),
+            });
         }
         if closed {
             self.events.push(Event::Breaker {
-                side: ev_side(side),
+                side,
                 server: server as u32,
                 state: EvBreakerState::Closed,
             });
-            let quar_open = match side {
-                SiteSide::Src => &mut self.state.span_src_quar,
-                SiteSide::Dst => &mut self.state.span_dst_quar,
-            };
-            if quar_open[server] {
-                quar_open[server] = false;
+            if s.quarantine {
+                s.quarantine = false;
                 self.events.push(Event::SpanEnd {
                     id: 0,
                     kind: "quarantine".to_string(),
-                    detail: server_detail(ev_side(side), server),
+                    detail: server_detail(side, server),
                 });
             }
         }
@@ -711,8 +642,8 @@ impl FaultRuntime {
         for stream in st.outages.iter().chain(&st.stall).chain(&st.disk) {
             earliest = earliest.min(stream.next_boundary(now));
         }
-        for b in st.src_breakers.iter().chain(&st.dst_breakers) {
-            match b.state {
+        for s in st.servers.iter().flatten() {
+            match s.breaker.state {
                 BreakerState::Closed => {}
                 BreakerState::Open { until } => earliest = earliest.min(until),
                 BreakerState::HalfOpen => earliest = earliest.min(now),
@@ -725,10 +656,11 @@ impl FaultRuntime {
     /// the caller's buffer (capacity reused across slices).
     pub(crate) fn quarantined_into(&self, side: SiteSide, out: &mut Vec<bool>) {
         out.clear();
-        match side {
-            SiteSide::Src => out.extend(self.state.src_breakers.iter().map(Breaker::is_open)),
-            SiteSide::Dst => out.extend(self.state.dst_breakers.iter().map(Breaker::is_open)),
-        }
+        out.extend(
+            self.state.servers[side as usize]
+                .iter()
+                .map(|s| s.breaker.is_open()),
+        );
     }
 
     /// Accumulated fault accounting so far.
@@ -775,17 +707,13 @@ impl FaultRuntime {
             state.stall.is_some(),
             "checkpoint stall stream does not match the plan"
         );
-        for (servers, per_server) in [
-            (src_servers, [&state.span_src_retry, &state.span_src_quar]),
-            (dst_servers, [&state.span_dst_retry, &state.span_dst_quar]),
-        ] {
-            assert!(
-                per_server.iter().all(|v| v.len() == servers),
-                "checkpoint span state does not match the site's {servers} servers"
+        for (have, want) in state.servers.iter().zip(&rt.state.servers) {
+            assert_eq!(
+                have.len(),
+                want.len(),
+                "checkpoint per-server fault state does not match the site's servers"
             );
         }
-        assert_eq!(rt.state.src_breakers.len(), state.src_breakers.len());
-        assert_eq!(rt.state.dst_breakers.len(), state.dst_breakers.len());
         rt.state = state;
         rt
     }
@@ -877,7 +805,7 @@ mod tests {
         rt.avail_masks_into(&mut src_avail, &mut dst_avail);
         assert_eq!(dst_avail, vec![true, true]);
         assert_eq!(
-            serde_json::to_string(&rt.state.dst_breakers[1]).unwrap(),
+            serde_json::to_string(&rt.state.servers[SiteSide::Dst as usize][1].breaker).unwrap(),
             "{\"consecutive\":3,\"state\":\"HalfOpen\"}"
         );
         // A probe that collides with the *next* outage window re-opens the
@@ -972,18 +900,19 @@ mod tests {
         \"mean_gap\":{\"micros\":50000000},\"next_end\":{\"micros\":218938773},\
         \"next_start\":{\"micros\":210938773},\"rng\":{\"seed\":15141176370229221361,\
         \"state\":[12535310937947998120,3689652127906190180,1551605264341901081,\
-        12633172385800479876]},\"started\":1}],\"dst_breakers\":[{\"consecutive\":0,\
-        \"state\":\"Closed\"},{\"consecutive\":185,\"state\":{\"Open\":{\"until\":\
-        {\"micros\":211600000}}}}],\"ev_dst_disk\":[false,false],\"ev_dst_outage\":[false,false],\
-        \"ev_src_disk\":[false],\"ev_src_outage\":[false],\"ev_stall\":false,\
+        12633172385800479876]},\"started\":1}],\"ev_stall\":false,\
         \"jitter_rng\":{\"seed\":15078467903075888077,\"state\":[4945926364741042676,\
         14393454304302319511,4835556012649981970,4280635433350132505]},\"outages\":[{\
         \"duration\":{\"micros\":10000000},\"entered\":true,\"mean_gap\":{\"micros\":40000000},\
         \"next_end\":{\"micros\":201544577},\"next_start\":{\"micros\":191544577},\
         \"rng\":{\"seed\":6915747910816316914,\"state\":[8418735535295843871,\
         2665630081225046464,2148309792423978042,245624889523532585]},\"started\":2}],\
-        \"span_dst_quar\":[false,false],\"span_dst_retry\":[false,false],\"span_src_quar\":[false],\
-        \"span_src_retry\":[false],\"src_breakers\":[{\"consecutive\":0,\"state\":\"Closed\"}],\
+        \"servers\":[[{\"breaker\":{\"consecutive\":0,\"state\":\"Closed\"},\"disk\":false,\
+        \"outage\":false,\"quarantine\":false,\"retry\":false}],\
+        [{\"breaker\":{\"consecutive\":0,\"state\":\"Closed\"},\"disk\":false,\
+        \"outage\":false,\"quarantine\":false,\"retry\":false},\
+        {\"breaker\":{\"consecutive\":185,\"state\":{\"Open\":{\"until\":{\"micros\":211600000}}}},\
+        \"disk\":false,\"outage\":false,\"quarantine\":false,\"retry\":false}]],\
         \"stall\":{\"duration\":{\"micros\":4000000},\"entered\":false,\
         \"mean_gap\":{\"micros\":30000000},\"next_end\":{\"micros\":270672381},\
         \"next_start\":{\"micros\":266672381},\"rng\":{\"seed\":5110281145934192440,\

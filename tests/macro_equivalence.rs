@@ -20,12 +20,12 @@
 
 use eadt::core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
 use eadt::core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
-use eadt::sim::{Bytes, Fnv1a, SimDuration};
+use eadt::sim::{Fnv1a, SimDuration};
 use eadt::telemetry::{Telemetry, DEFAULT_CADENCE};
 use eadt::testbeds::{didclab, futuregrid, xsede, Environment};
 use eadt::transfer::{
-    BackgroundTraffic, DiskDegradationModel, EngineCheckpoint, FaultModel, FaultPlan, OutageModel,
-    RunControl, RunOutcome, SiteSide, StallModel,
+    BackgroundTraffic, DiskDegradationModel, FaultModel, FaultPlan, OutageModel, RunControl,
+    RunOutcome, SiteSide, StallModel,
 };
 
 const SEED: u64 = 11;
@@ -336,27 +336,16 @@ fn serve_commit_digest() -> String {
     let commit = std::fs::read_to_string(dir.join(CheckpointStore::service_checkpoint_name()))
         .expect("the checkpointed run commits");
     std::fs::remove_dir_all(&dir).expect("scratch checkpoint directory is removable");
-    let mut ck = ServiceCheckpoint::from_json(&commit).expect("the commit parses");
+    let ck = ServiceCheckpoint::from_json(&commit).expect("the commit parses");
     assert_eq!(ck.to_json(), commit, "the commit round-trips byte for byte");
     assert!(
         !ck.engines.is_empty(),
         "the last commit must list a live engine"
     );
-    for job in &mut ck.engines {
-        without_audit(&mut job.engine);
-    }
     format!(
         "serve/preempt-resume commit={:016x}\n",
         fnv1a(ck.to_json().as_bytes())
     )
-}
-
-/// Zeroes the `debug-invariants` auditor's accumulators, which book only
-/// in builds with that feature, so that one digest holds for both builds.
-fn without_audit(ck: &mut EngineCheckpoint) -> &EngineCheckpoint {
-    ck.audit_gross = Bytes::ZERO;
-    ck.audit_stage_requested = Bytes::ZERO;
-    ck
 }
 
 #[test]
@@ -377,12 +366,12 @@ fn golden_digests_match_the_seed_engine() {
                 // state, the metrics, the open spans and, under a fault
                 // plan, the fault runtime.
                 let (outcome, _) = run_cell(&tb, kind, aware, RunControl::halt_at(slices / 2));
-                let RunOutcome::Halted(mut ck) = outcome else {
+                let RunOutcome::Halted(ck) = outcome else {
                     panic!("{label}/{kind}: the run must halt at slice {}", slices / 2);
                 };
                 lines.push_str(&format!(
                     "{label}/{kind} checkpoint={:016x}\n",
-                    fnv1a(without_audit(&mut ck).to_json().as_bytes())
+                    fnv1a(ck.to_json().as_bytes())
                 ));
             }
         }
