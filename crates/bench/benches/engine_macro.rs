@@ -14,9 +14,9 @@
 use criterion::measurement::WallTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 use eadt_bench::kernel::{
-    merge_into_bench_json, steady_scenario, turbulent_scenario, SliceCounter,
+    merge_into_bench_json, run_counting, steady_scenario, turbulent_scenario,
 };
-use eadt_transfer::{Engine, TransferEnv, TransferPlan};
+use eadt_transfer::{Engine, NullController, TransferEnv, TransferPlan};
 use std::hint::black_box;
 
 /// Timed passes per configuration; the minimum is recorded so scheduler
@@ -31,12 +31,11 @@ fn measure(env: &TransferEnv, plan: &TransferPlan, macro_step: bool) -> (f64, u6
     let mut best = f64::INFINITY;
     let mut slices = 0;
     for _ in 0..PASSES {
-        let mut ctrl = SliceCounter::default();
-        let (report, s) = WallTime::time(|| Engine::new(&env).run(plan, &mut ctrl));
+        let ((report, executed), s) = WallTime::time(|| run_counting(&env, plan));
         black_box(&report);
         assert!(report.completed, "bench transfer must finish");
         best = best.min(s);
-        slices = ctrl.slices;
+        slices = executed;
     }
     (best, slices)
 }
@@ -79,7 +78,7 @@ fn bench(c: &mut Criterion) {
         let mut env = env.clone();
         env.tuning.macro_step = false;
         g.bench_function(name, |b| {
-            b.iter(|| black_box(Engine::new(&env).run(plan, &mut SliceCounter::default())))
+            b.iter(|| black_box(Engine::new(&env).run(plan, &mut NullController)))
         });
     }
     for (name, env, plan) in [
@@ -89,7 +88,7 @@ fn bench(c: &mut Criterion) {
         let mut env = env.clone();
         env.tuning.macro_step = true;
         g.bench_function(name, |b| {
-            b.iter(|| black_box(Engine::new(&env).run(plan, &mut SliceCounter::default())))
+            b.iter(|| black_box(Engine::new(&env).run(plan, &mut NullController)))
         });
     }
     g.finish();

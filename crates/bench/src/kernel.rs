@@ -6,7 +6,7 @@
 //! is warm. This module holds everything needed to *prove* that claim
 //! instead of asserting it in prose: the two bracket scenarios (steady
 //! and turbulent) and a small-file one whose working set keeps flipping,
-//! slice-counting and allocation-window controllers, the
+//! a slice-counting run and an allocation-window controller, the
 //! delta-method measurement, and the `BENCH_engine.json` plumbing the
 //! CI perf gate reads its committed thresholds from.
 //!
@@ -22,34 +22,31 @@ use eadt_telemetry::Telemetry;
 use eadt_testbeds::xsede;
 use eadt_transfer::{
     uniform_plan, BackgroundTraffic, ControlAction, Controller, DiskDegradationModel, Engine,
-    FaultModel, FaultPlan, OutageModel, SiteSide, SliceCtx, StallModel, TransferEnv,
-    TransferParams, TransferPlan,
+    EngineRun, FaultModel, FaultPlan, NullController, OutageModel, ResourceShare, SiteSide,
+    SliceCtx, StallModel, TransferEnv, TransferParams, TransferPlan, TransferReport,
 };
+use std::borrow::Cow;
 
-/// `NullController` with an odometer: counts how many slices the engine
-/// actually executed (macro-stepped replays never reach the controller),
-/// so `1 - executed_fast / executed_slow` is the slices-skipped ratio.
-#[derive(Default)]
-pub struct SliceCounter {
-    /// Executed-slice count after the run.
-    pub slices: u64,
+/// Runs `plan` to completion under [`NullController`] and returns the
+/// report with the number of slices the engine executed
+/// ([`EngineRun::executed_slices`]; macro-stepped replays are not
+/// executed), so `1 - executed_fast / executed_slow` is the
+/// slices-skipped ratio.
+pub fn run_counting(env: &TransferEnv, plan: &TransferPlan) -> (TransferReport, u64) {
+    let mut tel = Telemetry::disabled();
+    let controller = Box::new(NullController);
+    let mut run = EngineRun::new(env, Cow::Borrowed(plan), controller, &mut tel);
+    let report = run
+        .step(env, &mut tel, None, ResourceShare::FULL)
+        .expect("an unbounded step runs to the end");
+    (report, run.executed_slices())
 }
 
-impl Controller for SliceCounter {
-    fn on_slice(&mut self, _ctx: &SliceCtx, _tel: &mut Telemetry) -> ControlAction {
-        self.slices += 1;
-        ControlAction::Continue
-    }
-
-    fn next_decision_in(&self, _ctx: &SliceCtx, _slice: SimDuration) -> u64 {
-        u64::MAX
-    }
-}
-
-/// Snapshots an external allocation counter at two executed-slice
-/// ordinals, so `(end - start) / (hi - lo)` is the per-slice allocation
-/// rate over a mid-run window — after the arena has warmed up, before
-/// the completion tail builds the report.
+/// Snapshots an external allocation counter at two consult ordinals,
+/// so `(end - start) / (hi - lo)` is the per-slice allocation rate over
+/// a mid-run window — after the arena has warmed up, before the
+/// completion tail builds the report. A run with macro-stepping off
+/// (`kernel_env`) consults at every executed slice.
 ///
 /// The counter is a plain `fn` pointer (typically reading the target's
 /// counting `#[global_allocator]`) and `on_slice` itself allocates
@@ -174,11 +171,9 @@ pub fn kernel_env(env: &TransferEnv) -> TransferEnv {
 
 /// Counts the executed slices of one kernel (macro-step off) run.
 pub fn count_executed_slices(env: &TransferEnv, plan: &TransferPlan) -> u64 {
-    let env = kernel_env(env);
-    let mut ctrl = SliceCounter::default();
-    let report = Engine::new(&env).run(plan, &mut ctrl);
+    let (report, slices) = run_counting(&kernel_env(env), plan);
     assert!(report.completed, "kernel scenario must finish");
-    ctrl.slices
+    slices
 }
 
 /// Delta-method allocation rate: runs the kernel once and samples

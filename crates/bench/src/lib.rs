@@ -26,8 +26,8 @@ pub use accuracy::{model_accuracy, AccuracyRow};
 pub use device::{fig10_decomposition, fig8_series, fig9_paths, table1_rows, DecompositionRow};
 pub use estimator::{estimator_experiment, EstimatorRow};
 pub use kernel::{
-    count_executed_slices, measure_allocs_per_slice, merge_into_bench_json, steady_scenario,
-    turbulent_scenario, AllocWindow, KernelGate, SliceCounter,
+    count_executed_slices, measure_allocs_per_slice, merge_into_bench_json, run_counting,
+    steady_scenario, turbulent_scenario, AllocWindow, KernelGate,
 };
 pub use plot::{write_sla_plot, write_sweep_plot, write_trace_plot};
 pub use repeat::{replicated_sweep, AggregatePoint, ReplicatedSweep};

@@ -27,6 +27,14 @@ pub enum CkptError {
         /// Parser diagnostic.
         detail: String,
     },
+    /// A checkpoint file parses but is of a schema version this build
+    /// does not read (an older or newer build wrote it).
+    Version {
+        /// Offending path.
+        path: PathBuf,
+        /// Which version was found and which one is supported.
+        detail: String,
+    },
     /// The checkpoint belongs to a different job, seed or configuration
     /// than the one being resumed.
     Mismatch {
@@ -69,6 +77,13 @@ impl fmt::Display for CkptError {
             }
             CkptError::Corrupt { path, detail } => {
                 write!(f, "corrupt checkpoint file {}: {detail}", path.display())
+            }
+            CkptError::Version { path, detail } => {
+                write!(
+                    f,
+                    "unsupported checkpoint file {}: {detail}",
+                    path.display()
+                )
             }
             CkptError::Mismatch { detail } => {
                 write!(

@@ -12,10 +12,11 @@
 //! remaining rounds byte-identically.
 
 use crate::error::CkptError;
-use crate::store::{CheckpointStore, JobCheckpoint};
+use crate::store::{decode_checked, CheckpointStore, JobCheckpoint};
 use eadt_transfer::check_schema_version;
 use serde::ser::Writer;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// Schema version of [`ServiceCheckpoint`] (versioning policy: §13 —
 /// additive growth bumps the version, readers reject versions they do
@@ -90,12 +91,19 @@ impl ServiceCheckpoint {
     /// decoding the rest.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = serde::value::parse(text).map_err(|e| e.to_string())?;
+        Self::check_versions(&doc)?;
+        Self::deser_value(&doc).map_err(|e| e.to_string())
+    }
+
+    /// Refuses a snapshot document, or any job checkpoint it embeds, of
+    /// another schema version.
+    fn check_versions(doc: &Value) -> Result<(), String> {
         let want = SERVICE_CHECKPOINT_SCHEMA_VERSION;
-        check_schema_version(&doc, "version", "service checkpoint", want)?;
+        check_schema_version(doc, "version", "service checkpoint", want)?;
         for job in doc["engines"].as_array().into_iter().flatten() {
             JobCheckpoint::check_versions(job)?;
         }
-        Self::deser_value(&doc).map_err(|e| e.to_string())
+        Ok(())
     }
 
     /// Checks the snapshot against the workload it is about to resume.
@@ -136,12 +144,10 @@ impl CheckpointStore {
         let name = Self::service_checkpoint_name();
         match self.read(name)? {
             None => Ok(None),
-            Some(text) => ServiceCheckpoint::from_json(&text)
-                .map(Some)
-                .map_err(|detail| CkptError::Corrupt {
-                    path: self.dir().join(name),
-                    detail,
-                }),
+            Some(text) => {
+                let path = self.dir().join(name);
+                decode_checked(&text, path, ServiceCheckpoint::check_versions).map(Some)
+            }
         }
     }
 
@@ -225,8 +231,14 @@ mod tests {
         store
             .write(CheckpointStore::service_checkpoint_name(), text)
             .unwrap();
-        let err = store.load_service_checkpoint().unwrap_err().to_string();
-        assert!(err.contains("schema version 2"), "{err}");
+        let err = store.load_service_checkpoint().unwrap_err();
+        assert!(matches!(err, CkptError::Version { .. }), "{err:?}");
+        let err = err.to_string();
+        assert!(err.contains("unsupported checkpoint file"), "{err}");
+        assert!(
+            err.contains("schema version 2") && !err.contains("corrupt"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -98,6 +98,28 @@ impl JobCheckpoint {
     }
 }
 
+/// Decodes checkpoint `text` read from `path`: text that does not parse
+/// or decode is corrupt, and a document `check` refuses is of another
+/// schema version, refused as such before the rest is decoded.
+pub(crate) fn decode_checked<T: Deserialize>(
+    text: &str,
+    path: PathBuf,
+    check: fn(&Value) -> Result<(), String>,
+) -> Result<T, CkptError> {
+    let doc = serde::value::parse(text).map_err(|e| CkptError::Corrupt {
+        path: path.clone(),
+        detail: e.to_string(),
+    })?;
+    check(&doc).map_err(|detail| CkptError::Version {
+        path: path.clone(),
+        detail,
+    })?;
+    T::deser_value(&doc).map_err(|e| CkptError::Corrupt {
+        path,
+        detail: e.to_string(),
+    })
+}
+
 /// A checkpoint directory with atomic writes.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -186,12 +208,7 @@ impl CheckpointStore {
         match self.read(&name)? {
             None => Ok(None),
             Some(text) => {
-                JobCheckpoint::from_json(&text)
-                    .map(Some)
-                    .map_err(|detail| CkptError::Corrupt {
-                        path: self.path(&name),
-                        detail,
-                    })
+                decode_checked(&text, self.path(&name), JobCheckpoint::check_versions).map(Some)
             }
         }
     }
@@ -289,8 +306,14 @@ pub(crate) mod tests {
         store
             .write(&CheckpointStore::checkpoint_name(0), V2_JOB)
             .unwrap();
-        let err = store.load_job_checkpoint(0).unwrap_err().to_string();
-        assert!(err.contains("schema version 2"), "{err}");
+        let err = store.load_job_checkpoint(0).unwrap_err();
+        assert!(matches!(err, CkptError::Version { .. }), "{err:?}");
+        let err = err.to_string();
+        assert!(err.contains("unsupported checkpoint file"), "{err}");
+        assert!(
+            err.contains("schema version 2") && !err.contains("corrupt"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

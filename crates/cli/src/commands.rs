@@ -669,12 +669,17 @@ fn run_checkpointed(
     )?;
     match outcome.report {
         Some(r) => Ok(r),
-        None => Err(EadtError::job_failed(
-            job.display_label(),
-            outcome
+        None => {
+            // The outcome's error already names the job: pass its message
+            // through under that one prefix.
+            let label = job.display_label();
+            let error = outcome
                 .error
-                .unwrap_or_else(|| "job failed without an error message".to_string()),
-        )),
+                .unwrap_or_else(|| "job failed without an error message".to_string());
+            let prefix = EadtError::job_failed(&label, "").to_string();
+            let message = error.strip_prefix(&prefix).unwrap_or(&error);
+            Err(EadtError::job_failed(label, message))
+        }
     }
 }
 
@@ -926,6 +931,27 @@ mod tests {
              --checkpoint-dir {ds} --checkpoint-every 8"
         ));
         assert_eq!(json_of(&plain), json_of(&again));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpointed transfer that fails (here: resuming from a `{}`
+    /// job checkpoint) names its job once, not once per layer.
+    #[test]
+    fn failed_checkpointed_transfer_names_its_job_once() {
+        let dir = std::env::temp_dir().join(format!("eadt-cli-ckpt-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("job-0.ckpt.json"), "{}").unwrap();
+        let words = format!(
+            "transfer --testbed xsede --algorithm htee --scale 0.01 --seed 9 \
+             --checkpoint-dir {} --checkpoint-every 8",
+            dir.display()
+        );
+        let argv: Vec<String> = words.split_whitespace().map(str::to_string).collect();
+        let err = crate::run(&argv, &mut Vec::new()).unwrap_err().to_string();
+        assert!(err.starts_with("job XSEDE/HTEE"), "{err}");
+        assert_eq!(err.matches(" failed: ").count(), 1, "{err}");
+        assert!(err.contains("job-0.ckpt.json"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

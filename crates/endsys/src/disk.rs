@@ -95,6 +95,7 @@ impl DiskSubsystem {
 
 /// Busy fraction (0–1) of a disk subsystem moving `goodput` in
 /// aggregate against its [`DiskSubsystem::busy_capability`].
+#[inline]
 pub(crate) fn busy_fraction(goodput: Rate, capability: Rate) -> f64 {
     goodput.fraction_of(capability).clamp(0.0, 1.0)
 }

@@ -191,6 +191,7 @@ impl LoadShape {
     }
 
     /// The utilization at `goodput` with `wire_rate` on the wire.
+    #[inline]
     pub fn at(&self, goodput: Rate, wire_rate: Rate) -> Utilization {
         let traffic_cpu = self.cpu_per_gbps * wire_rate.as_gbps() * self.oversub_sqrt;
         let cpu = (self.fixed_cpu + traffic_cpu).clamp(0.0, 100.0);

@@ -1704,6 +1704,10 @@ mod tests {
             "schema version 2",
             "a schema-2 commit",
         );
+        // The error names the version mismatch, not corruption.
+        let err = session.resume(&workload).err().unwrap().to_string();
+        assert!(err.contains("unsupported checkpoint file"), "{err}");
+        assert!(!err.contains("corrupt"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -688,7 +688,7 @@ mod tests {
 
     /// A job checkpoint of checkpoint schema version 2 is refused by
     /// version before it is matched to its job, and the job is booked as
-    /// failed with that error.
+    /// failed with that error, which names the version, not corruption.
     #[test]
     fn resume_refuses_a_schema_2_job_checkpoint() {
         let jobs = small_jobs();
@@ -706,6 +706,8 @@ mod tests {
             .resume(&jobs);
         let err = resumed.jobs[0].error.as_deref().unwrap();
         assert!(err.contains("schema version 2"), "{err}");
+        assert!(err.contains("unsupported checkpoint file"), "{err}");
+        assert!(!err.contains("corrupt"), "{err}");
         assert!(resumed.jobs[1].error.is_none());
         let _ = fs::remove_dir_all(&dir);
     }

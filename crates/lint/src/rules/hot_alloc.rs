@@ -31,9 +31,11 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "drive_stage"),
     ("crates/transfer/src/engine/mod.rs", "run_slice"),
     ("crates/transfer/src/engine/mod.rs", "sync_channels"),
+    ("crates/transfer/src/engine/mod.rs", "sync_blocks"),
     ("crates/transfer/src/engine/mod.rs", "place_on_sites"),
     ("crates/transfer/src/engine/mod.rs", "kill_faulted"),
     ("crates/transfer/src/engine/mod.rs", "tick_working_set"),
+    ("crates/transfer/src/engine/mod.rs", "tick_backoffs"),
     ("crates/transfer/src/engine/mod.rs", "count_working"),
     ("crates/transfer/src/engine/mod.rs", "find"),
     ("crates/transfer/src/engine/mod.rs", "recall_counts"),
@@ -43,7 +45,10 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "advance_channels"),
     ("crates/transfer/src/engine/mod.rs", "book_slice"),
     ("crates/transfer/src/engine/mod.rs", "consult_controller"),
+    ("crates/transfer/src/engine/mod.rs", "slice_ctx"),
+    ("crates/transfer/src/engine/mod.rs", "reclaim_ctx"),
     ("crates/transfer/src/engine/mod.rs", "horizon_window"),
+    ("crates/transfer/src/engine/mod.rs", "channel_bound"),
     ("crates/transfer/src/engine/mod.rs", "replay_window"),
     ("crates/transfer/src/engine/mod.rs", "backoff_tick"),
     ("crates/transfer/src/engine/mod.rs", "book"),
@@ -51,6 +56,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/transfer/src/engine/mod.rs", "busiest_chunk"),
     ("crates/transfer/src/engine/mod.rs", "sync_chunk_channels"),
     ("crates/transfer/src/engine/mod.rs", "advance_channel"),
+    ("crates/transfer/src/engine/mod.rs", "quantum_move"),
+    ("crates/transfer/src/engine/mod.rs", "least_true"),
     ("crates/transfer/src/engine/mod.rs", "assign_servers_into"),
     ("crates/transfer/src/engine/mod.rs", "apply_disk_fairness"),
     ("crates/transfer/src/engine/mod.rs", "steady_move_bound"),

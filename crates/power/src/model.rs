@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(cpu_coefficient(4) < cpu_coefficient(2)); // four cores run cheaper
 /// assert!(cpu_coefficient(8) > cpu_coefficient(4)); // … until oversupply
 /// ```
+#[inline]
 pub fn cpu_coefficient(active_cores: u32) -> f64 {
     let n = f64::from(active_cores.max(1));
     0.011 * n * n - 0.082 * n + 0.344
@@ -114,6 +115,7 @@ impl FineGrainedModel {
     }
 
     /// The effective CPU coefficient for `n` active cores.
+    #[inline]
     pub(crate) fn c_cpu(&self, active_cores: u32) -> f64 {
         self.cpu_scale * cpu_coefficient(active_cores)
     }
@@ -122,6 +124,7 @@ impl FineGrainedModel {
     /// order (cpu, memory, disk, nic) into the Watts of
     /// [`PowerModel::power_watts`], and split by component as
     /// [`PowerModel::power_components`] (memory under `other_w`).
+    #[inline]
     pub fn evaluate(&self, util: &Utilization) -> (f64, PowerBreakdown) {
         let cpu = self.c_cpu(util.active_cores) * util.cpu;
         let memory = self.c_memory * util.memory;

@@ -203,11 +203,19 @@ fn secs_to_micros(secs: f64) -> u64 {
 /// `x.round() as u64` for `0 <= x < 2^64`, without the libm call that
 /// `round` compiles to on baseline x86-64. Exact on the whole domain:
 /// below 2^52 the fraction `x - trunc(x)` is computed exactly, and from
-/// 2^52 up every `f64` is an integer, so the fraction is 0.
+/// 2^52 up every `f64` is an integer, so the fraction is 0. Below 2^63
+/// it converts through `i64`, which baseline x86-64 does in one
+/// instruction each way, where `u64` takes a compare and a branch.
 #[inline]
 pub(crate) fn round_to_u64(x: f64) -> u64 {
-    let t = x as u64;
-    t + u64::from(x - t as f64 >= 0.5)
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if x < TWO_63 {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -346,6 +354,19 @@ mod tests {
             f64::from_bits(top.to_bits() - 2),
         ] {
             assert_eq!(round_to_u64(x), x.round() as u64, "{x:?}");
+        }
+        // Every binade of [2^52, 2^64), on both sides of the `i64`
+        // branch at 2^63: its first values, a spread of its interior and
+        // its last values.
+        for e in 52..64 {
+            let first = 2f64.powi(e).to_bits();
+            let next = 2f64.powi(e + 1).to_bits();
+            let spread = (0..64).map(|k| first + (next - first) / 64 * k);
+            let ends = [first, first + 1, first + 2, next - 2, next - 1];
+            for bits in spread.chain(ends) {
+                let x = f64::from_bits(bits);
+                assert_eq!(round_to_u64(x), x.round() as u64, "{x:?}");
+            }
         }
     }
 

@@ -164,15 +164,20 @@ pub trait Controller: Send {
     /// spans) go straight into the run's `tel`, stamped `ctx.now`.
     fn on_slice(&mut self, ctx: &SliceCtx, tel: &mut Telemetry) -> ControlAction;
 
-    /// Decision-cadence promise for the engine's macro-stepper: the number
-    /// of upcoming `on_slice` calls — *assuming steady state holds* (every
-    /// ctx field except `now`, `slice_bytes`, `slice_energy_j`,
-    /// `total_bytes` and `remaining_bytes` unchanged; the latter advancing
-    /// by a constant per-slice amount) — that are guaranteed to return
-    /// [`ControlAction::Continue`], journal nothing, and leave the
-    /// controller in a state indistinguishable from having observed those
-    /// slices. The engine may then skip calling `on_slice` for that many
-    /// slices.
+    /// Decision-cadence promise: the number of upcoming `on_slice` calls
+    /// that are guaranteed to return [`ControlAction::Continue`], journal
+    /// nothing, and leave the controller in a state indistinguishable
+    /// from having observed those slices. The promise must hold whatever
+    /// `slice_bytes`, `slice_energy_j`, `total_bytes`, `remaining_bytes`
+    /// and `remaining_per_chunk` carry in those calls, with `now` one
+    /// slice later each time and every other ctx field unchanged.
+    ///
+    /// The engine may then skip calling `on_slice` for that many slices
+    /// (DESIGN.md §12): the slices a macro-step window replays, and, in a
+    /// macro-stepped run with neither a fault runtime nor a journal, the
+    /// executed slices the promise still covers. It asks again after a
+    /// stage setup, a reallocation or a chunk drain, since those change
+    /// `stage` or `channels`.
     ///
     /// The conservative default promises nothing, which is always correct:
     /// a controller that accumulates per-slice measurements (window bytes,

@@ -127,15 +127,20 @@ impl ChunkSnapshot {
     /// chunk-major block layout.
     pub(super) fn into_state(self, cp: &ChunkPlan, ch: &mut ChannelSoA, ci: u32) -> ChunkState {
         for snap in self.channels {
-            let pos = ch.len();
-            ch.insert_fresh(pos, ci, snap.gap, snap.ttf);
-            ch.consecutive[pos] = snap.consecutive;
-            ch.in_backoff[pos] = snap.in_backoff;
-            if let Some(f) = snap.current {
-                ch.has_file[pos] = true;
-                ch.file_size[pos] = f.size;
-                ch.file_remaining[pos] = f.remaining;
-            }
+            let (size, remaining) = snap
+                .current
+                .as_ref()
+                .map_or((Bytes::ZERO, Bytes::ZERO), |f| (f.size, f.remaining));
+            ch.push_row((
+                ci,
+                snap.gap,
+                snap.ttf,
+                snap.consecutive,
+                snap.in_backoff,
+                snap.current.is_some(),
+                size,
+                remaining,
+            ));
         }
         let mut queue = std::collections::VecDeque::with_capacity(cp.files.len());
         queue.extend(self.queue);
@@ -342,6 +347,7 @@ impl<'c> EngineRun<'c> {
             a.chunk_in_flight[ci] = in_flight as u32;
             a.chunk_remaining[ci] = run.chunks[ci].recount_remaining(&a, ci);
         }
+        a.backoff = a.ch.in_backoff.contains(&true);
         run.rearm_audit(&a);
         (run.stage, run.staged) = (stage, true);
         run.release_files(stage);

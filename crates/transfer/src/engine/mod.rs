@@ -56,6 +56,15 @@
 //! checks each channel's cheap disqualifiers first and returns 0 at the
 //! first pinned channel, before any steady mover's bound is computed.
 //!
+//! An executed slice also skips what it would repeat with unchanged
+//! inputs (DESIGN.md §12, §17): the consults its controller promised,
+//! a sync when no target, liveness or stage changed, the division of a
+//! mid-file channel's move (each grant keeps its `Quantum`), a
+//! mirrored destination site's power, the horizon scan when the advance
+//! pass already saw an unsteady mover, and the backoff tick while no
+//! channel is in backoff. Under `debug-invariants` each skip recomputes
+//! the slow path and compares bits.
+//!
 //! # Data layout (DESIGN.md §17)
 //!
 //! The hot state is struct-of-arrays: every per-channel field lives in a
@@ -115,7 +124,7 @@ impl FileSnapshot {
 /// file in flight (`has_file` plus the size/remaining columns) and a
 /// control-channel gap.
 #[derive(Debug, Default, Clone)]
-struct ChannelSoA {
+pub(crate) struct ChannelSoA {
     /// Owning chunk of each channel.
     chunk: Vec<u32>,
     /// Remaining control-channel gap (connection setup, inter-file, or
@@ -135,9 +144,47 @@ struct ChannelSoA {
     file_remaining: Vec<Bytes>,
 }
 
+/// Every column of one channel, in [`ChannelSoA`]'s field order.
+pub(crate) type ChannelRow = (
+    u32,
+    SimDuration,
+    Option<SimDuration>,
+    u32,
+    bool,
+    bool,
+    Bytes,
+    Bytes,
+);
+
 impl ChannelSoA {
     fn len(&self) -> usize {
         self.chunk.len()
+    }
+
+    /// Channel `i`'s every column.
+    pub(crate) fn row(&self, i: usize) -> ChannelRow {
+        (
+            self.chunk[i],
+            self.gap[i],
+            self.ttf[i],
+            self.consecutive[i],
+            self.in_backoff[i],
+            self.has_file[i],
+            self.file_size[i],
+            self.file_remaining[i],
+        )
+    }
+
+    /// Appends a channel with the columns of `row`.
+    pub(crate) fn push_row(&mut self, row: ChannelRow) {
+        let (chunk, gap, ttf, consecutive, in_backoff, has_file, size, remaining) = row;
+        let pos = self.len();
+        self.insert_fresh(pos, chunk, gap, ttf);
+        self.consecutive[pos] = consecutive;
+        self.in_backoff[pos] = in_backoff;
+        self.has_file[pos] = has_file;
+        self.file_size[pos] = size;
+        self.file_remaining[pos] = remaining;
     }
 
     fn clear(&mut self) {
@@ -411,6 +458,20 @@ impl<'c> EngineRun<'c> {
         self.run.acc.slices_done
     }
 
+    /// Slices this `EngineRun` executed through the slice kernel since
+    /// it was built or restored. Like [`EngineRun::replayed_slices`], a
+    /// measurement of the engine itself: no report, journal or
+    /// checkpoint carries it.
+    pub fn executed_slices(&self) -> u64 {
+        self.run.executed
+    }
+
+    /// Slices this `EngineRun` replayed arithmetically in macro-step
+    /// windows (DESIGN.md §12) since it was built or restored.
+    pub fn replayed_slices(&self) -> u64 {
+        self.run.replayed
+    }
+
     /// Stops recording the three per-slice series (throughput, power,
     /// concurrency) and drops what they hold, for a caller that reads
     /// only the report's totals: the report's series come back empty,
@@ -554,6 +615,16 @@ struct SliceRun<'c> {
     series: bool,
     slice: SimDuration,
     slice_secs: f64,
+    /// Whether both sites list equal servers (a placement may then
+    /// mirror them).
+    mirror_sites: bool,
+    /// Consults the controller's last promise still covers; not
+    /// checkpointed, so a restored run consults at its first slice.
+    promised: u64,
+    /// Slices executed and replayed since the run was built or restored
+    /// ([`EngineRun::executed_slices`], [`EngineRun::replayed_slices`]).
+    executed: u64,
+    replayed: u64,
     acc: Accumulators,
 }
 
@@ -593,6 +664,10 @@ impl<'c> SliceRun<'c> {
             series: true,
             slice: env.tuning.slice,
             slice_secs: env.tuning.slice.as_secs_f64(),
+            mirror_sites: env.src.servers == env.dst.servers,
+            promised: 0,
+            executed: 0,
+            replayed: 0,
             acc: Accumulators {
                 prev_src_active: vec![false; n_src],
                 prev_dst_active: vec![false; n_dst],
@@ -621,6 +696,7 @@ impl<'c> SliceRun<'c> {
         let idx = self.stage;
         let stage = &self.plan.stages[idx];
         a.begin_stage(stage.chunks.len());
+        self.promised = 0;
         self.chunks.clear();
         for (ci, cp) in stage.chunks.iter().enumerate() {
             let c = ChunkState::fresh(cp);
@@ -730,6 +806,7 @@ impl<'c> SliceRun<'c> {
             if let Some(idx) = busiest {
                 self.chunks[idx].target = 1;
             }
+            self.targets_moved(a);
             return;
         }
         self.place_on_sites(a, cx.env, channels);
@@ -739,7 +816,14 @@ impl<'c> SliceRun<'c> {
         let bytes = self.advance_channels(a, cx);
         let (env, secs) = (cx.env, self.slice_secs);
         let src = site_power(env, a, secs, eff, true);
-        let dst = site_power(env, a, secs, eff, false);
+        let dst = if a.mirrored {
+            if cfg!(feature = "debug-invariants") {
+                audit_mirror(env, a, secs, eff, &src);
+            }
+            src
+        } else {
+            site_power(env, a, secs, eff, false)
+        };
         let outcome = SliceOutcome {
             channels,
             in_backoff,
@@ -747,29 +831,82 @@ impl<'c> SliceRun<'c> {
             bytes,
             wire: bytes.as_f64() / eff.max(1e-6),
             power_w: src.watts + dst.watts,
-            thr_mbps: bytes.as_f64() * 8.0 / secs / 1e6,
+            // Only a series or a gauge reads it.
+            thr_mbps: if self.series || self.gauges.is_some() {
+                bytes.as_f64() * 8.0 / secs / 1e6
+            } else {
+                0.0
+            },
             estimated_j: (src.estimated + dst.estimated) * secs,
             src,
             dst,
         };
         self.book_slice(a, cx, &outcome);
+        self.executed += 1;
         let k = self.consult_controller(a, cx, &outcome, start);
         if k > 0 && env.tuning.macro_step {
             self.replay_window(a, cx, k, outcome);
         }
     }
 
+    /// Marks a change of a channel target or a chunk's liveness (or of a
+    /// chunk's remaining bytes to zero): the next slice syncs the channel
+    /// blocks, and the controller's promise ends, so it sees the change.
+    fn targets_moved(&mut self, a: &mut SliceArena) {
+        a.resync = true;
+        self.promised = 0;
+    }
+
     /// Sync: moves finished chunks' channel targets to the busiest live
     /// chunk, opens the fault runtime's slice window, and grows or
     /// shrinks each chunk's channel block to its target. Returns the
     /// channel count.
+    ///
+    /// Without a fault runtime a sync changes nothing unless a target,
+    /// a chunk's liveness or the stage changed since the last one
+    /// (`SliceArena::resync`), so it is skipped otherwise.
     fn sync_channels(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> u32 {
-        rebalance_targets(
+        if !a.resync && self.runtime.is_none() {
+            if cfg!(feature = "debug-invariants") {
+                self.audit_sync(a, cx);
+            }
+            return a.ch.len() as u32;
+        }
+        a.resync = false;
+        self.sync_blocks(a, cx)
+    }
+
+    /// The `debug-invariants` check of a skipped sync: a full one must
+    /// leave the layout generation, every target and every block length
+    /// as it found them.
+    fn audit_sync(&mut self, a: &mut SliceArena, cx: &mut StepCx) {
+        let (layout, mut kept) = (a.layout, std::mem::take(&mut a.audit_sync));
+        kept.clear();
+        kept.extend(self.chunks.iter().map(|c| c.target as usize));
+        kept.extend_from_slice(&a.chunk_len);
+        self.sync_blocks(a, cx);
+        let targets = self.chunks.iter().map(|c| c.target as usize);
+        assert!(
+            a.layout == layout
+                && targets
+                    .chain(a.chunk_len.iter().copied())
+                    .eq(kept.iter().copied()),
+            "invariant: a skipped channel sync would have moved a target or a block at t={:?}",
+            self.acc.now
+        );
+        a.audit_sync = kept;
+    }
+
+    /// The sync itself, behind [`SliceRun::sync_channels`].
+    fn sync_blocks(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> u32 {
+        if rebalance_targets(
             &mut self.chunks,
             &a.chunk_in_flight,
             &a.chunk_remaining,
             self.plan.reallocate_on_completion,
-        );
+        ) {
+            self.promised = 0;
+        }
         let now = self.acc.now;
         if let Some(rt) = &mut self.runtime {
             rt.begin_slice(now);
@@ -842,6 +979,7 @@ impl<'c> SliceRun<'c> {
         env.dst
             .place_channels_masked_into(channels, placement, &a.dst_avail, &mut a.place);
         assign_servers_into(&a.place, &mut a.dst_assign);
+        a.mirrored = self.mirror_sites && a.src_assign == a.dst_assign;
         a.placed = Some(channels);
         a.layout += 1;
         #[cfg(test)]
@@ -926,6 +1064,7 @@ impl<'c> SliceRun<'c> {
             let (delay, exhausted) = rt.next_delay(attempt);
             ch.gap[i] = delay;
             ch.in_backoff[i] = true;
+            a.backoff = true;
             ch.consecutive[i] = if exhausted { 0 } else { attempt + 1 };
             rt.record_failure(cause, src, dst, now);
             if cause == FaultCause::Channel {
@@ -974,11 +1113,10 @@ impl<'c> SliceRun<'c> {
         let len = a.ch.len();
         let mut flipped = a.working.len() != len;
         a.working.resize(len, false);
-        let mut in_backoff = 0u32;
+        let in_backoff = tick_backoffs(a, &mut self.runtime, self.slice);
         for i in 0..len {
             let ci = a.ch.chunk[i] as usize;
             let busy = a.ch.has_file[i] || !self.chunks[ci].queue.is_empty();
-            in_backoff += u32::from(backoff_tick(&mut a.ch, i, &mut self.runtime, self.slice));
             let working = busy && a.ch.gap[i] < self.slice;
             flipped |= a.working[i] != working;
             a.working[i] = working;
@@ -1062,15 +1200,17 @@ impl<'c> SliceRun<'c> {
     /// the path. Returns the congestion efficiency of the working
     /// streams.
     ///
-    /// A remembered working set keeps its solve: the grants the arena
-    /// holds when the set repeats, or the remembered grants, copied in
-    /// once, when the set flips back to it. A pure run remembers every
-    /// fresh solve (DESIGN.md §17).
+    /// A remembered working set keeps its solve: the grants and quanta
+    /// the arena holds when the set repeats, or the remembered ones,
+    /// copied in once, when the set flips back to it. A pure run
+    /// remembers every fresh solve (DESIGN.md §17).
     fn demand_and_grant(&self, a: &mut SliceArena, cx: &StepCx, set: SetSolve) -> f64 {
         let e = match set {
             SetSolve::Held(e) => e,
             SetSolve::Recalled(e) => {
-                a.grants.clone_from(&a.sets.entries[e].grants);
+                let kept = &a.sets.entries[e];
+                a.grants.clone_from(&kept.grants);
+                a.quanta.clone_from(&kept.quanta);
                 e
             }
             SetSolve::Fresh(streams) => {
@@ -1092,15 +1232,16 @@ impl<'c> SliceRun<'c> {
     }
 
     /// The `debug-invariants` check of a reused solve: the kept counts,
-    /// grants and gaps are copied to scratch, recounted and solved
-    /// afresh, and must match the fresh ones bit for bit, as must the
-    /// stream total and the efficiency.
+    /// grants, quanta and gaps are copied to scratch, recounted and
+    /// solved afresh, and must match the fresh ones bit for bit, as must
+    /// the stream total and the efficiency.
     fn audit_reuse(&self, a: &mut SliceArena, cx: &StepCx, e: usize) {
         let live = [&a.src_chan, &a.src_streams, &a.dst_chan, &a.dst_streams];
         for (kept, live) in a.audit_counts.iter_mut().zip(live) {
             kept.clone_from(live);
         }
         a.audit_grants.clone_from(&a.grants);
+        a.audit_quanta.clone_from(&a.quanta);
         a.audit_gap.clone_from(&a.chunk_gap);
         let streams = self.count_working(a, cx.env);
         let eff = self.solve_grants(a, cx, streams);
@@ -1115,6 +1256,7 @@ impl<'c> SliceRun<'c> {
                     .iter()
                     .map(bits)
                     .eq(a.audit_grants.iter().map(bits))
+                && a.quanta == a.audit_quanta
                 && a.chunk_gap == a.audit_gap,
             "invariant: a remembered working set's solve diverged from a fresh one at t={:?}",
             self.acc.now
@@ -1179,6 +1321,18 @@ impl<'c> SliceRun<'c> {
             let ci = a.ch.chunk[i] as usize;
             *g = (*g / a.chunk_duty[ci]).min(a.chunk_cap[ci]);
         }
+        // A run that solves every slice would search a threshold per
+        // channel per slice to save one `time_at`; it keeps the quantum
+        // with a threshold no remainder reaches.
+        let (slice, pure) = (self.slice, self.pure(env));
+        a.quanta.clear();
+        a.quanta.extend(a.grants.iter().map(|&g| {
+            if pure {
+                Quantum::of(g, slice)
+            } else {
+                Quantum::unsearched(g, slice)
+            }
+        }));
         eff
     }
 
@@ -1186,34 +1340,62 @@ impl<'c> SliceRun<'c> {
     /// remaining bytes are maintained incrementally: `moved` leaves the
     /// queue/in-flight total exactly, in integer arithmetic. Returns the
     /// bytes moved.
+    ///
+    /// A mid-file channel whose remainder the slice cannot finish moves
+    /// its stored quantum ([`quantum_move`]). The pass also records
+    /// whether every working channel ended the slice as a steady mover
+    /// (`SliceArena::steady`), and books the destination's per-server
+    /// bytes only where a site's power or the fault runtime reads them.
     fn advance_channels(&mut self, a: &mut SliceArena, cx: &mut StepCx) -> Bytes {
         let (n_src, n_dst) = (cx.env.src.servers.len(), cx.env.dst.servers.len());
         let mut bytes = Bytes::ZERO;
+        let book_dst = !a.mirrored || self.runtime.is_some() || cfg!(feature = "debug-invariants");
         reset(&mut a.src_moved, n_src, Bytes::ZERO);
-        reset(&mut a.dst_moved, n_dst, Bytes::ZERO);
-        reset(&mut a.ch_moved, a.ch.len(), Bytes::ZERO);
+        if book_dst {
+            reset(&mut a.dst_moved, n_dst, Bytes::ZERO);
+        }
+        // Every entry is written below.
+        a.ch_moved.resize(a.ch.len(), Bytes::ZERO);
         reset(&mut a.chunk_moved, self.chunks.len(), Bytes::ZERO);
+        let mut steady = true;
         for i in 0..a.ch.len() {
             let ci = a.ch.chunk[i] as usize;
-            let moved = advance_channel(
-                &mut a.ch,
-                i,
-                &mut self.chunks[ci].queue,
-                &mut a.chunk_in_flight[ci],
-                a.grants[i],
-                self.slice,
-                a.chunk_gap[ci],
-            );
+            let q = a.quanta[i];
+            let moved = match quantum_move(&mut a.ch, i, q) {
+                Some(moved) => {
+                    if cfg!(feature = "debug-invariants") {
+                        let gap = a.chunk_gap[ci];
+                        audit_quantum_move(a, i, moved, self.slice, gap);
+                    }
+                    moved
+                }
+                None => advance_channel(
+                    &mut a.ch,
+                    i,
+                    &mut self.chunks[ci].queue,
+                    &mut a.chunk_in_flight[ci],
+                    a.grants[i],
+                    q,
+                    self.slice,
+                    a.chunk_gap[ci],
+                ),
+            };
             if !moved.is_zero() {
                 a.ch.consecutive[i] = 0;
             }
+            if a.working[i] {
+                steady &= a.ch.has_file[i] && a.ch.gap[i].is_zero() && moved == q.bytes;
+            }
             bytes += moved;
             a.src_moved[a.src_assign[i]] += moved;
-            a.dst_moved[a.dst_assign[i]] += moved;
+            if book_dst {
+                a.dst_moved[a.dst_assign[i]] += moved;
+            }
             a.ch_moved[i] = moved;
             a.chunk_moved[ci] += moved;
             a.chunk_remaining[ci] = a.chunk_remaining[ci].saturating_sub(moved);
         }
+        a.steady = steady;
         let now = self.acc.now;
         if let Some(rt) = &mut self.runtime {
             // Bytes through a server close its half-open breaker and
@@ -1229,10 +1411,18 @@ impl<'c> SliceRun<'c> {
                 }
             }
         }
+        // A chunk that drained, or whose remaining bytes just ran out,
+        // changes what the controller's view holds beyond its promise.
+        let mut drained = false;
         for (ci, c) in self.chunks.iter_mut().enumerate() {
             if c.completed_at.is_none() && !c.live(a.chunk_in_flight[ci]) {
                 c.completed_at = Some(now + self.slice);
+                drained = true;
             }
+            drained |= !a.chunk_moved[ci].is_zero() && a.chunk_remaining[ci].is_zero();
+        }
+        if drained {
+            self.targets_moved(a);
         }
         bytes
     }
@@ -1316,6 +1506,12 @@ impl<'c> SliceRun<'c> {
     /// the controller the slice, and applies its action. On `Continue` it
     /// computes the event horizon; returns how many upcoming slices are
     /// provably steady (0 for none).
+    ///
+    /// A consult the controller's last promise covers is skipped
+    /// (DESIGN.md §12): it would return `Continue`, journal nothing and
+    /// leave the controller as it was, so no context is built and no
+    /// controller method is called, and the horizon takes the rest of the
+    /// promise.
     fn consult_controller(
         &mut self,
         a: &mut SliceArena,
@@ -1334,10 +1530,68 @@ impl<'c> SliceRun<'c> {
                 }
             }
         }
-        // The controller's view borrows the arena's lending buffers
-        // (reclaimed below), so a steady slice builds it without
-        // allocating. Remaining bytes are read off the incremental
-        // per-chunk column (exact integers, no queue walk).
+        if self.promised > 0 {
+            self.promised -= 1;
+            if cfg!(feature = "debug-invariants") {
+                self.audit_promise(a, cx, o);
+            }
+            return self.horizon_window(a, cx, self.promised, start);
+        }
+        let ctx = self.slice_ctx(a, o);
+        let action = self.controller.on_slice(&ctx, cx.tel);
+        let k = match action {
+            ControlAction::Reallocate(new_targets) => {
+                assert_eq!(
+                    new_targets.len(),
+                    self.chunks.len(),
+                    "reallocation must cover every chunk of the stage"
+                );
+                if self.journaling {
+                    cx.tel.record_with(now, || Event::Reallocate {
+                        targets: new_targets.clone(),
+                    });
+                }
+                for (ci, (c, &t)) in self.chunks.iter_mut().zip(&new_targets).enumerate() {
+                    c.target = if c.live(a.chunk_in_flight[ci]) { t } else { 0 };
+                }
+                self.targets_moved(a);
+                0
+            }
+            // A promise is kept only where nothing it may not cover can
+            // change between consults: macro-stepping on, no fault runtime
+            // (its view is in the context) and no journal (the promised
+            // consults stay in the reference the journal is cut against).
+            ControlAction::Continue
+                if cx.env.tuning.macro_step && self.runtime.is_none() && !self.journaling =>
+            {
+                self.promised = self.controller.next_decision_in(&ctx, self.slice);
+                self.horizon_window(a, cx, self.promised, start)
+            }
+            // Journaled runs compute the horizon even with macro-stepping
+            // off: the window then only drives the horizon span (the
+            // slices execute normally), so macro and non-macro journals
+            // stay byte-identical. While a span is open (that mode, or a
+            // resumed mid-window run) nothing is recomputed until it
+            // closes at its boundary.
+            ControlAction::Continue
+                if (cx.env.tuning.macro_step || self.journaling)
+                    && self.acc.horizon_end.is_none() =>
+            {
+                let promise = self.controller.next_decision_in(&ctx, self.slice);
+                self.horizon_window(a, cx, promise, start)
+            }
+            ControlAction::Continue => 0,
+        };
+        self.reclaim_ctx(a, ctx);
+        k
+    }
+
+    /// The controller's view of the slice just booked. It borrows the
+    /// arena's lending buffers (reclaimed by [`SliceRun::reclaim_ctx`]),
+    /// so a steady slice builds it without allocating. Remaining bytes
+    /// are read off the incremental per-chunk column (exact integers, no
+    /// queue walk).
+    fn slice_ctx(&self, a: &mut SliceArena, o: &SliceOutcome) -> SliceCtx {
         let fault = match &self.runtime {
             Some(rt) => {
                 let mut q_src = std::mem::take(&mut a.ctx_q_src);
@@ -1360,8 +1614,8 @@ impl<'c> SliceRun<'c> {
         let mut remaining_per_chunk = std::mem::take(&mut a.ctx_remaining);
         remaining_per_chunk.clear();
         remaining_per_chunk.extend_from_slice(&a.chunk_remaining);
-        let ctx = SliceCtx {
-            now,
+        SliceCtx {
+            now: self.acc.now,
             stage: self.stage,
             slice_bytes: o.bytes,
             slice_energy_j: o.power_w * self.slice_secs,
@@ -1370,121 +1624,69 @@ impl<'c> SliceRun<'c> {
             channels,
             remaining_per_chunk,
             fault,
-        };
-        let action = self.controller.on_slice(&ctx, cx.tel);
-        let k = match action {
-            ControlAction::Reallocate(new_targets) => {
-                assert_eq!(
-                    new_targets.len(),
-                    self.chunks.len(),
-                    "reallocation must cover every chunk of the stage"
-                );
-                if self.journaling {
-                    cx.tel.record_with(now, || Event::Reallocate {
-                        targets: new_targets.clone(),
-                    });
-                }
-                for (ci, (c, &t)) in self.chunks.iter_mut().zip(&new_targets).enumerate() {
-                    c.target = if c.live(a.chunk_in_flight[ci]) { t } else { 0 };
-                }
-                0
-            }
-            // Journaled runs compute the horizon even with macro-stepping
-            // off: the window then only drives the horizon span (the
-            // slices execute normally), so macro and non-macro journals
-            // stay byte-identical. While a span is open (that mode, or a
-            // resumed mid-window run) nothing is recomputed until it
-            // closes at its boundary.
-            ControlAction::Continue
-                if (cx.env.tuning.macro_step || self.journaling)
-                    && self.acc.horizon_end.is_none() =>
-            {
-                self.horizon_window(a, cx, &ctx, start)
-            }
-            ControlAction::Continue => 0,
-        };
-        // Reclaim the lent buffers (the contents are dead; only the
-        // capacity is recycled).
+        }
+    }
+
+    /// Reclaims the buffers a [`SliceCtx`] borrowed from the arena (the
+    /// contents are dead; only the capacity is recycled).
+    fn reclaim_ctx(&self, a: &mut SliceArena, ctx: SliceCtx) {
         a.ctx_channels = ctx.channels;
         a.ctx_remaining = ctx.remaining_per_chunk;
         a.ctx_q_src = ctx.fault.quarantined_src;
         a.ctx_q_dst = ctx.fault.quarantined_dst;
-        k
+    }
+
+    /// The `debug-invariants` check of a skipped consult: shown the slice
+    /// anyway, the controller must return `Continue` and leave its
+    /// snapshot unchanged.
+    fn audit_promise(&mut self, a: &mut SliceArena, cx: &mut StepCx, o: &SliceOutcome) {
+        let before = self.controller.snapshot();
+        let ctx = self.slice_ctx(a, o);
+        let action = self.controller.on_slice(&ctx, cx.tel);
+        self.reclaim_ctx(a, ctx);
+        assert!(
+            action == ControlAction::Continue && self.controller.snapshot() == before,
+            "invariant: a promised consult acted or changed the controller at t={:?}",
+            self.acc.now
+        );
     }
 
     /// Horizon (DESIGN.md §12): counts how many upcoming slices are
     /// provably in steady state, opening a horizon span over them on
     /// journaled runs. Every bound is conservative — when in doubt the
     /// horizon is 0 and the engine falls back to the plain slice loop.
-    /// `start` is the start of the slice just executed.
+    /// `promise` is the number of upcoming consults the controller
+    /// promised, and `start` the start of the slice just executed.
     ///
-    /// The checks run cheapest first, and the first channel that pins
-    /// the window to 0 ends the scan: the per-channel disqualifiers and
-    /// O(1) bounds, then the steady movers' searches, then the
-    /// controller's promise and the time bounds.
+    /// A slice the advance pass did not end with every working channel a
+    /// steady mover opens no window. Otherwise the checks run cheapest
+    /// first, and the first channel that pins the window to 0 ends the
+    /// scan: the per-channel disqualifiers and O(1) bounds, then the
+    /// steady movers' searches, then the controller's promise and the
+    /// time bounds.
     fn horizon_window(
         &mut self,
         a: &SliceArena,
         cx: &mut StepCx,
-        ctx: &SliceCtx,
+        promise: u64,
         start: SimTime,
     ) -> u64 {
+        if !a.steady {
+            if cfg!(feature = "debug-invariants") {
+                assert_eq!(
+                    self.channel_bound(a),
+                    0,
+                    "invariant: the advance pass found an unsteady mover the horizon scan did not"
+                );
+            }
+            return 0;
+        }
+        let k_channel = self.channel_bound(a);
+        if k_channel == 0 {
+            return 0;
+        }
         let (slice, now, env) = (self.slice, self.acc.now, cx.env);
-        let ch = &a.ch;
-        let mut k_channel = u64::MAX;
-        for i in 0..ch.len() {
-            let ci = ch.chunk[i] as usize;
-            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
-            let next_working = busy && ch.gap[i] < slice;
-            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
-            if next_working
-                && self.runtime.as_ref().is_some_and(|rt| {
-                    rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst)
-                })
-            {
-                // The next slice's kill check fires for busy connecting
-                // channels inside an active outage window — a channel can
-                // reach that state mid-slice (e.g. it inherited a killed
-                // channel's file after its own kill check passed), so
-                // post-slice state must be re-checked.
-                return 0;
-            }
-            if next_working != a.working[i] {
-                // The channel would enter or leave the working set next
-                // slice.
-                return 0;
-            }
-            if a.working[i] {
-                // Steady mover: mid-file, no pending gap, and the
-                // executed slice moved exactly the per-slice quantum.
-                let quantum = a.grants[i].bytes_in(slice);
-                if !(ch.has_file[i] && ch.gap[i].is_zero() && a.ch_moved[i] == quantum) {
-                    return 0;
-                }
-            } else if busy || ch.in_backoff[i] {
-                // Blocked channel: its gap must outlast every skipped
-                // slice (an idle channel's draining gap is inert and
-                // replayed).
-                k_channel = k_channel.min(ch.gap[i].slices_within(slice));
-            }
-            if let Some(ttf) = ch.ttf[i] {
-                k_channel = k_channel.min(ttf.slices_before(slice));
-            }
-            if k_channel == 0 {
-                return 0;
-            }
-        }
-        for i in (0..ch.len()).filter(|&i| a.working[i]) {
-            let quantum = a.grants[i].bytes_in(slice);
-            k_channel = k_channel.min(steady_move_bound(
-                ch.file_remaining[i],
-                quantum,
-                a.grants[i],
-                slice,
-            ));
-        }
-
-        let mut k = self.controller.next_decision_in(ctx, slice);
+        let mut k = promise;
         // A state boundary at time `b` caps the window: every skipped
         // slice must start strictly before it.
         let bound_at = |b: SimTime| -> u64 {
@@ -1538,6 +1740,65 @@ impl<'c> SliceRun<'c> {
         k
     }
 
+    /// The channels' bound on the horizon: how many upcoming slices no
+    /// channel's state can change in, 0 as soon as one would.
+    fn channel_bound(&self, a: &SliceArena) -> u64 {
+        let slice = self.slice;
+        let ch = &a.ch;
+        let mut k_channel = u64::MAX;
+        for i in 0..ch.len() {
+            let ci = ch.chunk[i] as usize;
+            let busy = ch.has_file[i] || !self.chunks[ci].queue.is_empty();
+            let next_working = busy && ch.gap[i] < slice;
+            let (src, dst) = (a.src_assign[i], a.dst_assign[i]);
+            if next_working
+                && self.runtime.as_ref().is_some_and(|rt| {
+                    rt.outage_active(SiteSide::Src, src) || rt.outage_active(SiteSide::Dst, dst)
+                })
+            {
+                // The next slice's kill check fires for busy connecting
+                // channels inside an active outage window — a channel can
+                // reach that state mid-slice (e.g. it inherited a killed
+                // channel's file after its own kill check passed), so
+                // post-slice state must be re-checked.
+                return 0;
+            }
+            if next_working != a.working[i] {
+                // The channel would enter or leave the working set next
+                // slice.
+                return 0;
+            }
+            if a.working[i] {
+                // Steady mover: mid-file, no pending gap, and the
+                // executed slice moved exactly the per-slice quantum.
+                let quantum = a.quanta[i].bytes;
+                if !(ch.has_file[i] && ch.gap[i].is_zero() && a.ch_moved[i] == quantum) {
+                    return 0;
+                }
+            } else if busy || ch.in_backoff[i] {
+                // Blocked channel: its gap must outlast every skipped
+                // slice (an idle channel's draining gap is inert and
+                // replayed).
+                k_channel = k_channel.min(ch.gap[i].slices_within(slice));
+            }
+            if let Some(ttf) = ch.ttf[i] {
+                k_channel = k_channel.min(ttf.slices_before(slice));
+            }
+            if k_channel == 0 {
+                return 0;
+            }
+        }
+        for i in (0..ch.len()).filter(|&i| a.working[i]) {
+            k_channel = k_channel.min(steady_move_bound(
+                ch.file_remaining[i],
+                a.quanta[i].bytes,
+                a.grants[i],
+                slice,
+            ));
+        }
+        k_channel
+    }
+
     /// Replay: advances `k` provably steady slices arithmetically and
     /// books each through [`SliceRun::book_slice`] with the executed
     /// slice's outcome, so reports, journals and metrics stay
@@ -1564,12 +1825,11 @@ impl<'c> SliceRun<'c> {
             ..executed
         };
         for _ in 0..k {
-            o.in_backoff = 0;
+            o.in_backoff = tick_backoffs(a, &mut self.runtime, slice);
             for i in 0..a.ch.len() {
                 if let Some(ttf) = a.ch.ttf[i] {
                     a.ch.ttf[i] = Some(ttf - slice);
                 }
-                o.in_backoff += u32::from(backoff_tick(&mut a.ch, i, &mut self.runtime, slice));
                 if !a.working[i] {
                     a.ch.gap[i] = a.ch.gap[i].saturating_sub(slice);
                 } else if a.ch.has_file[i] {
@@ -1584,6 +1844,9 @@ impl<'c> SliceRun<'c> {
                 a.chunk_remaining[ci] = a.chunk_remaining[ci].saturating_sub(*moved);
             }
             self.book_slice(a, cx, &o);
+            self.replayed += 1;
+            // A replayed slice spends one promised consult.
+            self.promised = self.promised.saturating_sub(1);
             if cx.until.is_some_and(|h| self.acc.slices_done >= h) {
                 break;
             }
@@ -1647,10 +1910,31 @@ impl<'c> SliceRun<'c> {
     }
 }
 
+/// Books one slice of every channel's failure backoff; returns how many
+/// channels were in backoff at the slice start. Only `kill_faulted`
+/// starts a backoff, so while `SliceArena::backoff` is clear no channel
+/// is in one and nothing is ticked. Executed and replayed slices both
+/// tick through here.
+fn tick_backoffs(
+    a: &mut SliceArena,
+    runtime: &mut Option<FaultRuntime>,
+    slice: SimDuration,
+) -> u32 {
+    if !a.backoff {
+        return 0;
+    }
+    let (mut started, mut left) = (0u32, false);
+    for i in 0..a.ch.len() {
+        started += u32::from(backoff_tick(&mut a.ch, i, runtime, slice));
+        left |= a.ch.in_backoff[i];
+    }
+    a.backoff = left;
+    started
+}
+
 /// Books one slice of channel `i`'s failure backoff, clearing the flag
 /// once the gap ends within the slice; true when the channel was in
-/// backoff at the slice start. Executed and replayed slices both tick
-/// through here.
+/// backoff at the slice start.
 #[inline]
 fn backoff_tick(
     ch: &mut ChannelSoA,
@@ -1712,12 +1996,13 @@ fn audit_slice(chunks: &[ChunkState], a: &SliceArena, acc: &Accumulators, o: &Sl
 
 /// Moves the channel targets of finished chunks to the busiest live
 /// chunk (the Multi-Chunk reallocation of the custom client).
+/// Returns whether any target moved.
 fn rebalance_targets(
     chunks: &mut [ChunkState],
     in_flight: &[u32],
     remaining: &[Bytes],
     reallocate: bool,
-) {
+) -> bool {
     let mut freed = 0u32;
     for (ci, c) in chunks.iter_mut().enumerate() {
         if !c.live(in_flight[ci]) && c.target > 0 {
@@ -1725,14 +2010,14 @@ fn rebalance_targets(
             c.target = 0;
         }
     }
-    if !reallocate || freed == 0 {
-        return;
-    }
-    if let Some(idx) = busiest_chunk(chunks, in_flight, remaining, true) {
-        chunks[idx].target += freed;
+    if reallocate && freed > 0 {
+        if let Some(idx) = busiest_chunk(chunks, in_flight, remaining, true) {
+            chunks[idx].target += freed;
+        }
     }
     // If no chunk accepts reallocation, freed channels simply retire —
     // exactly MinE's behaviour once only pinned Large chunks remain.
+    freed > 0
 }
 
 /// The engine's scratch arena (DESIGN.md §17): the flat [`ChannelSoA`]
@@ -1773,9 +2058,10 @@ struct SliceArena {
     dst_streams: Vec<u32>,
     /// Whether each channel moves bytes this slice.
     working: Vec<bool>,
-    /// Per-channel demand and granted rate.
+    /// Per-channel demand and granted rate, and the grant's quantum.
     demands: Vec<Rate>,
     grants: Vec<Rate>,
+    quanta: Vec<Quantum>,
     /// Per-server bytes moved this slice.
     src_moved: Vec<Bytes>,
     dst_moved: Vec<Bytes>,
@@ -1790,6 +2076,19 @@ struct SliceArena {
     /// The channel count `src_assign`/`dst_assign` were placed for;
     /// `None` until a stage's first placement.
     placed: Option<u32>,
+    /// Whether the last placement mirrors the sites: equal server lists,
+    /// and every channel on the same server index at both, so the
+    /// destination's power is the source's, bit for bit.
+    mirrored: bool,
+    /// Whether a target, a chunk's liveness or the stage changed since
+    /// the last channel sync.
+    resync: bool,
+    /// Whether any channel may be in a failure backoff.
+    backoff: bool,
+    /// Whether every working channel of the last executed slice ended it
+    /// as a steady mover: a file in flight, no gap, and exactly its
+    /// quantum moved.
+    steady: bool,
     /// The layout generation: bumped whenever a chunk's block length
     /// changes (`sync_channels`) or the placement solves
     /// (`place_on_sites`), so a changed channel-to-chunk map or server
@@ -1801,12 +2100,19 @@ struct SliceArena {
     /// counts repeat.
     src_shapes: Vec<Option<LoadShape>>,
     dst_shapes: Vec<Option<LoadShape>>,
-    /// `debug-invariants` scratch: a placement, and the counts, grants
-    /// and gaps kept across a reuse, checked against a fresh solve.
+    /// `debug-invariants` scratch: a placement, and the counts, grants,
+    /// quanta and gaps kept across a reuse, checked against a fresh
+    /// solve; a channel and a queue to replay a quantum move on.
     audit_assign: Vec<usize>,
     audit_counts: [Vec<u32>; 4],
     audit_grants: Vec<Rate>,
+    audit_quanta: Vec<Quantum>,
     audit_gap: Vec<SimDuration>,
+    audit_ch: ChannelSoA,
+    audit_queue: VecDeque<FileSnapshot>,
+    /// `debug-invariants` scratch: the targets and block lengths a
+    /// skipped sync must leave as they are.
+    audit_sync: Vec<usize>,
     /// Placement and grant solves so far, which the engine tests pin.
     #[cfg(test)]
     placement_solves: u64,
@@ -1828,11 +2134,14 @@ impl SliceArena {
     /// Resets the channel columns, per-chunk arrays and placement masks
     /// for a stage of `n` chunks, and forgets the last placement and
     /// every remembered working set, keeping every buffer's capacity.
+    /// The stage's first slice syncs its channels.
     fn begin_stage(&mut self, n: usize) {
         self.ch.clear();
         self.src_avail.clear();
         self.dst_avail.clear();
         self.placed = None;
+        self.resync = true;
+        self.backoff = false;
         self.sets.forget();
         reset(&mut self.chunk_start, n, 0);
         reset(&mut self.chunk_len, n, 0);
@@ -1888,6 +2197,7 @@ impl SliceArena {
             kept.clone_from(live);
         }
         kept.grants.clone_from(&self.grants);
+        kept.quanta.clone_from(&self.quanta);
         (kept.streams, kept.eff) = (streams, eff);
         sets.stamp(e);
         sets.held = Some(e);
@@ -1957,14 +2267,15 @@ impl WorkingSets {
 
 /// One remembered working set and its solve: the per-server working
 /// channel and stream counts (`src_chan`, `src_streams`, `dst_chan`,
-/// `dst_streams`), the stream total, the grants and the congestion
-/// efficiency.
+/// `dst_streams`), the stream total, the grants with their quanta and
+/// the congestion efficiency.
 #[derive(Debug, Default, Clone)]
 struct SolvedSet {
     working: Vec<bool>,
     counts: [Vec<u32>; 4],
     streams: u32,
     grants: Vec<Rate>,
+    quanta: Vec<Quantum>,
     eff: f64,
     used: u64,
 }
@@ -2190,17 +2501,124 @@ fn steady_move_bound(remaining: Bytes, per_slice: Bytes, grant: Rate, slice: Sim
     j
 }
 
-/// Advances channel `i` for one slice at its granted rate; returns bytes
-/// moved. Completing a file schedules `inter_file_gap` — the
-/// `RTT/pipelining` control gap (stall-inflated when applicable) plus the
-/// un-pipelinable per-file server overhead. `in_flight` tracks the
-/// owning chunk's in-flight file count as files pop and complete.
-fn advance_channel(
+/// A channel's full-slice move at its grant (DESIGN.md §17): the bytes a
+/// whole slice moves (`bytes_in(slice)`), and the threshold, the least
+/// remainder `r` with `time_at(r) > slice`. `time_at` is monotone in
+/// `r`, so no remainder at or above the threshold finishes within a
+/// slice, and every remainder below it does.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct Quantum {
+    pub(crate) bytes: Bytes,
+    pub(crate) threshold: Bytes,
+}
+
+impl Quantum {
+    /// The quantum of `grant` over `slice`. A zero grant's threshold is
+    /// 0: it moves nothing from any remainder. Where no remainder below
+    /// 2^64 − 1 bytes outlasts the slice the threshold is that bound,
+    /// which no file reaches.
+    #[inline]
+    pub(crate) fn of(grant: Rate, slice: SimDuration) -> Self {
+        // `time_at` rounds `r·8/bps` seconds to the microsecond, so it
+        // first exceeds the slice near `(slice + ½ µs)·bps/8` bytes.
+        let guess = ((slice.as_micros() as f64 + 0.5) * grant.as_bps() / 8e6) as u64;
+        Quantum {
+            bytes: grant.bytes_in(slice),
+            threshold: Bytes(least_true(guess, |r| Bytes(r).time_at(grant) > slice)),
+        }
+    }
+}
+
+impl Quantum {
+    /// The quantum of `grant` over `slice` with a threshold no remainder
+    /// reaches: every move asks `time_at`.
+    #[inline]
+    pub(crate) fn unsearched(grant: Rate, slice: SimDuration) -> Self {
+        Quantum {
+            bytes: grant.bytes_in(slice),
+            threshold: Bytes(u64::MAX),
+        }
+    }
+}
+
+/// The least `x` at which the monotone `pred` holds (it fails below and
+/// holds from there on), found by galloping out from `guess` and then
+/// bisecting the bracket; `u64::MAX` when it holds nowhere below that.
+fn least_true(guess: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    // `pred(lo)` fails and `pred(hi)` holds once bracketed.
+    let (mut lo, mut hi);
+    let mut step = 1u64;
+    if pred(guess) {
+        hi = guess;
+        loop {
+            if hi == 0 {
+                return 0;
+            }
+            let down = hi.saturating_sub(step);
+            if !pred(down) {
+                lo = down;
+                break;
+            }
+            (hi, step) = (down, step.saturating_mul(2));
+        }
+    } else {
+        lo = guess;
+        loop {
+            if lo == u64::MAX {
+                return u64::MAX;
+            }
+            let up = lo.saturating_add(step);
+            if pred(up) {
+                hi = up;
+                break;
+            }
+            (lo, step) = (up, step.saturating_mul(2));
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// The quantum move of channel `i` (DESIGN.md §17): a channel with a
+/// file in flight, no gap and a remainder at or above `q`'s threshold
+/// cannot finish its file this slice, so [`advance_channel`] would move
+/// `min(quantum, remainder)` and change nothing else. This moves it with
+/// no division and returns the bytes moved; `None` when the channel does
+/// not qualify.
+#[inline]
+pub(crate) fn quantum_move(ch: &mut ChannelSoA, i: usize, q: Quantum) -> Option<Bytes> {
+    let rem = ch.file_remaining[i];
+    if !(ch.has_file[i] && ch.gap[i].is_zero() && rem >= q.threshold) {
+        return None;
+    }
+    let b = q.bytes.min(rem);
+    ch.file_remaining[i] = rem.saturating_sub(b);
+    Some(b)
+}
+
+/// Advances channel `i` for one slice at its granted rate, whose quantum
+/// is `q`; returns bytes moved. Completing a file schedules
+/// `inter_file_gap` — the `RTT/pipelining` control gap (stall-inflated
+/// when applicable) plus the un-pipelinable per-file server overhead.
+/// `in_flight` tracks the owning chunk's in-flight file count as files
+/// pop and complete. A remainder at or above the threshold cannot finish
+/// within what is left of the slice, so only one below it asks
+/// `time_at`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn advance_channel(
     ch: &mut ChannelSoA,
     i: usize,
     queue: &mut VecDeque<FileSnapshot>,
     in_flight: &mut u32,
     grant: Rate,
+    q: Quantum,
     slice: SimDuration,
     inter_file_gap: SimDuration,
 ) -> Bytes {
@@ -2230,21 +2648,87 @@ fn advance_channel(
         if grant.is_zero() {
             break;
         }
-        let t_need = ch.file_remaining[i].time_at(grant);
-        if t_need <= budget {
-            moved += ch.file_remaining[i];
-            budget -= t_need;
-            ch.has_file[i] = false;
-            *in_flight -= 1;
-            ch.gap[i] = inter_file_gap;
-        } else {
-            let b = grant.bytes_in(budget).min(ch.file_remaining[i]);
-            moved += b;
-            ch.file_remaining[i] = ch.file_remaining[i].saturating_sub(b);
-            budget = SimDuration::ZERO;
+        let rem = ch.file_remaining[i];
+        if rem < q.threshold {
+            let t_need = rem.time_at(grant);
+            if t_need <= budget {
+                moved += rem;
+                budget -= t_need;
+                ch.has_file[i] = false;
+                *in_flight -= 1;
+                ch.gap[i] = inter_file_gap;
+                continue;
+            }
         }
+        let per_budget = if budget == slice {
+            q.bytes
+        } else {
+            grant.bytes_in(budget)
+        };
+        let b = per_budget.min(rem);
+        moved += b;
+        ch.file_remaining[i] = rem.saturating_sub(b);
+        budget = SimDuration::ZERO;
     }
     moved
+}
+
+/// The `debug-invariants` check of channel `i`'s quantum move: the
+/// channel as it stood before the move (its remainder plus `moved`) is
+/// replayed on a scratch copy through [`advance_channel`], with `time_at`
+/// deciding every branch, and must end with every column and the
+/// in-flight count the move left.
+fn audit_quantum_move(
+    a: &mut SliceArena,
+    i: usize,
+    moved: Bytes,
+    slice: SimDuration,
+    gap: SimDuration,
+) {
+    let (ch, scratch) = (&a.ch, &mut a.audit_ch);
+    scratch.clear();
+    scratch.push_row(ch.row(i));
+    scratch.file_remaining[0] += moved;
+    let grant = a.grants[i];
+    let reference = Quantum {
+        bytes: grant.bytes_in(slice),
+        threshold: Bytes(u64::MAX),
+    };
+    let mut in_flight = 1;
+    let replayed = advance_channel(
+        scratch,
+        0,
+        &mut a.audit_queue,
+        &mut in_flight,
+        grant,
+        reference,
+        slice,
+        gap,
+    );
+    assert!(
+        replayed == moved && in_flight == 1 && scratch.row(0) == ch.row(i),
+        "invariant: channel {i}'s quantum move diverged from its replay through advance_channel"
+    );
+}
+
+/// The `debug-invariants` check of a mirrored placement: the
+/// destination's power, computed anyway, must equal the source's bit for
+/// bit.
+fn audit_mirror(env: &TransferEnv, a: &mut SliceArena, secs: f64, eff: f64, src: &SitePower) {
+    let dst = site_power(env, a, secs, eff, false);
+    let bits = |p: &SitePower| {
+        let parts = p.parts_j.map(f64::to_bits);
+        (
+            p.watts.to_bits(),
+            p.estimated.to_bits(),
+            p.joules.to_bits(),
+            parts,
+        )
+    };
+    assert!(
+        bits(&dst) == bits(src),
+        "invariant: a mirrored destination's power diverged from the source's"
+    );
 }
 
 /// Power of one site's active servers for the slice: the reference

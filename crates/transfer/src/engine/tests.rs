@@ -336,6 +336,7 @@ fn advance_channel_respects_gap_and_grant() {
         &mut q,
         &mut in_flight,
         Rate::from_mbps(800.0),
+        Quantum::of(Rate::from_mbps(800.0), SimDuration::from_millis(100)),
         SimDuration::from_millis(100),
         SimDuration::from_millis(40),
     );
@@ -360,6 +361,7 @@ fn advance_channel_chains_small_files_with_gaps() {
         &mut q,
         &mut in_flight,
         Rate::from_mbps(800.0),
+        Quantum::of(Rate::from_mbps(800.0), SimDuration::from_millis(100)),
         SimDuration::from_millis(100),
         SimDuration::from_millis(40),
     );
@@ -381,6 +383,7 @@ fn advance_channel_chains_small_files_with_gaps() {
         &mut q2,
         &mut in_flight2,
         Rate::from_mbps(800.0),
+        Quantum::of(Rate::from_mbps(800.0), SimDuration::from_millis(100)),
         SimDuration::from_millis(100),
         SimDuration::from_millis(1),
     );
@@ -1204,4 +1207,117 @@ proptest::proptest! {
             remaining, per_slice, grant, slice
         );
     }
+}
+
+/// The destination books the source's power only while both sites list
+/// equal servers and every channel sits on the same server index at
+/// both (the `debug-invariants` audit recomputes it and compares bits);
+/// sites with unequal servers keep the flag off and their own power.
+#[test]
+fn only_mirrored_sites_book_the_source_power_at_the_destination() {
+    let plan = simple_plan(20, 200, 4, 2, 6);
+    let run_on = |env: &TransferEnv| {
+        let mut tel = Telemetry::disabled();
+        let controller = Box::new(NullController);
+        let mut run = EngineRun::new(env, Cow::Borrowed(&plan), controller, &mut tel);
+        assert!(run
+            .step(env, &mut tel, Some(5), ResourceShare::FULL)
+            .is_none());
+        let mirrored = run.arena.mirrored;
+        let report = run.step(env, &mut tel, None, ResourceShare::FULL).unwrap();
+        assert!(report.completed);
+        (mirrored, report)
+    };
+    let (mirrored, report) = run_on(&wan_env());
+    assert!(mirrored);
+    assert_eq!(report.src_energy_j.to_bits(), report.dst_energy_j.to_bits());
+
+    let mut unequal = wan_env();
+    for server in &mut unequal.dst.servers {
+        server.cores = 8;
+    }
+    let (mirrored, report) = run_on(&unequal);
+    assert!(!mirrored);
+    assert_ne!(report.src_energy_j, report.dst_energy_j);
+}
+
+/// Skipped consults leave the controller as consulting ones do. A
+/// fault-aware controller without faults mirrors the engine's targets
+/// and zeroes finished chunks, so a macro-stepped, unjournaled run, which
+/// skips the consults its controller promised, must hold the same
+/// controller state as the consult-every-slice run after every slice,
+/// through a chunk drain and the rebalance that follows it.
+#[test]
+fn skipped_consults_leave_the_controller_as_every_consult_does() {
+    use crate::control::FaultAware;
+    use std::collections::BTreeMap;
+    /// Counts its consults; promises every slice.
+    struct Tally(u64);
+    impl Controller for Tally {
+        fn on_slice(&mut self, _: &SliceCtx, _: &mut Telemetry) -> ControlAction {
+            self.0 += 1;
+            ControlAction::Continue
+        }
+        fn next_decision_in(&self, _: &SliceCtx, _: SimDuration) -> u64 {
+            u64::MAX
+        }
+    }
+    let chunk = |label: &str, n, mb| ChunkPlan {
+        label: label.into(),
+        files: files(n, mb),
+        pipelining: 2,
+        parallelism: 2,
+        channels: 2,
+        accepts_reallocation: true,
+    };
+    let plan = TransferPlan::concurrent(
+        vec![chunk("small", 4, 50), chunk("large", 6, 400)],
+        Placement::PackFirst,
+    );
+    let run = |macro_step: bool| {
+        let mut env = wan_env();
+        env.tuning.macro_step = macro_step;
+        let mut tel = Telemetry::disabled();
+        let mut controller = FaultAware::new(Tally(0));
+        let mut states = BTreeMap::new();
+        let executed = {
+            let mut run = EngineRun::new(
+                &env,
+                Cow::Borrowed(&plan),
+                Box::new(&mut controller),
+                &mut tel,
+            );
+            loop {
+                let done = run.step(&env, &mut tel, Some(1), ResourceShare::FULL);
+                let state = serde_json::to_string(&run.run.controller.snapshot()).unwrap();
+                states.insert(run.slices_done(), state);
+                if let Some(report) = done {
+                    assert!(report.completed);
+                    assert!(
+                        report.chunk_stats[0].completed_at < report.chunk_stats[1].completed_at
+                    );
+                    break run.executed_slices();
+                }
+            }
+        };
+        (states, executed, controller.inner.0)
+    };
+    let (reference, executed, consults) = run(false);
+    assert_eq!(consults, executed, "the plain loop consults every slice");
+    let (skipping, executed, consults) = run(true);
+    // The auditor shows every skipped consult to the controller anyway.
+    if !cfg!(feature = "debug-invariants") {
+        assert!(
+            consults < executed,
+            "{consults} consults over {executed} executed slices"
+        );
+    }
+    let mut compared = 0;
+    for (done, state) in &skipping {
+        if let Some(want) = reference.get(done) {
+            assert_eq!(state, want, "controller state after slice {done}");
+            compared += 1;
+        }
+    }
+    assert!(compared > 10, "{compared} slices compared");
 }

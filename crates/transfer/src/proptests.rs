@@ -6,9 +6,12 @@
 //! throws away the in-flight file's progress, and that loss must show up
 //! — exactly — in `FaultStats::retransmitted_bytes` while goodput still
 //! converges to the dataset size.
+//!
+//! The slice kernel's quantum move (DESIGN.md §17) must leave every
+//! channel column as the division-based `advance_channel` does.
 
 use crate::control::NullController;
-use crate::engine::Engine;
+use crate::engine::{advance_channel, quantum_move, ChannelSoA, Engine, FileSnapshot, Quantum};
 use crate::env::TransferEnv;
 use crate::faults::{FaultModel, FaultPlan, OutageModel, SiteSide};
 use crate::plan::{ChunkPlan, TransferPlan};
@@ -20,6 +23,7 @@ use eadt_net::tcp::CongestionModel;
 use eadt_power::FineGrainedModel;
 use eadt_sim::{Bytes, Rate, SimDuration};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn env(servers_per_site: usize) -> TransferEnv {
     let server = ServerSpec::new(
@@ -234,5 +238,57 @@ proptest! {
         prop_assert_eq!(a.moved_bytes, b.moved_bytes);
         prop_assert!(a.completed);
         prop_assert_eq!(a.moved_bytes, a.requested_bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// A channel's quantum, and its move at remainders on both sides of
+    /// the threshold, for zero, sub-byte and ordinary grants: the
+    /// threshold is the least remainder a slice cannot finish, and the
+    /// quantum move and `advance_channel` (with the stored quantum, and
+    /// with `time_at` deciding every branch) leave identical columns.
+    #[test]
+    fn quantum_moves_match_advance_channel(
+        bps in prop_oneof![Just(0.0), 0.0f64..80.0, 0.0f64..1e11],
+        slice_us in 1u64..2_000_000,
+        offset in -3i64..4,
+        far in 0u64..1 << 40,
+        gap_us in prop_oneof![Just(0u64), 1u64..200_000],
+    ) {
+        let (grant, slice) = (Rate::from_bps(bps), SimDuration::from_micros(slice_us));
+        let q = Quantum::of(grant, slice);
+        prop_assert_eq!(q.bytes, grant.bytes_in(slice));
+        let threshold = q.threshold.as_u64();
+        prop_assert!(Bytes(threshold).time_at(grant) > slice);
+        if threshold > 0 {
+            prop_assert!(Bytes(threshold - 1).time_at(grant) <= slice);
+        }
+        let reference = Quantum { bytes: q.bytes, threshold: Bytes(u64::MAX) };
+        let inter_file_gap = SimDuration::from_millis(40);
+        let near = threshold.saturating_add_signed(offset);
+        for rem in [near, threshold.saturating_add(far), far] {
+            let mut ch = ChannelSoA::default();
+            let size = Bytes(rem.saturating_add(1_000));
+            let gap = SimDuration::from_micros(gap_us);
+            ch.push_row((0, gap, None, 0, false, true, size, Bytes(rem)));
+            let queue: VecDeque<FileSnapshot> =
+                [FileSnapshot { size: Bytes(far), remaining: Bytes(far) }].into();
+            let run = |q: Quantum| {
+                let (mut ch, mut queue, mut in_flight) = (ch.clone(), queue.clone(), 1u32);
+                let moved = advance_channel(
+                    &mut ch, 0, &mut queue, &mut in_flight, grant, q, slice, inter_file_gap,
+                );
+                (moved, ch.row(0), queue, in_flight)
+            };
+            let want = run(reference);
+            prop_assert_eq!(&run(q), &want);
+            let mut moved_ch = ch.clone();
+            if let Some(moved) = quantum_move(&mut moved_ch, 0, q) {
+                prop_assert!(rem >= threshold && gap_us == 0);
+                prop_assert_eq!((moved, moved_ch.row(0), queue, 1), want);
+            }
+        }
     }
 }

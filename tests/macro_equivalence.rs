@@ -15,8 +15,8 @@
 //! production `Controller` that overrides `next_decision_in` is exercised
 //! here — `NullController` (Manual, and inside every planner-driven run),
 //! `FaultAware` (fault-aware Manual/HTEE/SLAEE/ProMC), `HteeController`
-//! (HTEE), `SlaeeController` (SLAEE), and the bench measurement probes
-//! `SliceCounter` and `AllocWindow` (never-wake observers).
+//! (HTEE), `SlaeeController` (SLAEE), and the bench measurement probe
+//! `AllocWindow` (a never-wake observer).
 
 use eadt::core::baselines::{BruteForce, GlobusOnline, GlobusUrlCopy, ProMc, SingleChunk};
 use eadt::core::{Algorithm, AlgorithmKind, Htee, MinE, RunCtx, Slaee};
@@ -31,17 +31,17 @@ use eadt::transfer::{
 const SEED: u64 = 11;
 const SCALE: f64 = 0.01;
 
-/// Runs one algorithm with journal + metrics telemetry under `ctl` and
-/// returns what it produced with the telemetry it fed.
+/// Runs one algorithm with `tel` under `ctl` and returns what it
+/// produced with the telemetry it fed.
 fn run_cell(
     tb: &Environment,
     kind: AlgorithmKind,
     fault_aware: bool,
     ctl: RunControl,
+    mut tel: Telemetry,
 ) -> (RunOutcome, Telemetry) {
     let dataset = tb.dataset_spec.scaled(SCALE).generate(SEED);
     let partition = tb.partition;
-    let mut tel = Telemetry::enabled(DEFAULT_CADENCE);
     let outcome = {
         let mut ctx = RunCtx::with_telemetry(&tb.env, &dataset, &mut tel);
         match kind {
@@ -110,6 +110,11 @@ fn run_cell(
     (outcome, tel)
 }
 
+/// Journal and metrics telemetry, as every matrix cell runs with.
+fn journaled() -> Telemetry {
+    Telemetry::enabled(DEFAULT_CADENCE)
+}
+
 /// Runs one algorithm to completion and returns the serialized report,
 /// journal and metrics snapshot — the three artifacts that must be
 /// bit-identical with and without macro-stepping — and the run's slice
@@ -119,7 +124,7 @@ fn run_once(
     kind: AlgorithmKind,
     fault_aware: bool,
 ) -> (String, String, String, u64) {
-    let (outcome, tel) = run_cell(tb, kind, fault_aware, RunControl::default());
+    let (outcome, tel) = run_cell(tb, kind, fault_aware, RunControl::default(), journaled());
     let report = outcome.into_report().expect("no halt boundary configured");
     let json = serde_json::to_string(&report).expect("report serializes");
     let metrics = serde_json::to_string(tel.metrics_ref().expect("metrics attached"))
@@ -244,6 +249,30 @@ fn every_algorithm_is_bit_identical_with_markers_off() {
     }
 }
 
+/// A run's report does not depend on its telemetry: every matrix cell,
+/// run macro-stepped with `Telemetry::disabled()` (where the engine skips
+/// the consults its controller promised, DESIGN.md §12), books the
+/// journaled run's report byte for byte.
+#[test]
+fn every_report_is_independent_of_telemetry() {
+    for (tb, name) in testbeds() {
+        for (label, mut tb, aware) in regimes(tb, name) {
+            tb.env.tuning.macro_step = true;
+            for kind in AlgorithmKind::ALL {
+                let (journaled_report, ..) = run_once(&tb, kind, aware);
+                let ctl = RunControl::default();
+                let (outcome, _) = run_cell(&tb, kind, aware, ctl, Telemetry::disabled());
+                let report = outcome.into_report().expect("no halt boundary configured");
+                assert_eq!(
+                    serde_json::to_string(&report).expect("report serializes"),
+                    journaled_report,
+                    "{label}/{kind}: the unjournaled report differs from the journaled one"
+                );
+            }
+        }
+    }
+}
+
 // ---- SoA-vs-seed byte identity (DESIGN.md §17) ----
 //
 // The data-layout refactor (flat struct-of-arrays channel state in the
@@ -365,7 +394,8 @@ fn golden_digests_match_the_seed_engine() {
                 // metrics on: the checkpoint carries the controller's
                 // state, the metrics, the open spans and, under a fault
                 // plan, the fault runtime.
-                let (outcome, _) = run_cell(&tb, kind, aware, RunControl::halt_at(slices / 2));
+                let halt = RunControl::halt_at(slices / 2);
+                let (outcome, _) = run_cell(&tb, kind, aware, halt, journaled());
                 let RunOutcome::Halted(ck) = outcome else {
                     panic!("{label}/{kind}: the run must halt at slice {}", slices / 2);
                 };
@@ -400,16 +430,16 @@ fn golden_digests_match_the_seed_engine() {
     );
 }
 
-/// The bench measurement probes — `SliceCounter` (the executed-slice
-/// odometer) and `AllocWindow` (the counting-allocator sampler) — promise
-/// `u64::MAX` from `next_decision_in`, i.e. they never request a wake-up.
-/// The horizon may therefore skip freely around them, and neither probe
-/// may change a byte of the report relative to the other or to the
-/// slice-by-slice run.
+/// The bench measurement probes — the engine's executed-slice count
+/// (`eadt_bench::kernel::run_counting`) and `AllocWindow` (the
+/// counting-allocator sampler, which promises `u64::MAX` from
+/// `next_decision_in`, i.e. never requests a wake-up) — must not change a
+/// byte of the report relative to each other or to the slice-by-slice
+/// run, and the horizon must actually skip slices around them.
 #[test]
 fn bench_probe_controllers_preserve_equivalence() {
     use eadt::transfer::Engine;
-    use eadt_bench::kernel::{turbulent_scenario, AllocWindow, SliceCounter};
+    use eadt_bench::kernel::{run_counting, turbulent_scenario, AllocWindow};
 
     let (env, plan) = turbulent_scenario();
     let mut fast_env = env.clone();
@@ -417,21 +447,17 @@ fn bench_probe_controllers_preserve_equivalence() {
     let mut slow_env = env;
     slow_env.tuning.macro_step = false;
 
-    let mut slow_ctr = SliceCounter::default();
-    let slow = Engine::new(&slow_env).run(&plan, &mut slow_ctr);
-    let mut fast_ctr = SliceCounter::default();
-    let fast = Engine::new(&fast_env).run(&plan, &mut fast_ctr);
+    let (slow, slow_executed) = run_counting(&slow_env, &plan);
+    let (fast, fast_executed) = run_counting(&fast_env, &plan);
     let slow_json = serde_json::to_string(&slow).expect("report serializes");
     assert_eq!(
         slow_json,
         serde_json::to_string(&fast).expect("report serializes"),
-        "SliceCounter must not perturb macro-stepping"
+        "macro-stepping must not change the counted run's report"
     );
     assert!(
-        fast_ctr.slices < slow_ctr.slices,
-        "the horizon must actually skip slices ({} vs {})",
-        fast_ctr.slices,
-        slow_ctr.slices
+        fast_executed < slow_executed,
+        "the horizon must actually skip slices ({fast_executed} vs {slow_executed})"
     );
 
     // A window over executed-slice ordinals 2..3 closes under both
