@@ -169,15 +169,17 @@ pub trait Controller: Send {
     /// nothing, and leave the controller in a state indistinguishable
     /// from having observed those slices. The promise must hold whatever
     /// `slice_bytes`, `slice_energy_j`, `total_bytes`, `remaining_bytes`
-    /// and `remaining_per_chunk` carry in those calls, with `now` one
-    /// slice later each time and every other ctx field unchanged.
+    /// and `remaining_per_chunk` carry in those calls, as long as no
+    /// `remaining_per_chunk` entry reaches zero, with `now` one slice
+    /// later each time and every other ctx field unchanged.
     ///
     /// The engine may then skip calling `on_slice` for that many slices
     /// (DESIGN.md §12): the slices a macro-step window replays, and, in a
-    /// macro-stepped run with neither a fault runtime nor a journal, the
-    /// executed slices the promise still covers. It asks again after a
-    /// stage setup, a reallocation or a chunk drain, since those change
-    /// `stage` or `channels`.
+    /// macro-stepped run without a fault runtime, the executed slices the
+    /// promise still covers. It asks again after a stage setup, a
+    /// reallocation or a chunk drain, since those change `stage` or
+    /// `channels`, and after a slice in which a chunk's remaining bytes
+    /// reach zero.
     ///
     /// The conservative default promises nothing, which is always correct:
     /// a controller that accumulates per-slice measurements (window bytes,

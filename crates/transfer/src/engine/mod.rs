@@ -1321,18 +1321,10 @@ impl<'c> SliceRun<'c> {
             let ci = a.ch.chunk[i] as usize;
             *g = (*g / a.chunk_duty[ci]).min(a.chunk_cap[ci]);
         }
-        // A run that solves every slice would search a threshold per
-        // channel per slice to save one `time_at`; it keeps the quantum
-        // with a threshold no remainder reaches.
-        let (slice, pure) = (self.slice, self.pure(env));
         a.quanta.clear();
-        a.quanta.extend(a.grants.iter().map(|&g| {
-            if pure {
-                Quantum::of(g, slice)
-            } else {
-                Quantum::unsearched(g, slice)
-            }
-        }));
+        for &g in &a.grants {
+            a.quanta.push(Quantum::of(g, self.slice));
+        }
         eff
     }
 
@@ -1535,6 +1527,11 @@ impl<'c> SliceRun<'c> {
             if cfg!(feature = "debug-invariants") {
                 self.audit_promise(a, cx, o);
             }
+            // While a horizon span is open nothing is recomputed, as in
+            // the consulting arms below.
+            if self.acc.horizon_end.is_some() {
+                return 0;
+            }
             return self.horizon_window(a, cx, self.promised, start);
         }
         let ctx = self.slice_ctx(a, o);
@@ -1557,16 +1554,6 @@ impl<'c> SliceRun<'c> {
                 self.targets_moved(a);
                 0
             }
-            // A promise is kept only where nothing it may not cover can
-            // change between consults: macro-stepping on, no fault runtime
-            // (its view is in the context) and no journal (the promised
-            // consults stay in the reference the journal is cut against).
-            ControlAction::Continue
-                if cx.env.tuning.macro_step && self.runtime.is_none() && !self.journaling =>
-            {
-                self.promised = self.controller.next_decision_in(&ctx, self.slice);
-                self.horizon_window(a, cx, self.promised, start)
-            }
             // Journaled runs compute the horizon even with macro-stepping
             // off: the window then only drives the horizon span (the
             // slices execute normally), so macro and non-macro journals
@@ -1578,6 +1565,12 @@ impl<'c> SliceRun<'c> {
                     && self.acc.horizon_end.is_none() =>
             {
                 let promise = self.controller.next_decision_in(&ctx, self.slice);
+                // A promise is kept only where nothing it may not cover
+                // can change between consults: macro-stepping on and no
+                // fault runtime (its view is in the context).
+                if cx.env.tuning.macro_step && self.runtime.is_none() {
+                    self.promised = promise;
+                }
                 self.horizon_window(a, cx, promise, start)
             }
             ControlAction::Continue => 0,
@@ -1789,12 +1782,7 @@ impl<'c> SliceRun<'c> {
             }
         }
         for i in (0..ch.len()).filter(|&i| a.working[i]) {
-            k_channel = k_channel.min(steady_move_bound(
-                ch.file_remaining[i],
-                a.quanta[i].bytes,
-                a.grants[i],
-                slice,
-            ));
+            k_channel = k_channel.min(steady_move_bound(ch.file_remaining[i], a.quanta[i]));
         }
         k_channel
     }
@@ -2461,44 +2449,23 @@ fn assign_servers_into(counts: &[u32], out: &mut Vec<usize>) {
 }
 
 /// Largest number of consecutive slices a mid-file channel can replay as
-/// "move exactly `per_slice` bytes". The slice that completes the file
-/// (`time_at(remaining) <= slice`) — or that would move fewer than
-/// `per_slice` bytes because the remainder ran short — must execute
-/// normally, so it is excluded. A `per_slice` of zero (zero or sub-byte
-/// grant) never completes and never changes state: unbounded, the global
-/// bounds cap the window.
-fn steady_move_bound(remaining: Bytes, per_slice: Bytes, grant: Rate, slice: SimDuration) -> u64 {
-    // True iff replayed slice `j` (1-based) is still a steady partial move.
-    // `time_at` rounds to the micro while `bytes_in` floors, so both the
-    // byte-count and the time-need condition are checked explicitly.
-    let pred = |j: u64| -> bool {
-        let Some(consumed) = per_slice.as_u64().checked_mul(j - 1) else {
-            return false;
-        };
-        if consumed >= remaining.as_u64() {
-            return false;
-        }
-        let r = Bytes(remaining.as_u64() - consumed);
-        per_slice.as_u64() <= r.as_u64() && r.time_at(grant) > slice
-    };
-    if !pred(1) {
-        return 0;
+/// "move exactly its quantum". The slice that completes the file (a
+/// remainder below the quantum's threshold) — or that would move fewer
+/// than the quantum's bytes because the remainder ran short — must
+/// execute normally, so it is excluded: replayed slice `j` starts from
+/// `remaining − (j − 1)·bytes`, which must be at least
+/// `m = max(bytes, threshold, 1)`. A zero quantum (zero or sub-byte
+/// grant) never completes and never changes state: unbounded, the
+/// global bounds cap the window.
+fn steady_move_bound(remaining: Bytes, q: Quantum) -> u64 {
+    let m = q.bytes.max(q.threshold).max(Bytes(1));
+    if remaining < m {
+        0
+    } else if q.bytes.is_zero() {
+        u64::MAX
+    } else {
+        (remaining.as_u64() - m.as_u64()) / q.bytes.as_u64() + 1
     }
-    if per_slice.is_zero() {
-        return u64::MAX;
-    }
-    // Start from the whole quanta in the remainder (`pred(1)` holds, so
-    // `per_slice <= remaining`); `pred` is monotone in `j`, and the
-    // rounded time-need condition moves its last true value by a step or
-    // two at most.
-    let mut j = (remaining.as_u64() - per_slice.as_u64()) / per_slice.as_u64() + 1;
-    while !pred(j) {
-        j -= 1;
-    }
-    while pred(j + 1) {
-        j += 1;
-    }
-    j
 }
 
 /// A channel's full-slice move at its grant (DESIGN.md §17): the bytes a
@@ -2525,18 +2492,6 @@ impl Quantum {
         Quantum {
             bytes: grant.bytes_in(slice),
             threshold: Bytes(least_true(guess, |r| Bytes(r).time_at(grant) > slice)),
-        }
-    }
-}
-
-impl Quantum {
-    /// The quantum of `grant` over `slice` with a threshold no remainder
-    /// reaches: every move asks `time_at`.
-    #[inline]
-    pub(crate) fn unsearched(grant: Rate, slice: SimDuration) -> Self {
-        Quantum {
-            bytes: grant.bytes_in(slice),
-            threshold: Bytes(u64::MAX),
         }
     }
 }

@@ -843,10 +843,17 @@ fn resume_rejects_foreign_checkpoint() {
     );
 }
 
+/// A run paused every few slices reports and journals what the straight
+/// run does, and each pause's snapshot equals the checkpoint of a run
+/// halted there. Under a fault plan every slice consults the controller;
+/// without one the run skips the consults its controller promised, and a
+/// pause that cuts a horizon window leaves its span open at the next
+/// consults, where a skipped consult must open no window, as a consulted
+/// one would not.
 #[test]
 fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
-    let mut env = wan_env();
-    env.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(10), 7).into());
+    let mut faulty = wan_env();
+    faulty.faults = Some(crate::faults::FaultModel::new(SimDuration::from_secs(10), 7).into());
     let stage = |mb: u64| ChunkPlan {
         label: format!("s{mb}"),
         files: files(4, mb),
@@ -857,57 +864,59 @@ fn stepped_run_matches_straight_run_and_snapshots_match_halts() {
     };
     let plan = TransferPlan::sequential(vec![stage(300), stage(200)], Placement::PackFirst);
     let telemetry = || Telemetry::enabled(SimDuration::from_millis(500));
-    let mut tel = telemetry();
-    let straight = Engine::new(&env).run_instrumented(&plan, &mut NullController, &mut tel);
-    let straight_journal = tel.journal().unwrap().to_jsonl();
-    let straight_json = serde_json::to_string(&straight).unwrap();
-    for every in [3u64, 17] {
+    for env in [faulty, wan_env()] {
         let mut tel = telemetry();
-        let controller = Box::new(NullController);
-        let mut run = EngineRun::new(&env, Cow::Owned(plan.clone()), controller, &mut tel);
-        let mut resumed_stages = Vec::new();
-        let report = loop {
-            if let Some(report) = run.step(&env, &mut tel, Some(every), ResourceShare::FULL) {
-                break report;
-            }
-            let RunOutcome::Halted(halted) = Engine::new(&env).run_controlled(
-                &plan,
-                &mut NullController,
-                &mut telemetry(),
-                RunControl::halt_at(run.slices_done()),
-            ) else {
-                panic!("halted")
-            };
-            assert_eq!(
-                run.snapshot(&tel).to_json(),
-                halted.to_json(),
-                "every {every}"
-            );
-            // At one pause in each stage, the checkpoint must resume to
-            // the straight report.
-            if !resumed_stages.contains(&halted.stage) {
-                resumed_stages.push(halted.stage);
-                let ck = *halted;
-                let mut tel = telemetry();
-                let controller = Box::new(NullController);
-                let mut resumed =
-                    EngineRun::restore(&env, Cow::Borrowed(&plan), controller, &mut tel, ck);
-                let resumed = resumed.step(&env, &mut tel, None, ResourceShare::FULL);
+        let straight = Engine::new(&env).run_instrumented(&plan, &mut NullController, &mut tel);
+        let straight_journal = tel.journal().unwrap().to_jsonl();
+        let straight_json = serde_json::to_string(&straight).unwrap();
+        for every in [3u64, 17] {
+            let mut tel = telemetry();
+            let controller = Box::new(NullController);
+            let mut run = EngineRun::new(&env, Cow::Owned(plan.clone()), controller, &mut tel);
+            let mut resumed_stages = Vec::new();
+            let report = loop {
+                if let Some(report) = run.step(&env, &mut tel, Some(every), ResourceShare::FULL) {
+                    break report;
+                }
+                let RunOutcome::Halted(halted) = Engine::new(&env).run_controlled(
+                    &plan,
+                    &mut NullController,
+                    &mut telemetry(),
+                    RunControl::halt_at(run.slices_done()),
+                ) else {
+                    panic!("halted")
+                };
                 assert_eq!(
-                    resumed.map(|r| serde_json::to_string(&r).unwrap()).as_ref(),
-                    Some(&straight_json),
-                    "every {every}, resumed in stage {}",
-                    resumed_stages.len() - 1
+                    run.snapshot(&tel).to_json(),
+                    halted.to_json(),
+                    "every {every}"
                 );
-            }
-        };
-        assert_eq!(resumed_stages, [0, 1], "every {every}");
-        assert_eq!(
-            straight_json,
-            serde_json::to_string(&report).unwrap(),
-            "stepping every {every} slices must be invisible"
-        );
-        assert_eq!(tel.journal().unwrap().to_jsonl(), straight_journal);
+                // At one pause in each stage, the checkpoint must resume to
+                // the straight report.
+                if !resumed_stages.contains(&halted.stage) {
+                    resumed_stages.push(halted.stage);
+                    let ck = *halted;
+                    let mut tel = telemetry();
+                    let controller = Box::new(NullController);
+                    let mut resumed =
+                        EngineRun::restore(&env, Cow::Borrowed(&plan), controller, &mut tel, ck);
+                    let resumed = resumed.step(&env, &mut tel, None, ResourceShare::FULL);
+                    assert_eq!(
+                        resumed.map(|r| serde_json::to_string(&r).unwrap()).as_ref(),
+                        Some(&straight_json),
+                        "every {every}, resumed in stage {}",
+                        resumed_stages.len() - 1
+                    );
+                }
+            };
+            assert_eq!(resumed_stages, [0, 1], "every {every}");
+            assert_eq!(
+                straight_json,
+                serde_json::to_string(&report).unwrap(),
+                "stepping every {every} slices must be invisible"
+            );
+            assert_eq!(tel.journal().unwrap().to_jsonl(), straight_journal);
+        }
     }
 }
 
@@ -1136,8 +1145,9 @@ fn placement_and_grants_are_solved_once_per_change() {
     assert_eq!(run.arena.grant_solves, slices);
 }
 
-/// The binary search `steady_move_bound` ran before its closed-form
-/// start: the last `j` of the monotone predicate, probed by bisection.
+/// The search `steady_move_bound` ran before it read the quantum's
+/// threshold: the last `j` of the monotone predicate, which asks
+/// `time_at` of each replayed slice's remainder, probed by bisection.
 fn steady_move_bound_bisect(
     remaining: Bytes,
     per_slice: Bytes,
@@ -1176,12 +1186,13 @@ fn steady_move_bound_bisect(
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig { cases: 2_000, ..Default::default() })]
 
-    /// The closed-form start agrees with the bisection everywhere: whole
-    /// quanta, remainders a few bytes past a whole quantum or anywhere
-    /// within one, quanta that are not the grant's own (`per_slice` off
-    /// by a few bytes either way, so `time_at` of the last quantum rounds
-    /// up past the slice or lands inside it), zero and sub-byte grants,
-    /// and remainders shorter than a quantum.
+    /// The closed form over the stored threshold agrees with the
+    /// bisection everywhere: whole quanta, remainders a few bytes past a
+    /// whole quantum or anywhere within one, quanta that are not the
+    /// grant's own (`per_slice` off by a few bytes either way, so
+    /// `time_at` of the last quantum rounds up past the slice or lands
+    /// inside it), zero and sub-byte grants, and remainders shorter than
+    /// a quantum.
     #[test]
     fn steady_move_bound_matches_the_bisection(
         mbps in 0.0f64..40_000.0,
@@ -1200,8 +1211,9 @@ proptest::proptest! {
             (per_slice.as_f64() * partial) as u64
         };
         let remaining = Bytes(per_slice.as_u64() * quanta + tail);
+        let q = Quantum { bytes: per_slice, ..Quantum::of(grant, slice) };
         proptest::prop_assert_eq!(
-            steady_move_bound(remaining, per_slice, grant, slice),
+            steady_move_bound(remaining, q),
             steady_move_bound_bisect(remaining, per_slice, grant, slice),
             "remaining {:?}, per_slice {:?}, grant {:?}, slice {:?}",
             remaining, per_slice, grant, slice
@@ -1243,8 +1255,8 @@ fn only_mirrored_sites_book_the_source_power_at_the_destination() {
 
 /// Skipped consults leave the controller as consulting ones do. A
 /// fault-aware controller without faults mirrors the engine's targets
-/// and zeroes finished chunks, so a macro-stepped, unjournaled run, which
-/// skips the consults its controller promised, must hold the same
+/// and zeroes finished chunks, so a macro-stepped run, which skips the
+/// consults its controller promised, must hold the same
 /// controller state as the consult-every-slice run after every slice,
 /// through a chunk drain and the rebalance that follows it.
 #[test]

@@ -250,8 +250,8 @@ fn every_algorithm_is_bit_identical_with_markers_off() {
 }
 
 /// A run's report does not depend on its telemetry: every matrix cell,
-/// run macro-stepped with `Telemetry::disabled()` (where the engine skips
-/// the consults its controller promised, DESIGN.md §12), books the
+/// run macro-stepped with `Telemetry::disabled()` (no journal, no
+/// metrics registry, so no sampling tick bounds its horizon), books the
 /// journaled run's report byte for byte.
 #[test]
 fn every_report_is_independent_of_telemetry() {
